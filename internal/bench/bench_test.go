@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,7 +39,9 @@ func TestRegistryHasAllScenarios(t *testing.T) {
 
 // The emitted JSON must be byte-identical at any -parallel level: every
 // deterministic field depends only on the seed, and the host-dependent
-// wall-clock section is opt-in.
+// wall-clock section is opt-in. The alloc fields are left out here: they diff
+// process-global runtime.MemStats, which the neighbouring parallel subtests'
+// allocations leak into; TestAllocMeasurementRepeats checks them alone.
 func TestResultDeterministicAcrossParallelism(t *testing.T) {
 	for _, sc := range Scenarios() {
 		sc := sc
@@ -52,11 +55,14 @@ func TestResultDeterministicAcrossParallelism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := serial.Marshal()
+			if serial.AllocsPerAttempt < 0 || serial.BytesPerAttempt < 0 {
+				t.Fatalf("allocs/attempt = %v, bytes/attempt = %v, expected non-negative measurements", serial.AllocsPerAttempt, serial.BytesPerAttempt)
+			}
+			a, err := withoutAllocs(serial).Marshal()
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := parallel.Marshal()
+			b, err := withoutAllocs(parallel).Marshal()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,10 +72,33 @@ func TestResultDeterministicAcrossParallelism(t *testing.T) {
 			if serial.Totals.Events == 0 || serial.Totals.Attempts == 0 {
 				t.Fatalf("scenario did no work: %+v", serial.Totals)
 			}
-			if serial.AllocsPerAttempt <= 0 {
-				t.Fatalf("allocs/attempt = %v, expected a positive measurement", serial.AllocsPerAttempt)
-			}
 		})
+	}
+}
+
+func withoutAllocs(r Result) Result {
+	r.AllocsPerAttempt, r.BytesPerAttempt = 0, 0
+	return r
+}
+
+// TestAllocMeasurementRepeats checks the alloc pass on its own: no
+// t.Parallel, so no other test of this package runs while it reads MemStats,
+// and the pass must then read the same value at any -parallel level. The
+// slack admits a few stray runtime allocations (a few thousand attempts are
+// measured), far below what a neighbouring test adds.
+func TestAllocMeasurementRepeats(t *testing.T) {
+	sc, _ := ScenarioByName("single-link")
+	serial, err := Run(sc, quickOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := Run(sc, quickOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(serial.AllocsPerAttempt-parallel.AllocsPerAttempt) > 0.01 || math.Abs(serial.BytesPerAttempt-parallel.BytesPerAttempt) > 1 {
+		t.Fatalf("alloc pass differs between parallel levels: %v allocs, %v B vs %v allocs, %v B per attempt",
+			serial.AllocsPerAttempt, serial.BytesPerAttempt, parallel.AllocsPerAttempt, parallel.BytesPerAttempt)
 	}
 }
 

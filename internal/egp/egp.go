@@ -150,19 +150,20 @@ type EGP struct {
 
 	// Outstanding attempt bookkeeping. Deadlines guard against lost REPLY
 	// frames permanently blocking generation.
-	outstandingK  bool
-	kDeadline     sim.Time
+	outstandingK bool
+	kDeadline    sim.Time
+	// mAttemptTimes is a fixed ring, sized by MaxOutstandingM, of the trigger
+	// times of the outstanding M attempts: outstandingM of them, oldest at
+	// mHead.
 	outstandingM  int
 	mAttemptTimes []sim.Time
+	mHead         int
 	busyUntil     sim.Time
 	// kResumeCycle is the earliest cycle at which the next create-and-keep
 	// attempt may be triggered after a success; it is computed identically
 	// at both nodes (from the attempt cycle and platform constants) so they
 	// stay aligned on the K attempt grid without extra communication.
 	kResumeCycle uint64
-
-	// Completed or expired queue IDs we may still receive replies for.
-	retired map[wire.AbsoluteQueueID]bool
 
 	// reapScratch is the reusable expired-item collection buffer of
 	// reapExpired, which runs every MHP cycle.
@@ -202,7 +203,7 @@ func New(cfg Config) *EGP {
 		qmm:            NewQMM(cfg.Device),
 		feu:            NewFEU(cfg.Platform, cfg.Sampler),
 		expectedSeq:    1,
-		retired:        make(map[wire.AbsoluteQueueID]bool),
+		mAttemptTimes:  make([]sim.Time, cfg.MaxOutstandingM),
 		pendingExpires: make(map[wire.AbsoluteQueueID]sim.EventID),
 	}
 	e.queue = NewDistributedQueue(QueueConfig{
@@ -393,7 +394,6 @@ func (e *EGP) reapExpired() {
 	}
 	for _, it := range e.reapScratch {
 		e.queue.Remove(it.ID)
-		e.retired[it.ID] = true
 		if e.localOrigin(it) {
 			e.errCount++
 			e.emitError(it, wire.ErrTimeout)
@@ -413,7 +413,6 @@ func (e *EGP) FailAll(code wire.EGPError) {
 	items := append([]*QueueItem(nil), e.queue.AllItems()...)
 	for _, it := range items {
 		e.queue.Remove(it.ID)
-		e.retired[it.ID] = true
 		if e.localOrigin(it) {
 			e.errCount++
 			e.emitError(it, code)
@@ -424,7 +423,6 @@ func (e *EGP) FailAll(code wire.EGPError) {
 		e.qmm.ReleaseComm()
 	}
 	e.outstandingM = 0
-	e.mAttemptTimes = e.mAttemptTimes[:0]
 	// Cancelling an event has no observable trajectory effect, so plain map
 	// iteration is fine here.
 	for id, ev := range e.pendingExpires {
@@ -519,8 +517,8 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 	if e.outstandingM >= e.cfg.MaxOutstandingM {
 		return mhp.PollDecision{}
 	}
+	e.mAttemptTimes[(e.mHead+e.outstandingM)%len(e.mAttemptTimes)] = e.cfg.Sim.Now()
 	e.outstandingM++
-	e.mAttemptTimes = append(e.mAttemptTimes, e.cfg.Sim.Now())
 	e.attemptsRequested++
 	return mhp.PollDecision{
 		Attempt:      true,
@@ -584,12 +582,15 @@ func (e *EGP) reapLostAttempts() {
 		e.qmm.ReleaseComm()
 	}
 	deadline := e.replyDeadline()
-	for len(e.mAttemptTimes) > 0 && now.Sub(e.mAttemptTimes[0]) > deadline {
-		e.mAttemptTimes = e.mAttemptTimes[1:]
-		if e.outstandingM > 0 {
-			e.outstandingM--
-		}
+	for e.outstandingM > 0 && now.Sub(e.mAttemptTimes[e.mHead]) > deadline {
+		e.popMAttempt()
 	}
+}
+
+// popMAttempt releases the oldest outstanding M attempt.
+func (e *EGP) popMAttempt() {
+	e.mHead = (e.mHead + 1) % len(e.mAttemptTimes)
+	e.outstandingM--
 }
 
 // sharedBasisForCycle derives a pseudo-random measurement basis that both
@@ -609,10 +610,7 @@ func (e *EGP) HandleResult(r mhp.Result) {
 		e.outstandingK = false
 		e.qmm.ReleaseComm()
 	} else if e.outstandingM > 0 {
-		e.outstandingM--
-		if len(e.mAttemptTimes) > 0 {
-			e.mAttemptTimes = e.mAttemptTimes[1:]
-		}
+		e.popMAttempt()
 	}
 
 	if r.Outcome == wire.ErrGeneralFailure || r.Outcome.IsError() {
@@ -750,7 +748,6 @@ func (e *EGP) completePair(item *QueueItem, r mhp.Result, ev OKEvent) {
 	done := item.PairsLeft == 0
 	if done {
 		e.queue.Remove(item.ID)
-		e.retired[item.ID] = true
 	}
 	e.okCount++
 	ev.Node = e.cfg.NodeName

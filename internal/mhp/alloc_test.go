@@ -1,0 +1,77 @@
+package mhp_test
+
+import (
+	"testing"
+
+	"repro/internal/egp"
+	"repro/internal/netsim"
+	"repro/internal/nv"
+	"repro/internal/sim"
+)
+
+// TestFailedAttemptsAllocateNothing pins the attempt loop at zero heap
+// allocations: a 2-node Lab link serving a standing MD request runs a window
+// of failed attempts — poll, GEN, midpoint match and optical sample, REPLY,
+// EGP bookkeeping — and the window must not allocate at all. The lossy
+// variants also drive the midpoint's hold timeout and its error REPLY, and
+// frames the channel drops.
+func TestFailedAttemptsAllocateNothing(t *testing.T) {
+	cycle := nv.LabPlatform().CycleTime[nv.RequestMeasure]
+	for _, tc := range []struct {
+		name  string
+		queue sim.QueueKind
+		loss  float64
+	}{
+		{"heap", sim.QueueHeap, 0},
+		{"wheel", sim.QueueWheel, 0},
+		{"heap/lossy", sim.QueueHeap, 0.005},
+		{"wheel/lossy", sim.QueueWheel, 0.005},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := netsim.DefaultConfig(netsim.Chain(2), nv.ScenarioLab)
+			cfg.Queue = tc.queue
+			cfg.ClassicalLossProb = tc.loss
+			// Keep the queue-occupancy sampler, which appends to a series,
+			// out of the measured window.
+			cfg.QueueSamplePeriod = sim.Second
+			nw, err := netsim.NewNetwork(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := nw.Links[0]
+			// A high fidelity floor keeps α, and with it the herald rate, low
+			// enough that the measured window holds only failed attempts.
+			if _, code := nw.Submit(l, "A", egp.CreateRequest{NumPairs: 60000, MinFidelity: 0.8, Priority: egp.PriorityMD}); code != 0 {
+				t.Fatalf("submit: %v", code)
+			}
+			// Warm up past the DQP handshake and the node's first pending-map
+			// sweeps (every 1024 cycles, dropping attempts 4096 cycles old),
+			// so free lists and maps have reached their steady size.
+			nw.Run(6000 * sim.Duration(cycle))
+
+			_, successes0, timeMismatch0, _, noOther0 := l.Mid.Stats()
+			// AllocsPerRun calls the window twice, once unmeasured; attempts
+			// is the measured call's count.
+			var attempts uint64
+			allocs := testing.AllocsPerRun(1, func() {
+				before := nw.Attempts()
+				_ = nw.Sim.RunFor(1000 * sim.Duration(cycle))
+				attempts = nw.Attempts() - before
+			})
+			_, successes, timeMismatch, _, noOther := l.Mid.Stats()
+
+			if attempts < 400 {
+				t.Fatalf("only %d attempts sampled in the window", attempts)
+			}
+			if successes != successes0 {
+				t.Fatalf("%d heralded successes in the window; it must hold failed attempts only (pick a shorter window)", successes-successes0)
+			}
+			if tc.loss > 0 && timeMismatch+noOther == timeMismatch0+noOther0 {
+				t.Fatal("lossy window never reached the midpoint's hold timeout")
+			}
+			if allocs != 0 {
+				t.Fatalf("%v allocations over %d failed attempts, want 0", allocs, attempts)
+			}
+		})
+	}
+}

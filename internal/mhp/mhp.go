@@ -74,6 +74,10 @@ type Generator interface {
 // (which creates them) and the two nodes' link layers (which claim their
 // side upon receiving the REPLY). It stands in for "the qubit is already
 // physically at the node" — only classical information travels in REPLY.
+//
+// The registry is the one object a link's two nodes and midpoint share, so it
+// also holds the link's free lists of GEN and REPLY payloads. All three run on
+// the link's own engine (serial or one shard), so neither needs a lock.
 type PairRegistry struct {
 	pairs map[uint16]*nv.EntangledPair
 	// newest is the most recently assigned sequence number; Sweep measures
@@ -81,6 +85,9 @@ type PairRegistry struct {
 	newest    uint16
 	hasNewest bool
 	evicted   uint64
+
+	gens    freeList[genPayload]
+	replies freeList[replyPayload]
 }
 
 // Registry eviction parameters: a sweep runs whenever the registry exceeds
@@ -150,16 +157,50 @@ func (r *PairRegistry) Len() int { return len(r.pairs) }
 // The photon cannot be lost independently of the frame here because photon
 // loss is already part of the optical model sampled at the midpoint; what
 // matters for protocol robustness is losing the classical frame.
+//
+// Payloads travel as pointers drawn from the link's free list. The sender
+// reclaims a payload the channel dropped; otherwise the midpoint returns it
+// once nothing refers to it any more: at once for a GEN that matched on
+// arrival, from the hold event for a held one.
 type genPayload struct {
-	frame []byte
+	frame [wire.GENFrameLen]byte
+	// size is how many bytes of frame were sent: always the full frame from
+	// a node, shorter only for a hand-built payload (NewGENPayload).
+	size  uint8
 	alpha float64
-	node  string
+	side  nv.PairSide
 	cycle uint64
 }
 
-// replyPayload carries the encoded REPLY frame from the midpoint to a node.
+// replyPayload carries the encoded REPLY frame from the midpoint to a node,
+// which returns it to the free list as soon as it has decoded it.
 type replyPayload struct {
-	frame []byte
+	frame [wire.REPLYFrameLen]byte
+	size  uint8
+}
+
+// freeList recycles one kind of payload struct.
+type freeList[T any] []*T
+
+func (l *freeList[T]) get() *T {
+	if n := len(*l); n > 0 {
+		p := (*l)[n-1]
+		*l = (*l)[:n-1]
+		return p
+	}
+	return new(T)
+}
+
+func (l *freeList[T]) put(p *T) { *l = append(*l, p) }
+
+// sendPooled sends a pooled payload and returns it to its free list at once
+// when the channel drops it, since no receiver will.
+func sendPooled[T any](ch *classical.Channel, l *freeList[T], p *T) {
+	_, _, dropped := ch.Stats()
+	ch.Send(p)
+	if _, _, d := ch.Stats(); d != dropped {
+		l.put(p)
+	}
 }
 
 // Node is the node-side MHP instance.
@@ -193,10 +234,6 @@ type Node struct {
 	// cycle when inactive, keeping fault plumbing zero-cost when off.
 	paused      bool
 	rateDivisor uint64
-
-	// CommBusy tracks whether the communication qubit is mid-attempt for a
-	// K request (the EGP uses this to avoid double-triggering).
-	awaitingReply bool
 }
 
 // NodeConfig collects the parameters needed to construct a node-side MHP.
@@ -335,23 +372,21 @@ func (n *Node) runCycle() {
 	// (Appendix D.4.1).
 	n.device.ApplyAttemptDephasing(decision.Alpha)
 
-	frame := wire.GENFrame{QueueID: decision.QueueID, Timestamp: n.cycle}
 	n.pending[n.cycle] = decision
-	n.toMidpoint.Send(genPayload{
-		frame: frame.Encode(),
-		alpha: decision.Alpha,
-		node:  n.Name,
-		cycle: n.cycle,
-	})
+	p := n.registry.gens.get()
+	wire.GENFrame{QueueID: decision.QueueID, Timestamp: n.cycle}.Put(&p.frame)
+	p.size, p.alpha, p.side, p.cycle = wire.GENFrameLen, decision.Alpha, n.side, n.cycle
+	sendPooled(n.toMidpoint, &n.registry.gens, p)
 }
 
 // HandleReply processes a REPLY frame delivered from the midpoint.
 func (n *Node) HandleReply(msg classical.Message) {
-	payload, ok := msg.Payload.(replyPayload)
+	payload, ok := msg.Payload.(*replyPayload)
 	if !ok {
 		return
 	}
-	reply, err := wire.DecodeREPLY(payload.frame)
+	reply, err := wire.DecodeREPLY(payload.frame[:payload.size])
+	n.registry.replies.put(payload)
 	if err != nil {
 		return
 	}
@@ -419,6 +454,9 @@ type Midpoint struct {
 	// NO_MESSAGE_OTHER. It must exceed the propagation asymmetry of the two
 	// arms plus scheduling jitter.
 	holdTime sim.Duration
+	// onHold is the hold-timer handler, built once so holding a GEN schedules
+	// a pooled event carrying the payload instead of allocating a closure.
+	onHold sim.ArgHandler
 
 	// depolarize, when in (0,1), applies a single-qubit depolarising channel
 	// of that fidelity to every freshly heralded pair — the Degraded link
@@ -427,11 +465,11 @@ type Midpoint struct {
 	depolarize float64
 
 	seq uint16
-	// waiting holds unmatched GEN frames per node, keyed by the attempt
+	// waiting holds unmatched GEN frames per node side, keyed by the attempt
 	// cycle carried in the frame's timestamp: the station links messages to
 	// detection windows by timestamp, not by arrival order, so emission
 	// multiplexing over asymmetric fibre arms pairs the right attempts.
-	waiting map[string]map[uint64]genPayload
+	waiting [2]map[uint64]*genPayload
 
 	// Statistics.
 	matched       uint64
@@ -479,7 +517,7 @@ func NewMidpoint(cfg MidpointConfig) *Midpoint {
 	if hold <= 0 {
 		hold = 500 * sim.Microsecond
 	}
-	return &Midpoint{
+	m := &Midpoint{
 		simul:        cfg.Sim,
 		sampler:      cfg.Sampler,
 		registry:     cfg.Registry,
@@ -487,11 +525,13 @@ func NewMidpoint(cfg MidpointConfig) *Midpoint {
 		toB:          cfg.ToB,
 		windowCycles: w,
 		holdTime:     hold,
-		waiting:      map[string]map[uint64]genPayload{"A": {}, "B": {}},
+		waiting:      [2]map[uint64]*genPayload{{}, {}},
 		trace:        cfg.Trace,
 		traceID:      cfg.TraceID,
 		metrics:      cfg.Metrics,
 	}
+	m.onHold = m.holdExpired
+	return m
 }
 
 // Stats reports the midpoint's counters: matched attempt pairs, heralded
@@ -516,54 +556,42 @@ func (m *Midpoint) SetDepolarizing(f float64) {
 
 // HandleGEN processes a GEN frame (and accompanying photon) from either node.
 func (m *Midpoint) HandleGEN(msg classical.Message) {
-	payload, ok := msg.Payload.(genPayload)
+	payload, ok := msg.Payload.(*genPayload)
 	if !ok {
 		return
 	}
-	// Decode once on arrival; the decoded frame serves validation, the
-	// timeout path and the matching path below.
-	genSelf, err := wire.DecodeGEN(payload.frame)
-	if err != nil {
+	// Decode once on arrival; the decoded frame serves validation and the
+	// matching path below, and the hold event re-reads the validated bytes.
+	genSelf, err := wire.DecodeGEN(payload.frame[:payload.size])
+	if err != nil || (payload.side != nv.SideA && payload.side != nv.SideB) {
+		m.registry.gens.put(payload)
 		return
-	}
-	other := "A"
-	if payload.node == "A" {
-		other = "B"
 	}
 	// Link the message to a detection window by its timestamp: look for a
 	// waiting peer GEN whose cycle lies within the detection window.
-	peer, haveMatch := m.findPeerGEN(other, payload.cycle)
-	if !haveMatch {
+	peer := m.findPeerGEN(1-payload.side, payload.cycle)
+	if peer == nil {
 		// Hold this GEN waiting for the peer's; if it never arrives the
 		// attempt is reported back as NO_MESSAGE_OTHER (or TIME_MISMATCH
-		// when the peer was attempting different cycles).
-		m.waiting[payload.node][payload.cycle] = payload
-		sim.Schedule(m.simul, m.holdTime, func() {
-			if held, still := m.waiting[payload.node][payload.cycle]; still && held.cycle == payload.cycle {
-				delete(m.waiting[payload.node], payload.cycle)
-				if len(m.waiting[other]) > 0 {
-					m.timeMismatch++
-					m.trace.Record(m.simul.Now(), obs.KindHeraldDrop, m.traceID, 0, int64(payload.cycle))
-					m.sendError(payload.node, genSelf.QueueID, wire.ErrTimeMismatch)
-				} else {
-					m.noOther++
-					m.trace.Record(m.simul.Now(), obs.KindHeraldDrop, m.traceID, 1, int64(payload.cycle))
-					m.sendError(payload.node, genSelf.QueueID, wire.ErrNoMessageOther)
-				}
-			}
-		})
+		// when the peer was attempting different cycles). The hold event
+		// fires whether or not the GEN is matched first, and it is what
+		// returns the payload to the free list.
+		m.waiting[payload.side][payload.cycle] = payload
+		sim.ScheduleArg(m.simul, m.holdTime, m.onHold, payload)
 		return
 	}
-	delete(m.waiting[other], peer.cycle)
+	delete(m.waiting[peer.side], peer.cycle)
+	defer m.registry.gens.put(payload)
 
 	// The peer frame was validated when it arrived, so its decode cannot fail.
-	genPeer, _ := wire.DecodeGEN(peer.frame)
+	genPeer, _ := wire.DecodeGEN(peer.frame[:peer.size])
 
 	// Queue-ID consistency check.
 	if genSelf.QueueID != genPeer.QueueID {
 		m.queueMismatch++
 		m.trace.Record(m.simul.Now(), obs.KindHeraldDrop, m.traceID, 2, int64(payload.cycle))
-		m.sendErrorBoth(payload, peer, wire.ErrQueueMismatch, genSelf.QueueID, genPeer.QueueID)
+		m.sendReply(payload.side, wire.ErrQueueMismatch, 0, genSelf.QueueID, genPeer.QueueID)
+		m.sendReply(peer.side, wire.ErrQueueMismatch, 0, genPeer.QueueID, genSelf.QueueID)
 		return
 	}
 	m.matched++
@@ -573,11 +601,9 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 
 	// Perform the optical Bell-state measurement. By convention A is the
 	// first argument.
-	alphaA, alphaB := payload.alpha, peer.alpha
-	if payload.node == "B" {
-		alphaA, alphaB = peer.alpha, payload.alpha
-	}
-	res := m.sampler.Sample(alphaA, alphaB, m.simul.RNG())
+	var alpha [2]float64
+	alpha[payload.side], alpha[peer.side] = payload.alpha, peer.alpha
+	res := m.sampler.Sample(alpha[nv.SideA], alpha[nv.SideB], m.simul.RNG())
 
 	outcome := wire.OutcomeFailure
 	switch res.Outcome {
@@ -607,62 +633,60 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 	m.trace.Record(m.simul.Now(), obs.KindHerald, m.traceID, int64(outcome), int64(seq))
 
 	// Send REPLY to both nodes, echoing each node's own queue ID first.
-	m.sendReply("A", outcome, seq, genQueueForNode("A", payload, peer, genSelf, genPeer), genQueueForNode("B", payload, peer, genSelf, genPeer))
-	m.sendReply("B", outcome, seq, genQueueForNode("B", payload, peer, genSelf, genPeer), genQueueForNode("A", payload, peer, genSelf, genPeer))
+	var queue [2]wire.AbsoluteQueueID
+	queue[payload.side], queue[peer.side] = genSelf.QueueID, genPeer.QueueID
+	m.sendReply(nv.SideA, outcome, seq, queue[nv.SideA], queue[nv.SideB])
+	m.sendReply(nv.SideB, outcome, seq, queue[nv.SideB], queue[nv.SideA])
 }
 
-// findPeerGEN returns a waiting GEN from the named node whose cycle is
-// within the detection window of the given cycle.
-func (m *Midpoint) findPeerGEN(node string, cycle uint64) (genPayload, bool) {
-	if p, ok := m.waiting[node][cycle]; ok {
-		return p, true
+// holdExpired is the hold event of one held GEN. If the GEN is still waiting,
+// its peer never came: the attempt is reported back as an error. Either way
+// nothing refers to the payload any more, so it returns to the free list.
+func (m *Midpoint) holdExpired(now sim.Time, arg any) {
+	payload := arg.(*genPayload)
+	if m.waiting[payload.side][payload.cycle] == payload {
+		delete(m.waiting[payload.side], payload.cycle)
+		gen, _ := wire.DecodeGEN(payload.frame[:payload.size])
+		if len(m.waiting[1-payload.side]) > 0 {
+			m.timeMismatch++
+			m.trace.Record(now, obs.KindHeraldDrop, m.traceID, 0, int64(payload.cycle))
+			m.sendReply(payload.side, wire.ErrTimeMismatch, 0, gen.QueueID, wire.AbsoluteQueueID{})
+		} else {
+			m.noOther++
+			m.trace.Record(now, obs.KindHeraldDrop, m.traceID, 1, int64(payload.cycle))
+			m.sendReply(payload.side, wire.ErrNoMessageOther, 0, gen.QueueID, wire.AbsoluteQueueID{})
+		}
+	}
+	m.registry.gens.put(payload)
+}
+
+// findPeerGEN returns a waiting GEN from the given side whose cycle is within
+// the detection window of the given cycle, or nil.
+func (m *Midpoint) findPeerGEN(side nv.PairSide, cycle uint64) *genPayload {
+	if p, ok := m.waiting[side][cycle]; ok {
+		return p
 	}
 	for d := uint64(1); d < m.windowCycles; d++ {
-		if p, ok := m.waiting[node][cycle-d]; ok {
-			return p, true
+		if p, ok := m.waiting[side][cycle-d]; ok {
+			return p
 		}
-		if p, ok := m.waiting[node][cycle+d]; ok {
-			return p, true
+		if p, ok := m.waiting[side][cycle+d]; ok {
+			return p
 		}
 	}
-	return genPayload{}, false
+	return nil
 }
 
-// genQueueForNode returns the queue ID submitted by the named node, given
-// the two payloads and their decoded frames.
-func genQueueForNode(node string, p1, p2 genPayload, f1, f2 wire.GENFrame) wire.AbsoluteQueueID {
-	if p1.node == node {
-		return f1.QueueID
-	}
-	if p2.node == node {
-		return f2.QueueID
-	}
-	return wire.AbsoluteQueueID{}
-}
-
-// sendReply transmits a REPLY frame to the named node.
-func (m *Midpoint) sendReply(node string, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) {
-	frame := wire.REPLYFrame{Outcome: outcome, MHPSeq: seq, QueueID: own, PeerQueue: peer}
+// sendReply transmits a REPLY frame to the node on the given side.
+func (m *Midpoint) sendReply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) {
+	p := m.registry.replies.get()
+	wire.REPLYFrame{Outcome: outcome, MHPSeq: seq, QueueID: own, PeerQueue: peer}.Put(&p.frame)
+	p.size = wire.REPLYFrameLen
 	ch := m.toA
-	if node == "B" {
+	if side == nv.SideB {
 		ch = m.toB
 	}
-	ch.Send(replyPayload{frame: frame.Encode()})
-}
-
-// sendError sends an error REPLY to the single node that sent a GEN.
-func (m *Midpoint) sendError(node string, queueID wire.AbsoluteQueueID, code wire.MHPOutcome) {
-	m.sendReply(node, code, 0, queueID, wire.AbsoluteQueueID{})
-}
-
-// sendErrorBoth sends an error REPLY to both nodes.
-func (m *Midpoint) sendErrorBoth(p1, p2 genPayload, code wire.MHPOutcome, q1, q2 wire.AbsoluteQueueID) {
-	m.sendReplyFor(p1.node, code, q1, q2)
-	m.sendReplyFor(p2.node, code, q2, q1)
-}
-
-func (m *Midpoint) sendReplyFor(node string, code wire.MHPOutcome, own, peer wire.AbsoluteQueueID) {
-	m.sendReply(node, code, 0, own, peer)
+	sendPooled(ch, &m.registry.replies, p)
 }
 
 // String summarises midpoint statistics for diagnostics.
@@ -671,12 +695,18 @@ func (m *Midpoint) String() string {
 		m.matched, m.successes, m.timeMismatch, m.queueMismatch, m.noOther)
 }
 
-// NewGENPayload builds the channel payload for a GEN frame; exported for the
-// core network wiring and tests.
-func NewGENPayload(frame []byte, alpha float64, node string, cycle uint64) any {
-	return genPayload{frame: frame, alpha: alpha, node: node, cycle: cycle}
+// NewGENPayload builds the channel payload for a GEN frame as a node would
+// send it (frames longer than a GEN are truncated); exported for tests.
+func NewGENPayload(frame []byte, alpha float64, side nv.PairSide, cycle uint64) any {
+	p := &genPayload{alpha: alpha, side: side, cycle: cycle}
+	p.size = uint8(copy(p.frame[:], frame))
+	return p
 }
 
-// NewREPLYPayload builds the channel payload for a REPLY frame; exported for
-// tests.
-func NewREPLYPayload(frame []byte) any { return replyPayload{frame: frame} }
+// NewREPLYPayload builds the channel payload for a REPLY frame (frames
+// longer than a REPLY are truncated); exported for tests.
+func NewREPLYPayload(frame []byte) any {
+	p := &replyPayload{}
+	p.size = uint8(copy(p.frame[:], frame))
+	return p
+}

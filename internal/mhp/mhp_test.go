@@ -299,9 +299,16 @@ func TestNodeCycleCountingAndPending(t *testing.T) {
 func TestMidpointIgnoresGarbage(t *testing.T) {
 	h := newHarness(t, 0)
 	h.mid.HandleGEN(classical.Message{Payload: "not a payload"})
-	h.mid.HandleGEN(classical.Message{Payload: NewGENPayload([]byte{0xFF, 0x00}, 0.1, "A", 1)})
+	h.mid.HandleGEN(classical.Message{Payload: NewGENPayload([]byte{0xFF, 0x00}, 0.1, nv.SideA, 1)})
 	h.nodeA.HandleReply(classical.Message{Payload: "nonsense"})
 	h.nodeA.HandleReply(classical.Message{Payload: NewREPLYPayload([]byte{0x01})})
+	// A truncated frame of the right type, and a well-formed GEN from a side
+	// the midpoint does not have.
+	h.nodeA.HandleReply(classical.Message{Payload: NewREPLYPayload([]byte{byte(wire.FrameREPLY)})})
+	h.mid.HandleGEN(classical.Message{Payload: NewGENPayload(wire.GENFrame{Timestamp: 1}.Encode(), 0.1, nv.PairSide(7), 1)})
+	if len(h.genA.results) != 0 {
+		t.Fatalf("garbage REPLYs reached the link layer: %+v", h.genA.results)
+	}
 	matched, successes, _, _, _ := h.mid.Stats()
 	if matched != 0 || successes != 0 {
 		t.Fatal("garbage input should be ignored")

@@ -11,6 +11,9 @@ import (
 // station H: local electron-photon state preparation with bright-state
 // population α, every loss and dephasing mechanism of Appendix D.4, and the
 // beam-splitter measurement plus detector noise of Appendix D.5.
+//
+// Build one with NewHeraldedLink. A link memoises the attempt distributions
+// its samplers compute, so its parameters must not change after construction.
 type HeraldedLink struct {
 	EmissionA EmissionParams
 	EmissionB EmissionParams
@@ -21,6 +24,7 @@ type HeraldedLink struct {
 	Visibility float64
 
 	povm *BeamSplitterPOVM
+	memo *distributionMemo
 }
 
 // NewHeraldedLink builds a link model and precomputes the beam-splitter POVM.
@@ -33,6 +37,7 @@ func NewHeraldedLink(emA, emB EmissionParams, fibA, fibB Fiber, det DetectorPara
 		Detectors:  det,
 		Visibility: visibility,
 		povm:       NewBeamSplitterPOVM(visibility),
+		memo:       &distributionMemo{m: make(map[alphaKey]*attemptDistribution)},
 	}
 }
 

@@ -342,6 +342,55 @@ func TestSamplerStateIndependence(t *testing.T) {
 	}
 }
 
+// Samplers on one link share its computed distributions; samplers on another
+// link with the same parameters compute their own, bit for bit the same.
+func TestSamplersShareTheirLinksDistributions(t *testing.T) {
+	em := labEmission(0.014)
+	det := DetectorParams{Efficiency: 0.8, DarkCountRate: 20, Window: 25e-9}
+	link := NewHeraldedLink(em, em, Fiber{}, Fiber{}, det, 0.9)
+	other := NewHeraldedLink(em, em, Fiber{}, Fiber{}, det, 0.9)
+	a, b, c := NewLinkSampler(link), NewLinkSamplerBackend(link, quantum.BackendBellDiagonal), NewLinkSampler(other)
+	for _, alpha := range []float64{0.05, 0.1, 0.3} {
+		da, db, dc := a.distribution(alpha, alpha), b.distribution(alpha, alpha), c.distribution(alpha, alpha)
+		if da != db {
+			t.Fatalf("α=%v: samplers of one link computed separate distributions", alpha)
+		}
+		if dc == da {
+			t.Fatalf("α=%v: samplers of different links share a distribution", alpha)
+		}
+		if da.probs != dc.probs || da.bell != dc.bell || da.total != dc.total {
+			t.Fatalf("α=%v: shared distribution differs from a fresh one", alpha)
+		}
+	}
+	if n := len(link.memo.m); n != 3 {
+		t.Fatalf("link memo holds %d distributions, want 3", n)
+	}
+}
+
+// Samplers of one link may miss concurrently (links on different shards);
+// run under -race.
+func TestSharedDistributionsConcurrentMisses(t *testing.T) {
+	em := labEmission(0.014)
+	link := NewHeraldedLink(em, em, Fiber{}, Fiber{}, idealDetectors(), 0.9)
+	done := make(chan float64)
+	for g := 0; g < 4; g++ {
+		go func() {
+			s := NewLinkSampler(link)
+			sum := 0.0
+			for i := 1; i <= 20; i++ {
+				sum += s.HeraldSuccessProbability(float64(i)/40, float64(i)/40)
+			}
+			done <- sum
+		}()
+	}
+	first := <-done
+	for g := 1; g < 4; g++ {
+		if sum := <-done; sum != first {
+			t.Fatalf("concurrent samplers disagree: %v vs %v", sum, first)
+		}
+	}
+}
+
 func TestDarkCountsProduceFalsePositives(t *testing.T) {
 	// With huge dark-count rates, heralded "successes" appear even when no
 	// photons could have arrived (α=0 means no bright-state population and

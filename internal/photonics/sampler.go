@@ -2,6 +2,7 @@ package photonics
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/quantum"
 )
@@ -72,25 +73,49 @@ func (s *LinkSampler) Link() *HeraldedLink { return s.link }
 // Attempts returns how many entanglement attempts have been sampled.
 func (s *LinkSampler) Attempts() uint64 { return s.attempts }
 
-// distribution computes (or returns the cached) branch distribution for the
-// given bright-state populations.
+// distribution returns the branch distribution for the given bright-state
+// populations from the sampler's own cache, falling back to the link's.
 func (s *LinkSampler) distribution(alphaA, alphaB float64) *attemptDistribution {
 	key := alphaKey{alphaA, alphaB}
 	if d, ok := s.cache[key]; ok {
 		return d
 	}
-	d := s.computeDistribution(alphaA, alphaB)
+	d := s.link.distribution(key)
 	s.cache[key] = d
+	return d
+}
+
+// distributionMemo holds the attempt distributions computed for one link,
+// shared by every sampler built on it: all links of a network share one
+// platform's optics, so the FEU's α bisection runs the dense model once per
+// network instead of once per link. A distribution is a pure function of the
+// link parameters and (αA, αB), so sharing changes no result. Samplers of a
+// sharded network can miss concurrently, hence the lock; each sampler takes it
+// only on a miss in its own cache.
+type distributionMemo struct {
+	mu sync.Mutex
+	m  map[alphaKey]*attemptDistribution
+}
+
+// distribution returns the memoised distribution for key, computing it on
+// first use.
+func (l *HeraldedLink) distribution(key alphaKey) *attemptDistribution {
+	l.memo.mu.Lock()
+	defer l.memo.mu.Unlock()
+	d, ok := l.memo.m[key]
+	if !ok {
+		d = l.computeDistribution(key.a, key.b)
+		l.memo.m[key] = d
+	}
 	return d
 }
 
 // computeDistribution runs the dense model once and collapses it onto each
 // of the four ideal click patterns.
-func (s *LinkSampler) computeDistribution(alphaA, alphaB float64) *attemptDistribution {
+func (l *HeraldedLink) computeDistribution(alphaA, alphaB float64) *attemptDistribution {
 	if alphaA < 0 || alphaA > 1 || alphaB < 0 || alphaB > 1 {
 		panic(fmt.Sprintf("photonics: bright state population out of range (%v, %v)", alphaA, alphaB))
 	}
-	l := s.link
 	stateA := quantum.NewStateFromKet(electronPhotonKet(alphaA))
 	stateB := quantum.NewStateFromKet(electronPhotonKet(alphaB))
 	joint := stateA.Tensor(stateB)

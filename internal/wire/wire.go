@@ -170,23 +170,30 @@ type GENFrame struct {
 	Timestamp uint64 // MHP cycle number, used by H to match detection windows
 }
 
-const genFrameLen = 1 + 1 + 2 + 8
+// GENFrameLen is the encoded size of a GEN frame.
+const GENFrameLen = 1 + 1 + 2 + 8
 
-// Encode serialises the frame.
-func (g GENFrame) Encode() []byte {
-	b := make([]byte, genFrameLen)
+// Put encodes the frame into a fixed-size buffer, so a sender that reuses the
+// buffer encodes without allocating.
+func (g GENFrame) Put(b *[GENFrameLen]byte) {
 	b[0] = byte(FrameGEN)
 	b[1] = g.QueueID.QueueID
 	order.PutUint16(b[2:], g.QueueID.QueueSeq)
 	order.PutUint64(b[4:], g.Timestamp)
-	return b
+}
+
+// Encode serialises the frame.
+func (g GENFrame) Encode() []byte {
+	b := new([GENFrameLen]byte)
+	g.Put(b)
+	return b[:]
 }
 
 // DecodeGEN parses a GEN frame.
 func DecodeGEN(b []byte) (GENFrame, error) {
 	var g GENFrame
-	if len(b) < genFrameLen {
-		return g, fmt.Errorf("%w: GEN needs %d bytes, got %d", ErrShortFrame, genFrameLen, len(b))
+	if len(b) < GENFrameLen {
+		return g, fmt.Errorf("%w: GEN needs %d bytes, got %d", ErrShortFrame, GENFrameLen, len(b))
 	}
 	if FrameType(b[0]) != FrameGEN {
 		return g, fmt.Errorf("%w: %v", ErrBadFrameType, FrameType(b[0]))
@@ -207,11 +214,12 @@ type REPLYFrame struct {
 	PeerQueue AbsoluteQueueID // the queue ID submitted by the peer
 }
 
-const replyFrameLen = 1 + 1 + 2 + 3 + 3
+// REPLYFrameLen is the encoded size of a REPLY frame.
+const REPLYFrameLen = 1 + 1 + 2 + 3 + 3
 
-// Encode serialises the frame.
-func (r REPLYFrame) Encode() []byte {
-	b := make([]byte, replyFrameLen)
+// Put encodes the frame into a fixed-size buffer, so a sender that reuses the
+// buffer encodes without allocating.
+func (r REPLYFrame) Put(b *[REPLYFrameLen]byte) {
 	b[0] = byte(FrameREPLY)
 	b[1] = byte(r.Outcome)
 	order.PutUint16(b[2:], r.MHPSeq)
@@ -219,14 +227,20 @@ func (r REPLYFrame) Encode() []byte {
 	order.PutUint16(b[5:], r.QueueID.QueueSeq)
 	b[7] = r.PeerQueue.QueueID
 	order.PutUint16(b[8:], r.PeerQueue.QueueSeq)
-	return b
+}
+
+// Encode serialises the frame.
+func (r REPLYFrame) Encode() []byte {
+	b := new([REPLYFrameLen]byte)
+	r.Put(b)
+	return b[:]
 }
 
 // DecodeREPLY parses a REPLY frame.
 func DecodeREPLY(b []byte) (REPLYFrame, error) {
 	var r REPLYFrame
-	if len(b) < replyFrameLen {
-		return r, fmt.Errorf("%w: REPLY needs %d bytes, got %d", ErrShortFrame, replyFrameLen, len(b))
+	if len(b) < REPLYFrameLen {
+		return r, fmt.Errorf("%w: REPLY needs %d bytes, got %d", ErrShortFrame, REPLYFrameLen, len(b))
 	}
 	if FrameType(b[0]) != FrameREPLY {
 		return r, fmt.Errorf("%w: %v", ErrBadFrameType, FrameType(b[0]))
