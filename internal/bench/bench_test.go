@@ -161,18 +161,18 @@ func baselinePair() (Result, Result) {
 		Scenario:         "single-link",
 		Config:           RunConfig{Seed: 1, Trials: 3, SimSeconds: 1},
 		AllocsPerAttempt: 20,
-		WallClock:        &WallClock{EventsPerWallSec: 1e6},
+		WallClock:        &WallClock{SimSecPerWallSec: 10},
 	}
 	fresh := base
-	fresh.WallClock = &WallClock{EventsPerWallSec: 1e6}
+	fresh.WallClock = &WallClock{SimSecPerWallSec: 10}
 	return base, fresh
 }
 
 func TestCompareGate(t *testing.T) {
 	t.Run("pass within tolerance", func(t *testing.T) {
 		base, fresh := baselinePair()
-		fresh.AllocsPerAttempt = 23                         // +15%
-		fresh.WallClock = &WallClock{EventsPerWallSec: 9e5} // -10%
+		fresh.AllocsPerAttempt = 23                       // +15%
+		fresh.WallClock = &WallClock{SimSecPerWallSec: 9} // -10%
 		regs, err := Compare(base, fresh, 0.20)
 		if err != nil || len(regs) != 0 {
 			t.Fatalf("want clean pass, got regs=%v err=%v", regs, err)
@@ -188,9 +188,9 @@ func TestCompareGate(t *testing.T) {
 	})
 	t.Run("throughput regression fails", func(t *testing.T) {
 		base, fresh := baselinePair()
-		fresh.WallClock = &WallClock{EventsPerWallSec: 7e5} // -30%
+		fresh.WallClock = &WallClock{SimSecPerWallSec: 7} // -30%
 		regs, err := Compare(base, fresh, 0.20)
-		if err != nil || len(regs) != 1 || !strings.Contains(regs[0], "events/wall-sec") {
+		if err != nil || len(regs) != 1 || !strings.Contains(regs[0], "sim-sec/wall-sec") {
 			t.Fatalf("want one throughput regression, got regs=%v err=%v", regs, err)
 		}
 	})

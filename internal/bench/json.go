@@ -120,9 +120,12 @@ func ReadFile(path string) (Result, error) {
 //
 //   - allocations per attempt must not rise by more than tolerance
 //     (deterministic, so this gate is reliable on any machine), and
-//   - events per wall-second must not drop by more than tolerance, checked
-//     only when both results carry a wall-clock section (host-dependent, so
-//     the baseline should be refreshed from the machine that runs the gate).
+//   - simulated seconds per wall-second must not drop by more than
+//     tolerance, checked only when both results carry a wall-clock section
+//     (host-dependent, so the baseline should be refreshed from the machine
+//     that runs the gate). Simulated time, not events, is the gated rate:
+//     how many events a run fires is an implementation detail (the MHP cycle
+//     clock skips idle nodes' polls), the simulated window is not.
 //
 // Informational differences (pair throughput, bytes/attempt) are not gated.
 func Compare(baseline, fresh Result, tolerance float64) ([]string, error) {
@@ -140,10 +143,10 @@ func Compare(baseline, fresh Result, tolerance float64) ([]string, error) {
 			fresh.Scenario, base, fresh.AllocsPerAttempt, tolerance*100))
 	}
 	if baseline.WallClock != nil && fresh.WallClock != nil {
-		if base := baseline.WallClock.EventsPerWallSec; base > 0 && fresh.WallClock.EventsPerWallSec < base*(1-tolerance) {
+		if base := baseline.WallClock.SimSecPerWallSec; base > 0 && fresh.WallClock.SimSecPerWallSec < base*(1-tolerance) {
 			regressions = append(regressions, fmt.Sprintf(
-				"%s: events/wall-sec dropped %.0f -> %.0f (more than %.0f%% below baseline)",
-				fresh.Scenario, base, fresh.WallClock.EventsPerWallSec, tolerance*100))
+				"%s: sim-sec/wall-sec dropped %.3f -> %.3f (more than %.0f%% below baseline)",
+				fresh.Scenario, base, fresh.WallClock.SimSecPerWallSec, tolerance*100))
 		}
 	}
 	return regressions, nil

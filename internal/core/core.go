@@ -251,6 +251,8 @@ func NewNetwork(cfg Config) *Network {
 		CycleTimeK: platform.CycleTime[nv.RequestKeep],
 		CycleTimeM: platform.CycleTime[nv.RequestMeasure],
 	})
+	n.EGPA.SetNode(n.MHPA)
+	n.EGPB.SetNode(n.MHPB)
 	n.Mid = mhp.NewMidpoint(mhp.MidpointConfig{
 		Sim:          s,
 		Sampler:      sampler,

@@ -136,7 +136,7 @@ type Config struct {
 }
 
 // EGP is one node's link layer protocol instance. It implements
-// mhp.Generator so the physical layer can poll it every cycle.
+// mhp.Generator so the physical layer can poll it every cycle it has work.
 type EGP struct {
 	cfg Config
 
@@ -144,6 +144,9 @@ type EGP struct {
 	qmm   *QuantumMemoryManager
 	feu   *FidelityEstimationUnit
 
+	// node is the MHP node polling this EGP (nil when the EGP is driven by
+	// hand); cycle is the cycle of the latest PollTrigger call.
+	node        *mhp.Node
 	cycle       uint64
 	createSeq   uint16
 	expectedSeq uint16
@@ -223,6 +226,9 @@ func New(cfg Config) *EGP {
 					item.Alpha = alpha
 				}
 			}
+			// A confirmed handshake is how a peer's ADD, or the ACK of a
+			// slave's own ADD, puts an item in this node's queue.
+			e.wake()
 		},
 		OnRejected: func(item *QueueItem, code wire.EGPError) {
 			e.errCount++
@@ -250,8 +256,33 @@ func (e *EGP) Stats() (creates, oks, errs, expSent, expRecv uint64) {
 	return e.creates, e.okCount, e.errCount, e.expiresSent, e.expiresReceived
 }
 
-// Cycle returns the last MHP cycle this EGP was polled at.
-func (e *EGP) Cycle() uint64 { return e.cycle }
+// SetNode connects the EGP to the MHP node that polls it: the EGP wakes the
+// node when its queue gains an item, and reads the current cycle from it.
+func (e *EGP) SetNode(n *mhp.Node) { e.node = n }
+
+// Cycle returns the MHP cycle this EGP was last polled at. With an MHP node
+// it comes from the node's clock (mhp.Node.PolledCycle), which also counts
+// the polls a parked node skips; a hand-driven EGP returns the cycle of its
+// latest PollTrigger call.
+func (e *EGP) Cycle() uint64 {
+	if e.node != nil {
+		return e.node.PolledCycle()
+	}
+	return e.cycle
+}
+
+// Idle implements mhp.Generator: with nothing queued and no attempt
+// outstanding, a poll changes nothing until the queue gains an item.
+func (e *EGP) Idle() bool {
+	return e.queue.TotalLen() == 0 && !e.outstandingK && e.outstandingM == 0
+}
+
+// wake returns the EGP's MHP node to its clock's active set.
+func (e *EGP) wake() {
+	if e.node != nil {
+		e.node.Wake()
+	}
+}
 
 // minTimeCycles returns the number of MHP cycles to wait before a new
 // request may start: enough for the ADD/ACK handshake to complete at both
@@ -305,7 +336,7 @@ func (e *EGP) Create(req CreateRequest) (uint16, wire.EGPError) {
 		}
 	}
 
-	scheduleCycle := e.cycle + e.minTimeCycles()
+	scheduleCycle := e.Cycle() + e.minTimeCycles()
 	var timeoutCycle uint64
 	if req.MaxTime > 0 {
 		cycleTime := e.cfg.Platform.CycleTime[nv.RequestMeasure]
@@ -336,6 +367,11 @@ func (e *EGP) Create(req CreateRequest) (uint16, wire.EGPError) {
 		e.errCount++
 		e.emitErrorRaw(createID, req.Priority, wire.ErrOutOfMemory)
 		return createID, wire.ErrOutOfMemory
+	}
+	// The master queues its own request at once; a slave's joins its queue
+	// when the master acknowledges it (OnConfirmed).
+	if e.cfg.IsMaster {
+		e.wake()
 	}
 	return createID, wire.ErrNone
 }
@@ -379,15 +415,16 @@ func (e *EGP) emitErrorRaw(createID uint16, priority int, code wire.EGPError) {
 // localOrigin reports whether a queue item was created at this node.
 func (e *EGP) localOrigin(item *QueueItem) bool { return item.OriginMaster == e.cfg.IsMaster }
 
-// reapExpired removes timed-out queue items, emitting TIMEOUT errors for
-// locally originated requests. It runs every MHP cycle, so the scan iterates
-// the lanes in place and only collects into the reusable scratch slice when
-// something actually expired — the common case allocates nothing.
-func (e *EGP) reapExpired() {
+// reapExpired removes items timed out at the given cycle, emitting TIMEOUT
+// errors for locally originated requests. It runs every MHP cycle, so the
+// scan iterates the lanes in place and only collects into the reusable
+// scratch slice when something actually expired — the common case allocates
+// nothing.
+func (e *EGP) reapExpired(cycle uint64) {
 	e.reapScratch = e.reapScratch[:0]
 	for p := 0; p < NumQueues; p++ {
 		for _, it := range e.queue.Items(p) {
-			if it.Expired(e.cycle) {
+			if it.Expired(cycle) {
 				e.reapScratch = append(e.reapScratch, it)
 			}
 		}
@@ -449,11 +486,11 @@ func (e *EGP) inCarbonReinitWindow(cycle uint64) bool {
 }
 
 // PollTrigger implements mhp.Generator: it is called by the physical layer
-// at every MHP cycle and decides whether (and how) to attempt entanglement
-// generation.
+// at every MHP cycle while the EGP has work (see Idle) and decides whether
+// (and how) to attempt entanglement generation.
 func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 	e.cycle = cycle
-	e.reapExpired()
+	e.reapExpired(cycle)
 	e.reapLostAttempts()
 
 	if e.cfg.Sim.Now() < e.busyUntil {

@@ -5,6 +5,12 @@
 // GEN frames from the two nodes, performs the optical Bell-state
 // measurement, and announces the outcome.
 //
+// The cycle is kept by one Clock per engine, which polls the nodes that have
+// work. A node polls only while its link layer has something queued or
+// outstanding, or a reply is still due; an idle node parks until the link
+// layer wakes it, since its poll would be a no-op (see Clock for why the run
+// is unchanged).
+//
 // The package is deliberately stateless on the node side (beyond the pending
 // attempt bookkeeping required to route replies), mirroring the paper's
 // requirement that the physical layer holds no protocol state.
@@ -62,12 +68,16 @@ type Result struct {
 }
 
 // Generator is implemented by the link layer (EGP): it is polled once per
-// MHP cycle and receives results asynchronously.
+// MHP cycle while it has work and receives results asynchronously.
 type Generator interface {
-	// PollTrigger is called at the start of every MHP cycle.
+	// PollTrigger is called at the start of every MHP cycle the node polls.
 	PollTrigger(cycle uint64) PollDecision
 	// HandleResult delivers the outcome of a previously triggered attempt.
 	HandleResult(r Result)
+	// Idle reports that polling is a no-op and stays one until the generator
+	// wakes its node (Node.Wake): nothing is queued and no attempt is
+	// outstanding. The clock parks an idle node whose replies have all come.
+	Idle() bool
 }
 
 // PairRegistry shares freshly generated entangled pairs between the midpoint
@@ -215,12 +225,21 @@ type Node struct {
 
 	toMidpoint *classical.Channel
 
-	cycle        uint64
 	cycleTimeK   sim.Duration
 	cycleTimeM   sim.Duration
 	pending      map[uint64]PollDecision // attempts awaiting a REPLY, by cycle
 	attemptCount uint64
 	localFails   uint64
+
+	// clock polls the node; slot is its registration index there. A parked
+	// node is skipped until Wake. polled is the cycle of the node's latest
+	// PollTrigger call, and parkedAt the cycle from which a parked node's
+	// skipped polls count (see PolledCycle).
+	clock    *Clock
+	slot     int
+	parked   bool
+	parkedAt uint64
+	polled   uint64
 
 	// Flight-recorder hooks; all nil-safe, nil when observability is off.
 	trace   *obs.Ring
@@ -228,10 +247,11 @@ type Node struct {
 	metrics *obs.MHPMetrics
 
 	// paused stops attempt generation (the link-admin Down state): the cycle
-	// clock keeps ticking and maintenance sweeps keep running, but the
-	// generator is no longer polled. rateDivisor, when >1, throttles a
-	// Degraded link to polling only every Nth cycle. Both cost one branch per
-	// cycle when inactive, keeping fault plumbing zero-cost when off.
+	// clock keeps ticking and maintenance sweeps keep running while the node
+	// is active, but the generator is no longer polled. rateDivisor, when >1,
+	// throttles a Degraded link to polling only every Nth cycle. Both cost
+	// one branch per cycle when inactive, keeping fault plumbing zero-cost
+	// when off.
 	paused      bool
 	rateDivisor uint64
 }
@@ -272,26 +292,79 @@ func NewNode(cfg NodeConfig) *Node {
 		cycleTimeK: cfg.CycleTimeK,
 		cycleTimeM: cfg.CycleTimeM,
 		pending:    make(map[uint64]PollDecision),
+		parked:     cfg.Generator.Idle(),
 		trace:      cfg.Trace,
 		traceID:    cfg.TraceID,
 		metrics:    cfg.Metrics,
 	}
 }
 
-// Cycle returns the current MHP cycle number.
-func (n *Node) Cycle() uint64 { return n.cycle }
+// Cycle returns the current MHP cycle number, read from the node's clock (0
+// before the node joins one).
+func (n *Node) Cycle() uint64 {
+	if n.clock == nil {
+		return 0
+	}
+	return n.clock.cycleOf(n)
+}
+
+// PolledCycle returns the cycle at which the node last polled its generator,
+// counting the polls a parked node skips: every cycle since it parked that
+// was neither paused nor throttled away is one.
+func (n *Node) PolledCycle() uint64 {
+	if !n.parked || n.paused {
+		return n.polled
+	}
+	c := n.Cycle()
+	if n.rateDivisor > 1 {
+		c -= c % n.rateDivisor
+	}
+	if c > n.parkedAt {
+		return c
+	}
+	return n.polled
+}
+
+// Wake returns a parked node to its clock's active set; the generator calls
+// it when it gains work. A node woken during the clock's tick is polled in
+// that cycle if the clock has not reached its slot yet, and from the next
+// cycle otherwise, just as its own ticker would have polled it.
+func (n *Node) Wake() {
+	if !n.parked {
+		return
+	}
+	n.polled = n.PolledCycle()
+	n.parked = false
+	if n.clock != nil {
+		n.clock.activate(n)
+	}
+}
+
+// settle folds the polls a parked node has skipped under its current pause
+// and throttle settings into polled, before those settings change.
+func (n *Node) settle() {
+	if n.parked {
+		n.polled, n.parkedAt = n.PolledCycle(), n.Cycle()
+	}
+}
 
 // SetPaused pauses (or resumes) attempt generation. While paused the cycle
-// clock and registry maintenance keep running so a repaired link resumes on
-// the same deterministic cycle grid.
-func (n *Node) SetPaused(p bool) { n.paused = p }
+// clock keeps counting so a repaired link resumes on the same deterministic
+// cycle grid.
+func (n *Node) SetPaused(p bool) {
+	n.settle()
+	n.paused = p
+}
 
 // Paused reports whether attempt generation is paused.
 func (n *Node) Paused() bool { return n.paused }
 
 // SetRateDivisor throttles attempt generation to one poll every d cycles
 // (the Degraded reduced-rate mode); d <= 1 restores the full rate.
-func (n *Node) SetRateDivisor(d uint64) { n.rateDivisor = d }
+func (n *Node) SetRateDivisor(d uint64) {
+	n.settle()
+	n.rateDivisor = d
+}
 
 // ClearPending discards every attempt still awaiting a REPLY — the dying
 // link's in-flight attempts, whose replies (if any) will find no matching
@@ -305,11 +378,10 @@ func (n *Node) ClearPending() {
 // Attempts returns how many attempts this node has triggered.
 func (n *Node) Attempts() uint64 { return n.attemptCount }
 
-// Start begins the periodic MHP cycle using the M-type cycle period as the
-// base clock (the finest granularity at which the EGP can be polled); the
-// EGP's scheduler is responsible for not triggering K attempts faster than
-// the hardware allows.
-func (n *Node) Start() (stop func()) {
+// period is the node's MHP cycle: the M-type cycle period (the finest
+// granularity at which the EGP can be polled); the EGP's scheduler is
+// responsible for not triggering K attempts faster than the hardware allows.
+func (n *Node) period() sim.Duration {
 	period := n.cycleTimeM
 	if period <= 0 {
 		period = n.cycleTimeK
@@ -317,29 +389,41 @@ func (n *Node) Start() (stop func()) {
 	if period <= 0 {
 		panic("mhp: node has no positive cycle time")
 	}
-	return sim.Ticker(n.simul, period, n.runCycle)
+	return period
+}
+
+// Start begins the periodic MHP cycle on the node's clock, first building a
+// clock of its own when the node has none.
+func (n *Node) Start() (stop func()) {
+	if n.clock == nil {
+		NewClock(n.simul).Add(n)
+	}
+	return n.clock.Start()
 }
 
 // runCycle executes one MHP cycle: poll the EGP and trigger if requested.
-func (n *Node) runCycle() {
-	n.cycle++
+func (n *Node) runCycle(cycle uint64) {
 	// Periodically discard pending-attempt state whose REPLY was evidently
 	// lost, so the map stays bounded during long lossy runs; sweep the shared
 	// pair registry in the same pass, since lost REPLYs also strand pairs
-	// that neither node will ever claim.
-	if n.cycle%1024 == 0 {
-		if len(n.pending) > 0 && n.cycle > 4096 {
-			n.DropPending(n.cycle - 4096)
+	// that neither node will ever claim. A parked node skips this pass: its
+	// pending map is empty, and a sweep only evicts pairs far older than any
+	// a REPLY can still name (a REPLY carries the sequence number just
+	// assigned), so when an idle link's registry is swept is not observable.
+	if cycle%1024 == 0 {
+		if len(n.pending) > 0 && cycle > 4096 {
+			n.DropPending(cycle - 4096)
 		}
 		n.registry.Sweep(registryMaxLag)
 	}
 	if n.paused {
 		return
 	}
-	if n.rateDivisor > 1 && n.cycle%n.rateDivisor != 0 {
+	if n.rateDivisor > 1 && cycle%n.rateDivisor != 0 {
 		return
 	}
-	decision := n.gen.PollTrigger(n.cycle)
+	n.polled = cycle
+	decision := n.gen.PollTrigger(cycle)
 	if !decision.Attempt {
 		return
 	}
@@ -355,7 +439,7 @@ func (n *Node) runCycle() {
 			QueueID:      decision.QueueID,
 			Keep:         decision.Keep,
 			Alpha:        decision.Alpha,
-			AttemptCycle: n.cycle,
+			AttemptCycle: cycle,
 		})
 		return
 	}
@@ -364,7 +448,7 @@ func (n *Node) runCycle() {
 	if decision.Keep {
 		keep = 1
 	}
-	n.trace.Record(n.simul.Now(), obs.KindMHPAttempt, n.traceID, int64(n.cycle), keep)
+	n.trace.Record(n.simul.Now(), obs.KindMHPAttempt, n.traceID, int64(cycle), keep)
 	if n.metrics != nil {
 		n.metrics.Attempts.Inc()
 	}
@@ -372,10 +456,10 @@ func (n *Node) runCycle() {
 	// (Appendix D.4.1).
 	n.device.ApplyAttemptDephasing(decision.Alpha)
 
-	n.pending[n.cycle] = decision
+	n.pending[cycle] = decision
 	p := n.registry.gens.get()
-	wire.GENFrame{QueueID: decision.QueueID, Timestamp: n.cycle}.Put(&p.frame)
-	p.size, p.alpha, p.side, p.cycle = wire.GENFrameLen, decision.Alpha, n.side, n.cycle
+	wire.GENFrame{QueueID: decision.QueueID, Timestamp: cycle}.Put(&p.frame)
+	p.size, p.alpha, p.side, p.cycle = wire.GENFrameLen, decision.Alpha, n.side, cycle
 	sendPooled(n.toMidpoint, &n.registry.gens, p)
 }
 

@@ -29,6 +29,9 @@ func (s *stubGenerator) PollTrigger(cycle uint64) PollDecision {
 
 func (s *stubGenerator) HandleResult(r Result) { s.results = append(s.results, r) }
 
+// Idle is always false: the stub never wakes its node, so it must not park.
+func (s *stubGenerator) Idle() bool { return false }
+
 // harness wires two MHP nodes and a midpoint over zero-loss channels.
 type harness struct {
 	s        *sim.Simulator

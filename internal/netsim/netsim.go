@@ -161,7 +161,6 @@ type Link struct {
 	duplex *classical.Duplex
 
 	nodeNameA, nodeNameB string
-	stopA, stopB         func()
 	stopSample           func()
 }
 
@@ -281,6 +280,13 @@ type Network struct {
 	traffic trafficGen
 	started bool
 
+	// clocks are the MHP cycle clocks in the order they were built: one per
+	// engine shard that owns links (shardClock indexes them), or with
+	// clockPerNode — a test seam — one per node, never parking it.
+	clocks       []*mhp.Clock
+	shardClock   map[int]*mhp.Clock
+	clockPerNode bool
+
 	// Shared observability handles, all nil when Config.Trace/Metrics are
 	// nil: per-layer metric bundles and link-level time-to-pair histograms.
 	egpMetrics *obs.EGPMetrics
@@ -298,7 +304,12 @@ const NetworkLayerTag = ^uint64(0)
 
 // NewNetwork builds and wires a multi-link network for the given
 // configuration.
-func NewNetwork(cfg Config) (*Network, error) {
+func NewNetwork(cfg Config) (*Network, error) { return newNetwork(cfg, false) }
+
+// newNetwork builds the network; clockPerNode starts every MHP node on a
+// clock of its own that never parks it, the per-node-ticker trajectory the
+// shared clock must reproduce (see mhp.Clock).
+func newNetwork(cfg Config, clockPerNode bool) (*Network, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -343,6 +354,8 @@ func NewNetwork(cfg Config) (*Network, error) {
 		pairChannels: make(map[Edge]*classical.Duplex),
 		netChannels:  make(map[Edge]*classical.Duplex),
 		linksByEdge:  make(map[Edge]*Link),
+		shardClock:   make(map[int]*mhp.Clock),
+		clockPerNode: clockPerNode,
 	}
 	if cfg.Trace != nil {
 		if err := nw.wireTracer(cfg.Trace); err != nil {
@@ -479,10 +492,12 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 	// The link's whole stack runs on the shard owning it, drawing from the
 	// link's own RNG stream keyed by the stable link ID — the trajectory is
 	// therefore the same whether the engine has 1 shard or N.
-	base := nw.Sim
+	var base *sim.Simulator
 	if nw.sharded != nil {
 		l.Shard = nw.part.LinkShard[id]
 		base = nw.sharded.Shard(l.Shard)
+	} else {
+		base = nw.Sim.(*sim.Simulator)
 	}
 	l.Eng = sim.WithRNG(base, sim.NewRNG(sim.DeriveSeed(cfg.Seed, 0x11c4, uint64(id))))
 	s := l.Eng
@@ -547,15 +562,19 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 		l.EGPB.FEU().SetStorageMargin(cfg.StorageMargin)
 	}
 
+	genA, genB := mhp.Generator(l.EGPA), mhp.Generator(l.EGPB)
+	if nw.clockPerNode {
+		genA, genB = neverIdle{l.EGPA}, neverIdle{l.EGPB}
+	}
 	l.MHPA = mhp.NewNode(mhp.NodeConfig{
-		Name: roleA, Sim: s, Generator: l.EGPA, Device: l.DeviceA,
+		Name: roleA, Sim: s, Generator: genA, Device: l.DeviceA,
 		Registry: l.Registry, Side: nv.SideA, ToMidpoint: chanAtoH,
 		CycleTimeK: platform.CycleTime[nv.RequestKeep],
 		CycleTimeM: platform.CycleTime[nv.RequestMeasure],
 		Trace:      ringMHP, TraceID: uint64(id), Metrics: nw.mhpMetrics,
 	})
 	l.MHPB = mhp.NewNode(mhp.NodeConfig{
-		Name: roleB, Sim: s, Generator: l.EGPB, Device: l.DeviceB,
+		Name: roleB, Sim: s, Generator: genB, Device: l.DeviceB,
 		Registry: l.Registry, Side: nv.SideB, ToMidpoint: chanBtoH,
 		CycleTimeK: platform.CycleTime[nv.RequestKeep],
 		CycleTimeM: platform.CycleTime[nv.RequestMeasure],
@@ -567,11 +586,51 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 		HoldTime: 2*(platform.CommDelayAH+platform.CommDelayBH) + 200*sim.Microsecond,
 		Trace:    ringMHP, TraceID: uint64(id), Metrics: nw.mhpMetrics,
 	})
+	l.EGPA.SetNode(l.MHPA)
+	l.EGPB.SetNode(l.MHPB)
+	nw.joinClock(l.Shard, base, l.MHPA)
+	nw.joinClock(l.Shard, base, l.MHPB)
 
 	nodeA.register(l, l.EGPA)
 	nodeB.register(l, l.EGPB)
 	nw.Links = append(nw.Links, l)
 	nw.linksByEdge[e] = l
+}
+
+// joinClock registers an MHP node with the cycle clock of its shard's engine,
+// building that clock on first use. Registration follows link ID order, A
+// before B: the order the nodes are polled in.
+//
+// The network has one cycle clock, run as one tick event per engine shard.
+// Only the first copy's ticks count as executed events; the others are
+// scheduled through sim.Uncounted, so Executed — one clock tick per cycle
+// plus the protocol's own events — is the same at every shard count.
+func (nw *Network) joinClock(shard int, eng *sim.Simulator, n *mhp.Node) {
+	c := nw.shardClock[shard]
+	if c == nil || nw.clockPerNode {
+		var clockEng sim.Engine = eng
+		if len(nw.clocks) > 0 {
+			clockEng = sim.Uncounted(eng)
+		}
+		c = mhp.NewClock(clockEng)
+		nw.clocks = append(nw.clocks, c)
+		nw.shardClock[shard] = c
+	}
+	c.Add(n)
+}
+
+// neverIdle keeps a node polled every cycle (the clockPerNode seam).
+type neverIdle struct{ mhp.Generator }
+
+func (neverIdle) Idle() bool { return false }
+
+// ClockTicks returns how many cycles the network's MHP clock has ticked: the
+// clock events Executed counts, one per cycle at every shard count.
+func (nw *Network) ClockTicks() uint64 {
+	if len(nw.clocks) == 0 {
+		return 0
+	}
+	return nw.clocks[0].Ticks()
 }
 
 // LinkBetween returns the link connecting two adjacent nodes, or nil when no
@@ -627,16 +686,17 @@ func (nw *Network) AttachTraffic(cfg TrafficConfig) *Traffic {
 	return t
 }
 
-// Start launches the periodic MHP cycles of every link, the queue-occupancy
-// sampler and the attached traffic generator. It is idempotent.
+// Start launches the MHP cycle clocks, the queue-occupancy sampler of every
+// link and the attached traffic generator. It is idempotent.
 func (nw *Network) Start() {
 	if nw.started {
 		return
 	}
 	nw.started = true
+	for _, c := range nw.clocks {
+		c.Start()
+	}
 	for _, l := range nw.Links {
-		l.stopA = l.MHPA.Start()
-		l.stopB = l.MHPB.Start()
 		// One sampling ticker per link, on the link's own shard: the event
 		// schedule of each link is then identical at every shard count (a
 		// single global ticker would both race across shards and give the
@@ -655,13 +715,10 @@ func (nw *Network) Start() {
 
 // Stop halts MHP cycles, sampling and traffic.
 func (nw *Network) Stop() {
+	for _, c := range nw.clocks {
+		c.Stop()
+	}
 	for _, l := range nw.Links {
-		if l.stopA != nil {
-			l.stopA()
-		}
-		if l.stopB != nil {
-			l.stopB()
-		}
 		if l.stopSample != nil {
 			l.stopSample()
 			l.stopSample = nil

@@ -137,9 +137,11 @@ type Device struct {
 	// recent bright-state population: ApplyAttemptDephasing runs once per
 	// entanglement attempt and α changes only when the link retargets a
 	// different fidelity, so the exp() inside Eq. (25) is almost always
-	// redundant.
+	// redundant. pdKraus is the dephasing channel of pdCached, built with it
+	// so a dense pair's per-attempt dephasing allocates nothing.
 	pdAlpha  float64
 	pdCached float64
+	pdKraus  []quantum.Matrix
 	pdValid  bool
 }
 
@@ -303,16 +305,26 @@ func (d *Device) ApplyAttemptDephasing(alpha float64) {
 				return
 			}
 		}
-		pair.State.ApplyDephasing(int(side), pd)
+		// The memoised operators are the ones the dense ApplyDephasing
+		// would build, so the state is bit-identical.
+		if st := pair.State.Dense(); st != nil {
+			st.ApplyKraus(d.pdKraus, int(side))
+		} else {
+			pair.State.ApplyDephasing(int(side), pd)
+		}
 	}
 }
 
-// dephasingPerAttempt memoises Eq. (25) for the current α.
+// dephasingPerAttempt memoises Eq. (25), and its Kraus operators, for the
+// current α.
 func (d *Device) dephasingPerAttempt(alpha float64) float64 {
 	if !d.pdValid || d.pdAlpha != alpha {
 		d.pdCached = d.Coupling.DephasingPerAttempt(alpha)
 		d.pdAlpha = alpha
 		d.pdValid = true
+		if d.pdCached > 0 {
+			d.pdKraus = quantum.DephasingKraus(d.pdCached)
+		}
 	}
 	return d.pdCached
 }

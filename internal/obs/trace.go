@@ -246,8 +246,8 @@ func (r *Ring) Dropped() uint64 {
 	return r.n - uint64(len(r.buf))
 }
 
-// records appends the ring's live records to dst in write order.
-func (r *Ring) records(dst []Record) []Record {
+// Records appends the ring's live records to dst in write order.
+func (r *Ring) Records(dst []Record) []Record {
 	if r == nil || r.n == 0 {
 		return dst
 	}
@@ -327,7 +327,7 @@ func (t *Tracer) Records() []Record {
 	}
 	out := make([]Record, 0, total)
 	for _, r := range t.rings {
-		out = r.records(out)
+		out = r.Records(out)
 	}
 	sort.SliceStable(out, func(i, j int) bool {
 		a, b := &out[i], &out[j]

@@ -61,6 +61,7 @@ var (
 	_ Engine = (*ShardedEngine)(nil)
 	_ Engine = (*rngEngine)(nil)
 	_ Engine = (*crossEngine)(nil)
+	_ Engine = uncountedEngine{}
 )
 
 // runHandler is the trampoline that lets parameterless Handlers ride the
@@ -161,6 +162,21 @@ type rngEngine struct {
 }
 
 func (e *rngEngine) RNG() *RNG { return e.rng }
+
+// Uncounted returns a view of s whose events run like any other — same
+// queue, same (time, insertion order) — but are not counted by Executed.
+// netsim runs the network's one MHP cycle clock as one tick event per engine
+// shard; scheduling every copy but the first through this view keeps
+// Executed the same at every shard count.
+func Uncounted(s *Simulator) Engine { return uncountedEngine{s} }
+
+type uncountedEngine struct{ *Simulator }
+
+func (e uncountedEngine) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID {
+	id := e.Simulator.ScheduleArgAt(at, fn, arg)
+	id.ev.uncounted = true
+	return id
+}
 
 // splitmix64 is the finalizer of the SplitMix64 generator: a bijective
 // avalanche mix in which every input bit affects roughly half the output

@@ -93,8 +93,11 @@ type event struct {
 	fn       ArgHandler
 	arg      any
 	canceled bool
-	index    int    // heap position (heap discipline only)
-	next     *event // intrusive bucket link (wheel discipline only)
+	// uncounted events run like any other but are not counted by Executed
+	// (see Uncounted).
+	uncounted bool
+	index     int    // heap position (heap discipline only)
+	next      *event // intrusive bucket link (wheel discipline only)
 }
 
 // EventID identifies a scheduled event so it can be cancelled.
@@ -190,6 +193,7 @@ func (s *Simulator) newEvent(at Time, fn ArgHandler, arg any) *event {
 	ev.fn = fn
 	ev.arg = arg
 	ev.canceled = false
+	ev.uncounted = false
 	s.nextSeq++
 	return ev
 }
@@ -222,7 +226,8 @@ func (s *Simulator) Now() Time { return s.now }
 // RNG returns the simulator's deterministic random source.
 func (s *Simulator) RNG() *RNG { return s.rng }
 
-// Executed reports how many events have fired so far.
+// Executed reports how many events have fired so far, not counting events
+// scheduled through an Uncounted view.
 func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Pending reports how many events are scheduled and not yet fired (including
@@ -335,7 +340,9 @@ func (s *Simulator) step(limit Time) bool {
 			continue
 		}
 		fn, arg, at := ev.fn, ev.arg, ev.at
-		s.executed++
+		if !ev.uncounted {
+			s.executed++
+		}
 		// Recycle before running: the callback may schedule new events,
 		// which can then reuse this struct immediately (stale EventIDs are
 		// gen-guarded).
