@@ -1,11 +1,8 @@
 // Package cli holds the flag and environment plumbing shared by the repo's
-// commands (cmd/bench, cmd/netsim, cmd/e2e): engine selection
+// trial-fan-out commands (cmd/netsim, cmd/e2e): engine selection
 // (-backend/-queue/-shards with their $REPRO_BACKEND/$REPRO_QUEUE
 // defaults), observability (-trace/-tracecap/-metrics), profiling
-// (-cpuprofile/-memprofile) and the artifact writing at exit. One
-// definition replaces the three per-command copies; flag names, defaults
-// and behavior are unchanged, and the few per-command wording differences
-// are passed in explicitly.
+// (-cpuprofile/-memprofile) and the artifact writing at exit.
 package cli
 
 import (
@@ -17,37 +14,30 @@ import (
 	"repro/internal/sim"
 )
 
-// The shared help texts. The trial-fan-out commands (cmd/netsim, cmd/e2e)
-// use these verbatim; cmd/bench overrides the wording where its artifacts
-// are per-scenario or its tables are counters.
+// The shared help texts.
 const (
-	// BackendHelp documents -backend for the trial-fan-out commands.
+	// BackendHelp documents -backend.
 	BackendHelp = "pair-state backend: dense (exact, default) or belldiag (O(1) fast path); $REPRO_BACKEND sets the default"
-	// QueueHelp documents -queue (identical across all commands).
+	// QueueHelp documents -queue.
 	QueueHelp = "event-queue discipline: heap (exact binary heap, default) or wheel (hierarchical timing wheel); $REPRO_QUEUE sets the default"
 	// ShardsTablesHelp documents -shards for commands printing tables.
 	ShardsTablesHelp = "worker shards of the simulation engine (<=1 serial; tables are identical at any shard count)"
-	// TraceHelp documents -trace for the trial-fan-out commands.
+	// TraceHelp documents -trace.
 	TraceHelp = "write a Chrome trace-event JSON flight recording of trial 0 to this file (view in ui.perfetto.dev)"
-	// TraceCapHelp documents -tracecap (identical across all commands).
+	// TraceCapHelp documents -tracecap.
 	TraceCapHelp = "per-ring record capacity of the flight recorder (rounded up to a power of two)"
-	// MetricsHelp documents -metrics for the trial-fan-out commands.
+	// MetricsHelp documents -metrics.
 	MetricsHelp = "write a JSON metrics snapshot of trial 0 to this file"
-	// CPUProfileHelp documents -cpuprofile (identical across all commands).
+	// CPUProfileHelp documents -cpuprofile.
 	CPUProfileHelp = "write a pprof CPU profile of the whole run to this file"
-	// MemProfileHelp documents -memprofile (identical across all commands).
+	// MemProfileHelp documents -memprofile.
 	MemProfileHelp = "write a pprof heap profile taken at exit to this file"
 )
 
-// Config selects which shared flags a command registers and their
-// command-specific wording. Empty help fields take the package defaults;
-// ShardsHelp empty means the command has no -shards flag (the network layer
-// is serial-only).
+// Config selects which shared flags a command registers. ShardsHelp empty
+// means the command has no -shards flag (the network layer is serial-only).
 type Config struct {
-	BackendHelp string
-	ShardsHelp  string
-	TraceHelp   string
-	MetricsHelp string
+	ShardsHelp string
 }
 
 // Flags holds the registered shared flag values; read them after
@@ -68,23 +58,14 @@ type Flags struct {
 	MemProfile *string
 }
 
-// Register installs the shared flags on fs with the given wording.
+// Register installs the shared flags on fs.
 func Register(fs *flag.FlagSet, cfg Config) *Flags {
-	if cfg.BackendHelp == "" {
-		cfg.BackendHelp = BackendHelp
-	}
-	if cfg.TraceHelp == "" {
-		cfg.TraceHelp = TraceHelp
-	}
-	if cfg.MetricsHelp == "" {
-		cfg.MetricsHelp = MetricsHelp
-	}
 	f := &Flags{
-		Backend:    fs.String("backend", "", cfg.BackendHelp),
+		Backend:    fs.String("backend", "", BackendHelp),
 		Queue:      fs.String("queue", "", QueueHelp),
-		TraceOut:   fs.String("trace", "", cfg.TraceHelp),
+		TraceOut:   fs.String("trace", "", TraceHelp),
 		TraceCap:   fs.Int("tracecap", 1<<16, TraceCapHelp),
-		MetricsOut: fs.String("metrics", "", cfg.MetricsHelp),
+		MetricsOut: fs.String("metrics", "", MetricsHelp),
 		CPUProfile: fs.String("cpuprofile", "", CPUProfileHelp),
 		MemProfile: fs.String("memprofile", "", MemProfileHelp),
 	}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/nv"
@@ -9,13 +10,23 @@ import (
 	"repro/internal/sim"
 )
 
-// runSharded builds and runs one network at the given shard count and
-// returns its rendered stats plus the deterministic work counters.
-func runSharded(t *testing.T, spec Spec, backend quantum.Backend, shards int, seconds float64) (string, uint64, uint64) {
+// parityRun is what one network run reports to the parity checks: the
+// rendered stats tables and the deterministic work counters.
+type parityRun struct {
+	stats            string
+	events, attempts uint64
+	// submitted and oks are the per-link Submitted and OKs counts.
+	submitted, oks []uint64
+}
+
+// runSharded builds and runs one network on the given backend, queue and
+// shard count.
+func runSharded(t *testing.T, spec Spec, backend quantum.Backend, queue sim.QueueKind, shards int, seconds float64) parityRun {
 	t.Helper()
 	cfg := DefaultConfig(spec, nv.ScenarioLab)
 	cfg.Seed = 5
 	cfg.Backend = backend
+	cfg.Queue = queue
 	cfg.Shards = shards
 	nw, err := NewNetwork(cfg)
 	if err != nil {
@@ -24,14 +35,47 @@ func runSharded(t *testing.T, spec Spec, backend quantum.Backend, shards int, se
 	nw.AttachTraffic(TrafficConfig{Load: 0.7, MaxPairs: 2, MinFidelity: 0.64})
 	nw.Run(sim.DurationSeconds(seconds))
 	perLink, agg := nw.Stats()
-	return render(perLink, agg), nw.Sim.Executed(), nw.Attempts()
+	r := parityRun{stats: render(perLink, agg), events: nw.Sim.Executed(), attempts: nw.Attempts()}
+	for _, l := range nw.Links {
+		r.submitted = append(r.submitted, l.Submitted)
+		r.oks = append(r.oks, l.OKs)
+	}
+	return r
+}
+
+// checkCounters reports where got's work counters differ from want's.
+func checkCounters(t *testing.T, what string, want, got parityRun) {
+	t.Helper()
+	if got.events != want.events {
+		t.Errorf("%s: executed %d events, reference executed %d", what, got.events, want.events)
+	}
+	if got.attempts != want.attempts {
+		t.Errorf("%s: sampled %d attempts, reference sampled %d", what, got.attempts, want.attempts)
+	}
+	if !slices.Equal(got.submitted, want.submitted) || !slices.Equal(got.oks, want.oks) {
+		t.Errorf("%s: per-link submitted/OKs diverge from the reference\nsubmitted %v\nreference %v\noks       %v\nreference %v",
+			what, got.submitted, want.submitted, got.oks, want.oks)
+	}
+}
+
+// checkParity additionally requires byte-identical stats tables.
+func checkParity(t *testing.T, what string, want, got parityRun) {
+	t.Helper()
+	checkCounters(t, what, want, got)
+	if got.stats != want.stats {
+		t.Errorf("%s: stats diverge from the reference\n--- reference ---\n%s--- %s ---\n%s", what, want.stats, what, got.stats)
+	}
 }
 
 // TestSerialShardedParity is the acceptance check of the sharded engine: the
 // experiment tables and the deterministic work counters must be byte-identical
 // between the serial engine and the sharded engine at every shard count, on
-// both pair-state backends. Partitioning is a performance decision, never a
-// results decision.
+// both pair-state backends and under the timing wheel. Partitioning is a
+// performance decision, never a results decision. The serial dense heap run
+// is the reference: the belldiag backend must reproduce its work counters
+// (it changes how a pair's state is represented, never which events fire,
+// which attempts are sampled or which pairs are delivered), and a 4-shard
+// timing-wheel run must reproduce it outright.
 func TestSerialShardedParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-topology parity sweep in short mode")
@@ -42,30 +86,40 @@ func TestSerialShardedParity(t *testing.T) {
 	}{
 		{Chain(16), 0.15},
 		{Dragonfly(4, 5), 0.08},
+		{Chain(256), 0.05},
 	}
+	// Every run but the reference and the wheel run keeps the queue the
+	// environment selects ($REPRO_QUEUE), so each CI queue cell sweeps it.
+	queue := sim.QueueFromEnv()
 	for _, c := range cases {
-		for _, backend := range []quantum.Backend{quantum.BackendDense, quantum.BackendBellDiagonal} {
-			c, backend := c, backend
-			t.Run(fmt.Sprintf("%s/%s", c.spec.Name, backend), func(t *testing.T) {
-				t.Parallel()
-				refStats, refEvents, refAttempts := runSharded(t, c.spec, backend, 1, c.seconds)
-				if refEvents == 0 || refAttempts == 0 {
-					t.Fatalf("serial reference did no work: %d events, %d attempts", refEvents, refAttempts)
-				}
-				for _, shards := range []int{2, 4} {
-					stats, events, attempts := runSharded(t, c.spec, backend, shards, c.seconds)
-					if stats != refStats {
-						t.Errorf("%d shards: stats diverge from serial\n--- serial ---\n%s--- %d shards ---\n%s", shards, refStats, shards, stats)
-					}
-					if events != refEvents {
-						t.Errorf("%d shards: executed %d events, serial executed %d", shards, events, refEvents)
-					}
-					if attempts != refAttempts {
-						t.Errorf("%d shards: sampled %d attempts, serial sampled %d", shards, attempts, refAttempts)
-					}
-				}
+		c := c
+		t.Run(c.spec.Name, func(t *testing.T) {
+			t.Parallel()
+			ref := runSharded(t, c.spec, quantum.BackendDense, sim.QueueHeap, 1, c.seconds)
+			if ref.events == 0 || ref.attempts == 0 {
+				t.Fatalf("serial reference did no work: %d events, %d attempts", ref.events, ref.attempts)
+			}
+			bell := runSharded(t, c.spec, quantum.BackendBellDiagonal, queue, 1, c.seconds)
+			t.Run("belldiag-counters", func(t *testing.T) {
+				checkCounters(t, "serial belldiag", ref, bell)
 			})
-		}
+			t.Run("wheel-4-shards", func(t *testing.T) {
+				t.Parallel()
+				checkParity(t, "wheel, 4 shards", ref, runSharded(t, c.spec, quantum.BackendDense, sim.QueueWheel, 4, c.seconds))
+			})
+			for _, serial := range []struct {
+				backend quantum.Backend
+				run     parityRun
+			}{{quantum.BackendDense, ref}, {quantum.BackendBellDiagonal, bell}} {
+				serial := serial
+				t.Run(serial.backend.String(), func(t *testing.T) {
+					t.Parallel()
+					for _, shards := range []int{2, 4} {
+						checkParity(t, fmt.Sprintf("%d shards", shards), serial.run, runSharded(t, c.spec, serial.backend, queue, shards, c.seconds))
+					}
+				})
+			}
+		})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package prof is the shared CLI plumbing behind the observability flags of
-// cmd/bench, cmd/netsim and cmd/e2e: starting and stopping pprof profiles and
-// writing flight-recorder traces and metrics snapshots to files.
+// cmd/netsim and cmd/e2e: starting and stopping pprof profiles and writing
+// flight-recorder traces and metrics snapshots to files.
 package prof
 
 import (
