@@ -15,8 +15,8 @@
 // QL2020). Those two values still select the hardware for flag-driven runs;
 // any other value is taken as the path of a scenario spec file, which then
 // replaces the topology/hardware/service flags entirely (setting one of them
-// alongside a spec file is an error). -seed, -seconds, -trials, -backend and
-// -queue stay usable as overrides on top of a spec.
+// alongside a spec file is an error). -seed, -seconds, -trials and -backend
+// stay usable as overrides on top of a spec.
 //
 // Repetitions (-trials) fan out across a worker pool (-parallel); each trial
 // derives its seed from the base seed and its index, so the printed tables
@@ -180,7 +180,7 @@ func main() {
 			Name:     "cli",
 			Topology: scenario.Topology{Kind: *topology, Nodes: *nodes, Edges: *edgeList},
 			Hardware: &scenario.Hardware{Scenario: *scen, Backend: *shared.Backend},
-			Engine:   &scenario.Engine{Seed: *seed, Queue: *shared.Queue},
+			Engine:   &scenario.Engine{Seed: *seed},
 			Protocol: &scenario.Protocol{ClassicalLoss: *loss},
 			Run:      &scenario.Run{Seconds: *seconds, Trials: *trials},
 			Service: &scenario.Service{
@@ -214,16 +214,11 @@ func main() {
 		if sp.Service == nil {
 			fail(fmt.Errorf("scenario %q has no service section; e2e runs end-to-end specs only (use netsim for link-layer specs)", sp.Name))
 		}
-		if visited["seed"] || visited["queue"] {
+		if visited["seed"] {
 			if sp.Engine == nil {
 				sp.Engine = &scenario.Engine{}
 			}
-			if visited["seed"] {
-				sp.Engine.Seed = *seed
-			}
-			if visited["queue"] {
-				sp.Engine.Queue = *shared.Queue
-			}
+			sp.Engine.Seed = *seed
 		}
 		if visited["backend"] {
 			if sp.Hardware == nil {

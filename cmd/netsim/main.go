@@ -18,7 +18,7 @@
 // any other value is taken as the path of a scenario spec file, which then
 // replaces the topology/hardware/protocol/traffic flags entirely (setting
 // one of them alongside a spec file is an error). -seed, -seconds, -trials,
-// -shards, -backend and -queue stay usable as overrides on top of a spec.
+// -shards and -backend stay usable as overrides on top of a spec.
 //
 // Repetitions (-trials) fan out across a worker pool (-parallel); each trial
 // derives its seed from the base seed and its index, so the printed tables
@@ -149,7 +149,7 @@ func main() {
 			Name:     "cli",
 			Topology: scenario.Topology{Kind: *topology, Nodes: *nodes, Edges: *edgeList},
 			Hardware: &scenario.Hardware{Scenario: *scen, Backend: *shared.Backend},
-			Engine:   &scenario.Engine{Seed: *seed, Queue: *shared.Queue, Shards: *shared.Shards},
+			Engine:   &scenario.Engine{Seed: *seed, Shards: *shared.Shards},
 			Protocol: &scenario.Protocol{Scheduler: *scheduler, ClassicalLoss: *loss},
 			Run:      &scenario.Run{Seconds: *seconds, Trials: *trials},
 			Traffic: &scenario.Traffic{Poisson: &scenario.Poisson{
@@ -182,15 +182,12 @@ func main() {
 			}
 			sp.Engine.Seed = *seed
 		}
-		if visited["backend"] || visited["queue"] || visited["shards"] {
+		if visited["backend"] || visited["shards"] {
 			if sp.Engine == nil {
 				sp.Engine = &scenario.Engine{}
 			}
 			if visited["backend"] {
 				sp.Hardware.Backend = *shared.Backend
-			}
-			if visited["queue"] {
-				sp.Engine.Queue = *shared.Queue
 			}
 			if visited["shards"] {
 				sp.Engine.Shards = *shared.Shards

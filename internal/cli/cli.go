@@ -1,8 +1,8 @@
 // Package cli holds the flag and environment plumbing shared by the repo's
 // trial-fan-out commands (cmd/netsim, cmd/e2e): engine selection
-// (-backend/-queue/-shards with their $REPRO_BACKEND/$REPRO_QUEUE
-// defaults), observability (-trace/-tracecap/-metrics), profiling
-// (-cpuprofile/-memprofile) and the artifact writing at exit.
+// (-backend with its $REPRO_BACKEND default, and -shards), observability
+// (-trace/-tracecap/-metrics), profiling (-cpuprofile/-memprofile) and the
+// artifact writing at exit.
 package cli
 
 import (
@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/prof"
-	"repro/internal/quantum"
 	"repro/internal/sim"
 )
 
@@ -18,8 +17,6 @@ import (
 const (
 	// BackendHelp documents -backend.
 	BackendHelp = "pair-state backend: dense (exact, default) or belldiag (O(1) fast path); $REPRO_BACKEND sets the default"
-	// QueueHelp documents -queue.
-	QueueHelp = "event-queue discipline: heap (exact binary heap, default) or wheel (hierarchical timing wheel); $REPRO_QUEUE sets the default"
 	// ShardsTablesHelp documents -shards for commands printing tables.
 	ShardsTablesHelp = "worker shards of the simulation engine (<=1 serial; tables are identical at any shard count)"
 	// TraceHelp documents -trace.
@@ -43,9 +40,9 @@ type Config struct {
 // Flags holds the registered shared flag values; read them after
 // flag.Parse.
 type Flags struct {
-	// Backend/Queue/Shards select the engine (resolve with Resolve).
+	// Backend/Shards select the engine; commands pass them into the
+	// scenario spec, whose compiler parses and checks them.
 	Backend *string
-	Queue   *string
 	Shards  *int
 
 	// TraceOut/TraceCap/MetricsOut attach the observability layer.
@@ -62,7 +59,6 @@ type Flags struct {
 func Register(fs *flag.FlagSet, cfg Config) *Flags {
 	f := &Flags{
 		Backend:    fs.String("backend", "", BackendHelp),
-		Queue:      fs.String("queue", "", QueueHelp),
 		TraceOut:   fs.String("trace", "", TraceHelp),
 		TraceCap:   fs.Int("tracecap", 1<<16, TraceCapHelp),
 		MetricsOut: fs.String("metrics", "", MetricsHelp),
@@ -76,27 +72,6 @@ func Register(fs *flag.FlagSet, cfg Config) *Flags {
 		f.Shards = &zero
 	}
 	return f
-}
-
-// Resolved holds the parsed engine selections.
-type Resolved struct {
-	Backend quantum.Backend
-	Queue   sim.QueueKind
-	Shards  int
-}
-
-// Resolve parses the backend and queue names (falling back to their
-// $REPRO_* env defaults when the flags are empty).
-func (f *Flags) Resolve() (Resolved, error) {
-	be, err := quantum.ResolveBackend(*f.Backend)
-	if err != nil {
-		return Resolved{}, err
-	}
-	qk, err := sim.ResolveQueue(*f.Queue)
-	if err != nil {
-		return Resolved{}, err
-	}
-	return Resolved{Backend: be, Queue: qk, Shards: *f.Shards}, nil
 }
 
 // Observability builds the trial-0 tracer and metrics registry from the

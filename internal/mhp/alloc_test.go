@@ -13,23 +13,20 @@ import (
 // allocations: a 2-node Lab link serving a standing MD request runs a window
 // of failed attempts — poll, GEN, midpoint match and optical sample, REPLY,
 // EGP bookkeeping — and the window must not allocate at all. The lossy
-// variants also drive the midpoint's hold timeout and its error REPLY, and
+// case also drives the midpoint's hold timeout and its error REPLY, and
 // frames the channel drops.
 func TestFailedAttemptsAllocateNothing(t *testing.T) {
 	cycle := nv.LabPlatform().CycleTime[nv.RequestMeasure]
 	for _, tc := range []struct {
-		name  string
-		queue sim.QueueKind
-		loss  float64
+		name string
+		loss float64
 	}{
-		{"heap", sim.QueueHeap, 0},
-		{"wheel", sim.QueueWheel, 0},
-		{"heap/lossy", sim.QueueHeap, 0.005},
-		{"wheel/lossy", sim.QueueWheel, 0.005},
+		// The first name level is the event queue the engine runs on.
+		{"wheel", 0},
+		{"wheel/lossy", 0.005},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := netsim.DefaultConfig(netsim.Chain(2), nv.ScenarioLab)
-			cfg.Queue = tc.queue
 			cfg.ClassicalLossProb = tc.loss
 			// Keep the queue-occupancy sampler, which appends to a series,
 			// out of the measured window.

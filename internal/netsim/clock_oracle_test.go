@@ -145,11 +145,10 @@ type oracleRun struct {
 	buf   []obs.Record
 }
 
-func newOracleRun(t *testing.T, tc oracleCase, shards int, queue sim.QueueKind, perNode bool) *oracleRun {
+func newOracleRun(t *testing.T, tc oracleCase, shards int, perNode bool) *oracleRun {
 	t.Helper()
 	cfg, attach := tc.setup(t)
 	cfg.Shards = shards
-	cfg.Queue = queue
 	tracer := obs.NewTracer(shards, oracleRing)
 	cfg.Trace = tracer
 	build := netsim.NewNetwork
@@ -192,68 +191,67 @@ func (r *oracleRun) fresh(t *testing.T, i int) []obs.Record {
 // the same network with every MHP node on a clock of its own that never
 // parks, the MHP, EGP, netsim and network trace streams (ring by ring), the
 // result tables, the attempt count and the event count must be identical —
-// on both engines and both queue disciplines.
+// on both engines.
 func TestSharedClockMatchesPerNodeClocks(t *testing.T) {
 	for _, tc := range oracleCases() {
 		for _, shards := range []int{1, 2} {
 			if tc.serialOnly && shards > 1 {
 				continue
 			}
-			for _, queue := range []sim.QueueKind{sim.QueueHeap, sim.QueueWheel} {
-				t.Run(fmt.Sprintf("%s/shards=%d/%s", tc.name, shards, queue), func(t *testing.T) {
-					t.Parallel()
-					shared := newOracleRun(t, tc, shards, queue, false)
-					ref := newOracleRun(t, tc, shards, queue, true)
-					end := sim.Time(sim.DurationSeconds(tc.seconds))
-					records, keepAttempts := 0, 0
-					for at := sim.Time(0); at < end; {
-						at = at.Add(oracleStep)
-						if at > end {
-							at = end
+			// The last name level is the event queue every engine runs on.
+			t.Run(fmt.Sprintf("%s/shards=%d/wheel", tc.name, shards), func(t *testing.T) {
+				t.Parallel()
+				shared := newOracleRun(t, tc, shards, false)
+				ref := newOracleRun(t, tc, shards, true)
+				end := sim.Time(sim.DurationSeconds(tc.seconds))
+				records, keepAttempts := 0, 0
+				for at := sim.Time(0); at < end; {
+					at = at.Add(oracleStep)
+					if at > end {
+						at = end
+					}
+					_ = shared.nw.Sim.RunUntil(at)
+					_ = ref.nw.Sim.RunUntil(at)
+					for i := range ref.rings {
+						got, want := shared.fresh(t, i), ref.fresh(t, i)
+						if len(got) != len(want) {
+							t.Fatalf("by %v: ring %d gained %d records, per-node clocks' %d", at, i, len(got), len(want))
 						}
-						_ = shared.nw.Sim.RunUntil(at)
-						_ = ref.nw.Sim.RunUntil(at)
-						for i := range ref.rings {
-							got, want := shared.fresh(t, i), ref.fresh(t, i)
-							if len(got) != len(want) {
-								t.Fatalf("by %v: ring %d gained %d records, per-node clocks' %d", at, i, len(got), len(want))
+						for j, rec := range want {
+							if got[j] != rec {
+								t.Fatalf("by %v: ring %d diverges\nshared:   %+v\nper-node: %+v", at, i, got[j], rec)
 							}
-							for j, rec := range want {
-								if got[j] != rec {
-									t.Fatalf("by %v: ring %d diverges\nshared:   %+v\nper-node: %+v", at, i, got[j], rec)
-								}
-								if rec.Kind == obs.KindMHPAttempt && rec.B == 1 {
-									keepAttempts++
-								}
+							if rec.Kind == obs.KindMHPAttempt && rec.B == 1 {
+								keepAttempts++
 							}
-							records += len(want)
 						}
+						records += len(want)
 					}
-					shared.nw.Run(0)
-					ref.nw.Run(0)
-					// Every case serves create-and-keep requests, so both the K
-					// and the M attempt paths are compared.
-					if keepAttempts == 0 || ref.nw.Attempts() == 0 {
-						t.Fatalf("reference run did too little: %d records, %d K attempts, %d attempts", records, keepAttempts, ref.nw.Attempts())
-					}
-					if got, want := shared.tables(), ref.tables(); got != want {
-						t.Errorf("tables diverge\n--- shared ---\n%s--- per-node ---\n%s", got, want)
-					}
-					if got, want := shared.nw.Attempts(), ref.nw.Attempts(); got != want {
-						t.Errorf("%d attempts, per-node clocks made %d", got, want)
-					}
-					// Both count one clock tick per cycle: every other event
-					// must match too.
-					if got, want := shared.nw.Sim.Executed(), ref.nw.Sim.Executed(); got != want {
-						t.Errorf("%d events, per-node clocks fired %d", got, want)
-					}
-					if shared.nw.Polls() >= ref.nw.Polls() {
-						t.Errorf("the shared clock polled %d times, per-node clocks %d: nothing parked", shared.nw.Polls(), ref.nw.Polls())
-					}
-					t.Logf("%d trace records compared, %d K attempts; %d polls against %d per-node polls",
-						records, keepAttempts, shared.nw.Polls(), ref.nw.Polls())
-				})
-			}
+				}
+				shared.nw.Run(0)
+				ref.nw.Run(0)
+				// Every case serves create-and-keep requests, so both the K
+				// and the M attempt paths are compared.
+				if keepAttempts == 0 || ref.nw.Attempts() == 0 {
+					t.Fatalf("reference run did too little: %d records, %d K attempts, %d attempts", records, keepAttempts, ref.nw.Attempts())
+				}
+				if got, want := shared.tables(), ref.tables(); got != want {
+					t.Errorf("tables diverge\n--- shared ---\n%s--- per-node ---\n%s", got, want)
+				}
+				if got, want := shared.nw.Attempts(), ref.nw.Attempts(); got != want {
+					t.Errorf("%d attempts, per-node clocks made %d", got, want)
+				}
+				// Both count one clock tick per cycle: every other event
+				// must match too.
+				if got, want := shared.nw.Sim.Executed(), ref.nw.Sim.Executed(); got != want {
+					t.Errorf("%d events, per-node clocks fired %d", got, want)
+				}
+				if shared.nw.Polls() >= ref.nw.Polls() {
+					t.Errorf("the shared clock polled %d times, per-node clocks %d: nothing parked", shared.nw.Polls(), ref.nw.Polls())
+				}
+				t.Logf("%d trace records compared, %d K attempts; %d polls against %d per-node polls",
+					records, keepAttempts, shared.nw.Polls(), ref.nw.Polls())
+			})
 		}
 	}
 }

@@ -59,12 +59,6 @@ type Config struct {
 	// QueueSamplePeriod is how often per-link queue occupancy is sampled
 	// (default 50 ms of simulated time).
 	QueueSamplePeriod sim.Duration
-	// Queue selects the event-queue discipline every engine runs on:
-	// sim.QueueHeap (the exact binary heap, the zero value) or
-	// sim.QueueWheel (the hierarchical timing wheel). Execution order,
-	// counters and experiment tables are identical under either discipline;
-	// only the constant factors differ.
-	Queue sim.QueueKind
 	// Shards selects the engine: ≤1 runs the network on the serial
 	// simulator (the default), >1 partitions the topology onto a
 	// sim.ShardedEngine with that many parallel worker shards. Results are
@@ -88,8 +82,7 @@ type Config struct {
 // the given topology on the given scenario, FCFS scheduling, no classical
 // losses, emission multiplexing on. The pair-state backend defaults to
 // $REPRO_BACKEND when set (the CI test matrix runs the suite once per
-// backend), else to the exact dense simulator; the event-queue discipline
-// likewise defaults to $REPRO_QUEUE, else the binary heap.
+// backend), else to the exact dense simulator.
 func DefaultConfig(spec Spec, scenario nv.ScenarioID) Config {
 	return Config{
 		Spec:                 spec,
@@ -97,7 +90,6 @@ func DefaultConfig(spec Spec, scenario nv.ScenarioID) Config {
 		Seed:                 1,
 		Scheduler:            "FCFS",
 		Backend:              quantum.BackendFromEnv(),
-		Queue:                sim.QueueFromEnv(),
 		EmissionMultiplexing: true,
 		MaxQueueLen:          256,
 		StorageMargin:        0.05,
@@ -340,10 +332,10 @@ func newNetwork(cfg Config, clockPerNode bool) (*Network, error) {
 		if err := part.validateCrossDelays(platform.CommDelayAH + platform.CommDelayBH); err != nil {
 			return nil, err
 		}
-		sharded = sim.NewShardedWithQueue(cfg.Seed, cfg.Shards, cfg.Queue)
+		sharded = sim.NewSharded(cfg.Seed, cfg.Shards)
 		eng = sharded
 	} else {
-		eng = sim.NewWithQueue(cfg.Seed, cfg.Queue)
+		eng = sim.New(cfg.Seed)
 	}
 	nw := &Network{
 		Config:       cfg,

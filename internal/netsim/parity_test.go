@@ -19,14 +19,13 @@ type parityRun struct {
 	submitted, oks []uint64
 }
 
-// runSharded builds and runs one network on the given backend, queue and
-// shard count.
-func runSharded(t *testing.T, spec Spec, backend quantum.Backend, queue sim.QueueKind, shards int, seconds float64) parityRun {
+// runSharded builds and runs one network on the given backend and shard
+// count.
+func runSharded(t *testing.T, spec Spec, backend quantum.Backend, shards int, seconds float64) parityRun {
 	t.Helper()
 	cfg := DefaultConfig(spec, nv.ScenarioLab)
 	cfg.Seed = 5
 	cfg.Backend = backend
-	cfg.Queue = queue
 	cfg.Shards = shards
 	nw, err := NewNetwork(cfg)
 	if err != nil {
@@ -70,12 +69,12 @@ func checkParity(t *testing.T, what string, want, got parityRun) {
 // TestSerialShardedParity is the acceptance check of the sharded engine: the
 // experiment tables and the deterministic work counters must be byte-identical
 // between the serial engine and the sharded engine at every shard count, on
-// both pair-state backends and under the timing wheel. Partitioning is a
-// performance decision, never a results decision. The serial dense heap run
-// is the reference: the belldiag backend must reproduce its work counters
-// (it changes how a pair's state is represented, never which events fire,
-// which attempts are sampled or which pairs are delivered), and a 4-shard
-// timing-wheel run must reproduce it outright.
+// both pair-state backends. Partitioning is a performance decision, never a
+// results decision. The serial dense run is the reference: the belldiag
+// backend must reproduce its work counters (it changes how a pair's state is
+// represented, never which events fire, which attempts are sampled or which
+// pairs are delivered), and each backend's 2- and 4-shard runs must
+// reproduce its serial run outright.
 func TestSerialShardedParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-topology parity sweep in short mode")
@@ -88,34 +87,34 @@ func TestSerialShardedParity(t *testing.T) {
 		{Dragonfly(4, 5), 0.08},
 		{Chain(256), 0.05},
 	}
-	// Every run but the reference and the wheel run keeps the queue the
-	// environment selects ($REPRO_QUEUE), so each CI queue cell sweeps it.
-	queue := sim.QueueFromEnv()
 	for _, c := range cases {
 		c := c
 		t.Run(c.spec.Name, func(t *testing.T) {
 			t.Parallel()
-			ref := runSharded(t, c.spec, quantum.BackendDense, sim.QueueHeap, 1, c.seconds)
+			ref := runSharded(t, c.spec, quantum.BackendDense, 1, c.seconds)
 			if ref.events == 0 || ref.attempts == 0 {
 				t.Fatalf("serial reference did no work: %d events, %d attempts", ref.events, ref.attempts)
 			}
-			bell := runSharded(t, c.spec, quantum.BackendBellDiagonal, queue, 1, c.seconds)
+			bell := runSharded(t, c.spec, quantum.BackendBellDiagonal, 1, c.seconds)
 			t.Run("belldiag-counters", func(t *testing.T) {
 				checkCounters(t, "serial belldiag", ref, bell)
 			})
+			// The dense 4-shard run: every shard on its own timing wheel,
+			// held to the serial reference.
 			t.Run("wheel-4-shards", func(t *testing.T) {
 				t.Parallel()
-				checkParity(t, "wheel, 4 shards", ref, runSharded(t, c.spec, quantum.BackendDense, sim.QueueWheel, 4, c.seconds))
+				checkParity(t, "4 shards", ref, runSharded(t, c.spec, quantum.BackendDense, 4, c.seconds))
 			})
 			for _, serial := range []struct {
 				backend quantum.Backend
 				run     parityRun
-			}{{quantum.BackendDense, ref}, {quantum.BackendBellDiagonal, bell}} {
+				shards  []int
+			}{{quantum.BackendDense, ref, []int{2}}, {quantum.BackendBellDiagonal, bell, []int{2, 4}}} {
 				serial := serial
 				t.Run(serial.backend.String(), func(t *testing.T) {
 					t.Parallel()
-					for _, shards := range []int{2, 4} {
-						checkParity(t, fmt.Sprintf("%d shards", shards), serial.run, runSharded(t, c.spec, serial.backend, queue, shards, c.seconds))
+					for _, shards := range serial.shards {
+						checkParity(t, fmt.Sprintf("%d shards", shards), serial.run, runSharded(t, c.spec, serial.backend, shards, c.seconds))
 					}
 				})
 			}

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/netsim"
@@ -12,7 +11,7 @@ import (
 )
 
 // buildServiceSpec wires a network + service over an arbitrary topology,
-// with optional netsim config tweaks (backend, queue discipline, ...).
+// with optional netsim config tweaks (backend, ...).
 func buildServiceSpec(t *testing.T, spec netsim.Spec, seed int64, platform *nv.Platform, tweak func(*netsim.Config), cfg Config) (*netsim.Network, *Service) {
 	t.Helper()
 	ncfg := netsim.DefaultConfig(spec, nv.ScenarioLab)
@@ -159,46 +158,45 @@ func TestRerouteFailsFastNoRoute(t *testing.T) {
 	checkNoLeaks(t, nw, svc)
 }
 
-// TestOutageReleasesResources sweeps both pair-state backends and both event
-// queue disciplines: several concurrent requests lose a path link mid-run,
-// and whatever mix of reroute/complete/fail results, every request must
-// terminate and no memory slot, segment or hop registration may leak.
+// TestOutageReleasesResources sweeps both pair-state backends: several
+// concurrent requests lose a path link mid-run, and whatever mix of
+// reroute/complete/fail results, every request must terminate and no memory
+// slot, segment or hop registration may leak.
 func TestOutageReleasesResources(t *testing.T) {
 	if testing.Short() {
-		t.Skip("backend×queue outage sweep in short mode")
+		t.Skip("per-backend outage sweep in short mode")
 	}
 	for _, backend := range []quantum.Backend{quantum.BackendDense, quantum.BackendBellDiagonal} {
-		for _, queue := range []sim.QueueKind{sim.QueueHeap, sim.QueueWheel} {
-			backend, queue := backend, queue
-			t.Run(fmt.Sprintf("%s/%s", backend, queue), func(t *testing.T) {
-				t.Parallel()
-				nw, svc := buildServiceSpec(t, ring4(), 13, idealMemoryPlatform(),
-					func(c *netsim.Config) { c.Backend = backend; c.Queue = queue }, DefaultConfig())
-				initial := mustPath(t, svc, 0, 2)
-				nw.ScheduleLinkState(initial.Links[0], sim.Time(0).Add(60*sim.Millisecond), netsim.LinkDown, nil)
+		backend := backend
+		// The last name level is the event queue the engine runs on.
+		t.Run(backend.String()+"/wheel", func(t *testing.T) {
+			t.Parallel()
+			nw, svc := buildServiceSpec(t, ring4(), 13, idealMemoryPlatform(),
+				func(c *netsim.Config) { c.Backend = backend }, DefaultConfig())
+			initial := mustPath(t, svc, 0, 2)
+			nw.ScheduleLinkState(initial.Links[0], sim.Time(0).Add(60*sim.Millisecond), netsim.LinkDown, nil)
 
-				outcomes := 0
-				svc.OnOK = func(ev OKEvent) {
-					if ev.RequestDone {
-						outcomes++
-					}
+			outcomes := 0
+			svc.OnOK = func(ev OKEvent) {
+				if ev.RequestDone {
+					outcomes++
 				}
-				svc.OnError = func(ev ErrorEvent) { outcomes++ }
-				const n = 3
-				for i := 0; i < n; i++ {
-					if _, code := svc.Create(CreateRequest{SrcNode: 0, DstNode: 2, NumPairs: 1,
-						MinFidelity: 0.4, MaxTime: sim.DurationSeconds(3)}); code != wire.ErrNone {
-						t.Fatalf("Create %d returned %v", i, code)
-					}
+			}
+			svc.OnError = func(ev ErrorEvent) { outcomes++ }
+			const n = 3
+			for i := 0; i < n; i++ {
+				if _, code := svc.Create(CreateRequest{SrcNode: 0, DstNode: 2, NumPairs: 1,
+					MinFidelity: 0.4, MaxTime: sim.DurationSeconds(3)}); code != wire.ErrNone {
+					t.Fatalf("Create %d returned %v", i, code)
 				}
-				nw.Run(sim.DurationSeconds(5))
-				if outcomes != n {
-					t.Fatalf("%d of %d requests terminated after the outage (must not hang)", outcomes, n)
-				}
-				// Let straggling link-layer OKs drain, then audit for leaks.
-				nw.Run(sim.DurationSeconds(2))
-				checkNoLeaks(t, nw, svc)
-			})
-		}
+			}
+			nw.Run(sim.DurationSeconds(5))
+			if outcomes != n {
+				t.Fatalf("%d of %d requests terminated after the outage (must not hang)", outcomes, n)
+			}
+			// Let straggling link-layer OKs drain, then audit for leaks.
+			nw.Run(sim.DurationSeconds(2))
+			checkNoLeaks(t, nw, svc)
+		})
 	}
 }

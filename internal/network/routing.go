@@ -1,7 +1,6 @@
 package network
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"slices"
@@ -166,26 +165,6 @@ func (r *Router) linkCost(l *netsim.Link) float64 {
 	return c
 }
 
-// pqItem is one Dijkstra frontier entry; ties break on node index so the
-// chosen paths are deterministic.
-type pqItem struct {
-	node int
-	dist float64
-}
-
-type pq []pqItem
-
-func (q pq) Len() int { return len(q) }
-func (q pq) Less(i, j int) bool {
-	if q[i].dist != q[j].dist {
-		return q[i].dist < q[j].dist
-	}
-	return q[i].node < q[j].node
-}
-func (q pq) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)   { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any     { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
-
 // Path returns the minimum-cost route from src to dst, or an error when the
 // nodes are disconnected or out of range.
 func (r *Router) Path(src, dst int) (Path, error) {
@@ -208,25 +187,28 @@ func (r *Router) Path(src, dst int) (Path, error) {
 		prevNode[i] = -1
 	}
 	dist[src] = 0
-	frontier := &pq{{node: src}}
-	for frontier.Len() > 0 {
-		it := heap.Pop(frontier).(pqItem)
-		if done[it.node] {
-			continue
+	for {
+		// Settle the closest unsettled reachable node; ties break on node
+		// index so the chosen paths are deterministic. On the service's small
+		// topologies a linear scan is cheaper than a priority queue.
+		u := -1
+		for v, d := range dist {
+			if !done[v] && !math.IsInf(d, 1) && (u < 0 || d < dist[u]) {
+				u = v
+			}
 		}
-		done[it.node] = true
-		if it.node == dst {
+		if u < 0 || u == dst {
 			break
 		}
-		for _, e := range r.adjacency[it.node] {
+		done[u] = true
+		for _, e := range r.adjacency[u] {
 			if e.link.State() == netsim.LinkDown {
 				continue
 			}
-			if c := dist[it.node] + r.linkCost(e.link); c < dist[e.to] {
+			if c := dist[u] + r.linkCost(e.link); c < dist[e.to] {
 				dist[e.to] = c
-				prevNode[e.to] = it.node
+				prevNode[e.to] = u
 				prevLink[e.to] = e.link
-				heap.Push(frontier, pqItem{node: e.to, dist: c})
 			}
 		}
 	}

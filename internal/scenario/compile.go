@@ -10,7 +10,6 @@ import (
 	"repro/internal/network"
 	"repro/internal/nv"
 	"repro/internal/quantum"
-	"repro/internal/sim"
 	"repro/internal/wire"
 	"repro/internal/workload"
 )
@@ -125,11 +124,6 @@ func (s *Spec) Compile() (*Compiled, error) {
 	if eng.Seed != 0 {
 		cfg.Seed = eng.Seed
 	}
-	queue, err := sim.ResolveQueue(eng.Queue)
-	if err != nil {
-		return nil, sectionErr(s.Name, "engine", err)
-	}
-	cfg.Queue = queue
 	if eng.Shards < 0 {
 		return nil, sectionErr(s.Name, "engine", fmt.Errorf("negative shards"))
 	}

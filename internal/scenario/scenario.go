@@ -31,7 +31,7 @@ type Spec struct {
 	Topology Topology `json:"topology"`
 	// Hardware selects the platform model (default: Lab, stock parameters).
 	Hardware *Hardware `json:"hardware,omitempty"`
-	// Engine selects seed, event queue and shard count.
+	// Engine selects seed and shard count.
 	Engine *Engine `json:"engine,omitempty"`
 	// Protocol tunes the link-layer protocol options.
 	Protocol *Protocol `json:"protocol,omitempty"`
@@ -85,9 +85,6 @@ type Engine struct {
 	// Seed is the base random seed (default 1); trial i derives its own seed
 	// from it.
 	Seed int64 `json:"seed,omitempty"`
-	// Queue is the event-queue discipline: heap (exact binary heap) or wheel
-	// (hierarchical timing wheel). Empty defers to $REPRO_QUEUE, then heap.
-	Queue string `json:"queue,omitempty"`
 	// Shards selects the engine: <=1 serial, >1 a conservative parallel
 	// engine with that many worker shards. Results are identical either way.
 	Shards int `json:"shards,omitempty"`

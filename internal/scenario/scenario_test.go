@@ -120,7 +120,6 @@ func TestCompileRejectsInvalidValues(t *testing.T) {
 	}{
 		{"bad scenario", func(s *Spec) { s.Hardware = &Hardware{Scenario: "Moon"} }, "hardware"},
 		{"bad backend", func(s *Spec) { s.Hardware = &Hardware{Backend: "sparse"} }, "hardware"},
-		{"bad queue", func(s *Spec) { s.Engine = &Engine{Queue: "lifo"} }, "engine"},
 		{"negative shards", func(s *Spec) { s.Engine = &Engine{Shards: -1} }, "engine"},
 		{"bad scheduler", func(s *Spec) { s.Protocol = &Protocol{Scheduler: "SJF"} }, "protocol"},
 		{"loss out of range", func(s *Spec) { s.Protocol = &Protocol{ClassicalLoss: 1} }, "protocol"},

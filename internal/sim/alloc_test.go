@@ -72,7 +72,7 @@ func TestStaleEventIDCannotCancelReusedStruct(t *testing.T) {
 }
 
 // Cancelled events are compacted out of the queue once they outnumber the
-// live ones, so Ticker-stop/Cancel churn cannot grow the heap unboundedly.
+// live ones, so Ticker-stop/Cancel churn cannot grow the queue unboundedly.
 func TestCancelCompaction(t *testing.T) {
 	s := New(1)
 	const n = 1000

@@ -5,20 +5,35 @@ import (
 	"testing"
 )
 
-// bothQueues runs a subtest per queue discipline.
-func bothQueues(t *testing.T, run func(t *testing.T, kind QueueKind)) {
-	for _, kind := range []QueueKind{QueueHeap, QueueWheel} {
-		t.Run(kind.String(), func(t *testing.T) { run(t, kind) })
+// queueKinds are the two event queues every engine-semantics test below runs
+// on: the timing wheel production Simulators use, and the reference heap
+// TestQueueDisciplineParity holds it to, so the reference keeps the same
+// semantics as the queue it vouches for.
+var queueKinds = []struct {
+	name string
+	new  func() eventQueue
+}{
+	{"heap", func() eventQueue { return &heapQueue{} }},
+	{"wheel", func() eventQueue { return newWheelQueue() }},
+}
+
+// bothQueues runs a subtest per event queue, on a fresh Simulator whose
+// pending events wait in that queue.
+func bothQueues(t *testing.T, run func(t *testing.T, s *Simulator)) {
+	for _, q := range queueKinds {
+		t.Run(q.name, func(t *testing.T) {
+			s := New(1)
+			s.q = q.new()
+			run(t, s)
+		})
 	}
 }
 
-// TestTickerStopAfterEngineStop pins the repaired stop semantics on both
-// disciplines: stopping a ticker after the engine has already halted must
-// cancel the pending tick (no stale tick on the next run) and stay
-// idempotent.
+// TestTickerStopAfterEngineStop pins the repaired stop semantics: stopping a
+// ticker after the engine has already halted must cancel the pending tick (no
+// stale tick on the next run) and stay idempotent.
 func TestTickerStopAfterEngineStop(t *testing.T) {
-	bothQueues(t, func(t *testing.T, kind QueueKind) {
-		s := NewWithQueue(1, kind)
+	bothQueues(t, func(t *testing.T, s *Simulator) {
 		count := 0
 		stop := Ticker(s, 10*Microsecond, func() {
 			count++
@@ -50,9 +65,9 @@ func TestTickerStopAfterEngineStop(t *testing.T) {
 	})
 }
 
-// warmWheel drives a simulator through enough scheduling traffic that every
-// reusable buffer (event pool, slots, ready run, overflow list) has grown to
-// its steady-state size.
+// warmSteadyState drives a simulator through enough scheduling traffic that
+// every reusable buffer (event pool, slots, ready run, overflow list) has
+// grown to its steady-state size.
 func warmSteadyState(s *Simulator) error {
 	fn := func() {}
 	for i := 0; i < 256; i++ {
@@ -64,18 +79,16 @@ func warmSteadyState(s *Simulator) error {
 }
 
 // TestQueueScheduleSteadyStateAllocFree pins the insert→fire cycle at zero
-// allocations on both disciplines — for the wheel that covers slot insert,
-// cascade re-placement and the sorted ready run.
+// allocations: slot insert, cascade re-placement and the sorted ready run.
 func TestQueueScheduleSteadyStateAllocFree(t *testing.T) {
-	bothQueues(t, func(t *testing.T, kind QueueKind) {
-		s := NewWithQueue(1, kind)
+	bothQueues(t, func(t *testing.T, s *Simulator) {
 		if err := warmSteadyState(s); err != nil {
 			t.Fatalf("warmup: %v", err)
 		}
 		fn := func() {}
 		allocs := testing.AllocsPerRun(200, func() {
 			// One near event (ready-run path) and one a few levels up
-			// (cascade path on the wheel).
+			// (cascade path).
 			Schedule(s, 10*Microsecond, fn)
 			Schedule(s, 100*Millisecond, fn)
 			if err := s.RunFor(Second); err != nil {
@@ -83,16 +96,15 @@ func TestQueueScheduleSteadyStateAllocFree(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("schedule+fire cycle allocated %v objects per run on %s, want 0", allocs, kind)
+			t.Fatalf("schedule+fire cycle allocated %v objects per run, want 0", allocs)
 		}
 	})
 }
 
 // TestQueueCancelSteadyStateAllocFree pins the insert→cancel→compact cycle at
-// zero allocations on both disciplines.
+// zero allocations.
 func TestQueueCancelSteadyStateAllocFree(t *testing.T) {
-	bothQueues(t, func(t *testing.T, kind QueueKind) {
-		s := NewWithQueue(1, kind)
+	bothQueues(t, func(t *testing.T, s *Simulator) {
 		if err := warmSteadyState(s); err != nil {
 			t.Fatalf("warmup: %v", err)
 		}
@@ -107,16 +119,15 @@ func TestQueueCancelSteadyStateAllocFree(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("schedule+cancel cycle allocated %v objects per run on %s, want 0", allocs, kind)
+			t.Fatalf("schedule+cancel cycle allocated %v objects per run, want 0", allocs)
 		}
 	})
 }
 
 // TestTickerSteadyStateAllocFree pins the self-rearming ticker at zero
-// allocations per tick on both disciplines: no per-tick closure, no box.
+// allocations per tick: no per-tick closure, no box.
 func TestTickerSteadyStateAllocFree(t *testing.T) {
-	bothQueues(t, func(t *testing.T, kind QueueKind) {
-		s := NewWithQueue(1, kind)
+	bothQueues(t, func(t *testing.T, s *Simulator) {
 		if err := warmSteadyState(s); err != nil {
 			t.Fatalf("warmup: %v", err)
 		}
@@ -132,10 +143,44 @@ func TestTickerSteadyStateAllocFree(t *testing.T) {
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("ticking allocated %v objects per run on %s, want 0", allocs, kind)
+			t.Fatalf("ticking allocated %v objects per run, want 0", allocs)
 		}
 		if ticks == 0 {
 			t.Fatal("ticker never fired")
 		}
 	})
+}
+
+// TestReadyRunStaysBounded pins the ready run's storage while near events
+// keep landing in front of a collected far one. The batch look-ahead collects
+// the far event's granule as soon as the first tick is popped; every later
+// tick is then inserted into the run ahead of it, so the run is never fully
+// consumed and only the consumed-prefix trim keeps it from growing by one
+// slot per tick.
+func TestReadyRunStaysBounded(t *testing.T) {
+	s := New(1)
+	w := s.q.(*wheelQueue)
+	Schedule(s, Second, func() {})
+	const ticks = 100_000
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < ticks {
+			Schedule(s, Microsecond, tick)
+		}
+	}
+	Schedule(s, 0, tick)
+	maxCap := 0
+	for n < ticks {
+		if !s.step(-1) {
+			t.Fatal("queue drained before the ticks finished")
+		}
+		maxCap = max(maxCap, cap(w.ready))
+	}
+	if s.Pending() != 1 || s.Now() >= Time(Second) {
+		t.Fatalf("Pending() = %d at %v, want only the far event left", s.Pending(), s.Now())
+	}
+	if maxCap > 4*readyTrimMin {
+		t.Fatalf("ready run grew to capacity %d over %d ticks, want <= %d", maxCap, ticks, 4*readyTrimMin)
+	}
 }

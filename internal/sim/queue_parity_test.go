@@ -1,9 +1,74 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"testing"
 )
+
+// heapQueue is the reference event queue: a binary min-heap over (at, seq).
+// Production Simulators run on the timing wheel; TestQueueDisciplineParity
+// holds the wheel to this heap's pop order.
+type heapQueue struct {
+	h heapStore
+}
+
+// heapStore is the container/heap backing of heapQueue.
+type heapStore []*event
+
+func (q heapStore) Len() int { return len(q) }
+func (q heapStore) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q heapStore) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *heapStore) Push(x any)   { *q = append(*q, x.(*event)) }
+func (q *heapStore) Pop() any {
+	old := *q
+	n := len(old)
+	ev := old[n-1]
+	old[n-1] = nil
+	*q = old[:n-1]
+	return ev
+}
+
+func (q *heapQueue) push(ev *event) { heap.Push(&q.h, ev) }
+
+func (q *heapQueue) peek() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return q.h[0]
+}
+
+func (q *heapQueue) pop() *event {
+	if len(q.h) == 0 {
+		return nil
+	}
+	return heap.Pop(&q.h).(*event)
+}
+
+func (q *heapQueue) len() int { return len(q.h) }
+
+// compact rebuilds the heap without its cancelled events.
+func (q *heapQueue) compact(recycle func(*event)) int {
+	removed := 0
+	live := q.h[:0]
+	for _, ev := range q.h {
+		if ev.canceled {
+			recycle(ev)
+			removed++
+			continue
+		}
+		live = append(live, ev)
+	}
+	clear(q.h[len(live):])
+	q.h = live
+	heap.Init(&q.h)
+	return removed
+}
 
 // queueParityResult is everything observable about one workload run: the
 // execution trace plus the final counter state. Heap and wheel runs of the
@@ -17,9 +82,12 @@ type queueParityResult struct {
 	canceledPending int
 }
 
-func runQueueWorkload(t *testing.T, kind QueueKind, load func(s *Simulator, emit func(string))) queueParityResult {
+// runQueueWorkload runs load on a fresh Simulator whose pending events wait
+// in q.
+func runQueueWorkload(t *testing.T, q eventQueue, load func(s *Simulator, emit func(string))) queueParityResult {
 	t.Helper()
-	s := NewWithQueue(1, kind)
+	s := New(1)
+	s.q = q
 	var trace []string
 	load(s, func(tag string) {
 		trace = append(trace, fmt.Sprintf("t=%d %s", s.Now(), tag))
@@ -34,9 +102,9 @@ func runQueueWorkload(t *testing.T, kind QueueKind, load func(s *Simulator, emit
 	}
 }
 
-// TestQueueDisciplineParity runs adversarial scheduling patterns on the heap
-// and the timing wheel and requires byte-identical traces and counters: the
-// wheel is a drop-in discipline, not an approximation. Each workload drives
+// TestQueueDisciplineParity runs adversarial scheduling patterns on the
+// timing wheel and on the reference heap and requires byte-identical traces
+// and counters: the wheel is an exact event queue, not an approximation. Each workload drives
 // the run itself (often in RunUntil stages, so clock-advance behaviour at
 // drained horizons is compared too).
 func TestQueueDisciplineParity(t *testing.T) {
@@ -89,7 +157,7 @@ func TestQueueDisciplineParity(t *testing.T) {
 					})
 				}
 				// Stage the run across horizons so drained-queue clock
-				// advancement is exercised under both disciplines.
+				// advancement is exercised on both queues.
 				for _, horizon := range []Time{Time(far / 2), Time(far * 2), Time(Duration(1) << 62)} {
 					if err := s.RunUntil(horizon); err != nil {
 						t.Fatalf("RunUntil(%d): %v", horizon, err)
@@ -103,7 +171,7 @@ func TestQueueDisciplineParity(t *testing.T) {
 		},
 		{
 			// Heavy cancellation pressure in several patterns, enough churn
-			// to trip threshold compaction under both disciplines.
+			// to trip threshold compaction on both queues.
 			name: "cancel-heavy churn",
 			load: func(s *Simulator, emit func(string)) {
 				var ids []EventID
@@ -175,55 +243,31 @@ func TestQueueDisciplineParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			heap := runQueueWorkload(t, QueueHeap, tc.load)
-			wheel := runQueueWorkload(t, QueueWheel, tc.load)
-			if len(heap.trace) != len(wheel.trace) {
-				t.Fatalf("trace lengths differ: heap %d, wheel %d", len(heap.trace), len(wheel.trace))
+			ref := runQueueWorkload(t, &heapQueue{}, tc.load)
+			wheel := runQueueWorkload(t, newWheelQueue(), tc.load)
+			if len(ref.trace) != len(wheel.trace) {
+				t.Fatalf("trace lengths differ: heap %d, wheel %d", len(ref.trace), len(wheel.trace))
 			}
-			for i := range heap.trace {
-				if heap.trace[i] != wheel.trace[i] {
-					t.Fatalf("trace entry %d differs:\n  heap:  %s\n  wheel: %s", i, heap.trace[i], wheel.trace[i])
+			for i := range ref.trace {
+				if ref.trace[i] != wheel.trace[i] {
+					t.Fatalf("trace entry %d differs:\n  heap:  %s\n  wheel: %s", i, ref.trace[i], wheel.trace[i])
 				}
 			}
-			if heap.now != wheel.now {
-				t.Errorf("final Now(): heap %d, wheel %d", heap.now, wheel.now)
+			if ref.now != wheel.now {
+				t.Errorf("final Now(): heap %d, wheel %d", ref.now, wheel.now)
 			}
-			if heap.executed != wheel.executed {
-				t.Errorf("Executed(): heap %d, wheel %d", heap.executed, wheel.executed)
+			if ref.executed != wheel.executed {
+				t.Errorf("Executed(): heap %d, wheel %d", ref.executed, wheel.executed)
 			}
-			if heap.pending != wheel.pending {
-				t.Errorf("Pending(): heap %d, wheel %d", heap.pending, wheel.pending)
+			if ref.pending != wheel.pending {
+				t.Errorf("Pending(): heap %d, wheel %d", ref.pending, wheel.pending)
 			}
-			if heap.compactions != wheel.compactions {
-				t.Errorf("Compactions(): heap %d, wheel %d", heap.compactions, wheel.compactions)
+			if ref.compactions != wheel.compactions {
+				t.Errorf("Compactions(): heap %d, wheel %d", ref.compactions, wheel.compactions)
 			}
-			if heap.canceledPending != wheel.canceledPending {
-				t.Errorf("CanceledPending(): heap %d, wheel %d", heap.canceledPending, wheel.canceledPending)
+			if ref.canceledPending != wheel.canceledPending {
+				t.Errorf("CanceledPending(): heap %d, wheel %d", ref.canceledPending, wheel.canceledPending)
 			}
 		})
-	}
-}
-
-// TestParseQueue pins the accepted spellings and the error path of the
-// QueueKind surface.
-func TestParseQueue(t *testing.T) {
-	ok := map[string]QueueKind{
-		"":             QueueHeap,
-		"heap":         QueueHeap,
-		"wheel":        QueueWheel,
-		"timing-wheel": QueueWheel,
-		"timingwheel":  QueueWheel,
-	}
-	for in, want := range ok {
-		got, err := ParseQueue(in)
-		if err != nil || got != want {
-			t.Errorf("ParseQueue(%q) = %v, %v; want %v, nil", in, got, err, want)
-		}
-	}
-	if _, err := ParseQueue("splay"); err == nil {
-		t.Error("ParseQueue accepted an unknown discipline")
-	}
-	if QueueHeap.String() != "heap" || QueueWheel.String() != "wheel" {
-		t.Errorf("String(): %q / %q", QueueHeap.String(), QueueWheel.String())
 	}
 }

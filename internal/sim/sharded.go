@@ -65,26 +65,19 @@ type ShardedEngine struct {
 // unbounded and shards run fully independently.
 const noLookahead = Duration(math.MaxInt64)
 
-// NewSharded creates a sharded engine with n worker shards on the reference
-// heap queue. Each shard's own RNG is seeded from (seed, shard index), but
-// partitioned workloads should not consume shard RNGs at all — per-entity
-// streams via WithRNG keep results independent of the partitioning.
+// NewSharded creates a sharded engine with n worker shards, each a Simulator
+// with its own timing wheel. Each shard's own RNG is seeded from (seed, shard
+// index), but partitioned workloads should not consume shard RNGs at all —
+// per-entity streams via WithRNG keep results independent of the
+// partitioning.
 func NewSharded(seed int64, n int) *ShardedEngine {
-	return NewShardedWithQueue(seed, n, QueueHeap)
-}
-
-// NewShardedWithQueue creates a sharded engine whose shards all run the
-// given queue discipline. The discipline multiplies with the sharding: each
-// shard runs its own faster event loop, and counters stay byte-identical
-// across both axes (queue choice and shard count).
-func NewShardedWithQueue(seed int64, n int, queue QueueKind) *ShardedEngine {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: sharded engine needs at least 1 shard, got %d", n))
 	}
 	e := &ShardedEngine{seed: seed, lookahead: noLookahead}
 	e.shards = make([]*Simulator, n)
 	for i := range e.shards {
-		e.shards[i] = NewWithQueue(DeriveSeed(seed, 0x5ead, uint64(i)), queue)
+		e.shards[i] = New(DeriveSeed(seed, 0x5ead, uint64(i)))
 	}
 	return e
 }
@@ -269,7 +262,7 @@ type mergedMsg struct {
 
 // mergeOutboxes drains every cross edge's outbox into the destination shards
 // in (timestamp, edge key, send order) order, returning how many messages it
-// moved. The order the messages are *scheduled* in fixes their heap sequence
+// moved. The order the messages are *scheduled* in fixes their queue sequence
 // numbers, so same-timestamp arrivals execute in this deterministic order
 // regardless of which goroutine finished its window first.
 func (e *ShardedEngine) mergeOutboxes() int {

@@ -12,8 +12,8 @@
 // Scheduling is built on one canonical primitive — Engine.ScheduleArgAt — an
 // argument-carrying event at an absolute time. The package-level Schedule,
 // ScheduleAt, ScheduleArg and Ticker helpers are thin wrappers over it (see
-// engine.go), and the pending-event store behind a Simulator is a pluggable
-// queue discipline (see queue.go and wheel.go) selected per run.
+// engine.go). Pending events wait in a hierarchical timing wheel (wheel.go)
+// that pops in exact (time, insertion order), so every run is reproducible.
 package sim
 
 import (
@@ -96,8 +96,7 @@ type event struct {
 	// uncounted events run like any other but are not counted by Executed
 	// (see Uncounted).
 	uncounted bool
-	index     int    // heap position (heap discipline only)
-	next      *event // intrusive bucket link (wheel discipline only)
+	next      *event // intrusive timing-wheel bucket link
 }
 
 // EventID identifies a scheduled event so it can be cancelled.
@@ -204,20 +203,15 @@ func (s *Simulator) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.arg = nil
-	ev.index = -1
 	ev.next = nil
 	s.free = append(s.free, ev)
 }
 
-// New creates a simulator on the reference heap queue, seeded with seed.
-func New(seed int64) *Simulator { return NewWithQueue(seed, QueueHeap) }
-
-// NewWithQueue creates a simulator on the given queue discipline, seeded with
-// seed. Execution order and every deterministic counter are identical across
-// disciplines; choose QueueWheel for the fastest event loop on workloads
-// dominated by short regular delays.
-func NewWithQueue(seed int64, queue QueueKind) *Simulator {
-	return &Simulator{rng: NewRNG(seed), q: newQueue(queue)}
+// New creates a simulator seeded with seed. Its pending events wait in a
+// hierarchical timing wheel: O(1) amortised insert and cancel, popped in
+// exact (time, insertion order).
+func New(seed int64) *Simulator {
+	return &Simulator{rng: NewRNG(seed), q: newWheelQueue()}
 }
 
 // Now returns the current simulated time.

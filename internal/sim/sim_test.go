@@ -309,32 +309,30 @@ func TestEventCountTracking(t *testing.T) {
 }
 
 // Events scheduled through an Uncounted view keep their place in the
-// (time, insertion order) sequence, on both queues, but Executed skips them;
-// the pooled event structs they used count normally once reused.
+// (time, insertion order) sequence, but Executed skips them; the pooled event
+// structs they used count normally once reused.
 func TestUncountedEvents(t *testing.T) {
-	for _, q := range []QueueKind{QueueHeap, QueueWheel} {
-		s := NewWithQueue(1, q)
-		quiet := Uncounted(s)
-		var order []int
-		for i := 0; i < 6; i++ {
-			eng := Engine(s)
-			if i%2 == 1 {
-				eng = quiet
-			}
-			Schedule(eng, Duration(10-i%3), func() { order = append(order, i) })
+	s := New(1)
+	quiet := Uncounted(s)
+	var order []int
+	for i := 0; i < 6; i++ {
+		eng := Engine(s)
+		if i%2 == 1 {
+			eng = quiet
 		}
-		_ = s.Run()
-		if want := []int{2, 5, 1, 4, 0, 3}; fmt.Sprint(order) != fmt.Sprint(want) {
-			t.Fatalf("%s: order %v, want %v", q, order, want)
-		}
-		if s.Executed() != 3 {
-			t.Fatalf("%s: Executed = %d, want the 3 counted events", q, s.Executed())
-		}
-		Schedule(s, 1, func() {})
-		_ = s.Run()
-		if s.Executed() != 4 {
-			t.Fatalf("%s: a reused event struct stayed uncounted: Executed = %d, want 4", q, s.Executed())
-		}
+		Schedule(eng, Duration(10-i%3), func() { order = append(order, i) })
+	}
+	_ = s.Run()
+	if want := []int{2, 5, 1, 4, 0, 3}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("order %v, want %v", order, want)
+	}
+	if s.Executed() != 3 {
+		t.Fatalf("Executed = %d, want the 3 counted events", s.Executed())
+	}
+	Schedule(s, 1, func() {})
+	_ = s.Run()
+	if s.Executed() != 4 {
+		t.Fatalf("a reused event struct stayed uncounted: Executed = %d, want 4", s.Executed())
 	}
 }
 

@@ -5,8 +5,8 @@ import (
 	"sort"
 )
 
-// wheelQueue is a hierarchical timing wheel: the O(1)-amortised event-queue
-// discipline behind QueueWheel.
+// wheelQueue is a hierarchical timing wheel: the O(1)-amortised event queue
+// behind every Simulator.
 //
 // Simulated time is bucketed into power-of-two granules of 2^wheelGranuleBits
 // nanoseconds. Six levels of 256 slots each cover ever-coarser octets of the
@@ -23,15 +23,15 @@ import (
 // single granule — which is what lets collection sort one slot and know it
 // has the global (at, seq) minimum.
 //
-// Ordering parity with the heap discipline is exact, not approximate: peek
-// returns the resident event with the smallest (at, seq) — including
-// lazily-cancelled events — so the Simulator's execution order, counters and
-// the sharded engine's window boundaries are byte-identical under either
-// discipline. Collected events wait in a sorted ready run; events scheduled
-// at or before the cursor (the common "fire this instant" case) insert into
-// that run directly. All storage — slots, bitmaps, the ready run, the
-// overflow list — is reused, so steady-state insert/cancel/tick allocate
-// nothing.
+// Ordering is exact, not approximate: peek returns the resident event with
+// the smallest (at, seq) — including lazily-cancelled events — so the
+// Simulator's execution order, counters and the sharded engine's window
+// boundaries are those of a binary heap over (at, seq), the reference the
+// package tests hold the wheel to. Collected events wait in a sorted ready
+// run; events scheduled at or before the cursor (the common "fire this
+// instant" case) insert into that run directly. All storage — slots,
+// bitmaps, the ready run, the overflow list — is reused, so steady-state
+// insert/cancel/tick allocate nothing.
 const (
 	// wheelGranuleBits sets the level-0 slot width: 2^10 = 1024 simulated
 	// nanoseconds, finer than every periodic delay in the stack (the
@@ -45,6 +45,9 @@ const (
 	// 2^58 ns ≈ 9 simulated years before the overflow list takes over.
 	wheelLevels = 6
 	wheelWords  = wheelSlots / 64
+	// readyTrimMin is the consumed-prefix length from which readyInsert
+	// shifts the ready run back to the front of its storage.
+	readyTrimMin = 64
 )
 
 type wheelQueue struct {
@@ -112,7 +115,18 @@ func (w *wheelQueue) place(ev *event) {
 // readyInsert places ev into the uncollected portion of the sorted ready run,
 // keeping (at, seq) order. The common case — the new event fires at or after
 // everything already collected — appends in O(1).
+//
+// The run is otherwise cut back only when refill finds it fully consumed,
+// which never happens while near events keep landing in front of a collected
+// far one; so once the consumed prefix is at least readyTrimMin long and
+// covers half the run, it is dropped here (amortised O(1) per pop).
 func (w *wheelQueue) readyInsert(ev *event) {
+	if w.readyPos >= readyTrimMin && 2*w.readyPos >= len(w.ready) {
+		n := copy(w.ready, w.ready[w.readyPos:])
+		clear(w.ready[n:])
+		w.ready = w.ready[:n]
+		w.readyPos = 0
+	}
 	lo, hi := w.readyPos, len(w.ready)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
