@@ -254,12 +254,11 @@ func NewNetwork(cfg Config) *Network {
 	n.EGPA.SetNode(n.MHPA)
 	n.EGPB.SetNode(n.MHPB)
 	n.Mid = mhp.NewMidpoint(mhp.MidpointConfig{
-		Sim:          s,
-		Sampler:      sampler,
-		Registry:     registry,
-		ToA:          n.ChanHtoA,
-		ToB:          n.ChanHtoB,
-		WindowCycles: 1,
+		Sim:      s,
+		Sampler:  sampler,
+		Registry: registry,
+		ToA:      n.ChanHtoA,
+		ToB:      n.ChanHtoB,
 		// Unmatched GENs wait at the station long enough to cover the
 		// propagation asymmetry between the two arms plus jitter.
 		HoldTime: 2*(platform.CommDelayAH+platform.CommDelayBH) + 200*sim.Microsecond,

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/egp"
+	"repro/internal/mhp"
 	"repro/internal/netsim"
 	"repro/internal/nv"
 	"repro/internal/sim"
@@ -41,11 +42,17 @@ func TestFailedAttemptsAllocateNothing(t *testing.T) {
 			if _, code := nw.Submit(l, "A", egp.CreateRequest{NumPairs: 60000, MinFidelity: 0.8, Priority: egp.PriorityMD}); code != 0 {
 				t.Fatalf("submit: %v", code)
 			}
-			// Warm up past the DQP handshake and the node's first pending-map
-			// sweeps (every 1024 cycles, dropping attempts 4096 cycles old),
-			// so free lists and maps have reached their steady size.
-			nw.Run(6000 * sim.Duration(cycle))
+			// Warm up past the DQP handshake, so the free lists reach their
+			// steady size. Under loss, attempts whose REPLY was lost stay
+			// pending until a maintenance pass (every 1024 cycles) drops those
+			// 4096 cycles old, and the pending slices keep the capacity they
+			// grow to. So the warm-up must cover one full 4096-cycle drop
+			// period plus a 1024-cycle maintenance interval after the first
+			// attempt, and the window must not grow the slices further.
+			nw.Run(8000 * sim.Duration(cycle))
 
+			pendingCap := func() [2]int { return [2]int{mhp.PendingCap(l.MHPA), mhp.PendingCap(l.MHPB)} }
+			cap0 := pendingCap()
 			_, successes0, timeMismatch0, _, noOther0 := l.Mid.Stats()
 			// AllocsPerRun calls the window twice, once unmeasured; attempts
 			// is the measured call's count.
@@ -65,6 +72,9 @@ func TestFailedAttemptsAllocateNothing(t *testing.T) {
 			}
 			if tc.loss > 0 && timeMismatch+noOther == timeMismatch0+noOther0 {
 				t.Fatal("lossy window never reached the midpoint's hold timeout")
+			}
+			if c := pendingCap(); c != cap0 {
+				t.Fatalf("pending slices grew from capacity %v to %v in the window (lengthen the warm-up)", cap0, c)
 			}
 			if allocs != 0 {
 				t.Fatalf("%v allocations over %d failed attempts, want 0", allocs, attempts)

@@ -21,7 +21,7 @@ import (
 //     inside that batch, which no protocol delay does. The clock sits at the
 //     first tick's place and polls the nodes in their old order.
 //   - Parked polls. A parked node's poll is a no-op: its generator has
-//     nothing queued and nothing outstanding, and its pending map is empty.
+//     nothing queued and nothing outstanding, and it has no pending attempt.
 //     It commutes with every other event, so leaving it out changes nothing.
 //   - Cycle numbers. There is one counter, on the clock. During the clock's
 //     batch a node the clock has already reached reads cycle k and a node it

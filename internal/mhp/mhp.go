@@ -18,6 +18,7 @@ package mhp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/classical"
 	"repro/internal/nv"
@@ -227,7 +228,7 @@ type Node struct {
 
 	cycleTimeK   sim.Duration
 	cycleTimeM   sim.Duration
-	pending      map[uint64]PollDecision // attempts awaiting a REPLY, by cycle
+	pending      []pendingAttempt // attempts awaiting a REPLY, oldest first
 	attemptCount uint64
 	localFails   uint64
 
@@ -254,6 +255,16 @@ type Node struct {
 	// when off.
 	paused      bool
 	rateDivisor uint64
+}
+
+// pendingAttempt is an attempt awaiting its REPLY. A node's cycles only
+// grow, so appending keeps the pending slice in cycle order. The slice keeps
+// the capacity it grows to: one attempt on a loss-free link; under classical
+// loss, the attempts whose REPLY never came until the maintenance pass drops
+// them 4,096 to 5,120 cycles later.
+type pendingAttempt struct {
+	cycle    uint64
+	decision PollDecision
 }
 
 // NodeConfig collects the parameters needed to construct a node-side MHP.
@@ -291,7 +302,6 @@ func NewNode(cfg NodeConfig) *Node {
 		toMidpoint: cfg.ToMidpoint,
 		cycleTimeK: cfg.CycleTimeK,
 		cycleTimeM: cfg.CycleTimeM,
-		pending:    make(map[uint64]PollDecision),
 		parked:     cfg.Generator.Idle(),
 		trace:      cfg.Trace,
 		traceID:    cfg.TraceID,
@@ -369,11 +379,7 @@ func (n *Node) SetRateDivisor(d uint64) {
 // ClearPending discards every attempt still awaiting a REPLY — the dying
 // link's in-flight attempts, whose replies (if any) will find no matching
 // queue item anyway.
-func (n *Node) ClearPending() {
-	for c := range n.pending {
-		delete(n.pending, c)
-	}
-}
+func (n *Node) ClearPending() { n.pending = n.pending[:0] }
 
 // Attempts returns how many attempts this node has triggered.
 func (n *Node) Attempts() uint64 { return n.attemptCount }
@@ -404,10 +410,10 @@ func (n *Node) Start() (stop func()) {
 // runCycle executes one MHP cycle: poll the EGP and trigger if requested.
 func (n *Node) runCycle(cycle uint64) {
 	// Periodically discard pending-attempt state whose REPLY was evidently
-	// lost, so the map stays bounded during long lossy runs; sweep the shared
+	// lost, so the slice stays bounded during long lossy runs; sweep the shared
 	// pair registry in the same pass, since lost REPLYs also strand pairs
 	// that neither node will ever claim. A parked node skips this pass: its
-	// pending map is empty, and a sweep only evicts pairs far older than any
+	// pending slice is empty, and a sweep only evicts pairs far older than any
 	// a REPLY can still name (a REPLY carries the sequence number just
 	// assigned), so when an idle link's registry is swept is not observable.
 	if cycle%1024 == 0 {
@@ -456,7 +462,7 @@ func (n *Node) runCycle(cycle uint64) {
 	// (Appendix D.4.1).
 	n.device.ApplyAttemptDephasing(decision.Alpha)
 
-	n.pending[cycle] = decision
+	n.pending = append(n.pending, pendingAttempt{cycle, decision})
 	p := n.registry.gens.get()
 	wire.GENFrame{QueueID: decision.QueueID, Timestamp: cycle}.Put(&p.frame)
 	p.size, p.alpha, p.side, p.cycle = wire.GENFrameLen, decision.Alpha, n.side, cycle
@@ -475,19 +481,19 @@ func (n *Node) HandleReply(msg classical.Message) {
 		return
 	}
 	n.trace.Record(n.simul.Now(), obs.KindMHPReply, n.traceID, int64(reply.Outcome), int64(reply.MHPSeq))
-	// Match the reply to the pending attempt by the echoed queue ID; the
-	// cycle association is recovered from the pending map (oldest first).
-	var cycle uint64
-	var decision PollDecision
-	found := false
-	for c, d := range n.pending {
-		if d.QueueID == reply.QueueID && (!found || c < cycle) {
-			cycle, decision, found = c, d, true
+	// Match the reply to the oldest pending attempt with the echoed queue ID,
+	// which recovers the attempt's cycle: a REPLY lost on the way leaves its
+	// attempt behind, and the next REPLY for the same queue item answers the
+	// older attempt first.
+	var attempt pendingAttempt
+	for i, p := range n.pending {
+		if p.decision.QueueID == reply.QueueID {
+			attempt = p
+			n.pending = slices.Delete(n.pending, i, i+1)
+			break
 		}
 	}
-	if found {
-		delete(n.pending, cycle)
-	}
+	cycle, decision := attempt.cycle, attempt.decision
 	result := Result{
 		Outcome:      reply.Outcome,
 		MHPSeq:       reply.MHPSeq,
@@ -505,18 +511,18 @@ func (n *Node) HandleReply(msg classical.Message) {
 	n.gen.HandleResult(result)
 }
 
-// PendingAttempts returns how many attempts are awaiting a REPLY (used by
-// tests and by the EGP's emission-multiplexing logic).
+// PendingAttempts returns how many attempts are awaiting a REPLY.
 func (n *Node) PendingAttempts() int { return len(n.pending) }
 
-// DropPending discards pending attempt state older than the given cycle;
-// used by the EGP when it declares attempts lost.
+// DropPending discards the pending attempts of cycles before olderThan; the
+// node's periodic maintenance pass calls it with a cutoff 4,096 cycles back,
+// since a REPLY that late was evidently lost.
 func (n *Node) DropPending(olderThan uint64) {
-	for c := range n.pending {
-		if c < olderThan {
-			delete(n.pending, c)
-		}
+	k := 0
+	for k < len(n.pending) && n.pending[k].cycle < olderThan {
+		k++
 	}
+	n.pending = slices.Delete(n.pending, 0, k)
 }
 
 // Midpoint is the heralding-station service: it pairs up GEN frames arriving
@@ -530,9 +536,6 @@ type Midpoint struct {
 	toA *classical.Channel
 	toB *classical.Channel
 
-	// windowCycles is how many MHP cycles apart two GEN messages may be and
-	// still be considered the same attempt (the detection time window).
-	windowCycles uint64
 	// holdTime is how long an unmatched GEN is held waiting for the peer's
 	// GEN of the same cycle before the attempt is reported back as
 	// NO_MESSAGE_OTHER. It must exceed the propagation asymmetry of the two
@@ -549,11 +552,12 @@ type Midpoint struct {
 	depolarize float64
 
 	seq uint16
-	// waiting holds unmatched GEN frames per node side, keyed by the attempt
-	// cycle carried in the frame's timestamp: the station links messages to
+	// waiting holds unmatched GEN frames per node side, at most one per
+	// attempt cycle (the frame's timestamp): the station links messages to
 	// detection windows by timestamp, not by arrival order, so emission
-	// multiplexing over asymmetric fibre arms pairs the right attempts.
-	waiting [2]map[uint64]*genPayload
+	// multiplexing over asymmetric fibre arms pairs the right attempts. A
+	// side rarely has more than one GEN waiting, so a scan beats a lookup.
+	waiting [2][]*genPayload
 
 	// Statistics.
 	matched       uint64
@@ -570,12 +574,11 @@ type Midpoint struct {
 
 // MidpointConfig collects the construction parameters of a Midpoint.
 type MidpointConfig struct {
-	Sim          sim.Engine
-	Sampler      *photonics.LinkSampler
-	Registry     *PairRegistry
-	ToA          *classical.Channel
-	ToB          *classical.Channel
-	WindowCycles uint64
+	Sim      sim.Engine
+	Sampler  *photonics.LinkSampler
+	Registry *PairRegistry
+	ToA      *classical.Channel
+	ToB      *classical.Channel
 	// HoldTime bounds how long an unmatched GEN waits for its counterpart;
 	// it defaults to 500 µs which covers the QL2020 arm asymmetry with ample
 	// margin.
@@ -593,26 +596,20 @@ func NewMidpoint(cfg MidpointConfig) *Midpoint {
 	if cfg.Sim == nil || cfg.Sampler == nil || cfg.Registry == nil || cfg.ToA == nil || cfg.ToB == nil {
 		panic("mhp: incomplete midpoint configuration")
 	}
-	w := cfg.WindowCycles
-	if w == 0 {
-		w = 1
-	}
 	hold := cfg.HoldTime
 	if hold <= 0 {
 		hold = 500 * sim.Microsecond
 	}
 	m := &Midpoint{
-		simul:        cfg.Sim,
-		sampler:      cfg.Sampler,
-		registry:     cfg.Registry,
-		toA:          cfg.ToA,
-		toB:          cfg.ToB,
-		windowCycles: w,
-		holdTime:     hold,
-		waiting:      [2]map[uint64]*genPayload{{}, {}},
-		trace:        cfg.Trace,
-		traceID:      cfg.TraceID,
-		metrics:      cfg.Metrics,
+		simul:    cfg.Sim,
+		sampler:  cfg.Sampler,
+		registry: cfg.Registry,
+		toA:      cfg.ToA,
+		toB:      cfg.ToB,
+		holdTime: hold,
+		trace:    cfg.Trace,
+		traceID:  cfg.TraceID,
+		metrics:  cfg.Metrics,
 	}
 	m.onHold = m.holdExpired
 	return m
@@ -652,19 +649,21 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 		return
 	}
 	// Link the message to a detection window by its timestamp: look for a
-	// waiting peer GEN whose cycle lies within the detection window.
-	peer := m.findPeerGEN(1-payload.side, payload.cycle)
-	if peer == nil {
+	// waiting peer GEN of the same cycle.
+	peers := m.waiting[1-payload.side]
+	i := indexCycle(peers, payload.cycle)
+	if i < 0 {
 		// Hold this GEN waiting for the peer's; if it never arrives the
 		// attempt is reported back as NO_MESSAGE_OTHER (or TIME_MISMATCH
 		// when the peer was attempting different cycles). The hold event
 		// fires whether or not the GEN is matched first, and it is what
 		// returns the payload to the free list.
-		m.waiting[payload.side][payload.cycle] = payload
+		m.hold(payload)
 		sim.ScheduleArg(m.simul, m.holdTime, m.onHold, payload)
 		return
 	}
-	delete(m.waiting[peer.side], peer.cycle)
+	peer := peers[i]
+	m.waiting[peer.side] = slices.Delete(peers, i, i+1)
 	defer m.registry.gens.put(payload)
 
 	// The peer frame was validated when it arrived, so its decode cannot fail.
@@ -728,8 +727,8 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 // nothing refers to the payload any more, so it returns to the free list.
 func (m *Midpoint) holdExpired(now sim.Time, arg any) {
 	payload := arg.(*genPayload)
-	if m.waiting[payload.side][payload.cycle] == payload {
-		delete(m.waiting[payload.side], payload.cycle)
+	if i := slices.Index(m.waiting[payload.side], payload); i >= 0 {
+		m.waiting[payload.side] = slices.Delete(m.waiting[payload.side], i, i+1)
 		gen, _ := wire.DecodeGEN(payload.frame[:payload.size])
 		if len(m.waiting[1-payload.side]) > 0 {
 			m.timeMismatch++
@@ -744,21 +743,25 @@ func (m *Midpoint) holdExpired(now sim.Time, arg any) {
 	m.registry.gens.put(payload)
 }
 
-// findPeerGEN returns a waiting GEN from the given side whose cycle is within
-// the detection window of the given cycle, or nil.
-func (m *Midpoint) findPeerGEN(side nv.PairSide, cycle uint64) *genPayload {
-	if p, ok := m.waiting[side][cycle]; ok {
-		return p
+// hold makes a GEN its side's waiting GEN of its cycle, replacing an earlier
+// one of the same cycle; the replaced GEN's hold event then finds it gone.
+func (m *Midpoint) hold(p *genPayload) {
+	w := m.waiting[p.side]
+	if i := indexCycle(w, p.cycle); i >= 0 {
+		w[i] = p
+		return
 	}
-	for d := uint64(1); d < m.windowCycles; d++ {
-		if p, ok := m.waiting[side][cycle-d]; ok {
-			return p
-		}
-		if p, ok := m.waiting[side][cycle+d]; ok {
-			return p
+	m.waiting[p.side] = append(w, p)
+}
+
+// indexCycle returns the index of the waiting GEN of the given cycle, or -1.
+func indexCycle(w []*genPayload, cycle uint64) int {
+	for i, p := range w {
+		if p.cycle == cycle {
+			return i
 		}
 	}
-	return nil
+	return -1
 }
 
 // sendReply transmits a REPLY frame to the node on the given side.

@@ -12,9 +12,11 @@ import (
 )
 
 // stubGenerator is a scripted link layer: it answers polls from a queue of
-// decisions and records every result it receives.
+// decisions and records the cycle of every attempt it triggers and every
+// result it receives.
 type stubGenerator struct {
 	decisions []PollDecision
+	attempts  []uint64
 	results   []Result
 }
 
@@ -24,6 +26,9 @@ func (s *stubGenerator) PollTrigger(cycle uint64) PollDecision {
 	}
 	d := s.decisions[0]
 	s.decisions = s.decisions[1:]
+	if d.Attempt {
+		s.attempts = append(s.attempts, cycle)
+	}
 	return d
 }
 
@@ -67,7 +72,7 @@ func newHarness(t *testing.T, loss float64) *harness {
 	})
 	h.mid = NewMidpoint(MidpointConfig{
 		Sim: h.s, Sampler: sampler, Registry: h.registry,
-		ToA: chanHtoA, ToB: chanHtoB, WindowCycles: 1, HoldTime: 100 * sim.Microsecond,
+		ToA: chanHtoA, ToB: chanHtoB, HoldTime: 100 * sim.Microsecond,
 	})
 	return h
 }
@@ -296,6 +301,83 @@ func TestNodeCycleCountingAndPending(t *testing.T) {
 	h.nodeA.DropPending(h.nodeA.Cycle() + 1)
 	if h.nodeA.PendingAttempts() != 0 {
 		t.Fatal("DropPending should clear stale attempts")
+	}
+}
+
+// A REPLY answers the oldest pending attempt with its queue ID: when one
+// REPLY is lost, the next one for the same queue item reports the older
+// attempt's cycle, and attempts of other queue items are skipped and stay
+// pending. DropPending removes exactly the attempts before its cutoff.
+func TestReplyMatchesOldestPendingAttempt(t *testing.T) {
+	h := newHarness(t, 1.0) // every frame is lost; REPLYs are delivered by hand
+	q1 := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
+	q2 := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 2}
+	h.genA.decisions = []PollDecision{
+		attemptDecision(q1, 0.3), attemptDecision(q2, 0.3), attemptDecision(q1, 0.3),
+		attemptDecision(q1, 0.3), attemptDecision(q2, 0.3),
+	}
+	stop := h.nodeA.Start()
+	_ = h.s.RunFor(100 * sim.Microsecond)
+	stop()
+	c := h.genA.attempts
+	if len(c) != 5 || h.nodeA.PendingAttempts() != 5 {
+		t.Fatalf("want 5 pending attempts, got %d of %d triggered", h.nodeA.PendingAttempts(), len(c))
+	}
+	reply := func(q wire.AbsoluteQueueID) uint64 {
+		t.Helper()
+		frame := wire.REPLYFrame{Outcome: wire.OutcomeFailure, QueueID: q, PeerQueue: q}.Encode()
+		h.nodeA.HandleReply(classical.Message{Payload: NewREPLYPayload(frame)})
+		return h.genA.results[len(h.genA.results)-1].AttemptCycle
+	}
+
+	// The first q1 attempt's REPLY was lost; the next q1 REPLY answers it.
+	if got := reply(q1); got != c[0] {
+		t.Fatalf("REPLY answered the attempt of cycle %d, want the oldest q1 attempt's %d", got, c[0])
+	}
+	// The next q1 REPLY skips the q2 attempt in between.
+	if got := reply(q1); got != c[2] {
+		t.Fatalf("REPLY answered the attempt of cycle %d, want %d", got, c[2])
+	}
+	if n := h.nodeA.PendingAttempts(); n != 3 {
+		t.Fatalf("%d attempts pending, want the q2 attempts and the last q1 attempt", n)
+	}
+
+	h.nodeA.DropPending(c[3])
+	if n := h.nodeA.PendingAttempts(); n != 2 {
+		t.Fatalf("DropPending(%d) left %d attempts, want 2", c[3], n)
+	}
+	if got := reply(q2); got != c[4] {
+		t.Fatalf("q2 REPLY answered cycle %d, want %d: the attempt before the cutoff must be gone", got, c[4])
+	}
+	if got := reply(q1); got != c[3] {
+		t.Fatalf("q1 REPLY answered cycle %d, want %d: the cutoff's own cycle must stay", got, c[3])
+	}
+	if n := h.nodeA.PendingAttempts(); n != 0 {
+		t.Fatalf("%d attempts still pending", n)
+	}
+}
+
+// A side has at most one GEN waiting per cycle: a second GEN of the same
+// cycle replaces the first, and the first one's hold event, which fires
+// while the second still waits, leaves the second alone.
+func TestHeldGENReplacedBySameCycle(t *testing.T) {
+	h := newHarness(t, 0) // hold time 100 µs
+	qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
+	deliver := func(at sim.Duration, side nv.PairSide) {
+		frame := wire.GENFrame{QueueID: qid, Timestamp: 7}.Encode()
+		msg := classical.Message{Payload: NewGENPayload(frame, 0.3, side, 7)}
+		sim.Schedule(h.s, at, func() { h.mid.HandleGEN(msg) })
+	}
+	deliver(0, nv.SideA)
+	deliver(50*sim.Microsecond, nv.SideA)
+	deliver(120*sim.Microsecond, nv.SideB)
+	_ = h.s.RunFor(2 * sim.Millisecond)
+	matched, _, timeMis, queueMis, noOther := h.mid.Stats()
+	if matched != 1 || timeMis+queueMis+noOther != 0 {
+		t.Fatalf("matched=%d time=%d queue=%d noOther=%d, want one match and no error", matched, timeMis, queueMis, noOther)
+	}
+	if len(h.genA.results) != 1 || len(h.genB.results) != 1 {
+		t.Fatalf("got %d and %d results, want one each", len(h.genA.results), len(h.genB.results))
 	}
 }
 

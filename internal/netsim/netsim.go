@@ -574,7 +574,7 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 	})
 	l.Mid = mhp.NewMidpoint(mhp.MidpointConfig{
 		Sim: s, Sampler: l.Sampler, Registry: l.Registry,
-		ToA: chanHtoA, ToB: chanHtoB, WindowCycles: 1,
+		ToA: chanHtoA, ToB: chanHtoB,
 		HoldTime: 2*(platform.CommDelayAH+platform.CommDelayBH) + 200*sim.Microsecond,
 		Trace:    ringMHP, TraceID: uint64(id), Metrics: nw.mhpMetrics,
 	})

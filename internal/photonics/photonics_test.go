@@ -471,3 +471,36 @@ func TestPropertyClickProbabilitiesNormalised(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// The sampler's cache must never answer for a different (αA, αB): alternating
+// between two pairs and then moving to a third, every answer matches a
+// sampler on a fresh link that only ever sees that pair.
+func TestSamplerCacheKeysOnBothAlphas(t *testing.T) {
+	em := labEmission(0.5)
+	det := DetectorParams{Efficiency: 0.8, DarkCountRate: 20, Window: 25e-9}
+	// Unequal arms, so swapping αA and αB changes the distribution.
+	newLink := func() *HeraldedLink {
+		return NewHeraldedLink(em, em, Fiber{LengthKM: 5, AttenuationDB: 0.5}, Fiber{}, det, 0.9)
+	}
+	sampler := NewLinkSampler(newLink())
+	type pair struct{ a, b float64 }
+	// B swaps A's populations; C shares A's αA.
+	pA, pB, pC := pair{0.1, 0.3}, pair{0.3, 0.1}, pair{0.1, 0.1}
+	for step, p := range []pair{pA, pB, pA, pC} {
+		fresh := NewLinkSampler(newLink())
+		if got, want := sampler.IdealClickProbabilities(p.a, p.b), fresh.IdealClickProbabilities(p.a, p.b); got != want {
+			t.Fatalf("step %d %v: click probabilities %v, want %v", step, p, got, want)
+		}
+		if got, want := sampler.HeraldSuccessProbability(p.a, p.b), fresh.HeraldSuccessProbability(p.a, p.b); got != want {
+			t.Fatalf("step %d %v: herald probability %v, want %v", step, p, got, want)
+		}
+		rng, freshRNG := sim.NewRNG(int64(step)+1), sim.NewRNG(int64(step)+1)
+		for i := 0; i < 200; i++ {
+			got, want := sampler.Sample(p.a, p.b, rng), fresh.Sample(p.a, p.b, freshRNG)
+			if got.Outcome != want.Outcome || got.IdealPattern != want.IdealPattern {
+				t.Fatalf("step %d %v, attempt %d: outcome %v/%v, want %v/%v",
+					step, p, i, got.Outcome, got.IdealPattern, want.Outcome, want.IdealPattern)
+			}
+		}
+	}
+}
