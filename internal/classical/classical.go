@@ -224,8 +224,10 @@ type Channel struct {
 	deliver  func(Message)
 	// onDeliver is the delivery trampoline handed to the simulator: built
 	// once so Send schedules a pooled argument-carrying event instead of
-	// allocating a capturing closure per frame.
+	// allocating a capturing closure per frame. pairs recycles the event
+	// arguments of the SendPair events this channel delivers first.
 	onDeliver sim.ArgHandler
+	pairs     []*framePair
 
 	sent      uint64
 	delivered uint64
@@ -273,12 +275,70 @@ func (c *Channel) LossProbability() float64 { return c.lossProb }
 // hot path allocates nothing: the payload is already boxed at the call site
 // and rides the pooled event straight into the delivery trampoline.
 func (c *Channel) Send(payload any) {
+	if !c.lose() {
+		sim.ScheduleArg(c.simul, c.delay, c.onDeliver, payload)
+	}
+}
+
+// lose counts one frame sent and draws whether the channel drops it.
+func (c *Channel) lose() bool {
 	c.sent++
 	if c.simul.RNG().Bernoulli(c.lossProb) {
 		c.dropped++
-		return
+		return true
 	}
-	sim.ScheduleArg(c.simul, c.delay, c.onDeliver, payload)
+	return false
+}
+
+// framePair is the argument of a SendPair event: the first frame is c's, the
+// second d's.
+type framePair struct {
+	c, d          *Channel
+	first, second any
+}
+
+// deliverPair is the event of a SendPair whose frames both survived: it
+// delivers the first frame, then the second, and returns its argument to
+// the first channel's pool.
+func deliverPair(now sim.Time, arg any) {
+	p := arg.(*framePair)
+	c, d, first, second := p.c, p.d, p.first, p.second
+	*p = framePair{}
+	c.pairs = append(c.pairs, p)
+	c.onDeliver(now, first)
+	d.onDeliver(now, second)
+}
+
+// SendPair sends first on c and then second on d, exactly as c.Send(first)
+// followed by d.Send(second) would: c's loss is drawn first, and each frame
+// surviving its draw arrives one channel delay later. When both survive and
+// the two channels share an engine and a delay, their two delivery events
+// would fire at the same time with consecutive sequence numbers, so no other
+// event could run between them; one event then delivers both, first before
+// second. SendPair reports which frames were dropped. c must not be a
+// cross-shard edge: the pair event's argument returns to c's pool from the
+// delivery.
+func SendPair(c, d *Channel, first, second any) (droppedFirst, droppedSecond bool) {
+	droppedFirst, droppedSecond = c.lose(), d.lose()
+	if !droppedFirst && !droppedSecond && c.simul == d.simul && c.delay == d.delay {
+		var p *framePair
+		if n := len(c.pairs); n > 0 {
+			p = c.pairs[n-1]
+			c.pairs = c.pairs[:n-1]
+		} else {
+			p = new(framePair)
+		}
+		p.c, p.d, p.first, p.second = c, d, first, second
+		sim.ScheduleArg(c.simul, c.delay, deliverPair, p)
+		return false, false
+	}
+	if !droppedFirst {
+		sim.ScheduleArg(c.simul, c.delay, c.onDeliver, first)
+	}
+	if !droppedSecond {
+		sim.ScheduleArg(d.simul, d.delay, d.onDeliver, second)
+	}
+	return droppedFirst, droppedSecond
 }
 
 // Stats returns how many frames were sent, delivered and dropped so far.

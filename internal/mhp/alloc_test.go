@@ -12,8 +12,9 @@ import (
 
 // TestFailedAttemptsAllocateNothing pins the attempt loop at zero heap
 // allocations: a 2-node Lab link serving a standing MD request runs a window
-// of failed attempts — poll, GEN, midpoint match and optical sample, REPLY,
-// EGP bookkeeping — and the window must not allocate at all. The lossy
+// of failed attempts — poll, GEN, midpoint match and optical sample, the
+// REPLY pair's one delivery event, EGP bookkeeping — and the window must not
+// allocate at all. The lossy
 // case also drives the midpoint's hold timeout and its error REPLY, and
 // frames the channel drops.
 func TestFailedAttemptsAllocateNothing(t *testing.T) {
@@ -27,21 +28,7 @@ func TestFailedAttemptsAllocateNothing(t *testing.T) {
 		{"wheel/lossy", 0.005},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := netsim.DefaultConfig(netsim.Chain(2), nv.ScenarioLab)
-			cfg.ClassicalLossProb = tc.loss
-			// Keep the queue-occupancy sampler, which appends to a series,
-			// out of the measured window.
-			cfg.QueueSamplePeriod = sim.Second
-			nw, err := netsim.NewNetwork(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			l := nw.Links[0]
-			// A high fidelity floor keeps α, and with it the herald rate, low
-			// enough that the measured window holds only failed attempts.
-			if _, code := nw.Submit(l, "A", egp.CreateRequest{NumPairs: 60000, MinFidelity: 0.8, Priority: egp.PriorityMD}); code != 0 {
-				t.Fatalf("submit: %v", code)
-			}
+			nw, l := labLink(t, tc.loss)
 			// Warm up past the DQP handshake, so the free lists reach their
 			// steady size. Under loss, attempts whose REPLY was lost stay
 			// pending until a maintenance pass (every 1024 cycles) drops those
@@ -80,5 +67,49 @@ func TestFailedAttemptsAllocateNothing(t *testing.T) {
 				t.Fatalf("%v allocations over %d failed attempts, want 0", allocs, attempts)
 			}
 		})
+	}
+}
+
+// labLink builds a 2-node Lab link at the given classical loss serving a
+// standing MD request. A high fidelity floor keeps α, and with it the herald
+// rate, low enough that a window of 1000 cycles holds only failed attempts.
+func labLink(t *testing.T, loss float64) (*netsim.Network, *netsim.Link) {
+	t.Helper()
+	cfg := netsim.DefaultConfig(netsim.Chain(2), nv.ScenarioLab)
+	cfg.ClassicalLossProb = loss
+	// Keep the queue-occupancy sampler, which appends to a series, out of
+	// the measured window.
+	cfg.QueueSamplePeriod = sim.Second
+	nw, err := netsim.NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := nw.Links[0]
+	if _, code := nw.Submit(l, "A", egp.CreateRequest{NumPairs: 60000, MinFidelity: 0.8, Priority: egp.PriorityMD}); code != 0 {
+		t.Fatalf("submit: %v", code)
+	}
+	return nw, l
+}
+
+// TestFailedAttemptCostsThreeEvents pins the events of a loss-free failed
+// attempt on a link with equal arms beyond the shared cycle tick: the two GEN
+// deliveries and one delivery of the REPLY pair. The first GEN to arrive gets
+// no hold event, because its partner is on its way.
+func TestFailedAttemptCostsThreeEvents(t *testing.T) {
+	cycle := nv.LabPlatform().CycleTime[nv.RequestMeasure]
+	nw, l := labLink(t, 0)
+	nw.Run(1000 * sim.Duration(cycle))
+	events, ticks, attempts := nw.Sim.Executed(), nw.ClockTicks(), nw.Attempts()
+	_, successes0, _, _, _ := l.Mid.Stats()
+	_ = nw.Sim.RunFor(1000 * sim.Duration(cycle))
+	events, ticks, attempts = nw.Sim.Executed()-events, nw.ClockTicks()-ticks, nw.Attempts()-attempts
+	if _, successes, _, _, _ := l.Mid.Stats(); successes != successes0 {
+		t.Fatalf("%d heralded successes in the window; it must hold failed attempts only", successes-successes0)
+	}
+	if attempts < 400 {
+		t.Fatalf("only %d attempts in the window", attempts)
+	}
+	if got := events - ticks; got != 3*attempts {
+		t.Fatalf("%d events beside %d clock ticks for %d attempts, want 3 per attempt", got, ticks, attempts)
 	}
 }

@@ -99,6 +99,9 @@ type PairRegistry struct {
 
 	gens    freeList[genPayload]
 	replies freeList[replyPayload]
+	// inFlight is each side's newest GEN still on its way to the midpoint
+	// (see departed), nil once it has arrived.
+	inFlight [2]*genPayload
 }
 
 // Registry eviction parameters: a sweep runs whenever the registry exceeds
@@ -171,8 +174,8 @@ func (r *PairRegistry) Len() int { return len(r.pairs) }
 //
 // Payloads travel as pointers drawn from the link's free list. The sender
 // reclaims a payload the channel dropped; otherwise the midpoint returns it
-// once nothing refers to it any more: at once for a GEN that matched on
-// arrival, from the hold event for a held one.
+// once nothing refers to it any more: when it is matched, or from its hold
+// event if it has one.
 type genPayload struct {
 	frame [wire.GENFrameLen]byte
 	// size is how many bytes of frame were sent: always the full frame from
@@ -181,6 +184,13 @@ type genPayload struct {
 	alpha float64
 	side  nv.PairSide
 	cycle uint64
+	// at is when the GEN reaches the midpoint. peerAt, if peerDue, is when
+	// the other side's GEN of the same cycle does; the two learn of each
+	// other when the second is sent while the first is on its way.
+	at, peerAt sim.Time
+	peerDue    bool
+	// timed is set once a hold event refers to the payload.
+	timed bool
 }
 
 // replyPayload carries the encoded REPLY frame from the midpoint to a node,
@@ -205,13 +215,27 @@ func (l *freeList[T]) get() *T {
 func (l *freeList[T]) put(p *T) { *l = append(*l, p) }
 
 // sendPooled sends a pooled payload and returns it to its free list at once
-// when the channel drops it, since no receiver will.
-func sendPooled[T any](ch *classical.Channel, l *freeList[T], p *T) {
+// when the channel drops it, since no receiver will. It reports whether the
+// payload is on its way.
+func sendPooled[T any](ch *classical.Channel, l *freeList[T], p *T) bool {
 	_, _, dropped := ch.Stats()
 	ch.Send(p)
 	if _, _, d := ch.Stats(); d != dropped {
 		l.put(p)
+		return false
 	}
+	return true
+}
+
+// departed records a GEN its channel accepted as its side's newest GEN in
+// flight. If the other side's newest GEN in flight is of the same cycle, the
+// two are each other's partner, and each learns when the other arrives.
+func (r *PairRegistry) departed(p *genPayload) {
+	if o := r.inFlight[1-p.side]; o != nil && o.cycle == p.cycle {
+		p.peerAt, p.peerDue = o.at, true
+		o.peerAt, o.peerDue = p.at, true
+	}
+	r.inFlight[p.side] = p
 }
 
 // Node is the node-side MHP instance.
@@ -464,9 +488,14 @@ func (n *Node) runCycle(cycle uint64) {
 
 	n.pending = append(n.pending, pendingAttempt{cycle, decision})
 	p := n.registry.gens.get()
+	*p = genPayload{
+		size: wire.GENFrameLen, alpha: decision.Alpha, side: n.side, cycle: cycle,
+		at: n.simul.Now().Add(n.toMidpoint.Delay()),
+	}
 	wire.GENFrame{QueueID: decision.QueueID, Timestamp: cycle}.Put(&p.frame)
-	p.size, p.alpha, p.side, p.cycle = wire.GENFrameLen, decision.Alpha, n.side, cycle
-	sendPooled(n.toMidpoint, &n.registry.gens, p)
+	if sendPooled(n.toMidpoint, &n.registry.gens, p) {
+		n.registry.departed(p)
+	}
 }
 
 // HandleReply processes a REPLY frame delivered from the midpoint.
@@ -533,8 +562,8 @@ type Midpoint struct {
 	sampler  *photonics.LinkSampler
 	registry *PairRegistry
 
-	toA *classical.Channel
-	toB *classical.Channel
+	// to holds the REPLY channels, indexed by node side.
+	to [2]*classical.Channel
 
 	// holdTime is how long an unmatched GEN is held waiting for the peer's
 	// GEN of the same cycle before the attempt is reported back as
@@ -604,8 +633,7 @@ func NewMidpoint(cfg MidpointConfig) *Midpoint {
 		simul:    cfg.Sim,
 		sampler:  cfg.Sampler,
 		registry: cfg.Registry,
-		toA:      cfg.ToA,
-		toB:      cfg.ToB,
+		to:       [2]*classical.Channel{nv.SideA: cfg.ToA, nv.SideB: cfg.ToB},
 		holdTime: hold,
 		trace:    cfg.Trace,
 		traceID:  cfg.TraceID,
@@ -648,6 +676,9 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 		m.registry.gens.put(payload)
 		return
 	}
+	if m.registry.inFlight[payload.side] == payload {
+		m.registry.inFlight[payload.side] = nil
+	}
 	// Link the message to a detection window by its timestamp: look for a
 	// waiting peer GEN of the same cycle.
 	peers := m.waiting[1-payload.side]
@@ -655,16 +686,25 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 	if i < 0 {
 		// Hold this GEN waiting for the peer's; if it never arrives the
 		// attempt is reported back as NO_MESSAGE_OTHER (or TIME_MISMATCH
-		// when the peer was attempting different cycles). The hold event
-		// fires whether or not the GEN is matched first, and it is what
-		// returns the payload to the free list.
+		// when the peer was attempting different cycles) by the hold event.
 		m.hold(payload)
-		sim.ScheduleArg(m.simul, m.holdTime, m.onHold, payload)
+		// A peer GEN that is on its way and arrives before the hold would
+		// expire finds this one waiting and matches it, so the hold event
+		// would find nothing to do: it is scheduled only otherwise. When the
+		// peer has already arrived and gone, peerAt lies in the past.
+		now := m.simul.Now()
+		if !payload.peerDue || payload.peerAt < now || payload.peerAt >= now.Add(m.holdTime) {
+			payload.timed = true
+			sim.ScheduleArg(m.simul, m.holdTime, m.onHold, payload)
+		}
 		return
 	}
 	peer := peers[i]
 	m.waiting[peer.side] = slices.Delete(peers, i, i+1)
 	defer m.registry.gens.put(payload)
+	if !peer.timed {
+		defer m.registry.gens.put(peer)
+	}
 
 	// The peer frame was validated when it arrived, so its decode cannot fail.
 	genPeer, _ := wire.DecodeGEN(peer.frame[:peer.size])
@@ -673,8 +713,7 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 	if genSelf.QueueID != genPeer.QueueID {
 		m.queueMismatch++
 		m.trace.Record(m.simul.Now(), obs.KindHeraldDrop, m.traceID, 2, int64(payload.cycle))
-		m.sendReply(payload.side, wire.ErrQueueMismatch, 0, genSelf.QueueID, genPeer.QueueID)
-		m.sendReply(peer.side, wire.ErrQueueMismatch, 0, genPeer.QueueID, genSelf.QueueID)
+		m.sendReplies(payload.side, wire.ErrQueueMismatch, 0, genSelf.QueueID, genPeer.QueueID)
 		return
 	}
 	m.matched++
@@ -715,16 +754,16 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 	}
 	m.trace.Record(m.simul.Now(), obs.KindHerald, m.traceID, int64(outcome), int64(seq))
 
-	// Send REPLY to both nodes, echoing each node's own queue ID first.
+	// Send REPLY to both nodes, A first.
 	var queue [2]wire.AbsoluteQueueID
 	queue[payload.side], queue[peer.side] = genSelf.QueueID, genPeer.QueueID
-	m.sendReply(nv.SideA, outcome, seq, queue[nv.SideA], queue[nv.SideB])
-	m.sendReply(nv.SideB, outcome, seq, queue[nv.SideB], queue[nv.SideA])
+	m.sendReplies(nv.SideA, outcome, seq, queue[nv.SideA], queue[nv.SideB])
 }
 
 // holdExpired is the hold event of one held GEN. If the GEN is still waiting,
 // its peer never came: the attempt is reported back as an error. Either way
-// nothing refers to the payload any more, so it returns to the free list.
+// nothing else refers to the payload any more (a matched or replaced GEN
+// with a hold event is left to it), so it returns to the free list.
 func (m *Midpoint) holdExpired(now sim.Time, arg any) {
 	payload := arg.(*genPayload)
 	if i := slices.Index(m.waiting[payload.side], payload); i >= 0 {
@@ -744,10 +783,14 @@ func (m *Midpoint) holdExpired(now sim.Time, arg any) {
 }
 
 // hold makes a GEN its side's waiting GEN of its cycle, replacing an earlier
-// one of the same cycle; the replaced GEN's hold event then finds it gone.
+// one of the same cycle; the replaced GEN's hold event then finds it gone,
+// and a replaced GEN without one returns to the free list at once.
 func (m *Midpoint) hold(p *genPayload) {
 	w := m.waiting[p.side]
 	if i := indexCycle(w, p.cycle); i >= 0 {
+		if !w[i].timed {
+			m.registry.gens.put(w[i])
+		}
 		w[i] = p
 		return
 	}
@@ -764,16 +807,33 @@ func indexCycle(w []*genPayload, cycle uint64) int {
 	return -1
 }
 
-// sendReply transmits a REPLY frame to the node on the given side.
-func (m *Midpoint) sendReply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) {
+// reply builds a pooled REPLY frame echoing its receiver's queue ID (own)
+// and its peer's.
+func (m *Midpoint) reply(outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) *replyPayload {
 	p := m.registry.replies.get()
 	wire.REPLYFrame{Outcome: outcome, MHPSeq: seq, QueueID: own, PeerQueue: peer}.Put(&p.frame)
 	p.size = wire.REPLYFrameLen
-	ch := m.toA
-	if side == nv.SideB {
-		ch = m.toB
+	return p
+}
+
+// sendReply transmits a REPLY frame to the node on the given side.
+func (m *Midpoint) sendReply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) {
+	sendPooled(m.to[side], &m.registry.replies, m.reply(outcome, seq, own, peer))
+}
+
+// sendReplies transmits the REPLY pair of a matched attempt: first to the
+// node on side first, whose queue ID is q, then to its peer, whose queue ID
+// is peerQ. Over arms of equal delay one event delivers both
+// (classical.SendPair), in the order two sends would have.
+func (m *Midpoint) sendReplies(first nv.PairSide, outcome wire.MHPOutcome, seq uint16, q, peerQ wire.AbsoluteQueueID) {
+	p, peer := m.reply(outcome, seq, q, peerQ), m.reply(outcome, seq, peerQ, q)
+	dropped, peerDropped := classical.SendPair(m.to[first], m.to[1-first], p, peer)
+	if dropped {
+		m.registry.replies.put(p)
 	}
-	sendPooled(ch, &m.registry.replies, p)
+	if peerDropped {
+		m.registry.replies.put(peer)
+	}
 }
 
 // String summarises midpoint statistics for diagnostics.

@@ -13,11 +13,13 @@ import (
 
 // stubGenerator is a scripted link layer: it answers polls from a queue of
 // decisions and records the cycle of every attempt it triggers and every
-// result it receives.
+// result it receives, with the time it came on clock.
 type stubGenerator struct {
 	decisions []PollDecision
 	attempts  []uint64
 	results   []Result
+	resultAt  []sim.Time
+	clock     sim.Engine
 }
 
 func (s *stubGenerator) PollTrigger(cycle uint64) PollDecision {
@@ -32,12 +34,15 @@ func (s *stubGenerator) PollTrigger(cycle uint64) PollDecision {
 	return d
 }
 
-func (s *stubGenerator) HandleResult(r Result) { s.results = append(s.results, r) }
+func (s *stubGenerator) HandleResult(r Result) {
+	s.results = append(s.results, r)
+	s.resultAt = append(s.resultAt, s.clock.Now())
+}
 
 // Idle is always false: the stub never wakes its node, so it must not park.
 func (s *stubGenerator) Idle() bool { return false }
 
-// harness wires two MHP nodes and a midpoint over zero-loss channels.
+// harness wires two MHP nodes and a midpoint over channels of the given loss.
 type harness struct {
 	s        *sim.Simulator
 	genA     *stubGenerator
@@ -50,17 +55,25 @@ type harness struct {
 
 func newHarness(t *testing.T, loss float64) *harness {
 	t.Helper()
-	h := &harness{s: sim.New(9), genA: &stubGenerator{}, genB: &stubGenerator{}}
+	return newHarnessArms(t, loss, 10*sim.Nanosecond, 10*sim.Nanosecond, 100*sim.Microsecond)
+}
+
+// newHarnessArms is newHarness with the given one-way delays of the A and B
+// arms, each used both ways, and the midpoint's hold time.
+func newHarnessArms(t *testing.T, loss float64, armA, armB, hold sim.Duration) *harness {
+	t.Helper()
+	s := sim.New(9)
+	h := &harness{s: s, genA: &stubGenerator{clock: s}, genB: &stubGenerator{clock: s}}
 	platform := nv.LabPlatform()
 	h.registry = NewPairRegistry()
 	sampler := photonics.NewLinkSampler(platform.Optics)
 	devA := nv.NewDevice("A", platform.Gates, platform.CarbonCoupling, 1)
 	devB := nv.NewDevice("B", platform.Gates, platform.CarbonCoupling, 1)
 
-	chanAtoH := classical.NewChannel("a->h", h.s, 10*sim.Nanosecond, loss, func(m classical.Message) { h.mid.HandleGEN(m) })
-	chanBtoH := classical.NewChannel("b->h", h.s, 10*sim.Nanosecond, loss, func(m classical.Message) { h.mid.HandleGEN(m) })
-	chanHtoA := classical.NewChannel("h->a", h.s, 10*sim.Nanosecond, loss, func(m classical.Message) { h.nodeA.HandleReply(m) })
-	chanHtoB := classical.NewChannel("h->b", h.s, 10*sim.Nanosecond, loss, func(m classical.Message) { h.nodeB.HandleReply(m) })
+	chanAtoH := classical.NewChannel("a->h", h.s, armA, loss, func(m classical.Message) { h.mid.HandleGEN(m) })
+	chanBtoH := classical.NewChannel("b->h", h.s, armB, loss, func(m classical.Message) { h.mid.HandleGEN(m) })
+	chanHtoA := classical.NewChannel("h->a", h.s, armA, loss, func(m classical.Message) { h.nodeA.HandleReply(m) })
+	chanHtoB := classical.NewChannel("h->b", h.s, armB, loss, func(m classical.Message) { h.nodeB.HandleReply(m) })
 
 	h.nodeA = NewNode(NodeConfig{
 		Name: "A", Sim: h.s, Generator: h.genA, Device: devA, Registry: h.registry, Side: nv.SideA,
@@ -72,7 +85,7 @@ func newHarness(t *testing.T, loss float64) *harness {
 	})
 	h.mid = NewMidpoint(MidpointConfig{
 		Sim: h.s, Sampler: sampler, Registry: h.registry,
-		ToA: chanHtoA, ToB: chanHtoB, HoldTime: 100 * sim.Microsecond,
+		ToA: chanHtoA, ToB: chanHtoB, HoldTime: hold,
 	})
 	return h
 }
@@ -400,5 +413,146 @@ func TestMidpointIgnoresGarbage(t *testing.T) {
 	}
 	if h.mid.String() == "" {
 		t.Fatal("midpoint should describe itself")
+	}
+}
+
+// holdEvents is the harness engine's event count less the nodes' clock ticks,
+// the GEN deliveries and the given number of REPLY delivery events: what is
+// left are the midpoint's hold events.
+func (h *harness) holdEvents(replyEvents uint64) uint64 {
+	_, gensA, _ := h.nodeA.toMidpoint.Stats()
+	_, gensB, _ := h.nodeB.toMidpoint.Stats()
+	return h.s.Executed() - h.nodeA.clock.Ticks() - h.nodeB.clock.Ticks() - gensA - gensB - replyEvents
+}
+
+// A GEN that finds no peer waiting gets a hold event only when the peer's GEN
+// of its cycle is not on its way to arrive before the hold expires; an expiry
+// still reports the error exactly hold after the GEN arrived.
+func TestHoldEventOnlyWhenPeerGENNotOnItsWay(t *testing.T) {
+	const short, hold = 10 * sim.Nanosecond, 100 * sim.Microsecond
+	sent := sim.Time(sim.DurationMicroseconds(10.12)) // the first cycle
+	for _, tc := range []struct {
+		name        string
+		armA, armB  sim.Duration
+		lostB       bool
+		match       bool
+		holds       uint64 // hold events fired
+		replyEvents uint64
+	}{
+		{"equal arms", short, short, false, true, 0, 1},
+		{"peer due inside the hold", short, 60 * sim.Microsecond, false, true, 0, 2},
+		// B's GEN was scheduled before A's hold event, so at the tie it
+		// arrives first and matches; the hold event finds nothing to do.
+		{"peer due as the hold expires", short, short + hold, false, true, 1, 2},
+		{"peer due after the hold", short, short + hold + 1, false, false, 2, 2},
+		// B's GEN expired before A's arrived: A's partner is in the past.
+		{"peer came and went", short + hold + 1, short, false, false, 2, 2},
+		{"peer GEN lost", short, short, true, false, 1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarnessArms(t, 0, tc.armA, tc.armB, hold)
+			if tc.lostB {
+				h.nodeB.toMidpoint.SetLossProbability(1)
+			}
+			qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
+			h.genA.decisions = []PollDecision{attemptDecision(qid, 0.3)}
+			h.genB.decisions = []PollDecision{attemptDecision(qid, 0.3)}
+			stopA, stopB := h.nodeA.Start(), h.nodeB.Start()
+			_ = h.s.RunFor(sim.Millisecond)
+			stopA()
+			stopB()
+
+			matched, _, timeMis, _, noOther := h.mid.Stats()
+			if got := matched == 1; got != tc.match || timeMis != 0 {
+				t.Fatalf("matched=%d timeMismatch=%d noOther=%d", matched, timeMis, noOther)
+			}
+			wantB := 1
+			if tc.lostB {
+				wantB = 0
+			}
+			if len(h.genA.results) != 1 || len(h.genB.results) != wantB {
+				t.Fatalf("A got %d results and B %d, want 1 and %d", len(h.genA.results), len(h.genB.results), wantB)
+			}
+			// A matched pair's REPLYs leave when the later GEN arrives; an
+			// unmatched GEN's error REPLY leaves hold after it arrived.
+			last := max(tc.armA, tc.armB)
+			want := [2]sim.Time{sent.Add(last + tc.armA), sent.Add(last + tc.armB)}
+			if !tc.match {
+				want = [2]sim.Time{sent.Add(2*tc.armA + hold), sent.Add(2*tc.armB + hold)}
+				if h.genA.results[0].Outcome != wire.ErrNoMessageOther {
+					t.Fatalf("A got %v, want NO_MESSAGE_OTHER", h.genA.results[0].Outcome)
+				}
+			}
+			if h.genA.resultAt[0] != want[0] {
+				t.Errorf("A's result came at %v, want %v", h.genA.resultAt[0], want[0])
+			}
+			if wantB == 1 && h.genB.resultAt[0] != want[1] {
+				t.Errorf("B's result came at %v, want %v", h.genB.resultAt[0], want[1])
+			}
+			if got := h.holdEvents(tc.replyEvents); got != tc.holds {
+				t.Errorf("%d hold events, want %d", got, tc.holds)
+			}
+		})
+	}
+}
+
+// Over long, unequal arms each side has several GENs in flight; the two GENs
+// of a cycle still learn of each other when the second is sent, so every
+// attempt matches without a hold event.
+func TestPartnerGENsPairWithSeveralInFlight(t *testing.T) {
+	armA, armB := sim.DurationMicroseconds(48.4), sim.DurationMicroseconds(72.6)
+	h := newHarnessArms(t, 0, armA, armB, 2*(armA+armB)+200*sim.Microsecond)
+	qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
+	const attempts = 300
+	for i := 0; i < attempts; i++ {
+		h.genA.decisions = append(h.genA.decisions, attemptDecision(qid, 0.1))
+		h.genB.decisions = append(h.genB.decisions, attemptDecision(qid, 0.1))
+	}
+	stopA, stopB := h.nodeA.Start(), h.nodeB.Start()
+	_ = h.s.RunFor(sim.Duration(attempts+30) * sim.DurationMicroseconds(10.12))
+	stopA()
+	stopB()
+	if matched, _, _, _, _ := h.mid.Stats(); matched != attempts {
+		t.Fatalf("%d of %d attempts matched", matched, attempts)
+	}
+	if len(h.genA.results) != attempts || len(h.genB.results) != attempts {
+		t.Fatalf("%d and %d results, want %d each", len(h.genA.results), len(h.genB.results), attempts)
+	}
+	if got := h.holdEvents(2 * attempts); got != 0 {
+		t.Errorf("%d hold events, want none", got)
+	}
+}
+
+// A held GEN without a hold event that a same-cycle GEN replaces goes back to
+// the free list at once; the replacement matches the peer and its own hold
+// event returns it later. No payload reaches the free list twice.
+func TestUntimedHeldGENReplaced(t *testing.T) {
+	armA, armB, hold := 10*sim.Nanosecond, 50*sim.Microsecond, 100*sim.Microsecond
+	h := newHarnessArms(t, 0, armA, armB, hold)
+	qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
+	h.genA.decisions = []PollDecision{attemptDecision(qid, 0.3)}
+	h.genB.decisions = []PollDecision{attemptDecision(qid, 0.3)}
+	sent := sim.Time(sim.DurationMicroseconds(10.12))
+	frame := wire.GENFrame{QueueID: qid, Timestamp: 1}.Encode()
+	sim.ScheduleAt(h.s, sent.Add(20*sim.Microsecond), func() {
+		h.mid.HandleGEN(classical.Message{Payload: NewGENPayload(frame, 0.3, nv.SideA, 1)})
+	})
+	stopA, stopB := h.nodeA.Start(), h.nodeB.Start()
+	_ = h.s.RunFor(sim.Millisecond)
+	stopA()
+	stopB()
+	matched, _, timeMis, queueMis, noOther := h.mid.Stats()
+	if matched != 1 || timeMis+queueMis+noOther != 0 {
+		t.Fatalf("matched=%d time=%d queue=%d noOther=%d, want one match and no error", matched, timeMis, queueMis, noOther)
+	}
+	seen := map[*genPayload]bool{}
+	for _, p := range h.registry.gens {
+		if seen[p] {
+			t.Fatal("a GEN payload is on the free list twice")
+		}
+		seen[p] = true
+	}
+	if len(seen) != 3 {
+		t.Fatalf("%d GEN payloads on the free list, want the two nodes' and the hand-built one", len(seen))
 	}
 }
