@@ -277,22 +277,26 @@ func main() {
 	}
 	fmt.Println(aggregate.String())
 
-	if len(compiled.Classes) > 0 {
+	// A poisson section is one class too, but flag-era runs print no SLO
+	// table: only a spec's classes section asks for one.
+	if t := compiled.Spec.Traffic; t != nil && len(t.Classes) > 0 {
 		printSLO(compiled, results)
 	}
 }
 
-// printHeader summarises the run; the wording for Poisson runs matches the
-// historical flag-era header byte for byte.
+// printHeader summarises the run; the wording for runs of a spec's poisson
+// section (every flag-driven run) matches the historical flag-era header
+// byte for byte.
 func printHeader(c *scenario.Compiled) {
 	cfg := c.Config
-	if p := c.Poisson; p != nil {
+	if t := c.Spec.Traffic; t != nil && t.Poisson != nil {
+		p := c.Classes[0]
 		kind := "M"
-		if p.Keep {
+		if p.Keep() {
 			kind = "K"
 		}
 		fmt.Printf("# netsim %s on %s: load=%.2f kind=%s kmax=%d Fmin=%.2f loss=%g seed=%d %.1fs simulated, %d trial(s)\n",
-			c.Topology, cfg.Scenario, p.Load, kind, p.MaxPairs, p.MinFidelity, cfg.ClassicalLossProb, cfg.Seed, c.Seconds, c.Trials)
+			c.Topology, cfg.Scenario, p.Arrival.Load, kind, p.MaxPairs, p.MinFidelity, cfg.ClassicalLossProb, cfg.Seed, c.Seconds, c.Trials)
 		return
 	}
 	fmt.Printf("# netsim %s on %s: %d workload class(es) loss=%g seed=%d %.1fs simulated, %d trial(s)\n",

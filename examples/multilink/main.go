@@ -11,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/nv"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -20,7 +21,9 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	nw.AttachTraffic(netsim.TrafficConfig{Load: 0.9, MaxPairs: 2, MinFidelity: 0.64})
+	if _, err := nw.AttachWorkload([]workload.ClassSpec{workload.PoissonClass(0.9, 2, 0.64, false)}); err != nil {
+		panic(err)
+	}
 
 	fmt.Printf("running %s for 1 simulated second...\n\n", nw.Describe())
 	nw.Run(sim.DurationSeconds(1))

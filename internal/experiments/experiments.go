@@ -8,8 +8,8 @@
 //
 // Runs are scaled down from the paper's supercomputer campaign (hours of
 // simulated time per scenario) to seconds of simulated time so the full
-// suite completes on a laptop; EXPERIMENTS.md records the paper-vs-measured
-// comparison produced by these runners.
+// suite completes on a laptop; cmd/benchsuite prints their tables for
+// comparison with the paper's.
 //
 // Every runner decomposes its sweep into independent Trials executed on a
 // shared worker pool sized by Options.Parallelism (default: one worker per
@@ -44,12 +44,6 @@ type Options struct {
 	// Zero or negative means runtime.GOMAXPROCS(0). Results are independent
 	// of this value; only wall time changes.
 	Parallelism int
-}
-
-// DefaultOptions returns the scale used by the committed EXPERIMENTS.md
-// numbers.
-func DefaultOptions() Options {
-	return Options{SimulatedSeconds: 8, Seed: 1}
 }
 
 // QuickOptions returns a reduced scale suitable for unit tests and

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // netsimTrial builds and runs one multi-link network for a trial: the
@@ -18,11 +19,9 @@ func netsimTrial(opt Options, t Trial, spec netsim.Spec, kmax int) *netsim.Netwo
 	if err != nil {
 		panic(fmt.Sprintf("experiments: bad netsim spec %s: %v", spec, err))
 	}
-	nw.AttachTraffic(netsim.TrafficConfig{
-		Load:        t.Load,
-		MaxPairs:    kmax,
-		MinFidelity: t.Fidelity,
-	})
+	if _, err := nw.AttachWorkload([]workload.ClassSpec{workload.PoissonClass(t.Load, kmax, t.Fidelity, false)}); err != nil {
+		panic(fmt.Sprintf("experiments: bad netsim workload: %v", err))
+	}
 	nw.Run(sim.DurationSeconds(opt.SimulatedSeconds))
 	return nw
 }

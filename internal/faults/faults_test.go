@@ -9,6 +9,7 @@ import (
 	"repro/internal/nv"
 	"repro/internal/quantum"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func link(a, b int) *netsim.Edge { return &netsim.Edge{A: a, B: b} }
@@ -185,7 +186,9 @@ func runFaulted(t *testing.T, spec netsim.Spec, plan *Plan, backend quantum.Back
 	if err := plan.Schedule(nw); err != nil {
 		t.Fatal(err)
 	}
-	nw.AttachTraffic(netsim.TrafficConfig{Load: 0.7, MaxPairs: 2, MinFidelity: 0.64})
+	if _, err := nw.AttachWorkload([]workload.ClassSpec{workload.PoissonClass(0.7, 2, 0.64, false)}); err != nil {
+		t.Fatal(err)
+	}
 	nw.Run(sim.DurationSeconds(seconds))
 	perLink, agg := nw.Stats()
 	var b strings.Builder

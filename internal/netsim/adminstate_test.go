@@ -8,6 +8,7 @@ import (
 	"repro/internal/nv"
 	"repro/internal/sim"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // TestDownLinkRejectsSubmit pins the fail-fast edge of the admin state
@@ -64,7 +65,7 @@ func TestOutageLifecycleStats(t *testing.T) {
 	}
 	// Overload the links so the distributed queues are certainly non-empty
 	// when the outage hits, exercising the LINKDOWN drain.
-	nw.AttachTraffic(TrafficConfig{Load: 3, MaxPairs: 2, MinFidelity: 0.64})
+	attachPoisson(t, nw, workload.PoissonClass(3, 2, 0.64, false))
 	l := nw.Links[0]
 	nw.ScheduleLinkState(l, sim.Time(0).Add(50*sim.Millisecond), LinkDown, nil)
 	nw.ScheduleLinkState(l, sim.Time(0).Add(150*sim.Millisecond), LinkUp, nil)
@@ -113,7 +114,7 @@ func TestDegradedModeLowersFidelity(t *testing.T) {
 		if degrade != nil {
 			nw.SetLinkState(nw.Links[0], LinkDegraded, degrade)
 		}
-		nw.AttachTraffic(TrafficConfig{Load: 0.8, MaxPairs: 2, MinFidelity: 0.3})
+		attachPoisson(t, nw, workload.PoissonClass(0.8, 2, 0.3, false))
 		nw.Run(sim.DurationSeconds(0.6))
 		perLink, _ := nw.Stats()
 		return perLink
@@ -143,7 +144,7 @@ func TestDegradedModeLowersFidelity(t *testing.T) {
 		}
 		nw.SetLinkState(nw.Links[0], LinkDegraded, &Degrade{ClassicalLoss: 0.2, PairFidelity: 0.7, RateDivisor: 4})
 		nw.SetLinkState(nw.Links[0], LinkUp, nil)
-		nw.AttachTraffic(TrafficConfig{Load: 0.8, MaxPairs: 2, MinFidelity: 0.3})
+		attachPoisson(t, nw, workload.PoissonClass(0.8, 2, 0.3, false))
 		nw.Run(sim.DurationSeconds(0.6))
 		perLink, _ := nw.Stats()
 		return perLink

@@ -9,16 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// trafficGen is the lifecycle contract every attached traffic generator
-// satisfies: the legacy single-class Traffic and the multi-class
-// MultiTraffic both start and stop with the network.
-type trafficGen interface {
-	Start()
-	Stop()
-	// Submitted returns how many requests the generator has offered so far.
-	Submitted() uint64
-}
-
 // MultiTraffic drives a multi-class workload across every link of a network:
 // each traffic class owns, per link, an open-loop arrival process (Poisson,
 // bursty, diurnal) or a population of closed-loop think-time sessions, plus a
@@ -27,10 +17,9 @@ type trafficGen interface {
 // engine view and is touched only by that shard's events, so the trajectory
 // and the merged SLO report are byte-identical at every shard count.
 //
-// In the degenerate case of one open-loop Poisson class with a pair range of
-// [1, k_max] and random origin, MultiTraffic makes exactly the same RNG draws
-// in exactly the same order as the legacy Traffic generator, so flag-era runs
-// reproduce bit-for-bit under the new engine.
+// It is the link layer's only traffic generator: the paper's evaluation
+// arrival model (CREATEs at rate f·psucc/(E·k̄), pair counts uniform in
+// [1, k_max], a random origin) is the one-class case, workload.PoissonClass.
 type MultiTraffic struct {
 	net     *Network
 	classes []workload.ClassSpec
@@ -143,12 +132,9 @@ func (mt *MultiTraffic) wireHooks() {
 	}
 }
 
-// Classes returns the class specifications driving the engine.
-func (mt *MultiTraffic) Classes() []workload.ClassSpec { return mt.classes }
-
-// Start launches every open-loop arrival process and schedules the first
-// think-submit cycle of every closed-loop session. It is idempotent while
-// running.
+// Start launches every open-loop arrival process and schedules a
+// think-submit cycle for every closed-loop session that has no request in
+// flight. It is idempotent while running.
 func (mt *MultiTraffic) Start() {
 	if mt.started {
 		return
@@ -156,6 +142,14 @@ func (mt *MultiTraffic) Start() {
 	mt.started = true
 	mt.generation++
 	for _, lt := range mt.links {
+		// A request still in flight from before a Stop cycles its session
+		// when it completes, so only the idle sessions are topped up.
+		inFlight := make([]int, len(mt.classes))
+		for _, p := range lt.pending {
+			if p.closed {
+				inFlight[p.class]++
+			}
+		}
 		for ci := range mt.classes {
 			if p := lt.procs[ci]; p != nil {
 				p.Start()
@@ -163,7 +157,7 @@ func (mt *MultiTraffic) Start() {
 			// Sessions begin with a think pause rather than a synchronized
 			// burst at t=0: each draws its own exponential offset from the
 			// link's stream, staggering the population deterministically.
-			for s := 0; s < lt.sessions[ci]; s++ {
+			for s := inFlight[ci]; s < lt.sessions[ci]; s++ {
 				mt.scheduleThink(lt, ci, mt.generation)
 			}
 		}
@@ -181,17 +175,6 @@ func (mt *MultiTraffic) Stop() {
 			}
 		}
 	}
-}
-
-// Submitted returns how many requests the engine has offered (all classes).
-func (mt *MultiTraffic) Submitted() uint64 {
-	var n uint64
-	for _, lt := range mt.links {
-		for _, a := range lt.accounts {
-			n += a.Offered
-		}
-	}
-	return n
 }
 
 // scheduleThink schedules a closed-loop session's next submission after an
@@ -214,8 +197,8 @@ func (mt *MultiTraffic) scheduleThink(lt *linkTraffic, class int, generation uin
 func (mt *MultiTraffic) submit(lt *linkTraffic, class int, closed bool) {
 	c := &mt.classes[class]
 	rng := lt.link.Eng.RNG()
-	// Draw order matches the legacy Traffic generator (pairs, then origin) so
-	// the single-class Poisson case reproduces it draw for draw.
+	// Draw order is pairs, then origin; TestPoissonClassMatchesRecordedRuns
+	// pins it, so flag-era runs keep reproducing draw for draw.
 	k := c.FixedPairs
 	if k == 0 {
 		k = c.MinPairs
@@ -347,7 +330,7 @@ func (mt *MultiTraffic) SLO(duration float64) []workload.ClassSLO {
 }
 
 // AttachWorkload installs a multi-class workload engine; it starts and stops
-// with the network. It replaces any previously attached traffic generator.
+// with the network. It replaces any previously attached workload.
 func (nw *Network) AttachWorkload(classes []workload.ClassSpec) (*MultiTraffic, error) {
 	mt, err := NewMultiTraffic(nw, classes)
 	if err != nil {

@@ -62,51 +62,65 @@ func runMixed(t *testing.T, shards int, seconds float64) (*Network, *MultiTraffi
 	return nw, mt
 }
 
-// TestMultiTrafficMatchesLegacySingleClass pins the compatibility contract:
-// one open-loop Poisson class with a [1, k_max] pair range and random origin
-// makes exactly the same draws as the legacy Traffic generator, so the whole
-// simulated trajectory is byte-identical.
-func TestMultiTrafficMatchesLegacySingleClass(t *testing.T) {
-	build := func(attach func(*Network)) *Network {
-		cfg := DefaultConfig(Chain(6), nv.ScenarioLab)
-		cfg.Seed = 11
-		nw, err := NewNetwork(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		attach(nw)
-		nw.Run(sim.DurationSeconds(0.5))
-		return nw
+// attachPoisson installs a one-class workload on the network.
+func attachPoisson(t testing.TB, nw *Network, class workload.ClassSpec) *MultiTraffic {
+	t.Helper()
+	mt, err := nw.AttachWorkload([]workload.ClassSpec{class})
+	if err != nil {
+		t.Fatal(err)
 	}
-	legacy := build(func(nw *Network) {
-		nw.AttachTraffic(TrafficConfig{Load: 0.7, MaxPairs: 2, MinFidelity: 0.64})
-	})
-	multi := build(func(nw *Network) {
-		if _, err := nw.AttachWorkload([]workload.ClassSpec{{
-			Name:     "md",
-			Priority: egp.PriorityMD,
-			Arrival:  workload.Arrival{Kind: workload.ArrivalPoisson, Load: 0.7},
-			MinPairs: 1, MaxPairs: 2,
-			MinFidelity: 0.64,
-			Origin:      workload.OriginRandom,
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	})
+	return mt
+}
 
-	if legacy.Sim.Executed() != multi.Sim.Executed() {
-		t.Errorf("events: legacy %d != multi %d", legacy.Sim.Executed(), multi.Sim.Executed())
+// TestPoissonClassMatchesRecordedRuns pins the one-class Poisson workload to
+// the numbers the flag-era single-class generator produced on the same
+// networks before MultiTraffic replaced it: events, attempts and the
+// aggregate request, pair and error totals. The dense and belldiag backends
+// agree on every pinned field. The MD case is the flag runs' shape; the CK
+// case adds create-and-keep, a deadline and classical loss. A change to the
+// engine's draw order (pairs, then origin) or its request fields breaks it.
+func TestPoissonClassMatchesRecordedRuns(t *testing.T) {
+	ck := workload.PoissonClass(0.8, 3, 0.64, true)
+	ck.Deadline = sim.DurationSeconds(0.4)
+	cases := []struct {
+		name     string
+		spec     Spec
+		seed     int64
+		loss     float64
+		class    workload.ClassSpec
+		seconds  float64
+		events   uint64
+		attempts uint64
+		requests uint64
+		pairs    int
+		errors   uint64
+	}{
+		{"md", Chain(6), 11, 0, workload.PoissonClass(0.7, 2, 0.64, false), 0.5, 352643, 101048, 14, 12, 0},
+		{"ck-deadline-loss", Chain(4), 5, 0.001, ck, 1, 326528, 69694, 10, 16, 4},
 	}
-	if legacy.Attempts() != multi.Attempts() {
-		t.Errorf("attempts: legacy %d != multi %d", legacy.Attempts(), multi.Attempts())
-	}
-	legacyLinks, legacyAgg := legacy.Stats()
-	multiLinks, multiAgg := multi.Stats()
-	if !reflect.DeepEqual(legacyLinks, multiLinks) {
-		t.Error("per-link stats differ between legacy Traffic and MultiTraffic")
-	}
-	if !reflect.DeepEqual(legacyAgg, multiAgg) {
-		t.Errorf("aggregate stats differ: legacy %+v != multi %+v", legacyAgg, multiAgg)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(tc.spec, nv.ScenarioLab)
+			cfg.Seed = tc.seed
+			cfg.ClassicalLossProb = tc.loss
+			nw, err := NewNetwork(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			attachPoisson(t, nw, tc.class)
+			nw.Run(sim.DurationSeconds(tc.seconds))
+			_, agg := nw.Stats()
+			if got := nw.Sim.Executed(); got != tc.events {
+				t.Errorf("events = %d, want %d", got, tc.events)
+			}
+			if got := nw.Attempts(); got != tc.attempts {
+				t.Errorf("attempts = %d, want %d", got, tc.attempts)
+			}
+			if agg.Requests != tc.requests || agg.Pairs != tc.pairs || agg.Errors != tc.errors {
+				t.Errorf("requests/pairs/errors = %d/%d/%d, want %d/%d/%d",
+					agg.Requests, agg.Pairs, agg.Errors, tc.requests, tc.pairs, tc.errors)
+			}
+		})
 	}
 }
 

@@ -269,7 +269,7 @@ type Network struct {
 	// linksByEdge indexes the links by their normalized endpoints.
 	linksByEdge map[Edge]*Link
 
-	traffic trafficGen
+	traffic *MultiTraffic
 	started bool
 
 	// clocks are the MHP cycle clocks in the order they were built: one per
@@ -670,16 +670,8 @@ func (nw *Network) Attempts() uint64 {
 	return n
 }
 
-// AttachTraffic installs a Poisson traffic generator; it starts and stops
-// with the network.
-func (nw *Network) AttachTraffic(cfg TrafficConfig) *Traffic {
-	t := NewTraffic(nw, cfg)
-	nw.traffic = t
-	return t
-}
-
 // Start launches the MHP cycle clocks, the queue-occupancy sampler of every
-// link and the attached traffic generator. It is idempotent.
+// link and the attached workload. It is idempotent.
 func (nw *Network) Start() {
 	if nw.started {
 		return

@@ -9,6 +9,7 @@ import (
 	"repro/internal/nv"
 	"repro/internal/sim"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 func TestTopologyGenerators(t *testing.T) {
@@ -86,7 +87,7 @@ func runSmall(t *testing.T, spec Spec, seed int64, seconds float64) *Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.AttachTraffic(TrafficConfig{Load: 0.7, MaxPairs: 2, MinFidelity: 0.64})
+	attachPoisson(t, nw, workload.PoissonClass(0.7, 2, 0.64, false))
 	nw.Run(sim.DurationSeconds(seconds))
 	return nw
 }
@@ -108,7 +109,7 @@ func TestChainDeliversPairs(t *testing.T) {
 			t.Errorf("link %s: implausible fidelity %f", ls.Link, ls.Fidelity)
 		}
 	}
-	if agg.Requests == 0 || nw.traffic.Submitted() == 0 {
+	if agg.Requests == 0 || nw.traffic.Accounts()[0].Offered == 0 {
 		t.Fatal("traffic generator issued no requests")
 	}
 }
@@ -232,7 +233,7 @@ func TestKeepTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.AttachTraffic(TrafficConfig{Load: 0.7, MaxPairs: 1, MinFidelity: 0.62, Keep: true})
+	attachPoisson(t, nw, workload.PoissonClass(0.7, 1, 0.62, true))
 	nw.Run(sim.DurationSeconds(0.5))
 	_, agg := nw.Stats()
 	if agg.Pairs == 0 {
@@ -240,26 +241,61 @@ func TestKeepTraffic(t *testing.T) {
 	}
 }
 
-// TestTrafficRestartDoesNotDoubleLoad stops and restarts the generator and
-// checks the arrival rate stays in the same ballpark: a restart must
-// invalidate the chains scheduled before the stop instead of running a
-// second set alongside the fresh ones.
+// TestTrafficRestartDoesNotDoubleLoad stops and restarts the workload. A
+// restart must invalidate the arrival chains scheduled before the stop
+// instead of running a second set alongside the fresh ones. It must also
+// leave alone a closed-loop session whose request is still in flight: that
+// request cycles its session when it completes, so a fresh think cycle
+// would grow the population by its own size on every restart.
 func TestTrafficRestartDoesNotDoubleLoad(t *testing.T) {
-	cfg := DefaultConfig(Chain(2), nv.ScenarioLab)
+	cfg := DefaultConfig(Chain(3), nv.ScenarioLab)
 	cfg.Seed = 13
 	nw, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := nw.AttachTraffic(TrafficConfig{Load: 1.0, MaxPairs: 1, MinFidelity: 0.64})
+	mt, err := nw.AttachWorkload([]workload.ClassSpec{
+		workload.PoissonClass(1.0, 1, 0.64, false),
+		{
+			Name:     "sessions",
+			Priority: egp.PriorityCK,
+			Arrival:  workload.Arrival{Kind: workload.ArrivalClosed, Sessions: 5, ThinkTime: sim.Millisecond},
+			MinPairs: 1, MaxPairs: 1,
+			MinFidelity: 0.62,
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// checkSessions holds every link's closed-loop requests in flight to
+	// the link's share of the population.
+	checkSessions := func(round int) {
+		t.Helper()
+		for _, lt := range mt.links {
+			inFlight := 0
+			for _, p := range lt.pending {
+				if p.closed {
+					inFlight++
+				}
+			}
+			if inFlight > lt.sessions[1] {
+				t.Errorf("round %d: link %s has %d session requests in flight, population %d",
+					round, lt.link.Name, inFlight, lt.sessions[1])
+			}
+		}
+	}
+	offered := func() uint64 { return mt.Accounts()[0].Offered }
+
 	nw.Run(sim.DurationSeconds(3))
-	first := tr.Submitted()
+	checkSessions(0)
+	first := offered()
 	if first == 0 {
 		t.Fatal("no requests in the first window")
 	}
 	nw.Stop()
 	nw.Run(sim.DurationSeconds(3)) // restarts MHP cycles and traffic
-	second := tr.Submitted() - first
+	checkSessions(1)
+	second := offered() - first
 	// A doubled stream would put the second window near 2× the first; allow
 	// wide Poisson slack around 1×.
 	if float64(second) > 1.5*float64(first) {
@@ -267,6 +303,14 @@ func TestTrafficRestartDoesNotDoubleLoad(t *testing.T) {
 	}
 	if second == 0 {
 		t.Fatal("traffic never resumed after restart")
+	}
+	for round := 2; round <= 6; round++ {
+		nw.Stop()
+		nw.Run(sim.DurationSeconds(0.3))
+		checkSessions(round)
+	}
+	if mt.Accounts()[1].Completed == 0 {
+		t.Fatal("no session request completed")
 	}
 }
 

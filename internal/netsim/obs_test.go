@@ -8,6 +8,7 @@ import (
 	"repro/internal/nv"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // protocolLayers are the trace layers whose records must be identical at any
@@ -34,7 +35,7 @@ func traceRun(t *testing.T, shards int, seconds float64) []obs.Record {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.AttachTraffic(TrafficConfig{Load: 0.7, MaxPairs: 2, MinFidelity: 0.64})
+	attachPoisson(t, nw, workload.PoissonClass(0.7, 2, 0.64, false))
 	nw.Run(sim.DurationSeconds(seconds))
 	// The comparison needs the complete protocol record stream: an overwrite
 	// would make the two sides retain different windows.
@@ -98,7 +99,7 @@ func TestTraceDoesNotPerturb(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nw.AttachTraffic(TrafficConfig{Load: 0.7, MaxPairs: 2, MinFidelity: 0.64})
+		attachPoisson(t, nw, workload.PoissonClass(0.7, 2, 0.64, false))
 		nw.Run(sim.DurationSeconds(0.2))
 		perLink, agg := nw.Stats()
 		return render(perLink, agg), nw.Sim.Executed(), nw.Attempts()
@@ -128,7 +129,7 @@ func TestTraceChromeExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.AttachTraffic(TrafficConfig{Load: 0.7, MaxPairs: 2, MinFidelity: 0.64})
+	attachPoisson(t, nw, workload.PoissonClass(0.7, 2, 0.64, false))
 	nw.Run(sim.DurationSeconds(0.1))
 
 	var buf bytes.Buffer

@@ -8,6 +8,7 @@ import (
 	"repro/internal/nv"
 	"repro/internal/quantum"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // parityRun is what one network run reports to the parity checks: the
@@ -31,7 +32,7 @@ func runSharded(t *testing.T, spec Spec, backend quantum.Backend, shards int, se
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw.AttachTraffic(TrafficConfig{Load: 0.7, MaxPairs: 2, MinFidelity: 0.64})
+	attachPoisson(t, nw, workload.PoissonClass(0.7, 2, 0.64, false))
 	nw.Run(sim.DurationSeconds(seconds))
 	perLink, agg := nw.Stats()
 	r := parityRun{stats: render(perLink, agg), events: nw.Sim.Executed(), attempts: nw.Attempts()}

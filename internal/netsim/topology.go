@@ -3,8 +3,8 @@
 // plus explicit edge lists) on one shared deterministic simulator, with a
 // full EGP+MHP+midpoint protocol stack per link, a per-node link registry
 // that demultiplexes classical node-to-node traffic to the right EGP by link
-// ID, and a Poisson traffic generator issuing CREATE requests across links
-// concurrently.
+// ID, and a multi-class workload engine issuing CREATE requests across
+// links concurrently.
 //
 // The per-link state machines are deliberately independent — each link has
 // its own distributed queue, pair registry, midpoint and endpoint devices —
@@ -112,6 +112,22 @@ func Dragonfly(k, m int) Spec {
 	return s
 }
 
+// DragonflyShape picks the D3(K, M) shape of a dragonfly with the given
+// node count. The factorisation is not unique, so it takes the most balanced
+// K·M = nodes split: the largest divisor K ≤ √nodes with a valid cofactor,
+// favouring square-ish groups.
+func DragonflyShape(nodes int) (k, m int, err error) {
+	for d := 2; d*d <= nodes; d++ {
+		if nodes%d == 0 && nodes/d >= 2 {
+			k = d
+		}
+	}
+	if k == 0 {
+		return 0, 0, fmt.Errorf("dragonfly topology needs a node count with a K·M factorisation (K,M ≥ 2), got %d", nodes)
+	}
+	return k, nodes / k, nil
+}
+
 // FromEdges returns a spec over an explicit edge list; the node count is
 // inferred from the largest index referenced.
 func FromEdges(edges []Edge) Spec {
@@ -143,19 +159,11 @@ func SpecFromFlags(topology string, nodes int, edgeList string) (Spec, error) {
 		}
 		return Grid(side, side), nil
 	case "dragonfly":
-		// Smallest K with K(K−1)/2 ≥ … is not unique, so pick the most
-		// balanced K·M = nodes split: the largest divisor K ≤ √nodes with a
-		// valid cofactor, favouring square-ish groups.
-		best := 0
-		for k := 2; k*k <= nodes; k++ {
-			if nodes%k == 0 && nodes/k >= 2 {
-				best = k
-			}
+		k, m, err := DragonflyShape(nodes)
+		if err != nil {
+			return Spec{}, err
 		}
-		if best == 0 {
-			return Spec{}, fmt.Errorf("dragonfly topology needs a node count with a K·M factorisation (K,M ≥ 2), got %d", nodes)
-		}
-		return Dragonfly(best, nodes/best), nil
+		return Dragonfly(k, m), nil
 	case "edges":
 		edges, err := ParseEdgeList(edgeList)
 		if err != nil {

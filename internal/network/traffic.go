@@ -25,7 +25,8 @@ type TrafficConfig struct {
 }
 
 // Traffic drives a Service with Poisson end-to-end requests, one shared
-// workload.PoissonStream per (src, dst) pair.
+// workload.PoissonStream per (src, dst) pair. It is the only end-to-end
+// generator; the link layer's is netsim.MultiTraffic.
 type Traffic struct {
 	svc     *Service
 	cfg     TrafficConfig
@@ -38,7 +39,7 @@ func (t *Traffic) Pairs() [][2]int { return t.pairs }
 
 // AttachTraffic builds a traffic generator over the service. Pairs whose
 // path cannot reach the required per-hop fidelity get rate 0 (no arrivals),
-// mirroring the link-layer generator's handling of infeasible requests.
+// as workload.RatePerSecond does for an infeasible link-layer class.
 func (s *Service) AttachTraffic(cfg TrafficConfig) *Traffic {
 	if cfg.MaxPairs <= 0 {
 		cfg.MaxPairs = 1

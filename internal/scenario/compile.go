@@ -28,9 +28,8 @@ type Compiled struct {
 	Seconds float64
 	Trials  int
 
-	// Poisson is the legacy single-class stream (nil unless configured).
-	Poisson *netsim.TrafficConfig
-	// Classes is the multi-class workload (empty unless configured).
+	// Classes is the workload (empty unless configured): the classes
+	// section, or the one class a poisson section stands for.
 	Classes []workload.ClassSpec
 	// Standing are the per-link build-time requests.
 	Standing []StandingRequest
@@ -177,11 +176,11 @@ func (s *Spec) Compile() (*Compiled, error) {
 			return nil, sectionErr(s.Name, "traffic", fmt.Errorf("poisson and classes are mutually exclusive (model the stream as a class instead)"))
 		}
 		if t.Poisson != nil {
-			tc, err := t.Poisson.resolve()
+			spec, err := t.Poisson.resolve()
 			if err != nil {
 				return nil, sectionErr(s.Name, "traffic.poisson", err)
 			}
-			c.Poisson = &tc
+			c.Classes = append(c.Classes, spec)
 		}
 		names := make(map[string]bool, len(t.Classes))
 		for i, cl := range t.Classes {
@@ -245,8 +244,8 @@ func (f Faults) resolve(topo netsim.Spec, engineSeed int64) (*faults.Plan, error
 		plan.Events = append(plan.Events, fe)
 	}
 	if o := f.Outages; o != nil {
-		if o.Count <= 0 {
-			return nil, fmt.Errorf("outages: count must be positive")
+		if o.Count <= 0 || o.Count > maxOutages {
+			return nil, fmt.Errorf("outages: count must be in [1, %d]", maxOutages)
 		}
 		seed := o.Seed
 		if seed == 0 {
@@ -313,45 +312,83 @@ func (ev FaultEvent) resolve() (faults.Event, error) {
 	return out, nil
 }
 
-// resolve maps the topology section onto the netsim generators.
+// maxNodes and maxLinks bound the topology a spec may ask for. Every node
+// and link is a full protocol stack, so without a bound a hostile spec
+// exhausts memory while the generators lay out its edges. The largest
+// network in the repository is Chain(256).
+const (
+	maxNodes = 4096
+	maxLinks = 8192
+	// maxOutages bounds the seeded outage generator the same way.
+	maxOutages = 1 << 12
+)
+
+// resolve maps the topology section onto the netsim generators, rejecting
+// oversized topologies before any edge is built.
 func (t Topology) resolve() (netsim.Spec, error) {
-	if t.Kind == "dragonfly" && (t.Routers != 0 || t.Groups != 0) {
-		if t.Routers < 2 || t.Groups < 2 {
-			return netsim.Spec{}, fmt.Errorf("dragonfly needs routers >= 2 and groups >= 2, got %d/%d", t.Routers, t.Groups)
-		}
-		if t.Nodes != 0 && t.Nodes != t.Routers*t.Groups {
-			return netsim.Spec{}, fmt.Errorf("nodes %d contradicts routers*groups = %d", t.Nodes, t.Routers*t.Groups)
-		}
-		return netsim.Dragonfly(t.Routers, t.Groups), nil
+	tooLarge := fmt.Errorf("topology exceeds the limit of %d nodes and %d links", maxNodes, maxLinks)
+	if t.Nodes > maxNodes || t.Routers > maxNodes || t.Groups > maxNodes {
+		return netsim.Spec{}, tooLarge
 	}
-	if t.Kind != "dragonfly" && (t.Routers != 0 || t.Groups != 0) {
+	if t.Kind == "dragonfly" {
+		k, m := t.Routers, t.Groups
+		if k == 0 && m == 0 {
+			var err error
+			if k, m, err = netsim.DragonflyShape(t.Nodes); err != nil {
+				return netsim.Spec{}, err
+			}
+		} else {
+			if k < 2 || m < 2 {
+				return netsim.Spec{}, fmt.Errorf("dragonfly needs routers >= 2 and groups >= 2, got %d/%d", k, m)
+			}
+			if t.Nodes != 0 && t.Nodes != k*m {
+				return netsim.Spec{}, fmt.Errorf("nodes %d contradicts routers*groups = %d", t.Nodes, k*m)
+			}
+		}
+		// Groups are complete graphs, so links grow with the square of
+		// the group size.
+		if k*m > maxNodes || m*k*(k-1)/2+m*(m-1)/2 > maxLinks {
+			return netsim.Spec{}, tooLarge
+		}
+		return netsim.Dragonfly(k, m), nil
+	}
+	if t.Routers != 0 || t.Groups != 0 {
 		return netsim.Spec{}, fmt.Errorf("routers/groups only apply to kind dragonfly")
 	}
-	return netsim.SpecFromFlags(t.Kind, t.Nodes, t.Edges)
+	spec, err := netsim.SpecFromFlags(t.Kind, t.Nodes, t.Edges)
+	if err != nil {
+		return netsim.Spec{}, err
+	}
+	// An edge list sizes itself by its largest node index.
+	if spec.Nodes > maxNodes || len(spec.Edges) > maxLinks {
+		return netsim.Spec{}, tooLarge
+	}
+	return spec, nil
 }
 
-// resolve fills the legacy stream's defaults, mirroring netsim.NewTraffic.
-func (p Poisson) resolve() (netsim.TrafficConfig, error) {
+// resolve maps the poisson shorthand onto the one class it stands for:
+// workload.PoissonClass with the section's defaults filled in and max_time_s
+// as the class deadline.
+func (p Poisson) resolve() (workload.ClassSpec, error) {
 	if p.Load <= 0 {
-		return netsim.TrafficConfig{}, fmt.Errorf("load must be positive")
+		return workload.ClassSpec{}, fmt.Errorf("load must be positive")
 	}
 	if p.MaxPairs < 0 || p.MaxTimeS < 0 {
-		return netsim.TrafficConfig{}, fmt.Errorf("negative max_pairs or max_time_s")
+		return workload.ClassSpec{}, fmt.Errorf("negative max_pairs or max_time_s")
 	}
-	tc := netsim.TrafficConfig{
-		Load:        p.Load,
-		MaxPairs:    p.MaxPairs,
-		MinFidelity: p.MinFidelity,
-		Keep:        p.Keep,
-		MaxTime:     seconds(p.MaxTimeS),
+	maxPairs, fmin := p.MaxPairs, p.MinFidelity
+	if maxPairs == 0 {
+		maxPairs = 1
 	}
-	if tc.MaxPairs == 0 {
-		tc.MaxPairs = 1
+	if fmin == 0 {
+		fmin = 0.64
 	}
-	if tc.MinFidelity == 0 {
-		tc.MinFidelity = 0.64
+	spec := workload.PoissonClass(p.Load, maxPairs, fmin, p.Keep)
+	spec.Deadline = seconds(p.MaxTimeS)
+	if err := spec.Validate(); err != nil {
+		return workload.ClassSpec{}, err
 	}
-	return tc, nil
+	return spec, nil
 }
 
 // resolve maps one class onto the workload engine's spec, filling defaults
@@ -486,10 +523,9 @@ func (sv Service) resolve(nodes int) (CompiledService, error) {
 }
 
 // Attach installs the compiled traffic on a freshly built network: the
-// single-class Poisson generator or the multi-class workload engine, then
-// the standing requests on every link in link order (from the A endpoint,
-// matching the bench primer). The returned engine is nil for pure Poisson or
-// traffic-less scenarios.
+// workload engine, then the standing requests on every link in link order
+// (from the A endpoint, matching the bench primer). The returned engine is
+// nil for scenarios without a workload.
 func (c *Compiled) Attach(nw *netsim.Network) (*netsim.MultiTraffic, error) {
 	var mt *netsim.MultiTraffic
 	if c.Faults != nil {
@@ -498,9 +534,6 @@ func (c *Compiled) Attach(nw *netsim.Network) (*netsim.MultiTraffic, error) {
 		if err := c.Faults.Schedule(nw); err != nil {
 			return nil, fmt.Errorf("scenario %q: faults: %w", c.Spec.Name, err)
 		}
-	}
-	if c.Poisson != nil {
-		nw.AttachTraffic(*c.Poisson)
 	}
 	if len(c.Classes) > 0 {
 		var err error

@@ -1,11 +1,11 @@
 // Package scenario is the declarative run-description API: a JSON scenario
 // spec is the single way to describe a simulation run — topology, hardware,
-// engine, protocol options, traffic (single-class Poisson, a multi-class
-// workload, standing requests) and an optional end-to-end service section —
-// and compiles into the imperative configuration of today's packages
-// (netsim.Config, workload class specs, network traffic). The CLIs load specs
-// with -scenario <file>; committed specs live under scenarios/ and grow the
-// suite without new Go code per scenario.
+// engine, protocol options, traffic (a multi-class workload or its one-class
+// Poisson shorthand, standing requests) and an optional end-to-end service
+// section — and compiles into the imperative configuration of today's
+// packages (netsim.Config, workload class specs, network traffic). The CLIs
+// load specs with -scenario <file>; committed specs live under scenarios/
+// and grow the suite without new Go code per scenario.
 //
 // Parsing is strict: unknown fields, type mismatches and syntax errors are
 // rejected with file:line:column context. Specs have a canonical encoding
@@ -120,13 +120,13 @@ type Run struct {
 	Trials int `json:"trials,omitempty"`
 }
 
-// Traffic describes the offered workload: at most one free-running generator
-// (the single-class Poisson generator or the multi-class workload engine)
-// plus optional standing requests priming every link.
+// Traffic describes the offered workload: the traffic classes (or the
+// one-class poisson shorthand) plus optional standing requests priming
+// every link.
 type Traffic struct {
-	// Poisson is the classic single-class generator (the flag era's
-	// -load/-kmax/-fmin/-keep), kept for byte-compatible reproduction of
-	// existing runs. Mutually exclusive with Classes.
+	// Poisson is shorthand for one class: the paper's arrival model, as the
+	// flag era's -load/-kmax/-fmin/-keep set it. Mutually exclusive with
+	// Classes.
 	Poisson *Poisson `json:"poisson,omitempty"`
 	// Classes is the multi-class workload: per-class user populations,
 	// arrival processes, priorities and SLOs.
@@ -136,8 +136,10 @@ type Traffic struct {
 	Standing []Standing `json:"standing,omitempty"`
 }
 
-// Poisson is the legacy single-class Poisson request stream offered to every
-// link, compiled draw-for-draw identical to the flag-era generator.
+// Poisson is the paper's evaluation arrival model offered to every link. It
+// compiles to one class (see workload.PoissonClass): priority MD, or CK with
+// keep; pairs uniform in [1, max_pairs]; a random origin; max_time_s as the
+// deadline.
 type Poisson struct {
 	// Load is the offered load fraction f of the paper's arrival model.
 	Load float64 `json:"load"`

@@ -2,11 +2,13 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/egp"
 	"repro/internal/netsim"
@@ -147,6 +149,12 @@ func TestCompileRejectsInvalidValues(t *testing.T) {
 			s.Service = &Service{}
 		}, "serial-only"},
 		{"routers on chain", func(s *Spec) { s.Topology.Routers = 3 }, "topology"},
+		{"poisson fidelity out of range", func(s *Spec) {
+			s.Traffic = &Traffic{Poisson: &Poisson{Load: 0.5, MinFidelity: 1.5}}
+		}, "traffic.poisson"},
+		{"outage count out of range", func(s *Spec) {
+			s.Faults = &Faults{Outages: &RandomOutages{Count: 1 << 30, WindowS: 1, MinDownS: 0.1, MaxDownS: 0.2}}
+		}, "faults"},
 	}
 	for _, tc := range cases {
 		err := f(tc.mutate)
@@ -177,7 +185,7 @@ func TestCompileDefaults(t *testing.T) {
 	if c.Seconds != 1 || c.Trials != 3 {
 		t.Errorf("run window = %g s x %d, want 1 s x 3", c.Seconds, c.Trials)
 	}
-	if c.Poisson != nil || len(c.Classes) != 0 || c.Service != nil {
+	if len(c.Classes) != 0 || c.Service != nil {
 		t.Error("minimal spec should compile with no traffic and no service")
 	}
 }
@@ -185,7 +193,8 @@ func TestCompileDefaults(t *testing.T) {
 // TestSpecReproducesFlagConfig is the golden parity test: the committed
 // chain-16 bench spec, compiled and attached, must reproduce the classic
 // flag-built configuration byte for byte — identical config, identical
-// deterministic counters, identical stats tables after a run.
+// workload class, identical deterministic counters, identical stats tables
+// after a run.
 func TestSpecReproducesFlagConfig(t *testing.T) {
 	sp, err := Load("../../scenarios/chain16-bench.json")
 	if err != nil {
@@ -196,11 +205,16 @@ func TestSpecReproducesFlagConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The flag-era reference: DefaultConfig on the Lab hardware, the legacy
-	// Poisson generator, one 4096-pair standing MD request per link.
+	// The flag-era reference: DefaultConfig on the Lab hardware, the
+	// paper's Poisson arrival model as one class, one 4096-pair standing MD
+	// request per link.
 	cfg := netsim.DefaultConfig(netsim.Chain(16), nv.ScenarioLab)
 	if !reflect.DeepEqual(c.Config, cfg) {
 		t.Fatalf("spec config %+v != flag config %+v", c.Config, cfg)
+	}
+	class := workload.PoissonClass(0.7, 2, 0.64, false)
+	if !reflect.DeepEqual(c.Classes, []workload.ClassSpec{class}) {
+		t.Fatalf("spec workload %+v != flag workload %+v", c.Classes, class)
 	}
 
 	build := func(attach func(*netsim.Network) error) *netsim.Network {
@@ -220,7 +234,9 @@ func TestSpecReproducesFlagConfig(t *testing.T) {
 		return err
 	})
 	flagNet := build(func(nw *netsim.Network) error {
-		nw.AttachTraffic(netsim.TrafficConfig{Load: 0.7, MaxPairs: 2, MinFidelity: 0.64})
+		if _, err := nw.AttachWorkload([]workload.ClassSpec{class}); err != nil {
+			return err
+		}
 		for _, l := range nw.Links {
 			if _, code := nw.Submit(l, "A", egp.CreateRequest{
 				NumPairs:    4096,
@@ -248,6 +264,76 @@ func TestSpecReproducesFlagConfig(t *testing.T) {
 	}
 	if !reflect.DeepEqual(specAgg, flagAgg) {
 		t.Errorf("aggregate stats differ: spec %+v != flags %+v", specAgg, flagAgg)
+	}
+}
+
+// TestPoissonIsOneClass pins the poisson section as shorthand: each form
+// compiles to exactly the class its explicit classes form gives.
+func TestPoissonIsOneClass(t *testing.T) {
+	cases := []struct {
+		label   string
+		poisson Poisson
+		class   Class
+	}{
+		{"defaults", Poisson{Load: 0.7},
+			Class{Name: "poisson", Priority: "MD", Arrival: ArrivalSpec{Kind: "poisson", Load: 0.7}}},
+		{"flag-era MD", Poisson{Load: 0.7, MaxPairs: 2, MinFidelity: 0.64},
+			Class{Name: "poisson", Priority: "MD", Arrival: ArrivalSpec{Kind: "poisson", Load: 0.7}, MaxPairs: 2, Origin: "random"}},
+		{"CK with deadline", Poisson{Load: 0.5, MaxPairs: 3, MinFidelity: 0.7, Keep: true, MaxTimeS: 0.4},
+			Class{Name: "poisson", Priority: "CK", Arrival: ArrivalSpec{Kind: "poisson", Load: 0.5}, MinPairs: 1, MaxPairs: 3, MinFidelity: 0.7, DeadlineS: 0.4}},
+	}
+	compile := func(tr *Traffic) []workload.ClassSpec {
+		t.Helper()
+		c, err := (&Spec{Name: "t", Topology: Topology{Kind: "chain", Nodes: 3}, Traffic: tr}).Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Classes
+	}
+	for _, tc := range cases {
+		p := tc.poisson
+		short := compile(&Traffic{Poisson: &p})
+		explicit := compile(&Traffic{Classes: []Class{tc.class}})
+		if len(short) != 1 || !reflect.DeepEqual(short, explicit) {
+			t.Errorf("%s: poisson compiles to %+v, its class form to %+v", tc.label, short, explicit)
+		}
+	}
+}
+
+// TestCompileRejectsOversizedTopologies requires specs past the size limit
+// to fail fast, before a generator lays out their edges, while the largest
+// topologies in use still compile.
+func TestCompileRejectsOversizedTopologies(t *testing.T) {
+	cases := []struct {
+		topo Topology
+		ok   bool
+	}{
+		{Topology{Kind: "chain", Nodes: 256}, true},
+		{Topology{Kind: "dragonfly", Nodes: 20}, true},
+		{Topology{Kind: "grid", Nodes: 4096}, true},
+		{Topology{Kind: "chain", Nodes: 20000000}, false},
+		{Topology{Kind: "grid", Nodes: 100000000}, false},
+		{Topology{Kind: "star", Nodes: maxNodes + 1}, false},
+		{Topology{Kind: "dragonfly", Nodes: 4096}, false},
+		{Topology{Kind: "dragonfly", Routers: 2048, Groups: 2}, false},
+		{Topology{Kind: "dragonfly", Routers: math.MaxInt, Groups: 2}, false},
+		{Topology{Kind: "dragonfly", Routers: math.MaxInt, Groups: math.MaxInt}, false},
+		{Topology{Kind: "edges", Edges: "0-1,1-20000000"}, false},
+	}
+	for _, tc := range cases {
+		start := time.Now()
+		_, err := (&Spec{Name: "t", Topology: tc.topo}).Compile()
+		if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
+			t.Errorf("%+v: compile took %v", tc.topo, elapsed)
+		}
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%+v: rejected: %v", tc.topo, err)
+		case !tc.ok && err == nil:
+			t.Errorf("%+v: accepted", tc.topo)
+		case !tc.ok && !strings.Contains(err.Error(), "topology"):
+			t.Errorf("%+v: error %q does not name the topology section", tc.topo, err)
+		}
 	}
 }
 

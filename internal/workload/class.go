@@ -188,6 +188,26 @@ type ClassSpec struct {
 	Origin Origin
 }
 
+// PoissonClass returns the paper's evaluation arrival model as one class:
+// open-loop Poisson CREATEs at offered load fraction f per link, pair counts
+// uniform in [1, maxPairs], a random origin, and priority CK when keep is
+// set (MD otherwise). It has no deadline.
+func PoissonClass(load float64, maxPairs int, minFidelity float64, keep bool) ClassSpec {
+	priority := egp.PriorityMD
+	if keep {
+		priority = egp.PriorityCK
+	}
+	return ClassSpec{
+		Name:        "poisson",
+		Priority:    priority,
+		Arrival:     Arrival{Kind: ArrivalPoisson, Load: load},
+		MinPairs:    1,
+		MaxPairs:    maxPairs,
+		MinFidelity: minFidelity,
+		Origin:      OriginRandom,
+	}
+}
+
 // Keep reports whether this class issues create-and-keep requests (NL and
 // CK store the qubit; MD measures directly).
 func (c ClassSpec) Keep() bool { return c.Priority != egp.PriorityMD }
