@@ -1,8 +1,8 @@
 // Package-level benchmarks: one testing.B benchmark per table/figure of the
 // paper's evaluation (driving the experiment runners at reduced scale), plus
-// micro-benchmarks of the substrates and ablation benchmarks for the design
-// choices called out in DESIGN.md (emission multiplexing, the min_time
-// guard, dense vs closed-form optical sampling, DQP windowing).
+// micro-benchmarks of the substrates and ablation benchmarks for the
+// protocol's design choices (emission multiplexing, the min_time guard,
+// dense vs closed-form optical sampling, DQP windowing).
 //
 // Run with: go test -bench=. -benchmem
 package main
@@ -131,7 +131,7 @@ func BenchmarkQL2020CreateKeep(b *testing.B) {
 	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityCK, true, 0)
 }
 
-// --- Ablation benchmarks (design choices from DESIGN.md) -----------------
+// --- Ablation benchmarks (protocol design choices) -----------------------
 
 // Emission multiplexing on vs off for the MD use case on QL2020, where reply
 // latency (145 µs) far exceeds the attempt cycle (10.12 µs).

@@ -135,7 +135,7 @@ func runTrialCases[C, R any](opt Options, cases []trialCase[C], run func(Trial, 
 // Every index runs exactly once and the call returns when all have
 // completed; callers that write results to the i-th slot of a slice get
 // order-independent output. It is the fan-out primitive under the trial
-// engine, exported for CLIs (cmd/netsim) that parallelise repetitions.
+// engine, exported for cmd/repro, which parallelises a spec's trials.
 func RunIndexed(n, workers int, fn func(i int)) {
 	if workers > n {
 		workers = n

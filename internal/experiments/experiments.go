@@ -8,7 +8,7 @@
 //
 // Runs are scaled down from the paper's supercomputer campaign (hours of
 // simulated time per scenario) to seconds of simulated time so the full
-// suite completes on a laptop; cmd/benchsuite prints their tables for
+// suite completes on a laptop; `repro campaign` prints their tables for
 // comparison with the paper's.
 //
 // Every runner decomposes its sweep into independent Trials executed on a

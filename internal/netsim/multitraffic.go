@@ -198,7 +198,7 @@ func (mt *MultiTraffic) submit(lt *linkTraffic, class int, closed bool) {
 	c := &mt.classes[class]
 	rng := lt.link.Eng.RNG()
 	// Draw order is pairs, then origin; TestPoissonClassMatchesRecordedRuns
-	// pins it, so flag-era runs keep reproducing draw for draw.
+	// pins it, so poisson-section runs keep reproducing draw for draw.
 	k := c.FixedPairs
 	if k == 0 {
 		k = c.MinPairs

@@ -143,8 +143,8 @@ func FromEdges(edges []Edge) Spec {
 	return Spec{Name: fmt.Sprintf("edges-%d", len(edges)), Nodes: n, Edges: edges}
 }
 
-// SpecFromFlags resolves the topology CLI flags shared by cmd/netsim and
-// cmd/e2e into a Spec: a named generator (chain/star/grid, with grid
+// SpecFromFlags resolves a scenario spec's topology kind, node count and
+// edge list into a Spec: a named generator (chain/star/grid, with grid
 // requiring a square node count) or an explicit edge list.
 func SpecFromFlags(topology string, nodes int, edgeList string) (Spec, error) {
 	switch topology {

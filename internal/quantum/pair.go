@@ -42,7 +42,7 @@ func (b Backend) String() string {
 	return "dense"
 }
 
-// ParseBackend converts a CLI/JSON name into a Backend.
+// ParseBackend converts a backend name into a Backend.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "", "dense":
@@ -72,15 +72,15 @@ func BackendFromEnv() Backend {
 	return b
 }
 
-// ResolveBackend turns a CLI flag value into a Backend: an empty flag
-// defers to $REPRO_BACKEND (then dense), anything else must parse. Shared by
-// every CLI exposing a -backend flag; unlike BackendFromEnv it reports a bad
-// environment value as an error so CLIs can exit cleanly.
-func ResolveBackend(flagValue string) (Backend, error) {
-	if flagValue == "" {
-		flagValue = os.Getenv(BackendEnvVar)
+// ResolveBackend turns a scenario spec's hardware.backend value into a
+// Backend: an empty value defers to $REPRO_BACKEND (then dense), anything
+// else must parse. Unlike BackendFromEnv it reports a bad environment value
+// as an error, so a run can exit cleanly.
+func ResolveBackend(name string) (Backend, error) {
+	if name == "" {
+		name = os.Getenv(BackendEnvVar)
 	}
-	return ParseBackend(flagValue)
+	return ParseBackend(name)
 }
 
 // PauliOp indexes the four single-qubit Paulis in the order used by the

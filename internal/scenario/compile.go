@@ -209,8 +209,7 @@ func (s *Spec) Compile() (*Compiled, error) {
 			return nil, sectionErr(s.Name, "service", err)
 		}
 		c.Service = &res
-		// The swap engine consumes held link pairs, exactly as cmd/e2e sets
-		// up the link layer.
+		// The swap engine consumes held link pairs.
 		cfg.HoldPairs = true
 		if cfg.Shards > 1 {
 			return nil, sectionErr(s.Name, "service", fmt.Errorf("the network layer is serial-only; drop engine.shards"))
@@ -467,10 +466,10 @@ func (st Standing) resolve() (StandingRequest, error) {
 	return StandingRequest{Pairs: st.Pairs, MinFidelity: fmin, Priority: prio}, nil
 }
 
-// resolve fills the service section's defaults, mirroring cmd/e2e's flags.
+// resolve fills the service section's defaults.
 func (sv Service) resolve(nodes int) (CompiledService, error) {
-	// Dst omitted or negative selects the last node, mirroring cmd/e2e's
-	// -dst default; an explicit dst equal to src is rejected below.
+	// Dst omitted or negative selects the last node; an explicit dst equal
+	// to src is rejected below.
 	dst := nodes - 1
 	if sv.Dst != nil && *sv.Dst >= 0 {
 		dst = *sv.Dst

@@ -3,8 +3,8 @@
 // engine, protocol options, traffic (a multi-class workload or its one-class
 // Poisson shorthand, standing requests) and an optional end-to-end service
 // section — and compiles into the imperative configuration of today's
-// packages (netsim.Config, workload class specs, network traffic). The CLIs
-// load specs with -scenario <file>; committed specs live under scenarios/
+// packages (netsim.Config, workload class specs, network traffic). cmd/repro
+// runs a spec file (repro run <file>); committed specs live under scenarios/
 // and grow the suite without new Go code per scenario.
 //
 // Parsing is strict: unknown fields, type mismatches and syntax errors are
@@ -20,7 +20,7 @@ import (
 )
 
 // Spec is the root of a scenario file. Only Name and Topology are required;
-// every omitted section takes the CLI defaults, so a minimal spec is
+// every omitted section takes its defaults, so a minimal spec is
 // {"name": ..., "topology": {...}}.
 type Spec struct {
 	// Name identifies the scenario (table captions, bench JSON files).
@@ -40,7 +40,7 @@ type Spec struct {
 	// Traffic describes the offered workload.
 	Traffic *Traffic `json:"traffic,omitempty"`
 	// Service, when present, runs the network layer end to end over the
-	// topology (cmd/e2e); link-layer runs omit it.
+	// topology; link-layer runs omit it.
 	Service *Service `json:"service,omitempty"`
 	// Faults schedules deterministic fault injection over the run: link
 	// down/up, node outages and degraded mode, as explicit events and/or a
@@ -124,8 +124,8 @@ type Run struct {
 // one-class poisson shorthand) plus optional standing requests priming
 // every link.
 type Traffic struct {
-	// Poisson is shorthand for one class: the paper's arrival model, as the
-	// flag era's -load/-kmax/-fmin/-keep set it. Mutually exclusive with
+	// Poisson is shorthand for one class: the paper's arrival model at one
+	// load, k_max, fidelity floor and request kind. Mutually exclusive with
 	// Classes.
 	Poisson *Poisson `json:"poisson,omitempty"`
 	// Classes is the multi-class workload: per-class user populations,
@@ -226,7 +226,7 @@ type Standing struct {
 // source–destination pair and driving it with Poisson end-to-end requests.
 type Service struct {
 	// Src/Dst are the end-to-end pair's endpoints. Dst omitted (or negative)
-	// selects the last node, mirroring cmd/e2e's -dst default.
+	// selects the last node.
 	Src int  `json:"src"`
 	Dst *int `json:"dst,omitempty"`
 	// Cost is the routing metric: hops (default), fidelity or rate.

@@ -46,7 +46,7 @@ func TestCommittedSpecsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(data, canon) {
-			t.Errorf("%s is not byte-stable under parse → Canonical; run scenariocheck -w", path)
+			t.Errorf("%s is not byte-stable under parse → Canonical; run repro check -w", path)
 		}
 	}
 }
