@@ -1,8 +1,7 @@
 // Package-level benchmarks: one testing.B benchmark per table/figure of the
 // paper's evaluation (driving the experiment runners at reduced scale), plus
-// micro-benchmarks of the substrates and ablation benchmarks for the
-// protocol's design choices (emission multiplexing, the min_time guard,
-// dense vs closed-form optical sampling, DQP windowing).
+// micro-benchmarks of the substrates and an ablation benchmark for one of
+// the protocol's design choices (emission multiplexing).
 //
 // Run with: go test -bench=. -benchmem
 package main
@@ -11,9 +10,9 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/egp"
 	"repro/internal/experiments"
+	"repro/internal/netsim"
 	"repro/internal/nv"
 	"repro/internal/photonics"
 	"repro/internal/quantum"
@@ -93,42 +92,45 @@ func BenchmarkEngineParallel(b *testing.B) { benchmarkEngine(b, runtime.GOMAXPRO
 
 // --- Protocol-stack throughput benchmarks --------------------------------
 
-// benchmarkScenario runs the full stack for a fixed simulated duration and
-// reports delivered pairs per wall-second of benchmarking.
-func benchmarkScenario(b *testing.B, scenario nv.ScenarioID, priority int, multiplex bool, minTimeMargin uint64) {
+// benchmarkScenario runs the paper's link (a two-node netsim network) under
+// the offered load f = 1.5, k_max 3 for a fixed simulated duration and
+// reports delivered pairs per run.
+func benchmarkScenario(b *testing.B, scenario nv.ScenarioID, priority int, multiplex bool) {
 	b.Helper()
 	b.ReportAllocs()
 	pairs := 0
 	for i := 0; i < b.N; i++ {
-		cfg := core.DefaultConfig(scenario)
+		cfg := netsim.DefaultConfig(netsim.Chain(2), scenario)
 		cfg.Seed = int64(i + 1)
 		cfg.EmissionMultiplexing = multiplex
-		cfg.MinTimeMarginCycles = minTimeMargin
-		net := core.NewNetwork(cfg)
-		gen := workload.NewGenerator(net, workload.OriginRandom, workload.SingleKind(priority, workload.LoadUltra, 3))
-		net.Start()
-		gen.Start()
-		net.Run(sim.DurationSeconds(0.5))
-		gen.Stop()
-		pairs += net.Collector.OKCount(priority)
+		nw, err := netsim.NewNetwork(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		keep := priority != egp.PriorityMD
+		if _, err := nw.AttachWorkload([]workload.ClassSpec{workload.PoissonClass(1.5, 3, 0.64, keep)}); err != nil {
+			b.Fatal(err)
+		}
+		nw.Run(sim.DurationSeconds(0.5))
+		pairs += nw.Links[0].Collector.OKCount(priority)
 	}
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/run")
 }
 
 func BenchmarkLabMeasureDirectly(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityMD, true, 0)
+	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityMD, true)
 }
 
 func BenchmarkLabCreateKeep(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityCK, true, 0)
+	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityCK, true)
 }
 
 func BenchmarkQL2020MeasureDirectly(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, true, 0)
+	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, true)
 }
 
 func BenchmarkQL2020CreateKeep(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityCK, true, 0)
+	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityCK, true)
 }
 
 // --- Ablation benchmarks (protocol design choices) -----------------------
@@ -136,20 +138,11 @@ func BenchmarkQL2020CreateKeep(b *testing.B) {
 // Emission multiplexing on vs off for the MD use case on QL2020, where reply
 // latency (145 µs) far exceeds the attempt cycle (10.12 µs).
 func BenchmarkAblationMultiplexingOn(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, true, 0)
+	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, true)
 }
 
 func BenchmarkAblationMultiplexingOff(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, false, 0)
-}
-
-// min_time guard widened by 1000 cycles vs the propagation-derived default.
-func BenchmarkAblationMinTimeDefault(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityMD, true, 0)
-}
-
-func BenchmarkAblationMinTimeWide(b *testing.B) {
-	benchmarkScenario(b, nv.ScenarioLab, egp.PriorityMD, true, 1000)
+	benchmarkScenario(b, nv.ScenarioQL2020, egp.PriorityMD, false)
 }
 
 // --- Substrate micro-benchmarks -------------------------------------------

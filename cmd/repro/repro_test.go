@@ -45,6 +45,7 @@ func TestOverridesOnSparseSpec(t *testing.T) {
 		{[]string{"-seconds", "0.2"}, 0, " 0.2s simulated"},
 		{[]string{"-trials", "2"}, 0, ", 2 trial(s)"},
 		{[]string{"-shards", "2"}, 0, "n1-n2"},
+		{[]string{"-shards", "8"}, 0, "n1-n2"},
 		{[]string{"-parallel", "0"}, 0, "n0-n1"},
 		{[]string{"-trace", filepath.Join(out, "t.json"), "-tracecap", "64"}, 0, "n0-n1"},
 		{[]string{"-metrics", filepath.Join(out, "m.json")}, 0, "n0-n1"},
@@ -58,7 +59,9 @@ func TestOverridesOnSparseSpec(t *testing.T) {
 		{[]string{"-bogus"}, 2, ""},
 	}
 	for _, tc := range cases {
-		t.Run(strings.Join(tc.flags, " "), func(t *testing.T) {
+		// Name the case without the temporary directory, which differs per run.
+		name := strings.ReplaceAll(strings.Join(tc.flags, " "), out+string(filepath.Separator), "")
+		t.Run(name, func(t *testing.T) {
 			args := append([]string{"run"}, tc.flags...)
 			if tc.code == 0 && !slices.Contains(tc.flags, "-seconds") {
 				args = append(args, "-seconds", "0.05")

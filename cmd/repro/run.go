@@ -104,6 +104,13 @@ func runSpec(args []string, stdout, stderr io.Writer) int {
 	if *parallel <= 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}
+	// A -shards above the node count, as in a loop over every spec, runs
+	// one shard per node; the tables are identical at any count. The spec's
+	// own engine.shards gets no such cap.
+	if o.set["shards"] && c.Config.Shards > c.Config.Spec.Nodes {
+		fmt.Fprintf(stderr, "repro run: -shards %d capped at the spec's %d nodes\n", o.shards, c.Config.Spec.Nodes)
+		c.Config.Shards = c.Config.Spec.Nodes
+	}
 
 	// Observability attaches to trial 0 only; the remaining trials stay on
 	// the uninstrumented production path.

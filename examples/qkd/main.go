@@ -11,21 +11,27 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/egp"
+	"repro/internal/netsim"
 	"repro/internal/nv"
 	"repro/internal/quantum"
 	"repro/internal/sim"
 )
 
 func main() {
-	cfg := core.DefaultConfig(nv.ScenarioQL2020)
+	cfg := netsim.DefaultConfig(netsim.Chain(2), nv.ScenarioQL2020)
 	cfg.Seed = 2026
-	net := core.NewNetwork(cfg)
+	nw, err := netsim.NewNetwork(cfg)
+	if err != nil {
+		panic(err)
+	}
+	link := nw.Links[0]
+	var oks []egp.OKEvent
+	nw.OnLinkOK = func(_ *netsim.Link, ok egp.OKEvent) { oks = append(oks, ok) }
 
 	const pairsRequested = 200
-	sim.Schedule(net.Sim, 0, func() {
-		net.Submit(core.NodeA, egp.CreateRequest{
+	sim.Schedule(nw.Sim, 0, func() {
+		nw.Submit(link, "A", egp.CreateRequest{
 			NumPairs:    pairsRequested,
 			Keep:        false,
 			MinFidelity: 0.64,
@@ -34,7 +40,7 @@ func main() {
 			Consecutive: true,
 		})
 	})
-	net.Run(30 * sim.Second)
+	nw.Run(30 * sim.Second)
 
 	// Collect both nodes' outcomes per pair (keyed by entanglement ID).
 	type half struct {
@@ -44,9 +50,9 @@ func main() {
 	}
 	alice := map[uint16]half{}
 	bob := map[uint16]half{}
-	for _, ok := range net.OKs {
+	for _, ok := range oks {
 		h := half{outcome: ok.MeasureOutcome, basis: ok.MeasureBasis, psiMin: ok.HeraldedPsiMinus}
-		if ok.Node == core.NodeA {
+		if ok.Node == "A" {
 			alice[ok.EntanglementID] = h
 		} else {
 			bob[ok.EntanglementID] = h
@@ -83,7 +89,7 @@ func main() {
 		errorsByBasis[a.basis] = counts
 	}
 
-	fmt.Printf("pairs delivered:   %d (requested %d)\n", net.Collector.OKCount(egp.PriorityMD), pairsRequested)
+	fmt.Printf("pairs delivered:   %d (requested %d)\n", link.Collector.OKCount(egp.PriorityMD), pairsRequested)
 	fmt.Printf("sifted key length: %d bits\n", len(keyBitsA))
 	totalErr, totalBits := 0, 0
 	for _, basis := range []quantum.BasisLabel{quantum.BasisZ, quantum.BasisX, quantum.BasisY} {
@@ -105,11 +111,11 @@ func main() {
 	fmt.Printf("overall QBER:      %.3f\n", qber)
 	fmt.Printf("secret fraction:   %.3f (asymptotic BB84 bound, 0 when QBER > 11%%)\n", rate)
 	fmt.Printf("key throughput:    %.2f raw sifted bits/s, %.2f secret bits/s\n",
-		float64(len(keyBitsA))/net.Collector.DurationSeconds(),
-		rate*float64(len(keyBitsA))/net.Collector.DurationSeconds())
+		float64(len(keyBitsA))/link.Collector.DurationSeconds(),
+		rate*float64(len(keyBitsA))/link.Collector.DurationSeconds())
 	fmt.Printf("\nThe link delivered %.1f pairs/s; a lower requested fidelity would raise that rate\n"+
 		"but push the QBER toward the 11%% threshold where no key can be distilled (Sec. 4.2).\n",
-		net.Collector.Throughput(egp.PriorityMD))
+		link.Collector.Throughput(egp.PriorityMD))
 }
 
 // secretKeyFraction returns the asymptotic BB84 secret key fraction

@@ -11,24 +11,30 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core"
 	"repro/internal/egp"
+	"repro/internal/netsim"
 	"repro/internal/nv"
 	"repro/internal/quantum"
 	"repro/internal/sim"
 )
 
 func main() {
-	cfg := core.DefaultConfig(nv.ScenarioLab)
+	cfg := netsim.DefaultConfig(netsim.Chain(2), nv.ScenarioLab)
 	cfg.Seed = 77
 	cfg.HoldPairs = true // keep the delivered pair in memory so we can consume it
 	// The teleportation circuit below needs the full density matrix, so pin
 	// the dense backend even when $REPRO_BACKEND selects the fast path.
 	cfg.Backend = quantum.BackendDense
-	net := core.NewNetwork(cfg)
+	nw, err := netsim.NewNetwork(cfg)
+	if err != nil {
+		panic(err)
+	}
+	link := nw.Links[0]
+	delivered := 0
+	nw.OnLinkOK = func(*netsim.Link, egp.OKEvent) { delivered++ }
 
-	sim.Schedule(net.Sim, 0, func() {
-		net.Submit(core.NodeA, egp.CreateRequest{
+	sim.Schedule(nw.Sim, 0, func() {
+		nw.Submit(link, "A", egp.CreateRequest{
 			NumPairs:    1,
 			Keep:        true,
 			MinFidelity: 0.7,
@@ -36,15 +42,15 @@ func main() {
 			PurposeID:   9,
 		})
 	})
-	net.Run(3 * sim.Second)
+	nw.Run(3 * sim.Second)
 
-	if len(net.OKs) == 0 {
+	if delivered == 0 {
 		fmt.Println("no entangled pair was delivered — run longer")
 		return
 	}
 	// Fetch the stored pair from node A's device.
 	var pair *nv.EntangledPair
-	for _, p := range net.DeviceA.OccupiedPairs() {
+	for _, p := range link.DeviceA.OccupiedPairs() {
 		pair = p
 	}
 	if pair == nil {
@@ -69,7 +75,7 @@ func main() {
 	// Teleportation circuit at A: CNOT(data→A), H(data), then measure both.
 	joint.ApplyUnitary(quantum.CNOT(), 0, 1)
 	joint.ApplyUnitary(quantum.Hadamard(), 0)
-	rng := net.Sim.RNG()
+	rng := link.Eng.RNG()
 	m0 := measureQubit(joint, 0, rng.Float64())
 	m1 := measureQubit(joint, 1, rng.Float64())
 	fmt.Printf("Bell measurement at A: m0=%d m1=%d (two classical bits sent to B)\n", m0, m1)
@@ -87,7 +93,7 @@ func main() {
 	fidelity := received.Fidelity(dataKet)
 	fmt.Printf("state received at B has fidelity %.3f with the original data qubit\n", fidelity)
 	fmt.Printf("(bounded by the link fidelity %.3f — a perfect link would teleport perfectly)\n",
-		net.Collector.Fidelity(egp.PriorityCK).Mean())
+		link.Collector.Fidelity(egp.PriorityCK).Mean())
 }
 
 // measureQubit measures one qubit of the state in the computational basis,

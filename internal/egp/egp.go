@@ -98,8 +98,8 @@ type Config struct {
 
 	Scheduler Scheduler
 	// ToPeer carries DQP/EGP frames to the peer EGP of the same link. Any
-	// classical.Port works: a direct Channel in the two-node network, or a
-	// TagPort over a shared node-to-node channel in the multi-link network.
+	// classical.Port works: netsim passes a TagPort over the shared
+	// node-to-node channel, the package's tests a direct Channel.
 	ToPeer classical.Port
 
 	OnOK     func(OKEvent)
@@ -109,8 +109,6 @@ type Config struct {
 	// MaxQueueLen bounds each priority lane (256 in the paper's overload
 	// study).
 	MaxQueueLen int
-	// QueueWindow is the DQP fairness window.
-	QueueWindow int
 	// EmissionMultiplexing allows M-type attempts to be triggered before the
 	// previous attempt's REPLY has arrived (Section 5.2.5).
 	EmissionMultiplexing bool
@@ -119,9 +117,6 @@ type Config struct {
 	// AutoRelease frees the local qubit as soon as the OK is issued,
 	// modelling a higher layer that consumes pairs immediately.
 	AutoRelease bool
-	// MinTimeMarginCycles is added to the propagation-derived minimum start
-	// cycle of new requests.
-	MinTimeMarginCycles uint64
 	// AcceptPolicy gates remotely originated requests by purpose ID.
 	AcceptPolicy AcceptPolicy
 
@@ -215,7 +210,6 @@ func New(cfg Config) *EGP {
 		Sim:      cfg.Sim,
 		ToPeer:   cfg.ToPeer,
 		MaxLen:   cfg.MaxQueueLen,
-		Window:   cfg.QueueWindow,
 		OnConfirmed: func(item *QueueItem) {
 			// Requests that arrived from the peer carry only the requested
 			// minimum fidelity; each node queries its own FEU for the
@@ -290,8 +284,7 @@ func (e *EGP) wake() {
 func (e *EGP) minTimeCycles() uint64 {
 	rtt := 2 * e.cfg.ToPeer.Delay()
 	cycleTime := e.cfg.Platform.CycleTime[nv.RequestMeasure]
-	cycles := uint64(rtt/cycleTime) + 2
-	return cycles + e.cfg.MinTimeMarginCycles
+	return uint64(rtt/cycleTime) + 2
 }
 
 // Create submits a new entanglement request from the higher layer at this

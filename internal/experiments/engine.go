@@ -6,9 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/nv"
-	"repro/internal/workload"
 )
 
 // Trial is the coordinate tuple of one independent simulation run inside an
@@ -162,17 +160,4 @@ func RunIndexed(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// runProtocolTrial runs the full protocol stack for one trial: the network
-// is built for the trial's scenario with the trial-derived seed, optionally
-// adjusted by configure, driven by the given workload for the trial's
-// simulated duration.
-func runProtocolTrial(opt Options, t Trial, origin workload.Origin, classes []workload.Class, configure func(*core.Config)) *core.Network {
-	cfg := core.DefaultConfig(t.Scenario)
-	cfg.Seed = t.DeriveSeed(opt.Seed)
-	if configure != nil {
-		configure(&cfg)
-	}
-	return runScenario(cfg, origin, classes, opt)
 }

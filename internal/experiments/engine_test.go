@@ -101,7 +101,7 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 	opt := QuickOptions()
 	opt.SimulatedSeconds = 0.5
-	names := []string{"fig8", "fig9", "fig6a", "table1", "netchain", "netload"}
+	names := []string{"fig8", "fig9", "fig6a", "table5", "metrics", "table1", "netchain", "netload"}
 
 	opt.Parallelism = 1
 	sequential := renderAll(opt, names...)

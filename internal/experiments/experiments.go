@@ -23,11 +23,8 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/egp"
 	"repro/internal/nv"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Options controls the scale of every experiment runner.
@@ -136,22 +133,6 @@ func ByName(name string) (Runner, bool) {
 		}
 	}
 	return Runner{}, false
-}
-
-// runScenario builds a network with the given configuration, attaches a
-// workload generator and runs it for the configured duration, returning the
-// network for metric extraction.
-func runScenario(cfg core.Config, origin workload.Origin, classes []workload.Class, opt Options) *core.Network {
-	net := core.NewNetwork(cfg)
-	gen := workload.NewGenerator(net, origin, classes)
-	net.Start()
-	gen.Start()
-	// Sample queue length periodically for the latency analysis.
-	stopSampling := sim.Ticker(net.Sim, 50*sim.Millisecond, net.SampleQueueLength)
-	net.Run(sim.DurationSeconds(opt.SimulatedSeconds))
-	stopSampling()
-	gen.Stop()
-	return net
 }
 
 // Cell formatting helpers shared by the experiment tables.

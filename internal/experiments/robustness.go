@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"repro/internal/core"
 	"repro/internal/egp"
 	"repro/internal/metrics"
+	"repro/internal/netsim"
 	"repro/internal/nv"
 	"repro/internal/workload"
 )
@@ -62,15 +62,15 @@ func RunTable5Robustness(opt Options) []Table {
 			MaxPairs:    t.KMax,
 			MinFidelity: t.Fidelity,
 		}}
-		net := runProtocolTrial(opt, t, workload.OriginRandom, classes, func(cfg *core.Config) {
+		stats := runProtocolTrial(opt, t, classes, func(cfg *netsim.Config) {
 			cfg.ClassicalLossProb = loss
 		})
 		return robustnessRun{
-			fidelity:   net.Collector.Fidelity(t.Priority).Mean(),
-			throughput: net.Collector.Throughput(t.Priority),
-			latency:    net.Collector.ScaledLatency(t.Priority).Mean(),
-			pairs:      net.Collector.OKCount(t.Priority),
-			expires:    net.Collector.ExpireCount(),
+			fidelity:   stats.Fidelity(t.Priority).Mean(),
+			throughput: stats.Throughput(t.Priority),
+			latency:    stats.ScaledLatency(t.Priority).Mean(),
+			pairs:      stats.OKCount(t.Priority),
+			expires:    stats.ExpireCount(),
 		}
 	})
 

@@ -17,9 +17,11 @@ import (
 // engine view and is touched only by that shard's events, so the trajectory
 // and the merged SLO report are byte-identical at every shard count.
 //
-// It is the link layer's only traffic generator: the paper's evaluation
-// arrival model (CREATEs at rate f·psucc/(E·k̄), pair counts uniform in
-// [1, k_max], a random origin) is the one-class case, workload.PoissonClass.
+// It drives every spec and the benchmark. The paper's runners keep their
+// per-cycle generator (internal/experiments): workload.PoissonClass offers
+// the same pairs per cycle, at rate f·psucc/(E·k̄) with pair counts uniform
+// in [1, k_max], but the per-cycle generator's accepted sizes are ∝ 1/k, so
+// the two differ in request sizes whenever k_max > 1 (workload/poisson.go).
 type MultiTraffic struct {
 	net     *Network
 	classes []workload.ClassSpec

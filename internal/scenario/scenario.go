@@ -136,10 +136,10 @@ type Traffic struct {
 	Standing []Standing `json:"standing,omitempty"`
 }
 
-// Poisson is the paper's evaluation arrival model offered to every link. It
-// compiles to one class (see workload.PoissonClass): priority MD, or CK with
-// keep; pairs uniform in [1, max_pairs]; a random origin; max_time_s as the
-// deadline.
+// Poisson offers the paper's evaluation load to every link. It compiles to
+// one class (see workload.PoissonClass): priority MD, or CK with keep; pairs
+// uniform in [1, max_pairs]; a random origin; max_time_s as the deadline.
+// Its request sizes are uniform, unlike the paper's per-cycle generator.
 type Poisson struct {
 	// Load is the offered load fraction f of the paper's arrival model.
 	Load float64 `json:"load"`

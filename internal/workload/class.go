@@ -188,10 +188,13 @@ type ClassSpec struct {
 	Origin Origin
 }
 
-// PoissonClass returns the paper's evaluation arrival model as one class:
-// open-loop Poisson CREATEs at offered load fraction f per link, pair counts
-// uniform in [1, maxPairs], a random origin, and priority CK when keep is
-// set (MD otherwise). It has no deadline.
+// PoissonClass returns the paper's offered load as one class: open-loop
+// Poisson CREATEs at offered load fraction f per link, pair counts uniform
+// in [1, maxPairs], a random origin, and priority CK when keep is set (MD
+// otherwise). It has no deadline. It offers the paper's pairs per cycle,
+// but its request sizes are uniform where the paper's per-cycle generator
+// accepts sizes ∝ 1/k (see poisson.go), so their request sizes agree
+// only at maxPairs 1.
 func PoissonClass(load float64, maxPairs int, minFidelity float64, keep bool) ClassSpec {
 	priority := egp.PriorityMD
 	if keep {

@@ -6,13 +6,21 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the single home of the paper's Poisson request-arrival model,
-// shared by the two-node workload generator (per-cycle Bernoulli sampling,
-// Section 6) and the multi-link netsim traffic generator (exponential
-// interarrival scheduling). Both express their rates through
-// PerCycleProbability/RatePerSecond, and the event-driven flavour runs on
-// PoissonStream, so the arrival statistics stay identical no matter which
-// layer drives them.
+// This file is the single home of the paper's request-arrival rate
+// (Section 6), shared by the per-cycle Bernoulli generator the paper's
+// runners drive (internal/experiments) and the event-driven classes of
+// netsim.MultiTraffic (exponential interarrivals on PoissonStream). Both
+// express their rates through PerCycleProbability/RatePerSecond, so they
+// offer the same pairs per cycle, but not the same requests:
+//
+//   - the per-cycle generator draws k uniform in [1, k_max] and accepts a
+//     request with probability p/k, so accepted sizes are ∝ 1/k (mean
+//     k_max/H(k_max): 1.64 at k_max 3);
+//   - a PoissonClass draws sizes uniform in [1, k_max] (mean 2 at k_max 3)
+//     at rate p/k̄.
+//
+// At k_max > 1 the Poisson class therefore issues fewer, larger requests,
+// which moves request latency and queue length.
 
 // PerCycleProbability returns the probability that a new request arrives in
 // one MHP cycle before dividing by the sampled pair count k: f·psucc/E, with

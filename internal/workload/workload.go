@@ -1,19 +1,16 @@
-// Package workload implements the request-arrival models of the paper's
-// evaluation (Section 6 and Appendix C.2): in every MHP cycle a new CREATE
-// request for a random number of pairs is issued with probability
-// f·psucc/(E·k), where f sets the offered load, psucc is the per-attempt
-// success probability, E the expected cycles per attempt and k the number of
-// pairs requested. It also defines the load levels (Low/High/Ultra), the
-// origin policies (A, B, random) and the mixed-usage patterns of Appendix
-// Table 2.
+// Package workload defines the request workloads of the paper's evaluation
+// (Section 6 and Appendix C.2) and of the multi-class workload engine: the
+// arrival rate f·psucc/(E·k) behind every Load-driven class (poisson.go),
+// the load levels (Low/High/Ultra), the origin policies (A, B, random), the
+// single-kind and mixed-usage class lists of Appendix Table 2 and Table 1,
+// the open-loop arrival processes, the ClassSpec of netsim.MultiTraffic and
+// the per-class SLO accounts.
 package workload
 
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/egp"
-	"repro/internal/nv"
 	"repro/internal/sim"
 )
 
@@ -87,103 +84,6 @@ type Class struct {
 // Keep reports whether this class issues create-and-keep requests (NL and CK
 // store the qubit; MD measures directly).
 func (c Class) Keep() bool { return c.Priority != egp.PriorityMD }
-
-// Generator issues random CREATE requests into a core.Network according to a
-// set of classes, using the per-cycle arrival model of the paper.
-type Generator struct {
-	net     *core.Network
-	classes []Class
-	origin  Origin
-	// baseProb[i] is the per-cycle probability of issuing a request of
-	// class i (before dividing by the sampled k).
-	baseProb []float64
-
-	submitted map[int]int
-	stop      func()
-}
-
-// NewGenerator builds a workload generator for the given network. The
-// per-class arrival probabilities come from the shared arrival model of
-// poisson.go, exactly as in Section 6: P(new request of class P with k
-// pairs) = f_P·psucc/(E·k).
-func NewGenerator(net *core.Network, origin Origin, classes []Class) *Generator {
-	g := &Generator{
-		net:       net,
-		classes:   classes,
-		origin:    origin,
-		submitted: make(map[int]int),
-	}
-	feu := net.EGPA.FEU()
-	for _, c := range classes {
-		g.baseProb = append(g.baseProb, PerCycleProbability(feu, net.Platform, c.Keep(), c.Fraction, c.MinFidelity))
-	}
-	return g
-}
-
-// Start begins issuing requests on every MHP cycle of the network's base
-// clock. Call the returned stop function (or Stop) to halt arrivals.
-func (g *Generator) Start() (stop func()) {
-	period := g.net.Platform.CycleTime[nv.RequestMeasure]
-	g.stop = sim.Ticker(g.net.Sim, period, g.tick)
-	return g.Stop
-}
-
-// Stop halts request arrivals.
-func (g *Generator) Stop() {
-	if g.stop != nil {
-		g.stop()
-		g.stop = nil
-	}
-}
-
-// Submitted returns how many requests have been issued per priority class.
-func (g *Generator) Submitted() map[int]int {
-	out := make(map[int]int, len(g.submitted))
-	for k, v := range g.submitted {
-		out[k] = v
-	}
-	return out
-}
-
-// tick runs once per MHP cycle and samples request arrivals for each class.
-func (g *Generator) tick() {
-	rng := g.net.Sim.RNG()
-	for i, c := range g.classes {
-		if c.Fraction <= 0 {
-			continue
-		}
-		k := c.FixedPairs
-		if k <= 0 {
-			k = 1
-			if c.MaxPairs > 1 {
-				k = 1 + rng.Intn(c.MaxPairs)
-			}
-		}
-		p := g.baseProb[i] / float64(k)
-		if !rng.Bernoulli(p) {
-			continue
-		}
-		origin := core.NodeA
-		switch g.origin {
-		case OriginB:
-			origin = core.NodeB
-		case OriginRandom:
-			if rng.Bernoulli(0.5) {
-				origin = core.NodeB
-			}
-		}
-		g.net.Submit(origin, egp.CreateRequest{
-			NumPairs:    k,
-			Keep:        c.Keep(),
-			MinFidelity: c.MinFidelity,
-			MaxTime:     c.MaxTime,
-			Priority:    c.Priority,
-			PurposeID:   uint16(1000 + c.Priority),
-			Consecutive: c.Priority == egp.PriorityNL || c.Priority == egp.PriorityMD,
-		})
-		g.submitted[c.Priority]++
-	}
-}
 
 // SingleKind returns the class list of a single-kind long run (Section 6):
 // one use case at the given load with kmax pairs per request and the fixed

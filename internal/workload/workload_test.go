@@ -3,10 +3,7 @@ package workload
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/egp"
-	"repro/internal/nv"
-	"repro/internal/sim"
 )
 
 func TestLoadNames(t *testing.T) {
@@ -92,65 +89,5 @@ func TestTable1Patterns(t *testing.T) {
 	}
 	if noNL[1].Fraction != 0.99*4/5 {
 		t.Fatal("pattern (ii) MD fraction wrong")
-	}
-}
-
-func TestGeneratorIssuesRequests(t *testing.T) {
-	cfg := core.DefaultConfig(nv.ScenarioLab)
-	cfg.Seed = 3
-	net := core.NewNetwork(cfg)
-	gen := NewGenerator(net, OriginRandom, SingleKind(egp.PriorityMD, LoadUltra, 3))
-	net.Start()
-	gen.Start()
-	net.Run(2 * sim.Second)
-	gen.Stop()
-
-	submitted := gen.Submitted()[egp.PriorityMD]
-	if submitted == 0 {
-		t.Fatal("the generator should issue requests at Ultra load within 2 s")
-	}
-	if net.Collector.OKCount(egp.PriorityMD) == 0 {
-		t.Fatal("generated requests should produce pairs")
-	}
-	// The arrival rate should be of the same order as the service rate: with
-	// f = 1.5 the queue grows, so submissions should at least match
-	// completed requests.
-	completed := net.Collector.RequestLatency(egp.PriorityMD).Count()
-	if submitted < completed {
-		t.Fatalf("bookkeeping inconsistent: %d submitted < %d completed", submitted, completed)
-	}
-}
-
-func TestGeneratorOriginPolicy(t *testing.T) {
-	cfg := core.DefaultConfig(nv.ScenarioLab)
-	cfg.Seed = 5
-	net := core.NewNetwork(cfg)
-	gen := NewGenerator(net, OriginB, SingleKind(egp.PriorityMD, LoadUltra, 1))
-	net.Start()
-	gen.Start()
-	net.Run(1 * sim.Second)
-	gen.Stop()
-	byOrigin := net.Collector.PairsByOrigin()
-	if byOrigin[core.NodeA] != 0 {
-		t.Fatalf("origin policy B should never submit from A: %v", byOrigin)
-	}
-	if byOrigin[core.NodeB] == 0 {
-		t.Fatal("origin policy B should deliver pairs attributed to B")
-	}
-}
-
-func TestGeneratorStopHaltsArrivals(t *testing.T) {
-	cfg := core.DefaultConfig(nv.ScenarioLab)
-	cfg.Seed = 7
-	net := core.NewNetwork(cfg)
-	gen := NewGenerator(net, OriginA, SingleKind(egp.PriorityMD, LoadUltra, 1))
-	net.Start()
-	stop := gen.Start()
-	net.Run(500 * sim.Millisecond)
-	stop()
-	before := gen.Submitted()[egp.PriorityMD]
-	net.Run(500 * sim.Millisecond)
-	if gen.Submitted()[egp.PriorityMD] != before {
-		t.Fatal("no requests should arrive after Stop")
 	}
 }
