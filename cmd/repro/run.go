@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -168,9 +167,9 @@ func runSpec(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// trialResult is one trial's outcome: the per-link rows, aggregate and class
-// accounts of a link-layer run, or the per-path rows, aggregate, swap count
-// and route of an end-to-end run.
+// trialResult is one trial's outcome: the per-link rows and aggregate of a
+// link-layer run, or the per-path rows, aggregate, swap count and route of an
+// end-to-end run; plus the class accounts of either.
 type trialResult struct {
 	end sim.Time
 
@@ -240,21 +239,20 @@ func runService(c *scenario.Compiled, nw *netsim.Network, trace *obs.Tracer, reg
 	if err != nil {
 		return trialResult{}, err
 	}
-	if sv.StandingPairs > 0 {
-		if _, code := svc.Create(network.CreateRequest{
-			SrcNode:     sv.Src,
-			DstNode:     sv.Dst,
-			NumPairs:    sv.StandingPairs,
-			MinFidelity: sv.Traffic.MinFidelity,
-		}); code != wire.ErrNone {
-			return trialResult{}, fmt.Errorf("standing end-to-end request rejected: %s", code)
+	var mt *netsim.MultiTraffic
+	if len(c.Classes) > 0 {
+		if mt, err = svc.AttachWorkload(c.Classes, [][2]int{{sv.Src, sv.Dst}}); err != nil {
+			return trialResult{}, err
 		}
 	}
-	svc.AttachTraffic(sv.Traffic).Start()
 	nw.Run(sim.DurationSeconds(c.Seconds))
 	svc.FinishAt(nw.Sim.Now())
 	r := trialResult{end: nw.Sim.Now(), swaps: svc.Swaps(), path: p.String()}
 	r.perPath, r.pathAgg = svc.Stats()
+	if mt != nil {
+		r.accounts = mt.Accounts()
+		r.oldest = mt.OldestWaits()
+	}
 	return r, nil
 }
 

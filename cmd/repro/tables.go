@@ -34,22 +34,11 @@ func linkRow(s netsim.LinkStats) []string {
 }
 
 // printLinks prints a link-layer run: the header, the per-link and aggregate
-// tables averaged over trials and, when the spec has traffic classes, the
-// per-class SLO table.
+// tables averaged over trials and the per-class SLO table.
 func printLinks(w io.Writer, c *scenario.Compiled, results []trialResult) {
 	cfg := c.Config
-	if t := c.Spec.Traffic; t != nil && t.Poisson != nil {
-		p := c.Classes[0]
-		kind := "M"
-		if p.Keep() {
-			kind = "K"
-		}
-		fmt.Fprintf(w, "# netsim %s on %s: load=%.2f kind=%s kmax=%d Fmin=%.2f loss=%g seed=%d %.1fs simulated, %d trial(s)\n",
-			c.Topology, cfg.Scenario, p.Arrival.Load, kind, p.MaxPairs, p.MinFidelity, cfg.ClassicalLossProb, cfg.Seed, c.Seconds, c.Trials)
-	} else {
-		fmt.Fprintf(w, "# netsim %s on %s: %d workload class(es) loss=%g seed=%d %.1fs simulated, %d trial(s)\n",
-			c.Topology, cfg.Scenario, len(c.Classes), cfg.ClassicalLossProb, cfg.Seed, c.Seconds, c.Trials)
-	}
+	fmt.Fprintf(w, "# netsim %s on %s: %d workload class(es) loss=%g seed=%d %.1fs simulated, %d trial(s)\n",
+		c.Topology, cfg.Scenario, len(c.Classes), cfg.ClassicalLossProb, cfg.Seed, c.Seconds, c.Trials)
 
 	// mean renders the trial average of the row pick selects.
 	mean := func(pick func(trialResult) netsim.LinkStats) []string {
@@ -76,18 +65,17 @@ func printLinks(w io.Writer, c *scenario.Compiled, results []trialResult) {
 		Rows:    [][]string{mean(func(r trialResult) netsim.LinkStats { return r.linkAgg })},
 	}
 	fmt.Fprintln(w, aggregate.String())
-
-	// A poisson section is one class too, but only a classes section asks
-	// for an SLO table.
-	if t := c.Spec.Traffic; t != nil && len(t.Classes) > 0 {
-		printSLO(w, c, results)
-	}
+	printSLO(w, "netsim-classes", c, results)
 }
 
 // printSLO merges the per-trial class accounts in trial order and prints the
-// per-class SLO table; the merge and the max folds are deterministic, so the
-// table is identical at any -parallel or -shards level.
-func printSLO(w io.Writer, c *scenario.Compiled, results []trialResult) {
+// per-class SLO table under the given ID, if the spec has classes; the merge
+// and the max folds are deterministic, so the table is identical at any
+// -parallel or -shards level.
+func printSLO(w io.Writer, id string, c *scenario.Compiled, results []trialResult) {
+	if len(c.Classes) == 0 {
+		return
+	}
 	merged := make([]*workload.ClassAccount, len(c.Classes))
 	for i := range merged {
 		merged[i] = &workload.ClassAccount{}
@@ -103,7 +91,7 @@ func printSLO(w io.Writer, c *scenario.Compiled, results []trialResult) {
 	}
 	duration := c.Seconds * float64(len(results))
 	table := experiments.Table{
-		ID:      "netsim-classes",
+		ID:      id,
 		Caption: fmt.Sprintf("Per-class service levels, %d trial(s) merged", len(results)),
 		Columns: workload.SLOColumns,
 	}
@@ -138,8 +126,8 @@ func pathRow(s network.PathStats) []string {
 	}
 }
 
-// printPaths prints an end-to-end run: the header and the per-path and
-// aggregate tables averaged over trials.
+// printPaths prints an end-to-end run: the header, the per-path and
+// aggregate tables averaged over trials and the per-class SLO table.
 func printPaths(w io.Writer, c *scenario.Compiled, results []trialResult) {
 	n := len(results)
 	// mean renders the trial average of the row pick selects.
@@ -154,9 +142,15 @@ func printPaths(w io.Writer, c *scenario.Compiled, results []trialResult) {
 	for _, r := range results {
 		swaps += r.swaps
 	}
+	// One class reads as the flow's load, k_max and fidelity floor.
+	traffic := fmt.Sprintf("%d workload class(es)", len(c.Classes))
+	if len(c.Classes) == 1 {
+		cl := c.Classes[0]
+		traffic = fmt.Sprintf("load=%.2f kmax=%d Fmin=%.2f", cl.Arrival.Load, cl.MaxPairs, cl.MinFidelity)
+	}
 	sv := c.Service
-	fmt.Fprintf(w, "# e2e %s on %s: path %s cost=%s load=%.2f kmax=%d Fmin=%.2f gate=%g loss=%g seed=%d %.1fs simulated, %d trial(s), %d swaps total\n",
-		c.Topology, c.Config.Scenario, results[0].path, sv.Cost, sv.Traffic.Load, sv.Traffic.MaxPairs, sv.Traffic.MinFidelity,
+	fmt.Fprintf(w, "# e2e %s on %s: path %s cost=%s %s gate=%g loss=%g seed=%d %.1fs simulated, %d trial(s), %d swaps total\n",
+		c.Topology, c.Config.Scenario, results[0].path, sv.Cost, traffic,
 		sv.SwapGateFidelity, c.Config.ClassicalLossProb, c.Config.Seed, c.Seconds, n, swaps)
 
 	perPath := experiments.Table{
@@ -196,4 +190,5 @@ func printPaths(w io.Writer, c *scenario.Compiled, results []trialResult) {
 		Rows:    [][]string{mean(func(r trialResult) network.PathStats { return r.pathAgg })},
 	}
 	fmt.Fprintln(w, aggregate.String())
+	printSLO(w, "e2e-classes", c, results)
 }

@@ -3,13 +3,15 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/egp"
 	"repro/internal/netsim"
 	"repro/internal/network"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // e2eTrial builds a chain network with the network layer on top, drives the
-// src–dst pair with Poisson end-to-end requests at the trial's load, and
+// src–dst flow with one class of Poisson NL requests at the trial's load, and
 // returns the service for metric extraction. The RNG seed derives from the
 // trial coordinates so results are parallelism-independent.
 func e2eTrial(opt Options, t Trial, nodes int) *network.Service {
@@ -24,13 +26,17 @@ func e2eTrial(opt Options, t Trial, nodes int) *network.Service {
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	tr := svc.AttachTraffic(network.TrafficConfig{
-		Pairs:       [][2]int{{0, nodes - 1}},
-		Load:        t.Load,
+	class := workload.ClassSpec{
+		Name:        "e2e",
+		Priority:    egp.PriorityNL,
+		Arrival:     workload.Arrival{Kind: workload.ArrivalPoisson, Load: t.Load},
+		MinPairs:    1,
 		MaxPairs:    t.KMax,
 		MinFidelity: t.Fidelity,
-	})
-	tr.Start()
+	}
+	if _, err := svc.AttachWorkload([]workload.ClassSpec{class}, [][2]int{{0, nodes - 1}}); err != nil {
+		panic(fmt.Sprintf("experiments: %v", err))
+	}
 	nw.Run(sim.DurationSeconds(opt.SimulatedSeconds))
 	svc.FinishAt(nw.Sim.Now())
 	return svc

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/egp"
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/network"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // oracleCase is one configuration the shared MHP clock is checked on. setup
@@ -86,12 +88,17 @@ func e2eGridCase() oracleCase {
 			if err != nil {
 				t.Fatal(err)
 			}
-			svc.AttachTraffic(network.TrafficConfig{
-				Pairs:       [][2]int{{0, 8}, {2, 6}, {1, 7}},
-				Load:        0.5,
+			class := workload.ClassSpec{
+				Name:        "e2e",
+				Priority:    egp.PriorityNL,
+				Arrival:     workload.Arrival{Kind: workload.ArrivalPoisson, Load: 0.5},
+				MinPairs:    1,
 				MaxPairs:    1,
 				MinFidelity: 0.35,
-			}).Start()
+			}
+			if _, err := svc.AttachWorkload([]workload.ClassSpec{class}, [][2]int{{0, 8}, {2, 6}, {1, 7}}); err != nil {
+				t.Fatal(err)
+			}
 			return func() string {
 				svc.FinishAt(nw.Sim.Now())
 				perPath, agg := svc.Stats()

@@ -9,13 +9,15 @@ import (
 	"repro/internal/workload"
 )
 
-// MultiTraffic drives a multi-class workload across every link of a network:
-// each traffic class owns, per link, an open-loop arrival process (Poisson,
-// bursty, diurnal) or a population of closed-loop think-time sessions, plus a
-// per-link SLO account. All of a link's workload state — arrival processes,
-// session timers, in-flight request table, account — lives on the link's own
-// engine view and is touched only by that shard's events, so the trajectory
-// and the merged SLO report are byte-identical at every shard count.
+// MultiTraffic is the one request engine of both layers: each traffic class
+// owns, per site, an open-loop arrival process (Poisson, bursty, diurnal) or a
+// population of closed-loop think-time sessions, plus a per-site SLO account.
+// A site is a link of the network (AttachWorkload) or a (src, dst) flow of the
+// end-to-end service (network.Service.AttachWorkload); the engine treats both
+// alike. All of a site's workload state — arrival processes, session timers,
+// in-flight request table, account — lives on the site's own engine view and
+// is touched only by that shard's events, so the trajectory and the merged
+// SLO report are byte-identical at every shard count.
 //
 // It drives every spec and the benchmark. The paper's runners keep their
 // per-cycle generator (internal/experiments): workload.PoissonClass offers
@@ -23,28 +25,42 @@ import (
 // in [1, k_max], but the per-cycle generator's accepted sizes are ∝ 1/k, so
 // the two differ in request sizes whenever k_max > 1 (workload/poisson.go).
 type MultiTraffic struct {
-	net     *Network
+	clock   sim.Engine
 	classes []workload.ClassSpec
-	links   []*linkTraffic
+	sites   []*siteTraffic
 
 	started    bool
 	generation uint64
 }
 
-// linkTraffic is one link's slice of the workload: per-class arrival
+// Site is one place MultiTraffic offers load.
+type Site struct {
+	// Eng is the engine view the site's arrivals, session timers and draws
+	// run on.
+	Eng sim.Engine
+	// Rate returns the open-loop request rate, in requests per simulated
+	// second, of a load-driven class at the site.
+	Rate func(c *workload.ClassSpec) float64
+	// Submit issues one request of class c for the given pair count. It
+	// returns the key the request's terminal events carry (see Delivered
+	// and Failed) and the synchronous response code.
+	Submit func(c *workload.ClassSpec, pairs int) (key uint64, code wire.EGPError)
+}
+
+// siteTraffic is one site's slice of the workload: per-class arrival
 // processes, session counts, the in-flight request table and accounts. It is
 // mutated only from the owning shard's events.
-type linkTraffic struct {
-	link *Link
-	// procs[c] is class c's open-loop arrival process on this link (nil for
+type siteTraffic struct {
+	Site
+	// procs[c] is class c's open-loop arrival process at this site (nil for
 	// closed-loop classes and never-firing for infeasible rates).
 	procs []workload.Process
-	// sessions[c] is class c's closed-loop session population on this link.
+	// sessions[c] is class c's closed-loop session population at this site.
 	sessions []int
 	// accounts[c] is class c's local SLO account.
 	accounts []*workload.ClassAccount
-	// pending maps requestKey(role, createID) to the in-flight request's
-	// bookkeeping. Entries are removed on the terminal OK or error event.
+	// pending maps a submitted request's key to its bookkeeping. Entries are
+	// removed on the terminal OK or error event.
 	pending map[uint64]*pendingRequest
 }
 
@@ -57,80 +73,125 @@ type pendingRequest struct {
 	closed bool
 }
 
-// NewMultiTraffic builds the workload engine for the network. Per-link
-// open-loop rates follow the paper's arrival model for Load-driven classes
-// (see workload.RatePerSecond) and split the aggregate Users x PerUserRate
-// evenly across links for population-driven ones; closed-loop session
-// populations are distributed across links round-robin.
-func NewMultiTraffic(nw *Network, classes []workload.ClassSpec) (*MultiTraffic, error) {
-	if len(classes) == 0 {
-		return nil, fmt.Errorf("netsim: workload needs at least one traffic class")
+// AttachSites installs a multi-class workload engine over the given sites;
+// it starts and stops with the network and replaces any previously attached
+// workload. Open-loop rates come from each site's Rate for Load-driven
+// classes and split the aggregate Users x PerUserRate evenly across sites for
+// population-driven ones; closed-loop session populations are distributed
+// across sites round-robin. The caller routes the sites' terminal events to
+// Delivered and Failed.
+func (nw *Network) AttachSites(classes []workload.ClassSpec, sites []Site) (*MultiTraffic, error) {
+	if len(classes) == 0 || len(sites) == 0 {
+		return nil, fmt.Errorf("netsim: workload needs at least one traffic class and one site")
 	}
 	for _, c := range classes {
 		if err := c.Validate(); err != nil {
 			return nil, err
 		}
 	}
-	mt := &MultiTraffic{net: nw, classes: classes}
-	n := len(nw.Links)
-	for li, l := range nw.Links {
-		lt := &linkTraffic{
-			link:     l,
+	mt := &MultiTraffic{clock: nw.Sim, classes: classes}
+	n := len(sites)
+	for si, site := range sites {
+		st := &siteTraffic{
+			Site:     site,
 			procs:    make([]workload.Process, len(classes)),
 			sessions: make([]int, len(classes)),
 			accounts: make([]*workload.ClassAccount, len(classes)),
 			pending:  make(map[uint64]*pendingRequest),
 		}
-		for ci, c := range classes {
-			lt.accounts[ci] = &workload.ClassAccount{}
+		for ci := range classes {
+			c := &classes[ci]
+			st.accounts[ci] = &workload.ClassAccount{}
 			if c.Arrival.Closed() {
-				// Round-robin distribution: link li serves session s iff
-				// s ≡ li (mod n), so populations that don't divide evenly
+				// Round-robin distribution: site si serves session s iff
+				// s ≡ si (mod n), so populations that don't divide evenly
 				// still land deterministically.
-				lt.sessions[ci] = c.Arrival.Sessions / n
-				if li < c.Arrival.Sessions%n {
-					lt.sessions[ci]++
+				st.sessions[ci] = c.Arrival.Sessions / n
+				if si < c.Arrival.Sessions%n {
+					st.sessions[ci]++
 				}
 				continue
 			}
 			var rate float64
 			if c.Arrival.Load > 0 {
-				rate = workload.RatePerSecond(l.EGPA.FEU(), nw.Platform, c.Keep(), c.Arrival.Load, c.MinFidelity, c.MeanPairs())
+				rate = site.Rate(c)
 			} else {
 				rate = float64(c.Arrival.Users) * c.Arrival.PerUserRate / float64(n)
 			}
-			link, class := lt, ci
-			lt.procs[ci] = workload.NewProcess(l.Eng, rate, c.Arrival, func() { mt.submit(link, class, false) })
+			class := ci
+			st.procs[ci] = workload.NewProcess(site.Eng, rate, c.Arrival, func() { mt.submit(st, class, false) })
 		}
-		mt.links = append(mt.links, lt)
+		mt.sites = append(mt.sites, st)
 	}
-	mt.wireHooks()
+	nw.traffic = mt
 	return mt, nil
 }
 
-// wireHooks chains the workload accounting onto the network's link-event
-// hooks, preserving any observer already installed (e.g. the network layer's
-// held-pair consumer).
-func (mt *MultiTraffic) wireHooks() {
-	byLink := make(map[LinkID]*linkTraffic, len(mt.links))
-	for _, lt := range mt.links {
-		byLink[lt.link.ID] = lt
+// AttachWorkload installs a multi-class workload engine with one site per
+// link, chaining its accounting onto the network's link-event hooks
+// (preserving any observer already installed, e.g. the network layer's
+// held-pair consumer). A link's Load-driven rate follows the paper's arrival
+// model (workload.RatePerSecond); each request's origin is drawn after its
+// pair count, from the link's stream.
+func (nw *Network) AttachWorkload(classes []workload.ClassSpec) (*MultiTraffic, error) {
+	sites := make([]Site, len(nw.Links))
+	for i, l := range nw.Links {
+		sites[i] = nw.linkSite(l)
 	}
-	prevOK := mt.net.OnLinkOK
-	mt.net.OnLinkOK = func(l *Link, ev egp.OKEvent) {
+	mt, err := nw.AttachSites(classes, sites)
+	if err != nil {
+		return nil, err
+	}
+	// Links are numbered by their index in nw.Links, which is also their
+	// site index.
+	prevOK := nw.OnLinkOK
+	nw.OnLinkOK = func(l *Link, ev egp.OKEvent) {
 		if prevOK != nil {
 			prevOK(l, ev)
 		}
 		if ev.OriginIsLocal {
-			mt.handleOK(byLink[l.ID], ev)
+			mt.Delivered(int(l.ID), requestKey(ev.Node, ev.CreateID), ev.At.Sub(ev.CreateTime), ev.RequestDone)
 		}
 	}
-	prevErr := mt.net.OnLinkError
-	mt.net.OnLinkError = func(l *Link, ev egp.ErrorEvent) {
+	prevErr := nw.OnLinkError
+	nw.OnLinkError = func(l *Link, ev egp.ErrorEvent) {
 		if prevErr != nil {
 			prevErr(l, ev)
 		}
-		mt.handleError(byLink[l.ID], ev)
+		mt.Failed(int(l.ID), requestKey(ev.Node, ev.CreateID), ev.Code)
+	}
+	return mt, nil
+}
+
+// linkSite is the workload site of one link: its engine view, the paper's
+// arrival rate and a CREATE from the class's origin endpoint.
+func (nw *Network) linkSite(l *Link) Site {
+	return Site{
+		Eng: l.Eng,
+		Rate: func(c *workload.ClassSpec) float64 {
+			return workload.RatePerSecond(l.EGPA.FEU(), nw.Platform, c.Keep(), c.Arrival.Load, c.MinFidelity, c.MeanPairs())
+		},
+		Submit: func(c *workload.ClassSpec, pairs int) (uint64, wire.EGPError) {
+			role := roleA
+			switch c.Origin {
+			case workload.OriginB:
+				role = roleB
+			case workload.OriginRandom:
+				if l.Eng.RNG().Intn(2) == 1 {
+					role = roleB
+				}
+			}
+			id, code := nw.Submit(l, role, egp.CreateRequest{
+				NumPairs:    pairs,
+				Keep:        c.Keep(),
+				MinFidelity: c.MinFidelity,
+				MaxTime:     c.Deadline,
+				Priority:    c.Priority,
+				PurposeID:   uint16(1000 + c.Priority),
+				Consecutive: c.Priority != egp.PriorityCK,
+			})
+			return requestKey(role, id), code
+		},
 	}
 }
 
@@ -143,24 +204,24 @@ func (mt *MultiTraffic) Start() {
 	}
 	mt.started = true
 	mt.generation++
-	for _, lt := range mt.links {
+	for _, st := range mt.sites {
 		// A request still in flight from before a Stop cycles its session
 		// when it completes, so only the idle sessions are topped up.
 		inFlight := make([]int, len(mt.classes))
-		for _, p := range lt.pending {
+		for _, p := range st.pending {
 			if p.closed {
 				inFlight[p.class]++
 			}
 		}
 		for ci := range mt.classes {
-			if p := lt.procs[ci]; p != nil {
+			if p := st.procs[ci]; p != nil {
 				p.Start()
 			}
 			// Sessions begin with a think pause rather than a synchronized
 			// burst at t=0: each draws its own exponential offset from the
-			// link's stream, staggering the population deterministically.
-			for s := inFlight[ci]; s < lt.sessions[ci]; s++ {
-				mt.scheduleThink(lt, ci, mt.generation)
+			// site's stream, staggering the population deterministically.
+			for s := inFlight[ci]; s < st.sessions[ci]; s++ {
+				mt.scheduleThink(st, ci, mt.generation)
 			}
 		}
 	}
@@ -170,8 +231,8 @@ func (mt *MultiTraffic) Start() {
 // die on the generation check.
 func (mt *MultiTraffic) Stop() {
 	mt.started = false
-	for _, lt := range mt.links {
-		for _, p := range lt.procs {
+	for _, st := range mt.sites {
+		for _, p := range st.procs {
 			if p != nil {
 				p.Stop()
 			}
@@ -180,54 +241,37 @@ func (mt *MultiTraffic) Stop() {
 }
 
 // scheduleThink schedules a closed-loop session's next submission after an
-// exponentially distributed think time drawn from the link's own stream.
-func (mt *MultiTraffic) scheduleThink(lt *linkTraffic, class int, generation uint64) {
+// exponentially distributed think time drawn from the site's own stream.
+func (mt *MultiTraffic) scheduleThink(st *siteTraffic, class int, generation uint64) {
 	think := mt.classes[class].Arrival.ThinkTime.Seconds()
-	delay := sim.DurationSeconds(lt.link.Eng.RNG().Exponential(1 / think))
-	sim.Schedule(lt.link.Eng, delay, func() {
+	delay := sim.DurationSeconds(st.Eng.RNG().Exponential(1 / think))
+	sim.Schedule(st.Eng, delay, func() {
 		if !mt.started || generation != mt.generation {
 			return
 		}
-		mt.submit(lt, class, true)
+		mt.submit(st, class, true)
 	})
 }
 
-// submit issues one CREATE request of the given class on the link, drawing
-// the pair count and origin from the link's stream. Closed-loop submissions
-// that are rejected synchronously re-enter the think cycle, so a full queue
-// backs the population off instead of dropping sessions.
-func (mt *MultiTraffic) submit(lt *linkTraffic, class int, closed bool) {
+// submit issues one request of the given class at the site, drawing the pair
+// count from the site's stream. Closed-loop submissions that are rejected
+// synchronously re-enter the think cycle, so a full queue backs the
+// population off instead of dropping sessions.
+func (mt *MultiTraffic) submit(st *siteTraffic, class int, closed bool) {
 	c := &mt.classes[class]
-	rng := lt.link.Eng.RNG()
-	// Draw order is pairs, then origin; TestPoissonClassMatchesRecordedRuns
-	// pins it, so poisson-section runs keep reproducing draw for draw.
+	// The pair count is drawn before the site's own draws (a link's origin);
+	// TestPoissonClassMatchesRecordedRuns and TestE2EClassMatchesRecordedRuns
+	// pin the order.
 	k := c.FixedPairs
 	if k == 0 {
 		k = c.MinPairs
 		if c.MaxPairs > c.MinPairs {
-			k += rng.Intn(c.MaxPairs - c.MinPairs + 1)
+			k += st.Eng.RNG().Intn(c.MaxPairs - c.MinPairs + 1)
 		}
 	}
-	role := roleA
-	switch c.Origin {
-	case workload.OriginB:
-		role = roleB
-	case workload.OriginRandom:
-		if rng.Intn(2) == 1 {
-			role = roleB
-		}
-	}
-	acc := lt.accounts[class]
+	acc := st.accounts[class]
 	acc.Offered++
-	id, code := mt.net.Submit(lt.link, role, egp.CreateRequest{
-		NumPairs:    k,
-		Keep:        c.Keep(),
-		MinFidelity: c.MinFidelity,
-		MaxTime:     c.Deadline,
-		Priority:    c.Priority,
-		PurposeID:   uint16(1000 + c.Priority),
-		Consecutive: c.Priority != egp.PriorityCK,
-	})
+	key, code := st.Submit(c, k)
 	if code != wire.ErrNone {
 		acc.Rejected++
 		if code == wire.ErrLinkDown || code == wire.ErrNoRoute {
@@ -236,49 +280,50 @@ func (mt *MultiTraffic) submit(lt *linkTraffic, class int, closed bool) {
 			acc.NoRoute++
 		}
 		if closed {
-			mt.scheduleThink(lt, class, mt.generation)
+			mt.scheduleThink(st, class, mt.generation)
 		}
 		return
 	}
 	acc.PairsRequested += uint64(k)
-	lt.pending[requestKey(role, id)] = &pendingRequest{class: class, at: lt.link.Eng.Now(), closed: closed}
+	st.pending[key] = &pendingRequest{class: class, at: st.Eng.Now(), closed: closed}
 }
 
-// handleOK accounts a delivered pair against its class and, when the request
-// is done, completes it (and cycles its session for closed-loop classes).
-// Runs on the link's own shard; events for requests the engine did not issue
-// (e.g. standing primer requests) miss the pending table and are ignored.
-func (mt *MultiTraffic) handleOK(lt *linkTraffic, ev egp.OKEvent) {
-	key := requestKey(ev.Node, ev.CreateID)
-	p, ok := lt.pending[key]
+// Delivered accounts one pair delivered latency after its request's
+// submission against its class and, when the request is done, completes it
+// (and cycles its session for closed-loop classes). It runs on the site's own
+// shard; events for requests the engine did not issue (e.g. standing primer
+// requests, synchronous rejects) miss the pending table and are ignored.
+func (mt *MultiTraffic) Delivered(site int, key uint64, latency sim.Duration, done bool) {
+	st := mt.sites[site]
+	p, ok := st.pending[key]
 	if !ok {
 		return
 	}
-	acc := lt.accounts[p.class]
+	acc := st.accounts[p.class]
 	acc.Pairs++
-	acc.TTP.Add(ev.At.Sub(ev.CreateTime).Seconds())
-	if !ev.RequestDone {
+	acc.TTP.Add(latency.Seconds())
+	if !done {
 		return
 	}
 	acc.Completed++
-	delete(lt.pending, key)
+	delete(st.pending, key)
 	if p.closed {
-		mt.scheduleThink(lt, p.class, mt.generation)
+		mt.scheduleThink(st, p.class, mt.generation)
 	}
 }
 
-// handleError accounts a failed request: deadline misses count into the
-// class's timeout rate, link outages into the outage bucket (so fault-caused
-// loss is never mistaken for queueing pressure), everything else as a
-// failure. Closed-loop sessions re-enter the think cycle either way.
-func (mt *MultiTraffic) handleError(lt *linkTraffic, ev egp.ErrorEvent) {
-	key := requestKey(ev.Node, ev.CreateID)
-	p, ok := lt.pending[key]
+// Failed accounts a failed request: deadline misses count into the class's
+// timeout rate, link outages into the outage bucket (so fault-caused loss is
+// never mistaken for queueing pressure), everything else as a failure.
+// Closed-loop sessions re-enter the think cycle either way.
+func (mt *MultiTraffic) Failed(site int, key uint64, code wire.EGPError) {
+	st := mt.sites[site]
+	p, ok := st.pending[key]
 	if !ok {
 		return
 	}
-	acc := lt.accounts[p.class]
-	switch ev.Code {
+	acc := st.accounts[p.class]
+	switch code {
 	case wire.ErrTimeout:
 		acc.TimedOut++
 	case wire.ErrLinkDown:
@@ -286,13 +331,13 @@ func (mt *MultiTraffic) handleError(lt *linkTraffic, ev egp.ErrorEvent) {
 	default:
 		acc.Failed++
 	}
-	delete(lt.pending, key)
+	delete(st.pending, key)
 	if p.closed {
-		mt.scheduleThink(lt, p.class, mt.generation)
+		mt.scheduleThink(st, p.class, mt.generation)
 	}
 }
 
-// Accounts returns the per-class accounts merged across links in link
+// Accounts returns the per-class accounts merged across sites in site
 // order; call it after the run has finished. Sums and quantile sets are
 // order-independent, so the result is identical at every shard count.
 func (mt *MultiTraffic) Accounts() []*workload.ClassAccount {
@@ -300,8 +345,8 @@ func (mt *MultiTraffic) Accounts() []*workload.ClassAccount {
 	for i := range merged {
 		merged[i] = &workload.ClassAccount{}
 	}
-	for _, lt := range mt.links {
-		for ci, a := range lt.accounts {
+	for _, st := range mt.sites {
+		for ci, a := range st.accounts {
 			merged[ci].Merge(a)
 		}
 	}
@@ -313,9 +358,9 @@ func (mt *MultiTraffic) Accounts() []*workload.ClassAccount {
 // is order-independent.
 func (mt *MultiTraffic) OldestWaits() []float64 {
 	oldest := make([]float64, len(mt.classes))
-	now := mt.net.Sim.Now()
-	for _, lt := range mt.links {
-		for _, p := range lt.pending {
+	now := mt.clock.Now()
+	for _, st := range mt.sites {
+		for _, p := range st.pending {
 			if w := now.Sub(p.at).Seconds(); w > oldest[p.class] {
 				oldest[p.class] = w
 			}
@@ -324,20 +369,9 @@ func (mt *MultiTraffic) OldestWaits() []float64 {
 	return oldest
 }
 
-// SLO merges the per-link accounts and builds the per-class report;
+// SLO merges the per-site accounts and builds the per-class report;
 // duration is the measured interval in simulated seconds. Deterministic at
 // every shard count.
 func (mt *MultiTraffic) SLO(duration float64) []workload.ClassSLO {
 	return workload.BuildSLO(mt.classes, mt.Accounts(), mt.OldestWaits(), duration)
-}
-
-// AttachWorkload installs a multi-class workload engine; it starts and stops
-// with the network. It replaces any previously attached workload.
-func (nw *Network) AttachWorkload(classes []workload.ClassSpec) (*MultiTraffic, error) {
-	mt, err := NewMultiTraffic(nw, classes)
-	if err != nil {
-		return nil, err
-	}
-	nw.traffic = mt
-	return mt, nil
 }

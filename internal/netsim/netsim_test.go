@@ -271,16 +271,16 @@ func TestTrafficRestartDoesNotDoubleLoad(t *testing.T) {
 	// the link's share of the population.
 	checkSessions := func(round int) {
 		t.Helper()
-		for _, lt := range mt.links {
+		for i, st := range mt.sites {
 			inFlight := 0
-			for _, p := range lt.pending {
+			for _, p := range st.pending {
 				if p.closed {
 					inFlight++
 				}
 			}
-			if inFlight > lt.sessions[1] {
+			if inFlight > st.sessions[1] {
 				t.Errorf("round %d: link %s has %d session requests in flight, population %d",
-					round, lt.link.Name, inFlight, lt.sessions[1])
+					round, nw.Links[i].Name, inFlight, st.sessions[1])
 			}
 		}
 	}

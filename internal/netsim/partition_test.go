@@ -196,8 +196,8 @@ func TestDragonflyRejectsDegenerateShapes(t *testing.T) {
 	}
 }
 
-func TestSpecFromFlagsDragonfly(t *testing.T) {
-	spec, err := SpecFromFlags("dragonfly", 20, "")
+func TestResolveTopologyDragonfly(t *testing.T) {
+	spec, err := ResolveTopology("dragonfly", 20, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSpecFromFlagsDragonfly(t *testing.T) {
 		t.Fatalf("20 nodes resolved to %s with %d nodes, want dragonfly-4x5", spec.Name, spec.Nodes)
 	}
 	// A prime node count has no K·M factorisation with K,M ≥ 2.
-	if _, err := SpecFromFlags("dragonfly", 7, ""); err == nil {
+	if _, err := ResolveTopology("dragonfly", 7, ""); err == nil {
 		t.Fatal("prime node count accepted for a dragonfly")
 	}
 }

@@ -143,10 +143,10 @@ func FromEdges(edges []Edge) Spec {
 	return Spec{Name: fmt.Sprintf("edges-%d", len(edges)), Nodes: n, Edges: edges}
 }
 
-// SpecFromFlags resolves a scenario spec's topology kind, node count and
+// ResolveTopology resolves a scenario spec's topology kind, node count and
 // edge list into a Spec: a named generator (chain/star/grid, with grid
 // requiring a square node count) or an explicit edge list.
-func SpecFromFlags(topology string, nodes int, edgeList string) (Spec, error) {
+func ResolveTopology(topology string, nodes int, edgeList string) (Spec, error) {
 	switch topology {
 	case "chain":
 		return Chain(nodes), nil

@@ -10,6 +10,7 @@ import (
 	"repro/internal/quantum"
 	"repro/internal/sim"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // idealMemoryPlatform returns the Lab hardware with infinite memory
@@ -239,13 +240,9 @@ func TestServiceDeterminism(t *testing.T) {
 		nw, svc := buildService(t, 5, 21, idealMemoryPlatform(), DefaultConfig())
 		var oks []OKEvent
 		svc.OnOK = func(ev OKEvent) { oks = append(oks, ev) }
-		tr := svc.AttachTraffic(TrafficConfig{
-			Pairs:       [][2]int{{0, 4}, {1, 3}},
-			Load:        0.5,
-			MaxPairs:    2,
-			MinFidelity: 0.4,
-		})
-		tr.Start()
+		if _, err := svc.AttachWorkload([]workload.ClassSpec{e2eClass(0.5, 2, 0.4)}, [][2]int{{0, 4}, {1, 3}}); err != nil {
+			t.Fatal(err)
+		}
 		nw.Run(sim.DurationSeconds(3))
 		svc.FinishAt(nw.Sim.Now())
 		_, agg := svc.Stats()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/quantum"
 	"repro/internal/sim"
 	"repro/internal/wire"
+	"repro/internal/workload"
 )
 
 // e2eRun is what one run of the saturated repeater chain reports to the
@@ -48,11 +49,12 @@ func runSaturatedChain(t *testing.T, backend quantum.Backend, traced bool) e2eRu
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := svc.AttachTraffic(TrafficConfig{Pairs: [][2]int{{0, 4}}, Load: 0.3, MaxPairs: 1, MinFidelity: 0.35})
+	if _, err := svc.AttachWorkload([]workload.ClassSpec{e2eClass(0.3, 1, 0.35)}, [][2]int{{0, 4}}); err != nil {
+		t.Fatal(err)
+	}
 	if _, code := svc.Create(CreateRequest{SrcNode: 0, DstNode: 4, NumPairs: 4096, MinFidelity: 0.35}); code != wire.ErrNone {
 		t.Fatalf("standing request rejected: %v", code)
 	}
-	tr.Start()
 	nw.Run(sim.DurationSeconds(1))
 	svc.FinishAt(nw.Sim.Now())
 	perPath, agg := svc.Stats()

@@ -7,7 +7,6 @@ import (
 	"repro/internal/egp"
 	"repro/internal/faults"
 	"repro/internal/netsim"
-	"repro/internal/network"
 	"repro/internal/nv"
 	"repro/internal/quantum"
 	"repro/internal/wire"
@@ -28,8 +27,8 @@ type Compiled struct {
 	Seconds float64
 	Trials  int
 
-	// Classes is the workload (empty unless configured): the classes
-	// section, or the one class a poisson section stands for.
+	// Classes is the workload (empty unless configured): on every link, or
+	// on the service's flow for a service spec.
 	Classes []workload.ClassSpec
 	// Standing are the per-link build-time requests.
 	Standing []StandingRequest
@@ -54,8 +53,6 @@ type CompiledService struct {
 	Src, Dst         int
 	Cost             string
 	SwapGateFidelity float64
-	Traffic          network.TrafficConfig
-	StandingPairs    int
 }
 
 // Compile resolves the spec into runnable configuration, validating every
@@ -172,16 +169,6 @@ func (s *Spec) Compile() (*Compiled, error) {
 	}
 
 	if t := s.Traffic; t != nil {
-		if t.Poisson != nil && len(t.Classes) > 0 {
-			return nil, sectionErr(s.Name, "traffic", fmt.Errorf("poisson and classes are mutually exclusive (model the stream as a class instead)"))
-		}
-		if t.Poisson != nil {
-			spec, err := t.Poisson.resolve()
-			if err != nil {
-				return nil, sectionErr(s.Name, "traffic.poisson", err)
-			}
-			c.Classes = append(c.Classes, spec)
-		}
 		names := make(map[string]bool, len(t.Classes))
 		for i, cl := range t.Classes {
 			spec, err := cl.resolve()
@@ -209,6 +196,9 @@ func (s *Spec) Compile() (*Compiled, error) {
 			return nil, sectionErr(s.Name, "service", err)
 		}
 		c.Service = &res
+		if err := s.Traffic.checkService(); err != nil {
+			return nil, sectionErr(s.Name, "traffic", err)
+		}
 		// The swap engine consumes held link pairs.
 		cfg.HoldPairs = true
 		if cfg.Shards > 1 {
@@ -354,38 +344,13 @@ func (t Topology) resolve() (netsim.Spec, error) {
 	if t.Routers != 0 || t.Groups != 0 {
 		return netsim.Spec{}, fmt.Errorf("routers/groups only apply to kind dragonfly")
 	}
-	spec, err := netsim.SpecFromFlags(t.Kind, t.Nodes, t.Edges)
+	spec, err := netsim.ResolveTopology(t.Kind, t.Nodes, t.Edges)
 	if err != nil {
 		return netsim.Spec{}, err
 	}
 	// An edge list sizes itself by its largest node index.
 	if spec.Nodes > maxNodes || len(spec.Edges) > maxLinks {
 		return netsim.Spec{}, tooLarge
-	}
-	return spec, nil
-}
-
-// resolve maps the poisson shorthand onto the one class it stands for:
-// workload.PoissonClass with the section's defaults filled in and max_time_s
-// as the class deadline.
-func (p Poisson) resolve() (workload.ClassSpec, error) {
-	if p.Load <= 0 {
-		return workload.ClassSpec{}, fmt.Errorf("load must be positive")
-	}
-	if p.MaxPairs < 0 || p.MaxTimeS < 0 {
-		return workload.ClassSpec{}, fmt.Errorf("negative max_pairs or max_time_s")
-	}
-	maxPairs, fmin := p.MaxPairs, p.MinFidelity
-	if maxPairs == 0 {
-		maxPairs = 1
-	}
-	if fmin == 0 {
-		fmin = 0.64
-	}
-	spec := workload.PoissonClass(p.Load, maxPairs, fmin, p.Keep)
-	spec.Deadline = seconds(p.MaxTimeS)
-	if err := spec.Validate(); err != nil {
-		return workload.ClassSpec{}, err
 	}
 	return spec, nil
 }
@@ -493,39 +458,41 @@ func (sv Service) resolve(nodes int) (CompiledService, error) {
 	if gate <= 0 || gate > 1 {
 		return CompiledService{}, fmt.Errorf("swap_gate_fidelity %g out of (0,1]", gate)
 	}
-	res := CompiledService{
-		Src: sv.Src, Dst: dst,
-		Cost:             cost,
-		SwapGateFidelity: gate,
-		StandingPairs:    sv.StandingPairs,
-		Traffic: network.TrafficConfig{
-			Pairs:       [][2]int{{sv.Src, dst}},
-			Load:        sv.Load,
-			MaxPairs:    sv.MaxPairs,
-			MinFidelity: sv.MinFidelity,
-			MaxTime:     seconds(sv.DeadlineS),
-		},
+	return CompiledService{Src: sv.Src, Dst: dst, Cost: cost, SwapGateFidelity: gate}, nil
+}
+
+// checkService rejects what a service spec's traffic cannot mean: its classes
+// run on the service's directional src→dst flow, whose hop requests ride the
+// NL lane, and the swap engine owns every link pair, so there is nothing for
+// standing link requests to prime.
+func (t *Traffic) checkService() error {
+	if t == nil {
+		return nil
 	}
-	if res.Traffic.Load == 0 {
-		res.Traffic.Load = 0.3
+	if len(t.Standing) > 0 {
+		return fmt.Errorf("standing: link primers do not apply under the end-to-end service")
 	}
-	if res.Traffic.MaxPairs == 0 {
-		res.Traffic.MaxPairs = 1
+	for i, cl := range t.Classes {
+		if cl.Priority != "NL" {
+			return fmt.Errorf("classes[%d]: priority %s: the end-to-end service submits on the NL lane", i, cl.Priority)
+		}
+		if cl.Origin != "" {
+			return fmt.Errorf("classes[%d]: origin %q: a service flow is directional (src to dst)", i, cl.Origin)
+		}
 	}
-	if res.Traffic.MinFidelity == 0 {
-		res.Traffic.MinFidelity = 0.35
-	}
-	if res.Traffic.Load < 0 || res.Traffic.MaxPairs < 0 || sv.StandingPairs < 0 || sv.DeadlineS < 0 {
-		return CompiledService{}, fmt.Errorf("negative load, max_pairs, standing_pairs or deadline_s")
-	}
-	return res, nil
+	return nil
 }
 
 // Attach installs the compiled traffic on a freshly built network: the
 // workload engine, then the standing requests on every link in link order
 // (from the A endpoint, matching the bench primer). The returned engine is
-// nil for scenarios without a workload.
+// nil for scenarios without a workload. A service spec's classes run on its
+// flow (network.Service.AttachWorkload), never on the links, so Attach
+// refuses it.
 func (c *Compiled) Attach(nw *netsim.Network) (*netsim.MultiTraffic, error) {
+	if c.Service != nil {
+		return nil, fmt.Errorf("scenario %q: a service spec's traffic runs on its flow, not on the links", c.Spec.Name)
+	}
 	var mt *netsim.MultiTraffic
 	if c.Faults != nil {
 		// Install the fault plan before the run starts: every transition

@@ -1,9 +1,9 @@
 // Package scenario is the declarative run-description API: a JSON scenario
 // spec is the single way to describe a simulation run — topology, hardware,
-// engine, protocol options, traffic (a multi-class workload or its one-class
-// Poisson shorthand, standing requests) and an optional end-to-end service
-// section — and compiles into the imperative configuration of today's
-// packages (netsim.Config, workload class specs, network traffic). cmd/repro
+// engine, protocol options, traffic (a multi-class workload, standing
+// requests) and an optional end-to-end service section — and compiles into
+// the imperative configuration of today's packages (netsim.Config, workload
+// class specs, the service's flow). cmd/repro
 // runs a spec file (repro run <file>); committed specs live under scenarios/
 // and grow the suite without new Go code per scenario.
 //
@@ -120,14 +120,10 @@ type Run struct {
 	Trials int `json:"trials,omitempty"`
 }
 
-// Traffic describes the offered workload: the traffic classes (or the
-// one-class poisson shorthand) plus optional standing requests priming
-// every link.
+// Traffic describes the offered workload: the traffic classes plus optional
+// standing requests priming every link. On a service spec the classes run on
+// the service's src→dst flow and standing requests are rejected.
 type Traffic struct {
-	// Poisson is shorthand for one class: the paper's arrival model at one
-	// load, k_max, fidelity floor and request kind. Mutually exclusive with
-	// Classes.
-	Poisson *Poisson `json:"poisson,omitempty"`
 	// Classes is the multi-class workload: per-class user populations,
 	// arrival processes, priorities and SLOs.
 	Classes []Class `json:"classes,omitempty"`
@@ -136,28 +132,11 @@ type Traffic struct {
 	Standing []Standing `json:"standing,omitempty"`
 }
 
-// Poisson offers the paper's evaluation load to every link. It compiles to
-// one class (see workload.PoissonClass): priority MD, or CK with keep; pairs
-// uniform in [1, max_pairs]; a random origin; max_time_s as the deadline.
-// Its request sizes are uniform, unlike the paper's per-cycle generator.
-type Poisson struct {
-	// Load is the offered load fraction f of the paper's arrival model.
-	Load float64 `json:"load"`
-	// MaxPairs is k_max (default 1).
-	MaxPairs int `json:"max_pairs,omitempty"`
-	// MinFidelity is the requested fidelity floor (default 0.64).
-	MinFidelity float64 `json:"min_fidelity,omitempty"`
-	// Keep issues create-and-keep (CK) requests instead of measure-directly.
-	Keep bool `json:"keep,omitempty"`
-	// MaxTimeS is the per-request timeout in seconds (0 = none).
-	MaxTimeS float64 `json:"max_time_s,omitempty"`
-}
-
 // Class is one traffic class of the multi-class workload engine.
 type Class struct {
 	// Name labels the class in SLO tables.
 	Name string `json:"name"`
-	// Priority is the EGP lane: NL, CK or MD.
+	// Priority is the EGP lane: NL, CK or MD (NL only on a service spec).
 	Priority string `json:"priority"`
 	// Arrival is the class's request arrival process.
 	Arrival ArrivalSpec `json:"arrival"`
@@ -172,6 +151,7 @@ type Class struct {
 	// count into the class's timeout rate.
 	DeadlineS float64 `json:"deadline_s,omitempty"`
 	// Origin is the submitting endpoint policy: A, B or random (default).
+	// A service spec's flow is directional, so its classes leave it unset.
 	Origin string `json:"origin,omitempty"`
 }
 
@@ -182,11 +162,12 @@ type Class struct {
 type ArrivalSpec struct {
 	// Kind is poisson, bursty, diurnal or closed.
 	Kind string `json:"kind"`
-	// Load is the offered load fraction f, per link.
+	// Load is the offered load fraction f, per link (per flow on a service
+	// spec).
 	Load float64 `json:"load,omitempty"`
 	// Users x PerUserRate is the aggregate open-loop request rate across the
-	// network (split evenly over links). Millions of users cost nothing:
-	// open-loop populations exist only as a rate.
+	// network (split evenly over links, or flows). Millions of users cost
+	// nothing: open-loop populations exist only as a rate.
 	Users       int     `json:"users,omitempty"`
 	PerUserRate float64 `json:"per_user_rate,omitempty"`
 	// BurstMultiplier/MeanBurstS/MeanIdleS shape the bursty
@@ -222,8 +203,8 @@ type Standing struct {
 	Priority string `json:"priority,omitempty"`
 }
 
-// Service runs the network layer end to end over the topology: routing a
-// source–destination pair and driving it with Poisson end-to-end requests.
+// Service runs the network layer end to end over the topology, routing one
+// source–destination flow; the traffic section's classes drive it.
 type Service struct {
 	// Src/Dst are the end-to-end pair's endpoints. Dst omitted (or negative)
 	// selects the last node.
@@ -234,18 +215,6 @@ type Service struct {
 	// SwapGateFidelity is the repeater Bell-state-measurement gate fidelity
 	// (default 1).
 	SwapGateFidelity float64 `json:"swap_gate_fidelity,omitempty"`
-	// Load is the offered end-to-end load fraction of the bottleneck link
-	// rate (default 0.3).
-	Load float64 `json:"load,omitempty"`
-	// MaxPairs is k_max per end-to-end request (default 1).
-	MaxPairs int `json:"max_pairs,omitempty"`
-	// MinFidelity is the end-to-end delivered fidelity floor (default 0.35).
-	MinFidelity float64 `json:"min_fidelity,omitempty"`
-	// DeadlineS is the per-request deadline in seconds (0 = none).
-	DeadlineS float64 `json:"deadline_s,omitempty"`
-	// StandingPairs, when non-zero, submits one long-lived end-to-end
-	// request of that many pairs at build time (the bench primer pattern).
-	StandingPairs int `json:"standing_pairs,omitempty"`
 }
 
 // Faults is the fault-injection section: an explicit event list, an optional

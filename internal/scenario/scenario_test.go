@@ -125,12 +125,6 @@ func TestCompileRejectsInvalidValues(t *testing.T) {
 		{"negative shards", func(s *Spec) { s.Engine = &Engine{Shards: -1} }, "engine"},
 		{"bad scheduler", func(s *Spec) { s.Protocol = &Protocol{Scheduler: "SJF"} }, "protocol"},
 		{"loss out of range", func(s *Spec) { s.Protocol = &Protocol{ClassicalLoss: 1} }, "protocol"},
-		{"poisson and classes", func(s *Spec) {
-			s.Traffic = &Traffic{
-				Poisson: &Poisson{Load: 0.5},
-				Classes: []Class{{Name: "a", Priority: "MD", Arrival: ArrivalSpec{Kind: "poisson", Load: 0.5}}},
-			}
-		}, "mutually exclusive"},
 		{"bad priority", func(s *Spec) {
 			s.Traffic = &Traffic{Classes: []Class{{Name: "a", Priority: "URGENT", Arrival: ArrivalSpec{Kind: "poisson", Load: 0.5}}}}
 		}, "classes[0]"},
@@ -149,9 +143,31 @@ func TestCompileRejectsInvalidValues(t *testing.T) {
 			s.Service = &Service{}
 		}, "serial-only"},
 		{"routers on chain", func(s *Spec) { s.Topology.Routers = 3 }, "topology"},
-		{"poisson fidelity out of range", func(s *Spec) {
-			s.Traffic = &Traffic{Poisson: &Poisson{Load: 0.5, MinFidelity: 1.5}}
-		}, "traffic.poisson"},
+		{"class fidelity out of range", func(s *Spec) {
+			s.Traffic = &Traffic{Classes: []Class{{Name: "a", Priority: "MD", MinFidelity: 1.5,
+				Arrival: ArrivalSpec{Kind: "poisson", Load: 0.5}}}}
+		}, "classes[0]"},
+		// A service spec's traffic runs on its flow or fails to compile;
+		// it is never dropped.
+		{"service with standing and an MD class", func(s *Spec) {
+			s.Service = &Service{}
+			s.Traffic = &Traffic{
+				Classes:  []Class{{Name: "md", Priority: "MD", Arrival: ArrivalSpec{Kind: "poisson", Load: 0.9}}},
+				Standing: []Standing{{Pairs: 1000000}},
+			}
+		}, "traffic: standing"},
+		{"service with standing", func(s *Spec) {
+			s.Service = &Service{}
+			s.Traffic = &Traffic{Standing: []Standing{{Pairs: 4096}}}
+		}, "traffic: standing"},
+		{"service class off the NL lane", func(s *Spec) {
+			s.Service = &Service{}
+			s.Traffic = &Traffic{Classes: []Class{{Name: "ck", Priority: "CK", Arrival: ArrivalSpec{Kind: "poisson", Load: 0.3}}}}
+		}, "traffic: classes[0]: priority CK"},
+		{"service class with an origin", func(s *Spec) {
+			s.Service = &Service{}
+			s.Traffic = &Traffic{Classes: []Class{{Name: "nl", Priority: "NL", Origin: "B", Arrival: ArrivalSpec{Kind: "poisson", Load: 0.3}}}}
+		}, "traffic: classes[0]: origin"},
 		{"outage count out of range", func(s *Spec) {
 			s.Faults = &Faults{Outages: &RandomOutages{Count: 1 << 30, WindowS: 1, MinDownS: 0.1, MaxDownS: 0.2}}
 		}, "faults"},
@@ -267,39 +283,6 @@ func TestSpecReproducesFlagConfig(t *testing.T) {
 	}
 }
 
-// TestPoissonIsOneClass pins the poisson section as shorthand: each form
-// compiles to exactly the class its explicit classes form gives.
-func TestPoissonIsOneClass(t *testing.T) {
-	cases := []struct {
-		label   string
-		poisson Poisson
-		class   Class
-	}{
-		{"defaults", Poisson{Load: 0.7},
-			Class{Name: "poisson", Priority: "MD", Arrival: ArrivalSpec{Kind: "poisson", Load: 0.7}}},
-		{"flag-era MD", Poisson{Load: 0.7, MaxPairs: 2, MinFidelity: 0.64},
-			Class{Name: "poisson", Priority: "MD", Arrival: ArrivalSpec{Kind: "poisson", Load: 0.7}, MaxPairs: 2, Origin: "random"}},
-		{"CK with deadline", Poisson{Load: 0.5, MaxPairs: 3, MinFidelity: 0.7, Keep: true, MaxTimeS: 0.4},
-			Class{Name: "poisson", Priority: "CK", Arrival: ArrivalSpec{Kind: "poisson", Load: 0.5}, MinPairs: 1, MaxPairs: 3, MinFidelity: 0.7, DeadlineS: 0.4}},
-	}
-	compile := func(tr *Traffic) []workload.ClassSpec {
-		t.Helper()
-		c, err := (&Spec{Name: "t", Topology: Topology{Kind: "chain", Nodes: 3}, Traffic: tr}).Compile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c.Classes
-	}
-	for _, tc := range cases {
-		p := tc.poisson
-		short := compile(&Traffic{Poisson: &p})
-		explicit := compile(&Traffic{Classes: []Class{tc.class}})
-		if len(short) != 1 || !reflect.DeepEqual(short, explicit) {
-			t.Errorf("%s: poisson compiles to %+v, its class form to %+v", tc.label, short, explicit)
-		}
-	}
-}
-
 // TestCompileRejectsOversizedTopologies requires specs past the size limit
 // to fail fast, before a generator lays out their edges, while the largest
 // topologies in use still compile.
@@ -375,7 +358,7 @@ func TestCompileMixedClasses(t *testing.T) {
 
 // TestServiceSpecResolution pins the service section: an omitted (or
 // negative) dst selects the last node, an explicit dst equal to src is
-// rejected, defaults fill in, HoldPairs is implied.
+// rejected, defaults fill in, no traffic is invented, HoldPairs is implied.
 func TestServiceSpecResolution(t *testing.T) {
 	s := &Spec{
 		Name:     "svc",
@@ -402,8 +385,8 @@ func TestServiceSpecResolution(t *testing.T) {
 	if sv.Cost != "hops" || sv.SwapGateFidelity != 1 {
 		t.Errorf("cost/gate defaults wrong: %q/%g", sv.Cost, sv.SwapGateFidelity)
 	}
-	if sv.Traffic.Load != 0.3 || sv.Traffic.MaxPairs != 1 || sv.Traffic.MinFidelity != 0.35 {
-		t.Errorf("service traffic defaults wrong: %+v", sv.Traffic)
+	if len(c.Classes) != 0 {
+		t.Errorf("a service spec without traffic compiled to classes %+v", c.Classes)
 	}
 	if !c.Config.HoldPairs {
 		t.Error("a service section must imply HoldPairs")

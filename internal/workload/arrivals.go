@@ -7,9 +7,10 @@ import (
 )
 
 // Process is a startable open-loop arrival process bound to one engine:
-// PoissonStream, BurstyStream and DiurnalStream implement it. Closed-loop
-// arrivals have no standalone process — their sessions live in the serving
-// engine (see netsim.MultiTraffic).
+// PoissonStream, BurstyStream and DiurnalStream implement it. The one
+// request engine, netsim.MultiTraffic, runs one per open-loop class and
+// site, for links and end-to-end flows alike. Closed-loop arrivals have no
+// standalone process — their sessions live in that engine.
 type Process interface {
 	// Start schedules the first arrival; it is idempotent while running.
 	Start()

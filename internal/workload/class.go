@@ -183,8 +183,9 @@ type ClassSpec struct {
 	// Deadline is the per-request timeout (0 = none); requests that miss it
 	// fail with TIMEOUT and count into the class's timeout rate.
 	Deadline sim.Duration
-	// Origin selects the submitting endpoint per request: OriginA, OriginB
-	// or OriginRandom.
+	// Origin selects the submitting endpoint per request on a link:
+	// OriginA, OriginB or OriginRandom. An end-to-end flow always submits
+	// at its source.
 	Origin Origin
 }
 

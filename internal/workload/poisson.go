@@ -8,10 +8,13 @@ import (
 
 // This file is the single home of the paper's request-arrival rate
 // (Section 6), shared by the per-cycle Bernoulli generator the paper's
-// runners drive (internal/experiments) and the event-driven classes of
-// netsim.MultiTraffic (exponential interarrivals on PoissonStream). Both
-// express their rates through PerCycleProbability/RatePerSecond, so they
-// offer the same pairs per cycle, but not the same requests:
+// runners drive (internal/experiments) and the event-driven classes
+// netsim.MultiTraffic runs on links (exponential interarrivals on
+// PoissonStream). On an end-to-end flow the same engine takes its rate from
+// the path's bottleneck pair rate instead (network.Service.AttachWorkload).
+// On a link both express their rates through
+// PerCycleProbability/RatePerSecond, so they offer the same pairs per cycle,
+// but not the same requests:
 //
 //   - the per-cycle generator draws k uniform in [1, k_max] and accepts a
 //     request with probability p/k, so accepted sizes are ∝ 1/k (mean
