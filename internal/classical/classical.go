@@ -224,14 +224,26 @@ type Channel struct {
 	deliver  func(Message)
 	// onDeliver is the delivery trampoline handed to the simulator: built
 	// once so Send schedules a pooled argument-carrying event instead of
-	// allocating a capturing closure per frame. pairs recycles the event
-	// arguments of the SendPair events this channel delivers first.
+	// allocating a capturing closure per frame.
 	onDeliver sim.ArgHandler
-	pairs     []*framePair
+	// riders are the frames of other channels riding this channel's
+	// delivery events (PostAfter), oldest first from ridersHead; each names
+	// the delivery it rides by its number in this channel's delivery order.
+	riders     []rider
+	ridersHead int
 
 	sent      uint64
 	delivered uint64
 	dropped   uint64
+	rode      uint64
+}
+
+// rider is a frame of channel c delivered by the event of this channel's
+// n-th delivery, right after that delivery's own frame.
+type rider struct {
+	n       uint64
+	c       *Channel
+	payload any
 }
 
 // NewChannel creates a channel delivering messages to the given handler
@@ -251,6 +263,16 @@ func NewChannel(name string, s sim.Engine, delay sim.Duration, lossProb float64,
 		// per frame (now is the arrival time on every engine, including
 		// cross-shard edges).
 		c.deliver(Message{Payload: payload, SentAt: now.Add(-c.delay)})
+		// A channel delivers in send order, so the frames riding this
+		// delivery are the oldest riders.
+		for c.ridersHead < len(c.riders) && c.riders[c.ridersHead].n == c.delivered {
+			r := c.riders[c.ridersHead]
+			c.riders[c.ridersHead] = rider{}
+			if c.ridersHead++; c.ridersHead == len(c.riders) {
+				c.riders, c.ridersHead = c.riders[:0], 0
+			}
+			r.c.onDeliver(now, r.payload)
+		}
 	}
 	return c
 }
@@ -274,71 +296,63 @@ func (c *Channel) LossProbability() float64 { return c.lossProb }
 // probability) or delivered to the handler after the propagation delay. The
 // hot path allocates nothing: the payload is already boxed at the call site
 // and rides the pooled event straight into the delivery trampoline.
-func (c *Channel) Send(payload any) {
-	if !c.lose() {
-		sim.ScheduleArg(c.simul, c.delay, c.onDeliver, payload)
-	}
+func (c *Channel) Send(payload any) { c.Post(payload) }
+
+// Delivery is the pending delivery event of a frame, as Post returns it: a
+// frame sent on another channel later may ride it (PostAfter). The zero
+// Delivery is no event.
+type Delivery struct {
+	c  *Channel
+	n  uint64 // the frame's number in c's delivery order
+	at sim.Time
+	id sim.EventID
 }
 
-// lose counts one frame sent and draws whether the channel drops it.
-func (c *Channel) lose() bool {
+// Post sends a payload as Send does and returns its pending delivery; ok is
+// false when the channel dropped the frame.
+func (c *Channel) Post(payload any) (d Delivery, ok bool) {
+	return c.PostAfter(Delivery{}, payload)
+}
+
+// PostAfter is Post for a frame that may ride host, the pending delivery of
+// an earlier frame on another channel. The frame draws its loss exactly as
+// Send does. If it survives, shares host's engine and arrival time, and no
+// event has been scheduled on that engine since host's
+// (sim.EventID.Latest), its own delivery event would fire right after
+// host's with nothing in between: the frame then rides host's event
+// instead, which delivers it right after host's frame (even if host's
+// receiver stops the engine), and the returned Delivery is the zero one.
+// Otherwise the frame travels as Send sends it.
+func (c *Channel) PostAfter(host Delivery, payload any) (d Delivery, ok bool) {
 	c.sent++
 	if c.simul.RNG().Bernoulli(c.lossProb) {
 		c.dropped++
-		return true
+		return Delivery{}, false
 	}
-	return false
-}
-
-// framePair is the argument of a SendPair event: the first frame is c's, the
-// second d's.
-type framePair struct {
-	c, d          *Channel
-	first, second any
-}
-
-// deliverPair is the event of a SendPair whose frames both survived: it
-// delivers the first frame, then the second, and returns its argument to
-// the first channel's pool.
-func deliverPair(now sim.Time, arg any) {
-	p := arg.(*framePair)
-	c, d, first, second := p.c, p.d, p.first, p.second
-	*p = framePair{}
-	c.pairs = append(c.pairs, p)
-	c.onDeliver(now, first)
-	d.onDeliver(now, second)
+	at := c.simul.Now().Add(c.delay)
+	if h := host.c; h != nil && h.simul == c.simul && host.at == at && host.id.Latest() {
+		c.rode++
+		if h.ridersHead > 0 && len(h.riders) == cap(h.riders) {
+			n := copy(h.riders, h.riders[h.ridersHead:])
+			clear(h.riders[n:])
+			h.riders, h.ridersHead = h.riders[:n], 0
+		}
+		h.riders = append(h.riders, rider{n: host.n, c: c, payload: payload})
+		return Delivery{}, true
+	}
+	id := c.simul.ScheduleArgAt(at, c.onDeliver, payload)
+	return Delivery{c: c, n: c.sent - c.dropped, at: at, id: id}, true
 }
 
 // SendPair sends first on c and then second on d, exactly as c.Send(first)
 // followed by d.Send(second) would: c's loss is drawn first, and each frame
 // surviving its draw arrives one channel delay later. When both survive and
-// the two channels share an engine and a delay, their two delivery events
-// would fire at the same time with consecutive sequence numbers, so no other
-// event could run between them; one event then delivers both, first before
-// second. SendPair reports which frames were dropped. c must not be a
-// cross-shard edge: the pair event's argument returns to c's pool from the
-// delivery.
+// the two channels share an engine and a delay, second rides first's
+// delivery event (PostAfter). SendPair reports which frames were dropped.
 func SendPair(c, d *Channel, first, second any) (droppedFirst, droppedSecond bool) {
-	droppedFirst, droppedSecond = c.lose(), d.lose()
-	if !droppedFirst && !droppedSecond && c.simul == d.simul && c.delay == d.delay {
-		var p *framePair
-		if n := len(c.pairs); n > 0 {
-			p = c.pairs[n-1]
-			c.pairs = c.pairs[:n-1]
-		} else {
-			p = new(framePair)
-		}
-		p.c, p.d, p.first, p.second = c, d, first, second
-		sim.ScheduleArg(c.simul, c.delay, deliverPair, p)
-		return false, false
-	}
-	if !droppedFirst {
-		sim.ScheduleArg(c.simul, c.delay, c.onDeliver, first)
-	}
-	if !droppedSecond {
-		sim.ScheduleArg(d.simul, d.delay, d.onDeliver, second)
-	}
-	return droppedFirst, droppedSecond
+	host, ok := c.Post(first)
+	_, okSecond := d.PostAfter(host, second)
+	return !ok, !okSecond
 }
 
 // Stats returns how many frames were sent, delivered and dropped so far.
@@ -346,6 +360,10 @@ func SendPair(c, d *Channel, first, second any) (droppedFirst, droppedSecond boo
 func (c *Channel) Stats() (sent, delivered, dropped uint64) {
 	return c.sent, c.delivered, c.dropped
 }
+
+// Rode returns how many of the channel's frames rode another frame's
+// delivery event instead of getting one of their own (PostAfter).
+func (c *Channel) Rode() uint64 { return c.rode }
 
 // Duplex bundles the two directions of a node-to-node (or node-to-midpoint)
 // classical link.

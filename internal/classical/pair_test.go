@@ -119,3 +119,66 @@ func TestSendPairAllocatesNothing(t *testing.T) {
 		t.Fatalf("b delivered %d frames, want 102", delivered)
 	}
 }
+
+// A frame rides another channel's pending delivery only when its own event
+// would fire right after it: same engine, same arrival time, and nothing
+// scheduled in between. Otherwise it keeps its own event, and every frame
+// still arrives in the order its own event would have given it.
+func TestPostAfterRidesOnlyAnAdjacentDelivery(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		delayB sim.Duration
+		// between, if set, schedules an event at the arrival time between
+		// the two sends.
+		between bool
+		rides   bool
+	}{
+		{"adjacent", 10, false, true},
+		{"later arrival", 11, false, false},
+		{"event in between", 10, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			var log []string
+			record := func(m Message) { log = append(log, fmt.Sprint(m.Payload)) }
+			a := NewChannel("a", s, 10, 0, record)
+			b := NewChannel("b", s, tc.delayB, 0, record)
+			host, ok := a.Post("a")
+			if !ok {
+				t.Fatal("a loss-free channel dropped a frame")
+			}
+			if tc.between {
+				sim.Schedule(s, 10, func() { log = append(log, "between") })
+			}
+			d, ok := b.PostAfter(host, "b")
+			if !ok {
+				t.Fatal("a loss-free channel dropped a frame")
+			}
+			if rode := b.Rode() == 1; rode != tc.rides || (d == Delivery{}) != tc.rides {
+				t.Fatalf("b rode %d times and returned delivery %+v, want riding %v", b.Rode(), d, tc.rides)
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			want := "[a b]"
+			if tc.between {
+				want = "[a between b]"
+			}
+			if got := fmt.Sprint(log); got != want {
+				t.Fatalf("delivered %s, want %s", got, want)
+			}
+			if _, delivered, _ := b.Stats(); delivered != 1 {
+				t.Fatalf("b delivered %d frames, want 1", delivered)
+			}
+			wantEvents := uint64(2)
+			if tc.between {
+				wantEvents = 3
+			} else if tc.rides {
+				wantEvents = 1
+			}
+			if events := s.Executed(); events != wantEvents {
+				t.Fatalf("%d events, want %d", events, wantEvents)
+			}
+		})
+	}
+}

@@ -164,8 +164,16 @@ type EGP struct {
 	kResumeCycle uint64
 
 	// reapScratch is the reusable expired-item collection buffer of
-	// reapExpired, which runs every MHP cycle.
+	// reapExpired.
 	reapScratch []*QueueItem
+
+	// The poll's platform constants, computed once: the K attempt stride in
+	// base cycles, the carbon re-initialisation window (busy for the first
+	// reinitBusy cycles of every reinitPeriod; a zero period means never)
+	// and how long an attempt waits for its REPLY.
+	kStride                  uint64
+	reinitPeriod, reinitBusy uint64
+	replyDeadline            sim.Duration
 
 	// Pending EXPIRE exchanges awaiting acknowledgement.
 	pendingExpires map[wire.AbsoluteQueueID]sim.EventID
@@ -203,7 +211,10 @@ func New(cfg Config) *EGP {
 		expectedSeq:    1,
 		mAttemptTimes:  make([]sim.Time, cfg.MaxOutstandingM),
 		pendingExpires: make(map[wire.AbsoluteQueueID]sim.EventID),
+		kStride:        kAttemptStride(cfg.Platform),
+		replyDeadline:  8*cfg.Platform.MidpointRoundTrip(cfg.NodeName) + 2*sim.Millisecond,
 	}
+	e.reinitPeriod, e.reinitBusy = carbonReinitCycles(cfg.Platform)
 	e.queue = NewDistributedQueue(QueueConfig{
 		NodeName: cfg.NodeName,
 		IsMaster: cfg.IsMaster,
@@ -409,11 +420,14 @@ func (e *EGP) emitErrorRaw(createID uint16, priority int, code wire.EGPError) {
 func (e *EGP) localOrigin(item *QueueItem) bool { return item.OriginMaster == e.cfg.IsMaster }
 
 // reapExpired removes items timed out at the given cycle, emitting TIMEOUT
-// errors for locally originated requests. It runs every MHP cycle, so the
-// scan iterates the lanes in place and only collects into the reusable
-// scratch slice when something actually expired — the common case allocates
-// nothing.
+// errors for locally originated requests. It runs every MHP cycle, so it
+// returns at once until the queue's earliest timeout has passed; the scan
+// then iterates the lanes in place and collects into the reusable scratch
+// slice, allocating nothing.
 func (e *EGP) reapExpired(cycle uint64) {
+	if cycle <= e.queue.earliestTimeout() {
+		return
+	}
 	e.reapScratch = e.reapScratch[:0]
 	for p := 0; p < NumQueues; p++ {
 		for _, it := range e.queue.Items(p) {
@@ -465,17 +479,18 @@ func (e *EGP) FailAll(code wire.EGPError) {
 // its carbon memory at the given cycle (Appendix D.3.3: 330 µs every
 // 3500 µs), which blocks create-and-keep attempts.
 func (e *EGP) inCarbonReinitWindow(cycle uint64) bool {
-	p := e.cfg.Platform
-	if p.CarbonReinitPeriod <= 0 || p.CarbonReinitDuration <= 0 {
-		return false
-	}
+	return e.reinitPeriod != 0 && cycle%e.reinitPeriod < e.reinitBusy
+}
+
+// carbonReinitCycles returns the platform's carbon re-initialisation period
+// and duration in base (M-type) cycles; a zero period means the platform
+// never re-initialises.
+func carbonReinitCycles(p *nv.Platform) (period, busy uint64) {
 	cycleTime := p.CycleTime[nv.RequestMeasure]
-	periodCycles := uint64(p.CarbonReinitPeriod / cycleTime)
-	busyCycles := uint64(p.CarbonReinitDuration / cycleTime)
-	if periodCycles == 0 {
-		return false
+	if p.CarbonReinitPeriod <= 0 || p.CarbonReinitDuration <= 0 || cycleTime <= 0 {
+		return 0, 0
 	}
-	return cycle%periodCycles < busyCycles
+	return uint64(p.CarbonReinitPeriod / cycleTime), uint64(p.CarbonReinitDuration / cycleTime)
 }
 
 // PollTrigger implements mhp.Generator: it is called by the physical layer
@@ -483,10 +498,11 @@ func (e *EGP) inCarbonReinitWindow(cycle uint64) bool {
 // (and how) to attempt entanglement generation.
 func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 	e.cycle = cycle
+	now := e.cfg.Sim.Now()
 	e.reapExpired(cycle)
-	e.reapLostAttempts()
+	e.reapLostAttempts(now)
 
-	if e.cfg.Sim.Now() < e.busyUntil {
+	if now < e.busyUntil {
 		return mhp.PollDecision{}
 	}
 	item := e.cfg.Scheduler.Next(e.queue, cycle)
@@ -500,7 +516,7 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 		// same resume cycle. This keeps the two nodes triggering in the same
 		// MHP cycle even though their midpoint replies arrive at different
 		// times over asymmetric fibre arms.
-		if cycle%e.kAttemptStride() != 0 {
+		if cycle%e.kStride != 0 {
 			return mhp.PollDecision{}
 		}
 		if cycle < e.kResumeCycle {
@@ -527,7 +543,7 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 			return mhp.PollDecision{}
 		}
 		e.outstandingK = true
-		e.kDeadline = e.cfg.Sim.Now().Add(e.replyDeadline())
+		e.kDeadline = now.Add(e.replyDeadline)
 		e.attemptsRequested++
 		return mhp.PollDecision{
 			Attempt:      true,
@@ -547,7 +563,7 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 	if e.outstandingM >= e.cfg.MaxOutstandingM {
 		return mhp.PollDecision{}
 	}
-	e.mAttemptTimes[(e.mHead+e.outstandingM)%len(e.mAttemptTimes)] = e.cfg.Sim.Now()
+	e.mAttemptTimes[(e.mHead+e.outstandingM)%len(e.mAttemptTimes)] = now
 	e.outstandingM++
 	e.attemptsRequested++
 	return mhp.PollDecision{
@@ -564,9 +580,9 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 // (rounded to the nearest integer), at least 1. On the Lab hardware the two
 // cycle times nearly coincide so the stride is 1; on QL2020 the K attempt
 // rate of ≈165 µs yields a stride of 16 base cycles.
-func (e *EGP) kAttemptStride() uint64 {
-	base := e.cfg.Platform.CycleTime[nv.RequestMeasure]
-	keep := e.cfg.Platform.CycleTime[nv.RequestKeep]
+func kAttemptStride(p *nv.Platform) uint64 {
+	base := p.CycleTime[nv.RequestMeasure]
+	keep := p.CycleTime[nv.RequestKeep]
 	if base <= 0 || keep <= base {
 		return 1
 	}
@@ -595,24 +611,16 @@ func (e *EGP) kResumeAfterSuccess(attemptCycle uint64, moved bool) uint64 {
 	return attemptCycle + uint64(wait/base) + 2
 }
 
-// replyDeadline is how long an attempt may wait for its REPLY before the EGP
-// declares the reply lost and releases the attempt bookkeeping.
-func (e *EGP) replyDeadline() sim.Duration {
-	rtt := e.cfg.Platform.MidpointRoundTrip(e.cfg.NodeName)
-	d := 8*rtt + 2*sim.Millisecond
-	return d
-}
-
 // reapLostAttempts releases attempt bookkeeping whose REPLY is long overdue
-// (lost classical frames), preventing deadlock under inflated loss rates.
-func (e *EGP) reapLostAttempts() {
-	now := e.cfg.Sim.Now()
+// at now (lost classical frames), preventing deadlock under inflated loss
+// rates. An attempt may wait replyDeadline: eight round trips to the
+// midpoint plus 2 ms.
+func (e *EGP) reapLostAttempts(now sim.Time) {
 	if e.outstandingK && now > e.kDeadline {
 		e.outstandingK = false
 		e.qmm.ReleaseComm()
 	}
-	deadline := e.replyDeadline()
-	for e.outstandingM > 0 && now.Sub(e.mAttemptTimes[e.mHead]) > deadline {
+	for e.outstandingM > 0 && now.Sub(e.mAttemptTimes[e.mHead]) > e.replyDeadline {
 		e.popMAttempt()
 	}
 }

@@ -1,7 +1,9 @@
 package egp
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/classical"
@@ -346,6 +348,58 @@ func TestTimeoutReaping(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("TIMEOUT error should be reported to the higher layer")
+	}
+}
+
+// The poll skips the queue scan until the earliest timeout has passed; each
+// request must still time out at the first cycle past its own TimeoutCycle,
+// across lanes, after earlier ones left the queue, and with a request
+// without a deadline queued beside them.
+func TestTimeoutReapingAtEachDeadline(t *testing.T) {
+	f := newEGPFixture(t, true)
+	for i, req := range []CreateRequest{
+		{MaxTime: 600 * sim.Millisecond, Priority: PriorityMD},
+		{MaxTime: 400 * sim.Millisecond, Priority: PriorityCK},
+		{Priority: PriorityNL},
+		{MaxTime: 500 * sim.Millisecond, Priority: PriorityMD},
+	} {
+		req.NumPairs, req.MinFidelity = 1, 0.6
+		if _, code := f.egp.Create(req); code != wire.ErrNone {
+			t.Fatalf("request %d: %v", i, code)
+		}
+	}
+	f.confirmAll()
+	var timed []*QueueItem
+	for _, it := range f.egp.Queue().AllItems() {
+		if it.TimeoutCycle != 0 {
+			timed = append(timed, it)
+		}
+	}
+	if len(timed) != 3 {
+		t.Fatalf("%d requests with a timeout, want 3", len(timed))
+	}
+	slices.SortFunc(timed, func(a, b *QueueItem) int { return cmp.Compare(a.TimeoutCycle, b.TimeoutCycle) })
+	for i, it := range timed {
+		f.egp.PollTrigger(it.TimeoutCycle)
+		if f.egp.Queue().Find(it.ID) == nil {
+			t.Fatalf("request %d reaped at its timeout cycle %d", i, it.TimeoutCycle)
+		}
+		f.egp.PollTrigger(it.TimeoutCycle + 1)
+		if f.egp.Queue().Find(it.ID) != nil {
+			t.Fatalf("request %d still queued one cycle past its timeout %d", i, it.TimeoutCycle)
+		}
+		if got, want := f.egp.Queue().TotalLen(), len(timed)-i; got != want {
+			t.Fatalf("after request %d timed out %d items are queued, want %d", i, got, want)
+		}
+	}
+	timeouts := 0
+	for _, e := range f.errs {
+		if e.Code == wire.ErrTimeout {
+			timeouts++
+		}
+	}
+	if timeouts != 3 {
+		t.Fatalf("%d TIMEOUT errors, want 3", timeouts)
 	}
 }
 

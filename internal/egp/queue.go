@@ -7,6 +7,7 @@ package egp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/classical"
@@ -90,6 +91,11 @@ type DistributedQueue struct {
 
 	queues  [NumQueues][]*QueueItem
 	nextSeq [NumQueues]uint16
+	// earliest is the smallest TimeoutCycle of the queued items
+	// (math.MaxUint64 when none has one); earliestStale marks it for
+	// recomputation after an item holding it left (see earliestTimeout).
+	earliest      uint64
+	earliestStale bool
 
 	// Pending outgoing ADDs awaiting an ACK, keyed by communication sequence
 	// number.
@@ -172,6 +178,7 @@ func NewDistributedQueue(cfg QueueConfig) *DistributedQueue {
 		onRejected:      cfg.OnRejected,
 		retransmitDelay: cfg.RetransmitDelay,
 		maxRetries:      cfg.MaxRetries,
+		earliest:        math.MaxUint64,
 	}
 }
 
@@ -230,10 +237,38 @@ func (q *DistributedQueue) Remove(id wire.AbsoluteQueueID) bool {
 	for i, it := range lane {
 		if it.ID == id {
 			q.queues[id.QueueID] = append(lane[:i], lane[i+1:]...)
+			if it.TimeoutCycle == q.earliest {
+				q.earliestStale = true
+			}
 			return true
 		}
 	}
 	return false
+}
+
+// push appends an item to its lane.
+func (q *DistributedQueue) push(priority int, item *QueueItem) {
+	q.queues[priority] = append(q.queues[priority], item)
+	if t := item.TimeoutCycle; t != 0 && t < q.earliest {
+		q.earliest = t
+	}
+}
+
+// earliestTimeout returns the smallest TimeoutCycle of the queued items, or
+// math.MaxUint64 when none has a timeout: no item expires at a cycle up to
+// it. It scans the lanes only after an item holding it left the queue.
+func (q *DistributedQueue) earliestTimeout() uint64 {
+	if q.earliestStale {
+		q.earliest, q.earliestStale = math.MaxUint64, false
+		for _, lane := range q.queues {
+			for _, it := range lane {
+				if t := it.TimeoutCycle; t != 0 && t < q.earliest {
+					q.earliest = t
+				}
+			}
+		}
+	}
+	return q.earliest
 }
 
 // Add enqueues a locally originated request. On the master the item receives
@@ -258,7 +293,7 @@ func (q *DistributedQueue) Add(item *QueueItem) error {
 		if q.stampFunc != nil {
 			q.stampFunc(item)
 		}
-		q.queues[priority] = append(q.queues[priority], item)
+		q.push(priority, item)
 		q.consecutiveLocal++
 	}
 	pa := &pendingAdd{item: item}
@@ -413,7 +448,7 @@ func (q *DistributedQueue) handleAdd(frame wire.DQPFrame) {
 			q.nextSeq[priority] = item.ID.QueueSeq + 1
 		}
 	}
-	q.queues[priority] = append(q.queues[priority], item)
+	q.push(priority, item)
 	q.sortLane(priority)
 	q.seenAdds[frame.CommSeq] = item.ID
 	ack := frame
@@ -453,7 +488,7 @@ func (q *DistributedQueue) handleAck(frame wire.DQPFrame) {
 				q.nextSeq[priority] = item.ID.QueueSeq + 1
 			}
 			item.confirmed = true
-			q.queues[priority] = append(q.queues[priority], item)
+			q.push(priority, item)
 			q.sortLane(priority)
 		}
 	} else {

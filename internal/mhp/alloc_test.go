@@ -91,25 +91,31 @@ func labLink(t *testing.T, loss float64) (*netsim.Network, *netsim.Link) {
 	return nw, l
 }
 
-// TestFailedAttemptCostsThreeEvents pins the events of a loss-free failed
-// attempt on a link with equal arms beyond the shared cycle tick: the two GEN
-// deliveries and one delivery of the REPLY pair. The first GEN to arrive gets
-// no hold event, because its partner is on its way.
-func TestFailedAttemptCostsThreeEvents(t *testing.T) {
+// TestFailedAttemptCostsTwoEvents pins the events of a loss-free failed
+// attempt on a link with equal arms beyond the shared cycle tick: one
+// delivery of the GEN pair, B's GEN riding A's event, and one delivery of the
+// REPLY pair. The first GEN to arrive gets no hold event, because its partner
+// arrives with it.
+func TestFailedAttemptCostsTwoEvents(t *testing.T) {
 	cycle := nv.LabPlatform().CycleTime[nv.RequestMeasure]
 	nw, l := labLink(t, 0)
 	nw.Run(1000 * sim.Duration(cycle))
-	events, ticks, attempts := nw.Sim.Executed(), nw.ClockTicks(), nw.Attempts()
+	events, ticks, attempts, fused := nw.Sim.Executed(), nw.ClockTicks(), nw.Attempts(), nw.FusedGENs()
 	_, successes0, _, _, _ := l.Mid.Stats()
 	_ = nw.Sim.RunFor(1000 * sim.Duration(cycle))
 	events, ticks, attempts = nw.Sim.Executed()-events, nw.ClockTicks()-ticks, nw.Attempts()-attempts
+	fused = nw.FusedGENs() - fused
 	if _, successes, _, _, _ := l.Mid.Stats(); successes != successes0 {
 		t.Fatalf("%d heralded successes in the window; it must hold failed attempts only", successes-successes0)
 	}
 	if attempts < 400 {
 		t.Fatalf("only %d attempts in the window", attempts)
 	}
-	if got := events - ticks; got != 3*attempts {
-		t.Fatalf("%d events beside %d clock ticks for %d attempts, want 3 per attempt", got, ticks, attempts)
+	// nw.Attempts counts optical samples, one per matched GEN pair.
+	if fused != attempts {
+		t.Fatalf("%d GEN pairs fused for %d attempts, want every one", fused, attempts)
+	}
+	if got := events - ticks; got != 2*attempts {
+		t.Fatalf("%d events beside %d clock ticks for %d attempts, want 2 per attempt", got, ticks, attempts)
 	}
 }

@@ -11,6 +11,12 @@
 // layer wakes it, since its poll would be a no-op (see Clock for why the run
 // is unchanged).
 //
+// On a link with equal arms (every Lab link) a failed attempt costs two
+// events beside the clock's tick: one delivers both GENs of the cycle, B's
+// riding A's delivery event (Node.runCycle), and one both REPLYs
+// (Midpoint.sendReplies). Over unequal arms, such as QL2020's, each GEN and
+// each REPLY has its own event.
+//
 // The package is deliberately stateless on the node side (beyond the pending
 // attempt bookkeeping required to route replies), mirroring the paper's
 // requirement that the physical layer holds no protocol state.
@@ -100,8 +106,10 @@ type PairRegistry struct {
 	gens    freeList[genPayload]
 	replies freeList[replyPayload]
 	// inFlight is each side's newest GEN still on its way to the midpoint
-	// (see departed), nil once it has arrived.
+	// (see departed), nil once it has arrived, and delivery its pending
+	// delivery event, which the other side's GEN may ride.
 	inFlight [2]*genPayload
+	delivery [2]classical.Delivery
 }
 
 // Registry eviction parameters: a sweep runs whenever the registry exceeds
@@ -214,28 +222,16 @@ func (l *freeList[T]) get() *T {
 
 func (l *freeList[T]) put(p *T) { *l = append(*l, p) }
 
-// sendPooled sends a pooled payload and returns it to its free list at once
-// when the channel drops it, since no receiver will. It reports whether the
-// payload is on its way.
-func sendPooled[T any](ch *classical.Channel, l *freeList[T], p *T) bool {
-	_, _, dropped := ch.Stats()
-	ch.Send(p)
-	if _, _, d := ch.Stats(); d != dropped {
-		l.put(p)
-		return false
-	}
-	return true
-}
-
-// departed records a GEN its channel accepted as its side's newest GEN in
-// flight. If the other side's newest GEN in flight is of the same cycle, the
-// two are each other's partner, and each learns when the other arrives.
-func (r *PairRegistry) departed(p *genPayload) {
+// departed records a GEN its channel accepted, with its pending delivery d,
+// as its side's newest GEN in flight. If the other side's newest GEN in
+// flight is of the same cycle, the two are each other's partner, and each
+// learns when the other arrives.
+func (r *PairRegistry) departed(p *genPayload, d classical.Delivery) {
 	if o := r.inFlight[1-p.side]; o != nil && o.cycle == p.cycle {
 		p.peerAt, p.peerDue = o.at, true
 		o.peerAt, o.peerDue = p.at, true
 	}
-	r.inFlight[p.side] = p
+	r.inFlight[p.side], r.delivery[p.side] = p, d
 }
 
 // Node is the node-side MHP instance.
@@ -478,7 +474,8 @@ func (n *Node) runCycle(cycle uint64) {
 	if decision.Keep {
 		keep = 1
 	}
-	n.trace.Record(n.simul.Now(), obs.KindMHPAttempt, n.traceID, int64(cycle), keep)
+	now := n.simul.Now()
+	n.trace.Record(now, obs.KindMHPAttempt, n.traceID, int64(cycle), keep)
 	if n.metrics != nil {
 		n.metrics.Attempts.Inc()
 	}
@@ -490,11 +487,25 @@ func (n *Node) runCycle(cycle uint64) {
 	p := n.registry.gens.get()
 	*p = genPayload{
 		size: wire.GENFrameLen, alpha: decision.Alpha, side: n.side, cycle: cycle,
-		at: n.simul.Now().Add(n.toMidpoint.Delay()),
+		at: now.Add(n.toMidpoint.Delay()),
 	}
 	wire.GENFrame{QueueID: decision.QueueID, Timestamp: cycle}.Put(&p.frame)
-	if sendPooled(n.toMidpoint, &n.registry.gens, p) {
-		n.registry.departed(p)
+	// When the other side's newest GEN is on its way and this one would
+	// arrive right behind it, with no event in between, this one rides its
+	// delivery event (classical.Channel.PostAfter): the two GENs of a cycle,
+	// one event. That holds when the clock polled the other node just before
+	// this one and nothing was scheduled since; nodes on tickers of their own
+	// never fuse, since the first ticker rearms between the two sends. A
+	// frame the channel drops returns to the free list at once, since no
+	// receiver will.
+	var host classical.Delivery
+	if n.registry.inFlight[1-n.side] != nil {
+		host = n.registry.delivery[1-n.side]
+	}
+	if d, ok := n.toMidpoint.PostAfter(host, p); ok {
+		n.registry.departed(p, d)
+	} else {
+		n.registry.gens.put(p)
 	}
 }
 
@@ -509,16 +520,19 @@ func (n *Node) HandleReply(msg classical.Message) {
 	if err != nil {
 		return
 	}
-	n.trace.Record(n.simul.Now(), obs.KindMHPReply, n.traceID, int64(reply.Outcome), int64(reply.MHPSeq))
+	if n.trace != nil { // the clock is read only for a record
+		n.trace.Record(n.simul.Now(), obs.KindMHPReply, n.traceID, int64(reply.Outcome), int64(reply.MHPSeq))
+	}
 	// Match the reply to the oldest pending attempt with the echoed queue ID,
 	// which recovers the attempt's cycle: a REPLY lost on the way leaves its
 	// attempt behind, and the next REPLY for the same queue item answers the
-	// older attempt first.
+	// older attempt first. A pending attempt holds no pointer, so the slot
+	// the deletion vacates needs no clearing.
 	var attempt pendingAttempt
 	for i, p := range n.pending {
 		if p.decision.QueueID == reply.QueueID {
 			attempt = p
-			n.pending = slices.Delete(n.pending, i, i+1)
+			n.pending = append(n.pending[:i], n.pending[i+1:]...)
 			break
 		}
 	}
@@ -752,7 +766,9 @@ func (m *Midpoint) HandleGEN(msg classical.Message) {
 			m.metrics.Successes.Inc()
 		}
 	}
-	m.trace.Record(m.simul.Now(), obs.KindHerald, m.traceID, int64(outcome), int64(seq))
+	if m.trace != nil { // the clock is read only for a record
+		m.trace.Record(m.simul.Now(), obs.KindHerald, m.traceID, int64(outcome), int64(seq))
+	}
 
 	// Send REPLY to both nodes, A first.
 	var queue [2]wire.AbsoluteQueueID
@@ -816,9 +832,13 @@ func (m *Midpoint) reply(outcome wire.MHPOutcome, seq uint16, own, peer wire.Abs
 	return p
 }
 
-// sendReply transmits a REPLY frame to the node on the given side.
+// sendReply transmits a REPLY frame to the node on the given side; a frame
+// the channel drops returns to the free list at once.
 func (m *Midpoint) sendReply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) {
-	sendPooled(m.to[side], &m.registry.replies, m.reply(outcome, seq, own, peer))
+	p := m.reply(outcome, seq, own, peer)
+	if _, ok := m.to[side].Post(p); !ok {
+		m.registry.replies.put(p)
+	}
 }
 
 // sendReplies transmits the REPLY pair of a matched attempt: first to the

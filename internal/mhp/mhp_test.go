@@ -20,9 +20,14 @@ type stubGenerator struct {
 	results   []Result
 	resultAt  []sim.Time
 	clock     sim.Engine
+	// onPoll, if set, runs at the start of every poll.
+	onPoll func(cycle uint64)
 }
 
 func (s *stubGenerator) PollTrigger(cycle uint64) PollDecision {
+	if s.onPoll != nil {
+		s.onPoll(cycle)
+	}
 	if len(s.decisions) == 0 {
 		return PollDecision{}
 	}

@@ -75,7 +75,9 @@ func attachPoisson(t testing.TB, nw *Network, class workload.ClassSpec) *MultiTr
 // TestPoissonClassMatchesRecordedRuns pins the one-class Poisson workload to
 // the numbers the flag-era single-class generator produced on the same
 // networks before MultiTraffic replaced it: events, attempts and the
-// aggregate request, pair and error totals. The dense and belldiag backends
+// aggregate request, pair and error totals. The recorded events counted one
+// delivery per GEN, so the executed events plus the fused GEN deliveries
+// must equal them. The dense and belldiag backends
 // agree on every pinned field. The MD case is the flag runs' shape; the CK
 // case adds create-and-keep, a deadline and classical loss. A change to the
 // engine's draw order (pairs, then origin) or its request fields breaks it.
@@ -110,8 +112,8 @@ func TestPoissonClassMatchesRecordedRuns(t *testing.T) {
 			attachPoisson(t, nw, tc.class)
 			nw.Run(sim.DurationSeconds(tc.seconds))
 			_, agg := nw.Stats()
-			if got := nw.Sim.Executed(); got != tc.events {
-				t.Errorf("events = %d, want %d", got, tc.events)
+			if got := nw.Sim.Executed() + nw.FusedGENs(); got != tc.events {
+				t.Errorf("events + fused GENs = %d, want %d", got, tc.events)
 			}
 			if got := nw.Attempts(); got != tc.attempts {
 				t.Errorf("attempts = %d, want %d", got, tc.attempts)

@@ -670,6 +670,18 @@ func (nw *Network) Attempts() uint64 {
 	return n
 }
 
+// FusedGENs returns how many GEN frames rode the other side's GEN delivery
+// event instead of getting one of their own (see mhp's Node.runCycle).
+// Executed plus FusedGENs counts one event per GEN, as per-node clocks, on
+// which GENs never fuse, fire them.
+func (nw *Network) FusedGENs() uint64 {
+	var n uint64
+	for _, l := range nw.Links {
+		n += l.fibres[0].Rode() + l.fibres[1].Rode() // the A->H and B->H fibres
+	}
+	return n
+}
+
 // Start launches the MHP cycle clocks, the queue-occupancy sampler of every
 // link and the attached workload. It is idempotent.
 func (nw *Network) Start() {

@@ -30,7 +30,9 @@ func e2eClass(load float64, kmax int, fmin float64) workload.ClassSpec {
 // (Lab memories, k_max 1); the two-flow case is TestServiceDeterminism's
 // (idealised memories, k_max 2, so the pair-count draw is exercised). A
 // change to the flow rate, the draw order or the request fields breaks it.
-// Both backends agree on every pinned field.
+// Both backends agree on every pinned field. The recorded events counted one
+// delivery per GEN, so the executed events plus the fused GEN deliveries
+// must equal them.
 func TestE2EClassMatchesRecordedRuns(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -58,8 +60,8 @@ func TestE2EClassMatchesRecordedRuns(t *testing.T) {
 			nw.Run(sim.DurationSeconds(2))
 			svc.FinishAt(nw.Sim.Now())
 			_, agg := svc.Stats()
-			if got := nw.Sim.Executed(); got != tc.events {
-				t.Errorf("events = %d, want %d", got, tc.events)
+			if got := nw.Sim.Executed() + nw.FusedGENs(); got != tc.events {
+				t.Errorf("events + fused GENs = %d, want %d", got, tc.events)
 			}
 			if got := nw.Attempts(); got != tc.attempts {
 				t.Errorf("attempts = %d, want %d", got, tc.attempts)

@@ -291,15 +291,20 @@ func (b *BeamSplitterPOVM) MeasureOutcome(state *quantum.State, qubitA, qubitB i
 // samples for (left real click survives, right real click survives, left
 // dark count, right dark count).
 func ApplyDetectorNoise(ideal ClickPattern, det DetectorParams, u1, u2, u3, u4 float64) ClickPattern {
+	return detectorNoise(ideal, det.Efficiency, det.DarkCountProb(), u1, u2, u3, u4)
+}
+
+// detectorNoise is ApplyDetectorNoise for detectors of the given efficiency
+// and per-window dark-count probability.
+func detectorNoise(ideal ClickPattern, eff, dark, u1, u2, u3, u4 float64) ClickPattern {
 	left := ideal == ClickLeft || ideal == ClickBoth
 	right := ideal == ClickRight || ideal == ClickBoth
 	if left {
-		left = u1 < det.Efficiency
+		left = u1 < eff
 	}
 	if right {
-		right = u2 < det.Efficiency
+		right = u2 < eff
 	}
-	dark := det.DarkCountProb()
 	if !left && u3 < dark {
 		left = true
 	}

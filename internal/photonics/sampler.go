@@ -15,8 +15,13 @@ import (
 // classically per attempt. This keeps the physics of Appendix D exact on the
 // heralded-success path while letting the discrete-event simulation run
 // hundreds of thousands of MHP cycles per second of wall time.
+//
+// The link's detectors must not change once a sampler is built on it: their
+// dark-count probability is computed once, with the sampler.
 type LinkSampler struct {
 	link *HeraldedLink
+	// dark is the link detectors' per-window dark-count probability.
+	dark float64
 
 	// backend selects the pair-state representation handed out on heralded
 	// successes: dense density-matrix copies (exact, the default) or
@@ -61,7 +66,10 @@ func NewLinkSampler(link *HeraldedLink) *LinkSampler {
 // NewLinkSamplerBackend wraps a heralded link with a per-alpha cache,
 // heralding pairs on the given backend.
 func NewLinkSamplerBackend(link *HeraldedLink, backend quantum.Backend) *LinkSampler {
-	return &LinkSampler{link: link, backend: backend, cache: make(map[alphaKey]*attemptDistribution)}
+	return &LinkSampler{
+		link: link, dark: link.Detectors.DarkCountProb(), backend: backend,
+		cache: make(map[alphaKey]*attemptDistribution),
+	}
 }
 
 // Backend returns the pair-state backend heralded pairs use.
@@ -194,15 +202,13 @@ func (s *LinkSampler) IdealClickProbabilities(alphaA, alphaB float64) [4]float64
 // dark counts.
 func (s *LinkSampler) HeraldSuccessProbability(alphaA, alphaB float64) float64 {
 	d := s.distribution(alphaA, alphaB)
-	det := s.link.Detectors
-	eff := det.Efficiency
-	dark := det.DarkCountProb()
+	eff := s.link.Detectors.Efficiency
 	pSuccess := 0.0
 	for pattern, p := range d.probs {
 		if p <= 0 {
 			continue
 		}
-		pSuccess += p * singleClickProbability(ClickPattern(pattern), eff, dark)
+		pSuccess += p * singleClickProbability(ClickPattern(pattern), eff, s.dark)
 	}
 	return pSuccess
 }
@@ -280,7 +286,7 @@ func (s *LinkSampler) Sample(alphaA, alphaB float64, rng RandomSource) AttemptRe
 			}
 		}
 	}
-	observed := ApplyDetectorNoise(ideal, s.link.Detectors, u[1], u[2], u[3], u[4])
+	observed := detectorNoise(ideal, s.link.Detectors.Efficiency, s.dark, u[1], u[2], u[3], u[4])
 	outcome := OutcomeFromClicks(observed)
 	var st quantum.PairState
 	if outcome.Success() {

@@ -141,3 +141,43 @@ func TestTickerNonPositivePeriodPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestLatestEvent checks EventID.Latest: an event is the latest until
+// anything else is scheduled on its simulator, and never once it has been
+// cancelled or has fired.
+func TestLatestEvent(t *testing.T) {
+	s := New(1)
+	if (EventID{}).Latest() {
+		t.Fatal("the zero EventID is the latest")
+	}
+	a := Schedule(s, 10, func() {})
+	if !a.Latest() {
+		t.Fatal("a freshly scheduled event is not the latest")
+	}
+	b := Schedule(s, 5, func() {})
+	if a.Latest() || !b.Latest() {
+		t.Fatalf("after scheduling b: a latest %v, b latest %v", a.Latest(), b.Latest())
+	}
+	// Other engines over the same simulator schedule on it too.
+	c := ScheduleArg(Uncounted(s), 20, func(Time, any) {}, nil)
+	if b.Latest() || !c.Latest() {
+		t.Fatalf("after an uncounted event: b latest %v, c latest %v", b.Latest(), c.Latest())
+	}
+	c.Cancel()
+	if c.Latest() {
+		t.Fatal("a cancelled event is the latest")
+	}
+	d := Schedule(s, 1, func() {})
+	if err := s.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	if d.Latest() {
+		t.Fatal("a fired event is the latest")
+	}
+	// Its recycled struct now carries a new event; the old ID must not
+	// mistake it for its own.
+	e := Schedule(s, 1, func() {})
+	if d.Latest() || !e.Latest() {
+		t.Fatalf("after reuse: d latest %v, e latest %v", d.Latest(), e.Latest())
+	}
+}

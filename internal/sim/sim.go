@@ -121,6 +121,15 @@ func (id EventID) Cancel() {
 	id.s.maybeCompact()
 }
 
+// Latest reports whether the event is still pending and no event has been
+// scheduled on its simulator since: an event scheduled now for the same time
+// would fire right after it, with no other event in between. The zero
+// EventID, and so every cross-shard delivery, is never the latest.
+func (id EventID) Latest() bool {
+	ev := id.ev
+	return ev != nil && ev.gen == id.gen && !ev.canceled && ev.seq+1 == id.s.nextSeq
+}
+
 // ErrStopped is returned by Run when the simulation was halted explicitly.
 var ErrStopped = errors.New("sim: stopped")
 
