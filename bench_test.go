@@ -112,7 +112,7 @@ func benchmarkScenario(b *testing.B, scenario nv.ScenarioID, priority int, multi
 			b.Fatal(err)
 		}
 		nw.Run(sim.DurationSeconds(0.5))
-		pairs += nw.Links[0].Collector.OKCount(priority)
+		pairs += nw.Links[0].Account.Pairs(priority)
 	}
 	b.ReportMetric(float64(pairs)/float64(b.N), "pairs/run")
 }

@@ -189,7 +189,7 @@ type trialResult struct {
 // the observability layer; they never change the simulated trajectory.
 func runTrial(c *scenario.Compiled, trial int, trace *obs.Tracer, registry *obs.Registry) (trialResult, error) {
 	cfg := c.Config
-	cfg.Seed = experiments.DeriveSeed(c.Config.Seed, uint64(trial))
+	cfg.Seed = sim.DeriveSeed(c.Config.Seed, uint64(trial))
 	cfg.Trace = trace
 	cfg.Metrics = registry
 	nw, err := netsim.NewNetwork(cfg)

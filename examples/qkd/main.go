@@ -89,7 +89,7 @@ func main() {
 		errorsByBasis[a.basis] = counts
 	}
 
-	fmt.Printf("pairs delivered:   %d (requested %d)\n", link.Collector.OKCount(egp.PriorityMD), pairsRequested)
+	fmt.Printf("pairs delivered:   %d (requested %d)\n", link.Account.Pairs(egp.PriorityMD), pairsRequested)
 	fmt.Printf("sifted key length: %d bits\n", len(keyBitsA))
 	totalErr, totalBits := 0, 0
 	for _, basis := range []quantum.BasisLabel{quantum.BasisZ, quantum.BasisX, quantum.BasisY} {
@@ -111,11 +111,11 @@ func main() {
 	fmt.Printf("overall QBER:      %.3f\n", qber)
 	fmt.Printf("secret fraction:   %.3f (asymptotic BB84 bound, 0 when QBER > 11%%)\n", rate)
 	fmt.Printf("key throughput:    %.2f raw sifted bits/s, %.2f secret bits/s\n",
-		float64(len(keyBitsA))/link.Collector.DurationSeconds(),
-		rate*float64(len(keyBitsA))/link.Collector.DurationSeconds())
+		float64(len(keyBitsA))/link.Account.DurationSeconds(),
+		rate*float64(len(keyBitsA))/link.Account.DurationSeconds())
 	fmt.Printf("\nThe link delivered %.1f pairs/s; a lower requested fidelity would raise that rate\n"+
 		"but push the QBER toward the 11%% threshold where no key can be distilled (Sec. 4.2).\n",
-		link.Collector.Throughput(egp.PriorityMD))
+		link.Account.Throughput(egp.PriorityMD))
 }
 
 // secretKeyFraction returns the asymptotic BB84 secret key fraction

@@ -48,8 +48,8 @@ func main() {
 		fmt.Printf("  node %s: pair #%d  qubit=%d  fidelity=%.3f  goodness=%.3f  t=%.3fs\n",
 			ok.Node, ok.EntanglementID, ok.LogicalQubit, ok.Fidelity, ok.Goodness, ok.At.Seconds())
 	}
-	c := link.Collector
+	c := &link.Account
 	fmt.Printf("\nSummary: %d pairs, throughput %.2f pairs/s, mean fidelity %.3f, request latency %.3f s\n",
-		c.OKCount(egp.PriorityCK), c.Throughput(egp.PriorityCK),
+		c.Pairs(egp.PriorityCK), c.Throughput(egp.PriorityCK),
 		c.Fidelity(egp.PriorityCK).Mean(), c.RequestLatency(egp.PriorityCK).Mean())
 }

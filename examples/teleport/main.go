@@ -93,7 +93,7 @@ func main() {
 	fidelity := received.Fidelity(dataKet)
 	fmt.Printf("state received at B has fidelity %.3f with the original data qubit\n", fidelity)
 	fmt.Printf("(bounded by the link fidelity %.3f — a perfect link would teleport perfectly)\n",
-		link.Collector.Fidelity(egp.PriorityCK).Mean())
+		link.Account.Fidelity(egp.PriorityCK).Mean())
 }
 
 // measureQubit measures one qubit of the state in the computational basis,

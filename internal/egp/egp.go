@@ -112,13 +112,9 @@ type Config struct {
 	// EmissionMultiplexing allows M-type attempts to be triggered before the
 	// previous attempt's REPLY has arrived (Section 5.2.5).
 	EmissionMultiplexing bool
-	// MaxOutstandingM caps the number of in-flight multiplexed M attempts.
-	MaxOutstandingM int
 	// AutoRelease frees the local qubit as soon as the OK is issued,
 	// modelling a higher layer that consumes pairs immediately.
 	AutoRelease bool
-	// AcceptPolicy gates remotely originated requests by purpose ID.
-	AcceptPolicy AcceptPolicy
 
 	// Trace, when non-nil, records the OK/error/expiry lifecycle into the
 	// flight recorder under track TraceID (the link ID). Nil disables
@@ -129,6 +125,9 @@ type Config struct {
 	// nil-safe, so a nil bundle field costs nothing.
 	Metrics *obs.EGPMetrics
 }
+
+// maxOutstandingM caps the number of in-flight multiplexed M attempts.
+const maxOutstandingM = 64
 
 // EGP is one node's link layer protocol instance. It implements
 // mhp.Generator so the physical layer can poll it every cycle it has work.
@@ -150,11 +149,10 @@ type EGP struct {
 	// frames permanently blocking generation.
 	outstandingK bool
 	kDeadline    sim.Time
-	// mAttemptTimes is a fixed ring, sized by MaxOutstandingM, of the trigger
-	// times of the outstanding M attempts: outstandingM of them, oldest at
-	// mHead.
+	// mAttemptTimes is a fixed ring of the trigger times of the outstanding
+	// M attempts: outstandingM of them, oldest at mHead.
 	outstandingM  int
-	mAttemptTimes []sim.Time
+	mAttemptTimes [maxOutstandingM]sim.Time
 	mHead         int
 	busyUntil     sim.Time
 	// kResumeCycle is the earliest cycle at which the next create-and-keep
@@ -201,15 +199,11 @@ func New(cfg Config) *EGP {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = NewFCFS()
 	}
-	if cfg.MaxOutstandingM <= 0 {
-		cfg.MaxOutstandingM = 64
-	}
 	e := &EGP{
 		cfg:            cfg,
 		qmm:            NewQMM(cfg.Device),
 		feu:            NewFEU(cfg.Platform, cfg.Sampler),
 		expectedSeq:    1,
-		mAttemptTimes:  make([]sim.Time, cfg.MaxOutstandingM),
 		pendingExpires: make(map[wire.AbsoluteQueueID]sim.EventID),
 		kStride:        kAttemptStride(cfg.Platform),
 		replyDeadline:  8*cfg.Platform.MidpointRoundTrip(cfg.NodeName) + 2*sim.Millisecond,
@@ -240,7 +234,6 @@ func New(cfg Config) *EGP {
 			e.emitError(item, code)
 		},
 	})
-	e.queue.SetAcceptPolicy(cfg.AcceptPolicy)
 	e.queue.SetStampFunc(cfg.Scheduler.Stamp)
 	return e
 }
@@ -560,7 +553,7 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 	if !e.cfg.EmissionMultiplexing && e.outstandingM > 0 {
 		return mhp.PollDecision{}
 	}
-	if e.outstandingM >= e.cfg.MaxOutstandingM {
+	if e.outstandingM >= maxOutstandingM {
 		return mhp.PollDecision{}
 	}
 	e.mAttemptTimes[(e.mHead+e.outstandingM)%len(e.mAttemptTimes)] = now

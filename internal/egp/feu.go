@@ -3,7 +3,6 @@ package egp
 import (
 	"math"
 
-	"repro/internal/metrics"
 	"repro/internal/nv"
 	"repro/internal/photonics"
 )
@@ -27,7 +26,7 @@ type FidelityEstimationUnit struct {
 
 	// Test-round machinery: a window of QBER samples from measured pairs.
 	testWindow   int
-	testCounter  *metrics.QBERCounter
+	testCounter  QBERCounter
 	testRecorded int
 
 	// cache of Fmin → α solutions.
@@ -42,7 +41,6 @@ func NewFEU(platform *nv.Platform, sampler *photonics.LinkSampler) *FidelityEsti
 		alphaCap:      0.5,
 		storageMargin: 0.0,
 		testWindow:    1000,
-		testCounter:   metrics.NewQBERCounterPsiPlus(),
 		alphaCache:    make(map[float64]float64),
 	}
 }
@@ -136,7 +134,7 @@ func (f *FidelityEstimationUnit) BaseEstimate(alpha float64) float64 {
 func (f *FidelityEstimationUnit) RecordTestOutcome(basis int, outcomeA, outcomeB int) {
 	if f.testRecorded >= f.testWindow {
 		// Start a fresh window so the estimate tracks drift.
-		f.testCounter = metrics.NewQBERCounterPsiPlus()
+		f.testCounter = QBERCounter{}
 		f.testRecorded = 0
 	}
 	f.testCounter.Record(basis, outcomeA, outcomeB)
@@ -159,3 +157,50 @@ func (f *FidelityEstimationUnit) Goodness(alpha float64) float64 {
 
 // QBEREstimate returns the current measured QBER per basis (Z, X, Y).
 func (f *FidelityEstimationUnit) QBEREstimate() (z, x, y float64) { return f.testCounter.Rates() }
+
+// QBERCounter accumulates basis-resolved error counts of measured pairs
+// against the |Ψ+⟩ correlations (anti-correlated in Z, correlated in X and
+// Y) and converts them into a fidelity estimate via Eq. (16). The zero
+// value is an empty counter.
+type QBERCounter struct {
+	errors [3]int // indexed by basis: Z, X, Y
+	totals [3]int
+}
+
+// psiPlusCorrelated[b] is true when ideal |Ψ+⟩ outcomes in basis b are
+// equal.
+var psiPlusCorrelated = [3]bool{false, true, true}
+
+// Record adds one joint measurement outcome in the given basis
+// (0=Z, 1=X, 2=Y).
+func (q *QBERCounter) Record(basis int, outcomeA, outcomeB int) {
+	if basis < 0 || basis > 2 {
+		panic("egp: basis out of range")
+	}
+	q.totals[basis]++
+	if (outcomeA == outcomeB) != psiPlusCorrelated[basis] {
+		q.errors[basis]++
+	}
+}
+
+// Rates returns the per-basis error rates (Z, X, Y); bases with no samples
+// report 0.
+func (q *QBERCounter) Rates() (z, x, y float64) {
+	rate := func(i int) float64 {
+		if q.totals[i] == 0 {
+			return 0
+		}
+		return float64(q.errors[i]) / float64(q.totals[i])
+	}
+	return rate(0), rate(1), rate(2)
+}
+
+// Samples returns the total number of recorded outcomes.
+func (q *QBERCounter) Samples() int { return q.totals[0] + q.totals[1] + q.totals[2] }
+
+// FidelityEstimate converts the accumulated QBERs into a fidelity estimate
+// via Eq. (16): F = 1 − (QBERX + QBERY + QBERZ)/2, clamped to [0, 1].
+func (q *QBERCounter) FidelityEstimate() float64 {
+	z, x, y := q.Rates()
+	return min(1, max(0, 1-(x+y+z)/2))
+}

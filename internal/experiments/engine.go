@@ -7,13 +7,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/nv"
+	"repro/internal/sim"
 )
 
 // Trial is the coordinate tuple of one independent simulation run inside an
 // experiment: which runner it belongs to, the hardware scenario, the request
 // kind, the offered load and requested fidelity, plus free-form coordinates
 // for runner-specific sweeps. Trials are seed-independent and conflict-free
-// (each builds its own network, RNG and collector), which is exactly what
+// (each builds its own network, RNG and link account), which is exactly what
 // makes them safe to fan out across the worker pool.
 type Trial struct {
 	// Runner is the registered runner name; it namespaces the RNG stream so
@@ -38,18 +39,6 @@ type Trial struct {
 	Variant string
 }
 
-// splitmix64 is the finalizer of the SplitMix64 generator: a bijective
-// avalanche mix in which every input bit affects roughly half the output
-// bits. Chaining it over the trial coordinates decorrelates nearby trials,
-// unlike additive derivation where (priority+1, load) and (priority, load+1)
-// collide.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // hashString folds a string into one 64-bit word (FNV-1a).
 func hashString(s string) uint64 {
 	const (
@@ -63,22 +52,13 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// DeriveSeed mixes a base seed with a sequence of coordinate words through a
-// splitmix64 chain. Distinct coordinate tuples yield (with overwhelming
-// probability) distinct seeds, so every trial gets its own RNG stream.
-func DeriveSeed(base int64, words ...uint64) int64 {
-	h := splitmix64(uint64(base))
-	for _, w := range words {
-		h = splitmix64(h ^ w)
-	}
-	return int64(h)
-}
-
 // DeriveSeed returns the deterministic RNG seed of this trial: a function of
 // the base seed and every trial coordinate, independent of execution order
-// and parallelism level.
+// and parallelism level. The splitmix64 chain of sim.DeriveSeed decorrelates
+// nearby trials, unlike additive derivation where (priority+1, load) and
+// (priority, load+1) collide.
 func (t Trial) DeriveSeed(base int64) int64 {
-	return DeriveSeed(base,
+	return sim.DeriveSeed(base,
 		hashString(t.Runner),
 		hashString(string(t.Scenario)),
 		uint64(int64(t.Priority)),

@@ -1,22 +1,30 @@
 package experiments
 
 import (
+	"math"
+
 	"repro/internal/egp"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/nv"
+	"repro/internal/obs"
 	"repro/internal/quantum"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
+// linkRun is what one protocol trial measured: the link's account and the
+// QBER of the measure-directly pairs whose two ends agreed on a basis.
+type linkRun struct {
+	*netsim.LinkAccount
+	qber *[egp.NumQueues]egp.QBERCounter
+}
+
 // runProtocolTrial runs the paper's link for one trial: a two-node netsim
 // network (A, the heralding station, B) on the trial's scenario, seeded
 // from the trial's coordinates, optionally adjusted by configure, driven
 // by the per-cycle generator (random origin) for the trial's simulated
-// duration. It returns the link's collector, which also holds the matched
-// QBER.
-func runProtocolTrial(opt Options, t Trial, classes []workload.Class, configure func(*netsim.Config)) *metrics.Collector {
+// duration.
+func runProtocolTrial(opt Options, t Trial, classes []workload.Class, configure func(*netsim.Config)) linkRun {
 	cfg := netsim.DefaultConfig(netsim.Chain(2), t.Scenario)
 	cfg.Seed = t.DeriveSeed(opt.Seed)
 	if configure != nil {
@@ -27,13 +35,14 @@ func runProtocolTrial(opt Options, t Trial, classes []workload.Class, configure 
 		panic(err) // Chain(2) always validates
 	}
 	link := nw.Links[0]
-	nw.OnLinkOK = newQBERMatcher(link).onLinkOK
+	matcher := newQBERMatcher(link)
+	nw.OnLinkOK = matcher.onLinkOK
 	gen := newGenerator(nw, link, workload.OriginRandom, classes)
 	nw.Start()
 	gen.start()
 	nw.Run(sim.DurationSeconds(opt.SimulatedSeconds))
 	gen.stop()
-	return link.Collector
+	return linkRun{LinkAccount: &link.Account, qber: &matcher.qber}
 }
 
 // generator issues the paper's per-cycle CREATE arrivals (Section 6) into
@@ -115,12 +124,13 @@ func (g *generator) tick() {
 }
 
 // qberMatcher pairs the two ends' measure-directly outcomes of one link by
-// entanglement ID. When the bases agree it records the correlation into
-// the link's collector (the QBER behind Sec. 6.2's fidelity estimate) and
+// entanglement ID. When the bases agree it records the correlation into its
+// per-priority counters (the QBER behind Sec. 6.2's fidelity estimate) and
 // feeds it to both ends' FEU test rounds.
 type qberMatcher struct {
 	link    *netsim.Link
 	pending map[uint16]egp.OKEvent
+	qber    [egp.NumQueues]egp.QBERCounter
 }
 
 func newQBERMatcher(link *netsim.Link) *qberMatcher {
@@ -154,7 +164,41 @@ func (m *qberMatcher) onLinkOK(_ *netsim.Link, ev egp.OKEvent) {
 		outcomeA = 1 - outcomeA
 	}
 	basis := int(ev.MeasureBasis)
-	m.link.Collector.RecordQBER(ev.Priority, basis, outcomeA, b.MeasureOutcome)
+	m.qber[ev.Priority].Record(basis, outcomeA, b.MeasureOutcome)
 	m.link.EGPA.FEU().RecordTestOutcome(basis, outcomeA, b.MeasureOutcome)
 	m.link.EGPB.FEU().RecordTestOutcome(basis, outcomeA, b.MeasureOutcome)
+}
+
+// relativeDifference implements footnote 2 of the paper:
+// |m1 − m2| / max(|m1|, |m2|), with 0 when both are zero.
+func relativeDifference(m1, m2 float64) float64 {
+	denom := math.Max(math.Abs(m1), math.Abs(m2))
+	if denom == 0 {
+		return 0
+	}
+	return math.Abs(m1-m2) / denom
+}
+
+// fairnessReport compares what the requests originating at the two ends of
+// a link received (Sec. 6.2), each metric by its relative difference.
+type fairnessReport struct {
+	fidelity, throughput, latency, pairs float64
+}
+
+// originFairness compares origins a and b over a measured interval of the
+// given length: mean delivered fidelity, throughput, mean request latency
+// and delivered pairs.
+func originFairness(a, b netsim.OriginAccount, seconds float64) fairnessReport {
+	mean := func(sum float64, n int) float64 {
+		if n == 0 {
+			return 0
+		}
+		return sum / float64(n)
+	}
+	return fairnessReport{
+		fidelity:   relativeDifference(mean(a.FidelitySum, a.Pairs), mean(b.FidelitySum, b.Pairs)),
+		throughput: relativeDifference(obs.SafeRate(float64(a.Pairs), seconds), obs.SafeRate(float64(b.Pairs), seconds)),
+		latency:    relativeDifference(mean(a.LatencySum, a.Completed), mean(b.LatencySum, b.Completed)),
+		pairs:      relativeDifference(float64(a.Pairs), float64(b.Pairs)),
+	}
 }

@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/egp"
 	"repro/internal/netsim"
@@ -13,7 +15,7 @@ import (
 
 // newLink builds the paper's two-node Lab link with the QBER matcher wired,
 // as runProtocolTrial does.
-func newLink(t *testing.T, seed int64) (*netsim.Network, *netsim.Link) {
+func newLink(t *testing.T, seed int64) (*netsim.Network, *netsim.Link, *qberMatcher) {
 	t.Helper()
 	cfg := netsim.DefaultConfig(netsim.Chain(2), nv.ScenarioLab)
 	cfg.Seed = seed
@@ -22,8 +24,9 @@ func newLink(t *testing.T, seed int64) (*netsim.Network, *netsim.Link) {
 		t.Fatal(err)
 	}
 	link := nw.Links[0]
-	nw.OnLinkOK = newQBERMatcher(link).onLinkOK
-	return nw, link
+	matcher := newQBERMatcher(link)
+	nw.OnLinkOK = matcher.onLinkOK
+	return nw, link, matcher
 }
 
 // submitAt schedules a request submission at a given simulated time.
@@ -32,7 +35,7 @@ func submitAt(nw *netsim.Network, link *netsim.Link, at sim.Duration, role strin
 }
 
 func TestGeneratorIssuesRequests(t *testing.T) {
-	nw, link := newLink(t, 3)
+	nw, link, _ := newLink(t, 3)
 	gen := newGenerator(nw, link, workload.OriginRandom, workload.SingleKind(egp.PriorityMD, workload.LoadUltra, 3))
 	nw.Start()
 	gen.start()
@@ -43,35 +46,35 @@ func TestGeneratorIssuesRequests(t *testing.T) {
 	if submitted == 0 {
 		t.Fatal("the generator should issue requests at Ultra load within 2 s")
 	}
-	if link.Collector.OKCount(egp.PriorityMD) == 0 {
+	if link.Account.Pairs(egp.PriorityMD) == 0 {
 		t.Fatal("generated requests should produce pairs")
 	}
 	// With f = 1.5 the queue grows, so submissions should at least match
 	// completed requests.
-	completed := link.Collector.RequestLatency(egp.PriorityMD).Count()
+	completed := link.Account.RequestLatency(egp.PriorityMD).Count()
 	if submitted < completed {
 		t.Fatalf("bookkeeping inconsistent: %d submitted < %d completed", submitted, completed)
 	}
 }
 
 func TestGeneratorOriginPolicy(t *testing.T) {
-	nw, link := newLink(t, 5)
+	nw, link, _ := newLink(t, 5)
 	gen := newGenerator(nw, link, workload.OriginB, workload.SingleKind(egp.PriorityMD, workload.LoadUltra, 1))
 	nw.Start()
 	gen.start()
 	nw.Run(1 * sim.Second)
 	gen.stop()
-	byOrigin := link.Collector.PairsByOrigin()
-	if byOrigin["n0"] != 0 {
-		t.Fatalf("origin policy B should never submit from A (n0): %v", byOrigin)
+	a, b := link.Account.Origin("A"), link.Account.Origin("B")
+	if a.Pairs != 0 {
+		t.Fatalf("origin policy B should never submit from A: %+v", a)
 	}
-	if byOrigin["n1"] == 0 {
-		t.Fatal("origin policy B should deliver pairs attributed to B (n1)")
+	if b.Pairs == 0 {
+		t.Fatal("origin policy B should deliver pairs attributed to B")
 	}
 }
 
 func TestGeneratorStopHaltsArrivals(t *testing.T) {
-	nw, link := newLink(t, 7)
+	nw, link, _ := newLink(t, 7)
 	gen := newGenerator(nw, link, workload.OriginA, workload.SingleKind(egp.PriorityMD, workload.LoadUltra, 1))
 	nw.Start()
 	gen.start()
@@ -85,7 +88,7 @@ func TestGeneratorStopHaltsArrivals(t *testing.T) {
 }
 
 func TestQBERAccountingForMD(t *testing.T) {
-	nw, link := newLink(t, 23)
+	nw, link, matcher := newLink(t, 23)
 	submitAt(nw, link, 0, "A", egp.CreateRequest{
 		NumPairs:    80,
 		Keep:        false,
@@ -93,9 +96,9 @@ func TestQBERAccountingForMD(t *testing.T) {
 		Priority:    egp.PriorityMD,
 	})
 	nw.Run(30 * sim.Second)
-	q := link.Collector.QBER(egp.PriorityMD)
-	if q == nil || q.Samples() < 40 {
-		t.Fatalf("MD runs should accumulate QBER samples, got %v", q)
+	q := &matcher.qber[egp.PriorityMD]
+	if q.Samples() < 40 {
+		t.Fatalf("MD runs should accumulate QBER samples, got %d", q.Samples())
 	}
 	// The QBER-derived estimate must land in a physically sensible band:
 	// well above random correlations and consistent with the heralded
@@ -107,7 +110,7 @@ func TestQBERAccountingForMD(t *testing.T) {
 }
 
 func TestFairnessBetweenOrigins(t *testing.T) {
-	nw, link := newLink(t, 29)
+	nw, link, _ := newLink(t, 29)
 	for i := 0; i < 4; i++ {
 		role := "A"
 		if i%2 == 1 {
@@ -121,12 +124,12 @@ func TestFairnessBetweenOrigins(t *testing.T) {
 		})
 	}
 	nw.Run(6 * sim.Second)
-	byOrigin := link.Collector.PairsByOrigin()
-	if byOrigin["n0"] == 0 || byOrigin["n1"] == 0 {
-		t.Fatalf("both origins should be served: %v", byOrigin)
+	a, b := link.Account.Origin("A"), link.Account.Origin("B")
+	if a.Pairs == 0 || b.Pairs == 0 {
+		t.Fatalf("both origins should be served: A %+v, B %+v", a, b)
 	}
-	rep := link.Collector.Fairness("n0", "n1")
-	if rep.OKCountRelDiff > 0.5 {
+	rep := originFairness(a, b, link.Account.DurationSeconds())
+	if rep.pairs > 0.5 {
 		t.Fatalf("origin fairness badly violated: %+v", rep)
 	}
 }
@@ -161,5 +164,65 @@ func TestMetricsRunnerReportsQBERAndFairness(t *testing.T) {
 		if err != nil || qber <= 0.5 || qber > 1 {
 			t.Errorf("MD row %v: QBER fidelity %q not in (0.5, 1]", row, row[5])
 		}
+	}
+}
+
+func TestRelativeDifference(t *testing.T) {
+	if relativeDifference(0, 0) != 0 {
+		t.Fatal("0,0 should be 0")
+	}
+	if got := relativeDifference(10, 8); math.Abs(got-0.2) > 1e-12 {
+		t.Fatalf("reldiff(10,8) = %v, want 0.2", got)
+	}
+	if got := relativeDifference(8, 10); math.Abs(got-0.2) > 1e-12 {
+		t.Fatal("relative difference should be symmetric")
+	}
+	if got := relativeDifference(-4, 4); math.Abs(got-2) > 1e-12 {
+		t.Fatalf("reldiff(-4,4) = %v, want 2", got)
+	}
+}
+
+// Property: relative difference is symmetric and in [0, 1] for
+// non-negative values.
+func TestPropertyRelativeDifference(t *testing.T) {
+	f := func(a, b float64) bool {
+		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
+			return true
+		}
+		d1 := relativeDifference(a, b)
+		d2 := relativeDifference(b, a)
+		if math.Abs(d1-d2) > 1e-12 {
+			return false
+		}
+		if a >= 0 && b >= 0 {
+			return d1 >= 0 && d1 <= 1+1e-12
+		}
+		return d1 >= 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFairness compares two origins: equal service gives zero relative
+// differences, and each metric is compared on its own mean.
+func TestFairness(t *testing.T) {
+	a := netsim.OriginAccount{Pairs: 5, FidelitySum: 3.5, Completed: 5, LatencySum: 5}
+	if rep := originFairness(a, a, 10); rep != (fairnessReport{}) {
+		t.Fatalf("balanced origins should have zero relative differences: %+v", rep)
+	}
+	b := netsim.OriginAccount{Pairs: 4, FidelitySum: 3.6, Completed: 2, LatencySum: 4}
+	rep := originFairness(a, b, 10)
+	want := fairnessReport{
+		fidelity:   relativeDifference(0.7, 0.9),
+		throughput: relativeDifference(0.5, 0.4),
+		latency:    relativeDifference(1, 2),
+		pairs:      relativeDifference(5, 4),
+	}
+	if rep != want {
+		t.Fatalf("fairness = %+v, want %+v", rep, want)
+	}
+	if rep := originFairness(a, netsim.OriginAccount{}, 0); rep.throughput != 0 || rep.fidelity != 1 {
+		t.Fatalf("an unserved origin over an empty interval: %+v", rep)
 	}
 }

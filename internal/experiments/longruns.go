@@ -57,31 +57,31 @@ func RunSection62Metrics(opt Options) []Table {
 		stats := runProtocolTrial(opt, t, classes, nil)
 
 		qberFid := 0.0
-		if q := stats.QBER(t.Priority); q != nil && q.Samples() > 0 {
+		if q := &stats.qber[t.Priority]; q.Samples() > 0 {
 			qberFid = q.FidelityEstimate()
 		}
 		out := metricRows{perf: []string{
 			string(t.Scenario),
 			egp.PriorityName(t.Priority),
-			workload.LoadName(workload.LoadLevel(t.Load)),
+			workload.LoadLevel(t.Load).String(),
 			itoa(t.KMax),
 			f3(stats.Fidelity(t.Priority).Mean()),
 			f3(qberFid),
 			f3(stats.Throughput(t.Priority)),
 			f3(stats.ScaledLatency(t.Priority).Mean()),
 			f3(stats.QueueLength().Mean()),
-			itoa(stats.OKCount(t.Priority)),
+			itoa(stats.Pairs(t.Priority)),
 		}}
 		if t.KMax == lastKMax {
-			rep := stats.Fairness("n0", "n1")
+			rep := originFairness(stats.Origin("A"), stats.Origin("B"), stats.DurationSeconds())
 			out.fairness = []string{
 				string(t.Scenario),
 				egp.PriorityName(t.Priority),
-				workload.LoadName(workload.LoadLevel(t.Load)),
-				f3(rep.FidelityRelDiff),
-				f3(rep.ThroughputRelDiff),
-				f3(rep.LatencyRelDiff),
-				f3(rep.OKCountRelDiff),
+				workload.LoadLevel(t.Load).String(),
+				f3(rep.fidelity),
+				f3(rep.throughput),
+				f3(rep.latency),
+				f3(rep.pairs),
 			}
 		}
 		return out

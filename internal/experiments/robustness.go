@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"repro/internal/egp"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/nv"
 	"repro/internal/workload"
@@ -69,8 +68,8 @@ func RunTable5Robustness(opt Options) []Table {
 			fidelity:   stats.Fidelity(t.Priority).Mean(),
 			throughput: stats.Throughput(t.Priority),
 			latency:    stats.ScaledLatency(t.Priority).Mean(),
-			pairs:      stats.OKCount(t.Priority),
-			expires:    stats.ExpireCount(),
+			pairs:      stats.Pairs(t.Priority),
+			expires:    stats.Expires(),
 		}
 	})
 
@@ -90,10 +89,10 @@ func RunTable5Robustness(opt Options) []Table {
 		for ki, priority := range kinds {
 			base := baselines[priority]
 			lossy := results[(li+1)*len(kinds)+ki]
-			maxFid = maxF(maxFid, metrics.RelativeDifference(base.fidelity, lossy.fidelity))
-			maxTh = maxF(maxTh, metrics.RelativeDifference(base.throughput, lossy.throughput))
-			maxLat = maxF(maxLat, metrics.RelativeDifference(base.latency, lossy.latency))
-			maxPairs = maxF(maxPairs, metrics.RelativeDifference(float64(base.pairs), float64(lossy.pairs)))
+			maxFid = maxF(maxFid, relativeDifference(base.fidelity, lossy.fidelity))
+			maxTh = maxF(maxTh, relativeDifference(base.throughput, lossy.throughput))
+			maxLat = maxF(maxLat, relativeDifference(base.latency, lossy.latency))
+			maxPairs = maxF(maxPairs, relativeDifference(float64(base.pairs), float64(lossy.pairs)))
 			expires += lossy.expires
 		}
 		table.Rows = append(table.Rows, []string{

@@ -3,6 +3,7 @@ package experiments
 import (
 	"repro/internal/egp"
 	"repro/internal/nv"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -103,7 +104,7 @@ func RunFig6Fidelity(opt Options) []Table {
 				f3(t.Fidelity),
 				egp.PriorityName(t.Priority),
 				f3(stats.ScaledLatency(t.Priority).Mean()),
-				itoa(stats.ErrorCount("UNSUPP")),
+				itoa(stats.Errors(wire.ErrUnsupported)),
 			},
 			{
 				f3(t.Fidelity),

@@ -58,20 +58,20 @@ func TestLabMeasureDirectlyDeliversPairs(t *testing.T) {
 	})
 	n.Run(3 * sim.Second)
 
-	c := n.link.Collector
+	c := &n.link.Account
 	if len(n.oks) == 0 {
 		t.Fatal("no OKs delivered for an MD request in 3 s of Lab time")
 	}
 	// The origin node should have recorded 5 delivered pairs and completed
 	// the request.
-	if got := c.OKCount(egp.PriorityMD); got != 5 {
+	if got := c.Pairs(egp.PriorityMD); got != 5 {
 		t.Fatalf("expected 5 MD pairs at the origin, got %d", got)
 	}
 	if c.RequestLatency(egp.PriorityMD).Count() != 1 {
 		t.Fatal("request should have completed")
 	}
-	if c.OutstandingRequests() != 0 {
-		t.Fatal("no requests should remain outstanding")
+	if c.Open() != 0 {
+		t.Fatalf("%d requests still open after the only one completed", c.Open())
 	}
 	// Both nodes deliver OKs (the peer also passes entanglement upwards).
 	var fromA, fromB int
@@ -104,8 +104,8 @@ func TestLabKeepDeliversEntangledPairs(t *testing.T) {
 	})
 	n.Run(4 * sim.Second)
 
-	c := n.link.Collector
-	if got := c.OKCount(egp.PriorityCK); got != 3 {
+	c := &n.link.Account
+	if got := c.Pairs(egp.PriorityCK); got != 3 {
 		t.Fatalf("expected 3 CK pairs, got %d", got)
 	}
 	fid := c.Fidelity(egp.PriorityCK)
@@ -139,13 +139,13 @@ func TestRequestFromSlaveNode(t *testing.T) {
 		Priority:    egp.PriorityMD,
 	})
 	n.Run(3 * sim.Second)
-	c := n.link.Collector
-	if got := c.OKCount(egp.PriorityMD); got != 2 {
+	c := &n.link.Account
+	if got := c.Pairs(egp.PriorityMD); got != 2 {
 		t.Fatalf("expected 2 pairs for a slave-originated request, got %d", got)
 	}
 	// The origin-side metrics must be attributed to B's node, n1.
-	if c.PairsByOrigin()["n1"] != 2 {
-		t.Fatalf("pairs should be attributed to origin n1: %v", c.PairsByOrigin())
+	if b, a := c.Origin(roleB), c.Origin(roleA); b.Pairs != 2 || a.Pairs != 0 {
+		t.Fatalf("pairs should be attributed to origin B: A %+v, B %+v", a, b)
 	}
 }
 
@@ -211,8 +211,8 @@ func TestRequestTimeout(t *testing.T) {
 		Priority:    egp.PriorityMD,
 	})
 	n.Run(6 * sim.Second)
-	c := n.link.Collector
-	timedOut := c.ErrorCount("TIMEOUT")
+	c := &n.link.Account
+	timedOut := c.Errors(wire.ErrTimeout)
 	completed := c.RequestLatency(egp.PriorityMD).Count()
 	if timedOut+completed == 0 {
 		t.Fatal("request should either complete or time out")
@@ -224,7 +224,7 @@ func TestDeterministicWithSameSeed(t *testing.T) {
 		n := labLink(t, seed)
 		n.submitAt(0, roleA, egp.CreateRequest{NumPairs: 3, MinFidelity: 0.6, Priority: egp.PriorityMD})
 		n.Run(2 * sim.Second)
-		return len(n.oks), n.link.Collector.Fidelity(egp.PriorityMD).Mean()
+		return len(n.oks), n.link.Account.Fidelity(egp.PriorityMD).Mean()
 	}
 	oks1, f1 := run(99)
 	oks2, f2 := run(99)
@@ -247,7 +247,7 @@ func TestQL2020KeepThroughputLowerThanLab(t *testing.T) {
 			Priority:    egp.PriorityCK,
 		})
 		n.Run(5 * sim.Second)
-		return n.link.Collector.Throughput(egp.PriorityCK)
+		return n.link.Account.Throughput(egp.PriorityCK)
 	}
 	lab := run(nv.ScenarioLab)
 	ql := run(nv.ScenarioQL2020)
@@ -276,7 +276,7 @@ func TestRobustnessToClassicalLoss(t *testing.T) {
 		Priority:    egp.PriorityMD,
 	})
 	n.Run(5 * sim.Second)
-	if n.link.Collector.OKCount(egp.PriorityMD) == 0 {
+	if n.link.Account.Pairs(egp.PriorityMD) == 0 {
 		t.Fatal("protocol should still deliver pairs under inflated classical loss")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/classical"
 	"repro/internal/egp"
-	"repro/internal/metrics"
 	"repro/internal/mhp"
 	"repro/internal/nv"
 	"repro/internal/obs"
@@ -97,8 +96,8 @@ func DefaultConfig(spec Spec, scenario nv.ScenarioID) Config {
 }
 
 // Link is one heralded link: a complete EGP+MHP+midpoint protocol stack with
-// its own endpoint devices, pair registry and metrics collector, sharing
-// only the simulator (and read-only platform/sampler) with other links.
+// its own endpoint devices, pair registry and service account, sharing only
+// the simulator (and read-only platform/sampler) with other links.
 type Link struct {
 	ID   LinkID
 	Edge Edge // normalized: Edge.A < Edge.B
@@ -123,9 +122,9 @@ type Link struct {
 	// sharded links cannot share one).
 	Sampler *photonics.LinkSampler
 
-	// Collector aggregates this link's delivered pairs, latencies and queue
-	// samples; requests are accounted from the origin side only.
-	Collector *metrics.Collector
+	// Account holds this link's delivered pairs, latencies, queue samples,
+	// errors and EXPIREs; requests are accounted from the origin side only.
+	Account LinkAccount
 
 	// Submitted/OKs/Errs count protocol events across both endpoints.
 	Submitted, OKs, Errs uint64
@@ -152,8 +151,7 @@ type Link struct {
 	fibres []*classical.Channel
 	duplex *classical.Duplex
 
-	nodeNameA, nodeNameB string
-	stopSample           func()
+	stopSample func()
 }
 
 // EGPFor returns the EGP instance playing the given role ("A" or "B").
@@ -189,15 +187,7 @@ func OtherRole(role string) string {
 	return roleB
 }
 
-// nodeName maps a per-link role to the global node name.
-func (l *Link) nodeName(role string) string {
-	if role == roleB {
-		return l.nodeNameB
-	}
-	return l.nodeNameA
-}
-
-// requestKey builds a collector key unique across the link's two origins.
+// requestKey builds an account key unique across the link's two origins.
 func requestKey(role string, createID uint16) uint64 {
 	if role == roleB {
 		return 1<<32 | uint64(createID)
@@ -472,14 +462,11 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 	nodeA, nodeB := nw.Nodes[e.A], nw.Nodes[e.B]
 
 	l := &Link{
-		ID:        id,
-		Edge:      e,
-		Name:      fmt.Sprintf("%s-%s", nodeA.Name, nodeB.Name),
-		Registry:  mhp.NewPairRegistry(),
-		Collector: metrics.NewCollector(0),
-		Sampler:   photonics.NewLinkSamplerBackend(platform.Optics, cfg.Backend),
-		nodeNameA: nodeA.Name,
-		nodeNameB: nodeB.Name,
+		ID:       id,
+		Edge:     e,
+		Name:     fmt.Sprintf("%s-%s", nodeA.Name, nodeB.Name),
+		Registry: mhp.NewPairRegistry(),
+		Sampler:  photonics.NewLinkSamplerBackend(platform.Optics, cfg.Backend),
 	}
 	// The link's whole stack runs on the shard owning it, drawing from the
 	// link's own RNG stream keyed by the stable link ID — the trajectory is
@@ -537,7 +524,7 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 			ToPeer:               port,
 			OnOK:                 func(ev egp.OKEvent) { nw.handleOK(l, ev) },
 			OnError:              func(ev egp.ErrorEvent) { nw.handleError(l, ev) },
-			OnExpire:             func(egp.ExpireEvent) { l.Collector.ExpireIssued() },
+			OnExpire:             func(egp.ExpireEvent) { l.Account.expires++ },
 			MaxQueueLen:          cfg.MaxQueueLen,
 			EmissionMultiplexing: cfg.EmissionMultiplexing,
 			AutoRelease:          !cfg.HoldPairs,
@@ -700,7 +687,7 @@ func (nw *Network) Start() {
 		link := l
 		l.stopSample = sim.Ticker(l.Eng, nw.Config.QueueSamplePeriod, func() {
 			depth := link.EGPA.Queue().TotalLen()
-			link.Collector.SampleQueueLength(depth)
+			link.Account.queue.Add(float64(depth))
 			link.traceNet.Record(link.Eng.Now(), obs.KindQueueDepth, uint64(link.ID), int64(depth), 0)
 		})
 	}
@@ -732,7 +719,7 @@ func (nw *Network) Run(d sim.Duration) {
 	nw.Start()
 	_ = nw.Sim.RunFor(d)
 	for _, l := range nw.Links {
-		l.Collector.Finish(nw.Sim.Now())
+		l.Account.end = nw.Sim.Now()
 	}
 }
 
@@ -753,12 +740,12 @@ func (nw *Network) Submit(l *Link, role string, req egp.CreateRequest) (uint16, 
 		// The link's own clock, not the network engine's: under sharding a
 		// submission fires on the owning shard's loop, where the engine-wide
 		// clock is a stale barrier time.
-		l.Collector.RequestSubmitted(requestKey(role, id), req.Priority, l.nodeName(role), req.NumPairs, l.Eng.Now())
+		l.Account.submitted(requestKey(role, id), role, req.Priority, req.NumPairs, l.Eng.Now())
 	}
 	return id, code
 }
 
-// handleOK feeds a delivered pair into the link's collector (origin side
+// handleOK feeds a delivered pair into the link's account (origin side
 // only, so pairs are not double counted across the two endpoints).
 func (nw *Network) handleOK(l *Link, ev egp.OKEvent) {
 	l.OKs++
@@ -778,11 +765,7 @@ func (nw *Network) handleOK(l *Link, ev egp.OKEvent) {
 	l.traceNet.Record(ev.At, obs.KindLinkOK, uint64(l.ID), int64(ev.CreateID), int64(ev.PairsRemaining))
 	nw.cLinkOKs.Inc()
 	nw.ttp.Observe(ev.Priority, ev.At.Sub(ev.CreateTime))
-	key := requestKey(ev.Node, ev.CreateID)
-	l.Collector.PairDelivered(key, ev.Priority, l.nodeName(ev.Node), ev.Fidelity, ev.At)
-	if ev.RequestDone {
-		l.Collector.RequestCompleted(key, ev.At)
-	}
+	l.Account.delivered(requestKey(ev.Node, ev.CreateID), ev.Node, ev.Priority, ev.Fidelity, ev.At, ev.RequestDone)
 }
 
 // handleError records a failed request (origin side only; error events are
@@ -792,7 +775,7 @@ func (nw *Network) handleError(l *Link, ev egp.ErrorEvent) {
 	if nw.OnLinkError != nil {
 		nw.OnLinkError(l, ev)
 	}
-	l.Collector.RequestFailed(requestKey(ev.Node, ev.CreateID), ev.Code.String(), ev.At)
+	l.Account.failed(requestKey(ev.Node, ev.CreateID), ev.Code)
 }
 
 // Describe summarises the network configuration.

@@ -4,7 +4,7 @@ import (
 	"math"
 
 	"repro/internal/egp"
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // LinkStats summarises one link's delivered performance over a run (or the
@@ -28,44 +28,33 @@ type LinkStats struct {
 	RecoverySeconds float64
 }
 
-// mergedValues concatenates a per-priority series getter across the three
-// priority lanes in priority order.
-func mergedValues(get func(int) *metrics.Series) *metrics.Series {
-	out := &metrics.Series{}
-	for _, p := range []int{egp.PriorityNL, egp.PriorityCK, egp.PriorityMD} {
-		for _, v := range get(p).Values() {
-			out.Add(v)
-		}
+// lanes merges a per-priority series across the priority lanes in priority
+// order.
+func lanes(s *[egp.NumQueues]obs.Series) *obs.Series {
+	out := &obs.Series{}
+	for i := range s {
+		out.Merge(&s[i])
 	}
 	return out
 }
 
-// totalPairs sums delivered pairs across the priority lanes.
-func totalPairs(c *metrics.Collector) int {
-	n := 0
-	for _, p := range []int{egp.PriorityNL, egp.PriorityCK, egp.PriorityMD} {
-		n += c.OKCount(p)
-	}
-	return n
-}
-
-// statsFromSeries builds one link's summary from its collector plus the
+// statsFromSeries builds one link's summary from its account plus the
 // already-merged fidelity and per-pair latency series.
-func (l *Link) statsFromSeries(fid, lat *metrics.Series) LinkStats {
-	c := l.Collector
-	pairs := totalPairs(c)
+func (l *Link) statsFromSeries(fid, lat *obs.Series) LinkStats {
+	a := &l.Account
+	pairs := fid.Count()
 	st := LinkStats{
 		Link:            l.Name,
 		Requests:        l.Submitted,
 		Errors:          l.Errs,
 		Pairs:           pairs,
-		OKRate:          metrics.SafeRate(float64(pairs), c.DurationSeconds()),
+		OKRate:          obs.SafeRate(float64(pairs), a.DurationSeconds()),
 		Fidelity:        fid.Mean(),
 		LatencyP50:      lat.Percentile(50),
 		LatencyP90:      lat.Percentile(90),
 		LatencyP99:      lat.Percentile(99),
-		QueueMean:       c.QueueLength().Mean(),
-		QueueMax:        c.QueueLength().Max(),
+		QueueMean:       a.queue.Mean(),
+		QueueMax:        a.queue.Max(),
 		Downs:           l.Downs,
 		DowntimeSeconds: l.DowntimeAt(l.Eng.Now()).Seconds(),
 	}
@@ -75,9 +64,9 @@ func (l *Link) statsFromSeries(fid, lat *metrics.Series) LinkStats {
 	return st
 }
 
-// Stats computes one link's summary from its collector.
+// Stats computes one link's summary from its account.
 func (l *Link) Stats() LinkStats {
-	return l.statsFromSeries(mergedValues(l.Collector.Fidelity), mergedValues(l.Collector.PairLatency))
+	return l.statsFromSeries(lanes(&l.Account.fidelity), lanes(&l.Account.pairLatency))
 }
 
 // Stats returns the per-link summaries in link-ID order plus the aggregate
@@ -86,38 +75,25 @@ func (l *Link) Stats() LinkStats {
 // merged series is computed once and reused for both the per-link row and
 // the aggregate pool.
 func (nw *Network) Stats() (perLink []LinkStats, aggregate LinkStats) {
-	fid := &metrics.Series{}
-	lat := &metrics.Series{}
-	queue := &metrics.Series{}
-	pairs := 0
+	var fid, lat, queue obs.Series
 	duration := 0.0
 	for _, l := range nw.Links {
-		linkFid := mergedValues(l.Collector.Fidelity)
-		linkLat := mergedValues(l.Collector.PairLatency)
-		perLink = append(perLink, l.statsFromSeries(linkFid, linkLat))
-		for _, v := range linkFid.Values() {
-			fid.Add(v)
-		}
-		for _, v := range linkLat.Values() {
-			lat.Add(v)
-		}
-		for _, v := range l.Collector.QueueLength().Values() {
-			queue.Add(v)
-		}
-		pairs += totalPairs(l.Collector)
+		linkFid, linkLat := lanes(&l.Account.fidelity), lanes(&l.Account.pairLatency)
+		row := l.statsFromSeries(linkFid, linkLat)
+		perLink = append(perLink, row)
+		fid.Merge(linkFid)
+		lat.Merge(linkLat)
+		queue.Merge(&l.Account.queue)
 		aggregate.Requests += l.Submitted
 		aggregate.Errors += l.Errs
-		row := perLink[len(perLink)-1]
 		aggregate.Downs += row.Downs
 		aggregate.DowntimeSeconds += row.DowntimeSeconds
 		aggregate.RecoverySeconds += row.RecoverySeconds * float64(row.Downs)
-		if d := l.Collector.DurationSeconds(); d > duration {
-			duration = d
-		}
+		duration = max(duration, l.Account.DurationSeconds())
 	}
 	aggregate.Link = "aggregate"
-	aggregate.Pairs = pairs
-	aggregate.OKRate = metrics.SafeRate(float64(pairs), duration)
+	aggregate.Pairs = fid.Count()
+	aggregate.OKRate = obs.SafeRate(float64(aggregate.Pairs), duration)
 	aggregate.Fidelity = fid.Mean()
 	aggregate.LatencyP50 = lat.Percentile(50)
 	aggregate.LatencyP90 = lat.Percentile(90)

@@ -97,6 +97,16 @@ func TestEndToEndClosedFormFidelity(t *testing.T) {
 			t.Errorf("link %s leaks %d stored pairs after completion", l.Name, n)
 		}
 	}
+	// The per-hop CREATEs of a request with no priority run in the NL lane,
+	// the paper's network-layer lane: every hop's origin-side account
+	// holds its pairs there and nowhere else.
+	for _, l := range nw.Links {
+		a := &l.Account
+		if a.Pairs(egp.PriorityNL) < 2 || a.Pairs(egp.PriorityCK) != 0 || a.Pairs(egp.PriorityMD) != 0 {
+			t.Errorf("%s: NL/CK/MD pairs %d/%d/%d, want every per-hop pair in NL", l.Name,
+				a.Pairs(egp.PriorityNL), a.Pairs(egp.PriorityCK), a.Pairs(egp.PriorityMD))
+		}
+	}
 	perPath, agg := svc.Stats()
 	if len(perPath) != 1 || perPath[0].Pairs != 2 || perPath[0].Completed != 1 {
 		t.Errorf("path stats wrong: %+v", perPath)
@@ -304,10 +314,6 @@ func TestRouterCosts(t *testing.T) {
 		if got := quantum.ComposedSwapFidelity(fids...); math.Abs(got-0.55) > 1e-9 {
 			t.Errorf("hops=%d: floor inversion yields %.6f, want 0.55", hops, got)
 		}
-	}
-	// egp import anchor: the NL lane is the network layer's default.
-	if DefaultConfig().LinkPriority != egp.PriorityNL {
-		t.Errorf("default link priority is not NL")
 	}
 }
 

@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/classical"
 	"repro/internal/egp"
-	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/nv"
 	"repro/internal/obs"
@@ -105,14 +104,6 @@ type Config struct {
 	// depolarising channel of this fidelity on each measured qubit (1 =
 	// ideal BSM).
 	SwapGateFidelity float64
-	// TwirlLinkPairs applies the bilateral Pauli twirl to every consumed
-	// link pair, mapping it onto the Werner state of equal fidelity so the
-	// closed-form composition rule is exact (the standard repeater-protocol
-	// assumption). Off, states keep their full structure and Predicted
-	// becomes an approximation.
-	TwirlLinkPairs bool
-	// LinkPriority is the egp priority lane of the per-hop CREATEs.
-	LinkPriority int
 	// Trace, when non-nil, records end-to-end request lifecycles —
 	// CREATE, per-segment readiness, swaps, Pauli corrections, delivered
 	// pairs and the final OK/TIMEOUT — as spans in the flight recorder's
@@ -125,9 +116,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the policies used by the end-to-end experiments:
-// shortest-path routing, ideal BSM, twirled link pairs, NL priority.
+// shortest-path routing and an ideal BSM.
 func DefaultConfig() Config {
-	return Config{SwapGateFidelity: 1, TwirlLinkPairs: true, LinkPriority: egp.PriorityNL}
+	return Config{SwapGateFidelity: 1}
 }
 
 // hopKey identifies one link-layer CREATE issued by the service: the link,
@@ -201,9 +192,10 @@ type Service struct {
 	// request, in arrival order.
 	nodeSegs []map[RequestID][]*segment
 
-	collector *metrics.Collector
-	aggs      map[string]*pathAgg
-	aggOrder  []string
+	// end closes the measured interval (FinishAt); it starts at time 0.
+	end      sim.Time
+	aggs     map[string]*pathAgg
+	aggOrder []string
 
 	swaps      uint64
 	framesSent uint64
@@ -246,9 +238,6 @@ func NewService(nw *netsim.Network, cfg Config) (*Service, error) {
 	if cfg.SwapGateFidelity <= 0 || cfg.SwapGateFidelity > 1 {
 		return nil, fmt.Errorf("network: swap gate fidelity %g out of (0,1]", cfg.SwapGateFidelity)
 	}
-	if cfg.LinkPriority < 0 || cfg.LinkPriority >= egp.NumQueues {
-		cfg.LinkPriority = egp.PriorityNL
-	}
 	s := &Service{
 		nw:          nw,
 		cfg:         cfg,
@@ -257,7 +246,6 @@ func NewService(nw *netsim.Network, cfg Config) (*Service, error) {
 		hopOwner:    make(map[hopKey]RequestID),
 		pendingLink: make(map[*nv.EntangledPair]*segment),
 		nodeSegs:    make([]map[RequestID][]*segment, len(nw.Nodes)),
-		collector:   metrics.NewCollector(0),
 		aggs:        make(map[string]*pathAgg),
 	}
 	for i := range s.nodeSegs {
@@ -287,9 +275,6 @@ func NewService(nw *netsim.Network, cfg Config) (*Service, error) {
 // Router exposes the service's router (for CLIs printing chosen paths).
 func (s *Service) Router() *Router { return s.router }
 
-// Collector exposes the end-to-end metrics collector.
-func (s *Service) Collector() *metrics.Collector { return s.collector }
-
 // Swaps returns how many entanglement swaps the engine has performed.
 func (s *Service) Swaps() uint64 { return s.swaps }
 
@@ -310,7 +295,7 @@ func (s *Service) Create(req CreateRequest) (RequestID, wire.EGPError) {
 		req.NumPairs = 1
 	}
 	if req.Priority <= 0 || req.Priority >= egp.NumQueues {
-		req.Priority = s.cfg.LinkPriority
+		req.Priority = egp.PriorityNL
 	}
 	now := s.nw.Sim.Now()
 
@@ -367,7 +352,6 @@ func (s *Service) Create(req CreateRequest) (RequestID, wire.EGPError) {
 	r.agg = s.aggFor(path)
 	s.requests[id] = r
 	s.trace.Record(now, obs.KindE2ECreate, uint64(id), int64(req.SrcNode), int64(req.DstNode))
-	s.collector.RequestSubmitted(uint64(id), req.Priority, fmt.Sprintf("n%d", req.SrcNode), req.NumPairs, now)
 	r.agg.requests++
 
 	// One link-layer CREATE per hop, originated at the hop's path-upstream
@@ -416,9 +400,8 @@ func roleOf(l *netsim.Link, node int) string {
 	return "A"
 }
 
-// emitError reports a request failure to the subscriber and the metrics.
+// emitError reports a request failure to the subscriber.
 func (s *Service) emitError(id RequestID, req CreateRequest, code wire.EGPError, at sim.Time) {
-	s.collector.RequestFailed(uint64(id), code.String(), at)
 	if s.OnError != nil {
 		s.OnError(ErrorEvent{RequestID: id, Src: req.SrcNode, Dst: req.DstNode, Code: code, At: at})
 	}
@@ -498,7 +481,6 @@ func (s *Service) deliver(sg *segment) {
 	s.trace.Record(now, obs.KindE2EOK, uint64(r.id), int64(r.req.NumPairs-r.pairsLeft), int64(r.req.NumPairs))
 	s.cOKs.Inc()
 	s.ttp.Observe(r.req.Priority, now.Sub(r.submittedAt))
-	s.collector.PairDelivered(uint64(r.id), r.req.Priority, fmt.Sprintf("n%d", r.req.SrcNode), fid, now)
 	agg := s.pathAggFor(r)
 	agg.pairs++
 	agg.fidelity.Add(fid)
@@ -513,7 +495,6 @@ func (s *Service) deliver(sg *segment) {
 			r.timeout.Cancel()
 		}
 		s.trace.Record(now, obs.KindE2EDone, uint64(r.id), int64(r.req.NumPairs), 0)
-		s.collector.RequestCompleted(uint64(r.id), now)
 		agg.completed++
 		agg.reroutes += r.reroutes
 		agg.retries += r.retries
@@ -539,5 +520,5 @@ func (s *Service) deliver(sg *segment) {
 	}
 }
 
-// FinishAt closes the measurement interval of the service's collectors.
-func (s *Service) FinishAt(t sim.Time) { s.collector.Finish(t) }
+// FinishAt closes the measured interval the path throughputs are rated over.
+func (s *Service) FinishAt(t sim.Time) { s.end = t }

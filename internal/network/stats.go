@@ -3,7 +3,7 @@ package network
 import (
 	"math"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // pathAgg accumulates the per-path observations of one run.
@@ -17,11 +17,11 @@ type pathAgg struct {
 	reroutes    uint64
 	retries     uint64
 	pairs       int
-	fidelity    metrics.Series
-	predicted   metrics.Series
-	swapLatency metrics.Series
-	pairLatency metrics.Series
-	ttp         metrics.Series
+	fidelity    obs.Series
+	predicted   obs.Series
+	swapLatency obs.Series
+	pairLatency obs.Series
+	ttp         obs.Series
 }
 
 // aggFor returns (creating on first use) the aggregate bucket of a path,
@@ -91,7 +91,7 @@ func statsFrom(agg *pathAgg, seconds float64) PathStats {
 		Reroutes:  agg.reroutes,
 		Retries:   agg.retries,
 		Pairs:     agg.pairs,
-		OKRate:    metrics.SafeRate(float64(agg.pairs), seconds),
+		OKRate:    obs.SafeRate(float64(agg.pairs), seconds),
 		Fidelity:  agg.fidelity.Mean(),
 		Predicted: agg.predicted.Mean(),
 		SwapP50:   agg.swapLatency.Percentile(50),
@@ -99,7 +99,7 @@ func statsFrom(agg *pathAgg, seconds float64) PathStats {
 		SwapP99:   agg.swapLatency.Percentile(99),
 		E2EP50:    agg.pairLatency.Percentile(50),
 		E2EP99:    agg.pairLatency.Percentile(99),
-		TTPP99:    agg.ttp.Quantile(0.99),
+		TTPP99:    agg.ttp.Percentile(99),
 	}
 }
 
@@ -107,8 +107,8 @@ func statsFrom(agg *pathAgg, seconds float64) PathStats {
 // aggregate row, whose percentiles are true percentiles over the pooled raw
 // observations (not averages of per-path percentiles).
 func (s *Service) Stats() (perPath []PathStats, aggregate PathStats) {
-	seconds := s.collector.DurationSeconds()
-	var fid, pred, swapLat, e2eLat, ttp metrics.Series
+	seconds := s.end.Seconds()
+	var fid, pred, swapLat, e2eLat, ttp obs.Series
 	maxHops := 0
 	for _, key := range s.aggOrder {
 		agg := s.aggs[key]
@@ -123,21 +123,11 @@ func (s *Service) Stats() (perPath []PathStats, aggregate PathStats) {
 		if agg.hops > maxHops {
 			maxHops = agg.hops
 		}
-		for _, v := range agg.fidelity.Values() {
-			fid.Add(v)
-		}
-		for _, v := range agg.predicted.Values() {
-			pred.Add(v)
-		}
-		for _, v := range agg.swapLatency.Values() {
-			swapLat.Add(v)
-		}
-		for _, v := range agg.pairLatency.Values() {
-			e2eLat.Add(v)
-		}
-		for _, v := range agg.ttp.Values() {
-			ttp.Add(v)
-		}
+		fid.Merge(&agg.fidelity)
+		pred.Merge(&agg.predicted)
+		swapLat.Merge(&agg.swapLatency)
+		e2eLat.Merge(&agg.pairLatency)
+		ttp.Merge(&agg.ttp)
 	}
 	aggregate.Path = "aggregate"
 	aggregate.Hops = maxHops
@@ -145,7 +135,7 @@ func (s *Service) Stats() (perPath []PathStats, aggregate PathStats) {
 	// are offered traffic, so the aggregate row carries them.
 	aggregate.Requests += s.noPathRejects
 	aggregate.NoRoute += s.noPathRejects
-	aggregate.OKRate = metrics.SafeRate(float64(aggregate.Pairs), seconds)
+	aggregate.OKRate = obs.SafeRate(float64(aggregate.Pairs), seconds)
 	aggregate.Fidelity = fid.Mean()
 	aggregate.Predicted = pred.Mean()
 	aggregate.SwapP50 = swapLat.Percentile(50)
@@ -153,7 +143,7 @@ func (s *Service) Stats() (perPath []PathStats, aggregate PathStats) {
 	aggregate.SwapP99 = swapLat.Percentile(99)
 	aggregate.E2EP50 = e2eLat.Percentile(50)
 	aggregate.E2EP99 = e2eLat.Percentile(99)
-	aggregate.TTPP99 = ttp.Quantile(0.99)
+	aggregate.TTPP99 = ttp.Percentile(99)
 	return perPath, aggregate
 }
 

@@ -193,17 +193,14 @@ func (s *Service) newLinkSegment(r *requestState, l *netsim.Link, pair *nv.Entan
 
 // activateLinkSegment makes a both-ends-ready link pair available to the
 // swap engine: decoherence is advanced to now at both ends, the pair is
-// (optionally) twirled onto Werner form, and its fidelity at this moment
-// seeds the closed-form prediction.
+// twirled onto the Werner state of equal fidelity (the standard
+// repeater-protocol assumption, which makes the closed-form composition
+// rule exact), and its fidelity at this moment seeds the prediction.
 func (s *Service) activateLinkSegment(sg *segment) {
 	now := s.nw.Sim.Now()
 	sg.devA.ApplyDecoherence(sg.pair, sg.sideA, now)
 	sg.devB.ApplyDecoherence(sg.pair, sg.sideB, now)
-	if s.cfg.TwirlLinkPairs {
-		sg.predicted = sg.pair.State.Twirl(sg.pair.HeraldedAs)
-	} else {
-		sg.predicted = sg.pair.Fidelity()
-	}
+	sg.predicted = sg.pair.State.Twirl(sg.pair.HeraldedAs)
 	sg.linkReadyAt = now
 	sg.corrected = true // link pairs are delivered in the |Ψ+⟩ frame
 	s.trace.Record(now, obs.KindE2ESegment, uint64(sg.req.id), int64(sg.a), int64(sg.b))

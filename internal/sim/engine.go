@@ -180,8 +180,7 @@ func (e uncountedEngine) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID 
 
 // splitmix64 is the finalizer of the SplitMix64 generator: a bijective
 // avalanche mix in which every input bit affects roughly half the output
-// bits (the same derivation scheme internal/experiments uses for per-trial
-// seeds).
+// bits.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -193,7 +192,7 @@ func splitmix64(x uint64) uint64 {
 // through splitmix64, decorrelating nearby streams (unlike additive
 // derivation, where (link 3, seed s) and (link 2, seed s+1) would collide).
 // netsim uses it to give every link its own RNG stream keyed by the stable
-// link ID.
+// link ID, and the experiments and `repro run` one stream per trial.
 func DeriveSeed(base int64, words ...uint64) int64 {
 	h := splitmix64(uint64(base))
 	for _, w := range words {

@@ -3,7 +3,7 @@ package workload
 import (
 	"fmt"
 
-	"repro/internal/metrics"
+	"repro/internal/obs"
 )
 
 // ClassAccount accumulates one serving site's delivered service for one
@@ -27,13 +27,14 @@ type ClassAccount struct {
 	// kept apart from deadline misses; Failed all other asynchronous
 	// failures.
 	TimedOut, Outage, Failed uint64
-	// TTP collects per-pair time-to-pair observations in seconds (delivery
-	// time minus the request's CREATE time).
-	TTP metrics.Series
+	// TTP keeps every per-pair time-to-pair observation in seconds
+	// (delivery time minus the request's CREATE time) exactly, for the
+	// p50/p99 columns of the SLO table.
+	TTP obs.Series
 }
 
-// Merge folds other into a. Quantile summaries are order-independent, and
-// callers merge in deterministic site order so sums are too.
+// Merge folds other into a. Percentiles are order-independent, and callers
+// merge in deterministic site order so sums are too.
 func (a *ClassAccount) Merge(other *ClassAccount) {
 	a.Offered += other.Offered
 	a.Rejected += other.Rejected
@@ -44,9 +45,7 @@ func (a *ClassAccount) Merge(other *ClassAccount) {
 	a.TimedOut += other.TimedOut
 	a.Outage += other.Outage
 	a.Failed += other.Failed
-	for _, v := range other.TTP.Values() {
-		a.TTP.Add(v)
-	}
+	a.TTP.Merge(&other.TTP)
 }
 
 // Terminal returns how many accepted requests reached a terminal state.
@@ -118,7 +117,7 @@ func BuildSLO(classes []ClassSpec, accounts []*ClassAccount, oldestWait []float6
 			Outage:      a.Outage,
 			Failed:      a.Failed,
 			Outstanding: a.Outstanding(),
-			Throughput:  metrics.SafeRate(float64(a.Pairs), duration),
+			Throughput:  obs.SafeRate(float64(a.Pairs), duration),
 			TTPP50:      a.TTP.Percentile(50),
 			TTPP99:      a.TTP.Percentile(99),
 		}

@@ -38,9 +38,6 @@ func (l LoadLevel) String() string {
 	return fmt.Sprintf("f=%.2f", float64(l))
 }
 
-// LoadName renders the paper's name of a load level.
-func LoadName(l LoadLevel) string { return l.String() }
-
 // Origin selects where CREATE requests originate.
 type Origin int
 

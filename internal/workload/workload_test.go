@@ -7,10 +7,10 @@ import (
 )
 
 func TestLoadNames(t *testing.T) {
-	if LoadName(LoadLow) != "Low" || LoadName(LoadHigh) != "High" || LoadName(LoadUltra) != "Ultra" {
+	if LoadLow.String() != "Low" || LoadHigh.String() != "High" || LoadUltra.String() != "Ultra" {
 		t.Fatal("load level names wrong")
 	}
-	if LoadName(LoadLevel(0.42)) != "f=0.42" {
+	if LoadLevel(0.42).String() != "f=0.42" {
 		t.Fatal("custom load should render its fraction")
 	}
 }
