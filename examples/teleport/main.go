@@ -22,9 +22,6 @@ func main() {
 	cfg := netsim.DefaultConfig(netsim.Chain(2), nv.ScenarioLab)
 	cfg.Seed = 77
 	cfg.HoldPairs = true // keep the delivered pair in memory so we can consume it
-	// The teleportation circuit below needs the full density matrix, so pin
-	// the dense backend even when $REPRO_BACKEND selects the fast path.
-	cfg.Backend = quantum.BackendDense
 	nw, err := netsim.NewNetwork(cfg)
 	if err != nil {
 		panic(err)

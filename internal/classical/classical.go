@@ -209,13 +209,9 @@ func (m *Mux) Deliver(msg Message) {
 func (m *Mux) Stats() (routed, dropped uint64) { return m.routed.Load(), m.dropped.Load() }
 
 // Channel is a unidirectional, ordered, lossy message channel with a fixed
-// propagation delay, built on the discrete-event simulator.
-//
-// A channel works unchanged across shards of a sim.ShardedEngine when built
-// on a cross-shard engine, because its engine calls split cleanly by side:
-// Send draws the loss Bernoulli and schedules from the sender's context,
-// while the delivery handler recovers the send time from its own firing
-// timestamp (receiver's context) without touching the engine clock.
+// propagation delay, built on the discrete-event simulator. Send draws the
+// loss Bernoulli and schedules the delivery; the delivery handler recovers
+// the send time from its own firing timestamp.
 type Channel struct {
 	Name     string
 	simul    sim.Engine
@@ -260,8 +256,7 @@ func NewChannel(name string, s sim.Engine, delay sim.Duration, lossProb float64,
 		c.delivered++
 		// The event fires exactly delay after Send, so the send time is
 		// recovered from the delivery timestamp instead of being carried
-		// per frame (now is the arrival time on every engine, including
-		// cross-shard edges).
+		// per frame.
 		c.deliver(Message{Payload: payload, SentAt: now.Add(-c.delay)})
 		// A channel delivers in send order, so the frames riding this
 		// delivery are the oldest riders.
@@ -378,34 +373,6 @@ func NewDuplex(name string, s sim.Engine, delay sim.Duration, lossProb float64, 
 		AtoB: NewChannel(name+"/a->b", s, delay, lossProb, deliverAtB),
 		BtoA: NewChannel(name+"/b->a", s, delay, lossProb, deliverAtA),
 	}
-}
-
-// NewDuplexOn builds a duplex link whose two directions run on separate
-// engines — the cross-shard case, where each direction is registered with
-// the sharded engine as its own edge.
-func NewDuplexOn(name string, sAB, sBA sim.Engine, delay sim.Duration, lossProb float64, deliverAtB, deliverAtA func(Message)) *Duplex {
-	return &Duplex{
-		AtoB: NewChannel(name+"/a->b", sAB, delay, lossProb, deliverAtB),
-		BtoA: NewChannel(name+"/b->a", sBA, delay, lossProb, deliverAtA),
-	}
-}
-
-// MinDelay returns the smallest propagation delay over the given ports — the
-// quantity a conservative sharded run uses as its safe lookahead horizon. It
-// panics on an empty port set (there is no meaningful minimum), and callers
-// partitioning a topology must reject a non-positive result before handing
-// the delay to sim.ShardedEngine.Cross.
-func MinDelay(ports ...Port) sim.Duration {
-	if len(ports) == 0 {
-		panic("classical: MinDelay of an empty port set")
-	}
-	min := ports[0].Delay()
-	for _, p := range ports[1:] {
-		if d := p.Delay(); d < min {
-			min = d
-		}
-	}
-	return min
 }
 
 // SetLossProbability updates both directions.

@@ -66,7 +66,7 @@ type Config struct {
 	// trajectories do not depend on the partitioning.
 	Shards int
 	// Trace, when non-nil, is the run's flight recorder: the engine records
-	// dispatch batches and barrier windows into per-shard rings and every
+	// dispatch batches and sharded windows into per-shard rings and every
 	// link's protocol stack records its lifecycle into the rings of the
 	// shard owning it. It must have at least max(1, Shards) shards. Nil (the
 	// default) disables recording at zero cost beyond one nil check per
@@ -79,16 +79,14 @@ type Config struct {
 
 // DefaultConfig returns the options used by the network-layer experiments:
 // the given topology on the given scenario, FCFS scheduling, no classical
-// losses, emission multiplexing on. The pair-state backend defaults to
-// $REPRO_BACKEND when set (the CI test matrix runs the suite once per
-// backend), else to the exact dense simulator.
+// losses, emission multiplexing on, and the exact dense pair-state backend.
 func DefaultConfig(spec Spec, scenario nv.ScenarioID) Config {
 	return Config{
 		Spec:                 spec,
 		Scenario:             scenario,
 		Seed:                 1,
 		Scheduler:            "FCFS",
-		Backend:              quantum.BackendFromEnv(),
+		Backend:              quantum.BackendDense,
 		EmissionMultiplexing: true,
 		MaxQueueLen:          256,
 		StorageMargin:        0.05,
@@ -251,11 +249,6 @@ type Network struct {
 	// pairChannels holds the shared node-to-node duplexes carrying tagged
 	// DQP/EGP traffic, keyed by the normalized node pair.
 	pairChannels map[Edge]*classical.Duplex
-	// netChannels holds the cross-shard node-to-node duplexes carrying
-	// network-layer frames over edges whose endpoints live in different
-	// shards, built lazily on the sharded engine's conservative cross
-	// channels.
-	netChannels map[Edge]*classical.Duplex
 	// linksByEdge indexes the links by their normalized endpoints.
 	linksByEdge map[Edge]*Link
 
@@ -317,11 +310,6 @@ func newNetwork(cfg Config, clockPerNode bool) (*Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Fail at build time if any cross-shard edge's classical delay
-		// could not serve as a sound conservative lookahead.
-		if err := part.validateCrossDelays(platform.CommDelayAH + platform.CommDelayBH); err != nil {
-			return nil, err
-		}
 		sharded = sim.NewSharded(cfg.Seed, cfg.Shards)
 		eng = sharded
 	} else {
@@ -334,7 +322,6 @@ func newNetwork(cfg Config, clockPerNode bool) (*Network, error) {
 		sharded:      sharded,
 		part:         part,
 		pairChannels: make(map[Edge]*classical.Duplex),
-		netChannels:  make(map[Edge]*classical.Duplex),
 		linksByEdge:  make(map[Edge]*Link),
 		shardClock:   make(map[int]*mhp.Clock),
 		clockPerNode: clockPerNode,
@@ -370,7 +357,7 @@ func newNetwork(cfg Config, clockPerNode bool) (*Network, error) {
 // wireTracer installs the engine-level flight-recorder hooks: one dispatch
 // batch observer per shard (recording into that shard's own sim-layer ring,
 // so shard goroutines never share a buffer) and, on the sharded engine, one
-// barrier-window observer recording merged message counts and window spans.
+// window observer recording window spans.
 func (nw *Network) wireTracer(t *obs.Tracer) error {
 	need := 1
 	if nw.sharded != nil {
@@ -405,8 +392,9 @@ func (nw *Network) wireTracer(t *obs.Tracer) error {
 // pairDuplex returns (building on first use) the shared classical duplex
 // between the link's two endpoints; both directions deliver into the
 // destination node's link registry. The duplex runs on the link's own
-// engine: even on a cross-shard edge the per-link DQP/EGP handlers on both
-// nodes belong to the link's owning shard, so delivery stays shard-local.
+// engine: even when the link's endpoints sit in different shards, the
+// per-link DQP/EGP handlers on both nodes belong to the link's owning shard,
+// so delivery stays shard-local.
 func (nw *Network) pairDuplex(l *Link) *classical.Duplex {
 	e := l.Edge
 	if d, ok := nw.pairChannels[e]; ok {
@@ -418,39 +406,6 @@ func (nw *Network) pairDuplex(l *Link) *classical.Duplex {
 		func(m classical.Message) { b.Mux.Deliver(m) },
 		func(m classical.Message) { a.Mux.Deliver(m) })
 	nw.pairChannels[e] = d
-	return d
-}
-
-// networkDuplex returns the duplex carrying network-layer frames over the
-// link's edge. Same-shard (and serial) edges reuse the pair duplex; an edge
-// whose endpoints live in different shards gets its own duplex built on the
-// sharded engine's conservative cross channels, so each direction's frames
-// are staged in a per-edge outbox and merged deterministically at window
-// barriers. Either way the frames deliver into the destination node's mux
-// on the shard owning that node.
-func (nw *Network) networkDuplex(l *Link) *classical.Duplex {
-	e := l.Edge
-	if nw.sharded == nil || nw.part.NodeShard[e.A] == nw.part.NodeShard[e.B] {
-		return nw.pairDuplex(l)
-	}
-	if d, ok := nw.netChannels[e]; ok {
-		return d
-	}
-	a, b := nw.Nodes[e.A], nw.Nodes[e.B]
-	sa, sb := nw.part.NodeShard[e.A], nw.part.NodeShard[e.B]
-	delay := nw.Platform.CommDelayAH + nw.Platform.CommDelayBH
-	// Directed cross channels sort by their registration key at window
-	// merges; deriving the key from the stable link ID keeps the merge
-	// order independent of construction order.
-	engAB, errAB := nw.sharded.Cross(sa, sb, delay, uint64(l.ID)*2)
-	engBA, errBA := nw.sharded.Cross(sb, sa, delay, uint64(l.ID)*2+1)
-	if errAB != nil || errBA != nil {
-		panic(fmt.Sprintf("netsim: cross-shard channel %s<->%s: %v%v", a.Name, b.Name, errAB, errBA))
-	}
-	d := classical.NewDuplexOn(fmt.Sprintf("%s<=>%s", a.Name, b.Name), engAB, engBA, delay, nw.Config.ClassicalLossProb,
-		func(m classical.Message) { b.Mux.Deliver(m) },
-		func(m classical.Message) { a.Mux.Deliver(m) })
-	nw.netChannels[e] = d
 	return d
 }
 
@@ -620,20 +575,27 @@ func (nw *Network) LinkBetween(a, b int) *Link {
 
 // RegisterNetworkHandler points a node's reserved network-layer mux tag at h:
 // frames sent through NetworkPort from any neighbour are delivered to it
-// after the channel's propagation delay (and loss).
-func (nw *Network) RegisterNetworkHandler(node int, h func(classical.Message)) {
+// after the channel's propagation delay (and loss). The network layer is
+// serial-only, so a sharded network refuses.
+func (nw *Network) RegisterNetworkHandler(node int, h func(classical.Message)) error {
+	if nw.sharded != nil {
+		return fmt.Errorf("netsim: the network layer is serial-only; this network runs on %d shards", nw.sharded.Shards())
+	}
 	nw.Nodes[node].Mux.Handle(NetworkLayerTag, h)
+	return nil
 }
 
 // NetworkPort returns the network-layer send port from one node to an
 // adjacent node, multiplexed over the shared pair channel under the reserved
-// tag. The second return value is false when the nodes are not adjacent.
+// tag. The second return value is false when the nodes are not adjacent, or
+// when the network is sharded: the network layer is serial-only, and a node
+// on a shard boundary does not own the pair channel to every neighbour.
 func (nw *Network) NetworkPort(from, to int) (classical.Port, bool) {
 	l := nw.LinkBetween(from, to)
-	if l == nil {
+	if l == nil || nw.sharded != nil {
 		return nil, false
 	}
-	d := nw.networkDuplex(l)
+	d := nw.pairDuplex(l)
 	ch := d.AtoB
 	if from == l.Edge.B {
 		ch = d.BtoA
@@ -644,9 +606,6 @@ func (nw *Network) NetworkPort(from, to int) (classical.Port, bool) {
 // Sharded returns the underlying sharded engine, or nil when the network
 // runs on the serial simulator.
 func (nw *Network) Sharded() *sim.ShardedEngine { return nw.sharded }
-
-// Partition returns the node/link partition, or nil when unsharded.
-func (nw *Network) Partition() *Partition { return nw.part }
 
 // Attempts returns the total entanglement attempts sampled across all links.
 func (nw *Network) Attempts() uint64 {
@@ -739,7 +698,7 @@ func (nw *Network) Submit(l *Link, role string, req egp.CreateRequest) (uint16, 
 		nw.cSubmitted.Inc()
 		// The link's own clock, not the network engine's: under sharding a
 		// submission fires on the owning shard's loop, where the engine-wide
-		// clock is a stale barrier time.
+		// clock is the end of the last window.
 		l.Account.submitted(requestKey(role, id), role, req.Priority, req.NumPairs, l.Eng.Now())
 	}
 	return id, code

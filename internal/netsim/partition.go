@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // Partition assigns every node and every link of a topology to one shard of
 // a sim.ShardedEngine.
@@ -17,11 +13,9 @@ import (
 // nodes, midpoint, registry, devices and classical fibres) lives there. A
 // link is never split across shards: its two endpoints share a pair registry
 // and pair state, which only stays deterministic when one event loop drives
-// both.
-//
-// Edges whose endpoints land in different shards are recorded in CrossEdges;
-// only node-level (network-layer) messaging crosses shards on them, through
-// channels registered with the sharded engine's conservative lookahead.
+// both. Shards therefore never exchange events: an edge whose endpoints land
+// in different shards carries only its link's own traffic, on the link's
+// shard.
 type Partition struct {
 	// Shards is the shard count the partition was built for.
 	Shards int
@@ -30,9 +24,6 @@ type Partition struct {
 	// LinkShard maps link ID (the index into the sorted edge list) to the
 	// shard owning the link's whole protocol stack.
 	LinkShard []int
-	// CrossEdges lists the normalized edges whose endpoints live in
-	// different shards, in sorted-edge order.
-	CrossEdges []Edge
 }
 
 // MakePartition splits the topology into the given number of contiguous
@@ -57,71 +48,7 @@ func MakePartition(spec Spec, shards int) (*Partition, error) {
 		p.NodeShard[i] = i * shards / spec.Nodes
 	}
 	for _, e := range spec.sortedEdges() {
-		sa, sb := p.NodeShard[e.A], p.NodeShard[e.B]
-		p.LinkShard = append(p.LinkShard, sa)
-		if sa != sb {
-			p.CrossEdges = append(p.CrossEdges, e)
-		}
+		p.LinkShard = append(p.LinkShard, p.NodeShard[e.A])
 	}
 	return p, nil
-}
-
-// Validate checks the structural invariants the sharded build relies on:
-// every node and link is assigned to a shard in range, no shard is empty,
-// and every edge either has both endpoints in one shard or is recorded as a
-// cross edge.
-func (p *Partition) Validate(spec Spec) error {
-	if len(p.NodeShard) != spec.Nodes {
-		return fmt.Errorf("netsim: partition covers %d of %d nodes", len(p.NodeShard), spec.Nodes)
-	}
-	seen := make([]bool, p.Shards)
-	for i, s := range p.NodeShard {
-		if s < 0 || s >= p.Shards {
-			return fmt.Errorf("netsim: node %d assigned to out-of-range shard %d", i, s)
-		}
-		seen[s] = true
-	}
-	for s, ok := range seen {
-		if !ok {
-			return fmt.Errorf("netsim: shard %d owns no nodes", s)
-		}
-	}
-	edges := spec.sortedEdges()
-	if len(p.LinkShard) != len(edges) {
-		return fmt.Errorf("netsim: partition covers %d of %d links", len(p.LinkShard), len(edges))
-	}
-	cross := make(map[Edge]bool, len(p.CrossEdges))
-	for _, e := range p.CrossEdges {
-		cross[e] = true
-	}
-	for i, e := range edges {
-		s := p.LinkShard[i]
-		if s < 0 || s >= p.Shards {
-			return fmt.Errorf("netsim: link %d assigned to out-of-range shard %d", i, s)
-		}
-		sa, sb := p.NodeShard[e.A], p.NodeShard[e.B]
-		if s != sa && s != sb {
-			return fmt.Errorf("netsim: link %d (%d-%d) owned by shard %d, which owns neither endpoint", i, e.A, e.B, s)
-		}
-		if (sa != sb) != cross[e] {
-			return fmt.Errorf("netsim: edge %d-%d cross-shard status inconsistent with CrossEdges", e.A, e.B)
-		}
-	}
-	return nil
-}
-
-// validateCrossDelays rejects, at build time, any cross-shard edge whose
-// node-to-node classical delay is not strictly positive: a zero-delay
-// cross-shard channel would make the engine's conservative lookahead
-// unsound, so the failure must be loud and early rather than a subtle
-// ordering bug at runtime.
-func (p *Partition) validateCrossDelays(delay sim.Duration) error {
-	if len(p.CrossEdges) == 0 {
-		return nil
-	}
-	if delay <= 0 {
-		return fmt.Errorf("netsim: cross-shard edge %d-%d has non-positive classical delay %v; conservative sharding needs strictly positive cross-shard delays (reduce -shards or fix the platform's comm delays)",
-			p.CrossEdges[0].A, p.CrossEdges[0].B, delay)
-	}
-	return nil
 }

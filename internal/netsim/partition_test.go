@@ -6,13 +6,12 @@ import (
 
 	"repro/internal/classical"
 	"repro/internal/nv"
-	"repro/internal/sim"
 )
 
 // TestMakePartitionTable checks the structural invariants of the contiguous
 // partitioner across representative topologies and shard counts: every node
-// and link covered exactly once, every link owned by an endpoint's shard, and
-// CrossEdges listing exactly the edges whose endpoints straddle shards.
+// and link covered exactly once, every link owned by its lower endpoint's
+// shard, and balanced node blocks.
 func TestMakePartitionTable(t *testing.T) {
 	specs := []Spec{Chain(16), Star(8), Grid(4, 4), Dragonfly(4, 5)}
 	for _, spec := range specs {
@@ -22,8 +21,9 @@ func TestMakePartitionTable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := p.Validate(spec); err != nil {
-					t.Fatal(err)
+				if len(p.NodeShard) != spec.Nodes || len(p.LinkShard) != len(spec.sortedEdges()) {
+					t.Fatalf("partition covers %d of %d nodes and %d of %d links",
+						len(p.NodeShard), spec.Nodes, len(p.LinkShard), len(spec.sortedEdges()))
 				}
 				if p.Shards != shards {
 					t.Fatalf("Shards = %d, want %d", p.Shards, shards)
@@ -46,26 +46,29 @@ func TestMakePartitionTable(t *testing.T) {
 				if hi-lo > 1 {
 					t.Fatalf("unbalanced node blocks: %v", count)
 				}
-				// Recompute the cross set independently and compare.
-				cross := 0
 				for li, e := range spec.sortedEdges() {
-					sa, sb := p.NodeShard[e.A], p.NodeShard[e.B]
-					if p.LinkShard[li] != sa {
+					if sa := p.NodeShard[e.A]; p.LinkShard[li] != sa {
 						t.Fatalf("link %d (%d-%d) owned by shard %d, want lower endpoint's shard %d", li, e.A, e.B, p.LinkShard[li], sa)
 					}
-					if sa != sb {
-						cross++
-					}
 				}
-				if len(p.CrossEdges) != cross {
-					t.Fatalf("CrossEdges has %d edges, want %d", len(p.CrossEdges), cross)
-				}
-				if shards == 1 && cross != 0 {
-					t.Fatalf("single-shard partition reports %d cross edges", cross)
+				if cut := cutEdges(spec, p); shards == 1 && len(cut) != 0 {
+					t.Fatalf("single-shard partition cuts %d edges", len(cut))
 				}
 			})
 		}
 	}
+}
+
+// cutEdges lists the edges whose endpoints the partition puts in different
+// shards.
+func cutEdges(spec Spec, p *Partition) []Edge {
+	var cut []Edge
+	for _, e := range spec.sortedEdges() {
+		if p.NodeShard[e.A] != p.NodeShard[e.B] {
+			cut = append(cut, e)
+		}
+	}
+	return cut
 }
 
 // TestChainPartitionCutCount: a chain split into contiguous blocks cuts
@@ -77,8 +80,8 @@ func TestChainPartitionCutCount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p.CrossEdges) != shards-1 {
-			t.Fatalf("%d shards: chain-16 cut %d edges, want %d", shards, len(p.CrossEdges), shards-1)
+		if cut := cutEdges(Chain(16), p); len(cut) != shards-1 {
+			t.Fatalf("%d shards: chain-16 cut %d edges, want %d", shards, len(cut), shards-1)
 		}
 	}
 }
@@ -93,10 +96,11 @@ func TestDragonflyPartitionCutsOnlyGlobalLinks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := m * (m - 1) / 2; len(p.CrossEdges) != want {
-		t.Fatalf("cut %d edges, want exactly the %d global links", len(p.CrossEdges), want)
+	cut := cutEdges(spec, p)
+	if want := m * (m - 1) / 2; len(cut) != want {
+		t.Fatalf("cut %d edges, want exactly the %d global links", len(cut), want)
 	}
-	for _, e := range p.CrossEdges {
+	for _, e := range cut {
 		if e.A/k == e.B/k {
 			t.Fatalf("intra-group link %d-%d crossed shards", e.A, e.B)
 		}
@@ -112,24 +116,6 @@ func TestMakePartitionRejections(t *testing.T) {
 	}
 	if _, err := MakePartition(Spec{Nodes: 2}, 1); err == nil {
 		t.Error("accepted an invalid spec")
-	}
-}
-
-func TestValidateCrossDelays(t *testing.T) {
-	crossing := &Partition{Shards: 2, CrossEdges: []Edge{{0, 1}}}
-	if err := crossing.validateCrossDelays(0); err == nil {
-		t.Error("zero cross-shard delay accepted")
-	}
-	if err := crossing.validateCrossDelays(-sim.Microsecond); err == nil {
-		t.Error("negative cross-shard delay accepted")
-	}
-	if err := crossing.validateCrossDelays(sim.Microsecond); err != nil {
-		t.Errorf("positive delay rejected: %v", err)
-	}
-	// With no cross edges the delay never matters.
-	internal := &Partition{Shards: 1}
-	if err := internal.validateCrossDelays(0); err != nil {
-		t.Errorf("delay validated on a partition with no cross edges: %v", err)
 	}
 }
 
@@ -210,86 +196,39 @@ func TestResolveTopologyDragonfly(t *testing.T) {
 	}
 }
 
-// TestCrossShardNetworkPort drives the one path that actually crosses shards:
-// network-layer frames between nodes owned by different shards. The frames
-// must arrive exactly one node-to-node delay after the send, in order, on the
-// destination node's shard.
-func TestCrossShardNetworkPort(t *testing.T) {
+// TestShardedNetworkLayerRefused pins the serial-only network layer at
+// netsim's seam: a sharded network hands out no network-layer port, not even
+// between nodes of one shard, and refuses a network-layer handler, so no
+// caller can send frames on a duplex owned by another shard.
+func TestShardedNetworkLayerRefused(t *testing.T) {
 	cfg := DefaultConfig(Chain(4), nv.ScenarioLab)
-	cfg.Seed = 3
-	cfg.Shards = 2 // cut between nodes 1 and 2
+	cfg.Shards = 2 // nodes 0-1 on shard 0, nodes 2-3 on shard 1
 	nw, err := NewNetwork(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := nw.Sharded()
-	if eng == nil {
-		t.Fatal("sharded config built a serial network")
+	for _, e := range [][2]int{{0, 1}, {1, 0}, {1, 2}, {2, 1}, {2, 3}} {
+		if port, ok := nw.NetworkPort(e[0], e[1]); ok || port != nil {
+			t.Errorf("sharded network handed out a network port %d->%d", e[0], e[1])
+		}
 	}
-	part := nw.Partition()
-	if part.NodeShard[1] == part.NodeShard[2] {
-		t.Fatalf("nodes 1 and 2 share shard %d; the test needs the 1-2 edge cut", part.NodeShard[1])
+	for node := range nw.Nodes {
+		if err := nw.RegisterNetworkHandler(node, func(classical.Message) {}); err == nil {
+			t.Errorf("sharded network accepted a network-layer handler on node %d", node)
+		}
 	}
 
-	port, ok := nw.NetworkPort(1, 2)
-	if !ok {
-		t.Fatal("nodes 1 and 2 are adjacent but have no network port")
+	serial, err := NewNetwork(DefaultConfig(Chain(4), nv.ScenarioLab))
+	if err != nil {
+		t.Fatal(err)
 	}
-	back, ok := nw.NetworkPort(2, 1)
-	if !ok {
-		t.Fatal("missing reverse port")
+	if _, ok := serial.NetworkPort(1, 2); !ok {
+		t.Error("serial network has no network port between adjacent nodes")
 	}
-	delay := nw.Platform.CommDelayAH + nw.Platform.CommDelayBH
-	if port.Delay() != delay {
-		t.Fatalf("cross-shard port delay %v, want node-to-node delay %v", port.Delay(), delay)
+	if _, ok := serial.NetworkPort(0, 2); ok {
+		t.Error("serial network handed out a port between non-adjacent nodes")
 	}
-
-	type arrival struct {
-		at      sim.Time
-		latency sim.Duration
-		payload any
-	}
-	var got2, got1 []arrival
-	nw.RegisterNetworkHandler(2, func(m classical.Message) {
-		got2 = append(got2, arrival{eng.Shard(part.NodeShard[2]).Now(), eng.Shard(part.NodeShard[2]).Now().Sub(m.SentAt), m.Payload})
-		back.Send(fmt.Sprintf("echo-%v", m.Payload))
-	})
-	nw.RegisterNetworkHandler(1, func(m classical.Message) {
-		got1 = append(got1, arrival{eng.Shard(part.NodeShard[1]).Now(), eng.Shard(part.NodeShard[1]).Now().Sub(m.SentAt), m.Payload})
-	})
-
-	// Sends must run on the source node's shard loop.
-	src := eng.Shard(part.NodeShard[1])
-	for i := 0; i < 3; i++ {
-		i := i
-		sim.Schedule(src, sim.Duration(i)*sim.Millisecond, func() { port.Send(i) })
-	}
-	nw.Run(sim.DurationSeconds(0.05))
-
-	if len(got2) != 3 || len(got1) != 3 {
-		t.Fatalf("delivered %d forward and %d echo frames, want 3 and 3", len(got2), len(got1))
-	}
-	for i, a := range got2 {
-		if a.payload != i {
-			t.Errorf("forward frame %d carries %v", i, a.payload)
-		}
-		want := sim.Time(sim.Duration(i)*sim.Millisecond + delay)
-		if a.at != want {
-			t.Errorf("forward frame %d at %v, want %v", i, a.at, want)
-		}
-		if a.latency != delay {
-			t.Errorf("forward frame %d measured latency %v, want %v (SentAt must survive the shard hop)", i, a.latency, delay)
-		}
-	}
-	for i, a := range got1 {
-		if a.payload != fmt.Sprintf("echo-%d", i) {
-			t.Errorf("echo frame %d carries %v", i, a.payload)
-		}
-		if a.latency != delay {
-			t.Errorf("echo frame %d measured latency %v, want %v", i, a.latency, delay)
-		}
-	}
-	if eng.Merged() == 0 {
-		t.Error("no messages crossed the shard barrier; the port did not use the cross channels")
+	if err := serial.RegisterNetworkHandler(2, func(classical.Message) {}); err != nil {
+		t.Errorf("serial network refused a network-layer handler: %v", err)
 	}
 }

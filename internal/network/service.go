@@ -267,7 +267,9 @@ func NewService(nw *netsim.Network, cfg Config) (*Service, error) {
 	nw.OnLinkStateChange = s.handleLinkStateChange
 	for i := range nw.Nodes {
 		node := i
-		nw.RegisterNetworkHandler(node, func(m classical.Message) { s.handleFrame(node, m) })
+		if err := nw.RegisterNetworkHandler(node, func(m classical.Message) { s.handleFrame(node, m) }); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }

@@ -67,8 +67,9 @@ const (
 	// KindBatch is one same-timestamp dispatch batch. A = batch length,
 	// B = events still pending after the batch was collected.
 	KindBatch Kind = iota
-	// KindWindow is one sharded barrier window. A = cross-shard messages
-	// merged at this barrier, B = window span in sim nanoseconds.
+	// KindWindow is one sharded-engine window, recorded at the barrier
+	// where the shards meet. A = messages merged across shards (always 0:
+	// shards exchange none), B = window span in sim nanoseconds.
 	KindWindow
 	// KindQueueDepth samples an EGP queue's total occupancy. A = depth.
 	KindQueueDepth

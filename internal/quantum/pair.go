@@ -3,7 +3,6 @@ package quantum
 import (
 	"fmt"
 	"math"
-	"os"
 )
 
 // This file defines the pluggable pair-state abstraction: every layer of the
@@ -52,35 +51,6 @@ func ParseBackend(s string) (Backend, error) {
 	default:
 		return BackendDense, fmt.Errorf("quantum: unknown backend %q (want dense or belldiag)", s)
 	}
-}
-
-// BackendEnvVar is the environment variable consulted by BackendFromEnv; CI
-// uses it to run the whole test suite once per backend.
-const BackendEnvVar = "REPRO_BACKEND"
-
-// BackendFromEnv returns the backend named by $REPRO_BACKEND, or BackendDense
-// when the variable is unset. Default configurations (netsim.DefaultConfig,
-// bench defaults) consult it so a test matrix can flip every stack onto the
-// fast path without touching call sites. An unrecognised value panics: the
-// variable exists so CI can claim backend coverage, and a typo that silently
-// fell back to dense would report green fast-path coverage that never ran.
-func BackendFromEnv() Backend {
-	b, err := ParseBackend(os.Getenv(BackendEnvVar))
-	if err != nil {
-		panic(fmt.Sprintf("quantum: $%s: %v", BackendEnvVar, err))
-	}
-	return b
-}
-
-// ResolveBackend turns a scenario spec's hardware.backend value into a
-// Backend: an empty value defers to $REPRO_BACKEND (then dense), anything
-// else must parse. Unlike BackendFromEnv it reports a bad environment value
-// as an error, so a run can exit cleanly.
-func ResolveBackend(name string) (Backend, error) {
-	if name == "" {
-		name = os.Getenv(BackendEnvVar)
-	}
-	return ParseBackend(name)
 }
 
 // PauliOp indexes the four single-qubit Paulis in the order used by the

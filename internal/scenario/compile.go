@@ -86,7 +86,7 @@ func (s *Spec) Compile() (*Compiled, error) {
 	default:
 		return nil, sectionErr(s.Name, "hardware", fmt.Errorf("unknown scenario %q (Lab|QL2020)", hw.Scenario))
 	}
-	backend, err := quantum.ResolveBackend(hw.Backend)
+	backend, err := quantum.ParseBackend(hw.Backend)
 	if err != nil {
 		return nil, sectionErr(s.Name, "hardware", err)
 	}

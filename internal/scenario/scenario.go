@@ -69,7 +69,7 @@ type Hardware struct {
 	// Scenario is the hardware scenario: Lab (default) or QL2020.
 	Scenario string `json:"scenario,omitempty"`
 	// Backend is the pair-state representation: dense (exact) or belldiag
-	// (the O(1) fast path). Empty defers to $REPRO_BACKEND, then dense.
+	// (the O(1) fast path). Empty means dense.
 	Backend string `json:"backend,omitempty"`
 	// MemoryQubits overrides the per-node carbon memory count (0 keeps the
 	// scenario's own value).

@@ -14,8 +14,7 @@ import "fmt"
 // historically reached for — relative delays, parameterless handlers,
 // periodic tickers — is a thin package-level wrapper (Schedule, ScheduleAt,
 // ScheduleArg, Ticker) composed from it. One primitive means one code path
-// to make deterministic, one to make fast, and one for restricted engines
-// (the sharded engine's cross-shard edges) to gate.
+// to make deterministic and one to make fast.
 //
 // The contract every implementation honours:
 //
@@ -23,10 +22,8 @@ import "fmt"
 //     engine; ties are broken deterministically, and events sharing a
 //     timestamp are dispatched as one batch in insertion order.
 //   - Now() is the scheduling reference clock: the timestamp of the event
-//     being executed while inside a callback on a local engine, and the
-//     sender's clock on a cross-shard edge. Delivery callbacks should use
-//     the now argument handed to the ArgHandler, which is the firing event's
-//     timestamp on every engine.
+//     being executed while inside a callback. ArgHandlers also receive it
+//     as their now argument.
 //   - RNG() is the deterministic random source entities should draw from.
 //     Entities that must stay reproducible independent of how the topology
 //     is sharded are given a stream-pinned view via WithRNG.
@@ -36,10 +33,8 @@ type Engine interface {
 	// RNG returns the engine's deterministic random source.
 	RNG() *RNG
 	// ScheduleArgAt registers fn to run at absolute time at with the given
-	// argument; on local engines times in the past clamp to the present.
-	// The returned EventID cancels the event (Cancel on the zero EventID is
-	// a no-op; cross-shard deliveries return the zero EventID because they
-	// cannot be cancelled once staged).
+	// argument; times in the past clamp to the present. The returned
+	// EventID cancels the event (Cancel on the zero EventID is a no-op).
 	ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID
 	// Run executes events until none remain or Stop is called.
 	Run() error
@@ -60,7 +55,6 @@ var (
 	_ Engine = (*Simulator)(nil)
 	_ Engine = (*ShardedEngine)(nil)
 	_ Engine = (*rngEngine)(nil)
-	_ Engine = (*crossEngine)(nil)
 	_ Engine = uncountedEngine{}
 )
 
@@ -89,8 +83,7 @@ func ScheduleAt(e Engine, at Time, fn Handler) EventID {
 // ScheduleArg registers fn to run after delay with the given argument. It
 // behaves exactly like Schedule but carries the argument in the pooled event
 // itself, so callers with a long-lived handler avoid allocating a capturing
-// closure per event. On a cross-shard edge the delay is measured from the
-// sender's clock and must be at least the edge's registered minimum.
+// closure per event.
 func ScheduleArg(e Engine, delay Duration, fn ArgHandler, arg any) EventID {
 	if delay < 0 {
 		delay = 0

@@ -5,80 +5,49 @@ import (
 	"testing"
 )
 
-// TestShardedCountersQueryableMidRun is the regression test for the barrier
-// counter fix: Merged and Windows used to be plain fields only readable
-// after Run returned; they are now published atomically at each barrier so a
-// tracing hook running on a shard goroutine can read them mid-run. A
-// message marches down a 4-shard chain while an event on shard 0 samples the
-// counters in the middle of the run.
+// TestShardedCountersQueryableMidRun: every RunUntil is one window, the
+// window counter is readable from a shard goroutine mid-run, and the window
+// observer sees each window once, back to back, with nothing merged.
 func TestShardedCountersQueryableMidRun(t *testing.T) {
-	const delay = Duration(Millisecond)
-	const hops = 12
 	e := NewSharded(3, 4)
-	// Forward chain edges 0->1->2->3->0 so the message keeps crossing shards.
-	edges := make([]Engine, 4)
 	for i := 0; i < 4; i++ {
-		var err error
-		edges[i], err = e.Cross(i, (i+1)%4, delay, uint64(i+1))
-		if err != nil {
+		for j := 1; j <= 30; j++ {
+			Schedule(e.Shard(i), Duration(j)*Duration(Millisecond), func() {})
+		}
+	}
+	// Sample the counter on a shard's event loop during the second window.
+	midWindows := ^uint64(0)
+	Schedule(e.Shard(2), 15*Duration(Millisecond), func() { midWindows = e.Windows() })
+
+	type window struct {
+		start, end Time
+		merged     int
+	}
+	var observed []window
+	e.SetWindowObserver(func(start, end Time, merged int) {
+		observed = append(observed, window{start, end, merged})
+	})
+	for _, limit := range []Time{10, 20, 40} {
+		if err := e.RunUntil(limit * Time(Millisecond)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var forward ArgHandler
-	forward = func(now Time, arg any) {
-		n := arg.(int)
-		if n < hops {
-			ScheduleArg(edges[(n)%4], delay, forward, n+1)
-		}
+	if midWindows != 1 {
+		t.Fatalf("mid-run Windows() = %d in the second window, want 1", midWindows)
 	}
-	Schedule(e.Shard(0), 0, func() { ScheduleArg(edges[0], delay, forward, 1) })
-
-	// Sample the counters from inside the run, on a shard's event loop, at a
-	// time when several barriers have certainly completed.
-	type sample struct {
-		at      Time
-		merged  uint64
-		windows uint64
+	want := []window{
+		{0, 10 * Time(Millisecond), 0},
+		{10 * Time(Millisecond), 20 * Time(Millisecond), 0},
+		{20 * Time(Millisecond), 40 * Time(Millisecond), 0},
 	}
-	var mid sample
-	Schedule(e.Shard(0), Duration(hops/2)*delay, func() {
-		mid = sample{at: e.Shard(0).Now(), merged: e.Merged(), windows: e.Windows()}
-	})
-
-	// A window observer sees every barrier with coherent bounds.
-	var observed int
-	var observedMerged int
-	e.SetWindowObserver(func(start, end Time, merged int) {
-		if end < start {
-			t.Errorf("window end %d before start %d", end, start)
-		}
-		observed++
-		observedMerged += merged
-	})
-
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
+	if fmt.Sprint(observed) != fmt.Sprint(want) {
+		t.Fatalf("observed windows %v, want one per RunUntil: %v", observed, want)
 	}
-	if mid.at == 0 {
-		t.Fatal("mid-run sample never fired")
+	if e.Windows() != 3 || e.Merged() != 0 {
+		t.Fatalf("Windows() = %d, Merged() = %d; want 3 and 0", e.Windows(), e.Merged())
 	}
-	if mid.merged == 0 {
-		t.Fatalf("mid-run Merged() = 0 at t=%v; counters must be visible before Run returns", mid.at)
-	}
-	if mid.windows == 0 {
-		t.Fatalf("mid-run Windows() = 0 at t=%v", mid.at)
-	}
-	if got := e.Merged(); got != hops {
-		t.Fatalf("final Merged() = %d, want %d", got, hops)
-	}
-	if mid.merged >= e.Merged() {
-		t.Fatalf("mid-run Merged() = %d not below final %d", mid.merged, e.Merged())
-	}
-	if uint64(observed) != e.Windows() {
-		t.Fatalf("observer saw %d windows, engine counted %d", observed, e.Windows())
-	}
-	if uint64(observedMerged) != e.Merged() {
-		t.Fatalf("observer saw %d merged messages, engine counted %d", observedMerged, e.Merged())
+	if e.Executed() != 4*30+1 {
+		t.Fatalf("Executed() = %d, want %d", e.Executed(), 4*30+1)
 	}
 }
 

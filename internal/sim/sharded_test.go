@@ -6,204 +6,86 @@ import (
 	"testing"
 )
 
-// pingPongSharded bounces a counter between shard 0 and shard 1 over a
-// cross-shard duplex with the given one-way delay and returns the delivery
-// log: one "t=<time> n=<count>" line per delivery, in execution order.
-func pingPongSharded(t *testing.T, seed int64, delay Duration, rounds int) []string {
+// randomWalks runs four entities, each a chain of 50 events whose gaps it
+// draws from a stream pinned to its entity ID, on one serial Simulator
+// (shards 0) or spread over a sharded engine, and returns every entity's
+// firing times.
+func randomWalks(t *testing.T, seed int64, shards int) [4][]Time {
 	t.Helper()
-	e := NewSharded(seed, 2)
-	ab, err := e.Cross(0, 1, delay, 1)
-	if err != nil {
-		t.Fatal(err)
+	const steps = 50
+	var (
+		run  func() error
+		host func(i int) Engine
+	)
+	if shards == 0 {
+		s := New(seed)
+		run, host = s.Run, func(int) Engine { return s }
+	} else {
+		e := NewSharded(seed, shards)
+		run, host = e.Run, func(i int) Engine { return e.Shard(i % shards) }
 	}
-	ba, err := e.Cross(1, 0, delay, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var log []string
-	var deliverAtA, deliverAtB ArgHandler
-	deliverAtB = func(now Time, arg any) {
-		n := arg.(int)
-		log = append(log, fmt.Sprintf("t=%d n=%d", now, n))
-		if n < rounds {
-			ScheduleArg(ba, delay, deliverAtA, n+1)
+	var log [4][]Time
+	for i := range log {
+		i := i
+		eng := WithRNG(host(i), NewRNG(DeriveSeed(seed, uint64(i))))
+		var step ArgHandler
+		step = func(now Time, _ any) {
+			log[i] = append(log[i], now)
+			if len(log[i]) < steps {
+				ScheduleArg(eng, Duration(1+eng.RNG().Intn(1000)), step, nil)
+			}
 		}
+		ScheduleArg(eng, 0, step, nil)
 	}
-	deliverAtA = func(now Time, arg any) {
-		n := arg.(int)
-		log = append(log, fmt.Sprintf("t=%d n=%d", now, n))
-		if n < rounds {
-			ScheduleArg(ab, delay, deliverAtB, n+1)
-		}
-	}
-	// Seed the exchange from shard 0's own loop at t=0.
-	Schedule(e.Shard(0), 0, func() { ScheduleArg(ab, delay, deliverAtB, 1) })
-	if err := e.Run(); err != nil {
+	if err := run(); err != nil {
 		t.Fatal(err)
 	}
 	return log
 }
 
-// pingPongSerial is the same exchange modelled on one serial Simulator; it is
-// the reference the sharded run must reproduce exactly.
-func pingPongSerial(t *testing.T, seed int64, delay Duration, rounds int) []string {
-	t.Helper()
-	s := New(seed)
-	var log []string
-	var bounce ArgHandler
-	bounce = func(now Time, arg any) {
-		n := arg.(int)
-		log = append(log, fmt.Sprintf("t=%d n=%d", now, n))
-		if n < rounds {
-			ScheduleArg(s, delay, bounce, n+1)
-		}
-	}
-	Schedule(s, 0, func() { ScheduleArg(s, delay, bounce, 1) })
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	return log
-}
-
-// TestShardedPingPongMatchesSerial is the core conservative-sync check: a
-// message bouncing between two shards is delivered at exactly the same
-// simulated times, in the same order, as the serial model of the same
-// exchange — the barrier windows are invisible in the results.
-func TestShardedPingPongMatchesSerial(t *testing.T) {
-	const delay = Duration(Millisecond)
-	const rounds = 20
-	want := pingPongSerial(t, 1, delay, rounds)
-	got := pingPongSharded(t, 1, delay, rounds)
-	if len(want) != rounds {
-		t.Fatalf("serial reference logged %d deliveries, want %d", len(want), rounds)
-	}
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("delivery %d: sharded %q != serial %q\nsharded: %v\nserial: %v", i, got[i], want[i], got, want)
-		}
-	}
-	// The exchange is strictly paced by the channel delay.
-	if want[0] != fmt.Sprintf("t=%d n=1", delay) {
-		t.Fatalf("first delivery %q, want t=%d n=1", want[0], delay)
-	}
-}
-
-// TestShardedRunRepeatable runs the identical sharded exchange twice and
-// requires identical logs: goroutine timing must never leak into results.
+// TestShardedRunRepeatable runs the same independent entities twice on 1,
+// 2 and 4 shards and requires the serial engine's firing times every time:
+// goroutine timing must never leak into results.
 func TestShardedRunRepeatable(t *testing.T) {
-	a := pingPongSharded(t, 7, Duration(Microsecond), 50)
-	b := pingPongSharded(t, 7, Duration(Microsecond), 50)
-	if len(a) != len(b) {
-		t.Fatalf("run lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("delivery %d differs: %q vs %q", i, a[i], b[i])
+	want := fmt.Sprint(randomWalks(t, 7, 0))
+	for _, shards := range []int{1, 2, 4, 2} {
+		if got := fmt.Sprint(randomWalks(t, 7, shards)); got != want {
+			t.Fatalf("%d shards fired at\n%s\nserial fired at\n%s", shards, got, want)
 		}
 	}
 }
 
-// TestShardedMergeOrder checks the barrier merge's deterministic order for
-// same-timestamp arrivals: first by edge key, then by send order within an
-// edge, regardless of which source shard finished its window first.
-func TestShardedMergeOrder(t *testing.T) {
-	const delay = Duration(Millisecond)
-	e := NewSharded(1, 3)
-	// Two edges into shard 0 with deliberately inverted key order: the edge
-	// from shard 2 gets the smaller key, so its arrivals must execute first.
-	fromS1, err := e.Cross(1, 0, delay, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromS2, err := e.Cross(2, 0, delay, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var order []string
-	record := func(_ Time, arg any) { order = append(order, arg.(string)) }
-	// Both source shards send two messages with identical timestamps.
-	Schedule(e.Shard(1), 0, func() {
-		ScheduleArg(fromS1, delay, record, "key9-first")
-		ScheduleArg(fromS1, delay, record, "key9-second")
-	})
-	Schedule(e.Shard(2), 0, func() {
-		ScheduleArg(fromS2, delay, record, "key3-first")
-		ScheduleArg(fromS2, delay, record, "key3-second")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"key3-first", "key3-second", "key9-first", "key9-second"}
-	if len(order) != len(want) {
-		t.Fatalf("executed %d deliveries, want %d: %v", len(order), len(want), order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("merge order %v, want %v", order, want)
-		}
-	}
-	if e.Merged() != 4 {
-		t.Fatalf("Merged() = %d, want 4", e.Merged())
-	}
-}
-
-func TestCrossRegistrationRejections(t *testing.T) {
+// TestShardedRunPublishesLatestClock: after Run the engine clock is the
+// latest shard clock, as the serial engine's is the time of its last event,
+// and later relative scheduling and RunFor pick up from there.
+func TestShardedRunPublishesLatestClock(t *testing.T) {
+	serial := New(1)
 	e := NewSharded(1, 2)
-	cases := []struct {
-		name     string
-		src, dst int
-		delay    Duration
-	}{
-		{"zero delay", 0, 1, 0},
-		{"negative delay", 0, 1, -1},
-		{"same shard", 0, 0, Duration(Millisecond)},
-		{"src out of range", 5, 1, Duration(Millisecond)},
-		{"dst out of range", 0, -1, Duration(Millisecond)},
-	}
-	for _, c := range cases {
-		if _, err := e.Cross(c.src, c.dst, c.delay, 1); err == nil {
-			t.Errorf("%s: Cross accepted an invalid edge", c.name)
+	Schedule(serial, 10, func() {})
+	Schedule(serial, 20, func() {})
+	Schedule(e.Shard(0), 10, func() {})
+	Schedule(e.Shard(1), 20, func() {})
+	for _, eng := range []Engine{serial, e} {
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Registration after the engine has run is rejected: the lookahead is
-	// frozen once windows have been computed from it.
-	if err := e.RunFor(Duration(Millisecond)); err != nil {
-		t.Fatal(err)
+	if e.Now() != serial.Now() || e.Now() != 20 {
+		t.Fatalf("after Run: sharded Now() = %d, serial Now() = %d, want 20", e.Now(), serial.Now())
 	}
-	if _, err := e.Cross(0, 1, Duration(Millisecond), 1); err == nil {
-		t.Error("Cross accepted a registration after the engine started running")
-	}
-}
-
-func TestCrossSendBelowMinimumPanics(t *testing.T) {
-	e := NewSharded(1, 2)
-	c, err := e.Cross(0, 1, Duration(Millisecond), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-shard send below the registered minimum did not panic")
+	var firedSerial, firedSharded Time
+	Schedule(serial, 3, func() { firedSerial = serial.Now() })
+	Schedule(e.Shard(0), 3, func() { firedSharded = e.Shard(0).Now() })
+	for _, eng := range []Engine{serial, e} {
+		if err := eng.RunFor(5); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	ScheduleArg(c, Duration(Microsecond), func(Time, any) {}, nil)
-}
-
-// TestShardedLookahead checks the lookahead tracks the minimum registered
-// delay and stays infinite with no cross edges.
-func TestShardedLookahead(t *testing.T) {
-	e := NewSharded(1, 3)
-	if e.Lookahead() != noLookahead {
-		t.Fatalf("fresh engine lookahead %v, want unbounded", e.Lookahead())
 	}
-	if _, err := e.Cross(0, 1, 5*Duration(Millisecond), 1); err != nil {
-		t.Fatal(err)
+	if e.Now() != serial.Now() || e.Now() != 25 {
+		t.Fatalf("after RunFor(5): sharded Now() = %d, serial Now() = %d, want 25", e.Now(), serial.Now())
 	}
-	if _, err := e.Cross(1, 2, 2*Duration(Millisecond), 2); err != nil {
-		t.Fatal(err)
-	}
-	if e.Lookahead() != 2*Duration(Millisecond) {
-		t.Fatalf("lookahead %v, want the minimum registered delay %v", e.Lookahead(), 2*Duration(Millisecond))
+	if firedSharded != firedSerial || firedSharded != 23 {
+		t.Fatalf("event scheduled 3 ns after Run fired at %d sharded, %d serial, want 23", firedSharded, firedSerial)
 	}
 }
 
@@ -233,64 +115,38 @@ func TestShardedRunUntilAdvancesClock(t *testing.T) {
 	}
 }
 
-// TestShardedWindowsBoundedByLookahead forces many windows: with lookahead L
-// and events spread over many L, RunUntil still fires everything at the right
-// times.
-func TestShardedWindowsBoundedByLookahead(t *testing.T) {
-	const delay = Duration(Microsecond)
-	e := NewSharded(1, 2)
-	c, err := e.Cross(0, 1, delay, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arrivals []Time
-	// A periodic sender on shard 0 fires 10 cross-shard sends a millisecond
-	// apart — each send lands in a different window.
-	for i := 1; i <= 10; i++ {
-		at := Time(i) * Time(Millisecond)
-		ScheduleAt(e.Shard(0), at, func() {
-			ScheduleArg(c, delay, func(now Time, _ any) { arrivals = append(arrivals, now) }, nil)
-		})
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(arrivals) != 10 {
-		t.Fatalf("delivered %d cross-shard messages, want 10", len(arrivals))
-	}
-	for i, at := range arrivals {
-		want := Time(i+1)*Time(Millisecond) + Time(delay)
-		if at != want {
-			t.Fatalf("arrival %d at %v, want %v", i, at, want)
-		}
-	}
-}
-
-// TestShardedStop: Stop takes effect at the next window barrier, so the test
-// bounds the windows with a registered cross edge (with unbounded lookahead a
-// run is a single window and only finishes on its own).
+// TestShardedStop: the engine-level Stop makes the run report ErrStopped
+// when its window ends (shards never wait on one another, so it does not cut
+// the window short), while a shard's own Stop halts that shard at once and
+// keeps its pending events for the next run.
 func TestShardedStop(t *testing.T) {
 	e := NewSharded(1, 2)
-	if _, err := e.Cross(0, 1, Duration(Millisecond), 1); err != nil {
-		t.Fatal(err)
-	}
+	finished := false
 	Schedule(e.Shard(0), Duration(Millisecond), func() { e.Stop() })
-	Schedule(e.Shard(1), 3600*Duration(Second), func() { t.Error("event fired after Stop") })
+	Schedule(e.Shard(0), 2*Duration(Millisecond), func() { finished = true })
+	Schedule(e.Shard(1), Duration(Millisecond), func() { e.Shard(1).Stop() })
+	late := false
+	Schedule(e.Shard(1), 3600*Duration(Second), func() { late = true })
 	err := e.RunUntil(Time(7200 * Second))
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("RunUntil returned %v, want ErrStopped", err)
 	}
-	if e.Pending() == 0 {
-		t.Fatal("the far-future event should survive the stop")
+	if !finished {
+		t.Fatal("the engine-level Stop cut shard 0's window short")
+	}
+	if late || e.Pending() != 1 {
+		t.Fatalf("the far-future event should survive shard 1's Stop: fired %v, %d pending", late, e.Pending())
+	}
+	if err := e.RunUntil(Time(7200 * Second)); err != nil {
+		t.Fatal(err)
+	}
+	if !late {
+		t.Fatal("the next run did not fire the event the stopped shard kept")
 	}
 }
 
 func TestShardedEngineRestrictedSurface(t *testing.T) {
 	e := NewSharded(1, 2)
-	c, err := e.Cross(0, 1, Duration(Millisecond), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
@@ -305,12 +161,6 @@ func TestShardedEngineRestrictedSurface(t *testing.T) {
 	expectPanic("Schedule on ShardedEngine", func() { Schedule(e, 0, func() {}) })
 	expectPanic("ScheduleAt on ShardedEngine", func() { ScheduleAt(e, 0, func() {}) })
 	expectPanic("Ticker on ShardedEngine", func() { Ticker(e, Duration(Millisecond), func() {}) })
-	expectPanic("crossEngine.Run", func() { c.Run() })
-	expectPanic("crossEngine.RunUntil", func() { c.RunUntil(0) })
-	expectPanic("crossEngine.RunFor", func() { c.RunFor(0) })
-	expectPanic("crossEngine.Stop", func() { c.Stop() })
-	expectPanic("crossEngine.Executed", func() { c.Executed() })
-	expectPanic("crossEngine.Pending", func() { c.Pending() })
 }
 
 func TestNewShardedRejectsZeroShards(t *testing.T) {
@@ -371,8 +221,8 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
-// TestShardedNoCrossRunsIndependently: with no cross edges the lookahead is
-// unbounded and a Run is one window — both shards drain fully in parallel.
+// TestShardedNoCrossRunsIndependently: a Run is one window — every shard
+// drains fully in parallel.
 func TestShardedNoCrossRunsIndependently(t *testing.T) {
 	e := NewSharded(1, 4)
 	total := 0

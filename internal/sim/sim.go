@@ -76,9 +76,8 @@ type Handler func()
 // value into a fixed handler (e.g. one classical message into one channel's
 // delivery function) build the handler once and schedule pooled
 // argument-carrying events, instead of allocating a fresh capturing closure
-// per event. The now argument is the firing event's absolute time — equal to
-// Engine.Now() inside the callback on a local engine, and the only clock a
-// cross-shard delivery handler should use.
+// per event. The now argument is the firing event's absolute time, equal to
+// Engine.Now() inside the callback.
 type ArgHandler func(now Time, arg any)
 
 // event is a single scheduled callback. Event structs are pooled: once an
@@ -124,7 +123,7 @@ func (id EventID) Cancel() {
 // Latest reports whether the event is still pending and no event has been
 // scheduled on its simulator since: an event scheduled now for the same time
 // would fire right after it, with no other event in between. The zero
-// EventID, and so every cross-shard delivery, is never the latest.
+// EventID is never the latest.
 func (id EventID) Latest() bool {
 	ev := id.ev
 	return ev != nil && ev.gen == id.gen && !ev.canceled && ev.seq+1 == id.s.nextSeq
@@ -247,10 +246,8 @@ func (s *Simulator) SetBatchObserver(fn func(at Time, batchLen, pending int)) { 
 
 // ScheduleArgAt registers an argument-carrying event at absolute time at;
 // times in the past are clamped to the present. This is the one canonical
-// scheduling primitive — Schedule, ScheduleAt, ScheduleArg and Ticker are
-// package-level wrappers over it — and the sharded engine's barrier merge
-// uses it directly to inject cross-shard deliveries with their original
-// arrival timestamps.
+// scheduling primitive: Schedule, ScheduleAt, ScheduleArg and Ticker are
+// package-level wrappers over it.
 func (s *Simulator) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID {
 	if at < s.now {
 		at = s.now
@@ -258,17 +255,6 @@ func (s *Simulator) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID {
 	ev := s.newEvent(at, fn, arg)
 	s.q.push(ev)
 	return EventID{s: s, ev: ev, gen: ev.gen}
-}
-
-// nextEventAt returns the timestamp of the earliest pending event. The head
-// may be a cancelled event, so the result is a lower bound on the next event
-// that will actually fire — which is the safe direction for the sharded
-// engine's window computation.
-func (s *Simulator) nextEventAt() (Time, bool) {
-	if ev := s.q.peek(); ev != nil {
-		return ev.at, true
-	}
-	return 0, false
 }
 
 // Stop halts the simulation; Run and RunUntil return promptly after the

@@ -25,13 +25,12 @@ import (
 //
 // Ordering is exact, not approximate: peek returns the resident event with
 // the smallest (at, seq) — including lazily-cancelled events — so the
-// Simulator's execution order, counters and the sharded engine's window
-// boundaries are those of a binary heap over (at, seq), the reference the
-// package tests hold the wheel to. Collected events wait in a sorted ready
-// run; events scheduled at or before the cursor (the common "fire this
-// instant" case) insert into that run directly. All storage — slots,
-// bitmaps, the ready run, the overflow list — is reused, so steady-state
-// insert/cancel/tick allocate nothing.
+// Simulator's execution order and counters are those of a binary heap over
+// (at, seq), the reference the package tests hold the wheel to. Collected
+// events wait in a sorted ready run; events scheduled at or before the
+// cursor (the common "fire this instant" case) insert into that run
+// directly. All storage — slots, bitmaps, the ready run, the overflow
+// list — is reused, so steady-state insert/cancel/tick allocate nothing.
 const (
 	// wheelGranuleBits sets the level-0 slot width: 2^10 = 1024 simulated
 	// nanoseconds, finer than every periodic delay in the stack (the
