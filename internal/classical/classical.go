@@ -209,9 +209,12 @@ func (m *Mux) Deliver(msg Message) {
 func (m *Mux) Stats() (routed, dropped uint64) { return m.routed.Load(), m.dropped.Load() }
 
 // Channel is a unidirectional, ordered, lossy message channel with a fixed
-// propagation delay, built on the discrete-event simulator. Send draws the
+// propagation delay, built on the discrete-event simulator: the node-to-node
+// link carrying the DQP/EGP frames and the network layer's. Send draws the
 // loss Bernoulli and schedules the delivery; the delivery handler recovers
-// the send time from its own firing timestamp.
+// the send time from its own firing timestamp. (A link's GEN and REPLY
+// frames do not use Channels: the link's MHP schedules their deliveries
+// itself, see package mhp.)
 type Channel struct {
 	Name     string
 	simul    sim.Engine
@@ -222,24 +225,10 @@ type Channel struct {
 	// once so Send schedules a pooled argument-carrying event instead of
 	// allocating a capturing closure per frame.
 	onDeliver sim.ArgHandler
-	// riders are the frames of other channels riding this channel's
-	// delivery events (PostAfter), oldest first from ridersHead; each names
-	// the delivery it rides by its number in this channel's delivery order.
-	riders     []rider
-	ridersHead int
 
 	sent      uint64
 	delivered uint64
 	dropped   uint64
-	rode      uint64
-}
-
-// rider is a frame of channel c delivered by the event of this channel's
-// n-th delivery, right after that delivery's own frame.
-type rider struct {
-	n       uint64
-	c       *Channel
-	payload any
 }
 
 // NewChannel creates a channel delivering messages to the given handler
@@ -258,16 +247,6 @@ func NewChannel(name string, s sim.Engine, delay sim.Duration, lossProb float64,
 		// recovered from the delivery timestamp instead of being carried
 		// per frame.
 		c.deliver(Message{Payload: payload, SentAt: now.Add(-c.delay)})
-		// A channel delivers in send order, so the frames riding this
-		// delivery are the oldest riders.
-		for c.ridersHead < len(c.riders) && c.riders[c.ridersHead].n == c.delivered {
-			r := c.riders[c.ridersHead]
-			c.riders[c.ridersHead] = rider{}
-			if c.ridersHead++; c.ridersHead == len(c.riders) {
-				c.riders, c.ridersHead = c.riders[:0], 0
-			}
-			r.c.onDeliver(now, r.payload)
-		}
 	}
 	return c
 }
@@ -291,63 +270,13 @@ func (c *Channel) LossProbability() float64 { return c.lossProb }
 // probability) or delivered to the handler after the propagation delay. The
 // hot path allocates nothing: the payload is already boxed at the call site
 // and rides the pooled event straight into the delivery trampoline.
-func (c *Channel) Send(payload any) { c.Post(payload) }
-
-// Delivery is the pending delivery event of a frame, as Post returns it: a
-// frame sent on another channel later may ride it (PostAfter). The zero
-// Delivery is no event.
-type Delivery struct {
-	c  *Channel
-	n  uint64 // the frame's number in c's delivery order
-	at sim.Time
-	id sim.EventID
-}
-
-// Post sends a payload as Send does and returns its pending delivery; ok is
-// false when the channel dropped the frame.
-func (c *Channel) Post(payload any) (d Delivery, ok bool) {
-	return c.PostAfter(Delivery{}, payload)
-}
-
-// PostAfter is Post for a frame that may ride host, the pending delivery of
-// an earlier frame on another channel. The frame draws its loss exactly as
-// Send does. If it survives, shares host's engine and arrival time, and no
-// event has been scheduled on that engine since host's
-// (sim.EventID.Latest), its own delivery event would fire right after
-// host's with nothing in between: the frame then rides host's event
-// instead, which delivers it right after host's frame (even if host's
-// receiver stops the engine), and the returned Delivery is the zero one.
-// Otherwise the frame travels as Send sends it.
-func (c *Channel) PostAfter(host Delivery, payload any) (d Delivery, ok bool) {
+func (c *Channel) Send(payload any) {
 	c.sent++
 	if c.simul.RNG().Bernoulli(c.lossProb) {
 		c.dropped++
-		return Delivery{}, false
+		return
 	}
-	at := c.simul.Now().Add(c.delay)
-	if h := host.c; h != nil && h.simul == c.simul && host.at == at && host.id.Latest() {
-		c.rode++
-		if h.ridersHead > 0 && len(h.riders) == cap(h.riders) {
-			n := copy(h.riders, h.riders[h.ridersHead:])
-			clear(h.riders[n:])
-			h.riders, h.ridersHead = h.riders[:n], 0
-		}
-		h.riders = append(h.riders, rider{n: host.n, c: c, payload: payload})
-		return Delivery{}, true
-	}
-	id := c.simul.ScheduleArgAt(at, c.onDeliver, payload)
-	return Delivery{c: c, n: c.sent - c.dropped, at: at, id: id}, true
-}
-
-// SendPair sends first on c and then second on d, exactly as c.Send(first)
-// followed by d.Send(second) would: c's loss is drawn first, and each frame
-// surviving its draw arrives one channel delay later. When both survive and
-// the two channels share an engine and a delay, second rides first's
-// delivery event (PostAfter). SendPair reports which frames were dropped.
-func SendPair(c, d *Channel, first, second any) (droppedFirst, droppedSecond bool) {
-	host, ok := c.Post(first)
-	_, okSecond := d.PostAfter(host, second)
-	return !ok, !okSecond
+	sim.ScheduleArg(c.simul, c.delay, c.onDeliver, payload)
 }
 
 // Stats returns how many frames were sent, delivered and dropped so far.
@@ -355,10 +284,6 @@ func SendPair(c, d *Channel, first, second any) (droppedFirst, droppedSecond boo
 func (c *Channel) Stats() (sent, delivered, dropped uint64) {
 	return c.sent, c.delivered, c.dropped
 }
-
-// Rode returns how many of the channel's frames rode another frame's
-// delivery event instead of getting one of their own (PostAfter).
-func (c *Channel) Rode() uint64 { return c.rode }
 
 // Duplex bundles the two directions of a node-to-node (or node-to-midpoint)
 // classical link.

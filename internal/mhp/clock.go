@@ -67,7 +67,7 @@ func (c *Clock) Add(n *Node) {
 	if n.clock != nil {
 		panic("mhp: node " + n.Name + " already runs on a clock")
 	}
-	p := n.period()
+	p := n.link.period
 	if c.period == 0 {
 		c.period = p
 	} else if p != c.period {

@@ -5,8 +5,8 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/classical"
 	"repro/internal/nv"
+	"repro/internal/photonics"
 	"repro/internal/sim"
 )
 
@@ -33,24 +33,29 @@ func (g *scriptedGen) HandleResult(Result) {}
 
 func (g *scriptedGen) Idle() bool { return !g.busy }
 
-// newScriptedNode builds a node on s around g; the channel and midpoint are
-// never used because g never asks for an attempt.
-func newScriptedNode(s *sim.Simulator, g *scriptedGen) *Node {
+// newScriptedLink builds a link on s between a and b, which never ask for an
+// attempt.
+func newScriptedLink(s *sim.Simulator, a, b *scriptedGen) *Link {
 	platform := nv.LabPlatform()
-	ch := classical.NewChannel(g.name+"->h", s, 10*sim.Nanosecond, 0, func(classical.Message) {})
-	return NewNode(NodeConfig{
-		Name: g.name, Sim: s, Generator: g,
-		Device:     nv.NewDevice(g.name, platform.Gates, platform.CarbonCoupling, 1),
-		Registry:   NewPairRegistry(),
-		ToMidpoint: ch, CycleTimeM: platform.CycleTime[nv.RequestMeasure],
+	return NewLink(LinkConfig{
+		Sim: s, Sampler: photonics.NewLinkSampler(platform.Optics), Registry: NewPairRegistry(),
+		Generators: [2]Generator{a, b},
+		Devices: [2]*nv.Device{
+			nv.NewDevice(a.name, platform.Gates, platform.CarbonCoupling, 1),
+			nv.NewDevice(b.name, platform.Gates, platform.CarbonCoupling, 1),
+		},
+		Arms:      [2]sim.Duration{10 * sim.Nanosecond, 10 * sim.Nanosecond},
+		CycleTime: platform.CycleTime[nv.RequestMeasure],
+		HoldTime:  100 * sim.Microsecond,
 	})
 }
 
-// TestClockPollsActiveNodesInSlotOrder scripts four nodes on one clock: n0
-// and n2 have work, n1 and n3 start parked. In cycle 3, n2's poll wakes n1
-// (behind the cursor) and n3 (ahead of it): n3 is polled in cycle 3, n1 from
-// cycle 4, and during the tick they read the cycles their own tickers would
-// have shown. In cycle 5 n0 runs out of work and parks after its poll.
+// TestClockPollsActiveNodesInSlotOrder scripts four nodes, two links' worth,
+// on one clock: n0 and n2 have work, n1 and n3 start parked. In cycle 3,
+// n2's poll wakes n1 (behind the cursor) and n3 (ahead of it): n3 is polled
+// in cycle 3, n1 from cycle 4, and during the tick they read the cycles
+// their own tickers would have shown. In cycle 5 n0 runs out of work and
+// parks after its poll.
 func TestClockPollsActiveNodesInSlotOrder(t *testing.T) {
 	s := sim.New(1)
 	var log []string
@@ -59,8 +64,12 @@ func TestClockPollsActiveNodesInSlotOrder(t *testing.T) {
 	clock := NewClock(s)
 	for i := range gens {
 		gens[i] = &scriptedGen{name: fmt.Sprintf("n%d", i), log: &log, busy: i%2 == 0}
-		nodes[i] = newScriptedNode(s, gens[i])
+	}
+	for i := 0; i < len(nodes); i += 2 {
+		l := newScriptedLink(s, gens[i], gens[i+1])
+		nodes[i], nodes[i+1] = l.Node(nv.SideA), l.Node(nv.SideB)
 		clock.Add(nodes[i])
+		clock.Add(nodes[i+1])
 	}
 	var read [2]uint64
 	gens[2].onPoll = func(cycle uint64) {
@@ -75,7 +84,7 @@ func TestClockPollsActiveNodesInSlotOrder(t *testing.T) {
 		}
 	}
 	stop := clock.Start()
-	period := nodes[0].period()
+	period := nodes[0].link.period
 	_ = s.RunFor(6 * period)
 	stop()
 
@@ -117,11 +126,12 @@ func TestPolledCycleMatchesAlwaysPolledTwin(t *testing.T) {
 	always := &scriptedGen{name: "always", log: &log, busy: true}
 	parking := &scriptedGen{name: "parking", log: &log}
 	clock := NewClock(s)
-	a, p := newScriptedNode(s, always), newScriptedNode(s, parking)
+	l := newScriptedLink(s, always, parking)
+	a, p := l.Node(nv.SideA), l.Node(nv.SideB)
 	clock.Add(a)
 	clock.Add(p)
 	clock.Start()
-	period := a.period()
+	period := l.period
 	rng := sim.NewRNG(7)
 	for step := 0; step < 400; step++ {
 		// Act strictly between ticks, at a random offset into a cycle.

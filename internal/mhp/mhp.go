@@ -1,9 +1,11 @@
 // Package mhp implements the physical-layer Midpoint Heralding Protocol of
-// Section 5.1: the node-side protocol that polls the link layer every MHP
-// cycle, triggers entanglement generation attempts and forwards midpoint
-// replies upwards, and the midpoint (heralding station) service that matches
-// GEN frames from the two nodes, performs the optical Bell-state
-// measurement, and announces the outcome.
+// Section 5.1 for one link. Every MHP cycle each node polls its link layer
+// and, if asked to, sends a GEN frame to the heralding station; the station
+// matches the two GENs of a cycle, performs the optical Bell-state
+// measurement and answers both nodes with a REPLY, which each node forwards
+// upwards. One Link owns that whole exchange: both nodes' per-cycle
+// decisions, the four fibres between them and the station, and the station
+// itself.
 //
 // The cycle is kept by one Clock per engine, which polls the nodes that have
 // work. A node polls only while its link layer has something queued or
@@ -11,11 +13,11 @@
 // layer wakes it, since its poll would be a no-op (see Clock for why the run
 // is unchanged).
 //
-// On a link with equal arms (every Lab link) a failed attempt costs two
-// events beside the clock's tick: one delivers both GENs of the cycle, B's
-// riding A's delivery event (Node.runCycle), and one both REPLYs
-// (Midpoint.sendReplies). Over unequal arms, such as QL2020's, each GEN and
-// each REPLY has its own event.
+// Because the Link sends both GENs of a cycle, it knows when each will
+// arrive and schedules only the deliveries it needs. Over equal arms (every
+// Lab link) one event delivers both GENs and one both REPLYs, so a failed
+// attempt costs two events beside the clock's tick. Over unequal arms, such
+// as QL2020's, each GEN and each REPLY has its own event.
 //
 // The package is deliberately stateless on the node side (beyond the pending
 // attempt bookkeeping required to route replies), mirroring the paper's
@@ -23,10 +25,8 @@
 package mhp
 
 import (
-	"fmt"
 	"slices"
 
-	"repro/internal/classical"
 	"repro/internal/nv"
 	"repro/internal/obs"
 	"repro/internal/photonics"
@@ -91,10 +91,6 @@ type Generator interface {
 // (which creates them) and the two nodes' link layers (which claim their
 // side upon receiving the REPLY). It stands in for "the qubit is already
 // physically at the node" — only classical information travels in REPLY.
-//
-// The registry is the one object a link's two nodes and midpoint share, so it
-// also holds the link's free lists of GEN and REPLY payloads. All three run on
-// the link's own engine (serial or one shard), so neither needs a lock.
 type PairRegistry struct {
 	pairs map[uint16]*nv.EntangledPair
 	// newest is the most recently assigned sequence number; Sweep measures
@@ -102,18 +98,10 @@ type PairRegistry struct {
 	newest    uint16
 	hasNewest bool
 	evicted   uint64
-
-	gens    freeList[genPayload]
-	replies freeList[replyPayload]
-	// inFlight is each side's newest GEN still on its way to the midpoint
-	// (see departed), nil once it has arrived, and delivery its pending
-	// delivery event, which the other side's GEN may ride.
-	inFlight [2]*genPayload
-	delivery [2]classical.Delivery
 }
 
 // Registry eviction parameters: a sweep runs whenever the registry exceeds
-// the high-water mark, and unconditionally from the node-side maintenance
+// the high-water mark, and unconditionally from the link's maintenance
 // pass; entries lagging the newest sequence number by more than the lag are
 // dropped. The lag comfortably exceeds the deepest reply pipeline (the EGP
 // caps outstanding multiplexed attempts at 64).
@@ -143,9 +131,9 @@ func (r *PairRegistry) Put(seq uint16, pair *nv.EntangledPair) {
 // Sweep evicts entries whose sequence number lags the newest assigned
 // sequence by more than maxLag in circular uint16 distance, returning how
 // many were dropped. Without it the registry would retain pairs forever when
-// REPLY frames are lost (the nodes never claim them), so the node-side MHP
-// calls Sweep from the same periodic maintenance pass that drops stale
-// pending attempts.
+// REPLY frames are lost (the nodes never claim them), so the link calls
+// Sweep from the same periodic maintenance pass that drops stale pending
+// attempts.
 func (r *PairRegistry) Sweep(maxLag uint16) int {
 	if !r.hasNewest {
 		return 0
@@ -174,38 +162,55 @@ func (r *PairRegistry) Forget(seq uint16) { delete(r.pairs, seq) }
 // Len returns how many pairs are registered.
 func (r *PairRegistry) Len() int { return len(r.pairs) }
 
-// genPayload is the payload travelling from a node to the midpoint: the
-// encoded GEN frame plus the physical "photon" (its emission parameters).
-// The photon cannot be lost independently of the frame here because photon
-// loss is already part of the optical model sampled at the midpoint; what
-// matters for protocol robustness is losing the classical frame.
+// Fibre names one of a link's four one-way fibres: the GEN fibres from each
+// node to the heralding station and the REPLY fibres back, each pair in
+// side order (FibreAH + Fibre(side) carries side's GENs).
+type Fibre int
+
+const (
+	FibreAH Fibre = iota // A's GENs to the station
+	FibreBH              // B's GENs to the station
+	FibreHA              // the station's REPLYs to A
+	FibreHB              // the station's REPLYs to B
+)
+
+// genPayload is a GEN on its way to the station: the encoded frame plus the
+// physical "photon" (its emission parameters). The photon cannot be lost
+// independently of the frame here because photon loss is already part of the
+// optical model sampled at the station; what matters for protocol
+// robustness is losing the classical frame.
 //
-// Payloads travel as pointers drawn from the link's free list. The sender
-// reclaims a payload the channel dropped; otherwise the midpoint returns it
-// once nothing refers to it any more: when it is matched, or from its hold
-// event if it has one.
+// Payloads come from the link's free list. The station returns one once
+// nothing refers to it any more: when it is matched, or from its hold event
+// if it has one.
 type genPayload struct {
 	frame [wire.GENFrameLen]byte
 	// size is how many bytes of frame were sent: always the full frame from
-	// a node, shorter only for a hand-built payload (NewGENPayload).
+	// a node, shorter only for a malformed payload a test builds by hand.
 	size  uint8
 	alpha float64
 	side  nv.PairSide
 	cycle uint64
-	// at is when the GEN reaches the midpoint. peerAt, if peerDue, is when
-	// the other side's GEN of the same cycle does; the two learn of each
-	// other when the second is sent while the first is on its way.
-	at, peerAt sim.Time
-	peerDue    bool
+	// partnered is set when the other side's GEN of the same cycle arrives
+	// after this one but before this one's hold would expire: it will find
+	// this one waiting, so this one needs no hold event.
+	partnered bool
+	// rider is the other side's GEN of the same cycle when it arrives at the
+	// same instant: this GEN's delivery event delivers it right after.
+	rider *genPayload
 	// timed is set once a hold event refers to the payload.
 	timed bool
 }
 
-// replyPayload carries the encoded REPLY frame from the midpoint to a node,
-// which returns it to the free list as soon as it has decoded it.
+// replyPayload is a REPLY on its way to the node on side, which returns it
+// to the free list as soon as it has decoded it.
 type replyPayload struct {
 	frame [wire.REPLYFrameLen]byte
 	size  uint8
+	side  nv.PairSide
+	// rider is the other node's REPLY when it arrives at the same instant:
+	// this REPLY's delivery event delivers it right after.
+	rider *replyPayload
 }
 
 // freeList recycles one kind of payload struct.
@@ -222,35 +227,394 @@ func (l *freeList[T]) get() *T {
 
 func (l *freeList[T]) put(p *T) { *l = append(*l, p) }
 
-// departed records a GEN its channel accepted, with its pending delivery d,
-// as its side's newest GEN in flight. If the other side's newest GEN in
-// flight is of the same cycle, the two are each other's partner, and each
-// learns when the other arrives.
-func (r *PairRegistry) departed(p *genPayload, d classical.Delivery) {
-	if o := r.inFlight[1-p.side]; o != nil && o.cycle == p.cycle {
-		p.peerAt, p.peerDue = o.at, true
-		o.peerAt, o.peerDue = p.at, true
-	}
-	r.inFlight[p.side], r.delivery[p.side] = p, d
+// Link is one link's MHP: the two nodes' attempt loop, the four fibres and
+// the heralding station. Everything it does runs on the link's own engine.
+type Link struct {
+	eng      sim.Engine
+	sampler  *photonics.LinkSampler
+	registry *PairRegistry
+	nodes    [2]Node
+
+	// period is the MHP cycle (LinkConfig.CycleTime); the EGP's scheduler
+	// is responsible for not triggering K attempts faster than the hardware
+	// allows.
+	period sim.Duration
+	// arm is each node's one-way delay to the station, both ways; loss is
+	// each fibre's per-frame loss probability.
+	arm  [2]sim.Duration
+	loss [4]float64
+	// holdTime is how long an unmatched GEN is held waiting for the peer's
+	// GEN of the same cycle before the attempt is reported back as
+	// NO_MESSAGE_OTHER. It must exceed the propagation asymmetry of the two
+	// arms plus scheduling jitter.
+	holdTime sim.Duration
+	// The delivery and hold handlers, built once so scheduling one carries
+	// a pooled payload instead of allocating a closure.
+	onGEN, onReply, onHold sim.ArgHandler
+
+	// depolarize, when in (0,1), applies a single-qubit depolarising channel
+	// of that fidelity to every freshly heralded pair — the Degraded link
+	// state's lowered-fidelity mode. 0 (the default) is off at the cost of
+	// one comparison per heralded success.
+	depolarize float64
+
+	seq uint16
+	// waiting holds unmatched GEN frames per node side, at most one per
+	// attempt cycle (the frame's timestamp): the station links messages to
+	// detection windows by timestamp, not by arrival order, so emission
+	// multiplexing over asymmetric fibre arms pairs the right attempts. A
+	// side rarely has more than one GEN waiting, so a scan beats a lookup.
+	waiting [2][]*genPayload
+	// flight is each side's newest GEN still on its way to the station, nil
+	// once it has arrived: the other side's GEN of the same cycle, sent
+	// later in the same tick, settles the pair's arrivals with it.
+	flight  [2]*genPayload
+	gens    freeList[genPayload]
+	replies freeList[replyPayload]
+	// swept is the cycle of the latest registry sweep, so the maintenance
+	// pass sweeps once per cycle however many of the link's nodes poll.
+	swept uint64
+
+	// Statistics.
+	matched       uint64
+	successes     uint64
+	timeMismatch  uint64
+	queueMismatch uint64
+	noOther       uint64
+
+	// Flight-recorder hooks; all nil-safe, nil when observability is off.
+	trace   *obs.Ring
+	traceID uint64
+	metrics *obs.MHPMetrics
 }
 
-// Node is the node-side MHP instance.
+// LinkConfig collects the construction parameters of a Link. The per-side
+// arrays are indexed by nv.PairSide.
+type LinkConfig struct {
+	Sim        sim.Engine
+	Sampler    *photonics.LinkSampler
+	Registry   *PairRegistry
+	Generators [2]Generator
+	Devices    [2]*nv.Device
+	// Arms are each node's one-way delay to the station, used both ways.
+	Arms [2]sim.Duration
+	// Loss is every fibre's initial per-frame loss probability.
+	Loss float64
+	// CycleTime is the MHP cycle: the M-type cycle period, the finest
+	// granularity at which the EGP can be polled.
+	CycleTime sim.Duration
+	// HoldTime bounds how long an unmatched GEN waits for its counterpart.
+	HoldTime sim.Duration
+
+	// Trace, when non-nil, records attempt, REPLY and heralding events under
+	// track TraceID (the link ID); Metrics publishes attempt, match and
+	// success counters. Both are nil-safe and nil by default.
+	Trace   *obs.Ring
+	TraceID uint64
+	Metrics *obs.MHPMetrics
+}
+
+// NewLink builds a link's MHP. Its nodes are named "A" and "B" and join no
+// clock until one adds them.
+func NewLink(cfg LinkConfig) *Link {
+	if cfg.Sim == nil || cfg.Sampler == nil || cfg.Registry == nil || cfg.CycleTime <= 0 || cfg.HoldTime <= 0 {
+		panic("mhp: incomplete link configuration")
+	}
+	l := &Link{
+		eng:      cfg.Sim,
+		sampler:  cfg.Sampler,
+		registry: cfg.Registry,
+		period:   cfg.CycleTime,
+		arm:      cfg.Arms,
+		holdTime: cfg.HoldTime,
+		trace:    cfg.Trace,
+		traceID:  cfg.TraceID,
+		metrics:  cfg.Metrics,
+	}
+	for f := range l.loss {
+		l.SetLoss(Fibre(f), cfg.Loss)
+	}
+	for side := range l.nodes {
+		if cfg.Generators[side] == nil || cfg.Devices[side] == nil {
+			panic("mhp: incomplete link configuration")
+		}
+		l.nodes[side] = Node{
+			Name:   "AB"[side : side+1],
+			link:   l,
+			side:   nv.PairSide(side),
+			gen:    cfg.Generators[side],
+			device: cfg.Devices[side],
+			parked: cfg.Generators[side].Idle(),
+		}
+	}
+	l.onGEN, l.onReply, l.onHold = l.deliverGEN, l.deliverReply, l.holdExpired
+	return l
+}
+
+// Node returns the node on the given side.
+func (l *Link) Node(side nv.PairSide) *Node { return &l.nodes[side] }
+
+// SetLoss changes one fibre's per-frame loss probability (the Degraded link
+// state inflates every fibre's).
+func (l *Link) SetLoss(f Fibre, p float64) {
+	if p < 0 || p > 1 {
+		panic("mhp: loss probability out of [0,1]")
+	}
+	l.loss[f] = p
+}
+
+// Stats reports the station's counters: matched attempt pairs, heralded
+// successes, and the three error classes.
+func (l *Link) Stats() (matched, successes, timeMismatch, queueMismatch, noOther uint64) {
+	return l.matched, l.successes, l.timeMismatch, l.queueMismatch, l.noOther
+}
+
+// SetDepolarizing applies a single-qubit depolarising channel of the given
+// fidelity to every future heralded pair (the Degraded lowered-fidelity
+// mode); f <= 0 or f >= 1 turns the channel off.
+func (l *Link) SetDepolarizing(f float64) {
+	if f <= 0 || f >= 1 {
+		f = 0
+	}
+	l.depolarize = f
+}
+
+// lost draws whether a frame sent on fibre f is lost.
+func (l *Link) lost(f Fibre) bool { return l.eng.RNG().Bernoulli(l.loss[f]) }
+
+// sendGEN sends side's GEN of the given cycle to the station, unless its
+// fibre drops it. When the other side's GEN of the same cycle is already on
+// its way, the link knows both arrivals and settles them here: a GEN
+// arriving with its partner rides the partner's delivery event, and of two
+// GENs arriving apart the first needs no hold event when the second is due
+// before that hold would expire.
+func (l *Link) sendGEN(side nv.PairSide, cycle uint64, d PollDecision) {
+	if l.lost(FibreAH + Fibre(side)) {
+		return
+	}
+	p := l.gens.get()
+	*p = genPayload{size: wire.GENFrameLen, alpha: d.Alpha, side: side, cycle: cycle}
+	wire.GENFrame{QueueID: d.QueueID, Timestamp: cycle}.Put(&p.frame)
+	l.flight[side] = p
+	if o := l.flight[1-side]; o != nil && o.cycle == cycle {
+		first, gap := o, l.arm[side]-l.arm[1-side]
+		if gap < 0 {
+			first, gap = p, -gap
+		}
+		first.partnered = gap < l.holdTime
+		if gap == 0 {
+			o.rider = p
+			return
+		}
+	}
+	sim.ScheduleArg(l.eng, l.arm[side], l.onGEN, p)
+}
+
+// deliverGEN is a GEN's delivery event: the GEN arrives at the station,
+// then the GEN riding it.
+func (l *Link) deliverGEN(_ sim.Time, arg any) {
+	p := arg.(*genPayload)
+	rider := p.rider
+	l.receiveGEN(p)
+	if rider != nil {
+		l.receiveGEN(rider)
+	}
+}
+
+// receiveGEN processes a GEN frame (and accompanying photon) arriving at the
+// station from either node.
+func (l *Link) receiveGEN(payload *genPayload) {
+	// Decode once on arrival; the decoded frame serves validation and the
+	// matching path below, and the hold event re-reads the validated bytes.
+	genSelf, err := wire.DecodeGEN(payload.frame[:payload.size])
+	if err != nil || (payload.side != nv.SideA && payload.side != nv.SideB) {
+		l.gens.put(payload)
+		return
+	}
+	if l.flight[payload.side] == payload {
+		l.flight[payload.side] = nil
+	}
+	// Link the message to a detection window by its timestamp: look for a
+	// waiting peer GEN of the same cycle.
+	peers := l.waiting[1-payload.side]
+	i := indexCycle(peers, payload.cycle)
+	if i < 0 {
+		// Hold this GEN waiting for the peer's; if it never arrives the
+		// attempt is reported back as NO_MESSAGE_OTHER (or TIME_MISMATCH
+		// when the peer was attempting different cycles) by the hold event,
+		// which a GEN whose partner is due in time does without.
+		l.hold(payload)
+		if !payload.partnered {
+			payload.timed = true
+			sim.ScheduleArg(l.eng, l.holdTime, l.onHold, payload)
+		}
+		return
+	}
+	peer := peers[i]
+	l.waiting[peer.side] = slices.Delete(peers, i, i+1)
+	defer l.gens.put(payload)
+	if !peer.timed {
+		defer l.gens.put(peer)
+	}
+
+	// The peer frame was validated when it arrived, so its decode cannot fail.
+	genPeer, _ := wire.DecodeGEN(peer.frame[:peer.size])
+
+	// Queue-ID consistency check.
+	if genSelf.QueueID != genPeer.QueueID {
+		l.queueMismatch++
+		l.trace.Record(l.eng.Now(), obs.KindHeraldDrop, l.traceID, 2, int64(payload.cycle))
+		l.sendReplies(payload.side, wire.ErrQueueMismatch, 0, genSelf.QueueID, genPeer.QueueID)
+		return
+	}
+	l.matched++
+	if l.metrics != nil {
+		l.metrics.Matched.Inc()
+	}
+
+	// Perform the optical Bell-state measurement. By convention A is the
+	// first argument.
+	var alpha [2]float64
+	alpha[payload.side], alpha[peer.side] = payload.alpha, peer.alpha
+	res := l.sampler.Sample(alpha[nv.SideA], alpha[nv.SideB], l.eng.RNG())
+
+	outcome := wire.OutcomeFailure
+	switch res.Outcome {
+	case photonics.OutcomePsiPlus:
+		outcome = wire.OutcomeStateOne
+	case photonics.OutcomePsiMinus:
+		outcome = wire.OutcomeStateTwo
+	}
+	var seq uint16
+	if outcome.Success() {
+		l.seq++
+		seq = l.seq
+		l.successes++
+		heralded := quantum.PsiPlus
+		if outcome == wire.OutcomeStateTwo {
+			heralded = quantum.PsiMinus
+		}
+		pair := nv.NewEntangledPair(res.State, heralded, l.eng.Now())
+		if l.depolarize > 0 {
+			pair.State.ApplyDepolarizing(0, l.depolarize)
+		}
+		l.registry.Put(seq, pair)
+		if l.metrics != nil {
+			l.metrics.Successes.Inc()
+		}
+	}
+	if l.trace != nil { // the clock is read only for a record
+		l.trace.Record(l.eng.Now(), obs.KindHerald, l.traceID, int64(outcome), int64(seq))
+	}
+
+	// Send REPLY to both nodes, A first.
+	var queue [2]wire.AbsoluteQueueID
+	queue[payload.side], queue[peer.side] = genSelf.QueueID, genPeer.QueueID
+	l.sendReplies(nv.SideA, outcome, seq, queue[nv.SideA], queue[nv.SideB])
+}
+
+// holdExpired is the hold event of one held GEN. If the GEN is still waiting,
+// its peer never came: the attempt is reported back as an error. Either way
+// nothing else refers to the payload any more (a matched or replaced GEN
+// with a hold event is left to it), so it returns to the free list.
+func (l *Link) holdExpired(now sim.Time, arg any) {
+	payload := arg.(*genPayload)
+	if i := slices.Index(l.waiting[payload.side], payload); i >= 0 {
+		l.waiting[payload.side] = slices.Delete(l.waiting[payload.side], i, i+1)
+		gen, _ := wire.DecodeGEN(payload.frame[:payload.size])
+		outcome, drop := wire.ErrNoMessageOther, int64(1)
+		if len(l.waiting[1-payload.side]) > 0 {
+			outcome, drop = wire.ErrTimeMismatch, 0
+			l.timeMismatch++
+		} else {
+			l.noOther++
+		}
+		l.trace.Record(now, obs.KindHeraldDrop, l.traceID, drop, int64(payload.cycle))
+		l.post(l.reply(payload.side, outcome, 0, gen.QueueID, wire.AbsoluteQueueID{}))
+	}
+	l.gens.put(payload)
+}
+
+// hold makes a GEN its side's waiting GEN of its cycle, replacing an earlier
+// one of the same cycle; the replaced GEN's hold event then finds it gone,
+// and a replaced GEN without one returns to the free list at once.
+func (l *Link) hold(p *genPayload) {
+	w := l.waiting[p.side]
+	if i := indexCycle(w, p.cycle); i >= 0 {
+		if !w[i].timed {
+			l.gens.put(w[i])
+		}
+		w[i] = p
+		return
+	}
+	l.waiting[p.side] = append(w, p)
+}
+
+// indexCycle returns the index of the waiting GEN of the given cycle, or -1.
+func indexCycle(w []*genPayload, cycle uint64) int {
+	for i, p := range w {
+		if p.cycle == cycle {
+			return i
+		}
+	}
+	return -1
+}
+
+// reply draws the loss of a REPLY to the node on side and, if its fibre
+// carries it, builds the pooled frame echoing the receiver's queue ID (own)
+// and its peer's; nil when the fibre drops it.
+func (l *Link) reply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) *replyPayload {
+	if l.lost(FibreHA + Fibre(side)) {
+		return nil
+	}
+	p := l.replies.get()
+	*p = replyPayload{size: wire.REPLYFrameLen, side: side}
+	wire.REPLYFrame{Outcome: outcome, MHPSeq: seq, QueueID: own, PeerQueue: peer}.Put(&p.frame)
+	return p
+}
+
+// sendReplies sends the REPLY pair of a matched attempt: first to the node on
+// side first, whose queue ID is q, then to its peer, whose queue ID is peerQ.
+// Over arms of equal delay the second rides the first's delivery event.
+func (l *Link) sendReplies(first nv.PairSide, outcome wire.MHPOutcome, seq uint16, q, peerQ wire.AbsoluteQueueID) {
+	p, peer := l.reply(first, outcome, seq, q, peerQ), l.reply(1-first, outcome, seq, peerQ, q)
+	if p != nil && peer != nil && l.arm[nv.SideA] == l.arm[nv.SideB] {
+		p.rider, peer = peer, nil
+	}
+	l.post(p)
+	l.post(peer)
+}
+
+// post schedules a REPLY's delivery one arm's delay from now; nil is none.
+func (l *Link) post(p *replyPayload) {
+	if p != nil {
+		sim.ScheduleArg(l.eng, l.arm[p.side], l.onReply, p)
+	}
+}
+
+// deliverReply is a REPLY's delivery event: the REPLY arrives at its node,
+// then the REPLY riding it at the other.
+func (l *Link) deliverReply(_ sim.Time, arg any) {
+	p := arg.(*replyPayload)
+	rider := p.rider
+	l.nodes[p.side].receiveReply(p)
+	if rider != nil {
+		l.nodes[rider.side].receiveReply(rider)
+	}
+}
+
+// Node is one side of a link's MHP: it polls its link layer every cycle its
+// clock polls it, triggers the link's GENs and routes REPLYs back up.
 type Node struct {
 	Name string
 
-	simul    sim.Engine
-	gen      Generator
-	device   *nv.Device
-	registry *PairRegistry
-	side     nv.PairSide
+	link   *Link
+	side   nv.PairSide
+	gen    Generator
+	device *nv.Device
 
-	toMidpoint *classical.Channel
-
-	cycleTimeK   sim.Duration
-	cycleTimeM   sim.Duration
 	pending      []pendingAttempt // attempts awaiting a REPLY, oldest first
 	attemptCount uint64
-	localFails   uint64
 
 	// clock polls the node; slot is its registration index there. A parked
 	// node is skipped until Wake. polled is the cycle of the node's latest
@@ -261,11 +625,6 @@ type Node struct {
 	parked   bool
 	parkedAt uint64
 	polled   uint64
-
-	// Flight-recorder hooks; all nil-safe, nil when observability is off.
-	trace   *obs.Ring
-	traceID uint64
-	metrics *obs.MHPMetrics
 
 	// paused stops attempt generation (the link-admin Down state): the cycle
 	// clock keeps ticking and maintenance sweeps keep running while the node
@@ -285,48 +644,6 @@ type Node struct {
 type pendingAttempt struct {
 	cycle    uint64
 	decision PollDecision
-}
-
-// NodeConfig collects the parameters needed to construct a node-side MHP.
-type NodeConfig struct {
-	Name       string
-	Sim        sim.Engine
-	Generator  Generator
-	Device     *nv.Device
-	Registry   *PairRegistry
-	Side       nv.PairSide
-	ToMidpoint *classical.Channel
-	CycleTimeK sim.Duration
-	CycleTimeM sim.Duration
-
-	// Trace, when non-nil, records attempt/REPLY lifecycle events under
-	// track TraceID (the link ID); Metrics publishes attempt counters. Both
-	// are nil-safe and nil by default.
-	Trace   *obs.Ring
-	TraceID uint64
-	Metrics *obs.MHPMetrics
-}
-
-// NewNode builds a node-side MHP instance.
-func NewNode(cfg NodeConfig) *Node {
-	if cfg.Sim == nil || cfg.Generator == nil || cfg.Device == nil || cfg.Registry == nil || cfg.ToMidpoint == nil {
-		panic("mhp: incomplete node configuration")
-	}
-	return &Node{
-		Name:       cfg.Name,
-		simul:      cfg.Sim,
-		gen:        cfg.Generator,
-		device:     cfg.Device,
-		registry:   cfg.Registry,
-		side:       cfg.Side,
-		toMidpoint: cfg.ToMidpoint,
-		cycleTimeK: cfg.CycleTimeK,
-		cycleTimeM: cfg.CycleTimeM,
-		parked:     cfg.Generator.Idle(),
-		trace:      cfg.Trace,
-		traceID:    cfg.TraceID,
-		metrics:    cfg.Metrics,
-	}
 }
 
 // Cycle returns the current MHP cycle number, read from the node's clock (0
@@ -386,9 +703,6 @@ func (n *Node) SetPaused(p bool) {
 	n.paused = p
 }
 
-// Paused reports whether attempt generation is paused.
-func (n *Node) Paused() bool { return n.paused }
-
 // SetRateDivisor throttles attempt generation to one poll every d cycles
 // (the Degraded reduced-rate mode); d <= 1 restores the full rate.
 func (n *Node) SetRateDivisor(d uint64) {
@@ -404,43 +718,24 @@ func (n *Node) ClearPending() { n.pending = n.pending[:0] }
 // Attempts returns how many attempts this node has triggered.
 func (n *Node) Attempts() uint64 { return n.attemptCount }
 
-// period is the node's MHP cycle: the M-type cycle period (the finest
-// granularity at which the EGP can be polled); the EGP's scheduler is
-// responsible for not triggering K attempts faster than the hardware allows.
-func (n *Node) period() sim.Duration {
-	period := n.cycleTimeM
-	if period <= 0 {
-		period = n.cycleTimeK
-	}
-	if period <= 0 {
-		panic("mhp: node has no positive cycle time")
-	}
-	return period
-}
-
-// Start begins the periodic MHP cycle on the node's clock, first building a
-// clock of its own when the node has none.
-func (n *Node) Start() (stop func()) {
-	if n.clock == nil {
-		NewClock(n.simul).Add(n)
-	}
-	return n.clock.Start()
-}
-
 // runCycle executes one MHP cycle: poll the EGP and trigger if requested.
 func (n *Node) runCycle(cycle uint64) {
 	// Periodically discard pending-attempt state whose REPLY was evidently
-	// lost, so the slice stays bounded during long lossy runs; sweep the shared
-	// pair registry in the same pass, since lost REPLYs also strand pairs
-	// that neither node will ever claim. A parked node skips this pass: its
-	// pending slice is empty, and a sweep only evicts pairs far older than any
-	// a REPLY can still name (a REPLY carries the sequence number just
-	// assigned), so when an idle link's registry is swept is not observable.
+	// lost, so the slice stays bounded during long lossy runs; sweep the
+	// link's pair registry in the same pass, once per cycle, since lost
+	// REPLYs also strand pairs that neither node will ever claim. A parked
+	// node skips this pass: its pending slice is empty, and a sweep only
+	// evicts pairs far older than any a REPLY can still name (a REPLY
+	// carries the sequence number just assigned), so when an idle link's
+	// registry is swept is not observable.
 	if cycle%1024 == 0 {
 		if len(n.pending) > 0 && cycle > 4096 {
 			n.DropPending(cycle - 4096)
 		}
-		n.registry.Sweep(registryMaxLag)
+		if l := n.link; l.swept != cycle {
+			l.swept = cycle
+			l.registry.Sweep(registryMaxLag)
+		}
 	}
 	if n.paused {
 		return
@@ -459,7 +754,6 @@ func (n *Node) runCycle(cycle uint64) {
 	// model, so here GEN_FAIL only fires when the communication qubit is
 	// unavailable (should not happen if the EGP tracks state correctly).
 	if decision.Keep && !n.device.CommFree() {
-		n.localFails++
 		n.gen.HandleResult(Result{
 			Outcome:      wire.ErrGeneralFailure,
 			QueueID:      decision.QueueID,
@@ -474,54 +768,29 @@ func (n *Node) runCycle(cycle uint64) {
 	if decision.Keep {
 		keep = 1
 	}
-	now := n.simul.Now()
-	n.trace.Record(now, obs.KindMHPAttempt, n.traceID, int64(cycle), keep)
-	if n.metrics != nil {
-		n.metrics.Attempts.Inc()
+	l := n.link
+	l.trace.Record(l.eng.Now(), obs.KindMHPAttempt, l.traceID, int64(cycle), keep)
+	if l.metrics != nil {
+		l.metrics.Attempts.Inc()
 	}
 	// Triggering an attempt dephases carbon-stored pairs at this node
 	// (Appendix D.4.1).
 	n.device.ApplyAttemptDephasing(decision.Alpha)
 
 	n.pending = append(n.pending, pendingAttempt{cycle, decision})
-	p := n.registry.gens.get()
-	*p = genPayload{
-		size: wire.GENFrameLen, alpha: decision.Alpha, side: n.side, cycle: cycle,
-		at: now.Add(n.toMidpoint.Delay()),
-	}
-	wire.GENFrame{QueueID: decision.QueueID, Timestamp: cycle}.Put(&p.frame)
-	// When the other side's newest GEN is on its way and this one would
-	// arrive right behind it, with no event in between, this one rides its
-	// delivery event (classical.Channel.PostAfter): the two GENs of a cycle,
-	// one event. That holds when the clock polled the other node just before
-	// this one and nothing was scheduled since; nodes on tickers of their own
-	// never fuse, since the first ticker rearms between the two sends. A
-	// frame the channel drops returns to the free list at once, since no
-	// receiver will.
-	var host classical.Delivery
-	if n.registry.inFlight[1-n.side] != nil {
-		host = n.registry.delivery[1-n.side]
-	}
-	if d, ok := n.toMidpoint.PostAfter(host, p); ok {
-		n.registry.departed(p, d)
-	} else {
-		n.registry.gens.put(p)
-	}
+	l.sendGEN(n.side, cycle, decision)
 }
 
-// HandleReply processes a REPLY frame delivered from the midpoint.
-func (n *Node) HandleReply(msg classical.Message) {
-	payload, ok := msg.Payload.(*replyPayload)
-	if !ok {
-		return
-	}
+// receiveReply processes a REPLY frame arriving from the station.
+func (n *Node) receiveReply(payload *replyPayload) {
+	l := n.link
 	reply, err := wire.DecodeREPLY(payload.frame[:payload.size])
-	n.registry.replies.put(payload)
+	l.replies.put(payload)
 	if err != nil {
 		return
 	}
-	if n.trace != nil { // the clock is read only for a record
-		n.trace.Record(n.simul.Now(), obs.KindMHPReply, n.traceID, int64(reply.Outcome), int64(reply.MHPSeq))
+	if l.trace != nil { // the clock is read only for a record
+		l.trace.Record(l.eng.Now(), obs.KindMHPReply, l.traceID, int64(reply.Outcome), int64(reply.MHPSeq))
 	}
 	// Match the reply to the oldest pending attempt with the echoed queue ID,
 	// which recovers the attempt's cycle: a REPLY lost on the way leaves its
@@ -549,7 +818,7 @@ func (n *Node) HandleReply(msg classical.Message) {
 		AttemptCycle: cycle,
 	}
 	if reply.Outcome.Success() {
-		result.Pair = n.registry.Get(reply.MHPSeq)
+		result.Pair = l.registry.Get(reply.MHPSeq)
 	}
 	n.gen.HandleResult(result)
 }
@@ -566,314 +835,4 @@ func (n *Node) DropPending(olderThan uint64) {
 		k++
 	}
 	n.pending = slices.Delete(n.pending, 0, k)
-}
-
-// Midpoint is the heralding-station service: it pairs up GEN frames arriving
-// from A and B in the same detection time window, consults the optical model
-// for the measurement outcome, and sends REPLY frames to both nodes.
-type Midpoint struct {
-	simul    sim.Engine
-	sampler  *photonics.LinkSampler
-	registry *PairRegistry
-
-	// to holds the REPLY channels, indexed by node side.
-	to [2]*classical.Channel
-
-	// holdTime is how long an unmatched GEN is held waiting for the peer's
-	// GEN of the same cycle before the attempt is reported back as
-	// NO_MESSAGE_OTHER. It must exceed the propagation asymmetry of the two
-	// arms plus scheduling jitter.
-	holdTime sim.Duration
-	// onHold is the hold-timer handler, built once so holding a GEN schedules
-	// a pooled event carrying the payload instead of allocating a closure.
-	onHold sim.ArgHandler
-
-	// depolarize, when in (0,1), applies a single-qubit depolarising channel
-	// of that fidelity to every freshly heralded pair — the Degraded link
-	// state's lowered-fidelity mode. 0 (the default) is off at the cost of
-	// one comparison per heralded success.
-	depolarize float64
-
-	seq uint16
-	// waiting holds unmatched GEN frames per node side, at most one per
-	// attempt cycle (the frame's timestamp): the station links messages to
-	// detection windows by timestamp, not by arrival order, so emission
-	// multiplexing over asymmetric fibre arms pairs the right attempts. A
-	// side rarely has more than one GEN waiting, so a scan beats a lookup.
-	waiting [2][]*genPayload
-
-	// Statistics.
-	matched       uint64
-	successes     uint64
-	timeMismatch  uint64
-	queueMismatch uint64
-	noOther       uint64
-
-	// Flight-recorder hooks; all nil-safe, nil when observability is off.
-	trace   *obs.Ring
-	traceID uint64
-	metrics *obs.MHPMetrics
-}
-
-// MidpointConfig collects the construction parameters of a Midpoint.
-type MidpointConfig struct {
-	Sim      sim.Engine
-	Sampler  *photonics.LinkSampler
-	Registry *PairRegistry
-	ToA      *classical.Channel
-	ToB      *classical.Channel
-	// HoldTime bounds how long an unmatched GEN waits for its counterpart;
-	// it defaults to 500 µs which covers the QL2020 arm asymmetry with ample
-	// margin.
-	HoldTime sim.Duration
-
-	// Trace, when non-nil, records heralding decisions under track TraceID
-	// (the link ID); Metrics publishes match/success counters.
-	Trace   *obs.Ring
-	TraceID uint64
-	Metrics *obs.MHPMetrics
-}
-
-// NewMidpoint builds the heralding-station service.
-func NewMidpoint(cfg MidpointConfig) *Midpoint {
-	if cfg.Sim == nil || cfg.Sampler == nil || cfg.Registry == nil || cfg.ToA == nil || cfg.ToB == nil {
-		panic("mhp: incomplete midpoint configuration")
-	}
-	hold := cfg.HoldTime
-	if hold <= 0 {
-		hold = 500 * sim.Microsecond
-	}
-	m := &Midpoint{
-		simul:    cfg.Sim,
-		sampler:  cfg.Sampler,
-		registry: cfg.Registry,
-		to:       [2]*classical.Channel{nv.SideA: cfg.ToA, nv.SideB: cfg.ToB},
-		holdTime: hold,
-		trace:    cfg.Trace,
-		traceID:  cfg.TraceID,
-		metrics:  cfg.Metrics,
-	}
-	m.onHold = m.holdExpired
-	return m
-}
-
-// Stats reports the midpoint's counters: matched attempt pairs, heralded
-// successes, and the three error classes.
-func (m *Midpoint) Stats() (matched, successes, timeMismatch, queueMismatch, noOther uint64) {
-	return m.matched, m.successes, m.timeMismatch, m.queueMismatch, m.noOther
-}
-
-// Sequence returns the next MHP sequence number to be assigned.
-func (m *Midpoint) Sequence() uint16 { return m.seq }
-
-// SetDepolarizing applies a single-qubit depolarising channel of the given
-// fidelity to every future heralded pair (the Degraded lowered-fidelity
-// mode); f <= 0 or f >= 1 turns the channel off.
-func (m *Midpoint) SetDepolarizing(f float64) {
-	if f <= 0 || f >= 1 {
-		m.depolarize = 0
-		return
-	}
-	m.depolarize = f
-}
-
-// HandleGEN processes a GEN frame (and accompanying photon) from either node.
-func (m *Midpoint) HandleGEN(msg classical.Message) {
-	payload, ok := msg.Payload.(*genPayload)
-	if !ok {
-		return
-	}
-	// Decode once on arrival; the decoded frame serves validation and the
-	// matching path below, and the hold event re-reads the validated bytes.
-	genSelf, err := wire.DecodeGEN(payload.frame[:payload.size])
-	if err != nil || (payload.side != nv.SideA && payload.side != nv.SideB) {
-		m.registry.gens.put(payload)
-		return
-	}
-	if m.registry.inFlight[payload.side] == payload {
-		m.registry.inFlight[payload.side] = nil
-	}
-	// Link the message to a detection window by its timestamp: look for a
-	// waiting peer GEN of the same cycle.
-	peers := m.waiting[1-payload.side]
-	i := indexCycle(peers, payload.cycle)
-	if i < 0 {
-		// Hold this GEN waiting for the peer's; if it never arrives the
-		// attempt is reported back as NO_MESSAGE_OTHER (or TIME_MISMATCH
-		// when the peer was attempting different cycles) by the hold event.
-		m.hold(payload)
-		// A peer GEN that is on its way and arrives before the hold would
-		// expire finds this one waiting and matches it, so the hold event
-		// would find nothing to do: it is scheduled only otherwise. When the
-		// peer has already arrived and gone, peerAt lies in the past.
-		now := m.simul.Now()
-		if !payload.peerDue || payload.peerAt < now || payload.peerAt >= now.Add(m.holdTime) {
-			payload.timed = true
-			sim.ScheduleArg(m.simul, m.holdTime, m.onHold, payload)
-		}
-		return
-	}
-	peer := peers[i]
-	m.waiting[peer.side] = slices.Delete(peers, i, i+1)
-	defer m.registry.gens.put(payload)
-	if !peer.timed {
-		defer m.registry.gens.put(peer)
-	}
-
-	// The peer frame was validated when it arrived, so its decode cannot fail.
-	genPeer, _ := wire.DecodeGEN(peer.frame[:peer.size])
-
-	// Queue-ID consistency check.
-	if genSelf.QueueID != genPeer.QueueID {
-		m.queueMismatch++
-		m.trace.Record(m.simul.Now(), obs.KindHeraldDrop, m.traceID, 2, int64(payload.cycle))
-		m.sendReplies(payload.side, wire.ErrQueueMismatch, 0, genSelf.QueueID, genPeer.QueueID)
-		return
-	}
-	m.matched++
-	if m.metrics != nil {
-		m.metrics.Matched.Inc()
-	}
-
-	// Perform the optical Bell-state measurement. By convention A is the
-	// first argument.
-	var alpha [2]float64
-	alpha[payload.side], alpha[peer.side] = payload.alpha, peer.alpha
-	res := m.sampler.Sample(alpha[nv.SideA], alpha[nv.SideB], m.simul.RNG())
-
-	outcome := wire.OutcomeFailure
-	switch res.Outcome {
-	case photonics.OutcomePsiPlus:
-		outcome = wire.OutcomeStateOne
-	case photonics.OutcomePsiMinus:
-		outcome = wire.OutcomeStateTwo
-	}
-	var seq uint16
-	if outcome.Success() {
-		m.seq++
-		seq = m.seq
-		m.successes++
-		heralded := quantum.PsiPlus
-		if outcome == wire.OutcomeStateTwo {
-			heralded = quantum.PsiMinus
-		}
-		pair := nv.NewEntangledPair(res.State, heralded, m.simul.Now())
-		if m.depolarize > 0 {
-			pair.State.ApplyDepolarizing(0, m.depolarize)
-		}
-		m.registry.Put(seq, pair)
-		if m.metrics != nil {
-			m.metrics.Successes.Inc()
-		}
-	}
-	if m.trace != nil { // the clock is read only for a record
-		m.trace.Record(m.simul.Now(), obs.KindHerald, m.traceID, int64(outcome), int64(seq))
-	}
-
-	// Send REPLY to both nodes, A first.
-	var queue [2]wire.AbsoluteQueueID
-	queue[payload.side], queue[peer.side] = genSelf.QueueID, genPeer.QueueID
-	m.sendReplies(nv.SideA, outcome, seq, queue[nv.SideA], queue[nv.SideB])
-}
-
-// holdExpired is the hold event of one held GEN. If the GEN is still waiting,
-// its peer never came: the attempt is reported back as an error. Either way
-// nothing else refers to the payload any more (a matched or replaced GEN
-// with a hold event is left to it), so it returns to the free list.
-func (m *Midpoint) holdExpired(now sim.Time, arg any) {
-	payload := arg.(*genPayload)
-	if i := slices.Index(m.waiting[payload.side], payload); i >= 0 {
-		m.waiting[payload.side] = slices.Delete(m.waiting[payload.side], i, i+1)
-		gen, _ := wire.DecodeGEN(payload.frame[:payload.size])
-		if len(m.waiting[1-payload.side]) > 0 {
-			m.timeMismatch++
-			m.trace.Record(now, obs.KindHeraldDrop, m.traceID, 0, int64(payload.cycle))
-			m.sendReply(payload.side, wire.ErrTimeMismatch, 0, gen.QueueID, wire.AbsoluteQueueID{})
-		} else {
-			m.noOther++
-			m.trace.Record(now, obs.KindHeraldDrop, m.traceID, 1, int64(payload.cycle))
-			m.sendReply(payload.side, wire.ErrNoMessageOther, 0, gen.QueueID, wire.AbsoluteQueueID{})
-		}
-	}
-	m.registry.gens.put(payload)
-}
-
-// hold makes a GEN its side's waiting GEN of its cycle, replacing an earlier
-// one of the same cycle; the replaced GEN's hold event then finds it gone,
-// and a replaced GEN without one returns to the free list at once.
-func (m *Midpoint) hold(p *genPayload) {
-	w := m.waiting[p.side]
-	if i := indexCycle(w, p.cycle); i >= 0 {
-		if !w[i].timed {
-			m.registry.gens.put(w[i])
-		}
-		w[i] = p
-		return
-	}
-	m.waiting[p.side] = append(w, p)
-}
-
-// indexCycle returns the index of the waiting GEN of the given cycle, or -1.
-func indexCycle(w []*genPayload, cycle uint64) int {
-	for i, p := range w {
-		if p.cycle == cycle {
-			return i
-		}
-	}
-	return -1
-}
-
-// reply builds a pooled REPLY frame echoing its receiver's queue ID (own)
-// and its peer's.
-func (m *Midpoint) reply(outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) *replyPayload {
-	p := m.registry.replies.get()
-	wire.REPLYFrame{Outcome: outcome, MHPSeq: seq, QueueID: own, PeerQueue: peer}.Put(&p.frame)
-	p.size = wire.REPLYFrameLen
-	return p
-}
-
-// sendReply transmits a REPLY frame to the node on the given side; a frame
-// the channel drops returns to the free list at once.
-func (m *Midpoint) sendReply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) {
-	p := m.reply(outcome, seq, own, peer)
-	if _, ok := m.to[side].Post(p); !ok {
-		m.registry.replies.put(p)
-	}
-}
-
-// sendReplies transmits the REPLY pair of a matched attempt: first to the
-// node on side first, whose queue ID is q, then to its peer, whose queue ID
-// is peerQ. Over arms of equal delay one event delivers both
-// (classical.SendPair), in the order two sends would have.
-func (m *Midpoint) sendReplies(first nv.PairSide, outcome wire.MHPOutcome, seq uint16, q, peerQ wire.AbsoluteQueueID) {
-	p, peer := m.reply(outcome, seq, q, peerQ), m.reply(outcome, seq, peerQ, q)
-	dropped, peerDropped := classical.SendPair(m.to[first], m.to[1-first], p, peer)
-	if dropped {
-		m.registry.replies.put(p)
-	}
-	if peerDropped {
-		m.registry.replies.put(peer)
-	}
-}
-
-// String summarises midpoint statistics for diagnostics.
-func (m *Midpoint) String() string {
-	return fmt.Sprintf("midpoint{matched=%d success=%d timeMismatch=%d queueMismatch=%d noOther=%d}",
-		m.matched, m.successes, m.timeMismatch, m.queueMismatch, m.noOther)
-}
-
-// NewGENPayload builds the channel payload for a GEN frame as a node would
-// send it (frames longer than a GEN are truncated); exported for tests.
-func NewGENPayload(frame []byte, alpha float64, side nv.PairSide, cycle uint64) any {
-	p := &genPayload{alpha: alpha, side: side, cycle: cycle}
-	p.size = uint8(copy(p.frame[:], frame))
-	return p
-}
-
-// NewREPLYPayload builds the channel payload for a REPLY frame (frames
-// longer than a REPLY are truncated); exported for tests.
-func NewREPLYPayload(frame []byte) any {
-	p := &replyPayload{}
-	p.size = uint8(copy(p.frame[:], frame))
-	return p
 }

@@ -3,7 +3,6 @@ package mhp
 import (
 	"testing"
 
-	"repro/internal/classical"
 	"repro/internal/nv"
 	"repro/internal/photonics"
 	"repro/internal/quantum"
@@ -47,15 +46,16 @@ func (s *stubGenerator) HandleResult(r Result) {
 // Idle is always false: the stub never wakes its node, so it must not park.
 func (s *stubGenerator) Idle() bool { return false }
 
-// harness wires two MHP nodes and a midpoint over channels of the given loss.
+// harness is one link's MHP between two scripted link layers.
 type harness struct {
 	s        *sim.Simulator
 	genA     *stubGenerator
 	genB     *stubGenerator
+	link     *Link
 	nodeA    *Node
 	nodeB    *Node
-	mid      *Midpoint
 	registry *PairRegistry
+	clock    *Clock
 }
 
 func newHarness(t *testing.T, loss float64) *harness {
@@ -64,35 +64,50 @@ func newHarness(t *testing.T, loss float64) *harness {
 }
 
 // newHarnessArms is newHarness with the given one-way delays of the A and B
-// arms, each used both ways, and the midpoint's hold time.
+// arms, each used both ways, and the station's hold time.
 func newHarnessArms(t *testing.T, loss float64, armA, armB, hold sim.Duration) *harness {
 	t.Helper()
 	s := sim.New(9)
 	h := &harness{s: s, genA: &stubGenerator{clock: s}, genB: &stubGenerator{clock: s}}
 	platform := nv.LabPlatform()
 	h.registry = NewPairRegistry()
-	sampler := photonics.NewLinkSampler(platform.Optics)
-	devA := nv.NewDevice("A", platform.Gates, platform.CarbonCoupling, 1)
-	devB := nv.NewDevice("B", platform.Gates, platform.CarbonCoupling, 1)
-
-	chanAtoH := classical.NewChannel("a->h", h.s, armA, loss, func(m classical.Message) { h.mid.HandleGEN(m) })
-	chanBtoH := classical.NewChannel("b->h", h.s, armB, loss, func(m classical.Message) { h.mid.HandleGEN(m) })
-	chanHtoA := classical.NewChannel("h->a", h.s, armA, loss, func(m classical.Message) { h.nodeA.HandleReply(m) })
-	chanHtoB := classical.NewChannel("h->b", h.s, armB, loss, func(m classical.Message) { h.nodeB.HandleReply(m) })
-
-	h.nodeA = NewNode(NodeConfig{
-		Name: "A", Sim: h.s, Generator: h.genA, Device: devA, Registry: h.registry, Side: nv.SideA,
-		ToMidpoint: chanAtoH, CycleTimeM: sim.DurationMicroseconds(10.12), CycleTimeK: sim.DurationMicroseconds(11),
+	h.link = NewLink(LinkConfig{
+		Sim: s, Sampler: photonics.NewLinkSampler(platform.Optics), Registry: h.registry,
+		Generators: [2]Generator{h.genA, h.genB},
+		Devices: [2]*nv.Device{
+			nv.NewDevice("A", platform.Gates, platform.CarbonCoupling, 1),
+			nv.NewDevice("B", platform.Gates, platform.CarbonCoupling, 1),
+		},
+		Arms: [2]sim.Duration{armA, armB}, Loss: loss,
+		CycleTime: sim.DurationMicroseconds(10.12),
+		HoldTime:  hold,
 	})
-	h.nodeB = NewNode(NodeConfig{
-		Name: "B", Sim: h.s, Generator: h.genB, Device: devB, Registry: h.registry, Side: nv.SideB,
-		ToMidpoint: chanBtoH, CycleTimeM: sim.DurationMicroseconds(10.12), CycleTimeK: sim.DurationMicroseconds(11),
-	})
-	h.mid = NewMidpoint(MidpointConfig{
-		Sim: h.s, Sampler: sampler, Registry: h.registry,
-		ToA: chanHtoA, ToB: chanHtoB, HoldTime: hold,
-	})
+	h.nodeA, h.nodeB = h.link.Node(nv.SideA), h.link.Node(nv.SideB)
 	return h
+}
+
+// start runs both nodes on one clock and returns its stop function.
+func (h *harness) start() (stop func()) {
+	h.clock = NewClock(h.s)
+	h.clock.Add(h.nodeA)
+	h.clock.Add(h.nodeB)
+	return h.clock.Start()
+}
+
+// newGENPayload builds a GEN as a node would send it (frames longer than a
+// GEN are truncated).
+func newGENPayload(frame []byte, alpha float64, side nv.PairSide, cycle uint64) *genPayload {
+	p := &genPayload{alpha: alpha, side: side, cycle: cycle}
+	p.size = uint8(copy(p.frame[:], frame))
+	return p
+}
+
+// newREPLYPayload builds a REPLY to the node on side (frames longer than a
+// REPLY are truncated).
+func newREPLYPayload(frame []byte, side nv.PairSide) *replyPayload {
+	p := &replyPayload{side: side}
+	p.size = uint8(copy(p.frame[:], frame))
+	return p
 }
 
 func attemptDecision(qid wire.AbsoluteQueueID, alpha float64) PollDecision {
@@ -109,11 +124,9 @@ func TestMatchedAttemptProducesReplies(t *testing.T) {
 		h.genA.decisions = append(h.genA.decisions, attemptDecision(qid, 0.5))
 		h.genB.decisions = append(h.genB.decisions, attemptDecision(qid, 0.5))
 	}
-	stopA := h.nodeA.Start()
-	stopB := h.nodeB.Start()
+	stop := h.start()
 	_ = h.s.RunFor(sim.Duration(cycles+10) * sim.DurationMicroseconds(10.12))
-	stopA()
-	stopB()
+	stop()
 
 	if len(h.genA.results) == 0 || len(h.genB.results) == 0 {
 		t.Fatal("both nodes should receive results")
@@ -121,7 +134,7 @@ func TestMatchedAttemptProducesReplies(t *testing.T) {
 	if len(h.genA.results) != len(h.genB.results) {
 		t.Fatalf("result counts differ: %d vs %d", len(h.genA.results), len(h.genB.results))
 	}
-	matched, _, timeMis, queueMis, _ := h.mid.Stats()
+	matched, _, timeMis, queueMis, _ := h.link.Stats()
 	if matched == 0 {
 		t.Fatal("midpoint should match attempts")
 	}
@@ -147,11 +160,9 @@ func TestSuccessRegistersPairForBothNodes(t *testing.T) {
 		h.genA.decisions = append(h.genA.decisions, attemptDecision(qid, 0.5))
 		h.genB.decisions = append(h.genB.decisions, attemptDecision(qid, 0.5))
 	}
-	stopA := h.nodeA.Start()
-	stopB := h.nodeB.Start()
+	stop := h.start()
 	_ = h.s.RunFor(sim.Duration(cycles+10) * sim.DurationMicroseconds(10.12))
-	stopA()
-	stopB()
+	stop()
 
 	var successA, successB int
 	for _, r := range h.genA.results {
@@ -173,7 +184,7 @@ func TestSuccessRegistersPairForBothNodes(t *testing.T) {
 			}
 		}
 	}
-	_, successes, _, _, _ := h.mid.Stats()
+	_, successes, _, _, _ := h.link.Stats()
 	if successes == 0 {
 		t.Skip("no heralded success in this bounded run (psucc ≈ 3e-4); statistical")
 	}
@@ -188,13 +199,11 @@ func TestQueueMismatchReported(t *testing.T) {
 	qidB := wire.AbsoluteQueueID{QueueID: 2, QueueSeq: 9}
 	h.genA.decisions = []PollDecision{attemptDecision(qidA, 0.3)}
 	h.genB.decisions = []PollDecision{attemptDecision(qidB, 0.3)}
-	stopA := h.nodeA.Start()
-	stopB := h.nodeB.Start()
+	stop := h.start()
 	_ = h.s.RunFor(2 * sim.Millisecond)
-	stopA()
-	stopB()
+	stop()
 
-	_, _, _, queueMis, _ := h.mid.Stats()
+	_, _, _, queueMis, _ := h.link.Stats()
 	if queueMis != 1 {
 		t.Fatalf("expected one queue mismatch, got %d", queueMis)
 	}
@@ -215,13 +224,11 @@ func TestNoMessageOtherReported(t *testing.T) {
 	qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
 	// Only node A attempts.
 	h.genA.decisions = []PollDecision{attemptDecision(qid, 0.3)}
-	stopA := h.nodeA.Start()
-	stopB := h.nodeB.Start()
+	stop := h.start()
 	_ = h.s.RunFor(2 * sim.Millisecond)
-	stopA()
-	stopB()
+	stop()
 
-	_, _, _, _, noOther := h.mid.Stats()
+	_, _, _, _, noOther := h.link.Stats()
 	if noOther != 1 {
 		t.Fatalf("expected one NO_MESSAGE_OTHER, got %d", noOther)
 	}
@@ -240,13 +247,11 @@ func TestTimestampMatchingUnderOffset(t *testing.T) {
 	qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
 	h.genA.decisions = []PollDecision{attemptDecision(qid, 0.3)}
 	h.genB.decisions = []PollDecision{{}, {}, attemptDecision(qid, 0.3)}
-	stopA := h.nodeA.Start()
-	stopB := h.nodeB.Start()
+	stop := h.start()
 	_ = h.s.RunFor(2 * sim.Millisecond)
-	stopA()
-	stopB()
+	stop()
 
-	matched, _, timeMis, _, noOther := h.mid.Stats()
+	matched, _, timeMis, _, noOther := h.link.Stats()
 	if matched != 0 {
 		t.Fatal("attempts from different cycles must not be matched")
 	}
@@ -263,9 +268,9 @@ func TestGENFailWhenCommBusy(t *testing.T) {
 		t.Fatalf("StorePair: %v", err)
 	}
 	h.genA.decisions = []PollDecision{{Attempt: true, Keep: true, Alpha: 0.3, QueueID: wire.AbsoluteQueueID{}}}
-	stopA := h.nodeA.Start()
+	stop := h.start()
 	_ = h.s.RunFor(100 * sim.Microsecond)
-	stopA()
+	stop()
 	if len(h.genA.results) != 1 || h.genA.results[0].Outcome != wire.ErrGeneralFailure {
 		t.Fatalf("expected a local GEN_FAIL, got %+v", h.genA.results)
 	}
@@ -304,9 +309,9 @@ func TestNodeCycleCountingAndPending(t *testing.T) {
 	h := newHarness(t, 1.0) // every frame is lost
 	qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
 	h.genA.decisions = []PollDecision{attemptDecision(qid, 0.3), attemptDecision(qid, 0.3)}
-	stopA := h.nodeA.Start()
+	stop := h.start()
 	_ = h.s.RunFor(100 * sim.Microsecond)
-	stopA()
+	stop()
 	if h.nodeA.Cycle() == 0 {
 		t.Fatal("cycles should advance")
 	}
@@ -334,7 +339,7 @@ func TestReplyMatchesOldestPendingAttempt(t *testing.T) {
 		attemptDecision(q1, 0.3), attemptDecision(q2, 0.3), attemptDecision(q1, 0.3),
 		attemptDecision(q1, 0.3), attemptDecision(q2, 0.3),
 	}
-	stop := h.nodeA.Start()
+	stop := h.start()
 	_ = h.s.RunFor(100 * sim.Microsecond)
 	stop()
 	c := h.genA.attempts
@@ -344,7 +349,7 @@ func TestReplyMatchesOldestPendingAttempt(t *testing.T) {
 	reply := func(q wire.AbsoluteQueueID) uint64 {
 		t.Helper()
 		frame := wire.REPLYFrame{Outcome: wire.OutcomeFailure, QueueID: q, PeerQueue: q}.Encode()
-		h.nodeA.HandleReply(classical.Message{Payload: NewREPLYPayload(frame)})
+		h.nodeA.receiveReply(newREPLYPayload(frame, nv.SideA))
 		return h.genA.results[len(h.genA.results)-1].AttemptCycle
 	}
 
@@ -383,14 +388,14 @@ func TestHeldGENReplacedBySameCycle(t *testing.T) {
 	qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
 	deliver := func(at sim.Duration, side nv.PairSide) {
 		frame := wire.GENFrame{QueueID: qid, Timestamp: 7}.Encode()
-		msg := classical.Message{Payload: NewGENPayload(frame, 0.3, side, 7)}
-		sim.Schedule(h.s, at, func() { h.mid.HandleGEN(msg) })
+		p := newGENPayload(frame, 0.3, side, 7)
+		sim.Schedule(h.s, at, func() { h.link.receiveGEN(p) })
 	}
 	deliver(0, nv.SideA)
 	deliver(50*sim.Microsecond, nv.SideA)
 	deliver(120*sim.Microsecond, nv.SideB)
 	_ = h.s.RunFor(2 * sim.Millisecond)
-	matched, _, timeMis, queueMis, noOther := h.mid.Stats()
+	matched, _, timeMis, queueMis, noOther := h.link.Stats()
 	if matched != 1 || timeMis+queueMis+noOther != 0 {
 		t.Fatalf("matched=%d time=%d queue=%d noOther=%d, want one match and no error", matched, timeMis, queueMis, noOther)
 	}
@@ -401,33 +406,29 @@ func TestHeldGENReplacedBySameCycle(t *testing.T) {
 
 func TestMidpointIgnoresGarbage(t *testing.T) {
 	h := newHarness(t, 0)
-	h.mid.HandleGEN(classical.Message{Payload: "not a payload"})
-	h.mid.HandleGEN(classical.Message{Payload: NewGENPayload([]byte{0xFF, 0x00}, 0.1, nv.SideA, 1)})
-	h.nodeA.HandleReply(classical.Message{Payload: "nonsense"})
-	h.nodeA.HandleReply(classical.Message{Payload: NewREPLYPayload([]byte{0x01})})
+	h.link.receiveGEN(newGENPayload([]byte{0xFF, 0x00}, 0.1, nv.SideA, 1))
+	h.nodeA.receiveReply(newREPLYPayload([]byte{0x01}, nv.SideA))
 	// A truncated frame of the right type, and a well-formed GEN from a side
-	// the midpoint does not have.
-	h.nodeA.HandleReply(classical.Message{Payload: NewREPLYPayload([]byte{byte(wire.FrameREPLY)})})
-	h.mid.HandleGEN(classical.Message{Payload: NewGENPayload(wire.GENFrame{Timestamp: 1}.Encode(), 0.1, nv.PairSide(7), 1)})
+	// the station does not have.
+	h.nodeA.receiveReply(newREPLYPayload([]byte{byte(wire.FrameREPLY)}, nv.SideA))
+	h.link.receiveGEN(newGENPayload(wire.GENFrame{Timestamp: 1}.Encode(), 0.1, nv.PairSide(7), 1))
 	if len(h.genA.results) != 0 {
 		t.Fatalf("garbage REPLYs reached the link layer: %+v", h.genA.results)
 	}
-	matched, successes, _, _, _ := h.mid.Stats()
+	matched, successes, _, _, _ := h.link.Stats()
 	if matched != 0 || successes != 0 {
 		t.Fatal("garbage input should be ignored")
 	}
-	if h.mid.String() == "" {
-		t.Fatal("midpoint should describe itself")
+	if len(h.link.waiting[nv.SideA])+len(h.link.waiting[nv.SideB]) != 0 {
+		t.Fatal("garbage GENs were held")
 	}
 }
 
-// holdEvents is the harness engine's event count less the nodes' clock ticks,
-// the GEN deliveries and the given number of REPLY delivery events: what is
-// left are the midpoint's hold events.
-func (h *harness) holdEvents(replyEvents uint64) uint64 {
-	_, gensA, _ := h.nodeA.toMidpoint.Stats()
-	_, gensB, _ := h.nodeB.toMidpoint.Stats()
-	return h.s.Executed() - h.nodeA.clock.Ticks() - h.nodeB.clock.Ticks() - gensA - gensB - replyEvents
+// holdEvents is the harness engine's event count less the clock's ticks and
+// the given numbers of GEN and REPLY delivery events: what is left are the
+// station's hold events.
+func (h *harness) holdEvents(genEvents, replyEvents uint64) uint64 {
+	return h.s.Executed() - h.clock.Ticks() - genEvents - replyEvents
 }
 
 // A GEN that finds no peer waiting gets a hold event only when the peer's GEN
@@ -442,32 +443,33 @@ func TestHoldEventOnlyWhenPeerGENNotOnItsWay(t *testing.T) {
 		lostB       bool
 		match       bool
 		holds       uint64 // hold events fired
+		genEvents   uint64
 		replyEvents uint64
 	}{
-		{"equal arms", short, short, false, true, 0, 1},
-		{"peer due inside the hold", short, 60 * sim.Microsecond, false, true, 0, 2},
+		// One event delivers both GENs, and one both REPLYs.
+		{"equal arms", short, short, false, true, 0, 1, 1},
+		{"peer due inside the hold", short, 60 * sim.Microsecond, false, true, 0, 2, 2},
 		// B's GEN was scheduled before A's hold event, so at the tie it
 		// arrives first and matches; the hold event finds nothing to do.
-		{"peer due as the hold expires", short, short + hold, false, true, 1, 2},
-		{"peer due after the hold", short, short + hold + 1, false, false, 2, 2},
+		{"peer due as the hold expires", short, short + hold, false, true, 1, 2, 2},
+		{"peer due after the hold", short, short + hold + 1, false, false, 2, 2, 2},
 		// B's GEN expired before A's arrived: A's partner is in the past.
-		{"peer came and went", short + hold + 1, short, false, false, 2, 2},
-		{"peer GEN lost", short, short, true, false, 1, 1},
+		{"peer came and went", short + hold + 1, short, false, false, 2, 2, 2},
+		{"peer GEN lost", short, short, true, false, 1, 1, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarnessArms(t, 0, tc.armA, tc.armB, hold)
 			if tc.lostB {
-				h.nodeB.toMidpoint.SetLossProbability(1)
+				h.link.SetLoss(FibreBH, 1)
 			}
 			qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
 			h.genA.decisions = []PollDecision{attemptDecision(qid, 0.3)}
 			h.genB.decisions = []PollDecision{attemptDecision(qid, 0.3)}
-			stopA, stopB := h.nodeA.Start(), h.nodeB.Start()
+			stop := h.start()
 			_ = h.s.RunFor(sim.Millisecond)
-			stopA()
-			stopB()
+			stop()
 
-			matched, _, timeMis, _, noOther := h.mid.Stats()
+			matched, _, timeMis, _, noOther := h.link.Stats()
 			if got := matched == 1; got != tc.match || timeMis != 0 {
 				t.Fatalf("matched=%d timeMismatch=%d noOther=%d", matched, timeMis, noOther)
 			}
@@ -494,7 +496,7 @@ func TestHoldEventOnlyWhenPeerGENNotOnItsWay(t *testing.T) {
 			if wantB == 1 && h.genB.resultAt[0] != want[1] {
 				t.Errorf("B's result came at %v, want %v", h.genB.resultAt[0], want[1])
 			}
-			if got := h.holdEvents(tc.replyEvents); got != tc.holds {
+			if got := h.holdEvents(tc.genEvents, tc.replyEvents); got != tc.holds {
 				t.Errorf("%d hold events, want %d", got, tc.holds)
 			}
 		})
@@ -513,17 +515,16 @@ func TestPartnerGENsPairWithSeveralInFlight(t *testing.T) {
 		h.genA.decisions = append(h.genA.decisions, attemptDecision(qid, 0.1))
 		h.genB.decisions = append(h.genB.decisions, attemptDecision(qid, 0.1))
 	}
-	stopA, stopB := h.nodeA.Start(), h.nodeB.Start()
+	stop := h.start()
 	_ = h.s.RunFor(sim.Duration(attempts+30) * sim.DurationMicroseconds(10.12))
-	stopA()
-	stopB()
-	if matched, _, _, _, _ := h.mid.Stats(); matched != attempts {
+	stop()
+	if matched, _, _, _, _ := h.link.Stats(); matched != attempts {
 		t.Fatalf("%d of %d attempts matched", matched, attempts)
 	}
 	if len(h.genA.results) != attempts || len(h.genB.results) != attempts {
 		t.Fatalf("%d and %d results, want %d each", len(h.genA.results), len(h.genB.results), attempts)
 	}
-	if got := h.holdEvents(2 * attempts); got != 0 {
+	if got := h.holdEvents(2*attempts, 2*attempts); got != 0 {
 		t.Errorf("%d hold events, want none", got)
 	}
 }
@@ -540,18 +541,17 @@ func TestUntimedHeldGENReplaced(t *testing.T) {
 	sent := sim.Time(sim.DurationMicroseconds(10.12))
 	frame := wire.GENFrame{QueueID: qid, Timestamp: 1}.Encode()
 	sim.ScheduleAt(h.s, sent.Add(20*sim.Microsecond), func() {
-		h.mid.HandleGEN(classical.Message{Payload: NewGENPayload(frame, 0.3, nv.SideA, 1)})
+		h.link.receiveGEN(newGENPayload(frame, 0.3, nv.SideA, 1))
 	})
-	stopA, stopB := h.nodeA.Start(), h.nodeB.Start()
+	stop := h.start()
 	_ = h.s.RunFor(sim.Millisecond)
-	stopA()
-	stopB()
-	matched, _, timeMis, queueMis, noOther := h.mid.Stats()
+	stop()
+	matched, _, timeMis, queueMis, noOther := h.link.Stats()
 	if matched != 1 || timeMis+queueMis+noOther != 0 {
 		t.Fatalf("matched=%d time=%d queue=%d noOther=%d, want one match and no error", matched, timeMis, queueMis, noOther)
 	}
 	seen := map[*genPayload]bool{}
-	for _, p := range h.registry.gens {
+	for _, p := range h.link.gens {
 		if seen[p] {
 			t.Fatal("a GEN payload is on the free list twice")
 		}

@@ -78,9 +78,9 @@ func TestPairRegistryBoundedUnderLostReplies(t *testing.T) {
 	}
 }
 
-// TestNodeMaintenanceSweepsRegistry checks the node-side periodic
-// maintenance pass sweeps the shared registry even when no new pairs are
-// being produced (no Put-triggered sweeps can fire).
+// TestNodeMaintenanceSweepsRegistry checks the nodes' periodic maintenance
+// pass sweeps the link's registry even when no new pairs are being produced
+// (no Put-triggered sweeps can fire).
 func TestNodeMaintenanceSweepsRegistry(t *testing.T) {
 	h := newHarness(t, 0)
 	pair := testPair()
@@ -93,9 +93,9 @@ func TestNodeMaintenanceSweepsRegistry(t *testing.T) {
 		t.Fatalf("expected 11 entries before the sweep, got %d", h.registry.Len())
 	}
 	// Run past cycle 1024 (the maintenance period) with no attempts.
-	stopA := h.nodeA.Start()
+	stop := h.start()
 	_ = h.s.RunFor(11 * sim.Millisecond)
-	stopA()
+	stop()
 	if h.registry.Len() != 1 {
 		t.Fatalf("maintenance sweep left %d entries, want 1", h.registry.Len())
 	}

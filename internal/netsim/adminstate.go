@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 
+	"repro/internal/mhp"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -124,8 +125,8 @@ func (nw *Network) applyDegrade(l *Link, deg *Degrade) {
 	if deg != nil && deg.ClassicalLoss > 0 {
 		loss = deg.ClassicalLoss
 	}
-	for _, c := range l.fibres {
-		c.SetLossProbability(loss)
+	for f := mhp.FibreAH; f <= mhp.FibreHB; f++ {
+		l.Mid.SetLoss(f, loss)
 	}
 	l.duplex.SetLossProbability(loss)
 	div := uint64(1)

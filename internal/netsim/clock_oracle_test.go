@@ -197,9 +197,8 @@ func (r *oracleRun) fresh(t *testing.T, i int) []obs.Record {
 // TestSharedClockMatchesPerNodeClocks is the shared clock's oracle: against
 // the same network with every MHP node on a clock of its own that never
 // parks, the MHP, EGP, netsim and network trace streams (ring by ring), the
-// result tables, the attempt count and the event count (with the GEN
-// deliveries the shared clock fuses counted back) must be identical — on
-// both engines.
+// result tables, the attempt count and the event count must be identical —
+// on both engines.
 func TestSharedClockMatchesPerNodeClocks(t *testing.T) {
 	for _, tc := range oracleCases() {
 		for _, shards := range []int{1, 2} {
@@ -249,15 +248,11 @@ func TestSharedClockMatchesPerNodeClocks(t *testing.T) {
 				if got, want := shared.nw.Attempts(), ref.nw.Attempts(); got != want {
 					t.Errorf("%d attempts, per-node clocks made %d", got, want)
 				}
-				// Both count one clock tick per cycle: every other event
-				// must match too, once the GEN deliveries the shared clock
-				// fuses are counted back. A per-node tick rearms between
-				// the two nodes' GENs, so per-node clocks never fuse.
-				if fused := ref.nw.FusedGENs(); fused != 0 {
-					t.Errorf("per-node clocks fused %d GEN deliveries, want none", fused)
-				}
-				if got, want := shared.nw.Sim.Executed()+shared.nw.FusedGENs(), ref.nw.Sim.Executed(); got != want {
-					t.Errorf("%d events plus fused GENs, per-node clocks fired %d", got, want)
+				// Both count one clock tick per cycle, and the link sends
+				// both GENs of a cycle whichever clock polls its nodes: every
+				// other event must match too.
+				if got, want := shared.nw.Sim.Executed(), ref.nw.Sim.Executed(); got != want {
+					t.Errorf("%d events, per-node clocks fired %d", got, want)
 				}
 				if shared.nw.Polls() >= ref.nw.Polls() {
 					t.Errorf("the shared clock polled %d times, per-node clocks %d: nothing parked", shared.nw.Polls(), ref.nw.Polls())

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/egp"
+	"repro/internal/mhp"
 	"repro/internal/nv"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -75,8 +76,8 @@ func runWakeInsideTick(t *testing.T, from, to int, perNode bool) wakeRun {
 		items := target.EGPA.Queue().Items(egp.PriorityMD)
 		got.scheduleCycle = items[len(items)-1].ScheduleCycle
 	}
-	for _, f := range nw.Links[from].fibres {
-		f.SetLossProbability(1)
+	for f := mhp.FibreAH; f <= mhp.FibreHB; f++ {
+		nw.Links[from].Mid.SetLoss(f, 1)
 	}
 	if _, code := nw.Submit(nw.Links[from], roleA, egp.CreateRequest{NumPairs: 1, MinFidelity: 0.5, MaxTime: 200 * sim.Millisecond, Priority: egp.PriorityMD}); code != wire.ErrNone {
 		t.Fatalf("submit on the timing-out link: %v", code)

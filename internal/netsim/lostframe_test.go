@@ -6,18 +6,20 @@ import (
 	"testing"
 
 	"repro/internal/egp"
+	"repro/internal/mhp"
 	"repro/internal/nv"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
-// The four frames of one attempt, in the order the link sends them.
+// The four frames of one attempt, in the order the link sends them: the
+// frames of mhp.FibreAH, FibreBH, FibreHA and FibreHB.
 var lostFrameNames = [4]string{"GEN A", "GEN B", "REPLY A", "REPLY B"}
 
 // setFrameLoss sets the loss probability of the fibre carrying the given
 // frame of every attempt (an index into lostFrameNames).
-func setFrameLoss(l *Link, frame int, p float64) { l.fibres[frame].SetLossProbability(p) }
+func setFrameLoss(l *Link, frame int, p float64) { l.Mid.SetLoss(mhp.Fibre(frame), p) }
 
 // lostFrameRun is what one run of TestOneLostFrame observes.
 type lostFrameRun struct {

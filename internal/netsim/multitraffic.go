@@ -207,10 +207,10 @@ func (mt *MultiTraffic) Start() {
 	for _, st := range mt.sites {
 		// A request still in flight from before a Stop cycles its session
 		// when it completes, so only the idle sessions are topped up.
-		inFlight := make([]int, len(mt.classes))
+		busy := make([]int, len(mt.classes))
 		for _, p := range st.pending {
 			if p.closed {
-				inFlight[p.class]++
+				busy[p.class]++
 			}
 		}
 		for ci := range mt.classes {
@@ -220,7 +220,7 @@ func (mt *MultiTraffic) Start() {
 			// Sessions begin with a think pause rather than a synchronized
 			// burst at t=0: each draws its own exponential offset from the
 			// site's stream, staggering the population deterministically.
-			for s := inFlight[ci]; s < st.sessions[ci]; s++ {
+			for s := busy[ci]; s < st.sessions[ci]; s++ {
 				mt.scheduleThink(st, ci, mt.generation)
 			}
 		}

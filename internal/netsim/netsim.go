@@ -101,9 +101,12 @@ type Link struct {
 	Edge Edge // normalized: Edge.A < Edge.B
 	Name string
 
-	EGPA, EGPB       *egp.EGP
+	EGPA, EGPB *egp.EGP
+	// Mid is the link's Midpoint Heralding Protocol: both nodes' attempt
+	// loop, the fibres to the heralding station and the station itself.
+	// MHPA and MHPB are its two nodes.
+	Mid              *mhp.Link
 	MHPA, MHPB       *mhp.Node
-	Mid              *mhp.Midpoint
 	Registry         *mhp.PairRegistry
 	DeviceA, DeviceB *nv.Device
 
@@ -144,9 +147,8 @@ type Link struct {
 	Recoveries    uint64
 	RecoveryTotal sim.Duration
 
-	// fibres are the four midpoint channels and duplex the node-to-node
-	// channel pair, retained so degraded mode can inflate their loss.
-	fibres []*classical.Channel
+	// duplex is the node-to-node channel pair, retained so degraded mode
+	// can inflate its loss.
 	duplex *classical.Duplex
 
 	stopSample func()
@@ -447,15 +449,6 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 	l.DeviceA = nv.NewDevice(fmt.Sprintf("%s/%s", nodeA.Name, l.Name), platform.Gates, platform.CarbonCoupling, platform.MemoryQubits)
 	l.DeviceB = nv.NewDevice(fmt.Sprintf("%s/%s", nodeB.Name, l.Name), platform.Gates, platform.CarbonCoupling, platform.MemoryQubits)
 
-	// Per-link optical/classical fibres to the link's own heralding station.
-	loss := cfg.ClassicalLossProb
-	chanAtoH := classical.NewChannel(l.Name+":A->H", s, platform.CommDelayAH, loss, func(m classical.Message) { l.Mid.HandleGEN(m) })
-	chanBtoH := classical.NewChannel(l.Name+":B->H", s, platform.CommDelayBH, loss, func(m classical.Message) { l.Mid.HandleGEN(m) })
-	chanHtoA := classical.NewChannel(l.Name+":H->A", s, platform.CommDelayAH, loss, func(m classical.Message) { l.MHPA.HandleReply(m) })
-	chanHtoB := classical.NewChannel(l.Name+":H->B", s, platform.CommDelayBH, loss, func(m classical.Message) { l.MHPB.HandleReply(m) })
-
-	l.fibres = []*classical.Channel{chanAtoH, chanBtoH, chanHtoA, chanHtoB}
-
 	// Node-to-node DQP/EGP traffic multiplexes over the shared pair duplex,
 	// tagged with the link ID; the receiving node's registry dispatches it.
 	duplex := nw.pairDuplex(l)
@@ -496,30 +489,21 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 		l.EGPB.FEU().SetStorageMargin(cfg.StorageMargin)
 	}
 
-	genA, genB := mhp.Generator(l.EGPA), mhp.Generator(l.EGPB)
+	gens := [2]mhp.Generator{l.EGPA, l.EGPB}
 	if nw.clockPerNode {
-		genA, genB = neverIdle{l.EGPA}, neverIdle{l.EGPB}
+		gens = [2]mhp.Generator{neverIdle{l.EGPA}, neverIdle{l.EGPB}}
 	}
-	l.MHPA = mhp.NewNode(mhp.NodeConfig{
-		Name: roleA, Sim: s, Generator: genA, Device: l.DeviceA,
-		Registry: l.Registry, Side: nv.SideA, ToMidpoint: chanAtoH,
-		CycleTimeK: platform.CycleTime[nv.RequestKeep],
-		CycleTimeM: platform.CycleTime[nv.RequestMeasure],
-		Trace:      ringMHP, TraceID: uint64(id), Metrics: nw.mhpMetrics,
-	})
-	l.MHPB = mhp.NewNode(mhp.NodeConfig{
-		Name: roleB, Sim: s, Generator: genB, Device: l.DeviceB,
-		Registry: l.Registry, Side: nv.SideB, ToMidpoint: chanBtoH,
-		CycleTimeK: platform.CycleTime[nv.RequestKeep],
-		CycleTimeM: platform.CycleTime[nv.RequestMeasure],
-		Trace:      ringMHP, TraceID: uint64(id), Metrics: nw.mhpMetrics,
-	})
-	l.Mid = mhp.NewMidpoint(mhp.MidpointConfig{
+	l.Mid = mhp.NewLink(mhp.LinkConfig{
 		Sim: s, Sampler: l.Sampler, Registry: l.Registry,
-		ToA: chanHtoA, ToB: chanHtoB,
-		HoldTime: 2*(platform.CommDelayAH+platform.CommDelayBH) + 200*sim.Microsecond,
-		Trace:    ringMHP, TraceID: uint64(id), Metrics: nw.mhpMetrics,
+		Generators: gens,
+		Devices:    [2]*nv.Device{l.DeviceA, l.DeviceB},
+		Arms:       [2]sim.Duration{platform.CommDelayAH, platform.CommDelayBH},
+		Loss:       cfg.ClassicalLossProb,
+		CycleTime:  platform.CycleTime[nv.RequestMeasure],
+		HoldTime:   2*(platform.CommDelayAH+platform.CommDelayBH) + 200*sim.Microsecond,
+		Trace:      ringMHP, TraceID: uint64(id), Metrics: nw.mhpMetrics,
 	})
+	l.MHPA, l.MHPB = l.Mid.Node(nv.SideA), l.Mid.Node(nv.SideB)
 	l.EGPA.SetNode(l.MHPA)
 	l.EGPB.SetNode(l.MHPB)
 	nw.joinClock(l.Shard, base, l.MHPA)
@@ -612,18 +596,6 @@ func (nw *Network) Attempts() uint64 {
 	var n uint64
 	for _, l := range nw.Links {
 		n += l.Sampler.Attempts()
-	}
-	return n
-}
-
-// FusedGENs returns how many GEN frames rode the other side's GEN delivery
-// event instead of getting one of their own (see mhp's Node.runCycle).
-// Executed plus FusedGENs counts one event per GEN, as per-node clocks, on
-// which GENs never fuse, fire them.
-func (nw *Network) FusedGENs() uint64 {
-	var n uint64
-	for _, l := range nw.Links {
-		n += l.fibres[0].Rode() + l.fibres[1].Rode() // the A->H and B->H fibres
 	}
 	return n
 }

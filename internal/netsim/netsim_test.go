@@ -272,15 +272,15 @@ func TestTrafficRestartDoesNotDoubleLoad(t *testing.T) {
 	checkSessions := func(round int) {
 		t.Helper()
 		for i, st := range mt.sites {
-			inFlight := 0
+			busy := 0
 			for _, p := range st.pending {
 				if p.closed {
-					inFlight++
+					busy++
 				}
 			}
-			if inFlight > st.sessions[1] {
+			if busy > st.sessions[1] {
 				t.Errorf("round %d: link %s has %d session requests in flight, population %d",
-					round, nw.Links[i].Name, inFlight, st.sessions[1])
+					round, nw.Links[i].Name, busy, st.sessions[1])
 			}
 		}
 	}

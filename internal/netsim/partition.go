@@ -9,13 +9,13 @@ import "fmt"
 // locality-first by the topology constructors: chains in path order, grids
 // row-major, dragonflies group-major, so contiguous blocks cut few edges).
 // Every link is owned by exactly one shard — the shard of its lower-index
-// endpoint — and its entire protocol stack (both EGP endpoints, both MHP
-// nodes, midpoint, registry, devices and classical fibres) lives there. A
-// link is never split across shards: its two endpoints share a pair registry
-// and pair state, which only stays deterministic when one event loop drives
-// both. Shards therefore never exchange events: an edge whose endpoints land
-// in different shards carries only its link's own traffic, on the link's
-// shard.
+// endpoint — and its entire protocol stack (both EGP endpoints, the link's
+// MHP with its nodes, fibres and station, registry and devices) lives
+// there. A link is never split across shards: its two endpoints share a
+// pair registry and pair state, which only stays deterministic when one
+// event loop drives both. Shards therefore never exchange events: an edge
+// whose endpoints land in different shards carries only its link's own
+// traffic, on the link's shard.
 type Partition struct {
 	// Shards is the shard count the partition was built for.
 	Shards int
