@@ -183,7 +183,6 @@ type EGP struct {
 
 	// Statistics.
 	creates, okCount, errCount, expiresSent, expiresReceived uint64
-	attemptsRequested                                        uint64
 }
 
 // New constructs an EGP instance.
@@ -537,7 +536,6 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 		}
 		e.outstandingK = true
 		e.kDeadline = now.Add(e.replyDeadline)
-		e.attemptsRequested++
 		return mhp.PollDecision{
 			Attempt:      true,
 			QueueID:      item.ID,
@@ -558,7 +556,6 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 	}
 	e.mAttemptTimes[(e.mHead+e.outstandingM)%len(e.mAttemptTimes)] = now
 	e.outstandingM++
-	e.attemptsRequested++
 	return mhp.PollDecision{
 		Attempt:      true,
 		QueueID:      item.ID,
@@ -566,6 +563,70 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 		Alpha:        item.Alpha,
 		MeasureBasis: sharedBasisForCycle(item.ID, cycle),
 	}
+}
+
+// Steady implements mhp.Generator. The steady decision holds from cycle
+// while no attempt is outstanding and the node is not busy, and for as long
+// as PollTrigger's inputs stay put: until the queue's earliest timeout
+// (after which reapExpired acts), until the next confirmed item that is not
+// yet ready becomes ready (it may take the scheduler's pick), and for a K
+// attempt until the next carbon re-initialisation window. A K stride above
+// one is never steady: its polls attempt only every stride-th cycle.
+// Everything else that changes the pick (a new item, a confirmation, a
+// timer, the peer's memory advertisement) comes from an event, which the
+// fold does not cross.
+func (e *EGP) Steady(cycle uint64) (mhp.PollDecision, uint64) {
+	if e.outstandingK || e.outstandingM > 0 || e.cfg.Sim.Now() < e.busyUntil {
+		return mhp.PollDecision{}, 0
+	}
+	expiry := e.queue.earliestTimeout()
+	if cycle > expiry {
+		return mhp.PollDecision{}, 0
+	}
+	item := e.cfg.Scheduler.Next(e.queue, cycle)
+	if item == nil {
+		return mhp.PollDecision{}, 0
+	}
+	steady := expiry - cycle + 1
+	if expiry == math.MaxUint64 {
+		steady = math.MaxUint64
+	}
+	for p := 0; p < NumQueues; p++ {
+		for _, it := range e.queue.Items(p) {
+			if it.confirmed && it.PairsLeft > 0 && it.ScheduleCycle > cycle {
+				steady = min(steady, it.ScheduleCycle-cycle)
+			}
+		}
+	}
+	d := mhp.PollDecision{Attempt: true, QueueID: item.ID, Keep: item.Keep, Alpha: item.Alpha}
+	if !item.Keep {
+		return d, steady
+	}
+	if e.kStride != 1 || cycle < e.kResumeCycle || e.inCarbonReinitWindow(cycle) ||
+		!e.qmm.CommAvailable() || (e.peerKnown && e.peerComm == 0) {
+		return mhp.PollDecision{}, 0
+	}
+	if e.reinitPeriod != 0 {
+		steady = min(steady, e.reinitPeriod-cycle%e.reinitPeriod)
+	}
+	d.StorageQubit = nv.CommQubitID
+	if q, ok := e.qmm.PickStorage(); ok {
+		d.StorageQubit = q
+	}
+	return d, steady
+}
+
+// Absorb implements mhp.Generator. A failed M attempt's poll and result
+// move the polled cycle and the M ring's head; a failed K attempt's reserve
+// and release the communication qubit, which the QMM counts.
+func (e *EGP) Absorb(cycle, failed uint64, d mhp.PollDecision) {
+	e.cycle = cycle + failed - 1
+	if d.Keep {
+		e.qmm.allocations += failed
+		e.qmm.releases += failed
+		return
+	}
+	e.mHead = int((uint64(e.mHead) + failed) % uint64(len(e.mAttemptTimes)))
 }
 
 // kAttemptStride is the number of base (M-type) MHP cycles between permitted

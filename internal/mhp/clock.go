@@ -101,15 +101,29 @@ func (c *Clock) Stop() {
 	}
 }
 
-// Ticks returns how many tick events (cycles) the clock has fired.
+// Ticks returns how many cycles the clock has run. A tick that folds a run
+// of failed attempts (Link.fold) runs many cycles in one event, so this can
+// exceed the clock's tick events.
 func (c *Clock) Ticks() uint64 { return c.cycle }
 
-// Polls returns how many node polls (runCycle calls) the clock has made.
+// Polls returns how many node polls the clock has made, two for each cycle
+// a fold took.
 func (c *Clock) Polls() uint64 { return c.polls }
 
 // tick runs one cycle: it polls every active node in slot order and parks
-// the ones left idle, then rearms relative to the firing time.
+// the ones left idle, then rearms relative to the firing time. When the
+// clock drives one link alone, both of its nodes active, the tick first
+// offers the link the coming cycles to fold; if it takes any, the next tick
+// is the first cycle it did not take.
 func (c *Clock) tick(now sim.Time, _ any) {
+	if c.slots == 2 && len(c.active) == 2 && c.active[0].link == c.active[1].link {
+		if n := c.active[0].link.fold(now, c.cycle+1); n > 0 {
+			c.cycle += n
+			c.polls += 2 * n
+			c.id = c.eng.ScheduleArgAt(now.Add(sim.Duration(n)*c.period), c.onTick, nil)
+			return
+		}
+	}
 	c.cycle++
 	c.cursor = -1
 	for c.pos = 0; c.pos < len(c.active); {

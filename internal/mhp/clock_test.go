@@ -33,6 +33,10 @@ func (g *scriptedGen) HandleResult(Result) {}
 
 func (g *scriptedGen) Idle() bool { return !g.busy }
 
+// Fold never reports a steady decision: the script's polls are the test.
+func (g *scriptedGen) Steady(uint64) (PollDecision, uint64) { return PollDecision{}, 0 }
+func (g *scriptedGen) Absorb(uint64, uint64, PollDecision)  {}
+
 // newScriptedLink builds a link on s between a and b, which never ask for an
 // attempt.
 func newScriptedLink(s *sim.Simulator, a, b *scriptedGen) *Link {

@@ -24,6 +24,7 @@ type genPairRun struct {
 func runGENPairs(t *testing.T, armA, armB sim.Duration, genLoss float64, shared bool, attempts int) genPairRun {
 	t.Helper()
 	h := newHarnessArms(t, 0, armA, armB, 2*(armA+armB)+100*sim.Microsecond)
+	h.link.SetFolding(false)
 	h.link.SetLoss(FibreAH, genLoss)
 	h.link.SetLoss(FibreBH, genLoss)
 	qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}

@@ -15,9 +15,15 @@
 //
 // Because the Link sends both GENs of a cycle, it knows when each will
 // arrive and schedules only the deliveries it needs. Over equal arms (every
-// Lab link) one event delivers both GENs and one both REPLYs, so a failed
-// attempt costs two events beside the clock's tick. Over unequal arms, such
-// as QL2020's, each GEN and each REPLY has its own event.
+// Lab link) one event delivers both GENs and one both REPLYs, so an attempt
+// run attempt by attempt costs two events beside the clock's tick. Over
+// unequal arms, such as QL2020's, each GEN and each REPLY has its own event.
+//
+// A clock that drives one loss-free Lab link alone does not run the link's
+// failed attempts one by one: its tick folds the coming run of them into
+// itself (Link.fold), with the same random draws and the same records, and
+// the next tick is the first success's. Every other link runs attempt by
+// attempt.
 //
 // The package is deliberately stateless on the node side (beyond the pending
 // attempt bookkeeping required to route replies), mirroring the paper's
@@ -85,6 +91,17 @@ type Generator interface {
 	// wakes its node (Node.Wake): nothing is queued and no attempt is
 	// outstanding. The clock parks an idle node whose replies have all come.
 	Idle() bool
+	// Steady serves the link's fold of failed attempts (Link.fold): it
+	// reports the attempt every poll from cycle on returns, one cycle apart,
+	// as long as the only thing that happens is each attempt failing before
+	// the next poll, and for how many cycles that holds (0 when it does not
+	// hold at cycle). The decision's MeasureBasis may vary per cycle. It
+	// changes nothing.
+	Steady(cycle uint64) (d PollDecision, steady uint64)
+	// Absorb applies, in one step, the failed poll/result pairs of cycles
+	// cycle to cycle+failed−1 at the steady decision d, leaving the
+	// generator as those polls and failure results would.
+	Absorb(cycle, failed uint64, d PollDecision)
 }
 
 // PairRegistry shares freshly generated entangled pairs between the midpoint
@@ -286,6 +303,9 @@ type Link struct {
 	trace   *obs.Ring
 	traceID uint64
 	metrics *obs.MHPMetrics
+
+	// perAttempt turns the fold off (SetFolding).
+	perAttempt bool
 }
 
 // LinkConfig collects the construction parameters of a Link. The per-side
@@ -377,6 +397,109 @@ func (l *Link) SetDepolarizing(f float64) {
 		f = 0
 	}
 	l.depolarize = f
+}
+
+// SetFolding turns the fold of failed attempts (Link.fold) on, the default,
+// or off. Off, the link runs every attempt through its events: the path the
+// fold must reproduce, which tests compare it with, and the one a sharded
+// network keeps so that its event count matches the serial run's.
+func (l *Link) SetFolding(on bool) { l.perAttempt = !on }
+
+// fold runs, inside the tick at now of a clock that drives only this link,
+// the coming run of failed attempts from cycle on, and returns how many
+// cycles it took; the clock's next tick is then the first cycle it did not
+// take. It takes none unless:
+//
+//   - the arms are equal, shorter than half a cycle, and every fibre is
+//     loss-free, so the GEN pair and the REPLY pair are one event each, no
+//     loss is drawn, and each REPLY arrives before the next tick;
+//   - neither node is paused or throttled, no attempt is outstanding and
+//     no GEN waits at the station;
+//   - both generators report the same steady decision (Generator.Steady);
+//   - no held success is waiting for its herald.
+//
+// Cycle j of the run polls at now + j·P (P the cycle), heralds a after (a
+// the arm) and answers 2a after. The fold takes cycle j only if its answer
+// falls strictly before the engine's horizon, so nothing else would have
+// run between the poll at now and the last instant of cycle j. It then
+// draws cycle j's optical test from the link's stream as the station would
+// (LinkSampler.FailRun) and stops at the first success, whose draws the
+// sampler holds for the real herald: that cycle and everything after it run
+// as usual. Of the failed cycles it applies in bulk all that their events
+// would have done: counters, the generators' polls and results, the
+// registry sweep, the carbon dephasing, and with tracing on the attempt,
+// herald and REPLY records at their times. Every random draw, record and
+// counter is therefore the same as attempt by attempt.
+func (l *Link) fold(now sim.Time, cycle uint64) uint64 {
+	a, b := &l.nodes[nv.SideA], &l.nodes[nv.SideB]
+	arm := l.arm[nv.SideA]
+	if l.perAttempt || arm != l.arm[nv.SideB] || 2*arm >= l.period || l.loss != [4]float64{} ||
+		a.paused || b.paused || a.rateDivisor > 1 || b.rateDivisor > 1 ||
+		len(a.pending) > 0 || len(b.pending) > 0 || len(l.waiting[nv.SideA]) > 0 || len(l.waiting[nv.SideB]) > 0 ||
+		l.sampler.Held() {
+		return 0
+	}
+	reply := now.Add(2 * arm)
+	h := l.eng.Horizon()
+	if reply >= h {
+		return 0
+	}
+	w := uint64((h-1-reply)/sim.Time(l.period)) + 1
+	dA, steadyA := a.gen.Steady(cycle)
+	if steadyA == 0 {
+		return 0
+	}
+	dB, steadyB := b.gen.Steady(cycle)
+	if steadyB == 0 || dA.QueueID != dB.QueueID || dA.Keep != dB.Keep {
+		return 0
+	}
+	w = min(w, steadyA, steadyB)
+	n, _ := l.sampler.FailRun(dA.Alpha, dB.Alpha, l.eng.RNG(), w)
+	if n == 0 {
+		return 0
+	}
+
+	last := cycle + n - 1
+	a.gen.Absorb(cycle, n, dA)
+	b.gen.Absorb(cycle, n, dB)
+	for side := range l.nodes {
+		l.nodes[side].attemptCount += n
+		l.nodes[side].polled = last
+	}
+	// The maintenance pass: nothing enters the registry during the run, so
+	// its sweeps after the first evict nothing.
+	if m := last - last%1024; m >= cycle {
+		l.swept = m
+		l.registry.Sweep(registryMaxLag)
+	}
+	// Dephasing acts only on pairs in a carbon: when the first folded
+	// attempt finds none at either node, the rest find none either.
+	if actedA, actedB := a.device.ApplyAttemptDephasing(dA.Alpha), b.device.ApplyAttemptDephasing(dB.Alpha); actedA || actedB {
+		for range n - 1 {
+			a.device.ApplyAttemptDephasing(dA.Alpha)
+			b.device.ApplyAttemptDephasing(dB.Alpha)
+		}
+	}
+	l.matched += n
+	if l.metrics != nil {
+		l.metrics.Attempts.Add(2 * n)
+		l.metrics.Matched.Add(n)
+	}
+	if l.trace != nil {
+		keep, fail := int64(0), int64(wire.OutcomeFailure)
+		if dA.Keep {
+			keep = 1
+		}
+		for j := range n {
+			at := now.Add(sim.Duration(j) * l.period)
+			l.trace.Record(at, obs.KindMHPAttempt, l.traceID, int64(cycle+j), keep)
+			l.trace.Record(at, obs.KindMHPAttempt, l.traceID, int64(cycle+j), keep)
+			l.trace.Record(at.Add(arm), obs.KindHerald, l.traceID, fail, 0)
+			l.trace.Record(at.Add(2*arm), obs.KindMHPReply, l.traceID, fail, 0)
+			l.trace.Record(at.Add(2*arm), obs.KindMHPReply, l.traceID, fail, 0)
+		}
+	}
+	return n
 }
 
 // lost draws whether a frame sent on fibre f is lost.

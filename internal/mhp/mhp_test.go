@@ -46,6 +46,11 @@ func (s *stubGenerator) HandleResult(r Result) {
 // Idle is always false: the stub never wakes its node, so it must not park.
 func (s *stubGenerator) Idle() bool { return false }
 
+// Fold never reports a steady decision, so every scripted attempt runs
+// through its events.
+func (s *stubGenerator) Steady(uint64) (PollDecision, uint64) { return PollDecision{}, 0 }
+func (s *stubGenerator) Absorb(uint64, uint64, PollDecision)  {}
+
 // harness is one link's MHP between two scripted link layers.
 type harness struct {
 	s        *sim.Simulator
@@ -459,6 +464,7 @@ func TestHoldEventOnlyWhenPeerGENNotOnItsWay(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarnessArms(t, 0, tc.armA, tc.armB, hold)
+			h.link.SetFolding(false)
 			if tc.lostB {
 				h.link.SetLoss(FibreBH, 1)
 			}

@@ -56,6 +56,7 @@ func runLostFrame(t *testing.T, scenario nv.ScenarioID, cycle uint64, frame int,
 		t.Fatal(err)
 	}
 	l := nw.Links[0]
+	l.Mid.SetFolding(false)
 	period := nw.Platform.CycleTime[nv.RequestMeasure]
 	sent := sim.Time(sim.Duration(cycle) * period) // the cycle's GENs leave with its tick
 	herald := sent.Add(max(nw.Platform.CommDelayAH, nw.Platform.CommDelayBH))

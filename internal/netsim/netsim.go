@@ -503,6 +503,12 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 		HoldTime:   2*(platform.CommDelayAH+platform.CommDelayBH) + 200*sim.Microsecond,
 		Trace:      ringMHP, TraceID: uint64(id), Metrics: nw.mhpMetrics,
 	})
+	// A shard's clock may drive one link alone where the serial clock drives
+	// several, and only such a clock folds failed attempts. Folding only on
+	// the serial engine keeps Executed the same at every shard count on a
+	// multi-link network, where the serial clock never folds. A single link
+	// folds on one shard and runs attempt by attempt on more.
+	l.Mid.SetFolding(nw.sharded == nil)
 	l.MHPA, l.MHPB = l.Mid.Node(nv.SideA), l.Mid.Node(nv.SideB)
 	l.EGPA.SetNode(l.MHPA)
 	l.EGPB.SetNode(l.MHPB)

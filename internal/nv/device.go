@@ -286,8 +286,9 @@ func (d *Device) ApplyDecoherence(pair *EntangledPair, side PairSide, now sim.Ti
 // every pair stored in a carbon memory qubit of this device (Appendix
 // D.4.1). It runs once per attempt, so it scans the (few) memory slots
 // directly instead of iterating the occupied map and only evaluates the
-// per-attempt probability once a stored pair is actually found.
-func (d *Device) ApplyAttemptDephasing(alpha float64) {
+// per-attempt probability once a stored pair is actually found. It reports
+// whether it dephased any pair.
+func (d *Device) ApplyAttemptDephasing(alpha float64) (acted bool) {
 	pd := -1.0
 	for i := 1; i <= d.memorySlots; i++ {
 		q := QubitID(i)
@@ -302,7 +303,7 @@ func (d *Device) ApplyAttemptDephasing(alpha float64) {
 		if pd < 0 {
 			pd = d.dephasingPerAttempt(alpha)
 			if pd <= 0 {
-				return
+				return false
 			}
 		}
 		// The memoised operators are the ones the dense ApplyDephasing
@@ -312,7 +313,9 @@ func (d *Device) ApplyAttemptDephasing(alpha float64) {
 		} else {
 			pair.State.ApplyDephasing(int(side), pd)
 		}
+		acted = true
 	}
+	return acted
 }
 
 // dephasingPerAttempt memoises Eq. (25), and its Kraus operators, for the

@@ -504,3 +504,63 @@ func TestSamplerCacheKeysOnBothAlphas(t *testing.T) {
 		}
 	}
 }
+
+// TestFailRunDrawsAsSample: FailRun followed by the Sample of the success it
+// found draws the same uniforms, in the same order, as Sample attempt by
+// attempt, and counts the same attempts; runs cut short by max resume where
+// they stopped.
+func TestFailRunDrawsAsSample(t *testing.T) {
+	em := labEmission(0.9)
+	det := DetectorParams{Efficiency: 0.8, DarkCountRate: 20, Window: 25e-9}
+	link := NewHeraldedLink(em, em, Fiber{}, Fiber{}, det, 0.9)
+	for seed := int64(1); seed <= 20; seed++ {
+		ref, fold := NewLinkSampler(link), NewLinkSampler(link)
+		refRNG, foldRNG := sim.NewRNG(seed), sim.NewRNG(seed)
+		// The reference log: the attempt index of each success, and its
+		// outcome and ideal pattern.
+		type hit struct {
+			at      uint64
+			outcome MidpointOutcome
+			ideal   ClickPattern
+		}
+		var want, got []hit
+		for i := uint64(0); i < 2000; i++ {
+			if r := ref.Sample(0.3, 0.3, refRNG); r.Outcome.Success() {
+				want = append(want, hit{i, r.Outcome, r.IdealPattern})
+			}
+		}
+		var at uint64
+		for at < 2000 {
+			// Alternate long and short runs, so some stop at max.
+			max := 2000 - at
+			if len(got)%2 == 1 && max > 7 {
+				max = 7
+			}
+			failed, success := fold.FailRun(0.3, 0.3, foldRNG, max)
+			at += failed
+			if !success {
+				continue
+			}
+			r := fold.Sample(0.3, 0.3, foldRNG)
+			if !r.Outcome.Success() {
+				t.Fatalf("seed %d: the held success sampled as %v", seed, r.Outcome)
+			}
+			got = append(got, hit{at, r.Outcome, r.IdealPattern})
+			at++
+		}
+		if len(want) == 0 {
+			t.Fatalf("seed %d: no success in the reference run", seed)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d successes, per-attempt sampling %d", seed, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: success %d is %+v, per-attempt sampling %+v", seed, i, got[i], want[i])
+			}
+		}
+		if fold.Attempts() != ref.Attempts() || refRNG.Float64() != foldRNG.Float64() {
+			t.Fatalf("seed %d: %d attempts, per-attempt %d, or the streams moved apart", seed, fold.Attempts(), ref.Attempts())
+		}
+	}
+}

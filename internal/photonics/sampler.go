@@ -41,6 +41,10 @@ type LinkSampler struct {
 	// the heap on every attempt; a sampler is confined to one simulator
 	// thread, so a single persistent buffer is safe.
 	uBuf [5]float64
+	// held is set when FailRun drew the uniforms in uBuf for a success that
+	// the next Sample, at heldKey's populations, consumes instead of drawing.
+	held    bool
+	heldKey alphaKey
 }
 
 type alphaKey struct{ a, b float64 }
@@ -80,6 +84,9 @@ func (s *LinkSampler) Link() *HeraldedLink { return s.link }
 
 // Attempts returns how many entanglement attempts have been sampled.
 func (s *LinkSampler) Attempts() uint64 { return s.attempts }
+
+// Held reports whether FailRun holds a success the next Sample consumes.
+func (s *LinkSampler) Held() bool { return s.held }
 
 // distribution returns the branch distribution for the given bright-state
 // populations from the sampler's own cache, falling back to the link's.
@@ -266,27 +273,18 @@ func (s *LinkSampler) Sample(alphaA, alphaB float64, rng RandomSource) AttemptRe
 	d := s.distribution(alphaA, alphaB)
 	// One attempt consumes exactly five uniforms, in a fixed order: the
 	// branch selector, then the four detector-noise draws. Batching them
-	// preserves the stream order of the one-at-a-time draws exactly.
+	// preserves the stream order of the one-at-a-time draws exactly. A
+	// success FailRun found has drawn them already.
 	u := &s.uBuf
-	if batch, ok := rng.(batchSource); ok {
-		batch.Float64Batch(u[:])
+	if s.held {
+		if s.heldKey != (alphaKey{alphaA, alphaB}) {
+			panic("photonics: held attempt sampled at other bright-state populations")
+		}
+		s.held = false
 	} else {
-		for i := range u {
-			u[i] = rng.Float64()
-		}
+		draw(rng, u)
 	}
-	ideal := ClickNone
-	if d.total > 0 {
-		x := u[0] * d.total
-		for pattern, p := range d.probs {
-			x -= p
-			if x < 0 {
-				ideal = ClickPattern(pattern)
-				break
-			}
-		}
-	}
-	observed := detectorNoise(ideal, s.link.Detectors.Efficiency, s.dark, u[1], u[2], u[3], u[4])
+	ideal, observed := s.clicks(d, u)
 	outcome := OutcomeFromClicks(observed)
 	var st quantum.PairState
 	if outcome.Success() {
@@ -304,6 +302,61 @@ func (s *LinkSampler) Sample(alphaA, alphaB float64, rng RandomSource) AttemptRe
 		IdealPattern:    ideal,
 		ObservedPattern: observed,
 	}
+}
+
+// FailRun runs the optical test of up to max attempts at (αA, αB), drawing
+// each one's five uniforms from rng exactly as Sample would, and returns how
+// many failed before the first success. When one succeeds (success true) its
+// uniforms are held, and the next Sample, which must be at the same
+// populations, uses them instead of drawing: the sampled attempts are the
+// ones Sample would have drawn, in the same stream order. The failed
+// attempts count towards Attempts; the success counts when it is sampled.
+func (s *LinkSampler) FailRun(alphaA, alphaB float64, rng RandomSource, max uint64) (failed uint64, success bool) {
+	if s.held {
+		panic("photonics: FailRun with a held attempt not yet sampled")
+	}
+	d := s.distribution(alphaA, alphaB)
+	u := &s.uBuf
+	for failed < max {
+		draw(rng, u)
+		if _, observed := s.clicks(d, u); OutcomeFromClicks(observed).Success() {
+			s.held, s.heldKey = true, alphaKey{alphaA, alphaB}
+			success = true
+			break
+		}
+		failed++
+	}
+	s.attempts += failed
+	return failed, success
+}
+
+// draw fills u with the next five uniforms of rng.
+func draw(rng RandomSource, u *[5]float64) {
+	if batch, ok := rng.(batchSource); ok {
+		batch.Float64Batch(u[:])
+		return
+	}
+	for i := range u {
+		u[i] = rng.Float64()
+	}
+}
+
+// clicks turns one attempt's five uniforms into its ideal click pattern,
+// picked from the distribution by u[0], and the pattern the detectors
+// observe, with u[1..4] as the efficiency and dark-count draws.
+func (s *LinkSampler) clicks(d *attemptDistribution, u *[5]float64) (ideal, observed ClickPattern) {
+	ideal = ClickNone
+	if d.total > 0 {
+		x := u[0] * d.total
+		for pattern, p := range d.probs {
+			x -= p
+			if x < 0 {
+				ideal = ClickPattern(pattern)
+				break
+			}
+		}
+	}
+	return ideal, detectorNoise(ideal, s.link.Detectors.Efficiency, s.dark, u[1], u[2], u[3], u[4])
 }
 
 // ExpectedSuccessFidelity returns the fidelity (with the heralded Bell

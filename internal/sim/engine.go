@@ -44,6 +44,9 @@ type Engine interface {
 	RunFor(d Duration) error
 	// Stop halts the run in progress.
 	Stop()
+	// Horizon returns the earliest time at which anything but the running
+	// event may happen (see Simulator.Horizon).
+	Horizon() Time
 	// Executed reports how many events have fired since construction.
 	Executed() uint64
 	// Pending reports how many events are scheduled and not yet fired.

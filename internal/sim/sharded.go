@@ -84,6 +84,10 @@ func (e *ShardedEngine) SetWindowObserver(fn func(start, end Time, merged int)) 
 // the last window.
 func (e *ShardedEngine) Now() Time { return e.now }
 
+// Horizon returns Now(): the sharded engine as a whole claims no instant
+// ahead of its clock. Entities on a shard ask their shard (Simulator.Horizon).
+func (e *ShardedEngine) Horizon() Time { return e.now }
+
 // RNG panics: a sharded engine has no global random stream by design.
 // Entities needing randomness must pin a per-entity stream with WithRNG and
 // DeriveSeed so their draws are independent of the partitioning.

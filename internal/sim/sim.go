@@ -134,6 +134,10 @@ type Simulator struct {
 	nextSeq uint64
 	rng     *RNG
 	stopped bool
+	// running is set inside Run and RunUntil; limit is the running
+	// RunUntil's limit, −1 under Run.
+	running bool
+	limit   Time
 	// executed counts events that have fired since construction.
 	executed uint64
 	// free is the recycled-event pool; see the event type.
@@ -252,6 +256,28 @@ func (s *Simulator) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID {
 // current event completes.
 func (s *Simulator) Stop() { s.stopped = true }
 
+// Horizon returns the earliest time at which anything but the running event
+// may happen: the time of the next pending event, or one past the running
+// RunUntil's limit, whichever comes first. A cancelled event still waiting in
+// the queue counts, so the horizon is never later than the true next event.
+// It is Now() while events of the current batch are still to run, once Stop
+// has been called, and outside Run and RunUntil. An event handler owns every
+// instant strictly before the horizon: nothing else runs before it. The
+// query changes nothing a run can observe.
+func (s *Simulator) Horizon() Time {
+	if !s.running || s.stopped || s.batchRemaining > 0 {
+		return s.now
+	}
+	h := Time(math.MaxInt64)
+	if s.limit >= 0 && s.limit < math.MaxInt64 {
+		h = s.limit + 1
+	}
+	if next := s.q.peek(); next != nil && next.at < h {
+		h = next.at
+	}
+	return h
+}
+
 // step executes every pending event sharing the earliest timestamp within
 // limit, as one batch: the clock is set once, cancelled events are drained,
 // and the callbacks run in (time, sequence) order. Batching is semantically
@@ -335,7 +361,8 @@ func (s *Simulator) step(limit Time) bool {
 // Run executes events until the queue is empty or Stop is called. It returns
 // ErrStopped when halted by Stop, nil otherwise.
 func (s *Simulator) Run() error {
-	s.stopped = false
+	s.stopped, s.running, s.limit = false, true, -1
+	defer func() { s.running = false }()
 	for !s.stopped {
 		if !s.step(-1) {
 			return nil
@@ -348,7 +375,8 @@ func (s *Simulator) Run() error {
 // empties, or Stop is called. After returning, Now() is at most t; if events
 // remain beyond t the clock is advanced to exactly t.
 func (s *Simulator) RunUntil(t Time) error {
-	s.stopped = false
+	s.stopped, s.running, s.limit = false, true, t
+	defer func() { s.running = false }()
 	for !s.stopped {
 		if !s.step(t) {
 			if s.now < t {
