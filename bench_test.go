@@ -58,8 +58,7 @@ func BenchmarkFig6Fidelity(b *testing.B)     { runExperiment(b, "fig6bc") }
 func BenchmarkTable5Robustness(b *testing.B) { runExperiment(b, "table5") }
 func BenchmarkSec62Metrics(b *testing.B)     { runExperiment(b, "metrics") }
 func BenchmarkTable1Scheduling(b *testing.B) { runExperiment(b, "table1") }
-func BenchmarkTable3Mixed(b *testing.B)      { runExperiment(b, "table3") }
-func BenchmarkTable4Mixed(b *testing.B)      { runExperiment(b, "table4") }
+func BenchmarkMixed(b *testing.B)            { runExperiment(b, "mixed") }
 
 // --- Trial-engine parallelism benchmarks ---------------------------------
 

@@ -173,8 +173,8 @@ func TestCampaignSelection(t *testing.T) {
 	}
 	code, stdout, _ := repro(t, "campaign", "-list")
 	lines := strings.Split(strings.TrimSuffix(stdout, "\n"), "\n")
-	if code != 0 || len(lines) != 13 {
-		t.Fatalf("-list: exit %d, %d lines, want 13 runners:\n%s", code, len(lines), stdout)
+	if code != 0 || len(lines) != 12 {
+		t.Fatalf("-list: exit %d, %d lines, want 12 runners:\n%s", code, len(lines), stdout)
 	}
 	for i, r := range experiments.All() {
 		if f := strings.Fields(lines[i]); len(f) == 0 || f[0] != r.Name {

@@ -116,8 +116,7 @@ func All() []Runner {
 		{Name: "table5", Description: "Robustness to classical frame loss (Sec. 6.1, Table 5)", Run: RunTable5Robustness},
 		{Name: "metrics", Description: "Single-kind performance metrics: fidelity, throughput, latency, fairness (Sec. 6.2)", Run: RunSection62Metrics},
 		{Name: "table1", Description: "Scheduling strategies FCFS vs WFQ (Sec. 6.3, Table 1, Fig. 7)", Run: RunTable1Scheduling},
-		{Name: "table3", Description: "Mixed-load throughput per scenario (App. Table 3)", Run: RunTable3Mixed},
-		{Name: "table4", Description: "Mixed-load scaled and request latencies (App. Table 4)", Run: RunTable4Mixed},
+		{Name: "mixed", Description: "Mixed-load throughput, scaled and request latencies (App. Tables 3 and 4)", Run: RunMixed},
 		{Name: "netchain", Description: "Multi-link chain-length scaling on the netsim network layer", Run: RunNetChain},
 		{Name: "netload", Description: "Per-link load contention on a star topology (netsim network layer)", Run: RunNetLoad},
 		{Name: "e2echain", Description: "End-to-end repeater-chain length scaling with entanglement swapping", Run: RunE2EChain},

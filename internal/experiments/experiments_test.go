@@ -6,7 +6,7 @@ import (
 )
 
 func TestAllRunnersRegistered(t *testing.T) {
-	want := []string{"fig8", "fig9", "fig6a", "fig6bc", "table5", "metrics", "table1", "table3", "table4", "netchain", "netload", "e2echain", "e2eload"}
+	want := []string{"fig8", "fig9", "fig6a", "fig6bc", "table5", "metrics", "table1", "mixed", "netchain", "netload", "e2echain", "e2eload"}
 	runners := All()
 	if len(runners) != len(want) {
 		t.Fatalf("expected %d runners, got %d", len(want), len(runners))

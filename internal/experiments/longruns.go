@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/egp"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -179,43 +180,26 @@ func RunTable1Scheduling(opt Options) []Table {
 	return []Table{throughput, latency}
 }
 
-// RunTable3Mixed reproduces Appendix Table 3: throughput per kind for the
-// mixed-usage patterns of Appendix Table 2 under FCFS and HigherWFQ, on both
-// hardware scenarios.
-func RunTable3Mixed(opt Options) []Table {
-	return runMixed(opt, true)
-}
-
-// RunTable4Mixed reproduces Appendix Table 4: scaled latency and request
-// latency per kind for the same mixed-usage scenarios.
-func RunTable4Mixed(opt Options) []Table {
-	return runMixed(opt, false)
-}
-
-// runMixed executes the mixed-load grid and reports either throughput
-// (Table 3) or latencies (Table 4). Both tables share the runner name
-// "mixed" in their trial coordinates so they view the same simulated
-// campaign rather than two decorrelated ones.
-func runMixed(opt Options, throughputTable bool) []Table {
+// RunMixed reproduces Appendix Tables 3 and 4 from one set of trials: for
+// the mixed-usage patterns of Appendix Table 2 under FCFS and HigherWFQ, on
+// both hardware scenarios, throughput per kind (Table 3) and scaled latency
+// and request latency per kind (Table 4).
+func RunMixed(opt Options) []Table {
 	patterns := workload.AllPatterns()
 	if opt.Quick {
 		patterns = []workload.Pattern{workload.PatternUniform, workload.PatternNoNLMoreMD}
 	}
 	schedulers := []string{"FCFS", "HigherWFQ"}
 
-	var table Table
-	if throughputTable {
-		table = Table{
-			ID:      "table3",
-			Caption: "Mixed-load average throughput (1/s) per kind (App. Table 3)",
-			Columns: []string{"scenario", "T_NL", "T_CK", "T_MD"},
-		}
-	} else {
-		table = Table{
-			ID:      "table4",
-			Caption: "Mixed-load scaled latency SL and request latency RL (s) per kind (App. Table 4)",
-			Columns: []string{"scenario", "SL_NL", "SL_CK", "SL_MD", "RL_NL", "RL_CK", "RL_MD"},
-		}
+	throughput := Table{
+		ID:      "table3",
+		Caption: "Mixed-load average throughput (1/s) per kind (App. Table 3)",
+		Columns: []string{"scenario", "T_NL", "T_CK", "T_MD"},
+	}
+	latency := Table{
+		ID:      "table4",
+		Caption: "Mixed-load scaled latency SL and request latency RL (s) per kind (App. Table 4)",
+		Columns: []string{"scenario", "SL_NL", "SL_CK", "SL_MD", "RL_NL", "RL_CK", "RL_MD"},
 	}
 
 	type mixedCase struct {
@@ -237,7 +221,11 @@ func runMixed(opt Options, throughputTable bool) []Table {
 			}
 		}
 	}
-	table.Rows = runTrialCases(opt, cases, func(t Trial, c mixedCase) []string {
+	type mixedRows struct {
+		throughput []string
+		latency    []string
+	}
+	rows := runTrialCases(opt, cases, func(t Trial, c mixedCase) mixedRows {
 		classes := workload.Mixed(c.pattern)
 		stats := runProtocolTrial(opt, t, classes, func(cfg *netsim.Config) {
 			cfg.Scheduler = c.sched
@@ -245,36 +233,26 @@ func runMixed(opt Options, throughputTable bool) []Table {
 
 		name := fmt.Sprintf("%s_%s_%s", t.Scenario, c.pattern, c.sched)
 		hasNL := c.pattern != workload.PatternNoNLMoreCK && c.pattern != workload.PatternNoNLMoreMD
-		row := []string{name}
-		if throughputTable {
-			for _, priority := range priorityOrder {
-				if priority == egp.PriorityNL && !hasNL {
-					row = append(row, "-")
-					continue
-				}
-				row = append(row, f3(stats.Throughput(priority)))
-			}
-			return row
-		}
+		meanErr := func(s *obs.Series) string { return fmt.Sprintf("%.2f (%.2f)", s.Mean(), s.StdErr()) }
+		out := mixedRows{throughput: []string{name}, latency: []string{name}}
+		var requestLatency []string
 		for _, priority := range priorityOrder {
 			if priority == egp.PriorityNL && !hasNL {
-				row = append(row, "-")
+				out.throughput = append(out.throughput, "-")
+				out.latency = append(out.latency, "-")
+				requestLatency = append(requestLatency, "-")
 				continue
 			}
-			row = append(row, fmt.Sprintf("%.2f (%.2f)",
-				stats.ScaledLatency(priority).Mean(),
-				stats.ScaledLatency(priority).StdErr()))
+			out.throughput = append(out.throughput, f3(stats.Throughput(priority)))
+			out.latency = append(out.latency, meanErr(stats.ScaledLatency(priority)))
+			requestLatency = append(requestLatency, meanErr(stats.RequestLatency(priority)))
 		}
-		for _, priority := range priorityOrder {
-			if priority == egp.PriorityNL && !hasNL {
-				row = append(row, "-")
-				continue
-			}
-			row = append(row, fmt.Sprintf("%.2f (%.2f)",
-				stats.RequestLatency(priority).Mean(),
-				stats.RequestLatency(priority).StdErr()))
-		}
-		return row
+		out.latency = append(out.latency, requestLatency...)
+		return out
 	})
-	return []Table{table}
+	for _, r := range rows {
+		throughput.Rows = append(throughput.Rows, r.throughput)
+		latency.Rows = append(latency.Rows, r.latency)
+	}
+	return []Table{throughput, latency}
 }
