@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/egp"
 	"repro/internal/netsim"
-	"repro/internal/nv"
 	"repro/internal/obs"
 	"repro/internal/quantum"
 	"repro/internal/sim"
@@ -19,12 +18,20 @@ type linkRun struct {
 	qber *[egp.NumQueues]egp.QBERCounter
 }
 
-// runProtocolTrial runs the paper's link for one trial: a two-node netsim
-// network (A, the heralding station, B) on the trial's scenario, seeded
-// from the trial's coordinates, optionally adjusted by configure, driven
-// by the per-cycle generator (random origin) for the trial's simulated
-// duration.
-func runProtocolTrial(opt Options, t Trial, classes []workload.Class, configure func(*netsim.Config)) linkRun {
+// runProtocolTrial runs the paper's link for one trial (protocolLink) for
+// the trial's simulated duration.
+func runProtocolTrial(opt Options, t Trial, classes []workload.ClassSpec, configure func(*netsim.Config)) linkRun {
+	nw, matcher := protocolLink(opt, t, classes, configure)
+	nw.Run(sim.DurationSeconds(opt.SimulatedSeconds))
+	return linkRun{LinkAccount: &nw.Links[0].Account, qber: &matcher.qber}
+}
+
+// protocolLink builds the paper's link for one trial: a two-node netsim
+// network (A, the heralding station, B) on the trial's scenario, seeded from
+// the trial's coordinates, optionally adjusted by configure, with the QBER
+// matcher as its OnLinkOK hook and the classes attached through
+// netsim.MultiTraffic.
+func protocolLink(opt Options, t Trial, classes []workload.ClassSpec, configure func(*netsim.Config)) (*netsim.Network, *qberMatcher) {
 	cfg := netsim.DefaultConfig(netsim.Chain(2), t.Scenario)
 	cfg.Seed = t.DeriveSeed(opt.Seed)
 	if configure != nil {
@@ -34,93 +41,12 @@ func runProtocolTrial(opt Options, t Trial, classes []workload.Class, configure 
 	if err != nil {
 		panic(err) // Chain(2) always validates
 	}
-	link := nw.Links[0]
-	matcher := newQBERMatcher(link)
+	matcher := newQBERMatcher(nw.Links[0])
 	nw.OnLinkOK = matcher.onLinkOK
-	gen := newGenerator(nw, link, workload.OriginRandom, classes)
-	nw.Start()
-	gen.start()
-	nw.Run(sim.DurationSeconds(opt.SimulatedSeconds))
-	gen.stop()
-	return linkRun{LinkAccount: &link.Account, qber: &matcher.qber}
-}
-
-// generator issues the paper's per-cycle CREATE arrivals (Section 6) into
-// one link: in every MHP cycle, for each class, it draws a pair count k
-// uniform in [1, k_max] (or the class's fixed count), accepts a request
-// with probability f·psucc/(E·k), and picks the origin. The draw order —
-// k, then accept, then origin — is part of every committed table.
-//
-// Accepted request sizes are therefore ∝ 1/k, not uniform: the offered
-// pairs per cycle match workload.PoissonClass, the request sizes do not.
-type generator struct {
-	nw      *netsim.Network
-	link    *netsim.Link
-	classes []workload.Class
-	origin  workload.Origin
-	// baseProb[i] is class i's per-cycle arrival probability before
-	// dividing by the drawn k.
-	baseProb []float64
-	halt     func()
-}
-
-func newGenerator(nw *netsim.Network, link *netsim.Link, origin workload.Origin, classes []workload.Class) *generator {
-	g := &generator{nw: nw, link: link, classes: classes, origin: origin}
-	feu := link.EGPA.FEU()
-	for _, c := range classes {
-		g.baseProb = append(g.baseProb, workload.PerCycleProbability(feu, nw.Platform, c.Keep(), c.Fraction, c.MinFidelity))
+	if _, err := nw.AttachWorkload(classes); err != nil {
+		panic(err) // the runners' classes always validate
 	}
-	return g
-}
-
-// start begins sampling arrivals once per MHP cycle on the link's engine.
-func (g *generator) start() {
-	g.halt = sim.Ticker(g.link.Eng, g.nw.Platform.CycleTime[nv.RequestMeasure], g.tick)
-}
-
-// stop halts arrivals.
-func (g *generator) stop() {
-	if g.halt != nil {
-		g.halt()
-		g.halt = nil
-	}
-}
-
-func (g *generator) tick() {
-	rng := g.link.Eng.RNG()
-	for i, c := range g.classes {
-		if c.Fraction <= 0 {
-			continue
-		}
-		k := c.FixedPairs
-		if k <= 0 {
-			k = 1
-			if c.MaxPairs > 1 {
-				k = 1 + rng.Intn(c.MaxPairs)
-			}
-		}
-		if !rng.Bernoulli(g.baseProb[i] / float64(k)) {
-			continue
-		}
-		role := "A"
-		switch g.origin {
-		case workload.OriginB:
-			role = "B"
-		case workload.OriginRandom:
-			if rng.Bernoulli(0.5) {
-				role = "B"
-			}
-		}
-		g.nw.Submit(g.link, role, egp.CreateRequest{
-			NumPairs:    k,
-			Keep:        c.Keep(),
-			MinFidelity: c.MinFidelity,
-			MaxTime:     c.MaxTime,
-			Priority:    c.Priority,
-			PurposeID:   uint16(1000 + c.Priority),
-			Consecutive: c.Priority == egp.PriorityNL || c.Priority == egp.PriorityMD,
-		})
-	}
+	return nw, matcher
 }
 
 // qberMatcher pairs the two ends' measure-directly outcomes of one link by

@@ -34,17 +34,20 @@ func submitAt(nw *netsim.Network, link *netsim.Link, at sim.Duration, role strin
 	sim.Schedule(nw.Sim, at, func() { nw.Submit(link, role, req) })
 }
 
+// labTrial builds a runner trial's Lab link for the given classes.
+func labTrial(seed int64, classes []workload.ClassSpec) *netsim.Network {
+	nw, _ := protocolLink(Options{Seed: seed}, Trial{Runner: "test", Scenario: nv.ScenarioLab}, classes, nil)
+	return nw
+}
+
 func TestGeneratorIssuesRequests(t *testing.T) {
-	nw, link, _ := newLink(t, 3)
-	gen := newGenerator(nw, link, workload.OriginRandom, workload.SingleKind(egp.PriorityMD, workload.LoadUltra, 3))
-	nw.Start()
-	gen.start()
+	nw := labTrial(3, workload.SingleKind(egp.PriorityMD, workload.LoadUltra, 3))
 	nw.Run(2 * sim.Second)
-	gen.stop()
+	link := nw.Links[0]
 
 	submitted := int(link.Submitted)
 	if submitted == 0 {
-		t.Fatal("the generator should issue requests at Ultra load within 2 s")
+		t.Fatal("the runner's classes should issue requests at Ultra load within 2 s")
 	}
 	if link.Account.Pairs(egp.PriorityMD) == 0 {
 		t.Fatal("generated requests should produce pairs")
@@ -58,12 +61,11 @@ func TestGeneratorIssuesRequests(t *testing.T) {
 }
 
 func TestGeneratorOriginPolicy(t *testing.T) {
-	nw, link, _ := newLink(t, 5)
-	gen := newGenerator(nw, link, workload.OriginB, workload.SingleKind(egp.PriorityMD, workload.LoadUltra, 1))
-	nw.Start()
-	gen.start()
+	classes := workload.SingleKind(egp.PriorityMD, workload.LoadUltra, 1)
+	classes[0].Origin = workload.OriginB
+	nw := labTrial(5, classes)
 	nw.Run(1 * sim.Second)
-	gen.stop()
+	link := nw.Links[0]
 	a, b := link.Account.Origin("A"), link.Account.Origin("B")
 	if a.Pairs != 0 {
 		t.Fatalf("origin policy B should never submit from A: %+v", a)
@@ -73,18 +75,27 @@ func TestGeneratorOriginPolicy(t *testing.T) {
 	}
 }
 
-func TestGeneratorStopHaltsArrivals(t *testing.T) {
-	nw, link, _ := newLink(t, 7)
-	gen := newGenerator(nw, link, workload.OriginA, workload.SingleKind(egp.PriorityMD, workload.LoadUltra, 1))
-	nw.Start()
-	gen.start()
-	nw.Run(500 * sim.Millisecond)
-	gen.stop()
-	before := link.Submitted
-	nw.Run(500 * sim.Millisecond)
-	if link.Submitted != before {
-		t.Fatal("no requests should arrive after stop")
+// TestRunnerTrialFolds pins that the paper's runners reach the fold of
+// failed attempts: a loss-free Lab MD trial at High load runs its attempts
+// in under 0.01 events each, the bar netsim's TestFoldEngages sets for a
+// lone Lab link, and makes the same attempts as attempt by attempt.
+func TestRunnerTrialFolds(t *testing.T) {
+	run := func(fold bool) (events, attempts uint64) {
+		nw := labTrial(1, workload.SingleKind(egp.PriorityMD, workload.LoadHigh, 3))
+		nw.Links[0].Mid.SetFolding(fold)
+		nw.Run(sim.Second)
+		return nw.Sim.Executed(), nw.Attempts()
 	}
+	events, attempts := run(true)
+	refEvents, refAttempts := run(false)
+	if attempts != refAttempts || attempts < 10000 {
+		t.Fatalf("%d attempts, attempt by attempt %d", attempts, refAttempts)
+	}
+	perAttempt := float64(events) / float64(attempts)
+	if perAttempt >= 0.01 {
+		t.Fatalf("%.4f events per attempt (%d events, %d attempts), want under 0.01", perAttempt, events, attempts)
+	}
+	t.Logf("%d events for %d attempts (%.4f per attempt); attempt by attempt %d events", events, attempts, perAttempt, refEvents)
 }
 
 func TestQBERAccountingForMD(t *testing.T) {

@@ -55,12 +55,7 @@ func RunTable5Robustness(opt Options) []Table {
 		}
 	}
 	results := runTrialCases(opt, cases, func(t Trial, loss float64) robustnessRun {
-		classes := []workload.Class{{
-			Priority:    t.Priority,
-			Fraction:    t.Load,
-			MaxPairs:    t.KMax,
-			MinFidelity: t.Fidelity,
-		}}
+		classes := workload.SingleKind(t.Priority, workload.LoadLevel(t.Load), t.KMax)
 		stats := runProtocolTrial(opt, t, classes, func(cfg *netsim.Config) {
 			cfg.ClassicalLossProb = loss
 		})

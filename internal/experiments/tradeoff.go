@@ -38,12 +38,7 @@ func RunFig6Load(opt Options) []Table {
 		}
 	}
 	table.Rows = runTrials(opt, trials, func(t Trial) []string {
-		classes := []workload.Class{{
-			Priority:    t.Priority,
-			Fraction:    t.Load,
-			MaxPairs:    t.KMax,
-			MinFidelity: t.Fidelity,
-		}}
+		classes := workload.SingleKind(t.Priority, workload.LoadLevel(t.Load), t.KMax)
 		stats := runProtocolTrial(opt, t, classes, nil)
 		return []string{
 			f3(t.Load),
@@ -92,12 +87,10 @@ func RunFig6Fidelity(opt Options) []Table {
 		}
 	}
 	rows := runTrials(opt, trials, func(t Trial) [2][]string {
-		classes := []workload.Class{{
-			Priority:    t.Priority,
-			Fraction:    t.Load,
-			MaxPairs:    t.KMax,
-			MinFidelity: t.Fidelity,
-		}}
+		classes := workload.SingleKind(t.Priority, workload.LoadLevel(t.Load), t.KMax)
+		for i := range classes {
+			classes[i].MinFidelity = t.Fidelity
+		}
 		stats := runProtocolTrial(opt, t, classes, nil)
 		return [2][]string{
 			{

@@ -38,9 +38,11 @@ type Clock struct {
 	// cycle counts the ticks fired: the current MHP cycle.
 	cycle uint64
 	// slots counts registered nodes; a node's slot is its registration
-	// index. active holds the unparked nodes ordered by slot.
+	// index. active holds the unparked nodes ordered by slot. lone is the
+	// link whose nodes are all the clock drives, nil when there are others.
 	slots  int
 	active []*Node
+	lone   *Link
 	// pos is the index in active of the node being polled. cursor is its
 	// slot: −1 at the start of a cycle, math.MaxInt outside the tick.
 	pos    int
@@ -74,6 +76,11 @@ func (c *Clock) Add(n *Node) {
 		panic("mhp: node " + n.Name + " has a different cycle period than its clock")
 	}
 	n.clock, n.slot = c, c.slots
+	if c.slots == 0 {
+		c.lone = n.link
+	} else if n.link != c.lone {
+		c.lone = nil
+	}
 	c.slots++
 	if !n.parked {
 		c.active = append(c.active, n)
@@ -114,10 +121,13 @@ func (c *Clock) Polls() uint64 { return c.polls }
 // the ones left idle, then rearms relative to the firing time. When the
 // clock drives one link alone, both of its nodes active, the tick first
 // offers the link the coming cycles to fold; if it takes any, the next tick
-// is the first cycle it did not take.
+// is the first cycle it did not take. When that link folds and both of its
+// nodes are parked, the ticks before the engine's horizon would poll no one,
+// and only an event can wake a node: the clock counts those cycles and
+// rearms at the last of them.
 func (c *Clock) tick(now sim.Time, _ any) {
-	if c.slots == 2 && len(c.active) == 2 && c.active[0].link == c.active[1].link {
-		if n := c.active[0].link.fold(now, c.cycle+1); n > 0 {
+	if c.lone != nil && len(c.active) == 2 {
+		if n := c.lone.fold(now, c.cycle+1); n > 0 {
 			c.cycle += n
 			c.polls += 2 * n
 			c.id = c.eng.ScheduleArgAt(now.Add(sim.Duration(n)*c.period), c.onTick, nil)
@@ -141,9 +151,18 @@ func (c *Clock) tick(now sim.Time, _ any) {
 		}
 	}
 	c.cursor = math.MaxInt
-	if c.running {
-		c.id = c.eng.ScheduleArgAt(now.Add(c.period), c.onTick, nil)
+	if !c.running {
+		return
 	}
+	next := now.Add(c.period)
+	if c.lone != nil && len(c.active) == 0 && !c.lone.perAttempt {
+		if h := c.eng.Horizon(); next < h {
+			idle := uint64((h - 1 - next) / sim.Time(c.period))
+			c.cycle += idle
+			next = next.Add(sim.Duration(idle) * c.period)
+		}
+	}
+	c.id = c.eng.ScheduleArgAt(next, c.onTick, nil)
 }
 
 // cycleOf returns the cycle a node reads: during a tick, k once the clock has

@@ -164,3 +164,43 @@ func TestPolledCycleMatchesAlwaysPolledTwin(t *testing.T) {
 		t.Fatalf("the parking node never parked: %d polls over %d ticks", clock.Polls(), clock.Ticks())
 	}
 }
+
+// TestIdleLoneLinkSkipsTicks parks both nodes of a lone link until an event
+// between two ticks gives one of them work for three cycles, with the fold
+// on and off. The woken node must be polled in the same cycles and the
+// clock must count the same cycles, while the folding clock fires no tick
+// in the idle stretches before the wake and after the node parks again.
+func TestIdleLoneLinkSkipsTicks(t *testing.T) {
+	run := func(fold bool) (log []string, ticks, executed uint64) {
+		s := sim.New(1)
+		a := &scriptedGen{name: "a", log: &log}
+		b := &scriptedGen{name: "b", log: &log}
+		l := newScriptedLink(s, a, b)
+		l.SetFolding(fold)
+		clock := NewClock(s)
+		clock.Add(l.Node(nv.SideA))
+		clock.Add(l.Node(nv.SideB))
+		clock.Start()
+		period := l.period
+		sim.Schedule(s, 1000*period+period/2, func() {
+			a.busy = true
+			l.Node(nv.SideA).Wake()
+		})
+		sim.Schedule(s, 1003*period+period/3, func() { a.busy = false })
+		_ = s.RunFor(2000*period + period/2)
+		return log, clock.Ticks(), s.Executed()
+	}
+	log, ticks, executed := run(true)
+	refLog, refTicks, refExecuted := run(false)
+	want := []string{"a@1001", "a@1002", "a@1003", "a@1004"}
+	if !reflect.DeepEqual(log, want) || !reflect.DeepEqual(refLog, want) {
+		t.Fatalf("poll log %v, attempt by attempt %v, want %v", log, refLog, want)
+	}
+	if ticks != 2000 || refTicks != 2000 {
+		t.Fatalf("clock counted %d cycles, attempt by attempt %d, want 2000", ticks, refTicks)
+	}
+	// Ticks 1, 1000, 1001–1004 and 2000, and the two scripted events.
+	if executed != 9 || refExecuted != 2002 {
+		t.Fatalf("%d events, attempt by attempt %d; want 9 and 2002", executed, refExecuted)
+	}
+}

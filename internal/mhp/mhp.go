@@ -23,7 +23,9 @@
 // failed attempts one by one: its tick folds the coming run of them into
 // itself (Link.fold), with the same random draws and the same records, and
 // the next tick is the first success's. Every other link runs attempt by
-// attempt.
+// attempt. While both of that link's nodes are parked, the clock also skips
+// the ticks that would poll no one, up to the next event that could wake
+// them.
 //
 // The package is deliberately stateless on the node side (beyond the pending
 // attempt bookkeeping required to route replies), mirroring the paper's
@@ -586,7 +588,9 @@ func (l *Link) receiveGEN(payload *genPayload) {
 	// Queue-ID consistency check.
 	if genSelf.QueueID != genPeer.QueueID {
 		l.queueMismatch++
-		l.trace.Record(l.eng.Now(), obs.KindHeraldDrop, l.traceID, 2, int64(payload.cycle))
+		if l.trace != nil { // the clock is read only for a record
+			l.trace.Record(l.eng.Now(), obs.KindHeraldDrop, l.traceID, 2, int64(payload.cycle))
+		}
 		l.sendReplies(payload.side, wire.ErrQueueMismatch, 0, genSelf.QueueID, genPeer.QueueID)
 		return
 	}
@@ -887,12 +891,14 @@ func (n *Node) runCycle(cycle uint64) {
 		return
 	}
 	n.attemptCount++
-	keep := int64(0)
-	if decision.Keep {
-		keep = 1
-	}
 	l := n.link
-	l.trace.Record(l.eng.Now(), obs.KindMHPAttempt, l.traceID, int64(cycle), keep)
+	if l.trace != nil { // the clock is read only for a record
+		keep := int64(0)
+		if decision.Keep {
+			keep = 1
+		}
+		l.trace.Record(l.eng.Now(), obs.KindMHPAttempt, l.traceID, int64(cycle), keep)
+	}
 	if l.metrics != nil {
 		l.metrics.Attempts.Inc()
 	}
@@ -915,11 +921,15 @@ func (n *Node) receiveReply(payload *replyPayload) {
 	if l.trace != nil { // the clock is read only for a record
 		l.trace.Record(l.eng.Now(), obs.KindMHPReply, l.traceID, int64(reply.Outcome), int64(reply.MHPSeq))
 	}
-	// Match the reply to the oldest pending attempt with the echoed queue ID,
-	// which recovers the attempt's cycle: a REPLY lost on the way leaves its
-	// attempt behind, and the next REPLY for the same queue item answers the
-	// older attempt first. A pending attempt holds no pointer, so the slot
-	// the deletion vacates needs no clearing.
+	// Match the reply to the oldest pending attempt with the echoed queue ID.
+	// That is the attempt the REPLY answers only while no frame is lost: an
+	// attempt whose GEN or REPLY was lost stays pending, and from then on
+	// each REPLY for that queue item is credited to an older attempt than
+	// its own, with that attempt's cycle, basis and storage qubit (on a Lab
+	// link a REPLY answers its own cycle's attempt, the newest pending one).
+	// This is a known fault, left for a change that also refreshes the
+	// benchmark's lossy digest (ROADMAP.md). A pending attempt holds no
+	// pointer, so the slot the deletion vacates needs no clearing.
 	var attempt pendingAttempt
 	for i, p := range n.pending {
 		if p.decision.QueueID == reply.QueueID {

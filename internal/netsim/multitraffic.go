@@ -19,11 +19,9 @@ import (
 // is touched only by that shard's events, so the trajectory and the merged
 // SLO report are byte-identical at every shard count.
 //
-// It drives every spec and the benchmark. The paper's runners keep their
-// per-cycle generator (internal/experiments): workload.PoissonClass offers
-// the same pairs per cycle, at rate f·psucc/(E·k̄) with pair counts uniform
-// in [1, k_max], but the per-cycle generator's accepted sizes are ∝ 1/k, so
-// the two differ in request sizes whenever k_max > 1 (workload/poisson.go).
+// It drives every spec, the benchmark and the paper's runners
+// (internal/experiments), which keep the paper's request sizes ∝ 1/k with
+// one fixed-size class per size (workload.SingleKind).
 type MultiTraffic struct {
 	clock   sim.Engine
 	classes []workload.ClassSpec

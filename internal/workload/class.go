@@ -193,9 +193,9 @@ type ClassSpec struct {
 // Poisson CREATEs at offered load fraction f per link, pair counts uniform
 // in [1, maxPairs], a random origin, and priority CK when keep is set (MD
 // otherwise). It has no deadline. It offers the paper's pairs per cycle,
-// but its request sizes are uniform where the paper's per-cycle generator
-// accepts sizes ∝ 1/k (see poisson.go), so their request sizes agree
-// only at maxPairs 1.
+// but its request sizes are uniform where the paper's Section 6 rule, which
+// SingleKind keeps, makes them ∝ 1/k (see poisson.go), so the two agree on
+// request sizes only at maxPairs 1.
 func PoissonClass(load float64, maxPairs int, minFidelity float64, keep bool) ClassSpec {
 	priority := egp.PriorityMD
 	if keep {

@@ -7,23 +7,15 @@ import (
 )
 
 // This file is the single home of the paper's request-arrival rate
-// (Section 6), shared by the per-cycle Bernoulli generator the paper's
-// runners drive (internal/experiments) and the event-driven classes
-// netsim.MultiTraffic runs on links (exponential interarrivals on
-// PoissonStream). On an end-to-end flow the same engine takes its rate from
-// the path's bottleneck pair rate instead (network.Service.AttachWorkload).
-// On a link both express their rates through
-// PerCycleProbability/RatePerSecond, so they offer the same pairs per cycle,
-// but not the same requests:
-//
-//   - the per-cycle generator draws k uniform in [1, k_max] and accepts a
-//     request with probability p/k, so accepted sizes are ∝ 1/k (mean
-//     k_max/H(k_max): 1.64 at k_max 3);
-//   - a PoissonClass draws sizes uniform in [1, k_max] (mean 2 at k_max 3)
-//     at rate p/k̄.
-//
-// At k_max > 1 the Poisson class therefore issues fewer, larger requests,
-// which moves request latency and queue length.
+// (Section 6). netsim.MultiTraffic runs every Load-driven class on a link at
+// RatePerSecond, with exponential interarrivals on PoissonStream; on an
+// end-to-end flow the same engine takes its rate from the path's bottleneck
+// pair rate instead (network.Service.AttachWorkload). The paper's per-cycle
+// rule, a k-pair request with probability f·psucc/(E·k) per cycle, k uniform
+// in [1, k_max], accepts sizes ∝ 1/k; SingleKind, Mixed and Table1Pattern
+// keep that law with one fixed-size class per k (SingleKind), while a class
+// with MinPairs < MaxPairs, such as PoissonClass, draws sizes uniformly at
+// rate f·psucc/(E·T·k̄).
 
 // PerCycleProbability returns the probability that a new request arrives in
 // one MHP cycle before dividing by the sampled pair count k: f·psucc/E, with

@@ -1,17 +1,17 @@
 // Package workload defines the request workloads of the paper's evaluation
-// (Section 6 and Appendix C.2) and of the multi-class workload engine: the
-// arrival rate f·psucc/(E·k) behind every Load-driven class (poisson.go),
-// the load levels (Low/High/Ultra), the origin policies (A, B, random), the
-// single-kind and mixed-usage class lists of Appendix Table 2 and Table 1,
-// the open-loop arrival processes, the ClassSpec of netsim.MultiTraffic and
-// the per-class SLO accounts.
+// (Section 6 and Appendix C.2) and of the multi-class workload engine as one
+// class type, ClassSpec, which netsim.MultiTraffic runs for specs, the
+// benchmark and the paper's runners alike. It holds the arrival rate
+// f·psucc/(E·k) behind every Load-driven class (poisson.go), the load levels
+// (Low/High/Ultra), the origin policies (A, B, random), the single-kind and
+// mixed-usage classes of Section 6, Appendix Table 2 and Table 1, the
+// open-loop arrival processes and the per-class SLO accounts.
 package workload
 
 import (
 	"fmt"
 
 	"repro/internal/egp"
-	"repro/internal/sim"
 )
 
 // LoadLevel is the fraction f determining the offered load.
@@ -60,38 +60,34 @@ func (o Origin) String() string {
 	}
 }
 
-// Class describes the request stream of one use case within a scenario.
-type Class struct {
-	// Priority selects NL, CK or MD.
-	Priority int
-	// Fraction is the f_P load fraction of this class.
-	Fraction float64
-	// MaxPairs is k_max: each request asks for a uniform random number of
-	// pairs in [1, MaxPairs].
-	MaxPairs int
-	// MinFidelity is the requested minimum fidelity (0.64 in the long runs).
-	MinFidelity float64
-	// MaxTime is the request timeout (0 = none).
-	MaxTime sim.Duration
-	// FixedPairs, when non-zero, requests exactly this many pairs instead of
-	// a random number (used by the Table 1 scheduling study).
-	FixedPairs int
+// paperClass returns Poisson CREATEs of one priority and a fixed pair count
+// at load fraction f, from a random origin, at the long runs' fixed target
+// fidelity Fmin = 0.64 and with no deadline.
+func paperClass(priority int, load float64, pairs int) ClassSpec {
+	return ClassSpec{
+		Name:        fmt.Sprintf("%s-k%d", PriorityName(priority), pairs),
+		Priority:    priority,
+		Arrival:     Arrival{Kind: ArrivalPoisson, Load: load},
+		FixedPairs:  pairs,
+		MinFidelity: 0.64,
+		Origin:      OriginRandom,
+	}
 }
 
-// Keep reports whether this class issues create-and-keep requests (NL and CK
-// store the qubit; MD measures directly).
-func (c Class) Keep() bool { return c.Priority != egp.PriorityMD }
-
-// SingleKind returns the class list of a single-kind long run (Section 6):
-// one use case at the given load with kmax pairs per request and the fixed
-// target fidelity Fmin = 0.64.
-func SingleKind(priority int, load LoadLevel, kmax int) []Class {
-	return []Class{{
-		Priority:    priority,
-		Fraction:    float64(load),
-		MaxPairs:    kmax,
-		MinFidelity: 0.64,
-	}}
+// SingleKind returns the classes of a single-kind long run (Section 6): one
+// use case at load fraction f with sizes in [1, kmax], keeping the paper's
+// size law ∝ 1/k (poisson.go) as kmax fixed-size classes at load f/kmax
+// each. Their rates f·psucc/(E·T·k·kmax) are the per-cycle acceptance rates
+// f·psucc/(E·k·kmax) over the cycle time T. A zero load is no class.
+func SingleKind(priority int, load LoadLevel, kmax int) []ClassSpec {
+	if load <= 0 {
+		return nil
+	}
+	classes := make([]ClassSpec, kmax)
+	for k := 1; k <= kmax; k++ {
+		classes[k-1] = paperClass(priority, float64(load)/float64(kmax), k)
+	}
+	return classes
 }
 
 // Pattern names a mixed-usage pattern of Appendix Table 2.
@@ -112,16 +108,14 @@ func AllPatterns() []Pattern {
 	return []Pattern{PatternUniform, PatternMoreNL, PatternMoreCK, PatternMoreMD, PatternNoNLMoreCK, PatternNoNLMoreMD}
 }
 
-// Mixed returns the class list of a mixed-usage pattern from Appendix
-// Table 2. The fidelity target is the long runs' fixed Fmin = 0.64.
-func Mixed(p Pattern) []Class {
+// Mixed returns the classes of a mixed-usage pattern from Appendix Table 2:
+// NL, CK and MD use cases in that order, without the ones at zero load.
+func Mixed(p Pattern) []ClassSpec {
 	const f = 0.99
-	mk := func(fNL, fCK, fMD float64, kNL, kCK, kMD int) []Class {
-		return []Class{
-			{Priority: egp.PriorityNL, Fraction: fNL, MaxPairs: kNL, MinFidelity: 0.64},
-			{Priority: egp.PriorityCK, Fraction: fCK, MaxPairs: kCK, MinFidelity: 0.64},
-			{Priority: egp.PriorityMD, Fraction: fMD, MaxPairs: kMD, MinFidelity: 0.64},
-		}
+	mk := func(fNL, fCK, fMD float64, kNL, kCK, kMD int) []ClassSpec {
+		classes := SingleKind(egp.PriorityNL, LoadLevel(fNL), kNL)
+		classes = append(classes, SingleKind(egp.PriorityCK, LoadLevel(fCK), kCK)...)
+		return append(classes, SingleKind(egp.PriorityMD, LoadLevel(fMD), kMD)...)
 	}
 	switch p {
 	case PatternUniform:
@@ -141,20 +135,20 @@ func Mixed(p Pattern) []Class {
 	}
 }
 
-// Table1Pattern returns the class lists of the two request patterns of
-// Table 1: (i) uniform load across NL/CK/MD with 2/2/10 pairs per request,
-// and (ii) no NL with more MD.
-func Table1Pattern(uniform bool) []Class {
+// Table1Pattern returns the classes of the two request patterns of Table 1:
+// (i) uniform load across NL/CK/MD with 2/2/10 pairs per request, and (ii)
+// no NL with more MD.
+func Table1Pattern(uniform bool) []ClassSpec {
 	const f = 0.99
 	if uniform {
-		return []Class{
-			{Priority: egp.PriorityNL, Fraction: f / 3, FixedPairs: 2, MinFidelity: 0.64},
-			{Priority: egp.PriorityCK, Fraction: f / 3, FixedPairs: 2, MinFidelity: 0.64},
-			{Priority: egp.PriorityMD, Fraction: f / 3, FixedPairs: 10, MinFidelity: 0.64},
+		return []ClassSpec{
+			paperClass(egp.PriorityNL, f/3, 2),
+			paperClass(egp.PriorityCK, f/3, 2),
+			paperClass(egp.PriorityMD, f/3, 10),
 		}
 	}
-	return []Class{
-		{Priority: egp.PriorityCK, Fraction: f / 5, FixedPairs: 2, MinFidelity: 0.64},
-		{Priority: egp.PriorityMD, Fraction: f * 4 / 5, FixedPairs: 10, MinFidelity: 0.64},
+	return []ClassSpec{
+		paperClass(egp.PriorityCK, f/5, 2),
+		paperClass(egp.PriorityMD, f*4/5, 10),
 	}
 }
