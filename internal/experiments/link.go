@@ -11,11 +11,13 @@ import (
 	"repro/internal/workload"
 )
 
-// linkRun is what one protocol trial measured: the link's account and the
-// QBER of the measure-directly pairs whose two ends agreed on a basis.
+// linkRun is what one protocol trial measured: the link's account, the QBER
+// of the measure-directly pairs whose two ends agreed on a basis, and the A
+// end's fidelity estimation unit.
 type linkRun struct {
 	*netsim.LinkAccount
 	qber *[egp.NumQueues]egp.QBERCounter
+	feu  *egp.FidelityEstimationUnit
 }
 
 // runProtocolTrial runs the paper's link for one trial (protocolLink) for
@@ -23,7 +25,8 @@ type linkRun struct {
 func runProtocolTrial(opt Options, t Trial, classes []workload.ClassSpec, configure func(*netsim.Config)) linkRun {
 	nw, matcher := protocolLink(opt, t, classes, configure)
 	nw.Run(sim.DurationSeconds(opt.SimulatedSeconds))
-	return linkRun{LinkAccount: &nw.Links[0].Account, qber: &matcher.qber}
+	l := nw.Links[0]
+	return linkRun{LinkAccount: &l.Account, qber: &matcher.qber, feu: l.EGPA.FEU()}
 }
 
 // protocolLink builds the paper's link for one trial: a two-node netsim

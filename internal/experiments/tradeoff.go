@@ -3,7 +3,6 @@ package experiments
 import (
 	"repro/internal/egp"
 	"repro/internal/nv"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -86,30 +85,40 @@ func RunFig6Fidelity(opt Options) []Table {
 			})
 		}
 	}
-	rows := runTrials(opt, trials, func(t Trial) [2][]string {
-		classes := workload.SingleKind(t.Priority, workload.LoadLevel(t.Load), t.KMax)
-		for i := range classes {
-			classes[i].MinFidelity = t.Fidelity
-		}
-		stats := runProtocolTrial(opt, t, classes, nil)
-		return [2][]string{
-			{
-				f3(t.Fidelity),
-				egp.PriorityName(t.Priority),
-				f3(stats.ScaledLatency(t.Priority).Mean()),
-				itoa(stats.Errors(wire.ErrUnsupported)),
-			},
-			{
-				f3(t.Fidelity),
-				egp.PriorityName(t.Priority),
-				f3(stats.Throughput(t.Priority)),
-				f3(stats.Fidelity(t.Priority).Mean()),
-			},
-		}
-	})
+	rows := runTrials(opt, trials, func(t Trial) [2][]string { return fig6bcRows(opt, t) })
 	for _, pair := range rows {
 		latencyTable.Rows = append(latencyTable.Rows, pair[0])
 		throughputTable.Rows = append(throughputTable.Rows, pair[1])
 	}
 	return []Table{latencyTable, throughputTable}
+}
+
+// fig6bcRows runs one Figure 6(b,c) trial and returns its fig6b and fig6c
+// rows. A class whose Fmin no bright-state population reaches offers no
+// load, so the link never replies UNSUPP to it: the fig6b row's unsupported
+// column says whether the link's FEU finds Fmin out of reach.
+func fig6bcRows(opt Options, t Trial) [2][]string {
+	classes := workload.SingleKind(t.Priority, workload.LoadLevel(t.Load), t.KMax)
+	for i := range classes {
+		classes[i].MinFidelity = t.Fidelity
+	}
+	stats := runProtocolTrial(opt, t, classes, nil)
+	unsupported := "no"
+	if _, ok := stats.feu.AlphaForFidelity(t.Fidelity); !ok {
+		unsupported = "yes"
+	}
+	return [2][]string{
+		{
+			f3(t.Fidelity),
+			egp.PriorityName(t.Priority),
+			f3(stats.ScaledLatency(t.Priority).Mean()),
+			unsupported,
+		},
+		{
+			f3(t.Fidelity),
+			egp.PriorityName(t.Priority),
+			f3(stats.Throughput(t.Priority)),
+			f3(stats.Fidelity(t.Priority).Mean()),
+		},
+	}
 }

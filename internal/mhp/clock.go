@@ -2,7 +2,9 @@ package mhp
 
 import (
 	"math"
+	"slices"
 
+	"repro/internal/nv"
 	"repro/internal/sim"
 )
 
@@ -28,6 +30,17 @@ import (
 //     has not reached reads k−1, which is what the node's own ticker showed.
 //     A node woken inside the batch is polled this cycle only if the clock
 //     has not reached its slot yet.
+//
+// When the tick reaches a link whose two nodes are both active, it first
+// offers the link the coming cycles to fold (Link.fold). A link that takes n
+// of them rests: it leaves the active set, costs the ticks nothing, and
+// rejoins it at the first cycle it did not take. (A Stop of the engine from
+// another link's event therefore leaves a resting link's counters ahead of
+// the stop instant until the run resumes.) The clock still fires one tick
+// per cycle, so it fires the same ticks whatever its links fold. Only a
+// clock that drives the network's only link goes further: it jumps straight
+// to the first cycle the fold did not take, and skips the ticks that would
+// poll no one while both of that link's nodes are parked.
 type Clock struct {
 	eng    sim.Engine
 	period sim.Duration
@@ -38,11 +51,16 @@ type Clock struct {
 	// cycle counts the ticks fired: the current MHP cycle.
 	cycle uint64
 	// slots counts registered nodes; a node's slot is its registration
-	// index. active holds the unparked nodes ordered by slot. lone is the
-	// link whose nodes are all the clock drives, nil when there are others.
+	// index. active holds the unparked nodes ordered by slot, less the
+	// resting ones. lone is the link whose nodes are all the clock drives,
+	// nil when there are others or when the clock is shared (Share).
 	slots  int
 	active []*Node
 	lone   *Link
+	shared bool
+	// resting holds the links that have folded cycles ahead of the clock,
+	// each with the first cycle it did not take, latest first.
+	resting []restingLink
 	// pos is the index in active of the node being polled. cursor is its
 	// slot: −1 at the start of a cycle, math.MaxInt outside the tick.
 	pos    int
@@ -52,6 +70,12 @@ type Clock struct {
 	running bool
 
 	polls uint64
+}
+
+// restingLink is a link that has folded cycles up to, not including, cycle.
+type restingLink struct {
+	link  *Link
+	cycle uint64
 }
 
 // NewClock builds a stopped clock on the given engine. Its period is the
@@ -76,7 +100,7 @@ func (c *Clock) Add(n *Node) {
 		panic("mhp: node " + n.Name + " has a different cycle period than its clock")
 	}
 	n.clock, n.slot = c, c.slots
-	if c.slots == 0 {
+	if c.slots == 0 && !c.shared {
 		c.lone = n.link
 	} else if n.link != c.lone {
 		c.lone = nil
@@ -85,6 +109,15 @@ func (c *Clock) Add(n *Node) {
 	if !n.parked {
 		c.active = append(c.active, n)
 	}
+}
+
+// Share marks the clock as one copy of a clock that also drives links
+// elsewhere, such as on the other shards of a sharded engine. It then fires
+// one tick per cycle even when it drives a single link, as the copies on
+// other shards do, so every copy ticks the same cycles.
+func (c *Clock) Share() {
+	c.shared = true
+	c.lone = nil
 }
 
 // Start schedules the clock's next tick one period from now; a running clock
@@ -108,44 +141,51 @@ func (c *Clock) Stop() {
 	}
 }
 
-// Ticks returns how many cycles the clock has run. A tick that folds a run
-// of failed attempts (Link.fold) runs many cycles in one event, so this can
-// exceed the clock's tick events.
+// Ticks returns how many cycles the clock has run. On a clock that drives
+// the network's only link, a tick that folds a run of failed attempts
+// (Link.fold) runs many cycles in one event, so this can exceed the clock's
+// tick events.
 func (c *Clock) Ticks() uint64 { return c.cycle }
 
 // Polls returns how many node polls the clock has made, two for each cycle
 // a fold took.
 func (c *Clock) Polls() uint64 { return c.polls }
 
-// tick runs one cycle: it polls every active node in slot order and parks
-// the ones left idle, then rearms relative to the firing time. When the
-// clock drives one link alone, both of its nodes active, the tick first
-// offers the link the coming cycles to fold; if it takes any, the next tick
-// is the first cycle it did not take. When that link folds and both of its
-// nodes are parked, the ticks before the engine's horizon would poll no one,
-// and only an event can wake a node: the clock counts those cycles and
-// rearms at the last of them.
+// tick runs one cycle: it returns the links whose rest ends at this cycle to
+// the active set, polls every active node in slot order and parks the ones
+// left idle, then rearms relative to the firing time. At the first node of a
+// link whose nodes are both active it offers the link the coming cycles to
+// fold (see Clock). When a lone link folds and both of its nodes are parked,
+// the ticks before the engine's horizon would poll no one, and only an
+// event can wake a node: the clock counts those cycles and rearms at the
+// last of them.
 func (c *Clock) tick(now sim.Time, _ any) {
-	if c.lone != nil && len(c.active) == 2 {
-		if n := c.lone.fold(now, c.cycle+1); n > 0 {
-			c.cycle += n
-			c.polls += 2 * n
-			c.id = c.eng.ScheduleArgAt(now.Add(sim.Duration(n)*c.period), c.onTick, nil)
-			return
-		}
-	}
 	c.cycle++
+	for len(c.resting) > 0 && c.resting[len(c.resting)-1].cycle <= c.cycle {
+		l := c.resting[len(c.resting)-1].link
+		c.resting = c.resting[:len(c.resting)-1]
+		c.insert(&l.nodes[nv.SideA])
+		c.insert(&l.nodes[nv.SideB])
+	}
 	c.cursor = -1
 	for c.pos = 0; c.pos < len(c.active); {
 		n := c.active[c.pos]
 		c.cursor = n.slot
+		if k := c.fold(now, n); k > 0 {
+			if c.lone != nil {
+				c.cycle += k - 1
+				c.cursor = math.MaxInt
+				c.id = c.eng.ScheduleArgAt(now.Add(sim.Duration(k)*c.period), c.onTick, nil)
+				return
+			}
+			c.rest(n.link, c.cycle+k)
+			continue
+		}
 		c.polls++
 		n.runCycle(c.cycle)
 		if len(n.pending) == 0 && n.gen.Idle() {
 			n.parked, n.parkedAt = true, c.cycle
-			copy(c.active[c.pos:], c.active[c.pos+1:])
-			c.active[len(c.active)-1] = nil
-			c.active = c.active[:len(c.active)-1]
+			c.active = slices.Delete(c.active, c.pos, c.pos+1)
 		} else {
 			c.pos++
 		}
@@ -165,6 +205,29 @@ func (c *Clock) tick(now sim.Time, _ any) {
 	c.id = c.eng.ScheduleArgAt(next, c.onTick, nil)
 }
 
+// fold offers the link of node n, the one being polled, the cycles from the
+// current one on, when n is the link's A node and its B node is active and
+// polled next. It returns how many cycles the link took.
+func (c *Clock) fold(now sim.Time, n *Node) uint64 {
+	if n.side != nv.SideA || c.pos+1 >= len(c.active) || c.active[c.pos+1] != &n.link.nodes[nv.SideB] {
+		return 0
+	}
+	k := n.link.fold(now, c.cycle)
+	c.polls += 2 * k
+	return k
+}
+
+// rest takes the link's nodes, being polled at pos and pos+1, out of the
+// active set until cycle.
+func (c *Clock) rest(l *Link, cycle uint64) {
+	c.active = slices.Delete(c.active, c.pos, c.pos+2)
+	i := len(c.resting)
+	for i > 0 && c.resting[i-1].cycle < cycle {
+		i--
+	}
+	c.resting = slices.Insert(c.resting, i, restingLink{l, cycle})
+}
+
 // cycleOf returns the cycle a node reads: during a tick, k once the clock has
 // reached the node's slot and k−1 before.
 func (c *Clock) cycleOf(n *Node) uint64 {
@@ -177,14 +240,17 @@ func (c *Clock) cycleOf(n *Node) uint64 {
 // activate inserts a woken node into the active set at its slot. Inserting
 // before the node being polled shifts that node one place on.
 func (c *Clock) activate(n *Node) {
+	if c.insert(n) <= c.pos {
+		c.pos++
+	}
+}
+
+// insert puts n into the active set at its slot and returns its index.
+func (c *Clock) insert(n *Node) int {
 	i := len(c.active)
 	for i > 0 && c.active[i-1].slot > n.slot {
 		i--
 	}
-	c.active = append(c.active, nil)
-	copy(c.active[i+1:], c.active[i:])
-	c.active[i] = n
-	if i <= c.pos {
-		c.pos++
-	}
+	c.active = slices.Insert(c.active, i, n)
+	return i
 }

@@ -19,13 +19,16 @@
 // run attempt by attempt costs two events beside the clock's tick. Over
 // unequal arms, such as QL2020's, each GEN and each REPLY has its own event.
 //
-// A clock that drives one loss-free Lab link alone does not run the link's
-// failed attempts one by one: its tick folds the coming run of them into
-// itself (Link.fold), with the same random draws and the same records, and
-// the next tick is the first success's. Every other link runs attempt by
-// attempt. While both of that link's nodes are parked, the clock also skips
+// A loss-free Lab link does not run its failed attempts one by one: the
+// clock's tick folds the coming run of them into itself (Link.fold), with
+// the same random draws and the same records, up to the link's own horizon,
+// and the link rests until the first success's cycle. Failed attempts on
+// different links commute, since each link owns its devices, sampler,
+// station and random stream, so other links' events do not stop the run. A
+// clock that drives the network's only link jumps straight to the first
+// success's tick, and while both of that link's nodes are parked it skips
 // the ticks that would poll no one, up to the next event that could wake
-// them.
+// them. Lossy and QL2020 links run attempt by attempt.
 //
 // The package is deliberately stateless on the node side (beyond the pending
 // attempt bookkeeping required to route replies), mirroring the paper's
@@ -308,6 +311,10 @@ type Link struct {
 
 	// perAttempt turns the fold off (SetFolding).
 	perAttempt bool
+	// due counts the GEN and REPLY delivery events not yet fired; the fold
+	// runs only while there are none, so the link's horizon need not count
+	// them.
+	due int
 }
 
 // LinkConfig collects the construction parameters of a Link. The per-side
@@ -403,42 +410,46 @@ func (l *Link) SetDepolarizing(f float64) {
 
 // SetFolding turns the fold of failed attempts (Link.fold) on, the default,
 // or off. Off, the link runs every attempt through its events: the path the
-// fold must reproduce, which tests compare it with, and the one a sharded
-// network keeps so that its event count matches the serial run's.
+// fold must reproduce, which tests compare it with, and the one a link keeps
+// when events of other links may act on it (netsim's network layer).
 func (l *Link) SetFolding(on bool) { l.perAttempt = !on }
 
-// fold runs, inside the tick at now of a clock that drives only this link,
-// the coming run of failed attempts from cycle on, and returns how many
-// cycles it took; the clock's next tick is then the first cycle it did not
-// take. It takes none unless:
+// fold runs, inside the tick at now of the clock that polls the link, the
+// coming run of failed attempts from cycle on, and returns how many cycles
+// it took; the link's next poll is then the first cycle it did not take. It
+// takes none unless:
 //
 //   - the arms are equal, shorter than half a cycle, and every fibre is
 //     loss-free, so the GEN pair and the REPLY pair are one event each, no
 //     loss is drawn, and each REPLY arrives before the next tick;
-//   - neither node is paused or throttled, no attempt is outstanding and
-//     no GEN waits at the station;
+//   - neither node is paused or throttled, no attempt is outstanding, no
+//     GEN or REPLY is on its way and no GEN waits at the station;
 //   - both generators report the same steady decision (Generator.Steady);
 //   - no held success is waiting for its herald.
 //
 // Cycle j of the run polls at now + j·P (P the cycle), heralds a after (a
 // the arm) and answers 2a after. The fold takes cycle j only if its answer
-// falls strictly before the engine's horizon, so nothing else would have
-// run between the poll at now and the last instant of cycle j. It then
-// draws cycle j's optical test from the link's stream as the station would
-// (LinkSampler.FailRun) and stops at the first success, whose draws the
-// sampler holds for the real herald: that cycle and everything after it run
-// as usual. Of the failed cycles it applies in bulk all that their events
-// would have done: counters, the generators' polls and results, the
-// registry sweep, the carbon dephasing, and with tracing on the attempt,
-// herald and REPLY records at their times. Every random draw, record and
-// counter is therefore the same as attempt by attempt.
+// falls strictly before the link's horizon, the Horizon of its engine view:
+// on a netsim link, the earliest of its own next event, any event that
+// belongs to no link, and the end of the running RunUntil. Nothing that can
+// touch the link then runs between the poll at now and the last instant of
+// cycle j; the clock's ticks and other links' events may, and they commute
+// with it. The fold draws cycle j's optical test from the link's stream as
+// the station would (LinkSampler.FailRun) and stops at the first success,
+// whose draws the sampler holds for the real herald: that cycle and
+// everything after it run as usual. Of the failed cycles it applies in bulk
+// all that their events would have done: counters, the generators' polls
+// and results, the registry sweep, the carbon dephasing, and with tracing on
+// the attempt, herald and REPLY records at their times. Every random draw,
+// record and counter is therefore the same as attempt by attempt; only the
+// records' place in a ring shared with other links differs.
 func (l *Link) fold(now sim.Time, cycle uint64) uint64 {
 	a, b := &l.nodes[nv.SideA], &l.nodes[nv.SideB]
 	arm := l.arm[nv.SideA]
 	if l.perAttempt || arm != l.arm[nv.SideB] || 2*arm >= l.period || l.loss != [4]float64{} ||
 		a.paused || b.paused || a.rateDivisor > 1 || b.rateDivisor > 1 ||
-		len(a.pending) > 0 || len(b.pending) > 0 || len(l.waiting[nv.SideA]) > 0 || len(l.waiting[nv.SideB]) > 0 ||
-		l.sampler.Held() {
+		len(a.pending) > 0 || len(b.pending) > 0 || l.due > 0 ||
+		len(l.waiting[nv.SideA]) > 0 || len(l.waiting[nv.SideB]) > 0 || l.sampler.Held() {
 		return 0
 	}
 	reply := now.Add(2 * arm)
@@ -532,6 +543,7 @@ func (l *Link) sendGEN(side nv.PairSide, cycle uint64, d PollDecision) {
 			return
 		}
 	}
+	l.due++
 	sim.ScheduleArg(l.eng, l.arm[side], l.onGEN, p)
 }
 
@@ -540,6 +552,7 @@ func (l *Link) sendGEN(side nv.PairSide, cycle uint64, d PollDecision) {
 func (l *Link) deliverGEN(_ sim.Time, arg any) {
 	p := arg.(*genPayload)
 	rider := p.rider
+	l.due--
 	l.receiveGEN(p)
 	if rider != nil {
 		l.receiveGEN(rider)
@@ -715,6 +728,7 @@ func (l *Link) sendReplies(first nv.PairSide, outcome wire.MHPOutcome, seq uint1
 // post schedules a REPLY's delivery one arm's delay from now; nil is none.
 func (l *Link) post(p *replyPayload) {
 	if p != nil {
+		l.due++
 		sim.ScheduleArg(l.eng, l.arm[p.side], l.onReply, p)
 	}
 }
@@ -724,6 +738,7 @@ func (l *Link) post(p *replyPayload) {
 func (l *Link) deliverReply(_ sim.Time, arg any) {
 	p := arg.(*replyPayload)
 	rider := p.rider
+	l.due--
 	l.nodes[p.side].receiveReply(p)
 	if rider != nil {
 		l.nodes[rider.side].receiveReply(rider)

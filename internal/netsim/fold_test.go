@@ -10,8 +10,8 @@ import (
 	"repro/internal/sim"
 )
 
-// foldCase is one single-link configuration the fold of failed attempts is
-// checked on: a scenario spec, how long it runs, and how.
+// foldCase is one configuration the fold of failed attempts is checked on:
+// a scenario spec, how long it runs, and how.
 type foldCase struct {
 	name    string
 	spec    string
@@ -30,7 +30,12 @@ type foldCase struct {
 // labSpec is a 2-node Lab link spec with the given protocol section (may be
 // empty), traffic classes and faults section (may be empty).
 func labSpec(protocol, classes, faults string) string {
-	s := `{"name": "fold", "topology": {"kind": "chain", "nodes": 2}`
+	return chainSpec(2, protocol, classes, faults)
+}
+
+// chainSpec is a Lab chain of the given node count, like labSpec.
+func chainSpec(nodes int, protocol, classes, faults string) string {
+	s := fmt.Sprintf(`{"name": "fold", "topology": {"kind": "chain", "nodes": %d}`, nodes)
 	if protocol != "" {
 		s += `, "protocol": ` + protocol
 	}
@@ -45,6 +50,16 @@ func labSpec(protocol, classes, faults string) string {
 // floor so that a short run heralds a few pairs.
 const linkSatClass = `{"name": "md", "priority": "MD", "arrival": {"kind": "closed", "sessions": 4, "think_time_s": 0.001},
 	"min_pairs": 1, "max_pairs": 3, "min_fidelity": 0.5}`
+
+// mixedClasses are chain8-mixed's open-loop MD and NL classes and its
+// closed-loop CK sessions, at lower fidelity floors and deadlines a tenth of
+// the spec's, so that a short run sees every class served.
+const mixedClasses = `{"name": "metro-data", "priority": "MD", "arrival": {"kind": "poisson", "load": 0.45},
+		"min_pairs": 1, "max_pairs": 2, "min_fidelity": 0.5, "deadline_s": 0.5},
+	{"name": "net-layer", "priority": "NL", "arrival": {"kind": "poisson", "users": 2000000, "per_user_rate": 0.000004},
+		"fixed_pairs": 1, "min_fidelity": 0.5, "deadline_s": 0.25, "origin": "A"},
+	{"name": "keep-sessions", "priority": "CK", "arrival": {"kind": "closed", "sessions": 21, "think_time_s": 0.04},
+		"fixed_pairs": 1, "min_fidelity": 0.5, "deadline_s": 1}`
 
 // foldCases are the configurations of TestFoldMatchesPerAttempt.
 func foldCases() []foldCase {
@@ -75,21 +90,45 @@ func foldCases() []foldCase {
 			{"at_s": 0.02, "state": "degraded", "link": [0, 1], "degrade": {"classical_loss": 0.01, "pair_fidelity": 0.9, "rate_divisor": 2}},
 			{"at_s": 0.05, "state": "down", "link": [0, 1]},
 			{"at_s": 0.07, "state": "up", "link": [0, 1]}]}`), seconds: 0.12},
+		// Two links on one clock: each folds up to its own next event while
+		// the other's run.
+		{name: "chain3", spec: chainSpec(3, "", linkSatClass, ""), seconds: 0.08},
+		// Eight links under chain8-mixed's MD, NL and CK classes.
+		{name: "chain9-mixed", spec: chainSpec(9, "", mixedClasses, ""), seconds: 0.1, untraced: true},
+		// One lossy link, attempt by attempt, among folding ones.
+		{name: "chain4-one-lossy", spec: chainSpec(4, "", linkSatClass, `{"events": [
+			{"at_s": 0, "state": "degraded", "link": [1, 2], "degrade": {"classical_loss": 0.01}}]}`), seconds: 0.06},
+		// One link Degraded, then Down, then Up, among folding ones.
+		{name: "chain4-one-degraded", spec: chainSpec(4, `{"hold_pairs": true}`, linkSatClass+`,
+			{"name": "ck", "priority": "CK", "arrival": {"kind": "poisson", "load": 0.3}, "fixed_pairs": 1, "min_fidelity": 0.5}`, `{"events": [
+			{"at_s": 0.02, "state": "degraded", "link": [1, 2], "degrade": {"pair_fidelity": 0.9, "rate_divisor": 2}},
+			{"at_s": 0.05, "state": "down", "link": [1, 2]},
+			{"at_s": 0.07, "state": "up", "link": [1, 2]}]}`), seconds: 0.09, stored: true},
 	}
 }
 
 // foldRun is what one run of a fold comparison observes.
 type foldRun struct {
-	// log is the link's counters, the result tables and the pairs still
-	// stored on the devices; records are the non-sim trace records in order.
+	// log is every link's counters, the result tables and the pairs still
+	// stored on the devices. records are the non-sim trace records of each
+	// (layer, track), a link's or its faults', in the order they were
+	// written.
 	log              []string
-	records          []obs.Record
+	records          map[recordStream][]obs.Record
 	events, attempts uint64
 	errors, stored   int
+	links, shards    int
 }
 
-// runFold runs one case at one seed, folding or attempt by attempt.
-func runFold(t *testing.T, tc foldCase, seed int64, fold bool) foldRun {
+// recordStream names the records one link writes into one layer's ring.
+type recordStream struct {
+	layer obs.Layer
+	track uint64
+}
+
+// runFold runs one case at one seed, on the given number of shards, folding
+// or attempt by attempt.
+func runFold(t *testing.T, tc foldCase, seed int64, shards int, fold bool) foldRun {
 	t.Helper()
 	spec, err := scenario.Parse([]byte(tc.spec), tc.name)
 	if err != nil {
@@ -100,17 +139,19 @@ func runFold(t *testing.T, tc foldCase, seed int64, fold bool) foldRun {
 		t.Fatal(err)
 	}
 	c.Config.Seed = seed
+	c.Config.Shards = shards
 	var tracer *obs.Tracer
 	if !tc.untraced {
-		tracer = obs.NewTracer(1, 1<<17)
+		tracer = obs.NewTracer(shards, 1<<17)
 		c.Config.Trace = tracer
 	}
 	nw, err := netsim.NewNetwork(c.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := nw.Links[0]
-	l.Mid.SetFolding(fold)
+	for _, l := range nw.Links {
+		l.Mid.SetFolding(fold)
+	}
 	mt, err := c.Attach(nw)
 	if err != nil {
 		t.Fatal(err)
@@ -126,64 +167,104 @@ func runFold(t *testing.T, tc foldCase, seed int64, fold bool) foldRun {
 		}
 		nw.Run(0)
 	}
-	var r foldRun
+	r := foldRun{links: len(nw.Links), shards: shards}
 	r.events, r.attempts = nw.Sim.Executed(), nw.Attempts()
-	matched, successes, timeMismatch, queueMismatch, noOther := l.Mid.Stats()
-	r.log = append(r.log,
-		fmt.Sprintf("attempts %d ticks %d polls %d sampled %d evicted %d", nw.Attempts(), nw.ClockTicks(), nw.Polls(), l.Sampler.Attempts(), l.Registry.Evicted()),
-		fmt.Sprintf("station %d %d %d %d %d", matched, successes, timeMismatch, queueMismatch, noOther),
-		fmt.Sprintf("nodes %d %d polled %d %d", l.MHPA.Attempts(), l.MHPB.Attempts(), l.MHPA.PolledCycle(), l.MHPB.PolledCycle()),
-		fmt.Sprint(l.EGPA.Stats()), fmt.Sprint(l.EGPB.Stats()),
-		fmt.Sprint(l.EGPA.QMM().Stats()), fmt.Sprint(l.EGPB.QMM().Stats()))
+	r.log = append(r.log, fmt.Sprintf("attempts %d ticks %d polls %d", nw.Attempts(), nw.ClockTicks(), nw.Polls()))
+	for _, l := range nw.Links {
+		matched, successes, timeMismatch, queueMismatch, noOther := l.Mid.Stats()
+		r.log = append(r.log,
+			fmt.Sprintf("link %d sampled %d evicted %d", l.ID, l.Sampler.Attempts(), l.Registry.Evicted()),
+			fmt.Sprintf("station %d %d %d %d %d", matched, successes, timeMismatch, queueMismatch, noOther),
+			fmt.Sprintf("nodes %d %d polled %d %d", l.MHPA.Attempts(), l.MHPB.Attempts(), l.MHPA.PolledCycle(), l.MHPB.PolledCycle()),
+			fmt.Sprint(l.EGPA.Stats()), fmt.Sprint(l.EGPB.Stats()),
+			fmt.Sprint(l.EGPA.QMM().Stats()), fmt.Sprint(l.EGPB.QMM().Stats()))
+		for _, p := range append(l.DeviceA.OccupiedPairs(), l.DeviceB.OccupiedPairs()...) {
+			r.log = append(r.log, fmt.Sprintf("stored %v", p.Fidelity()))
+			r.stored++
+		}
+		_, _, errA, _, _ := l.EGPA.Stats()
+		_, _, errB, _, _ := l.EGPB.Stats()
+		r.errors += int(errA + errB)
+	}
 	perLink, agg := nw.Stats()
 	r.log = append(r.log, fmt.Sprintf("%+v", perLink), fmt.Sprintf("%+v", agg), fmt.Sprintf("%+v", mt.SLO(tc.seconds)))
-	for _, p := range append(l.DeviceA.OccupiedPairs(), l.DeviceB.OccupiedPairs()...) {
-		r.log = append(r.log, fmt.Sprintf("stored %v", p.Fidelity()))
-		r.stored++
-	}
-	_, _, errA, _, _ := l.EGPA.Stats()
-	_, _, errB, _, _ := l.EGPB.Stats()
-	r.errors = int(errA + errB)
 	if tracer != nil {
 		if d := tracer.Dropped(); d != 0 {
 			t.Fatalf("tracer overwrote %d records", d)
 		}
-		for _, rec := range tracer.Records() {
-			if rec.Layer != obs.LayerSim {
-				r.records = append(r.records, rec)
+		r.records = make(map[recordStream][]obs.Record)
+		for shard := range shards {
+			for layer := obs.LayerSim + 1; int(layer) < obs.NumLayers; layer++ {
+				for _, rec := range tracer.Ring(shard, layer).Records(nil) {
+					k := recordStream{layer, rec.Track}
+					r.records[k] = append(r.records[k], rec)
+				}
 			}
 		}
 	}
 	return r
 }
 
-// TestFoldMatchesPerAttempt is the fold's oracle: on a single Lab link, over
-// 20 seeds per case, a run that folds its failed attempts must leave every
-// counter, every result table, the stored pairs and every non-sim trace
-// record exactly as the same run attempt by attempt, and must have folded.
+// sameRun fails the test at the first line or record in which got differs
+// from want. A link writes the records of each layer in time order, and the
+// fold writes a run's records before any later one of the link, so each
+// stream must match in order. A record's place in its ring (Seq) is compared
+// only on a lone link run on the same number of shards: elsewhere it depends
+// on what else writes into the ring, other links or other shards' links.
+func sameRun(t *testing.T, seed int64, label string, got, want foldRun) {
+	t.Helper()
+	if len(got.log) != len(want.log) {
+		t.Fatalf("seed %d: %d log lines, %s %d", seed, len(got.log), label, len(want.log))
+	}
+	for i := range want.log {
+		if got.log[i] != want.log[i] {
+			t.Fatalf("seed %d: line %d differs\nfolded: %s\n%s: %s", seed, i, got.log[i], label, want.log[i])
+		}
+	}
+	if len(got.records) != len(want.records) {
+		t.Fatalf("seed %d: %d trace streams, %s %d", seed, len(got.records), label, len(want.records))
+	}
+	bySeq := got.links == 1 && got.shards == want.shards
+	for k, recs := range want.records {
+		g := got.records[k]
+		if len(g) != len(recs) {
+			t.Fatalf("seed %d: %d %v records on track %d, %s %d", seed, len(g), k.layer, k.track, label, len(recs))
+		}
+		for i, rec := range recs {
+			gi := g[i]
+			if !bySeq {
+				gi.Seq, rec.Seq = 0, 0
+			}
+			if gi != rec {
+				t.Fatalf("seed %d: %v record %d on track %d differs\nfolded: %+v\n%s: %+v", seed, k.layer, i, k.track, gi, label, rec)
+			}
+		}
+	}
+}
+
+// TestFoldMatchesPerAttempt is the fold's oracle: over 20 seeds per case, a
+// run that folds its failed attempts must leave every link's counters,
+// every result table, the stored pairs and every non-sim trace record
+// exactly as the same run attempt by attempt, and must have folded. The
+// same run on 2 shards, untraced, must also fire exactly the serial run's
+// events and leave the same counters and tables.
 func TestFoldMatchesPerAttempt(t *testing.T) {
 	const seeds = 20
 	for _, tc := range foldCases() {
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			var events, refEvents, attempts uint64
 			errors, stored := 0, 0
 			for seed := int64(1); seed <= seeds; seed++ {
-				got, want := runFold(t, tc, seed, true), runFold(t, tc, seed, false)
-				if len(got.log) != len(want.log) {
-					t.Fatalf("seed %d: %d log lines, attempt by attempt %d", seed, len(got.log), len(want.log))
-				}
-				for i := range want.log {
-					if got.log[i] != want.log[i] {
-						t.Fatalf("seed %d: line %d differs\nfolded:     %s\nper attempt: %s", seed, i, got.log[i], want.log[i])
-					}
-				}
-				if len(got.records) != len(want.records) {
-					t.Fatalf("seed %d: %d trace records, attempt by attempt %d", seed, len(got.records), len(want.records))
-				}
-				for i, rec := range want.records {
-					if got.records[i] != rec {
-						t.Fatalf("seed %d: record %d differs\nfolded:      %+v\nper attempt: %+v", seed, i, got.records[i], rec)
-					}
+				got, want := runFold(t, tc, seed, 1, true), runFold(t, tc, seed, 1, false)
+				sameRun(t, seed, "attempt by attempt", got, want)
+				untraced := tc
+				untraced.untraced = true
+				sharded := runFold(t, untraced, seed, 2, true)
+				got.records = nil
+				sameRun(t, seed, "2 shards", sharded, got)
+				if sharded.events != got.events {
+					t.Fatalf("seed %d: %d events on 2 shards, %d serial", seed, sharded.events, got.events)
 				}
 				events, refEvents, attempts = events+got.events, refEvents+want.events, attempts+want.attempts
 				errors, stored = errors+want.errors, stored+want.stored
@@ -200,64 +281,81 @@ func TestFoldMatchesPerAttempt(t *testing.T) {
 }
 
 // TestFoldEngages pins where the fold pays: a loss-free 2-node Lab MD link
-// like link-sat must run its attempts in under 0.01 events each, while a
-// lossy link, a QL2020 link and a 3-node chain, which keep the per-attempt
-// path, must fire exactly as many events as with the fold off.
+// like link-sat must run its attempts in under 0.01 events each, and the
+// links of a 3-node chain in under 0.01 events each beside the clock's one
+// tick per cycle, on 1 shard and on 2 with the same event count; a lossy
+// link and a QL2020 link, which keep the per-attempt path, must fire exactly
+// as many events as with the fold off.
 func TestFoldEngages(t *testing.T) {
 	class := `{"name": "md", "priority": "MD", "arrival": {"kind": "closed", "sessions": 4, "think_time_s": 0.001}, "min_pairs": 1, "max_pairs": 3}`
-	chain3 := `{"name": "fold", "topology": {"kind": "chain", "nodes": 3}, "traffic": {"classes": [` + class + `]}}`
+	chain3 := chainSpec(3, "", class, "")
 	ql2020 := `{"name": "fold", "topology": {"kind": "chain", "nodes": 2}, "hardware": {"scenario": "QL2020"},
 		"traffic": {"classes": [` + class + `]}}`
+	type count struct{ events, attempts, ticks uint64 }
+	run := func(t *testing.T, spec string, shards int, fold bool) count {
+		t.Helper()
+		parsed, err := scenario.Parse([]byte(spec), "fold")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := parsed.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Config.Seed = 1
+		c.Config.Shards = shards
+		nw, err := netsim.NewNetwork(c.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range nw.Links {
+			l.Mid.SetFolding(fold)
+		}
+		if _, err := c.Attach(nw); err != nil {
+			t.Fatal(err)
+		}
+		nw.Run(sim.DurationSeconds(0.2))
+		n := count{events: nw.Sim.Executed(), attempts: nw.Attempts()}
+		if len(nw.Links) > 1 {
+			// A clock of several links fires one tick per cycle.
+			n.ticks = nw.ClockTicks()
+		}
+		return n
+	}
 	for _, tc := range []struct {
-		name string
-		spec string
-		// folds: the fold must take the link below 0.01 events per
-		// attempt; otherwise the fold must change no event count.
+		name   string
+		spec   string
+		shards int
+		// folds: the fold must take the links below 0.01 events per
+		// attempt beside the ticks; otherwise the fold must change no
+		// event count.
 		folds bool
 	}{
-		{"lab", labSpec("", class, ""), true},
-		{"lab-lossy", labSpec(`{"classical_loss": 0.001}`, class, ""), false},
-		{"ql2020", ql2020, false},
-		{"chain3", chain3, false},
+		{"lab", labSpec("", class, ""), 1, true},
+		{"lab-lossy", labSpec(`{"classical_loss": 0.001}`, class, ""), 1, false},
+		{"ql2020", ql2020, 1, false},
+		{"chain3", chain3, 1, true},
+		{"chain3-2-shards", chain3, 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(fold bool) (events, attempts uint64) {
-				spec, err := scenario.Parse([]byte(tc.spec), tc.name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				c, err := spec.Compile()
-				if err != nil {
-					t.Fatal(err)
-				}
-				c.Config.Seed = 1
-				nw, err := netsim.NewNetwork(c.Config)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, l := range nw.Links {
-					l.Mid.SetFolding(fold)
-				}
-				if _, err := c.Attach(nw); err != nil {
-					t.Fatal(err)
-				}
-				nw.Run(sim.DurationSeconds(0.2))
-				return nw.Sim.Executed(), nw.Attempts()
+			got, ref := run(t, tc.spec, tc.shards, true), run(t, tc.spec, tc.shards, false)
+			if got.attempts != ref.attempts || got.attempts < 10000 {
+				t.Fatalf("%d attempts, attempt by attempt %d", got.attempts, ref.attempts)
 			}
-			events, attempts := run(true)
-			refEvents, refAttempts := run(false)
-			if attempts != refAttempts || attempts < 10000 {
-				t.Fatalf("%d attempts, attempt by attempt %d", attempts, refAttempts)
-			}
-			perAttempt := float64(events) / float64(attempts)
+			beside := float64(got.events-got.ticks) / float64(got.attempts)
 			if tc.folds {
-				if perAttempt >= 0.01 {
-					t.Fatalf("%.4f events per attempt (%d events, %d attempts), want under 0.01", perAttempt, events, attempts)
+				if beside >= 0.01 {
+					t.Fatalf("%.4f events per attempt beside %d ticks (%d events, %d attempts), want under 0.01", beside, got.ticks, got.events, got.attempts)
 				}
-			} else if events != refEvents {
-				t.Fatalf("%d events with the fold on, %d with it off: the fold engaged where it must not", events, refEvents)
+			} else if got.events != ref.events {
+				t.Fatalf("%d events with the fold on, %d with it off: the fold engaged where it must not", got.events, ref.events)
 			}
-			t.Logf("%.4f events per attempt, attempt by attempt %.4f", perAttempt, float64(refEvents)/float64(refAttempts))
+			if tc.shards > 1 {
+				if serial := run(t, tc.spec, 1, true); got != serial {
+					t.Fatalf("%+v on %d shards, serial %+v", got, tc.shards, serial)
+				}
+			}
+			t.Logf("%.4f events per attempt beside the ticks, attempt by attempt %.4f", beside, float64(ref.events-ref.ticks)/float64(ref.attempts))
 		})
 	}
 }

@@ -76,8 +76,9 @@ func attachPoisson(t testing.TB, nw *Network, class workload.ClassSpec) *MultiTr
 // the numbers the flag-era single-class generator produced on the same
 // networks before MultiTraffic replaced it: events, attempts and the
 // aggregate request, pair and error totals. The events are re-pinned to a
-// loss-free Lab attempt's two events beside the clock tick: one delivers
-// both GENs, one both REPLYs. The dense and belldiag backends
+// loss-free Lab attempt's two events beside the clock tick (one delivers
+// both GENs, one both REPLYs), then the MD case's to its links folding
+// their failed attempts (mhp.Link.fold). The dense and belldiag backends
 // agree on every pinned field. The MD case is the flag runs' shape; the CK
 // case adds create-and-keep, a deadline and classical loss. A change to the
 // engine's draw order (pairs, then origin) or its request fields breaks it.
@@ -97,7 +98,7 @@ func TestPoissonClassMatchesRecordedRuns(t *testing.T) {
 		pairs    int
 		errors   uint64
 	}{
-		{"md", Chain(6), 11, 0, workload.PoissonClass(0.7, 2, 0.64, false), 0.5, 251595, 101048, 14, 12, 0},
+		{"md", Chain(6), 11, 0, workload.PoissonClass(0.7, 2, 0.64, false), 0.5, 49523, 101048, 14, 12, 0},
 		{"ck-deadline-loss", Chain(4), 5, 0.001, ck, 1, 256834, 69694, 10, 16, 4},
 	}
 	for _, tc := range cases {

@@ -239,6 +239,12 @@ type Network struct {
 	// OnLinkOK, when set, observes every link-layer OK event (both
 	// endpoints, in delivery order) before the per-link metrics accounting.
 	// The network layer uses it to consume held create-and-keep pairs.
+	// These hooks run inside the link's event. On a network of several
+	// links they may act only on that link (or schedule on another link's
+	// Eng): the other links fold their failed attempts up to their own next
+	// event, so a change made to them from here would land inside a run
+	// already folded. RegisterNetworkHandler turns the fold off for the
+	// network layer, which acts on two links at once.
 	OnLinkOK func(*Link, egp.OKEvent)
 	// OnLinkError, when set, observes every link-layer request failure.
 	OnLinkError func(*Link, egp.ErrorEvent)
@@ -353,6 +359,11 @@ func newNetwork(cfg Config, clockPerNode bool) (*Network, error) {
 	for i, e := range cfg.Spec.sortedEdges() {
 		nw.buildLink(LinkID(i), e)
 	}
+	if len(nw.Links) > 1 {
+		for _, c := range nw.clocks {
+			c.Share()
+		}
+	}
 	return nw, nil
 }
 
@@ -412,7 +423,11 @@ func (nw *Network) pairDuplex(l *Link) *classical.Duplex {
 }
 
 // buildLink instantiates the full protocol stack of one link and registers
-// both endpoints with their nodes.
+// both endpoints with their nodes. Everything of the link schedules through
+// l.Eng, the link's sim.WithRNG view — EGP and DQP timers, the pair duplex,
+// the workload site, the queue sampler and fault transitions — except the
+// MHP's own deliveries, so the view's Horizon is the link's next event: the
+// bound of its fold of failed attempts (mhp.Link.fold).
 func (nw *Network) buildLink(id LinkID, e Edge) {
 	cfg := nw.Config
 	platform := nw.Platform
@@ -493,8 +508,11 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 	if nw.clockPerNode {
 		gens = [2]mhp.Generator{neverIdle{l.EGPA}, neverIdle{l.EGPB}}
 	}
+	// The MHP's GEN, hold and REPLY deliveries go through an untracked view:
+	// the fold of failed attempts rules them out itself, so the link's
+	// horizon need not stop at them (mhp.Link.fold).
 	l.Mid = mhp.NewLink(mhp.LinkConfig{
-		Sim: s, Sampler: l.Sampler, Registry: l.Registry,
+		Sim: sim.Untracked(s), Sampler: l.Sampler, Registry: l.Registry,
 		Generators: gens,
 		Devices:    [2]*nv.Device{l.DeviceA, l.DeviceB},
 		Arms:       [2]sim.Duration{platform.CommDelayAH, platform.CommDelayBH},
@@ -503,12 +521,6 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 		HoldTime:   2*(platform.CommDelayAH+platform.CommDelayBH) + 200*sim.Microsecond,
 		Trace:      ringMHP, TraceID: uint64(id), Metrics: nw.mhpMetrics,
 	})
-	// A shard's clock may drive one link alone where the serial clock drives
-	// several, and only such a clock folds failed attempts. Folding only on
-	// the serial engine keeps Executed the same at every shard count on a
-	// multi-link network, where the serial clock never folds. A single link
-	// folds on one shard and runs attempt by attempt on more.
-	l.Mid.SetFolding(nw.sharded == nil)
 	l.MHPA, l.MHPB = l.Mid.Node(nv.SideA), l.Mid.Node(nv.SideB)
 	l.EGPA.SetNode(l.MHPA)
 	l.EGPB.SetNode(l.MHPB)
@@ -528,11 +540,15 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 // The network has one cycle clock, run as one tick event per engine shard.
 // Only the first copy's ticks count as executed events; the others are
 // scheduled through sim.Uncounted, so Executed — one clock tick per cycle
-// plus the protocol's own events — is the same at every shard count.
+// plus the protocol's own events — is the same at every shard count. The
+// ticks bound no link's horizon (sim.Untracked), so each link folds its
+// failed attempts up to its own next event whatever the partition. On a
+// network of several links every copy is shared (mhp.Clock.Share): a shard
+// whose copy drives one link ticks every cycle as the serial clock does.
 func (nw *Network) joinClock(shard int, eng *sim.Simulator, n *mhp.Node) {
 	c := nw.shardClock[shard]
 	if c == nil || nw.clockPerNode {
-		var clockEng sim.Engine = eng
+		clockEng := sim.Untracked(eng)
 		if len(nw.clocks) > 0 {
 			clockEng = sim.Uncounted(eng)
 		}
@@ -566,12 +582,20 @@ func (nw *Network) LinkBetween(a, b int) *Link {
 // RegisterNetworkHandler points a node's reserved network-layer mux tag at h:
 // frames sent through NetworkPort from any neighbour are delivered to it
 // after the channel's propagation delay (and loss). The network layer is
-// serial-only, so a sharded network refuses.
+// serial-only, so a sharded network refuses. It acts on several links from
+// one link's events (a swap consumes a pair on each), so on a network of
+// several links their failed attempts no longer commute, and every link runs
+// attempt by attempt from then on (mhp.Link.SetFolding).
 func (nw *Network) RegisterNetworkHandler(node int, h func(classical.Message)) error {
 	if nw.sharded != nil {
 		return fmt.Errorf("netsim: the network layer is serial-only; this network runs on %d shards", nw.sharded.Shards())
 	}
 	nw.Nodes[node].Mux.Handle(NetworkLayerTag, h)
+	if len(nw.Links) > 1 {
+		for _, l := range nw.Links {
+			l.Mid.SetFolding(false)
+		}
+	}
 	return nil
 }
 

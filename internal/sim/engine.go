@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Engine is the scheduling surface of a discrete-event simulation core. It
 // is extracted from Simulator so that protocol entities (channels, EGP/MHP
@@ -45,7 +48,8 @@ type Engine interface {
 	// Stop halts the run in progress.
 	Stop()
 	// Horizon returns the earliest time at which anything but the running
-	// event may happen (see Simulator.Horizon).
+	// event may happen (see Simulator.Horizon); on a WithRNG view, anything
+	// that can touch the view's entity.
 	Horizon() Time
 	// Executed reports how many events have fired since construction.
 	Executed() uint64
@@ -59,6 +63,7 @@ var (
 	_ Engine = (*ShardedEngine)(nil)
 	_ Engine = (*rngEngine)(nil)
 	_ Engine = uncountedEngine{}
+	_ Engine = (*untrackedEngine)(nil)
 )
 
 // runHandler is the trampoline that lets parameterless Handlers ride the
@@ -139,39 +144,174 @@ func Ticker(e Engine, period Duration, fn Handler) (stop func()) {
 }
 
 // WithRNG returns a view of eng whose RNG() is the given stream instead of
-// the engine's own. Scheduling, time and counters pass straight through.
+// the engine's own. Time, counters and the Run methods pass straight
+// through.
 //
 // This is how per-entity random streams are pinned: a netsim link draws all
 // of its randomness (channel loss, optical sampling, readout) from a stream
 // derived from its stable link ID, so its trajectory is byte-identical no
 // matter which shard — or how many shards — the topology is split into.
+//
+// On a Simulator the view also keeps track of the events scheduled through
+// it, and its Horizon is the entity's own: the earliest of its next live
+// event and one past the running RunUntil's limit. Events of other views and
+// of Untracked views do not bound it, so an entity that commutes with every
+// other view's entity (a netsim link with the others) owns every instant
+// before that horizon. An event scheduled on the Simulator itself belongs to
+// no view and may touch anything: while one is pending, the view's Horizon
+// is the Simulator's. Cancelled events stop counting at once, and tracking
+// allocates nothing once the view's heap has grown to its peak.
 func WithRNG(eng Engine, rng *RNG) Engine {
 	if rng == nil {
 		panic("sim: WithRNG needs a non-nil RNG")
 	}
-	return &rngEngine{Engine: eng, rng: rng}
+	s, _ := eng.(*Simulator)
+	return &rngEngine{Engine: eng, rng: rng, s: s}
 }
 
+// rngEngine is the WithRNG view. When s is set, live holds the view's live
+// events as a min-heap on time.
 type rngEngine struct {
 	Engine
-	rng *RNG
+	rng  *RNG
+	s    *Simulator
+	live []*event
 }
 
 func (e *rngEngine) RNG() *RNG { return e.rng }
+
+func (e *rngEngine) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID {
+	if e.s == nil {
+		return e.Engine.ScheduleArgAt(at, fn, arg)
+	}
+	ev := e.s.schedule(at, fn, arg)
+	ev.view, ev.vi = e, int32(len(e.live))
+	e.live = append(e.live, ev)
+	e.up(len(e.live) - 1)
+	return EventID{s: e.s, ev: ev, gen: ev.gen}
+}
+
+// Horizon returns the view's own horizon (see WithRNG).
+func (e *rngEngine) Horizon() Time {
+	s := e.s
+	if s == nil || s.loose > 0 {
+		return e.Engine.Horizon()
+	}
+	if !s.running || s.stopped {
+		return s.now
+	}
+	h := Time(math.MaxInt64)
+	if s.limit >= 0 && s.limit < math.MaxInt64 {
+		h = s.limit + 1
+	}
+	if len(e.live) > 0 && e.live[0].at < h {
+		h = e.live[0].at
+	}
+	return h
+}
+
+// remove takes a fired or cancelled event out of the view's heap.
+func (e *rngEngine) remove(ev *event) {
+	i, last := int(ev.vi), len(e.live)-1
+	ev.view = nil
+	if i != last {
+		e.live[i] = e.live[last]
+		e.live[i].vi = int32(i)
+	}
+	e.live[last] = nil
+	e.live = e.live[:last]
+	if i < last {
+		e.down(i)
+		e.up(i)
+	}
+}
+
+func (e *rngEngine) up(i int) {
+	h := e.live
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].at <= h[i].at {
+			return
+		}
+		h[p], h[i] = h[i], h[p]
+		h[p].vi, h[i].vi = int32(p), int32(i)
+		i = p
+	}
+}
+
+func (e *rngEngine) down(i int) {
+	h := e.live
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].at < h[c].at {
+			c = r
+		}
+		if h[i].at <= h[c].at {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		h[i].vi, h[c].vi = int32(i), int32(c)
+		i = c
+	}
+}
+
+// Untracked returns a view of eng whose events no horizon waits for; time,
+// random stream and Horizon are eng's. An entity schedules through it the
+// events its own horizon query must not stop at: netsim's MHP cycle clock,
+// and a link's GEN, hold and REPLY deliveries, which the fold of failed
+// attempts rules out by itself (mhp.Link.fold). On an engine that is neither
+// a Simulator nor one of its WithRNG views it returns eng.
+func Untracked(eng Engine) Engine {
+	switch v := eng.(type) {
+	case *Simulator:
+		return &untrackedEngine{Simulator: v, rng: v.rng}
+	case *rngEngine:
+		if v.s != nil {
+			return &untrackedEngine{Simulator: v.s, rng: v.rng, view: v}
+		}
+	}
+	return eng
+}
+
+// untrackedEngine is the Untracked view: the simulator's clock and runs,
+// the view's stream and horizon (the simulator's when view is nil).
+type untrackedEngine struct {
+	*Simulator
+	rng  *RNG
+	view *rngEngine
+}
+
+func (e *untrackedEngine) RNG() *RNG { return e.rng }
+
+func (e *untrackedEngine) Horizon() Time {
+	if e.view != nil {
+		return e.view.Horizon()
+	}
+	return e.Simulator.Horizon()
+}
+
+func (e *untrackedEngine) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID {
+	ev := e.schedule(at, fn, arg)
+	return EventID{s: e.Simulator, ev: ev, gen: ev.gen}
+}
 
 // Uncounted returns a view of s whose events run like any other — same
 // queue, same (time, insertion order) — but are not counted by Executed.
 // netsim runs the network's one MHP cycle clock as one tick event per engine
 // shard; scheduling every copy but the first through this view keeps
-// Executed the same at every shard count.
+// Executed the same at every shard count. Like Untracked's, its events bound
+// no view's horizon.
 func Uncounted(s *Simulator) Engine { return uncountedEngine{s} }
 
 type uncountedEngine struct{ *Simulator }
 
 func (e uncountedEngine) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID {
-	id := e.Simulator.ScheduleArgAt(at, fn, arg)
-	id.ev.uncounted = true
-	return id
+	ev := e.Simulator.schedule(at, fn, arg)
+	ev.uncounted = true
+	return EventID{s: e.Simulator, ev: ev, gen: ev.gen}
 }
 
 // splitmix64 is the finalizer of the SplitMix64 generator: a bijective

@@ -138,3 +138,87 @@ func TestHorizonEmptyQueue(t *testing.T) {
 		t.Errorf("sharded engine horizon %v, want its Now() = 0", h)
 	}
 }
+
+// TestViewHorizonIsItsOwn: a WithRNG view's horizon is its own next live
+// event (or one past the RunUntil limit). Other views' events, Untracked
+// events and cancelled events do not bound it; an event scheduled on the
+// simulator itself, which belongs to no view, makes it the simulator's.
+func TestViewHorizonIsItsOwn(t *testing.T) {
+	s := New(1)
+	a, b := WithRNG(s, NewRNG(1)), WithRNG(s, NewRNG(2))
+	quiet := Untracked(a)
+	ScheduleAt(b, 200, func() {})
+	ScheduleAt(quiet, 100, func() {})
+	ScheduleAt(a, 500, func() {})
+	ScheduleAt(a, 300, func() { t.Error("cancelled event ran") }).Cancel()
+	var ha, hb, hLoose, hLimit Time
+	ScheduleAt(quiet, 50, func() {
+		ha, hb = a.Horizon(), b.Horizon()
+		loose := ScheduleAt(s, 400, func() {})
+		hLoose = a.Horizon()
+		loose.Cancel()
+	})
+	if err := s.RunUntil(1000); err != nil {
+		t.Fatal(err)
+	}
+	if ha != 500 || hb != 200 {
+		t.Errorf("view horizons %v and %v, want their own next events 500 and 200", ha, hb)
+	}
+	if hLoose != 100 {
+		t.Errorf("view horizon %v with an event on no view pending, want the simulator's 100", hLoose)
+	}
+	if h := a.Horizon(); h != s.Now() {
+		t.Errorf("view horizon %v outside a run, want Now() = %v", h, s.Now())
+	}
+	s = New(1)
+	a = WithRNG(s, NewRNG(1))
+	ScheduleAt(a, 500, func() {})
+	ScheduleAt(Untracked(a), 250, func() { hLimit = a.Horizon() })
+	if err := s.RunUntil(450); err != nil {
+		t.Fatal(err)
+	}
+	if hLimit != 451 {
+		t.Errorf("view horizon %v under RunUntil(450), want 451", hLimit)
+	}
+}
+
+// TestViewHorizonSameTimeBatch: a view's own event left in the running batch
+// bounds its horizon at Now(); another view's does not.
+func TestViewHorizonSameTimeBatch(t *testing.T) {
+	s := New(1)
+	a, b := WithRNG(s, NewRNG(1)), WithRNG(s, NewRNG(2))
+	var ha, hb Time
+	ScheduleAt(Untracked(a), 100, func() { ha, hb = a.Horizon(), b.Horizon() })
+	ScheduleAt(a, 100, func() {})
+	ScheduleAt(b, 900, func() {})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ha != 100 || hb != 900 {
+		t.Errorf("horizons %v and %v, want 100 (own event left in the batch) and 900", ha, hb)
+	}
+}
+
+// TestViewTrackingAllocFree: scheduling, firing and cancelling through a view
+// allocate nothing once its heap has grown.
+func TestViewTrackingAllocFree(t *testing.T) {
+	s := New(1)
+	v := WithRNG(s, NewRNG(1))
+	fn := func() {}
+	for i := 0; i < 64; i++ {
+		Schedule(v, Duration(i), fn)
+	}
+	if err := s.Run(); err != nil {
+		t.Fatalf("warmup run: %v", err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		Schedule(v, 10*Microsecond, fn)
+		Schedule(v, 20*Microsecond, fn).Cancel()
+		if err := s.RunFor(Millisecond); err != nil {
+			t.Fatalf("RunFor: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("view schedule+cancel+fire cycle allocated %v objects per run, want 0", allocs)
+	}
+}

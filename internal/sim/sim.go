@@ -95,7 +95,14 @@ type event struct {
 	// uncounted events run like any other but are not counted by Executed
 	// (see Uncounted).
 	uncounted bool
-	next      *event // intrusive timing-wheel bucket link
+	// loose marks a live event scheduled on the simulator itself, which
+	// belongs to no view: while one is pending, every view's horizon is the
+	// simulator's (see WithRNG). view is the WithRNG view whose horizon waits
+	// for the event, nil when none does; vi is its index in the view's heap.
+	loose bool
+	vi    int32
+	view  *rngEngine
+	next  *event // intrusive timing-wheel bucket link
 }
 
 // EventID identifies a scheduled event so it can be cancelled.
@@ -116,6 +123,7 @@ func (id EventID) Cancel() {
 		return
 	}
 	ev.canceled = true
+	id.s.release(ev)
 	id.s.canceledPending++
 	id.s.maybeCompact()
 }
@@ -140,6 +148,8 @@ type Simulator struct {
 	limit   Time
 	// executed counts events that have fired since construction.
 	executed uint64
+	// loose counts the live loose events (see event.loose).
+	loose int
 	// free is the recycled-event pool; see the event type.
 	free []*event
 	// canceledPending counts cancelled events not yet removed (resident in
@@ -200,9 +210,22 @@ func (s *Simulator) newEvent(at Time, fn ArgHandler, arg any) *event {
 	return ev
 }
 
+// release stops counting a live event towards any horizon: it has fired or
+// been cancelled.
+func (s *Simulator) release(ev *event) {
+	if ev.loose {
+		ev.loose = false
+		s.loose--
+	}
+	if ev.view != nil {
+		ev.view.remove(ev)
+	}
+}
+
 // recycle returns a popped (or compacted) event to the pool, invalidating
 // every EventID that still points at it.
 func (s *Simulator) recycle(ev *event) {
+	s.release(ev)
 	ev.gen++
 	ev.fn = nil
 	ev.arg = nil
@@ -242,14 +265,23 @@ func (s *Simulator) SetBatchObserver(fn func(at Time, batchLen, pending int)) { 
 // ScheduleArgAt registers an argument-carrying event at absolute time at;
 // times in the past are clamped to the present. This is the one canonical
 // scheduling primitive: Schedule, ScheduleAt, ScheduleArg and Ticker are
-// package-level wrappers over it.
+// package-level wrappers over it. The event belongs to no view, so until it
+// fires or is cancelled every view's horizon is the simulator's (WithRNG).
 func (s *Simulator) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID {
+	ev := s.schedule(at, fn, arg)
+	ev.loose = true
+	s.loose++
+	return EventID{s: s, ev: ev, gen: ev.gen}
+}
+
+// schedule queues an event that no horizon tracks; the caller marks it.
+func (s *Simulator) schedule(at Time, fn ArgHandler, arg any) *event {
 	if at < s.now {
 		at = s.now
 	}
 	ev := s.newEvent(at, fn, arg)
 	s.q.push(ev)
-	return EventID{s: s, ev: ev, gen: ev.gen}
+	return ev
 }
 
 // Stop halts the simulation; Run and RunUntil return promptly after the
@@ -263,7 +295,8 @@ func (s *Simulator) Stop() { s.stopped = true }
 // It is Now() while events of the current batch are still to run, once Stop
 // has been called, and outside Run and RunUntil. An event handler owns every
 // instant strictly before the horizon: nothing else runs before it. The
-// query changes nothing a run can observe.
+// query changes nothing a run can observe. A WithRNG view answers a later
+// horizon of its own, past the events that cannot touch its entity.
 func (s *Simulator) Horizon() Time {
 	if !s.running || s.stopped || s.batchRemaining > 0 {
 		return s.now
