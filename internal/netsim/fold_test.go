@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/egp"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -25,6 +26,10 @@ type foldCase struct {
 	// or with a pair stored on a device: the case exercises deadlines, or
 	// carbon dephasing.
 	errors, stored bool
+	// loose submits a request on every link from events scheduled on the
+	// simulator itself, which belong to no link. Such a case runs serially
+	// only: a sharded engine takes no event of its own.
+	loose bool
 }
 
 // labSpec is a 2-node Lab link spec with the given protocol section (may be
@@ -98,6 +103,10 @@ func foldCases() []foldCase {
 		// One lossy link, attempt by attempt, among folding ones.
 		{name: "chain4-one-lossy", spec: chainSpec(4, "", linkSatClass, `{"events": [
 			{"at_s": 0, "state": "degraded", "link": [1, 2], "degrade": {"classical_loss": 0.01}}]}`), seconds: 0.06},
+		// NL requests, which preempt the MD sessions' head, from events that
+		// belong to no link: while one is pending, every link folds only up
+		// to the simulator's horizon.
+		{name: "chain3-loose-submits", spec: chainSpec(3, `{"scheduler": "HigherWFQ"}`, linkSatClass, ""), seconds: 0.06, loose: true},
 		// One link Degraded, then Down, then Up, among folding ones.
 		{name: "chain4-one-degraded", spec: chainSpec(4, `{"hold_pairs": true}`, linkSatClass+`,
 			{"name": "ck", "priority": "CK", "arrival": {"kind": "poisson", "load": 0.3}, "fixed_pairs": 1, "min_fidelity": 0.5}`, `{"events": [
@@ -155,6 +164,15 @@ func runFold(t *testing.T, tc foldCase, seed int64, shards int, fold bool) foldR
 	mt, err := c.Attach(nw)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tc.loose {
+		for _, at := range []sim.Time{sim.Time(10 * sim.Millisecond), sim.Time(20*sim.Millisecond + 7), sim.Time(30 * sim.Millisecond)} {
+			sim.ScheduleAt(nw.Sim, at, func() {
+				for _, l := range nw.Links {
+					nw.Submit(l, "A", egp.CreateRequest{NumPairs: 1, MinFidelity: 0.7, Priority: egp.PriorityNL})
+				}
+			})
+		}
 	}
 	end := sim.DurationSeconds(tc.seconds)
 	if tc.step == 0 {
@@ -258,13 +276,15 @@ func TestFoldMatchesPerAttempt(t *testing.T) {
 			for seed := int64(1); seed <= seeds; seed++ {
 				got, want := runFold(t, tc, seed, 1, true), runFold(t, tc, seed, 1, false)
 				sameRun(t, seed, "attempt by attempt", got, want)
-				untraced := tc
-				untraced.untraced = true
-				sharded := runFold(t, untraced, seed, 2, true)
-				got.records = nil
-				sameRun(t, seed, "2 shards", sharded, got)
-				if sharded.events != got.events {
-					t.Fatalf("seed %d: %d events on 2 shards, %d serial", seed, sharded.events, got.events)
+				if !tc.loose {
+					untraced := tc
+					untraced.untraced = true
+					sharded := runFold(t, untraced, seed, 2, true)
+					got.records = nil
+					sameRun(t, seed, "2 shards", sharded, got)
+					if sharded.events != got.events {
+						t.Fatalf("seed %d: %d events on 2 shards, %d serial", seed, sharded.events, got.events)
+					}
 				}
 				events, refEvents, attempts = events+got.events, refEvents+want.events, attempts+want.attempts
 				errors, stored = errors+want.errors, stored+want.stored
