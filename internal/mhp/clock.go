@@ -9,8 +9,8 @@ import (
 )
 
 // Clock is the MHP cycle clock of one engine: the serial simulator, or one
-// shard of the sharded engine. Each cycle it fires one event and polls its
-// active nodes in registration order. A node leaves the active set (parks)
+// shard of the sharded engine. Each cycle it polls its active nodes in
+// registration order, in one event. A node leaves the active set (parks)
 // after a poll that leaves its generator idle and its attempts all answered,
 // and rejoins when its generator wakes it (Node.Wake); until then its polls
 // are skipped, so an idle link costs nothing per cycle.
@@ -36,11 +36,17 @@ import (
 // of them rests: it leaves the active set, costs the ticks nothing, and
 // rejoins it at the first cycle it did not take. (A Stop of the engine from
 // another link's event therefore leaves a resting link's counters ahead of
-// the stop instant until the run resumes.) The clock still fires one tick
-// per cycle, so it fires the same ticks whatever its links fold. Only a
-// clock that drives the network's only link goes further: it jumps straight
-// to the first cycle the fold did not take, and skips the ticks that would
-// poll no one while both of that link's nodes are parked.
+// the stop instant until the run resumes.)
+//
+// A tick that leaves no node active is followed by cycles that poll no one
+// until a resting link resumes or an event wakes a node, and no event runs
+// before the engine's horizon. The clock does not fire those ticks: it
+// counts their cycles and rearms at the earlier of the first resting link's
+// resume cycle and the last cycle before the horizon, so the tick after
+// that is again scheduled from the batch one period before it. The skipped
+// ticks are no-ops that commute with every other event, so the trajectory
+// is unchanged, and at the end of a RunUntil the clock has counted every
+// cycle up to the limit.
 type Clock struct {
 	eng    sim.Engine
 	period sim.Duration
@@ -48,16 +54,14 @@ type Clock struct {
 	// nothing.
 	onTick sim.ArgHandler
 
-	// cycle counts the ticks fired: the current MHP cycle.
+	// cycle is the current MHP cycle: the ticks fired and the cycles
+	// skipped.
 	cycle uint64
 	// slots counts registered nodes; a node's slot is its registration
 	// index. active holds the unparked nodes ordered by slot, less the
-	// resting ones. lone is the link whose nodes are all the clock drives,
-	// nil when there are others or when the clock is shared (Share).
+	// resting ones.
 	slots  int
 	active []*Node
-	lone   *Link
-	shared bool
 	// resting holds the links that have folded cycles ahead of the clock,
 	// each with the first cycle it did not take, latest first.
 	resting []restingLink
@@ -100,24 +104,10 @@ func (c *Clock) Add(n *Node) {
 		panic("mhp: node " + n.Name + " has a different cycle period than its clock")
 	}
 	n.clock, n.slot = c, c.slots
-	if c.slots == 0 && !c.shared {
-		c.lone = n.link
-	} else if n.link != c.lone {
-		c.lone = nil
-	}
 	c.slots++
 	if !n.parked {
 		c.active = append(c.active, n)
 	}
-}
-
-// Share marks the clock as one copy of a clock that also drives links
-// elsewhere, such as on the other shards of a sharded engine. It then fires
-// one tick per cycle even when it drives a single link, as the copies on
-// other shards do, so every copy ticks the same cycles.
-func (c *Clock) Share() {
-	c.shared = true
-	c.lone = nil
 }
 
 // Start schedules the clock's next tick one period from now; a running clock
@@ -141,10 +131,9 @@ func (c *Clock) Stop() {
 	}
 }
 
-// Ticks returns how many cycles the clock has run. On a clock that drives
-// the network's only link, a tick that folds a run of failed attempts
-// (Link.fold) runs many cycles in one event, so this can exceed the clock's
-// tick events.
+// Ticks returns how many cycles the clock has run, counting the cycles it
+// skipped because they polled no one (see Clock), so it can exceed the
+// clock's tick events.
 func (c *Clock) Ticks() uint64 { return c.cycle }
 
 // Polls returns how many node polls the clock has made, two for each cycle
@@ -155,10 +144,8 @@ func (c *Clock) Polls() uint64 { return c.polls }
 // the active set, polls every active node in slot order and parks the ones
 // left idle, then rearms relative to the firing time. At the first node of a
 // link whose nodes are both active it offers the link the coming cycles to
-// fold (see Clock). When a lone link folds and both of its nodes are parked,
-// the ticks before the engine's horizon would poll no one, and only an
-// event can wake a node: the clock counts those cycles and rearms at the
-// last of them.
+// fold. With no node left active it skips the cycles that would poll no one
+// (see Clock).
 func (c *Clock) tick(now sim.Time, _ any) {
 	c.cycle++
 	for len(c.resting) > 0 && c.resting[len(c.resting)-1].cycle <= c.cycle {
@@ -172,12 +159,6 @@ func (c *Clock) tick(now sim.Time, _ any) {
 		n := c.active[c.pos]
 		c.cursor = n.slot
 		if k := c.fold(now, n); k > 0 {
-			if c.lone != nil {
-				c.cycle += k - 1
-				c.cursor = math.MaxInt
-				c.id = c.eng.ScheduleArgAt(now.Add(sim.Duration(k)*c.period), c.onTick, nil)
-				return
-			}
 			c.rest(n.link, c.cycle+k)
 			continue
 		}
@@ -195,9 +176,12 @@ func (c *Clock) tick(now sim.Time, _ any) {
 		return
 	}
 	next := now.Add(c.period)
-	if c.lone != nil && len(c.active) == 0 && !c.lone.perAttempt {
+	if len(c.active) == 0 {
 		if h := c.eng.Horizon(); next < h {
 			idle := uint64((h - 1 - next) / sim.Time(c.period))
+			if r := len(c.resting) - 1; r >= 0 {
+				idle = min(idle, c.resting[r].cycle-c.cycle-1)
+			}
 			c.cycle += idle
 			next = next.Add(sim.Duration(idle) * c.period)
 		}

@@ -3,11 +3,13 @@ package mhp
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/nv"
 	"repro/internal/photonics"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // scriptedGen is a generator whose idleness the test sets, logging every
@@ -37,16 +39,15 @@ func (g *scriptedGen) Idle() bool { return !g.busy }
 func (g *scriptedGen) Steady(uint64) (PollDecision, uint64) { return PollDecision{}, 0 }
 func (g *scriptedGen) Absorb(uint64, uint64, PollDecision)  {}
 
-// newScriptedLink builds a link on s between a and b, which never ask for an
-// attempt.
-func newScriptedLink(s *sim.Simulator, a, b *scriptedGen) *Link {
+// newScriptedLink builds a loss-free Lab link on s between a and b.
+func newScriptedLink(s *sim.Simulator, a, b Generator) *Link {
 	platform := nv.LabPlatform()
 	return NewLink(LinkConfig{
 		Sim: s, Sampler: photonics.NewLinkSampler(platform.Optics), Registry: NewPairRegistry(),
 		Generators: [2]Generator{a, b},
 		Devices: [2]*nv.Device{
-			nv.NewDevice(a.name, platform.Gates, platform.CarbonCoupling, 1),
-			nv.NewDevice(b.name, platform.Gates, platform.CarbonCoupling, 1),
+			nv.NewDevice("A", platform.Gates, platform.CarbonCoupling, 1),
+			nv.NewDevice("B", platform.Gates, platform.CarbonCoupling, 1),
 		},
 		Arms:      [2]sim.Duration{10 * sim.Nanosecond, 10 * sim.Nanosecond},
 		CycleTime: platform.CycleTime[nv.RequestMeasure],
@@ -165,42 +166,124 @@ func TestPolledCycleMatchesAlwaysPolledTwin(t *testing.T) {
 	}
 }
 
-// TestIdleLoneLinkSkipsTicks parks both nodes of a lone link until an event
-// between two ticks gives one of them work for three cycles, with the fold
-// on and off. The woken node must be polled in the same cycles and the
-// clock must count the same cycles, while the folding clock fires no tick
-// in the idle stretches before the wake and after the node parks again.
-func TestIdleLoneLinkSkipsTicks(t *testing.T) {
-	run := func(fold bool) (log []string, ticks, executed uint64) {
+// windowGen is a steadyGen whose decision holds for window cycles at a time,
+// so a fold ends at the window's end as well as at the link's horizon.
+type windowGen struct {
+	*steadyGen
+	window uint64
+}
+
+func (g windowGen) Steady(uint64) (PollDecision, uint64) { return g.decision, g.window }
+
+// TestClockSkipsCyclesThatPollNoOne runs a counted clock, with the fold on
+// and off, over rows that leave it with no active node for long stretches.
+// In every row an event between two ticks gives the A node of a scripted
+// link work for three cycles, so it is polled in cycles w+1 to w+4 and
+// parks again. Each row pins the poll log, the cycles the clock counted at
+// the end of every RunUntil and the events executed: the polls and the
+// cycles must not depend on the fold, and the clock fires no tick in a
+// stretch that polls no one, except the last cycle before an event or the
+// end of a run and the cycle a resting link resumes at.
+//
+//   - lone: the scripted link alone; w = 1000.
+//   - two-links: a steady link (slots 0, 1) whose decision holds 300 cycles
+//     at a time before the scripted one; w = 500. With the fold on the
+//     steady link rests, its runs ending at its window or its horizon, while
+//     the scripted one is parked.
+//   - two-links-stepped: the same, run in two RunUntil steps, the first
+//     ending at 400.5 cycles, in the middle of the stretch from cycle 301 to
+//     500 that two-links crosses in one jump.
+func TestClockSkipsCyclesThatPollNoOne(t *testing.T) {
+	type row struct {
+		name   string
+		steady bool
+		wake   uint64   // the cycle after which the scripted node gets work
+		steps  []uint64 // each RunUntil ends half a cycle past one of these
+		// executed is the events fired: with the fold, and attempt by
+		// attempt.
+		executed [2]uint64
+	}
+	rows := []row{
+		// Ticks 1, 1000, 1001–1004 and 2000 and the two scripted events;
+		// attempt by attempt the same, since no node is active in between.
+		{"lone", false, 1000, []uint64{2000}, [2]uint64{9, 9}},
+		// Ticks 1, 301 (the rest from cycle 1 ends), 500, 501–504, 804 (the
+		// rest from 504 ends) and 1000, and the two scripted events.
+		// Attempt by attempt: 1,000 ticks, 1,000 attempts of 2 events each
+		// and the two scripted events.
+		{"two-links", true, 500, []uint64{1000}, [2]uint64{11, 3002}},
+		// As two-links, plus ticks 400 and 401: the fold from cycle 301
+		// stops at the end of the first step, which the clock reaches at
+		// tick 400, and that rest ends at 401.
+		{"two-links-stepped", true, 500, []uint64{400, 1000}, [2]uint64{13, 3002}},
+	}
+	run := func(t *testing.T, r row, fold bool) (log []string, executed uint64) {
 		s := sim.New(1)
+		clock := NewClock(s)
+		var steady *Link
+		if r.steady {
+			qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
+			a := &steadyGen{decision: attemptDecision(qid, 0.02), clock: s}
+			b := &steadyGen{decision: attemptDecision(qid, 0.02), clock: s}
+			steady = newScriptedLink(s, windowGen{a, 300}, windowGen{b, 300})
+			steady.SetFolding(fold)
+			clock.Add(steady.Node(nv.SideA))
+			clock.Add(steady.Node(nv.SideB))
+		}
 		a := &scriptedGen{name: "a", log: &log}
 		b := &scriptedGen{name: "b", log: &log}
 		l := newScriptedLink(s, a, b)
 		l.SetFolding(fold)
-		clock := NewClock(s)
 		clock.Add(l.Node(nv.SideA))
 		clock.Add(l.Node(nv.SideB))
 		clock.Start()
 		period := l.period
-		sim.Schedule(s, 1000*period+period/2, func() {
+		w := sim.Duration(r.wake)
+		sim.Schedule(s, w*period+period/2, func() {
 			a.busy = true
 			l.Node(nv.SideA).Wake()
 		})
-		sim.Schedule(s, 1003*period+period/3, func() { a.busy = false })
-		_ = s.RunFor(2000*period + period/2)
-		return log, clock.Ticks(), s.Executed()
+		sim.Schedule(s, (w+3)*period+period/3, func() { a.busy = false })
+		for _, step := range r.steps {
+			_ = s.RunUntil(sim.Time(sim.Duration(step)*period + period/2))
+			line := fmt.Sprintf("ticks %d", clock.Ticks())
+			if steady != nil {
+				line += fmt.Sprintf(" attempts %d", steady.Node(nv.SideA).Attempts())
+			}
+			log = append(log, line)
+		}
+		if steady != nil {
+			if _, successes, _, _, _ := steady.Stats(); successes != 0 {
+				t.Fatalf("the steady link heralded %d successes; the row needs failed attempts only", successes)
+			}
+		}
+		return log, s.Executed()
 	}
-	log, ticks, executed := run(true)
-	refLog, refTicks, refExecuted := run(false)
-	want := []string{"a@1001", "a@1002", "a@1003", "a@1004"}
-	if !reflect.DeepEqual(log, want) || !reflect.DeepEqual(refLog, want) {
-		t.Fatalf("poll log %v, attempt by attempt %v, want %v", log, refLog, want)
-	}
-	if ticks != 2000 || refTicks != 2000 {
-		t.Fatalf("clock counted %d cycles, attempt by attempt %d, want 2000", ticks, refTicks)
-	}
-	// Ticks 1, 1000, 1001–1004 and 2000, and the two scripted events.
-	if executed != 9 || refExecuted != 2002 {
-		t.Fatalf("%d events, attempt by attempt %d; want 9 and 2002", executed, refExecuted)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			w := r.wake
+			want := []string{fmt.Sprintf("a@%d", w+1), fmt.Sprintf("a@%d", w+2), fmt.Sprintf("a@%d", w+3), fmt.Sprintf("a@%d", w+4)}
+			for i, step := range r.steps {
+				line := fmt.Sprintf("ticks %d", step)
+				if r.steady {
+					line += fmt.Sprintf(" attempts %d", step)
+				}
+				// A step that ends before the wake comes ahead of the polls.
+				if step <= w {
+					want = slices.Insert(want, i, line)
+				} else {
+					want = append(want, line)
+				}
+			}
+			for i, fold := range []bool{true, false} {
+				log, executed := run(t, r, fold)
+				if !reflect.DeepEqual(log, want) {
+					t.Errorf("fold %v: log %v, want %v", fold, log, want)
+				}
+				if executed != r.executed[i] {
+					t.Errorf("fold %v: %d events, want %d", fold, executed, r.executed[i])
+				}
+			}
+		})
 	}
 }

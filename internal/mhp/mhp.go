@@ -24,11 +24,11 @@
 // the same random draws and the same records, up to the link's own horizon,
 // and the link rests until the first success's cycle. Failed attempts on
 // different links commute, since each link owns its devices, sampler,
-// station and random stream, so other links' events do not stop the run. A
-// clock that drives the network's only link jumps straight to the first
-// success's tick, and while both of that link's nodes are parked it skips
-// the ticks that would poll no one, up to the next event that could wake
-// them. Lossy and QL2020 links run attempt by attempt.
+// station and random stream, so other links' events do not stop the run.
+// Lossy and QL2020 links run attempt by attempt. Whenever no node of a clock
+// is active, because they are parked or their links rest, the clock skips
+// the ticks that would poll no one, up to the first resume cycle or the
+// next event that could wake a node.
 //
 // The package is deliberately stateless on the node side (beyond the pending
 // attempt bookkeeping required to route replies), mirroring the paper's

@@ -258,9 +258,9 @@ func TestSharedClockMatchesPerNodeClocks(t *testing.T) {
 				if got, want := shared.nw.Attempts(), ref.nw.Attempts(); got != want {
 					t.Errorf("%d attempts, per-node clocks made %d", got, want)
 				}
-				// Both count one clock tick per cycle, and the link sends
-				// both GENs of a cycle whichever clock polls its nodes: every
-				// other event must match too.
+				// Neither counts a clock tick (sim.Uncounted), and the link
+				// sends both GENs of a cycle whichever clock polls its nodes:
+				// every other event must match.
 				if got, want := shared.nw.Sim.Executed(), ref.nw.Sim.Executed(); got != want {
 					t.Errorf("%d events, per-node clocks fired %d", got, want)
 				}

@@ -301,9 +301,9 @@ func TestFoldMatchesPerAttempt(t *testing.T) {
 }
 
 // TestFoldEngages pins where the fold pays: a loss-free 2-node Lab MD link
-// like link-sat must run its attempts in under 0.01 events each, and the
-// links of a 3-node chain in under 0.01 events each beside the clock's one
-// tick per cycle, on 1 shard and on 2 with the same event count; a lossy
+// like link-sat must run its attempts in under 0.01 events each, and so must
+// the links of a 3-node chain, on 1 shard and on 2 with the same event
+// count (Executed counts no clock tick); a lossy
 // link and a QL2020 link, which keep the per-attempt path, must fire exactly
 // as many events as with the fold off.
 func TestFoldEngages(t *testing.T) {
@@ -311,7 +311,7 @@ func TestFoldEngages(t *testing.T) {
 	chain3 := chainSpec(3, "", class, "")
 	ql2020 := `{"name": "fold", "topology": {"kind": "chain", "nodes": 2}, "hardware": {"scenario": "QL2020"},
 		"traffic": {"classes": [` + class + `]}}`
-	type count struct{ events, attempts, ticks uint64 }
+	type count struct{ events, attempts uint64 }
 	run := func(t *testing.T, spec string, shards int, fold bool) count {
 		t.Helper()
 		parsed, err := scenario.Parse([]byte(spec), "fold")
@@ -335,20 +335,14 @@ func TestFoldEngages(t *testing.T) {
 			t.Fatal(err)
 		}
 		nw.Run(sim.DurationSeconds(0.2))
-		n := count{events: nw.Sim.Executed(), attempts: nw.Attempts()}
-		if len(nw.Links) > 1 {
-			// A clock of several links fires one tick per cycle.
-			n.ticks = nw.ClockTicks()
-		}
-		return n
+		return count{events: nw.Sim.Executed(), attempts: nw.Attempts()}
 	}
 	for _, tc := range []struct {
 		name   string
 		spec   string
 		shards int
 		// folds: the fold must take the links below 0.01 events per
-		// attempt beside the ticks; otherwise the fold must change no
-		// event count.
+		// attempt; otherwise the fold must change no event count.
 		folds bool
 	}{
 		{"lab", labSpec("", class, ""), 1, true},
@@ -362,10 +356,10 @@ func TestFoldEngages(t *testing.T) {
 			if got.attempts != ref.attempts || got.attempts < 10000 {
 				t.Fatalf("%d attempts, attempt by attempt %d", got.attempts, ref.attempts)
 			}
-			beside := float64(got.events-got.ticks) / float64(got.attempts)
+			perAttempt := float64(got.events) / float64(got.attempts)
 			if tc.folds {
-				if beside >= 0.01 {
-					t.Fatalf("%.4f events per attempt beside %d ticks (%d events, %d attempts), want under 0.01", beside, got.ticks, got.events, got.attempts)
+				if perAttempt >= 0.01 {
+					t.Fatalf("%.4f events per attempt (%d events, %d attempts), want under 0.01", perAttempt, got.events, got.attempts)
 				}
 			} else if got.events != ref.events {
 				t.Fatalf("%d events with the fold on, %d with it off: the fold engaged where it must not", got.events, ref.events)
@@ -375,7 +369,7 @@ func TestFoldEngages(t *testing.T) {
 					t.Fatalf("%+v on %d shards, serial %+v", got, tc.shards, serial)
 				}
 			}
-			t.Logf("%.4f events per attempt beside the ticks, attempt by attempt %.4f", beside, float64(ref.events-ref.ticks)/float64(ref.attempts))
+			t.Logf("%.4f events per attempt, attempt by attempt %.4f", perAttempt, float64(ref.events)/float64(ref.attempts))
 		})
 	}
 }

@@ -359,11 +359,6 @@ func newNetwork(cfg Config, clockPerNode bool) (*Network, error) {
 	for i, e := range cfg.Spec.sortedEdges() {
 		nw.buildLink(LinkID(i), e)
 	}
-	if len(nw.Links) > 1 {
-		for _, c := range nw.clocks {
-			c.Share()
-		}
-	}
 	return nw, nil
 }
 
@@ -538,21 +533,15 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 // before B: the order the nodes are polled in.
 //
 // The network has one cycle clock, run as one tick event per engine shard.
-// Only the first copy's ticks count as executed events; the others are
-// scheduled through sim.Uncounted, so Executed — one clock tick per cycle
-// plus the protocol's own events — is the same at every shard count. The
-// ticks bound no link's horizon (sim.Untracked), so each link folds its
-// failed attempts up to its own next event whatever the partition. On a
-// network of several links every copy is shared (mhp.Clock.Share): a shard
-// whose copy drives one link ticks every cycle as the serial clock does.
+// Each copy skips the cycles that poll no one on its own shard (mhp.Clock),
+// so the copies fire different ticks. Every copy is scheduled through
+// sim.Uncounted: Executed counts the protocol's events only, the same at
+// every shard count. The ticks bound no link's horizon, so each link folds
+// its failed attempts up to its own next event whatever the partition.
 func (nw *Network) joinClock(shard int, eng *sim.Simulator, n *mhp.Node) {
 	c := nw.shardClock[shard]
 	if c == nil || nw.clockPerNode {
-		clockEng := sim.Untracked(eng)
-		if len(nw.clocks) > 0 {
-			clockEng = sim.Uncounted(eng)
-		}
-		c = mhp.NewClock(clockEng)
+		c = mhp.NewClock(sim.Uncounted(eng))
 		nw.clocks = append(nw.clocks, c)
 		nw.shardClock[shard] = c
 	}
@@ -564,8 +553,9 @@ type neverIdle struct{ mhp.Generator }
 
 func (neverIdle) Idle() bool { return false }
 
-// ClockTicks returns how many cycles the network's MHP clock has ticked: the
-// clock events Executed counts, one per cycle at every shard count.
+// ClockTicks returns how many cycles the network's MHP clock has run, the
+// skipped ones included: after a run, every cycle up to its end, at every
+// shard count. Executed counts none of the clock's ticks.
 func (nw *Network) ClockTicks() uint64 {
 	if len(nw.clocks) == 0 {
 		return 0

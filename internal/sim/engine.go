@@ -259,39 +259,27 @@ func (e *rngEngine) down(i int) {
 }
 
 // Untracked returns a view of eng whose events no horizon waits for; time,
-// random stream and Horizon are eng's. An entity schedules through it the
-// events its own horizon query must not stop at: netsim's MHP cycle clock,
-// and a link's GEN, hold and REPLY deliveries, which the fold of failed
-// attempts rules out by itself (mhp.Link.fold). On an engine that is neither
-// a Simulator nor one of its WithRNG views it returns eng.
+// random stream and Horizon are eng's. A netsim link schedules through it its
+// GEN, hold and REPLY deliveries, which the fold of failed attempts rules out
+// by itself (mhp.Link.fold), so the link's horizon need not stop at them. On
+// an engine that is not a WithRNG view of a Simulator it returns eng.
 func Untracked(eng Engine) Engine {
-	switch v := eng.(type) {
-	case *Simulator:
-		return &untrackedEngine{Simulator: v, rng: v.rng}
-	case *rngEngine:
-		if v.s != nil {
-			return &untrackedEngine{Simulator: v.s, rng: v.rng, view: v}
-		}
+	if v, ok := eng.(*rngEngine); ok && v.s != nil {
+		return &untrackedEngine{Simulator: v.s, view: v}
 	}
 	return eng
 }
 
 // untrackedEngine is the Untracked view: the simulator's clock and runs,
-// the view's stream and horizon (the simulator's when view is nil).
+// the view's stream and horizon.
 type untrackedEngine struct {
 	*Simulator
-	rng  *RNG
 	view *rngEngine
 }
 
-func (e *untrackedEngine) RNG() *RNG { return e.rng }
+func (e *untrackedEngine) RNG() *RNG { return e.view.rng }
 
-func (e *untrackedEngine) Horizon() Time {
-	if e.view != nil {
-		return e.view.Horizon()
-	}
-	return e.Simulator.Horizon()
-}
+func (e *untrackedEngine) Horizon() Time { return e.view.Horizon() }
 
 func (e *untrackedEngine) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID {
 	ev := e.schedule(at, fn, arg)
@@ -300,10 +288,11 @@ func (e *untrackedEngine) ScheduleArgAt(at Time, fn ArgHandler, arg any) EventID
 
 // Uncounted returns a view of s whose events run like any other — same
 // queue, same (time, insertion order) — but are not counted by Executed.
-// netsim runs the network's one MHP cycle clock as one tick event per engine
-// shard; scheduling every copy but the first through this view keeps
-// Executed the same at every shard count. Like Untracked's, its events bound
-// no view's horizon.
+// netsim schedules every copy of the network's MHP cycle clock through it:
+// each shard's copy skips the cycles that poll no one on that shard, so the
+// copies fire different ticks, and Executed, which counts none of them, is
+// the same at every shard count. Like Untracked's, its events bound no
+// view's horizon.
 func Uncounted(s *Simulator) Engine { return uncountedEngine{s} }
 
 type uncountedEngine struct{ *Simulator }

@@ -247,7 +247,7 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) RNG() *RNG { return s.rng }
 
 // Executed reports how many events have fired so far, not counting events
-// scheduled through an Uncounted view.
+// scheduled through an Uncounted view (netsim's MHP clock ticks).
 func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Pending reports how many events are scheduled and not yet fired (including
