@@ -93,7 +93,6 @@ type Config struct {
 	Platform *nv.Platform
 	Device   *nv.Device
 	Sampler  *photonics.LinkSampler
-	Registry *mhp.PairRegistry
 	Side     nv.PairSide
 
 	Scheduler Scheduler
@@ -187,7 +186,7 @@ type EGP struct {
 
 // New constructs an EGP instance.
 func New(cfg Config) *EGP {
-	if cfg.Sim == nil || cfg.Platform == nil || cfg.Device == nil || cfg.Sampler == nil || cfg.Registry == nil || cfg.ToPeer == nil {
+	if cfg.Sim == nil || cfg.Platform == nil || cfg.Device == nil || cfg.Sampler == nil || cfg.ToPeer == nil {
 		panic("egp: incomplete configuration")
 	}
 	// ToPeer is an interface; a nil *classical.Channel inside it would slip
@@ -956,17 +955,6 @@ func (e *EGP) handleExpireAck(raw []byte) {
 	if seqAfter(frame.ExpectedSeq, e.expectedSeq) {
 		e.expectedSeq = frame.ExpectedSeq
 	}
-}
-
-// AdvertiseMemory sends the peer a REQ(E) with this node's free qubit
-// counts (Section E.3, memory advertisement).
-func (e *EGP) AdvertiseMemory() {
-	comm := 0
-	if e.qmm.CommAvailable() {
-		comm = 1
-	}
-	frame := wire.MemoryFrame{CommQubits: uint8(comm), StorageQubits: uint8(e.qmm.StorageAvailable())}
-	e.cfg.ToPeer.Send(frame.Encode())
 }
 
 // handleMemory stores the peer's advertised resources and acknowledges

@@ -21,7 +21,6 @@ type egpFixture struct {
 	s          *sim.Simulator
 	egp        *EGP
 	device     *nv.Device
-	registry   *mhp.PairRegistry
 	sentToPeer [][]byte
 	oks        []OKEvent
 	errs       []ErrorEvent
@@ -33,7 +32,6 @@ func newEGPFixture(t *testing.T, keepMultiplex bool) *egpFixture {
 	f := &egpFixture{s: sim.New(5)}
 	platform := nv.LabPlatform()
 	f.device = nv.NewDevice("A", platform.Gates, platform.CarbonCoupling, platform.MemoryQubits)
-	f.registry = mhp.NewPairRegistry()
 	sampler := photonics.NewLinkSampler(platform.Optics)
 	// The peer channel records sent frames without delivering them anywhere.
 	toPeer := classical.NewChannel("a->b", f.s, 10*sim.Microsecond, 0, func(classical.Message) {})
@@ -46,7 +44,6 @@ func newEGPFixture(t *testing.T, keepMultiplex bool) *egpFixture {
 		Platform:             platform,
 		Device:               f.device,
 		Sampler:              sampler,
-		Registry:             f.registry,
 		Side:                 nv.SideA,
 		Scheduler:            NewFCFS(),
 		ToPeer:               toPeer,
@@ -67,10 +64,9 @@ func (f *egpFixture) confirmAll() {
 	}
 }
 
-func (f *egpFixture) registerPair(seq uint16, bell quantum.BellState) *nv.EntangledPair {
-	pair := nv.NewEntangledPair(quantum.NewBellState(bell), bell, f.s.Now())
-	f.registry.Put(seq, pair)
-	return pair
+// newPair is a pair heralded as bell now, as a success REPLY carries it.
+func (f *egpFixture) newPair(bell quantum.BellState) *nv.EntangledPair {
+	return nv.NewEntangledPair(quantum.NewBellState(bell), bell, f.s.Now())
 }
 
 func TestCreateAcceptsAndQueues(t *testing.T) {
@@ -164,7 +160,7 @@ func TestKeepSuccessDeliversOK(t *testing.T) {
 	if !d.Attempt {
 		t.Fatal("expected attempt")
 	}
-	pair := f.registerPair(1, quantum.PsiPlus)
+	pair := f.newPair(quantum.PsiPlus)
 	f.egp.HandleResult(mhp.Result{
 		Outcome: wire.OutcomeStateOne, MHPSeq: 1, QueueID: item.ID,
 		Keep: true, StorageQubit: d.StorageQubit, Alpha: d.Alpha, Pair: pair,
@@ -193,7 +189,7 @@ func TestPsiMinusCorrectionAtOrigin(t *testing.T) {
 	f.confirmAll()
 	item := f.egp.Queue().AllItems()[0]
 	d := f.egp.PollTrigger(item.ScheduleCycle + 50)
-	pair := f.registerPair(1, quantum.PsiMinus)
+	pair := f.newPair(quantum.PsiMinus)
 	f.egp.HandleResult(mhp.Result{
 		Outcome: wire.OutcomeStateTwo, MHPSeq: 1, QueueID: item.ID,
 		Keep: true, StorageQubit: d.StorageQubit, Alpha: d.Alpha, Pair: pair,
@@ -215,7 +211,7 @@ func TestMeasureSuccessDeliversOutcome(t *testing.T) {
 	if !d.Attempt || d.Keep {
 		t.Fatalf("expected an M attempt, got %+v", d)
 	}
-	pair := f.registerPair(1, quantum.PsiPlus)
+	pair := f.newPair(quantum.PsiPlus)
 	f.egp.HandleResult(mhp.Result{
 		Outcome: wire.OutcomeStateOne, MHPSeq: 1, QueueID: item.ID,
 		Keep: false, MeasureBasis: d.MeasureBasis, Alpha: d.Alpha, Pair: pair,
@@ -274,7 +270,7 @@ func TestSequenceGapTriggersExpire(t *testing.T) {
 	item := f.egp.Queue().AllItems()[0]
 	d := f.egp.PollTrigger(item.ScheduleCycle + 1)
 	// The midpoint's sequence number jumps to 3: replies 1 and 2 were lost.
-	pair := f.registerPair(3, quantum.PsiPlus)
+	pair := f.newPair(quantum.PsiPlus)
 	f.egp.HandleResult(mhp.Result{
 		Outcome: wire.OutcomeStateOne, MHPSeq: 3, QueueID: item.ID,
 		Keep: false, MeasureBasis: d.MeasureBasis, Alpha: d.Alpha, Pair: pair,
@@ -301,7 +297,7 @@ func TestStaleSequenceIgnored(t *testing.T) {
 	f.confirmAll()
 	item := f.egp.Queue().AllItems()[0]
 	d := f.egp.PollTrigger(item.ScheduleCycle + 1)
-	pair := f.registerPair(1, quantum.PsiPlus)
+	pair := f.newPair(quantum.PsiPlus)
 	f.egp.HandleResult(mhp.Result{Outcome: wire.OutcomeStateOne, MHPSeq: 1, QueueID: item.ID, Keep: false, MeasureBasis: d.MeasureBasis, Alpha: d.Alpha, Pair: pair})
 	oksBefore := len(f.oks)
 	// A duplicate/stale reply with the same sequence number must be ignored.

@@ -87,7 +87,6 @@ type DistributedQueue struct {
 	toPeer   classical.Port
 
 	maxLen int
-	window int
 
 	queues  [NumQueues][]*QueueItem
 	nextSeq [NumQueues]uint16
@@ -105,10 +104,6 @@ type DistributedQueue struct {
 	// seenAdds remembers already-processed peer CSEQs so retransmissions are
 	// acknowledged idempotently; it maps peer CSEQ to the assigned queue ID.
 	seenAdds map[uint8]wire.AbsoluteQueueID
-
-	// consecutiveLocal counts how many items in a row were enqueued by this
-	// node; used with the fairness window.
-	consecutiveLocal int
 
 	// Callbacks.
 	onConfirmed func(*QueueItem)
@@ -141,7 +136,6 @@ type QueueConfig struct {
 	Sim             sim.Engine
 	ToPeer          classical.Port
 	MaxLen          int // maximum items per priority lane (256 in the paper)
-	Window          int // fairness window W (maximum consecutive local enqueues)
 	RetransmitDelay sim.Duration
 	MaxRetries      int
 	OnConfirmed     func(*QueueItem)
@@ -156,9 +150,6 @@ func NewDistributedQueue(cfg QueueConfig) *DistributedQueue {
 	if cfg.MaxLen <= 0 {
 		cfg.MaxLen = 256
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = 8
-	}
 	if cfg.RetransmitDelay <= 0 {
 		cfg.RetransmitDelay = 10 * sim.Millisecond
 	}
@@ -171,7 +162,6 @@ func NewDistributedQueue(cfg QueueConfig) *DistributedQueue {
 		simul:           cfg.Sim,
 		toPeer:          cfg.ToPeer,
 		maxLen:          cfg.MaxLen,
-		window:          cfg.Window,
 		pendingAdds:     make(map[uint8]*pendingAdd),
 		seenAdds:        make(map[uint8]wire.AbsoluteQueueID),
 		onConfirmed:     cfg.OnConfirmed,
@@ -294,7 +284,6 @@ func (q *DistributedQueue) Add(item *QueueItem) error {
 			q.stampFunc(item)
 		}
 		q.push(priority, item)
-		q.consecutiveLocal++
 	}
 	pa := &pendingAdd{item: item}
 	q.pendingAdds[cseq] = pa
@@ -437,7 +426,6 @@ func (q *DistributedQueue) handleAdd(frame wire.DQPFrame) {
 		if q.stampFunc != nil {
 			q.stampFunc(item)
 		}
-		q.consecutiveLocal = 0
 	} else {
 		// The slave adopts the master's assignment.
 		item.ID = frame.QueueID
@@ -547,7 +535,3 @@ func (q *DistributedQueue) sortLane(priority int) {
 func (q *DistributedQueue) Stats() (adds, acks, rejects, retransmits uint64) {
 	return q.addsSent, q.acksSent, q.rejectsSent, q.retransmissions
 }
-
-// WindowExceeded reports whether this node has enqueued more than the
-// fairness window of consecutive items without the peer enqueuing any.
-func (q *DistributedQueue) WindowExceeded() bool { return q.consecutiveLocal > q.window }

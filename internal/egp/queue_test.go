@@ -16,7 +16,7 @@ type queuePair struct {
 	slave  *DistributedQueue
 }
 
-func newQueuePair(t *testing.T, loss float64, window int) *queuePair {
+func newQueuePair(t *testing.T, loss float64) *queuePair {
 	t.Helper()
 	s := sim.New(3)
 	qp := &queuePair{s: s}
@@ -28,11 +28,11 @@ func newQueuePair(t *testing.T, loss float64, window int) *queuePair {
 		qp.master.HandleMessage(m)
 	})
 	qp.master = NewDistributedQueue(QueueConfig{
-		NodeName: "A", IsMaster: true, Sim: s, ToPeer: toSlave, MaxLen: 8, Window: window,
+		NodeName: "A", IsMaster: true, Sim: s, ToPeer: toSlave, MaxLen: 8,
 		RetransmitDelay: 1 * sim.Millisecond, MaxRetries: 5,
 	})
 	qp.slave = NewDistributedQueue(QueueConfig{
-		NodeName: "B", IsMaster: false, Sim: s, ToPeer: toMaster, MaxLen: 8, Window: window,
+		NodeName: "B", IsMaster: false, Sim: s, ToPeer: toMaster, MaxLen: 8,
 		RetransmitDelay: 1 * sim.Millisecond, MaxRetries: 5,
 	})
 	return qp
@@ -49,7 +49,7 @@ func newItem(priority uint8, createID uint16) *QueueItem {
 }
 
 func TestMasterAddPropagatesToSlave(t *testing.T) {
-	qp := newQueuePair(t, 0, 4)
+	qp := newQueuePair(t, 0)
 	item := newItem(PriorityMD, 1)
 	sim.Schedule(qp.s, 0, func() {
 		if err := qp.master.Add(item); err != nil {
@@ -74,7 +74,7 @@ func TestMasterAddPropagatesToSlave(t *testing.T) {
 }
 
 func TestSlaveAddGetsMasterAssignedSequence(t *testing.T) {
-	qp := newQueuePair(t, 0, 4)
+	qp := newQueuePair(t, 0)
 	// Master enqueues one item first so the next sequence number is 1.
 	first := newItem(PriorityMD, 1)
 	slaveItem := newItem(PriorityMD, 2)
@@ -100,7 +100,7 @@ func TestSlaveAddGetsMasterAssignedSequence(t *testing.T) {
 
 func TestQueueSurvivesFrameLoss(t *testing.T) {
 	// With 30% frame loss the retransmission machinery must still converge.
-	qp := newQueuePair(t, 0.3, 4)
+	qp := newQueuePair(t, 0.3)
 	items := make([]*QueueItem, 6)
 	sim.Schedule(qp.s, 0, func() {
 		for i := range items {
@@ -127,7 +127,7 @@ func TestQueueSurvivesFrameLoss(t *testing.T) {
 }
 
 func TestQueueRejectionByPolicy(t *testing.T) {
-	qp := newQueuePair(t, 0, 4)
+	qp := newQueuePair(t, 0)
 	// The slave only accepts purpose ID 42.
 	qp.slave.SetAcceptPolicy(func(f wire.DQPFrame) bool { return f.PurposeID == 42 })
 	rejected := false
@@ -157,7 +157,7 @@ func TestQueueRejectionByPolicy(t *testing.T) {
 }
 
 func TestQueueFullRejectsLocally(t *testing.T) {
-	qp := newQueuePair(t, 0, 4)
+	qp := newQueuePair(t, 0)
 	sim.Schedule(qp.s, 0, func() {
 		for i := 0; i < 8; i++ {
 			if err := qp.master.Add(newItem(PriorityMD, uint16(i))); err != nil {
@@ -175,7 +175,7 @@ func TestQueueFullRejectsLocally(t *testing.T) {
 }
 
 func TestQueueRemoveAndFind(t *testing.T) {
-	qp := newQueuePair(t, 0, 4)
+	qp := newQueuePair(t, 0)
 	item := newItem(PriorityCK, 5)
 	sim.Schedule(qp.s, 0, func() { _ = qp.master.Add(item) })
 	_ = qp.s.RunFor(10 * sim.Millisecond)
@@ -219,7 +219,7 @@ func TestQueueItemReadiness(t *testing.T) {
 func TestQueueAddGivesUpWithoutPeer(t *testing.T) {
 	// A master whose ADDs are all lost must eventually report ERR_NOTIME and
 	// clean up its local copy.
-	qp := newQueuePair(t, 1.0, 4)
+	qp := newQueuePair(t, 1.0)
 	var failedCode wire.EGPError
 	qp.master.onRejected = func(item *QueueItem, code wire.EGPError) { failedCode = code }
 	item := newItem(PriorityMD, 1)
@@ -234,7 +234,7 @@ func TestQueueAddGivesUpWithoutPeer(t *testing.T) {
 }
 
 func TestInvalidPriorityRejected(t *testing.T) {
-	qp := newQueuePair(t, 0, 4)
+	qp := newQueuePair(t, 0)
 	item := newItem(0, 1)
 	item.Priority = 9
 	if err := qp.master.Add(item); err == nil {

@@ -9,7 +9,7 @@ import (
 // schedulerQueue builds a local-only queue pre-populated with confirmed
 // items, bypassing the DQP handshake.
 func schedulerQueue(items ...*QueueItem) *DistributedQueue {
-	q := &DistributedQueue{maxLen: 256, window: 8}
+	q := &DistributedQueue{maxLen: 256}
 	for i, it := range items {
 		if it.ID == (wire.AbsoluteQueueID{}) {
 			it.ID = wire.AbsoluteQueueID{QueueID: it.Priority, QueueSeq: q.nextSeq[it.Priority]}

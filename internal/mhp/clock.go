@@ -164,7 +164,7 @@ func (c *Clock) tick(now sim.Time, _ any) {
 		}
 		c.polls++
 		n.runCycle(c.cycle)
-		if len(n.pending) == 0 && n.gen.Idle() {
+		if n.pending.len() == 0 && n.gen.Idle() {
 			n.parked, n.parkedAt = true, c.cycle
 			c.active = slices.Delete(c.active, c.pos, c.pos+1)
 		} else {

@@ -43,7 +43,7 @@ func (g *scriptedGen) Absorb(uint64, uint64, PollDecision)  {}
 func newScriptedLink(s *sim.Simulator, a, b Generator) *Link {
 	platform := nv.LabPlatform()
 	return NewLink(LinkConfig{
-		Sim: s, Sampler: photonics.NewLinkSampler(platform.Optics), Registry: NewPairRegistry(),
+		Sim: s, Sampler: photonics.NewLinkSampler(platform.Optics),
 		Generators: [2]Generator{a, b},
 		Devices: [2]*nv.Device{
 			nv.NewDevice("A", platform.Gates, platform.CarbonCoupling, 1),

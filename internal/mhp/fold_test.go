@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/nv"
-	"repro/internal/quantum"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -33,14 +32,12 @@ func (g *steadyGen) Steady(uint64) (PollDecision, uint64) { return g.decision, 1
 
 func (g *steadyGen) Absorb(_, failed uint64, _ PollDecision) { g.absorbed += failed }
 
-// TestFoldSweepsRegistry runs one link with steady generators for 3,000
-// cycles, folded and attempt by attempt, with a registry holding pairs far
-// behind its newest sequence number: the maintenance passes at cycles 1024
-// and 2048 fall inside folded runs, and must evict exactly what the
-// per-attempt sweeps do. Every result, the station's and sampler's counts
-// and the clock's cycles and polls must match too, with the failures the
-// fold absorbed counting as the failure results they stand for.
-func TestFoldSweepsRegistry(t *testing.T) {
+// TestFoldCrossesMaintenancePasses runs one link with steady generators for
+// 3,000 cycles, folded and attempt by attempt: the maintenance passes at
+// cycles 1024 and 2048 fall inside folded runs. Every result, the station's
+// and sampler's counts and the clock's cycles and polls must match, with the
+// failures the fold absorbed counting as the failure results they stand for.
+func TestFoldCrossesMaintenancePasses(t *testing.T) {
 	run := func(fold bool) (log []string, h *harness) {
 		h = newHarness(t, 0)
 		h.link.SetFolding(fold)
@@ -48,9 +45,6 @@ func TestFoldSweepsRegistry(t *testing.T) {
 		a := &steadyGen{decision: attemptDecision(qid, 0.5), clock: h.s}
 		b := &steadyGen{decision: attemptDecision(qid, 0.5), clock: h.s}
 		h.link.nodes[nv.SideA].gen, h.link.nodes[nv.SideB].gen = a, b
-		for _, seq := range []uint16{1, 2, 40000} {
-			h.registry.Put(seq, nv.NewEntangledPair(quantum.NewBellState(quantum.PsiPlus), quantum.PsiPlus, 0))
-		}
 		stop := h.start()
 		_ = h.s.RunFor(3000 * sim.DurationMicroseconds(10.12))
 		stop()
@@ -66,17 +60,14 @@ func TestFoldSweepsRegistry(t *testing.T) {
 			log = append(log, fmt.Sprintf("failures %d", failures))
 		}
 		matched, successes, _, _, _ := h.link.Stats()
-		log = append(log, fmt.Sprintf("matched %d successes %d sampled %d evicted %d registry %d ticks %d polls %d",
-			matched, successes, h.link.sampler.Attempts(), h.registry.Evicted(), h.registry.Len(), h.clock.Ticks(), h.clock.Polls()))
+		log = append(log, fmt.Sprintf("matched %d successes %d sampled %d ticks %d polls %d",
+			matched, successes, h.link.sampler.Attempts(), h.clock.Ticks(), h.clock.Polls()))
 		return log, h
 	}
 	got, folded := run(true)
 	want, ref := run(false)
 	if folded.s.Executed() >= ref.s.Executed() {
 		t.Fatalf("%d events folded, %d attempt by attempt: the fold never engaged", folded.s.Executed(), ref.s.Executed())
-	}
-	if ref.registry.Evicted() == 0 {
-		t.Fatal("the per-attempt run evicted nothing; the test needs stale pairs")
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d log lines, attempt by attempt %d\nfolded:      %q\nper attempt: %q", len(got), len(want), got, want)

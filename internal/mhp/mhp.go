@@ -5,7 +5,9 @@
 // measurement and answers both nodes with a REPLY, which each node forwards
 // upwards. One Link owns that whole exchange: both nodes' per-cycle
 // decisions, the four fibres between them and the station, and the station
-// itself.
+// itself. The REPLY of a heralded success carries the pair beside its frame
+// bytes, standing in for the qubits already at the nodes, as a GEN carries
+// its photon's emission parameters.
 //
 // The cycle is kept by one Clock per engine, which polls the nodes that have
 // work. A node polls only while its link layer has something queued or
@@ -78,8 +80,8 @@ type Result struct {
 	MeasureBasis quantum.BasisLabel
 	StorageQubit nv.QubitID
 	Alpha        float64
-	// Pair is this node's view of the freshly generated entangled pair when
-	// Outcome.Success() is true (claimed from the shared pair registry).
+	// Pair is the freshly generated entangled pair when Outcome.Success() is
+	// true, carried by the REPLY (both nodes' results hold the same pair).
 	Pair *nv.EntangledPair
 	// AttemptCycle is the MHP cycle in which the attempt was triggered.
 	AttemptCycle uint64
@@ -108,81 +110,6 @@ type Generator interface {
 	// generator as those polls and failure results would.
 	Absorb(cycle, failed uint64, d PollDecision)
 }
-
-// PairRegistry shares freshly generated entangled pairs between the midpoint
-// (which creates them) and the two nodes' link layers (which claim their
-// side upon receiving the REPLY). It stands in for "the qubit is already
-// physically at the node" — only classical information travels in REPLY.
-type PairRegistry struct {
-	pairs map[uint16]*nv.EntangledPair
-	// newest is the most recently assigned sequence number; Sweep measures
-	// staleness against it in circular uint16 distance.
-	newest    uint16
-	hasNewest bool
-	evicted   uint64
-}
-
-// Registry eviction parameters: a sweep runs whenever the registry exceeds
-// the high-water mark, and unconditionally from the link's maintenance
-// pass; entries lagging the newest sequence number by more than the lag are
-// dropped. The lag comfortably exceeds the deepest reply pipeline (the EGP
-// caps outstanding multiplexed attempts at 64).
-const (
-	registryHighWater = 2048
-	registryMaxLag    = 1024
-)
-
-// NewPairRegistry creates an empty registry.
-func NewPairRegistry() *PairRegistry {
-	return &PairRegistry{pairs: make(map[uint16]*nv.EntangledPair)}
-}
-
-// Put stores the pair generated for the given midpoint sequence number. The
-// registry keeps a bounded history: once it exceeds the high-water mark,
-// entries far behind the newest sequence number are swept out, since both
-// nodes have long since processed (or expired) them.
-func (r *PairRegistry) Put(seq uint16, pair *nv.EntangledPair) {
-	r.pairs[seq] = pair
-	r.newest = seq
-	r.hasNewest = true
-	if len(r.pairs) > registryHighWater {
-		r.Sweep(registryMaxLag)
-	}
-}
-
-// Sweep evicts entries whose sequence number lags the newest assigned
-// sequence by more than maxLag in circular uint16 distance, returning how
-// many were dropped. Without it the registry would retain pairs forever when
-// REPLY frames are lost (the nodes never claim them), so the link calls
-// Sweep from the same periodic maintenance pass that drops stale pending
-// attempts.
-func (r *PairRegistry) Sweep(maxLag uint16) int {
-	if !r.hasNewest {
-		return 0
-	}
-	evicted := 0
-	for s := range r.pairs {
-		if r.newest-s > maxLag { // circular distance behind newest
-			delete(r.pairs, s)
-			evicted++
-		}
-	}
-	r.evicted += uint64(evicted)
-	return evicted
-}
-
-// Evicted returns how many entries sweeps have dropped so far.
-func (r *PairRegistry) Evicted() uint64 { return r.evicted }
-
-// Get returns the pair for a midpoint sequence number, or nil.
-func (r *PairRegistry) Get(seq uint16) *nv.EntangledPair { return r.pairs[seq] }
-
-// Forget drops a pair from the registry once both sides have claimed it (or
-// it expired).
-func (r *PairRegistry) Forget(seq uint16) { delete(r.pairs, seq) }
-
-// Len returns how many pairs are registered.
-func (r *PairRegistry) Len() int { return len(r.pairs) }
 
 // Fibre names one of a link's four one-way fibres: the GEN fibres from each
 // node to the heralding station and the REPLY fibres back, each pair in
@@ -225,11 +152,14 @@ type genPayload struct {
 }
 
 // replyPayload is a REPLY on its way to the node on side, which returns it
-// to the free list as soon as it has decoded it.
+// to the free list as soon as it has decoded it. pair is the heralded pair of
+// a success, nil otherwise; the node takes it out before returning the
+// payload, so an idle payload keeps no pair alive.
 type replyPayload struct {
 	frame [wire.REPLYFrameLen]byte
 	size  uint8
 	side  nv.PairSide
+	pair  *nv.EntangledPair
 	// rider is the other node's REPLY when it arrives at the same instant:
 	// this REPLY's delivery event delivers it right after.
 	rider *replyPayload
@@ -252,10 +182,9 @@ func (l *freeList[T]) put(p *T) { *l = append(*l, p) }
 // Link is one link's MHP: the two nodes' attempt loop, the four fibres and
 // the heralding station. Everything it does runs on the link's own engine.
 type Link struct {
-	eng      sim.Engine
-	sampler  *photonics.LinkSampler
-	registry *PairRegistry
-	nodes    [2]Node
+	eng     sim.Engine
+	sampler *photonics.LinkSampler
+	nodes   [2]Node
 
 	// period is the MHP cycle (LinkConfig.CycleTime); the EGP's scheduler
 	// is responsible for not triggering K attempts faster than the hardware
@@ -293,9 +222,6 @@ type Link struct {
 	flight  [2]*genPayload
 	gens    freeList[genPayload]
 	replies freeList[replyPayload]
-	// swept is the cycle of the latest registry sweep, so the maintenance
-	// pass sweeps once per cycle however many of the link's nodes poll.
-	swept uint64
 
 	// Statistics.
 	matched       uint64
@@ -322,7 +248,6 @@ type Link struct {
 type LinkConfig struct {
 	Sim        sim.Engine
 	Sampler    *photonics.LinkSampler
-	Registry   *PairRegistry
 	Generators [2]Generator
 	Devices    [2]*nv.Device
 	// Arms are each node's one-way delay to the station, used both ways.
@@ -346,13 +271,12 @@ type LinkConfig struct {
 // NewLink builds a link's MHP. Its nodes are named "A" and "B" and join no
 // clock until one adds them.
 func NewLink(cfg LinkConfig) *Link {
-	if cfg.Sim == nil || cfg.Sampler == nil || cfg.Registry == nil || cfg.CycleTime <= 0 || cfg.HoldTime <= 0 {
+	if cfg.Sim == nil || cfg.Sampler == nil || cfg.CycleTime <= 0 || cfg.HoldTime <= 0 {
 		panic("mhp: incomplete link configuration")
 	}
 	l := &Link{
 		eng:      cfg.Sim,
 		sampler:  cfg.Sampler,
-		registry: cfg.Registry,
 		period:   cfg.CycleTime,
 		arm:      cfg.Arms,
 		holdTime: cfg.HoldTime,
@@ -439,16 +363,17 @@ func (l *Link) SetFolding(on bool) { l.perAttempt = !on }
 // whose draws the sampler holds for the real herald: that cycle and
 // everything after it run as usual. Of the failed cycles it applies in bulk
 // all that their events would have done: counters, the generators' polls
-// and results, the registry sweep, the carbon dephasing, and with tracing on
-// the attempt, herald and REPLY records at their times. Every random draw,
-// record and counter is therefore the same as attempt by attempt; only the
-// records' place in a ring shared with other links differs.
+// and results, the nodes' polled cycles, the carbon dephasing, and with
+// tracing on the attempt, herald and REPLY records at their times. Every
+// random draw, record and counter is therefore the same as attempt by
+// attempt; only the records' place in a ring shared with other links
+// differs.
 func (l *Link) fold(now sim.Time, cycle uint64) uint64 {
 	a, b := &l.nodes[nv.SideA], &l.nodes[nv.SideB]
 	arm := l.arm[nv.SideA]
 	if l.perAttempt || arm != l.arm[nv.SideB] || 2*arm >= l.period || l.loss != [4]float64{} ||
 		a.paused || b.paused || a.rateDivisor > 1 || b.rateDivisor > 1 ||
-		len(a.pending) > 0 || len(b.pending) > 0 || l.due > 0 ||
+		a.pending.len() > 0 || b.pending.len() > 0 || l.due > 0 ||
 		len(l.waiting[nv.SideA]) > 0 || len(l.waiting[nv.SideB]) > 0 || l.sampler.Held() {
 		return 0
 	}
@@ -478,12 +403,6 @@ func (l *Link) fold(now sim.Time, cycle uint64) uint64 {
 	for side := range l.nodes {
 		l.nodes[side].attemptCount += n
 		l.nodes[side].polled = last
-	}
-	// The maintenance pass: nothing enters the registry during the run, so
-	// its sweeps after the first evict nothing.
-	if m := last - last%1024; m >= cycle {
-		l.swept = m
-		l.registry.Sweep(registryMaxLag)
 	}
 	// Dephasing acts only on pairs in a carbon: when the first folded
 	// attempt finds none at either node, the rest find none either.
@@ -604,7 +523,7 @@ func (l *Link) receiveGEN(payload *genPayload) {
 		if l.trace != nil { // the clock is read only for a record
 			l.trace.Record(l.eng.Now(), obs.KindHeraldDrop, l.traceID, 2, int64(payload.cycle))
 		}
-		l.sendReplies(payload.side, wire.ErrQueueMismatch, 0, genSelf.QueueID, genPeer.QueueID)
+		l.sendReplies(payload.side, wire.ErrQueueMismatch, 0, genSelf.QueueID, genPeer.QueueID, nil)
 		return
 	}
 	l.matched++
@@ -626,6 +545,7 @@ func (l *Link) receiveGEN(payload *genPayload) {
 		outcome = wire.OutcomeStateTwo
 	}
 	var seq uint16
+	var pair *nv.EntangledPair
 	if outcome.Success() {
 		l.seq++
 		seq = l.seq
@@ -634,11 +554,10 @@ func (l *Link) receiveGEN(payload *genPayload) {
 		if outcome == wire.OutcomeStateTwo {
 			heralded = quantum.PsiMinus
 		}
-		pair := nv.NewEntangledPair(res.State, heralded, l.eng.Now())
+		pair = nv.NewEntangledPair(res.State, heralded, l.eng.Now())
 		if l.depolarize > 0 {
 			pair.State.ApplyDepolarizing(0, l.depolarize)
 		}
-		l.registry.Put(seq, pair)
 		if l.metrics != nil {
 			l.metrics.Successes.Inc()
 		}
@@ -650,7 +569,7 @@ func (l *Link) receiveGEN(payload *genPayload) {
 	// Send REPLY to both nodes, A first.
 	var queue [2]wire.AbsoluteQueueID
 	queue[payload.side], queue[peer.side] = genSelf.QueueID, genPeer.QueueID
-	l.sendReplies(nv.SideA, outcome, seq, queue[nv.SideA], queue[nv.SideB])
+	l.sendReplies(nv.SideA, outcome, seq, queue[nv.SideA], queue[nv.SideB], pair)
 }
 
 // holdExpired is the hold event of one held GEN. If the GEN is still waiting,
@@ -670,7 +589,7 @@ func (l *Link) holdExpired(now sim.Time, arg any) {
 			l.noOther++
 		}
 		l.trace.Record(now, obs.KindHeraldDrop, l.traceID, drop, int64(payload.cycle))
-		l.post(l.reply(payload.side, outcome, 0, gen.QueueID, wire.AbsoluteQueueID{}))
+		l.post(l.reply(payload.side, outcome, 0, gen.QueueID, wire.AbsoluteQueueID{}, nil))
 	}
 	l.gens.put(payload)
 }
@@ -702,22 +621,24 @@ func indexCycle(w []*genPayload, cycle uint64) int {
 
 // reply draws the loss of a REPLY to the node on side and, if its fibre
 // carries it, builds the pooled frame echoing the receiver's queue ID (own)
-// and its peer's; nil when the fibre drops it.
-func (l *Link) reply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID) *replyPayload {
+// and its peer's, carrying pair (nil but for a success); nil when the fibre
+// drops it.
+func (l *Link) reply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID, pair *nv.EntangledPair) *replyPayload {
 	if l.lost(FibreHA + Fibre(side)) {
 		return nil
 	}
 	p := l.replies.get()
-	*p = replyPayload{size: wire.REPLYFrameLen, side: side}
+	*p = replyPayload{size: wire.REPLYFrameLen, side: side, pair: pair}
 	wire.REPLYFrame{Outcome: outcome, MHPSeq: seq, QueueID: own, PeerQueue: peer}.Put(&p.frame)
 	return p
 }
 
-// sendReplies sends the REPLY pair of a matched attempt: first to the node on
-// side first, whose queue ID is q, then to its peer, whose queue ID is peerQ.
-// Over arms of equal delay the second rides the first's delivery event.
-func (l *Link) sendReplies(first nv.PairSide, outcome wire.MHPOutcome, seq uint16, q, peerQ wire.AbsoluteQueueID) {
-	p, peer := l.reply(first, outcome, seq, q, peerQ), l.reply(1-first, outcome, seq, peerQ, q)
+// sendReplies sends the REPLY pair of a matched attempt, both carrying pair:
+// first to the node on side first, whose queue ID is q, then to its peer,
+// whose queue ID is peerQ. Over arms of equal delay the second rides the
+// first's delivery event.
+func (l *Link) sendReplies(first nv.PairSide, outcome wire.MHPOutcome, seq uint16, q, peerQ wire.AbsoluteQueueID, pair *nv.EntangledPair) {
+	p, peer := l.reply(first, outcome, seq, q, peerQ, pair), l.reply(1-first, outcome, seq, peerQ, q, pair)
 	if p != nil && peer != nil && l.arm[nv.SideA] == l.arm[nv.SideB] {
 		p.rider, peer = peer, nil
 	}
@@ -755,7 +676,7 @@ type Node struct {
 	gen    Generator
 	device *nv.Device
 
-	pending      []pendingAttempt // attempts awaiting a REPLY, oldest first
+	pending      pendingList // attempts awaiting a REPLY, oldest first
 	attemptCount uint64
 
 	// clock polls the node; slot is its registration index there. A parked
@@ -769,8 +690,8 @@ type Node struct {
 	polled   uint64
 
 	// paused stops attempt generation (the link-admin Down state): the cycle
-	// clock keeps ticking and maintenance sweeps keep running while the node
-	// is active, but the generator is no longer polled. rateDivisor, when >1,
+	// clock keeps ticking and the maintenance pass keeps running while the
+	// node is active, but the generator is no longer polled. rateDivisor, when >1,
 	// throttles a Degraded link to polling only every Nth cycle. Both cost
 	// one branch per cycle when inactive, keeping fault plumbing zero-cost
 	// when off.
@@ -778,15 +699,61 @@ type Node struct {
 	rateDivisor uint64
 }
 
-// pendingAttempt is an attempt awaiting its REPLY. A node's cycles only
-// grow, so appending keeps the pending slice in cycle order. The slice keeps
-// the capacity it grows to: one attempt on a loss-free link; under classical
-// loss, the attempts whose REPLY never came until the maintenance pass drops
-// them 4,096 to 5,120 cycles later.
+// pendingAttempt is an attempt awaiting its REPLY. It holds no pointer, so
+// a slot a removal vacates needs no clearing.
 type pendingAttempt struct {
 	cycle    uint64
 	decision PollDecision
 }
+
+// pendingList is a node's attempts awaiting a REPLY, oldest first: a node's
+// cycles only grow, so appending keeps it in cycle order. The live attempts
+// are buf[head:], so removing the oldest only advances head; an append that
+// finds buf full moves them back to the start of its array before it grows
+// it. The array keeps the size it grows to: one attempt on a loss-free link;
+// under classical loss, the attempts whose REPLY never came until the
+// maintenance pass drops them 4,096 to 5,120 cycles later.
+type pendingList struct {
+	buf  []pendingAttempt
+	head int
+}
+
+func (q *pendingList) live() []pendingAttempt { return q.buf[q.head:] }
+
+func (q *pendingList) len() int { return len(q.buf) - q.head }
+
+func (q *pendingList) push(p pendingAttempt) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
+	q.buf = append(q.buf, p)
+}
+
+// remove deletes the i-th oldest attempt, moving the shorter side of it.
+func (q *pendingList) remove(i int) {
+	live := q.live()
+	if i < len(live)-1-i {
+		copy(live[1:i+1], live[:i])
+		q.head++
+	} else {
+		copy(live[i:], live[i+1:])
+		q.buf = q.buf[:len(q.buf)-1]
+	}
+	if q.head == len(q.buf) {
+		q.clear()
+	}
+}
+
+// dropOldest deletes the k oldest attempts.
+func (q *pendingList) dropOldest(k int) {
+	q.head += k
+	if q.head == len(q.buf) {
+		q.clear()
+	}
+}
+
+func (q *pendingList) clear() { q.buf, q.head = q.buf[:0], 0 }
 
 // Cycle returns the current MHP cycle number, read from the node's clock (0
 // before the node joins one).
@@ -855,29 +822,19 @@ func (n *Node) SetRateDivisor(d uint64) {
 // ClearPending discards every attempt still awaiting a REPLY — the dying
 // link's in-flight attempts, whose replies (if any) will find no matching
 // queue item anyway.
-func (n *Node) ClearPending() { n.pending = n.pending[:0] }
+func (n *Node) ClearPending() { n.pending.clear() }
 
 // Attempts returns how many attempts this node has triggered.
 func (n *Node) Attempts() uint64 { return n.attemptCount }
 
 // runCycle executes one MHP cycle: poll the EGP and trigger if requested.
 func (n *Node) runCycle(cycle uint64) {
-	// Periodically discard pending-attempt state whose REPLY was evidently
-	// lost, so the slice stays bounded during long lossy runs; sweep the
-	// link's pair registry in the same pass, once per cycle, since lost
-	// REPLYs also strand pairs that neither node will ever claim. A parked
-	// node skips this pass: its pending slice is empty, and a sweep only
-	// evicts pairs far older than any a REPLY can still name (a REPLY
-	// carries the sequence number just assigned), so when an idle link's
-	// registry is swept is not observable.
-	if cycle%1024 == 0 {
-		if len(n.pending) > 0 && cycle > 4096 {
-			n.DropPending(cycle - 4096)
-		}
-		if l := n.link; l.swept != cycle {
-			l.swept = cycle
-			l.registry.Sweep(registryMaxLag)
-		}
+	// The maintenance pass: every 1,024 cycles, discard the pending attempts
+	// whose REPLY was evidently lost, so the list stays bounded during long
+	// lossy runs. A parked node or a folding link skips it: its list is
+	// empty.
+	if cycle%1024 == 0 && n.pending.len() > 0 && cycle > 4096 {
+		n.DropPending(cycle - 4096)
 	}
 	if n.paused {
 		return
@@ -921,7 +878,7 @@ func (n *Node) runCycle(cycle uint64) {
 	// (Appendix D.4.1).
 	n.device.ApplyAttemptDephasing(decision.Alpha)
 
-	n.pending = append(n.pending, pendingAttempt{cycle, decision})
+	n.pending.push(pendingAttempt{cycle, decision})
 	l.sendGEN(n.side, cycle, decision)
 }
 
@@ -929,6 +886,8 @@ func (n *Node) runCycle(cycle uint64) {
 func (n *Node) receiveReply(payload *replyPayload) {
 	l := n.link
 	reply, err := wire.DecodeREPLY(payload.frame[:payload.size])
+	pair := payload.pair
+	payload.pair = nil
 	l.replies.put(payload)
 	if err != nil {
 		return
@@ -943,13 +902,12 @@ func (n *Node) receiveReply(payload *replyPayload) {
 	// its own, with that attempt's cycle, basis and storage qubit (on a Lab
 	// link a REPLY answers its own cycle's attempt, the newest pending one).
 	// This is a known fault, left for a change that also refreshes the
-	// benchmark's lossy digest (ROADMAP.md). A pending attempt holds no
-	// pointer, so the slot the deletion vacates needs no clearing.
+	// benchmark's lossy digest (ROADMAP.md).
 	var attempt pendingAttempt
-	for i, p := range n.pending {
+	for i, p := range n.pending.live() {
 		if p.decision.QueueID == reply.QueueID {
 			attempt = p
-			n.pending = append(n.pending[:i], n.pending[i+1:]...)
+			n.pending.remove(i)
 			break
 		}
 	}
@@ -963,24 +921,23 @@ func (n *Node) receiveReply(payload *replyPayload) {
 		MeasureBasis: decision.MeasureBasis,
 		StorageQubit: decision.StorageQubit,
 		Alpha:        decision.Alpha,
+		Pair:         pair,
 		AttemptCycle: cycle,
-	}
-	if reply.Outcome.Success() {
-		result.Pair = l.registry.Get(reply.MHPSeq)
 	}
 	n.gen.HandleResult(result)
 }
 
 // PendingAttempts returns how many attempts are awaiting a REPLY.
-func (n *Node) PendingAttempts() int { return len(n.pending) }
+func (n *Node) PendingAttempts() int { return n.pending.len() }
 
 // DropPending discards the pending attempts of cycles before olderThan; the
 // node's periodic maintenance pass calls it with a cutoff 4,096 cycles back,
 // since a REPLY that late was evidently lost.
 func (n *Node) DropPending(olderThan uint64) {
+	live := n.pending.live()
 	k := 0
-	for k < len(n.pending) && n.pending[k].cycle < olderThan {
+	for k < len(live) && live[k].cycle < olderThan {
 		k++
 	}
-	n.pending = slices.Delete(n.pending, 0, k)
+	n.pending.dropOldest(k)
 }

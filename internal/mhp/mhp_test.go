@@ -1,6 +1,8 @@
 package mhp
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/nv"
@@ -53,14 +55,13 @@ func (s *stubGenerator) Absorb(uint64, uint64, PollDecision)  {}
 
 // harness is one link's MHP between two scripted link layers.
 type harness struct {
-	s        *sim.Simulator
-	genA     *stubGenerator
-	genB     *stubGenerator
-	link     *Link
-	nodeA    *Node
-	nodeB    *Node
-	registry *PairRegistry
-	clock    *Clock
+	s     *sim.Simulator
+	genA  *stubGenerator
+	genB  *stubGenerator
+	link  *Link
+	nodeA *Node
+	nodeB *Node
+	clock *Clock
 }
 
 func newHarness(t *testing.T, loss float64) *harness {
@@ -75,9 +76,8 @@ func newHarnessArms(t *testing.T, loss float64, armA, armB, hold sim.Duration) *
 	s := sim.New(9)
 	h := &harness{s: s, genA: &stubGenerator{clock: s}, genB: &stubGenerator{clock: s}}
 	platform := nv.LabPlatform()
-	h.registry = NewPairRegistry()
 	h.link = NewLink(LinkConfig{
-		Sim: s, Sampler: photonics.NewLinkSampler(platform.Optics), Registry: h.registry,
+		Sim: s, Sampler: photonics.NewLinkSampler(platform.Optics),
 		Generators: [2]Generator{h.genA, h.genB},
 		Devices: [2]*nv.Device{
 			nv.NewDevice("A", platform.Gates, platform.CarbonCoupling, 1),
@@ -198,6 +198,114 @@ func TestSuccessRegistersPairForBothNodes(t *testing.T) {
 	}
 }
 
+// brightOptics is a lossless, noiseless photonic link, on which most
+// attempts at α = 0.5 herald a success.
+func brightOptics() *photonics.HeraldedLink {
+	em := photonics.EmissionParams{ZeroPhononProb: 1, CollectionProb: 1, ConversionProb: 1}
+	det := photonics.DetectorParams{Efficiency: 1, Window: 25e-9}
+	return photonics.NewHeraldedLink(em, em, photonics.Fiber{}, photonics.Fiber{}, det, 1)
+}
+
+// The REPLY carries the heralded pair: on Lab's equal arms and QL2020's
+// unequal ones, both nodes' results of a success hold the same pair, every
+// failure and error result holds none, a node still gets the pair when its
+// peer's REPLY fibre loses everything, and no payload back on the free list
+// keeps a pair alive. Every tenth cycle from the fourth the nodes submit
+// different queue IDs (a QUEUE_MISMATCH), and every tenth from the eighth
+// only A attempts (its GEN's hold expires as an error).
+func TestReplyCarriesPair(t *testing.T) {
+	const cycles = 200
+	for _, arms := range []struct {
+		name       string
+		armA, armB sim.Duration
+	}{
+		{"Lab arms", 10 * sim.Nanosecond, 10 * sim.Nanosecond},
+		{"QL2020 arms", sim.DurationMicroseconds(48.4), sim.DurationMicroseconds(72.6)},
+	} {
+		for _, lc := range []struct {
+			name string
+			lost Fibre // -1: none
+		}{{"no REPLY lost", -1}, {"REPLYs to A lost", FibreHA}, {"REPLYs to B lost", FibreHB}} {
+			lost := lc.lost
+			t.Run(arms.name+"/"+lc.name, func(t *testing.T) {
+				h := newHarnessArms(t, 0, arms.armA, arms.armB, 2*(arms.armA+arms.armB)+100*sim.Microsecond)
+				h.link.sampler = photonics.NewLinkSampler(brightOptics())
+				if lost >= 0 {
+					h.link.SetLoss(lost, 1)
+				}
+				qid, other := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}, wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 2}
+				for i := range cycles {
+					h.genA.decisions = append(h.genA.decisions, attemptDecision(qid, 0.5))
+					switch i % 10 {
+					case 3:
+						h.genB.decisions = append(h.genB.decisions, attemptDecision(other, 0.5))
+					case 7:
+						h.genB.decisions = append(h.genB.decisions, PollDecision{})
+					default:
+						h.genB.decisions = append(h.genB.decisions, attemptDecision(qid, 0.5))
+					}
+				}
+				stop := h.start()
+				_ = h.s.RunFor(sim.Duration(cycles) * sim.DurationMicroseconds(10.12))
+				stop()
+				_ = h.s.Run()
+
+				_, successes, timeMismatch, queueMismatch, noOther := h.link.Stats()
+				if successes == 0 || queueMismatch == 0 || timeMismatch+noOther == 0 {
+					t.Fatalf("%d successes, %d queue mismatches, %d holds expired: the run must cover all three",
+						successes, queueMismatch, timeMismatch+noOther)
+				}
+				pairs := [2]map[uint16]*nv.EntangledPair{{}, {}}
+				var errs int
+				for side, g := range []*stubGenerator{h.genA, h.genB} {
+					if Fibre(side)+FibreHA == lost {
+						if len(g.results) != 0 {
+							t.Fatalf("side %d got %d results over a fibre that loses everything", side, len(g.results))
+						}
+						continue
+					}
+					for _, r := range g.results {
+						switch {
+						case !r.Outcome.Success():
+							if r.Outcome.IsError() {
+								errs++
+							}
+							if r.Pair != nil {
+								t.Fatalf("side %d: a %v result carries a pair", side, r.Outcome)
+							}
+						case r.Pair == nil:
+							t.Fatalf("side %d: the success of seq %d carries no pair", side, r.MHPSeq)
+						default:
+							pairs[side][r.MHPSeq] = r.Pair
+						}
+					}
+					if n := uint64(len(pairs[side])); n != successes {
+						t.Fatalf("side %d got %d distinct pairs, the station heralded %d", side, n, successes)
+					}
+				}
+				if errs == 0 {
+					t.Fatal("no error result reached a node")
+				}
+				if lost < 0 {
+					for seq, p := range pairs[nv.SideA] {
+						if pairs[nv.SideB][seq] != p {
+							t.Fatalf("seq %d: A and B got different pairs", seq)
+						}
+					}
+				}
+				if len(h.link.replies) == 0 {
+					t.Fatal("no REPLY payload came back to the free list")
+				}
+				for _, p := range h.link.replies {
+					if p.pair != nil {
+						t.Fatal("a payload on the free list keeps a pair alive")
+					}
+				}
+			})
+		}
+	}
+}
+
 func TestQueueMismatchReported(t *testing.T) {
 	h := newHarness(t, 0)
 	qidA := wire.AbsoluteQueueID{QueueID: 2, QueueSeq: 1}
@@ -284,32 +392,6 @@ func TestGENFailWhenCommBusy(t *testing.T) {
 	}
 }
 
-func TestPairRegistry(t *testing.T) {
-	r := NewPairRegistry()
-	if r.Len() != 0 || r.Get(1) != nil {
-		t.Fatal("fresh registry should be empty")
-	}
-	pair := nv.NewEntangledPair(quantum.NewBellState(quantum.PsiPlus), quantum.PsiPlus, 0)
-	r.Put(5, pair)
-	if r.Get(5) != pair || r.Len() != 1 {
-		t.Fatal("registry lookup failed")
-	}
-	r.Forget(5)
-	if r.Get(5) != nil || r.Len() != 0 {
-		t.Fatal("Forget should remove the pair")
-	}
-	// The registry prunes entries far behind the newest sequence number.
-	for seq := uint16(1); seq <= 3000; seq++ {
-		r.Put(seq, pair)
-	}
-	if r.Len() > 2100 {
-		t.Fatalf("registry should prune old entries, holds %d", r.Len())
-	}
-	if r.Get(3000) == nil {
-		t.Fatal("recent entries must survive pruning")
-	}
-}
-
 func TestNodeCycleCountingAndPending(t *testing.T) {
 	h := newHarness(t, 1.0) // every frame is lost
 	qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
@@ -382,6 +464,42 @@ func TestReplyMatchesOldestPendingAttempt(t *testing.T) {
 	}
 	if n := h.nodeA.PendingAttempts(); n != 0 {
 		t.Fatalf("%d attempts still pending", n)
+	}
+}
+
+// The pending list keeps the plain slice's contents: a random run of
+// appends, removals at any index, drops of the oldest attempts and clears
+// leaves the same attempts in the same order as the slice operations, and
+// the array grows only when every slot of it holds a live attempt.
+func TestPendingListMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var q pendingList
+	var ref []pendingAttempt
+	for step := range 20000 {
+		switch op := rng.IntN(20); {
+		case op < 10:
+			p := pendingAttempt{cycle: uint64(step)}
+			size, full := cap(q.buf), q.len() == cap(q.buf)
+			q.push(p)
+			ref = append(ref, p)
+			if cap(q.buf) != size && !full {
+				t.Fatalf("step %d: the array grew from %d with %d live attempts", step, size, q.len()-1)
+			}
+		case op < 16 && len(ref) > 0:
+			i := rng.IntN(len(ref))
+			q.remove(i)
+			ref = slices.Delete(ref, i, i+1)
+		case op < 19 && len(ref) > 0:
+			k := rng.IntN(len(ref) + 1)
+			q.dropOldest(k)
+			ref = slices.Delete(ref, 0, k)
+		case op == 19:
+			q.clear()
+			ref = ref[:0]
+		}
+		if !slices.Equal(q.live(), ref) {
+			t.Fatalf("step %d: pending %v, want %v", step, q.live(), ref)
+		}
 	}
 }
 

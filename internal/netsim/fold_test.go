@@ -191,7 +191,7 @@ func runFold(t *testing.T, tc foldCase, seed int64, shards int, fold bool) foldR
 	for _, l := range nw.Links {
 		matched, successes, timeMismatch, queueMismatch, noOther := l.Mid.Stats()
 		r.log = append(r.log,
-			fmt.Sprintf("link %d sampled %d evicted %d", l.ID, l.Sampler.Attempts(), l.Registry.Evicted()),
+			fmt.Sprintf("link %d sampled %d", l.ID, l.Sampler.Attempts()),
 			fmt.Sprintf("station %d %d %d %d %d", matched, successes, timeMismatch, queueMismatch, noOther),
 			fmt.Sprintf("nodes %d %d polled %d %d", l.MHPA.Attempts(), l.MHPB.Attempts(), l.MHPA.PolledCycle(), l.MHPB.PolledCycle()),
 			fmt.Sprint(l.EGPA.Stats()), fmt.Sprint(l.EGPB.Stats()),

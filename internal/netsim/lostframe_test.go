@@ -31,10 +31,8 @@ type lostFrameRun struct {
 	heralds [][2]uint64
 	// pending is each side's pending attempts once the replies of the
 	// attempt under test are due; drained is the same after the 4,096-cycle
-	// drop, registry the registry's size after a sweep down to the newest
-	// pair, commFree whether each side's communication qubit is free.
+	// drop, commFree whether each side's communication qubit is free.
 	pending, drained [2]int
-	registry         int
 	commFree         [2]bool
 	expiresSent      int
 }
@@ -80,8 +78,6 @@ func runLostFrame(t *testing.T, scenario nv.ScenarioID, cycle uint64, frame int,
 	}
 	nw.Run(maxTime + 100*sim.Millisecond - sim.Duration(nw.Sim.Now()))
 	r.drained = [2]int{l.MHPA.PendingAttempts(), l.MHPB.PendingAttempts()}
-	l.Registry.Sweep(0)
-	r.registry = l.Registry.Len()
 	r.commFree = [2]bool{l.DeviceA.CommFree(), l.DeviceB.CommFree()}
 	r.log = append(r.log, fmt.Sprint(l.EGPA.Stats()), fmt.Sprint(l.EGPB.Stats()), fmt.Sprint(l.Mid.Stats()))
 	if d := tracer.Dropped(); d != 0 {
@@ -128,8 +124,8 @@ type lostFramePin struct {
 // and each side's pending attempts a millisecond after the attempt's GENs
 // arrive, as recorded before the link's MHP became one object. On top, a
 // lost success REPLY must be followed by an EXPIRE, and every run must end
-// with nothing pending after the 4,096-cycle drop, only the newest pair left
-// in the registry after a sweep and both communication qubits free.
+// with nothing pending after the 4,096-cycle drop and both communication
+// qubits free.
 func TestOneLostFrame(t *testing.T) {
 	for _, pc := range []struct {
 		name     string
@@ -186,9 +182,9 @@ func TestOneLostFrame(t *testing.T) {
 				if lostReply := ac.name == "success" && frame >= 2; lostReply != (got.expiresSent > 0) {
 					t.Errorf("%s: %d EXPIREs sent", name, got.expiresSent)
 				}
-				if got.drained != [2]int{} || got.registry != 1 || got.commFree != [2]bool{true, true} {
-					t.Errorf("%s: at the end %v attempts pending, %d pairs registered after a sweep, communication qubits free %v",
-						name, got.drained, got.registry, got.commFree)
+				if got.drained != [2]int{} || got.commFree != [2]bool{true, true} {
+					t.Errorf("%s: at the end %v attempts pending, communication qubits free %v",
+						name, got.drained, got.commFree)
 				}
 			}
 		}

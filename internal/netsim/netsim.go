@@ -94,7 +94,7 @@ func DefaultConfig(spec Spec, scenario nv.ScenarioID) Config {
 }
 
 // Link is one heralded link: a complete EGP+MHP+midpoint protocol stack with
-// its own endpoint devices, pair registry and service account, sharing only
+// its own endpoint devices and service account, sharing only
 // the simulator (and read-only platform/sampler) with other links.
 type Link struct {
 	ID   LinkID
@@ -107,7 +107,6 @@ type Link struct {
 	// MHPA and MHPB are its two nodes.
 	Mid              *mhp.Link
 	MHPA, MHPB       *mhp.Node
-	Registry         *mhp.PairRegistry
 	DeviceA, DeviceB *nv.Device
 
 	// Eng is the engine view this link's whole stack runs on: the shard
@@ -429,11 +428,10 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 	nodeA, nodeB := nw.Nodes[e.A], nw.Nodes[e.B]
 
 	l := &Link{
-		ID:       id,
-		Edge:     e,
-		Name:     fmt.Sprintf("%s-%s", nodeA.Name, nodeB.Name),
-		Registry: mhp.NewPairRegistry(),
-		Sampler:  photonics.NewLinkSamplerBackend(platform.Optics, cfg.Backend),
+		ID:      id,
+		Edge:    e,
+		Name:    fmt.Sprintf("%s-%s", nodeA.Name, nodeB.Name),
+		Sampler: photonics.NewLinkSamplerBackend(platform.Optics, cfg.Backend),
 	}
 	// The link's whole stack runs on the shard owning it, drawing from the
 	// link's own RNG stream keyed by the stable link ID — the trajectory is
@@ -476,7 +474,6 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 			Platform:             platform,
 			Device:               device,
 			Sampler:              l.Sampler,
-			Registry:             l.Registry,
 			Side:                 side,
 			Scheduler:            egp.NewScheduler(cfg.Scheduler),
 			ToPeer:               port,
@@ -507,7 +504,7 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 	// the fold of failed attempts rules them out itself, so the link's
 	// horizon need not stop at them (mhp.Link.fold).
 	l.Mid = mhp.NewLink(mhp.LinkConfig{
-		Sim: sim.Untracked(s), Sampler: l.Sampler, Registry: l.Registry,
+		Sim: sim.Untracked(s), Sampler: l.Sampler,
 		Generators: gens,
 		Devices:    [2]*nv.Device{l.DeviceA, l.DeviceB},
 		Arms:       [2]sim.Duration{platform.CommDelayAH, platform.CommDelayBH},

@@ -7,7 +7,7 @@
 // links concurrently.
 //
 // The per-link state machines are deliberately independent — each link has
-// its own distributed queue, pair registry, midpoint and endpoint devices —
+// its own distributed queue, midpoint and endpoint devices —
 // so links never synchronise with each other (in the spirit of the scalable
 // commutativity rule) and the whole network stays byte-deterministic for a
 // fixed seed: everything runs single-threaded on one event queue.
