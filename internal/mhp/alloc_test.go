@@ -18,7 +18,7 @@ import (
 // also drives the station's hold timeout and its error REPLY, and frames the
 // fibres drop. Those two run attempt by attempt; the fold case is the path a
 // loss-free Lab link takes by default, whose ticks fold the runs of failed
-// attempts (Link.fold) and run attempt by attempt only where a run meets the
+// attempts (Clock.foldLinks) and run attempt by attempt only where a run meets the
 // end of a RunFor window.
 func TestFailedAttemptsAllocateNothing(t *testing.T) {
 	cycle := nv.LabPlatform().CycleTime[nv.RequestMeasure]

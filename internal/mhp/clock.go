@@ -32,11 +32,16 @@ import (
 //     has not reached its slot yet.
 //
 // When the tick reaches a link whose two nodes are both active, it first
-// offers the link the coming cycles to fold (Link.fold). A link that takes n
+// offers the link the coming cycles to fold (see fold). A link that takes n
 // of them rests: it leaves the active set, costs the ticks nothing, and
 // rejoins it at the first cycle it did not take. (A Stop of the engine from
 // another link's event therefore leaves a resting link's counters ahead of
-// the stop instant until the run resumes.)
+// the stop instant until the run resumes.) Each link folds up to its own
+// horizon, since failed attempts on different links commute. Where events of
+// one link act on others (netsim's network layer), the clock folds in
+// lockstep instead (Lockstep): at the start of a tick it offers the coming
+// cycles to every active link at once, and all of them take the same cycles
+// or none does.
 //
 // A tick that leaves no node active is followed by cycles that poll no one
 // until a resting link resumes or an event wakes a node, and no event runs
@@ -73,7 +78,22 @@ type Clock struct {
 	id      sim.EventID
 	running bool
 
+	// lockstep folds every active link together (Lockstep); folding holds
+	// the links of the fold being made, reused from tick to tick.
+	lockstep bool
+	folding  []foldLink
+
 	polls uint64
+}
+
+// foldLink is one link's part in a fold: its generators' steady decisions,
+// its random stream, and whether the first folded attempt dephased a stored
+// pair at either node.
+type foldLink struct {
+	link    *Link
+	dA, dB  PollDecision
+	rng     *sim.RNG
+	dephase bool
 }
 
 // restingLink is a link that has folded cycles up to, not including, cycle.
@@ -131,6 +151,12 @@ func (c *Clock) Stop() {
 	}
 }
 
+// Lockstep makes the clock fold its links in lockstep (see Clock and
+// foldAll): netsim's network layer acts on several links from one link's
+// event, so a link may fold its failed attempts only while no other link can
+// succeed. Call it before the clock starts.
+func (c *Clock) Lockstep() { c.lockstep = true }
+
 // Ticks returns how many cycles the clock has run, counting the cycles it
 // skipped because they polled no one (see Clock), so it can exceed the
 // clock's tick events.
@@ -144,7 +170,8 @@ func (c *Clock) Polls() uint64 { return c.polls }
 // the active set, polls every active node in slot order and parks the ones
 // left idle, then rearms relative to the firing time. At the first node of a
 // link whose nodes are both active it offers the link the coming cycles to
-// fold. With no node left active it skips the cycles that would poll no one
+// fold; a lockstep clock offers them to every active link at once before it
+// polls. With no node left active it skips the cycles that would poll no one
 // (see Clock).
 func (c *Clock) tick(now sim.Time, _ any) {
 	c.cycle++
@@ -155,6 +182,14 @@ func (c *Clock) tick(now sim.Time, _ any) {
 		c.insert(&l.nodes[nv.SideB])
 	}
 	c.cursor = -1
+	if c.lockstep && len(c.active) > 0 {
+		if k := c.foldAll(now); k > 0 {
+			for i := range c.folding {
+				c.restUntil(c.folding[i].link, c.cycle+k)
+			}
+			c.active = c.active[:0]
+		}
+	}
 	for c.pos = 0; c.pos < len(c.active); {
 		n := c.active[c.pos]
 		c.cursor = n.slot
@@ -190,21 +225,150 @@ func (c *Clock) tick(now sim.Time, _ any) {
 }
 
 // fold offers the link of node n, the one being polled, the cycles from the
-// current one on, when n is the link's A node and its B node is active and
-// polled next. It returns how many cycles the link took.
+// current one on, up to the link's own horizon (the Horizon of its engine
+// view), when the clock does not fold in lockstep, n is the link's A node and
+// its B node is active and polled next. It returns how many cycles the link
+// took.
 func (c *Clock) fold(now sim.Time, n *Node) uint64 {
-	if n.side != nv.SideA || c.pos+1 >= len(c.active) || c.active[c.pos+1] != &n.link.nodes[nv.SideB] {
+	if c.lockstep || n.side != nv.SideA || c.pos+1 >= len(c.active) || c.active[c.pos+1] != &n.link.nodes[nv.SideB] {
 		return 0
 	}
-	k := n.link.fold(now, c.cycle)
-	c.polls += 2 * k
-	return k
+	c.folding = append(c.folding[:0], foldLink{link: n.link})
+	return c.foldLinks(now, n.link.eng)
+}
+
+// foldAll offers every active link the cycles from the current one on, in
+// lockstep, when every active node's link has both nodes active, and returns
+// how many cycles the links took. The window is the clock engine's horizon,
+// not the links' own: an event of a link that is not folding, or one that
+// belongs to no link, may reach another link through the network layer.
+//
+// No link rests when a lockstep is offered, so none can succeed unseen inside
+// its window. A lockstep leaves no node active, so a node joins the active
+// set only on an event, at or after the horizon every resting link folded
+// to, and by the first tick after that event every resting link has resumed.
+// (A link that folded on its own before Lockstep keeps the cycles it took.)
+func (c *Clock) foldAll(now sim.Time) uint64 {
+	c.folding = c.folding[:0]
+	for i := 0; i < len(c.active); i += 2 {
+		n := c.active[i]
+		if n.side != nv.SideA || i+1 >= len(c.active) || c.active[i+1] != &n.link.nodes[nv.SideB] {
+			return 0
+		}
+		c.folding = append(c.folding, foldLink{link: n.link})
+	}
+	return c.foldLinks(now, c.eng)
+}
+
+// foldLinks runs, inside the tick at now, the coming run of failed attempts
+// of the links in c.folding together, from the current cycle on, and returns
+// how many cycles each took; every link's next poll is then
+// the first cycle they did not take. They take none unless every link can
+// fold (Link.canFold) and both its generators report the same steady
+// decision (Generator.Steady), and take cycle j only if every link's answer
+// to it falls strictly before the horizon of eng: nothing that can touch the
+// links then runs between the poll at now and the last instant of cycle j.
+// The clock's ticks and the events of links outside the fold may, and they
+// commute with it.
+//
+// The fold draws cycle j's optical test of each link from the link's own
+// stream as its station would, and stops before the first cycle in which any
+// link succeeds. Every link that drew that cycle holds its draws for the real
+// herald (LinkSampler.Draw; a lone link's FailRun holds a success only), so
+// that cycle and everything after it run as usual. Of the failed cycles it
+// applies in bulk all that their events would have done (Link.absorb), and
+// the carbon dephasing of every attempt in cycle, then slot, order: a swapped
+// pair spans two links' devices, and its dephasing channels do not commute
+// to the last bit. Every random draw, record and counter is therefore the
+// same as attempt by attempt; only the records' place in a ring shared with
+// other links differs.
+func (c *Clock) foldLinks(now sim.Time, eng sim.Engine) uint64 {
+	folding := c.folding
+	for i := range folding {
+		if !folding[i].link.canFold() {
+			return 0
+		}
+	}
+	h := eng.Horizon()
+	n := uint64(math.MaxUint64)
+	for i := range folding {
+		n = min(n, folding[i].link.window(now, h))
+	}
+	for i := 0; i < len(folding) && n > 0; i++ {
+		f := &folding[i]
+		var steady uint64
+		f.dA, f.dB, steady = f.link.steady(c.cycle)
+		f.rng = f.link.eng.RNG()
+		n = min(n, steady)
+	}
+	if n == 0 {
+		return 0
+	}
+	if len(folding) == 1 {
+		f := &folding[0]
+		n, _ = f.link.sampler.FailRun(f.dA.Alpha, f.dB.Alpha, f.rng, n)
+	} else {
+		n = c.drawLockstep(n)
+	}
+	if n == 0 {
+		return 0
+	}
+
+	dephase := false
+	for i := range folding {
+		f := &folding[i]
+		l := f.link
+		l.absorb(now, c.cycle, n, f.dA, f.dB)
+		// Dephasing acts only on pairs in a carbon: when the first folded
+		// attempt finds none at either node, the rest find none either.
+		actedA := l.nodes[nv.SideA].device.ApplyAttemptDephasing(f.dA.Alpha)
+		actedB := l.nodes[nv.SideB].device.ApplyAttemptDephasing(f.dB.Alpha)
+		f.dephase = actedA || actedB
+		dephase = dephase || f.dephase
+	}
+	if dephase {
+		for range n - 1 {
+			for i := range folding {
+				if f := &folding[i]; f.dephase {
+					f.link.nodes[nv.SideA].device.ApplyAttemptDephasing(f.dA.Alpha)
+					f.link.nodes[nv.SideB].device.ApplyAttemptDephasing(f.dB.Alpha)
+				}
+			}
+		}
+	}
+	c.polls += 2 * n * uint64(len(folding))
+	return n
+}
+
+// drawLockstep draws the optical tests of the links in c.folding cycle by
+// cycle, each link in slot order from its own stream, for up to w cycles,
+// and returns how many cycles failed on every link. The links that drew the
+// cycle in which one succeeded hold those draws.
+func (c *Clock) drawLockstep(w uint64) uint64 {
+	for j := range w {
+		for i := range c.folding {
+			f := &c.folding[i]
+			if f.link.sampler.Draw(f.dA.Alpha, f.dB.Alpha, f.rng) {
+				return j
+			}
+		}
+		for i := range c.folding {
+			c.folding[i].link.sampler.Fail()
+		}
+	}
+	return w
 }
 
 // rest takes the link's nodes, being polled at pos and pos+1, out of the
 // active set until cycle.
 func (c *Clock) rest(l *Link, cycle uint64) {
 	c.active = slices.Delete(c.active, c.pos, c.pos+2)
+	c.restUntil(l, cycle)
+}
+
+// restUntil adds the link to the resting links until cycle; its nodes are
+// already out of the active set.
+func (c *Clock) restUntil(l *Link, cycle uint64) {
 	i := len(c.resting)
 	for i > 0 && c.resting[i-1].cycle < cycle {
 		i--

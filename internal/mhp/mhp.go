@@ -22,15 +22,18 @@
 // unequal arms, such as QL2020's, each GEN and each REPLY has its own event.
 //
 // A loss-free Lab link does not run its failed attempts one by one: the
-// clock's tick folds the coming run of them into itself (Link.fold), with
-// the same random draws and the same records, up to the link's own horizon,
-// and the link rests until the first success's cycle. Failed attempts on
-// different links commute, since each link owns its devices, sampler,
-// station and random stream, so other links' events do not stop the run.
-// Lossy and QL2020 links run attempt by attempt. Whenever no node of a clock
-// is active, because they are parked or their links rest, the clock skips
-// the ticks that would poll no one, up to the first resume cycle or the
-// next event that could wake a node.
+// clock's tick folds the coming run of them into itself, with the same
+// random draws and the same records, up to the link's own horizon, and the
+// link rests until the first success's cycle. Failed attempts on different
+// links commute, since each link owns its devices, sampler, station and
+// random stream, so other links' events do not stop the run. A success does
+// not commute where a network layer acts on several links from one link's
+// event; there the clock folds every active link in lockstep, up to the
+// simulator's horizon and before the first cycle in which any link succeeds
+// (Clock.Lockstep). Lossy and QL2020 links run attempt by attempt. Whenever
+// no node of a clock is active, because they are parked or their links
+// rest, the clock skips the ticks that would poll no one, up to the first
+// resume cycle or the next event that could wake a node.
 //
 // The package is deliberately stateless on the node side (beyond the pending
 // attempt bookkeeping required to route replies), mirroring the paper's
@@ -98,7 +101,7 @@ type Generator interface {
 	// wakes its node (Node.Wake): nothing is queued and no attempt is
 	// outstanding. The clock parks an idle node whose replies have all come.
 	Idle() bool
-	// Steady serves the link's fold of failed attempts (Link.fold): it
+	// Steady serves the clock's fold of the link's failed attempts: it
 	// reports the attempt every poll from cycle on returns, one cycle apart,
 	// as long as the only thing that happens is each attempt failing before
 	// the next poll, and for how many cycles that holds (0 when it does not
@@ -332,85 +335,68 @@ func (l *Link) SetDepolarizing(f float64) {
 	l.depolarize = f
 }
 
-// SetFolding turns the fold of failed attempts (Link.fold) on, the default,
-// or off. Off, the link runs every attempt through its events: the path the
-// fold must reproduce, which tests compare it with, and the one a link keeps
-// when events of other links may act on it (netsim's network layer).
+// SetFolding turns the fold of failed attempts (Clock) on, the default, or
+// off. Off, the link runs every attempt through its events: the path the
+// fold must reproduce, which tests compare it with. On a clock that folds in
+// lockstep (Clock.Lockstep), a link with the fold off keeps every link of
+// the clock on that path while it is active.
 func (l *Link) SetFolding(on bool) { l.perAttempt = !on }
 
-// fold runs, inside the tick at now of the clock that polls the link, the
-// coming run of failed attempts from cycle on, and returns how many cycles
-// it took; the link's next poll is then the first cycle it did not take. It
-// takes none unless:
-//
-//   - the arms are equal, shorter than half a cycle, and every fibre is
-//     loss-free, so the GEN pair and the REPLY pair are one event each, no
-//     loss is drawn, and each REPLY arrives before the next tick;
-//   - neither node is paused or throttled, no attempt is outstanding, no
-//     GEN or REPLY is on its way and no GEN waits at the station;
-//   - both generators report the same steady decision (Generator.Steady);
-//   - no held success is waiting for its herald.
-//
-// Cycle j of the run polls at now + j·P (P the cycle), heralds a after (a
-// the arm) and answers 2a after. The fold takes cycle j only if its answer
-// falls strictly before the link's horizon, the Horizon of its engine view:
-// on a netsim link, the earliest of its own next event, any event that
-// belongs to no link, and the end of the running RunUntil. Nothing that can
-// touch the link then runs between the poll at now and the last instant of
-// cycle j; the clock's ticks and other links' events may, and they commute
-// with it. The fold draws cycle j's optical test from the link's stream as
-// the station would (LinkSampler.FailRun) and stops at the first success,
-// whose draws the sampler holds for the real herald: that cycle and
-// everything after it run as usual. Of the failed cycles it applies in bulk
-// all that their events would have done: counters, the generators' polls
-// and results, the nodes' polled cycles, the carbon dephasing, and with
-// tracing on the attempt, herald and REPLY records at their times. Every
-// random draw, record and counter is therefore the same as attempt by
-// attempt; only the records' place in a ring shared with other links
-// differs.
-func (l *Link) fold(now sim.Time, cycle uint64) uint64 {
+// canFold reports whether the link's state lets it fold its coming failed
+// attempts (see Clock): the fold is on; the arms are equal, shorter than half
+// a cycle, and every fibre is loss-free, so the GEN pair and the REPLY pair
+// are one event each, no loss is drawn, and each REPLY arrives before the
+// next tick; neither node is paused or throttled, no attempt is outstanding,
+// no GEN or REPLY is on its way and no GEN waits at the station; and the
+// sampler holds no drawn attempt waiting for its herald.
+func (l *Link) canFold() bool {
 	a, b := &l.nodes[nv.SideA], &l.nodes[nv.SideB]
 	arm := l.arm[nv.SideA]
-	if l.perAttempt || arm != l.arm[nv.SideB] || 2*arm >= l.period || l.loss != [4]float64{} ||
-		a.paused || b.paused || a.rateDivisor > 1 || b.rateDivisor > 1 ||
-		a.pending.len() > 0 || b.pending.len() > 0 || l.due > 0 ||
-		len(l.waiting[nv.SideA]) > 0 || len(l.waiting[nv.SideB]) > 0 || l.sampler.Held() {
-		return 0
-	}
-	reply := now.Add(2 * arm)
-	h := l.eng.Horizon()
+	return !l.perAttempt && arm == l.arm[nv.SideB] && 2*arm < l.period && l.loss == [4]float64{} &&
+		!a.paused && !b.paused && a.rateDivisor <= 1 && b.rateDivisor <= 1 &&
+		a.pending.len() == 0 && b.pending.len() == 0 && l.due == 0 &&
+		len(l.waiting[nv.SideA]) == 0 && len(l.waiting[nv.SideB]) == 0 && !l.sampler.Held()
+}
+
+// window returns how many cycles from the one polled at now the link can
+// fold before h: cycle j polls at now + j·P (P the cycle), heralds an arm a
+// after and answers 2a after, and is taken only if its answer falls
+// strictly before h.
+func (l *Link) window(now, h sim.Time) uint64 {
+	reply := now.Add(2 * l.arm[nv.SideA])
 	if reply >= h {
 		return 0
 	}
-	w := uint64((h-1-reply)/sim.Time(l.period)) + 1
-	dA, steadyA := a.gen.Steady(cycle)
-	if steadyA == 0 {
-		return 0
-	}
-	dB, steadyB := b.gen.Steady(cycle)
-	if steadyB == 0 || dA.QueueID != dB.QueueID || dA.Keep != dB.Keep {
-		return 0
-	}
-	w = min(w, steadyA, steadyB)
-	n, _ := l.sampler.FailRun(dA.Alpha, dB.Alpha, l.eng.RNG(), w)
-	if n == 0 {
-		return 0
-	}
+	return uint64((h-1-reply)/sim.Time(l.period)) + 1
+}
 
+// steady returns both generators' steady decisions from cycle on and for how
+// many cycles both hold (Generator.Steady); 0 when either does not hold, or
+// the two disagree on the queue item or the attempt type.
+func (l *Link) steady(cycle uint64) (dA, dB PollDecision, steady uint64) {
+	dA, steadyA := l.nodes[nv.SideA].gen.Steady(cycle)
+	if steadyA == 0 {
+		return dA, dB, 0
+	}
+	dB, steadyB := l.nodes[nv.SideB].gen.Steady(cycle)
+	if steadyB == 0 || dA.QueueID != dB.QueueID || dA.Keep != dB.Keep {
+		return dA, dB, 0
+	}
+	return dA, dB, min(steadyA, steadyB)
+}
+
+// absorb applies in bulk what the events of n failed attempts from cycle on,
+// the first polled at now, would have done, carbon dephasing aside (the
+// clock applies it across links): the generators' polls and results, the
+// nodes' polled cycles and counters, the station's and with tracing on the
+// attempt, herald and REPLY records at their times.
+func (l *Link) absorb(now sim.Time, cycle, n uint64, dA, dB PollDecision) {
 	last := cycle + n - 1
-	a.gen.Absorb(cycle, n, dA)
-	b.gen.Absorb(cycle, n, dB)
+	l.nodes[nv.SideA].gen.Absorb(cycle, n, dA)
+	l.nodes[nv.SideB].gen.Absorb(cycle, n, dB)
 	for side := range l.nodes {
 		l.nodes[side].attemptCount += n
 		l.nodes[side].polled = last
-	}
-	// Dephasing acts only on pairs in a carbon: when the first folded
-	// attempt finds none at either node, the rest find none either.
-	if actedA, actedB := a.device.ApplyAttemptDephasing(dA.Alpha), b.device.ApplyAttemptDephasing(dB.Alpha); actedA || actedB {
-		for range n - 1 {
-			a.device.ApplyAttemptDephasing(dA.Alpha)
-			b.device.ApplyAttemptDephasing(dB.Alpha)
-		}
 	}
 	l.matched += n
 	if l.metrics != nil {
@@ -418,6 +404,7 @@ func (l *Link) fold(now sim.Time, cycle uint64) uint64 {
 		l.metrics.Matched.Add(n)
 	}
 	if l.trace != nil {
+		arm := l.arm[nv.SideA]
 		keep, fail := int64(0), int64(wire.OutcomeFailure)
 		if dA.Keep {
 			keep = 1
@@ -431,7 +418,6 @@ func (l *Link) fold(now sim.Time, cycle uint64) uint64 {
 			l.trace.Record(at.Add(2*arm), obs.KindMHPReply, l.traceID, fail, 0)
 		}
 	}
-	return n
 }
 
 // lost draws whether a frame sent on fibre f is lost.

@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/egp"
 	"repro/internal/netsim"
+	"repro/internal/network"
+	"repro/internal/nv"
 	"repro/internal/obs"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -30,6 +32,10 @@ type foldCase struct {
 	// simulator itself, which belong to no link. Such a case runs serially
 	// only: a sharded engine takes no event of its own.
 	loose bool
+	// service runs the spec's end-to-end service (network.Service) on its
+	// flow, so the links fold in lockstep. It runs serially only: the
+	// network layer refuses a sharded engine.
+	service bool
 }
 
 // labSpec is a 2-node Lab link spec with the given protocol section (may be
@@ -113,7 +119,42 @@ func foldCases() []foldCase {
 			{"at_s": 0.02, "state": "degraded", "link": [1, 2], "degrade": {"pair_fidelity": 0.9, "rate_divisor": 2}},
 			{"at_s": 0.05, "state": "down", "link": [1, 2]},
 			{"at_s": 0.07, "state": "up", "link": [1, 2]}]}`), seconds: 0.09, stored: true},
+		// The end-to-end service on e2e-chain5's chain: a swap at one node
+		// consumes a pair on each of its links, so the links fold in
+		// lockstep, and swapped pairs span two links' carbons.
+		{name: "e2e-chain5", spec: serviceSpec("chain", 5, 4, ""), seconds: e2eSeconds, service: true, stored: true},
+		// A 3x3 grid routed corner to corner around a node outage, then
+		// through a Degraded link.
+		{name: "e2e-grid9-outage-degrade", spec: serviceSpec("grid", 9, 8, `{"events": [
+			{"at_s": 0.02, "state": "down", "node": 4},
+			{"at_s": 0.05, "state": "up", "node": 4},
+			{"at_s": 0.07, "state": "degraded", "link": [4, 5], "degrade": {"pair_fidelity": 0.95, "rate_divisor": 2}},
+			{"at_s": 0.1, "state": "up", "link": [4, 5]}]}`), seconds: e2eSeconds, service: true, stored: true},
 	}
+}
+
+// e2eSeconds is how long the end-to-end service cases run.
+const e2eSeconds = 0.12
+
+// serviceSpec is a Lab topology of the given kind and node count that holds
+// its pairs in two carbons per device, with the end-to-end service from
+// node 0 to dst routed by hop count; faults may be empty. Two closed-loop NL
+// classes at low fidelity floors keep its links busy, so that a short run
+// swaps several pairs, and at different floors, so that neighbouring links
+// attempt at different bright-state populations and dephase a swapped
+// pair's two qubits by different amounts.
+func serviceSpec(kind string, nodes, dst int, faults string) string {
+	s := fmt.Sprintf(`{"name": "fold", "topology": {"kind": %q, "nodes": %d}, "protocol": {"hold_pairs": true},
+		"hardware": {"memory_qubits": 2},
+		"traffic": {"classes": [{"name": "e2e", "priority": "NL", "arrival": {"kind": "closed", "sessions": 2, "think_time_s": 0.001},
+			"max_pairs": 1, "min_fidelity": 0.25},
+			{"name": "e2e-hi", "priority": "NL", "arrival": {"kind": "closed", "sessions": 2, "think_time_s": 0.001},
+			"max_pairs": 1, "min_fidelity": 0.45}]},
+		"service": {"src": 0, "dst": %d, "cost": "hops"}`, kind, nodes, dst)
+	if faults != "" {
+		s += `, "faults": ` + faults
+	}
+	return s + "}"
 }
 
 // foldRun is what one run of a fold comparison observes.
@@ -151,7 +192,12 @@ func runFold(t *testing.T, tc foldCase, seed int64, shards int, fold bool) foldR
 	c.Config.Shards = shards
 	var tracer *obs.Tracer
 	if !tc.untraced {
-		tracer = obs.NewTracer(shards, 1<<17)
+		// An end-to-end case keeps several links attempting at once.
+		capacity := 1 << 17
+		if tc.service {
+			capacity = 1 << 18
+		}
+		tracer = obs.NewTracer(shards, capacity)
 		c.Config.Trace = tracer
 	}
 	nw, err := netsim.NewNetwork(c.Config)
@@ -161,8 +207,14 @@ func runFold(t *testing.T, tc foldCase, seed int64, shards int, fold bool) foldR
 	for _, l := range nw.Links {
 		l.Mid.SetFolding(fold)
 	}
-	mt, err := c.Attach(nw)
-	if err != nil {
+	if (c.Service != nil) != tc.service {
+		t.Fatalf("service section %v, case service %v", c.Service != nil, tc.service)
+	}
+	var svc *network.Service
+	var mt *netsim.MultiTraffic
+	if tc.service {
+		svc, mt = attachService(t, c, nw, tracer)
+	} else if mt, err = c.Attach(nw); err != nil {
 		t.Fatal(err)
 	}
 	if tc.loose {
@@ -206,6 +258,11 @@ func runFold(t *testing.T, tc foldCase, seed int64, shards int, fold bool) foldR
 	}
 	perLink, agg := nw.Stats()
 	r.log = append(r.log, fmt.Sprintf("%+v", perLink), fmt.Sprintf("%+v", agg), fmt.Sprintf("%+v", mt.SLO(tc.seconds)))
+	if svc != nil {
+		svc.FinishAt(nw.Sim.Now())
+		perPath, pathAgg := svc.Stats()
+		r.log = append(r.log, fmt.Sprintf("swaps %d", svc.Swaps()), fmt.Sprintf("%+v", perPath), fmt.Sprintf("%+v", pathAgg))
+	}
 	if tracer != nil {
 		if d := tracer.Dropped(); d != 0 {
 			t.Fatalf("tracer overwrote %d records", d)
@@ -221,6 +278,34 @@ func runFold(t *testing.T, tc foldCase, seed int64, shards int, fold bool) foldR
 		}
 	}
 	return r
+}
+
+// attachService starts the compiled spec's end-to-end service on nw, with
+// its fault plan and its classes on its flow, as repro run does.
+func attachService(t *testing.T, c *scenario.Compiled, nw *netsim.Network, tracer *obs.Tracer) (*network.Service, *netsim.MultiTraffic) {
+	t.Helper()
+	cfg := network.DefaultConfig()
+	cfg.SwapGateFidelity = c.Service.SwapGateFidelity
+	cfg.Trace = tracer
+	cost, ok := network.CostByName(nw, c.Service.Cost)
+	if !ok {
+		t.Fatalf("unknown cost %q", c.Service.Cost)
+	}
+	cfg.Cost = cost
+	svc, err := network.NewService(nw, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.Faults != nil {
+		if err := c.Faults.Schedule(nw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mt, err := svc.AttachWorkload(c.Classes, [][2]int{{c.Service.Src, c.Service.Dst}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc, mt
 }
 
 // sameRun fails the test at the first line or record in which got differs
@@ -276,7 +361,7 @@ func TestFoldMatchesPerAttempt(t *testing.T) {
 			for seed := int64(1); seed <= seeds; seed++ {
 				got, want := runFold(t, tc, seed, 1, true), runFold(t, tc, seed, 1, false)
 				sameRun(t, seed, "attempt by attempt", got, want)
-				if !tc.loose {
+				if !tc.loose && !tc.service {
 					untraced := tc
 					untraced.untraced = true
 					sharded := runFold(t, untraced, seed, 2, true)
@@ -303,16 +388,23 @@ func TestFoldMatchesPerAttempt(t *testing.T) {
 // TestFoldEngages pins where the fold pays: a loss-free 2-node Lab MD link
 // like link-sat must run its attempts in under 0.01 events each, and so must
 // the links of a 3-node chain, on 1 shard and on 2 with the same event
-// count (Executed counts no clock tick); a lossy
-// link and a QL2020 link, which keep the per-attempt path, must fire exactly
-// as many events as with the fold off.
+// count (Executed counts no clock tick); a chain's links must fold past the
+// 50 ms queue samples, which do not bound a fold; the links of a chain under
+// the end-to-end service must fold in lockstep to under 0.1 events each; a
+// lossy link and a QL2020 link, which keep the per-attempt path, must fire
+// exactly as many events as with the fold off.
 func TestFoldEngages(t *testing.T) {
 	class := `{"name": "md", "priority": "MD", "arrival": {"kind": "closed", "sessions": 4, "think_time_s": 0.001}, "min_pairs": 1, "max_pairs": 3}`
 	chain3 := chainSpec(3, "", class, "")
 	ql2020 := `{"name": "fold", "topology": {"kind": "chain", "nodes": 2}, "hardware": {"scenario": "QL2020"},
 		"traffic": {"classes": [` + class + `]}}`
-	type count struct{ events, attempts uint64 }
-	run := func(t *testing.T, spec string, shards int, fold bool) count {
+	type count struct {
+		events, attempts uint64
+		// reach is the longest a link's folded cycles reached past the
+		// instant of a probe, when probed.
+		reach sim.Duration
+	}
+	run := func(t *testing.T, spec string, shards int, fold, probe bool) count {
 		t.Helper()
 		parsed, err := scenario.Parse([]byte(spec), "fold")
 		if err != nil {
@@ -331,41 +423,70 @@ func TestFoldEngages(t *testing.T) {
 		for _, l := range nw.Links {
 			l.Mid.SetFolding(fold)
 		}
-		if _, err := c.Attach(nw); err != nil {
+		if c.Service != nil {
+			attachService(t, c, nw, nil)
+		} else if _, err := c.Attach(nw); err != nil {
 			t.Fatal(err)
 		}
+		var got count
+		if probe {
+			// Every millisecond, an event that bounds no fold reads how far
+			// past it each link has polled.
+			period := nw.Platform.CycleTime[nv.RequestMeasure]
+			for _, l := range nw.Links {
+				sim.Ticker(sim.Untracked(l.Eng), sim.Millisecond, func() {
+					ahead := sim.Time(l.MHPA.PolledCycle()) * sim.Time(period)
+					got.reach = max(got.reach, ahead.Sub(l.Eng.Now()))
+				})
+			}
+		}
 		nw.Run(sim.DurationSeconds(0.2))
-		return count{events: nw.Sim.Executed(), attempts: nw.Attempts()}
+		got.events, got.attempts = nw.Sim.Executed(), nw.Attempts()
+		return got
 	}
 	for _, tc := range []struct {
 		name   string
 		spec   string
 		shards int
-		// folds: the fold must take the links below 0.01 events per
-		// attempt; otherwise the fold must change no event count.
-		folds bool
+		// perAttempt, when set, is the bound the fold must take the links'
+		// events per attempt under; otherwise the fold must change no event
+		// count.
+		perAttempt float64
+		// reach, when set, is how far past a probe's instant some link's
+		// folded cycles must reach.
+		reach sim.Duration
 	}{
-		{"lab", labSpec("", class, ""), 1, true},
-		{"lab-lossy", labSpec(`{"classical_loss": 0.001}`, class, ""), 1, false},
-		{"ql2020", ql2020, 1, false},
-		{"chain3", chain3, 1, true},
-		{"chain3-2-shards", chain3, 2, true},
+		{"lab", labSpec("", class, ""), 1, 0.01, 0},
+		{"lab-lossy", labSpec(`{"classical_loss": 0.001}`, class, ""), 1, 0, 0},
+		{"ql2020", ql2020, 1, 0, 0},
+		{"chain3", chain3, 1, 0.01, 0},
+		{"chain3-2-shards", chain3, 2, 0.01, 0},
+		{"chain3-past-queue-samples", chain3, 1, 0, 50 * sim.Millisecond},
+		{"e2e-chain5-lockstep", serviceSpec("chain", 5, 4, ""), 1, 0.1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			got, ref := run(t, tc.spec, tc.shards, true), run(t, tc.spec, tc.shards, false)
+			if tc.reach > 0 {
+				if got := run(t, tc.spec, tc.shards, true, true); got.reach <= tc.reach {
+					t.Fatalf("folds reached at most %v past a probe, want over %v", got.reach, tc.reach)
+				} else {
+					t.Logf("folds reached %v past a probe", got.reach)
+				}
+				return
+			}
+			got, ref := run(t, tc.spec, tc.shards, true, false), run(t, tc.spec, tc.shards, false, false)
 			if got.attempts != ref.attempts || got.attempts < 10000 {
 				t.Fatalf("%d attempts, attempt by attempt %d", got.attempts, ref.attempts)
 			}
 			perAttempt := float64(got.events) / float64(got.attempts)
-			if tc.folds {
-				if perAttempt >= 0.01 {
-					t.Fatalf("%.4f events per attempt (%d events, %d attempts), want under 0.01", perAttempt, got.events, got.attempts)
+			if tc.perAttempt > 0 {
+				if perAttempt >= tc.perAttempt {
+					t.Fatalf("%.4f events per attempt (%d events, %d attempts), want under %g", perAttempt, got.events, got.attempts, tc.perAttempt)
 				}
 			} else if got.events != ref.events {
 				t.Fatalf("%d events with the fold on, %d with it off: the fold engaged where it must not", got.events, ref.events)
 			}
 			if tc.shards > 1 {
-				if serial := run(t, tc.spec, 1, true); got != serial {
+				if serial := run(t, tc.spec, 1, true, false); got != serial {
 					t.Fatalf("%+v on %d shards, serial %+v", got, tc.shards, serial)
 				}
 			}

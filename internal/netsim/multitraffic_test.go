@@ -78,7 +78,7 @@ func attachPoisson(t testing.TB, nw *Network, class workload.ClassSpec) *MultiTr
 // aggregate request, pair and error totals. The events are re-pinned to a
 // loss-free Lab attempt's two events beside the clock tick (one delivers
 // both GENs, one both REPLYs), then the MD case's to its links folding
-// their failed attempts (mhp.Link.fold), then both to Executed counting no
+// their failed attempts (mhp.Clock), then both to Executed counting no
 // clock tick. The dense and belldiag backends
 // agree on every pinned field. The MD case is the flag runs' shape; the CK
 // case adds create-and-keep, a deadline and classical loss. A change to the

@@ -242,8 +242,8 @@ type Network struct {
 	// links they may act only on that link (or schedule on another link's
 	// Eng): the other links fold their failed attempts up to their own next
 	// event, so a change made to them from here would land inside a run
-	// already folded. RegisterNetworkHandler turns the fold off for the
-	// network layer, which acts on two links at once.
+	// already folded. RegisterNetworkHandler makes the links fold in
+	// lockstep for the network layer, which acts on two links at once.
 	OnLinkOK func(*Link, egp.OKEvent)
 	// OnLinkError, when set, observes every link-layer request failure.
 	OnLinkError func(*Link, egp.ErrorEvent)
@@ -419,9 +419,10 @@ func (nw *Network) pairDuplex(l *Link) *classical.Duplex {
 // buildLink instantiates the full protocol stack of one link and registers
 // both endpoints with their nodes. Everything of the link schedules through
 // l.Eng, the link's sim.WithRNG view — EGP and DQP timers, the pair duplex,
-// the workload site, the queue sampler and fault transitions — except the
-// MHP's own deliveries, so the view's Horizon is the link's next event: the
-// bound of its fold of failed attempts (mhp.Link.fold).
+// the workload site and fault transitions — except the MHP's own deliveries
+// and the queue sampler, which go through sim.Untracked views of it, so the
+// view's Horizon is the link's next event: the bound of its fold of failed
+// attempts (mhp.Clock).
 func (nw *Network) buildLink(id LinkID, e Edge) {
 	cfg := nw.Config
 	platform := nw.Platform
@@ -502,7 +503,7 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 	}
 	// The MHP's GEN, hold and REPLY deliveries go through an untracked view:
 	// the fold of failed attempts rules them out itself, so the link's
-	// horizon need not stop at them (mhp.Link.fold).
+	// horizon need not stop at them (mhp.Clock).
 	l.Mid = mhp.NewLink(mhp.LinkConfig{
 		Sim: sim.Untracked(s), Sampler: l.Sampler,
 		Generators: gens,
@@ -571,16 +572,17 @@ func (nw *Network) LinkBetween(a, b int) *Link {
 // after the channel's propagation delay (and loss). The network layer is
 // serial-only, so a sharded network refuses. It acts on several links from
 // one link's events (a swap consumes a pair on each), so on a network of
-// several links their failed attempts no longer commute, and every link runs
-// attempt by attempt from then on (mhp.Link.SetFolding).
+// several links a link's failed attempts commute with another link's only
+// while neither succeeds, and the cycle clock folds every link in lockstep
+// from then on (mhp.Clock.Lockstep), up to the simulator's horizon.
 func (nw *Network) RegisterNetworkHandler(node int, h func(classical.Message)) error {
 	if nw.sharded != nil {
 		return fmt.Errorf("netsim: the network layer is serial-only; this network runs on %d shards", nw.sharded.Shards())
 	}
 	nw.Nodes[node].Mux.Handle(NetworkLayerTag, h)
 	if len(nw.Links) > 1 {
-		for _, l := range nw.Links {
-			l.Mid.SetFolding(false)
+		for _, c := range nw.clocks {
+			c.Lockstep()
 		}
 	}
 	return nil
@@ -632,8 +634,10 @@ func (nw *Network) Start() {
 		// schedule of each link is then identical at every shard count (a
 		// single global ticker would both race across shards and give the
 		// sharded run a different event census than the serial one).
+		// It reads only the queue, which a fold of failed attempts leaves
+		// as it is, so it is untracked: it bounds no link's fold.
 		link := l
-		l.stopSample = sim.Ticker(l.Eng, nw.Config.QueueSamplePeriod, func() {
+		l.stopSample = sim.Ticker(sim.Untracked(l.Eng), nw.Config.QueueSamplePeriod, func() {
 			depth := link.EGPA.Queue().TotalLen()
 			link.Account.queue.Add(float64(depth))
 			link.traceNet.Record(link.Eng.Now(), obs.KindQueueDepth, uint64(link.ID), int64(depth), 0)

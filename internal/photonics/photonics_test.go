@@ -564,3 +564,44 @@ func TestFailRunDrawsAsSample(t *testing.T) {
 		}
 	}
 }
+
+// TestDrawHoldsForSample: Draw holds each attempt's uniforms whatever its
+// outcome, and the attempts then given up by Fail or consumed by Sample are
+// the ones Sample draws attempt by attempt, in the same stream order, with
+// the same outcomes and the same count.
+func TestDrawHoldsForSample(t *testing.T) {
+	em := labEmission(0.9)
+	det := DetectorParams{Efficiency: 0.8, DarkCountRate: 20, Window: 25e-9}
+	link := NewHeraldedLink(em, em, Fiber{}, Fiber{}, det, 0.9)
+	for seed := int64(1); seed <= 20; seed++ {
+		ref, lock := NewLinkSampler(link), NewLinkSampler(link)
+		refRNG, lockRNG := sim.NewRNG(seed), sim.NewRNG(seed)
+		successes := 0
+		for i := range 2000 {
+			want := ref.Sample(0.3, 0.3, refRNG)
+			success := lock.Draw(0.3, 0.3, lockRNG)
+			if success != want.Outcome.Success() || !lock.Held() {
+				t.Fatalf("seed %d, attempt %d: Draw says success %v (held %v), Sample %v", seed, i, success, lock.Held(), want.Outcome)
+			}
+			// Every third failure is sampled from its held draws, as the real
+			// herald after a lockstep consumes them; the rest are given up.
+			if !success && i%3 != 0 {
+				lock.Fail()
+				continue
+			}
+			if got := lock.Sample(0.3, 0.3, lockRNG); got.Outcome != want.Outcome || got.IdealPattern != want.IdealPattern {
+				t.Fatalf("seed %d, attempt %d: held attempt sampled as %v/%v, per-attempt %v/%v",
+					seed, i, got.Outcome, got.IdealPattern, want.Outcome, want.IdealPattern)
+			}
+			if success {
+				successes++
+			}
+		}
+		if successes == 0 {
+			t.Fatalf("seed %d: no success", seed)
+		}
+		if lock.Attempts() != ref.Attempts() || lock.Held() || refRNG.Float64() != lockRNG.Float64() {
+			t.Fatalf("seed %d: %d attempts, per-attempt %d, held %v, or the streams moved apart", seed, lock.Attempts(), ref.Attempts(), lock.Held())
+		}
+	}
+}

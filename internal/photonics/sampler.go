@@ -41,8 +41,9 @@ type LinkSampler struct {
 	// the heap on every attempt; a sampler is confined to one simulator
 	// thread, so a single persistent buffer is safe.
 	uBuf [5]float64
-	// held is set when FailRun drew the uniforms in uBuf for a success that
-	// the next Sample, at heldKey's populations, consumes instead of drawing.
+	// held is set when uBuf holds the uniforms of the next attempt, drawn
+	// ahead by FailRun (a success) or Draw (any outcome): the next Sample, at
+	// heldKey's populations, consumes them instead of drawing.
 	held    bool
 	heldKey alphaKey
 }
@@ -85,7 +86,8 @@ func (s *LinkSampler) Link() *HeraldedLink { return s.link }
 // Attempts returns how many entanglement attempts have been sampled.
 func (s *LinkSampler) Attempts() uint64 { return s.attempts }
 
-// Held reports whether FailRun holds a success the next Sample consumes.
+// Held reports whether the sampler holds the next attempt's uniforms, drawn
+// ahead by FailRun or Draw, for the next Sample to consume.
 func (s *LinkSampler) Held() bool { return s.held }
 
 // distribution returns the branch distribution for the given bright-state
@@ -273,8 +275,8 @@ func (s *LinkSampler) Sample(alphaA, alphaB float64, rng RandomSource) AttemptRe
 	d := s.distribution(alphaA, alphaB)
 	// One attempt consumes exactly five uniforms, in a fixed order: the
 	// branch selector, then the four detector-noise draws. Batching them
-	// preserves the stream order of the one-at-a-time draws exactly. A
-	// success FailRun found has drawn them already.
+	// preserves the stream order of the one-at-a-time draws exactly. An
+	// attempt FailRun or Draw drew ahead has them already.
 	u := &s.uBuf
 	if s.held {
 		if s.heldKey != (alphaKey{alphaA, alphaB}) {
@@ -316,18 +318,52 @@ func (s *LinkSampler) FailRun(alphaA, alphaB float64, rng RandomSource, max uint
 		panic("photonics: FailRun with a held attempt not yet sampled")
 	}
 	d := s.distribution(alphaA, alphaB)
-	u := &s.uBuf
-	for failed < max {
-		draw(rng, u)
-		if _, observed := s.clicks(d, u); OutcomeFromClicks(observed).Success() {
-			s.held, s.heldKey = true, alphaKey{alphaA, alphaB}
-			success = true
-			break
-		}
+	for failed < max && !s.try(d, rng) {
 		failed++
+	}
+	if failed < max {
+		s.held, s.heldKey, success = true, alphaKey{alphaA, alphaB}, true
 	}
 	s.attempts += failed
 	return failed, success
+}
+
+// Draw draws the next attempt's five uniforms at (αA, αB) from rng, exactly
+// as Sample would, holds them and reports whether that attempt succeeds. The
+// next Sample, which must be at the same populations, uses them instead of
+// drawing; Fail gives them up as a failed attempt instead. Several links
+// folded in lockstep draw each cycle this way, and every link keeps the
+// draws of the cycle the lockstep stops before.
+func (s *LinkSampler) Draw(alphaA, alphaB float64, rng RandomSource) bool {
+	if s.held {
+		panic("photonics: Draw with a held attempt not yet sampled")
+	}
+	s.held, s.heldKey = true, alphaKey{alphaA, alphaB}
+	return s.try(s.distribution(alphaA, alphaB), rng)
+}
+
+// Fail counts the attempt Draw holds as failed, as its Sample would, and
+// drops its uniforms: the next attempt draws anew.
+func (s *LinkSampler) Fail() {
+	if !s.held {
+		panic("photonics: Fail without a held attempt")
+	}
+	s.held = false
+	s.attempts++
+}
+
+// try draws one attempt's five uniforms from rng into uBuf and reports
+// whether the attempt succeeds at d: the one-cycle draw FailRun and Draw
+// share. It spells out draw's batch path, so that a cycle of FailRun's loop
+// makes no call but the batch draw and the click test.
+func (s *LinkSampler) try(d *attemptDistribution, rng RandomSource) bool {
+	if batch, ok := rng.(batchSource); ok {
+		batch.Float64Batch(s.uBuf[:])
+	} else {
+		draw(rng, &s.uBuf)
+	}
+	_, observed := s.clicks(d, &s.uBuf)
+	return OutcomeFromClicks(observed).Success()
 }
 
 // draw fills u with the next five uniforms of rng.

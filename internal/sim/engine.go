@@ -261,8 +261,9 @@ func (e *rngEngine) down(i int) {
 // Untracked returns a view of eng whose events no horizon waits for; time,
 // random stream and Horizon are eng's. A netsim link schedules through it its
 // GEN, hold and REPLY deliveries, which the fold of failed attempts rules out
-// by itself (mhp.Link.fold), so the link's horizon need not stop at them. On
-// an engine that is not a WithRNG view of a Simulator it returns eng.
+// by itself (mhp.Clock), and its queue sampler, which only reads what a fold
+// leaves unchanged, so the link's horizon need not stop at them. On an
+// engine that is not a WithRNG view of a Simulator it returns eng.
 func Untracked(eng Engine) Engine {
 	if v, ok := eng.(*rngEngine); ok && v.s != nil {
 		return &untrackedEngine{Simulator: v.s, view: v}
