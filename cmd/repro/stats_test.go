@@ -1,9 +1,14 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"maps"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/quantum"
 	"repro/internal/scenario"
 	"repro/internal/workload"
@@ -105,6 +110,81 @@ func TestStatsMatchRecordedRuns(t *testing.T) {
 				if got[i] != tc.want[i] {
 					t.Errorf("row %d:\n got %s\nwant %s", i, got[i], tc.want[i])
 				}
+			}
+		})
+	}
+}
+
+// TestMetricsCountersMatchRecordedRuns pins every counter of the -metrics
+// snapshot to values recorded while each still had a second copy kept
+// beside its layer's own count: a chain under an outage plan (fault events,
+// errors), serially and on 4 shards, the e2e-chain5 service, and a service
+// whose flow is rerouted and then cut off.
+func TestMetricsCountersMatchRecordedRuns(t *testing.T) {
+	outage := map[string]uint64{
+		"egp.errors": 2, "egp.expires": 0, "egp.oks": 96,
+		"mhp.attempts": 701383, "mhp.matched": 350682, "mhp.successes": 48,
+		"netsim.fault_events": 7, "netsim.oks": 48, "netsim.submitted": 43,
+	}
+	// A 3x3 grid whose service path loses one link at a time, rerouting
+	// requests in flight, and then its source node, failing them NOROUTE.
+	reroute := writeSpec(t, "grid9-reroute.json", `{
+  "name": "grid9-reroute",
+  "description": "e2e flow 0-8 on a 3x3 grid under short link outages, then a source outage",
+  "topology": {"kind": "grid", "nodes": 9},
+  "protocol": {"hold_pairs": true},
+  "run": {"seconds": 3, "trials": 1},
+  "traffic": {"classes": [{"name": "e2e", "priority": "NL", "arrival": {"kind": "poisson", "load": 0.5},
+    "max_pairs": 1, "min_fidelity": 0.35}]},
+  "service": {"src": 0, "dst": 8, "cost": "hops"},
+  "faults": {"events": [
+    {"at_s": 0.2, "state": "down", "link": [5, 8]}, {"at_s": 0.25, "state": "up", "link": [5, 8]},
+    {"at_s": 0.5, "state": "down", "link": [0, 1]}, {"at_s": 0.55, "state": "up", "link": [0, 1]},
+    {"at_s": 0.8, "state": "down", "link": [1, 2]}, {"at_s": 0.85, "state": "up", "link": [1, 2]},
+    {"at_s": 1.1, "state": "down", "link": [2, 5]}, {"at_s": 1.15, "state": "up", "link": [2, 5]},
+    {"at_s": 1.4, "state": "down", "link": [5, 8]}, {"at_s": 1.45, "state": "up", "link": [5, 8]},
+    {"at_s": 1.7, "state": "down", "link": [0, 1]}, {"at_s": 1.75, "state": "up", "link": [0, 1]},
+    {"at_s": 2, "state": "down", "link": [1, 2]}, {"at_s": 2.05, "state": "up", "link": [1, 2]},
+    {"at_s": 2.3, "state": "down", "link": [2, 5]}, {"at_s": 2.35, "state": "up", "link": [2, 5]},
+    {"at_s": 2.5, "state": "down", "node": 0}, {"at_s": 2.8, "state": "up", "node": 0}]}
+}`)
+	cases := []struct {
+		name string
+		args []string
+		want map[string]uint64
+	}{
+		{"chain8-outage", []string{"../../scenarios/chain8-outage.json", "-seconds", "1"}, outage},
+		{"chain8-outage-shards4", []string{"../../scenarios/chain8-outage.json", "-seconds", "1", "-shards", "4"}, outage},
+		{"e2e-chain5", []string{"../../scenarios/e2e-chain5.json", "-seconds", "3"}, map[string]uint64{
+			"e2e.fails": 0, "e2e.noroute": 0, "e2e.oks": 5, "e2e.reroutes": 0, "e2e.swaps": 15,
+			"egp.errors": 0, "egp.expires": 0, "egp.oks": 40,
+			"mhp.attempts": 365920, "mhp.matched": 182960, "mhp.successes": 20,
+			"netsim.fault_events": 0, "netsim.oks": 20, "netsim.submitted": 20,
+		}},
+		{"grid9-reroute", []string{reroute}, map[string]uint64{
+			"e2e.fails": 4, "e2e.noroute": 4, "e2e.oks": 8, "e2e.reroutes": 9, "e2e.swaps": 31,
+			"egp.errors": 10, "egp.expires": 0, "egp.oks": 142,
+			"mhp.attempts": 1345797, "mhp.matched": 672636, "mhp.successes": 71,
+			"netsim.fault_events": 20, "netsim.oks": 71, "netsim.submitted": 84,
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "metrics.json")
+			args := append([]string{"run"}, tc.args...)
+			if code, _, stderr := repro(t, append(args, "-trials", "1", "-metrics", out)...); code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			raw, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap obs.Snapshot
+			if err := json.Unmarshal(raw, &snap); err != nil {
+				t.Fatal(err)
+			}
+			if !maps.Equal(snap.Counters, tc.want) {
+				t.Errorf("counters\n got %v\nwant %v", snap.Counters, tc.want)
 			}
 		})
 	}

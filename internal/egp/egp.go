@@ -120,9 +120,6 @@ type Config struct {
 	// recording at the cost of one branch per lifecycle event.
 	Trace   *obs.Ring
 	TraceID uint64
-	// Metrics, when non-nil, publishes lifecycle counters. Handles are
-	// nil-safe, so a nil bundle field costs nothing.
-	Metrics *obs.EGPMetrics
 }
 
 // maxOutstandingM caps the number of in-flight multiplexed M attempts.
@@ -175,11 +172,6 @@ type EGP struct {
 	// Pending EXPIRE exchanges awaiting acknowledgement.
 	pendingExpires map[wire.AbsoluteQueueID]sim.EventID
 
-	// Peer resource view from REQ(E)/ACK(E) advertisements.
-	peerComm    int
-	peerStorage int
-	peerKnown   bool
-
 	// Statistics.
 	creates, okCount, errCount, expiresSent, expiresReceived uint64
 }
@@ -228,8 +220,7 @@ func New(cfg Config) *EGP {
 			e.wake()
 		},
 		OnRejected: func(item *QueueItem, code wire.EGPError) {
-			e.errCount++
-			e.emitError(item, code)
+			e.emitError(item.CreateID, item.ID, int(item.Priority), code)
 		},
 	})
 	e.queue.SetStampFunc(cfg.Scheduler.Stamp)
@@ -308,16 +299,14 @@ func (e *EGP) Create(req CreateRequest) (uint16, wire.EGPError) {
 	// Fidelity feasibility (UNSUPP).
 	alpha, ok := e.feu.AlphaForFidelity(req.MinFidelity)
 	if !ok {
-		e.errCount++
-		e.emitErrorRaw(createID, req.Priority, wire.ErrUnsupported)
+		e.emitError(createID, wire.AbsoluteQueueID{}, req.Priority, wire.ErrUnsupported)
 		return createID, wire.ErrUnsupported
 	}
 	// Completion-time feasibility (UNSUPP).
 	if req.MaxTime > 0 {
 		est := e.feu.EstimateCompletionSeconds(req.NumPairs, alpha, req.Keep)
 		if math.IsInf(est, 1) || est > req.MaxTime.Seconds() {
-			e.errCount++
-			e.emitErrorRaw(createID, req.Priority, wire.ErrUnsupported)
+			e.emitError(createID, wire.AbsoluteQueueID{}, req.Priority, wire.ErrUnsupported)
 			return createID, wire.ErrUnsupported
 		}
 	}
@@ -325,8 +314,7 @@ func (e *EGP) Create(req CreateRequest) (uint16, wire.EGPError) {
 	if req.Atomic && req.Keep {
 		ever, _ := e.qmm.CanSatisfyAtomic(req.NumPairs)
 		if !ever {
-			e.errCount++
-			e.emitErrorRaw(createID, req.Priority, wire.ErrMemExceeded)
+			e.emitError(createID, wire.AbsoluteQueueID{}, req.Priority, wire.ErrMemExceeded)
 			return createID, wire.ErrMemExceeded
 		}
 	}
@@ -359,8 +347,7 @@ func (e *EGP) Create(req CreateRequest) (uint16, wire.EGPError) {
 		EstCyclesPerPair: uint32(estPerPair),
 	}
 	if err := e.queue.Add(item); err != nil {
-		e.errCount++
-		e.emitErrorRaw(createID, req.Priority, wire.ErrOutOfMemory)
+		e.emitError(createID, wire.AbsoluteQueueID{}, req.Priority, wire.ErrOutOfMemory)
 		return createID, wire.ErrOutOfMemory
 	}
 	// The master queues its own request at once; a slave's joins its queue
@@ -371,36 +358,19 @@ func (e *EGP) Create(req CreateRequest) (uint16, wire.EGPError) {
 	return createID, wire.ErrNone
 }
 
-// emitError reports a request-level failure for a queue item.
-func (e *EGP) emitError(item *QueueItem, code wire.EGPError) {
-	e.cfg.Trace.Record(e.cfg.Sim.Now(), obs.KindEGPError, e.cfg.TraceID, int64(item.CreateID), int64(code))
-	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.Errors.Inc()
-	}
-	if e.cfg.OnError == nil {
-		return
-	}
-	e.cfg.OnError(ErrorEvent{
-		Node:     e.cfg.NodeName,
-		CreateID: item.CreateID,
-		QueueID:  item.ID,
-		Code:     code,
-		Priority: int(item.Priority),
-		At:       e.cfg.Sim.Now(),
-	})
-}
-
-func (e *EGP) emitErrorRaw(createID uint16, priority int, code wire.EGPError) {
+// emitError counts and reports a request-level failure: of a queued item
+// (its queue ID set), or of a CREATE refused before it was queued (the zero
+// queue ID).
+func (e *EGP) emitError(createID uint16, queueID wire.AbsoluteQueueID, priority int, code wire.EGPError) {
+	e.errCount++
 	e.cfg.Trace.Record(e.cfg.Sim.Now(), obs.KindEGPError, e.cfg.TraceID, int64(createID), int64(code))
-	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.Errors.Inc()
-	}
 	if e.cfg.OnError == nil {
 		return
 	}
 	e.cfg.OnError(ErrorEvent{
 		Node:     e.cfg.NodeName,
 		CreateID: createID,
+		QueueID:  queueID,
 		Code:     code,
 		Priority: priority,
 		At:       e.cfg.Sim.Now(),
@@ -430,8 +400,7 @@ func (e *EGP) reapExpired(cycle uint64) {
 	for _, it := range e.reapScratch {
 		e.queue.Remove(it.ID)
 		if e.localOrigin(it) {
-			e.errCount++
-			e.emitError(it, wire.ErrTimeout)
+			e.emitError(it.CreateID, it.ID, int(it.Priority), wire.ErrTimeout)
 		}
 	}
 }
@@ -449,8 +418,7 @@ func (e *EGP) FailAll(code wire.EGPError) {
 	for _, it := range items {
 		e.queue.Remove(it.ID)
 		if e.localOrigin(it) {
-			e.errCount++
-			e.emitError(it, code)
+			e.emitError(it.CreateID, it.ID, int(it.Priority), code)
 		}
 	}
 	if e.outstandingK {
@@ -464,6 +432,16 @@ func (e *EGP) FailAll(code wire.EGPError) {
 		ev.Cancel()
 		delete(e.pendingExpires, id)
 	}
+}
+
+// kEligible reports whether this node's own state lets a create-and-keep
+// attempt start at cycle: a cycle of the K attempt grid, at or after the
+// resume cycle of the last success, outside the carbon re-initialisation
+// window, with the communication qubit free. PollTrigger and Steady both
+// decide K attempts by it.
+func (e *EGP) kEligible(cycle uint64) bool {
+	return cycle%e.kStride == 0 && cycle >= e.kResumeCycle &&
+		!e.inCarbonReinitWindow(cycle) && e.qmm.CommAvailable()
 }
 
 // inCarbonReinitWindow reports whether the hardware is busy re-initialising
@@ -507,23 +485,7 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 		// same resume cycle. This keeps the two nodes triggering in the same
 		// MHP cycle even though their midpoint replies arrive at different
 		// times over asymmetric fibre arms.
-		if cycle%e.kStride != 0 {
-			return mhp.PollDecision{}
-		}
-		if cycle < e.kResumeCycle {
-			return mhp.PollDecision{}
-		}
-		if e.outstandingK || e.outstandingM > 0 {
-			return mhp.PollDecision{}
-		}
-		if e.inCarbonReinitWindow(cycle) {
-			return mhp.PollDecision{}
-		}
-		if !e.qmm.CommAvailable() {
-			return mhp.PollDecision{}
-		}
-		if e.peerKnown && e.peerComm == 0 {
-			// Flow control: the peer advertised no free communication qubit.
+		if e.outstandingK || e.outstandingM > 0 || !e.kEligible(cycle) {
 			return mhp.PollDecision{}
 		}
 		storage, haveStorage := e.qmm.PickStorage()
@@ -572,8 +534,7 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 // attempt until the next carbon re-initialisation window. A K stride above
 // one is never steady: its polls attempt only every stride-th cycle.
 // Everything else that changes the pick (a new item, a confirmation, a
-// timer, the peer's memory advertisement) comes from an event, which the
-// fold does not cross.
+// timer) comes from an event, which the fold does not cross.
 func (e *EGP) Steady(cycle uint64) (mhp.PollDecision, uint64) {
 	if e.outstandingK || e.outstandingM > 0 || e.cfg.Sim.Now() < e.busyUntil {
 		return mhp.PollDecision{}, 0
@@ -601,8 +562,7 @@ func (e *EGP) Steady(cycle uint64) (mhp.PollDecision, uint64) {
 	if !item.Keep {
 		return d, steady
 	}
-	if e.kStride != 1 || cycle < e.kResumeCycle || e.inCarbonReinitWindow(cycle) ||
-		!e.qmm.CommAvailable() || (e.peerKnown && e.peerComm == 0) {
+	if e.kStride != 1 || !e.kEligible(cycle) {
 		return mhp.PollDecision{}, 0
 	}
 	if e.reinitPeriod != 0 {
@@ -852,9 +812,6 @@ func (e *EGP) completePair(item *QueueItem, r mhp.Result, ev OKEvent) {
 	ev.CreateTime = item.CreateTime
 	ev.At = now
 	e.cfg.Trace.Record(now, obs.KindEGPOK, e.cfg.TraceID, int64(item.CreateID), int64(item.PairsLeft))
-	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.OKs.Inc()
-	}
 	if e.cfg.OnOK != nil {
 		e.cfg.OnOK(ev)
 	}
@@ -865,9 +822,6 @@ func (e *EGP) completePair(item *QueueItem, r mhp.Result, ev OKEvent) {
 func (e *EGP) sendExpire(id wire.AbsoluteQueueID, low, high uint16) {
 	e.expiresSent++
 	e.cfg.Trace.Record(e.cfg.Sim.Now(), obs.KindEGPExpire, e.cfg.TraceID, int64(high), 0)
-	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.Expires.Inc()
-	}
 	frame := wire.ExpireFrame{
 		QueueID:      id,
 		OriginNodeID: e.cfg.NodeID,
@@ -900,7 +854,7 @@ func (e *EGP) sendExpire(id wire.AbsoluteQueueID, low, high uint16) {
 }
 
 // HandlePeerMessage demultiplexes frames arriving from the peer EGP: DQP
-// frames, EXPIRE/EXPIRE-ACK and memory advertisements.
+// frames and EXPIRE/EXPIRE-ACK.
 func (e *EGP) HandlePeerMessage(msg classical.Message) {
 	raw, ok := msg.Payload.([]byte)
 	if !ok {
@@ -917,8 +871,6 @@ func (e *EGP) HandlePeerMessage(msg classical.Message) {
 		e.handleExpire(raw)
 	case wire.FrameExpireAck:
 		e.handleExpireAck(raw)
-	case wire.FrameMemReq, wire.FrameMemAck:
-		e.handleMemory(raw)
 	}
 }
 
@@ -955,32 +907,6 @@ func (e *EGP) handleExpireAck(raw []byte) {
 	if seqAfter(frame.ExpectedSeq, e.expectedSeq) {
 		e.expectedSeq = frame.ExpectedSeq
 	}
-}
-
-// handleMemory stores the peer's advertised resources and acknowledges
-// REQ(E) frames.
-func (e *EGP) handleMemory(raw []byte) {
-	frame, err := wire.DecodeMemory(raw)
-	if err != nil {
-		return
-	}
-	e.peerComm = int(frame.CommQubits)
-	e.peerStorage = int(frame.StorageQubits)
-	e.peerKnown = true
-	if !frame.IsAck {
-		comm := 0
-		if e.qmm.CommAvailable() {
-			comm = 1
-		}
-		ack := wire.MemoryFrame{IsAck: true, CommQubits: uint8(comm), StorageQubits: uint8(e.qmm.StorageAvailable())}
-		e.cfg.ToPeer.Send(ack.Encode())
-	}
-}
-
-// PeerResources returns the most recently advertised peer resource counts
-// and whether any advertisement has been received.
-func (e *EGP) PeerResources() (comm, storage int, known bool) {
-	return e.peerComm, e.peerStorage, e.peerKnown
 }
 
 // ExpectedSeq returns the next expected MHP sequence number (for tests).

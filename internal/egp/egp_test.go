@@ -399,30 +399,6 @@ func TestTimeoutReapingAtEachDeadline(t *testing.T) {
 	}
 }
 
-func TestMemoryAdvertisement(t *testing.T) {
-	f := newEGPFixture(t, true)
-	req := wire.MemoryFrame{IsAck: false, CommQubits: 0, StorageQubits: 0}
-	f.egp.HandlePeerMessage(classical.Message{Payload: req.Encode()})
-	comm, storage, known := f.egp.PeerResources()
-	if !known || comm != 0 || storage != 0 {
-		t.Fatalf("peer resources not recorded: %d %d %v", comm, storage, known)
-	}
-	// With the peer advertising no free communication qubit, K attempts are
-	// withheld (flow control).
-	f.egp.Create(CreateRequest{NumPairs: 1, Keep: true, MinFidelity: 0.6, Priority: PriorityCK})
-	f.confirmAll()
-	item := f.egp.Queue().AllItems()[0]
-	if d := f.egp.PollTrigger(item.ScheduleCycle + 50); d.Attempt {
-		t.Fatal("flow control should withhold K attempts when the peer has no free qubits")
-	}
-	// Once the peer frees resources, generation resumes.
-	ack := wire.MemoryFrame{IsAck: true, CommQubits: 1, StorageQubits: 1}
-	f.egp.HandlePeerMessage(classical.Message{Payload: ack.Encode()})
-	if d := f.egp.PollTrigger(item.ScheduleCycle + 51); !d.Attempt {
-		t.Fatal("attempts should resume after the peer advertises free qubits")
-	}
-}
-
 func TestSharedBasisDeterministic(t *testing.T) {
 	id := wire.AbsoluteQueueID{QueueID: 2, QueueSeq: 7}
 	seen := map[quantum.BasisLabel]bool{}

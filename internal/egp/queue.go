@@ -109,9 +109,6 @@ type DistributedQueue struct {
 	onConfirmed func(*QueueItem)
 	onRejected  func(*QueueItem, wire.EGPError)
 
-	// acceptPolicy gates remotely originated requests (purpose-ID rules).
-	acceptPolicy AcceptPolicy
-
 	// stampFunc lets the master's scheduler assign scheduling metadata
 	// (e.g. WFQ virtual finish times) to items as they are enqueued.
 	stampFunc func(*QueueItem)
@@ -346,14 +343,6 @@ func (q *DistributedQueue) scheduleRetransmit(cseq uint8) {
 	})
 }
 
-// AcceptPolicy decides whether a remotely originated request is allowed
-// (e.g. purpose-ID based rules). A nil policy accepts everything.
-type AcceptPolicy func(frame wire.DQPFrame) bool
-
-// SetAcceptPolicy installs the policy consulted before acknowledging remote
-// ADDs; a nil policy accepts every request.
-func (q *DistributedQueue) SetAcceptPolicy(p AcceptPolicy) { q.acceptPolicy = p }
-
 // SetStampFunc installs the scheduler stamping hook applied by the master to
 // every item entering the queue.
 func (q *DistributedQueue) SetStampFunc(f func(*QueueItem)) { q.stampFunc = f }
@@ -383,13 +372,6 @@ func (q *DistributedQueue) handleAdd(frame wire.DQPFrame) {
 	// Idempotent handling of retransmissions.
 	if id, seen := q.seenAdds[frame.CommSeq]; seen {
 		q.sendAckFor(frame.CommSeq, id, frame)
-		return
-	}
-	if q.acceptPolicy != nil && !q.acceptPolicy(frame) {
-		q.rejectsSent++
-		reply := frame
-		reply.Kind = wire.DQPRej
-		q.toPeer.Send(reply.Encode())
 		return
 	}
 	priority := int(frame.Priority)

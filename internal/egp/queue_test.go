@@ -126,33 +126,49 @@ func TestQueueSurvivesFrameLoss(t *testing.T) {
 	}
 }
 
-func TestQueueRejectionByPolicy(t *testing.T) {
+// TestQueueRejectsWhenPeerLaneFull: an ADD the peer has no room for in its
+// lane is refused with a REJ, and the origin drops the item and reports
+// ErrRejected.
+func TestQueueRejectsWhenPeerLaneFull(t *testing.T) {
 	qp := newQueuePair(t, 0)
-	// The slave only accepts purpose ID 42.
-	qp.slave.SetAcceptPolicy(func(f wire.DQPFrame) bool { return f.PurposeID == 42 })
-	rejected := false
+	var rejected []*QueueItem
 	qp.master.onRejected = func(item *QueueItem, code wire.EGPError) {
 		if code == wire.ErrRejected {
-			rejected = true
+			rejected = append(rejected, item)
 		}
 	}
-	bad := newItem(PriorityMD, 1)
-	bad.PurposeID = 7
-	good := newItem(PriorityMD, 2)
-	good.PurposeID = 42
+	first := newItem(PriorityMD, 0)
 	sim.Schedule(qp.s, 0, func() {
-		_ = qp.master.Add(bad)
-		_ = qp.master.Add(good)
+		_ = qp.master.Add(first)
+		for i := 1; i < 8; i++ {
+			_ = qp.master.Add(newItem(PriorityMD, uint16(i)))
+		}
 	})
-	_ = qp.s.RunFor(20 * sim.Millisecond)
-	if !rejected {
-		t.Fatal("disallowed purpose ID should be rejected (DENIED)")
+	_ = qp.s.RunFor(10 * sim.Millisecond)
+	if !qp.slave.Full(PriorityMD) {
+		t.Fatalf("slave lane holds %d items, want it full at 8", qp.slave.Len(PriorityMD))
 	}
-	if qp.master.Find(bad.ID) != nil {
+	// The master retires one item on its side only: its lane has room where
+	// the slave's has none.
+	qp.master.Remove(first.ID)
+	extra := newItem(PriorityMD, 8)
+	sim.Schedule(qp.s, 0, func() {
+		if err := qp.master.Add(extra); err != nil {
+			t.Errorf("Add: %v", err)
+		}
+	})
+	_ = qp.s.RunFor(10 * sim.Millisecond)
+	if len(rejected) != 1 || rejected[0] != extra {
+		t.Fatalf("rejected %v, want only the ADD the full slave lane refused", rejected)
+	}
+	if qp.master.Find(extra.ID) != nil {
 		t.Fatal("rejected item should be removed from the master queue")
 	}
-	if qp.slave.Len(PriorityMD) != 1 || qp.master.Len(PriorityMD) != 1 {
-		t.Fatal("only the allowed item should remain")
+	if qp.master.Len(PriorityMD) != 7 || qp.slave.Len(PriorityMD) != 8 {
+		t.Fatalf("lanes hold master=%d slave=%d, want 7 and 8", qp.master.Len(PriorityMD), qp.slave.Len(PriorityMD))
+	}
+	if _, _, rejects, _ := qp.slave.Stats(); rejects != 1 {
+		t.Fatalf("slave sent %d REJs, want 1", rejects)
 	}
 }
 

@@ -1,9 +1,5 @@
 package egp
 
-import (
-	"fmt"
-)
-
 // Scheduler selects which ready request the link layer should serve next
 // (Section 5.2.4). Implementations must be deterministic functions of the
 // shared queue state so that both nodes select the same request without
@@ -87,31 +83,25 @@ type WFQScheduler struct {
 
 	// virtualTime advances as pairs are served; virtual finish times are
 	// stamped from it at enqueue.
-	virtualTime    float64
-	lastFinish     [NumQueues]float64
-	strictPriority bool
-	name           string
+	virtualTime float64
+	lastFinish  [NumQueues]float64
+	name        string
 }
 
 // NewHigherWFQ returns the paper's HigherWFQ strategy: NL strict priority,
 // CK weight 10, MD weight 1.
 func NewHigherWFQ() *WFQScheduler {
-	return &WFQScheduler{WeightCK: 10, WeightMD: 1, strictPriority: true, name: "HigherWFQ"}
+	return &WFQScheduler{WeightCK: 10, WeightMD: 1, name: "HigherWFQ"}
 }
 
 // NewLowerWFQ returns the paper's LowerWFQ strategy: NL strict priority, CK
 // weight 2, MD weight 1.
 func NewLowerWFQ() *WFQScheduler {
-	return &WFQScheduler{WeightCK: 2, WeightMD: 1, strictPriority: true, name: "LowerWFQ"}
+	return &WFQScheduler{WeightCK: 2, WeightMD: 1, name: "LowerWFQ"}
 }
 
 // Name implements Scheduler.
-func (s *WFQScheduler) Name() string {
-	if s.name != "" {
-		return s.name
-	}
-	return fmt.Sprintf("WFQ(%g:%g)", s.WeightCK, s.WeightMD)
-}
+func (s *WFQScheduler) Name() string { return s.name }
 
 // Stamp assigns the item's virtual finish time: the maximum of the current
 // virtual time and the lane's previous finish time, plus the item's service
@@ -149,10 +139,8 @@ func maxU32(v uint32, min uint32) uint32 {
 // Next implements Scheduler: NL first (in queue order), then the CK/MD item
 // with the smallest virtual finish time.
 func (s *WFQScheduler) Next(q *DistributedQueue, cycle uint64) *QueueItem {
-	if s.strictPriority {
-		if nl := firstReady(q, PriorityNL, cycle); nl != nil {
-			return nl
-		}
+	if nl := firstReady(q, PriorityNL, cycle); nl != nil {
+		return nl
 	}
 	var best *QueueItem
 	for _, priority := range [...]int{PriorityCK, PriorityMD} {
@@ -160,11 +148,6 @@ func (s *WFQScheduler) Next(q *DistributedQueue, cycle uint64) *QueueItem {
 			if isReady(it, cycle) && (best == nil || lessWFQ(it, best)) {
 				best = it
 			}
-		}
-	}
-	if best == nil && !s.strictPriority {
-		if nl := firstReady(q, PriorityNL, cycle); nl != nil {
-			return nl
 		}
 	}
 	// Advance virtual time to the served item's stamp so later arrivals do

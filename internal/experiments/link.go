@@ -11,11 +11,12 @@ import (
 	"repro/internal/workload"
 )
 
-// linkRun is what one protocol trial measured: the link's account, the QBER
-// of the measure-directly pairs whose two ends agreed on a basis, and the A
-// end's fidelity estimation unit.
+// linkRun is what one protocol trial measured: the link's account, the link
+// itself (its protocol counters), the QBER of the measure-directly pairs whose
+// two ends agreed on a basis, and the A end's fidelity estimation unit.
 type linkRun struct {
 	*netsim.LinkAccount
+	link *netsim.Link
 	qber *[egp.NumQueues]egp.QBERCounter
 	feu  *egp.FidelityEstimationUnit
 }
@@ -26,7 +27,7 @@ func runProtocolTrial(opt Options, t Trial, classes []workload.ClassSpec, config
 	nw, matcher := protocolLink(opt, t, classes, configure)
 	nw.Run(sim.DurationSeconds(opt.SimulatedSeconds))
 	l := nw.Links[0]
-	return linkRun{LinkAccount: &l.Account, qber: &matcher.qber, feu: l.EGPA.FEU()}
+	return linkRun{LinkAccount: &l.Account, link: l, qber: &matcher.qber, feu: l.EGPA.FEU()}
 }
 
 // protocolLink builds the paper's link for one trial: a two-node netsim

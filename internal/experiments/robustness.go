@@ -64,7 +64,7 @@ func RunTable5Robustness(opt Options) []Table {
 			throughput: stats.Throughput(t.Priority),
 			latency:    stats.ScaledLatency(t.Priority).Mean(),
 			pairs:      stats.Pairs(t.Priority),
-			expires:    stats.Expires(),
+			expires:    int(stats.link.Expires()),
 		}
 	})
 

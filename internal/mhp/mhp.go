@@ -236,7 +236,6 @@ type Link struct {
 	// Flight-recorder hooks; all nil-safe, nil when observability is off.
 	trace   *obs.Ring
 	traceID uint64
-	metrics *obs.MHPMetrics
 
 	// perAttempt turns the fold off (SetFolding).
 	perAttempt bool
@@ -264,11 +263,9 @@ type LinkConfig struct {
 	HoldTime sim.Duration
 
 	// Trace, when non-nil, records attempt, REPLY and heralding events under
-	// track TraceID (the link ID); Metrics publishes attempt, match and
-	// success counters. Both are nil-safe and nil by default.
+	// track TraceID (the link ID). It is nil-safe and nil by default.
 	Trace   *obs.Ring
 	TraceID uint64
-	Metrics *obs.MHPMetrics
 }
 
 // NewLink builds a link's MHP. Its nodes are named "A" and "B" and join no
@@ -285,7 +282,6 @@ func NewLink(cfg LinkConfig) *Link {
 		holdTime: cfg.HoldTime,
 		trace:    cfg.Trace,
 		traceID:  cfg.TraceID,
-		metrics:  cfg.Metrics,
 	}
 	for f := range l.loss {
 		l.SetLoss(Fibre(f), cfg.Loss)
@@ -399,10 +395,6 @@ func (l *Link) absorb(now sim.Time, cycle, n uint64, dA, dB PollDecision) {
 		l.nodes[side].polled = last
 	}
 	l.matched += n
-	if l.metrics != nil {
-		l.metrics.Attempts.Add(2 * n)
-		l.metrics.Matched.Add(n)
-	}
 	if l.trace != nil {
 		arm := l.arm[nv.SideA]
 		keep, fail := int64(0), int64(wire.OutcomeFailure)
@@ -513,9 +505,6 @@ func (l *Link) receiveGEN(payload *genPayload) {
 		return
 	}
 	l.matched++
-	if l.metrics != nil {
-		l.metrics.Matched.Inc()
-	}
 
 	// Perform the optical Bell-state measurement. By convention A is the
 	// first argument.
@@ -543,9 +532,6 @@ func (l *Link) receiveGEN(payload *genPayload) {
 		pair = nv.NewEntangledPair(res.State, heralded, l.eng.Now())
 		if l.depolarize > 0 {
 			pair.State.ApplyDepolarizing(0, l.depolarize)
-		}
-		if l.metrics != nil {
-			l.metrics.Successes.Inc()
 		}
 	}
 	if l.trace != nil { // the clock is read only for a record
@@ -856,9 +842,6 @@ func (n *Node) runCycle(cycle uint64) {
 			keep = 1
 		}
 		l.trace.Record(l.eng.Now(), obs.KindMHPAttempt, l.traceID, int64(cycle), keep)
-	}
-	if l.metrics != nil {
-		l.metrics.Attempts.Inc()
 	}
 	// Triggering an attempt dephases carbon-stored pairs at this node
 	// (Appendix D.4.1).

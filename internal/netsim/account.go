@@ -10,7 +10,7 @@ import (
 // LinkAccount is one link's delivered service over a run, accounted at the
 // requests' origin side: per-priority fidelities (one per delivered pair)
 // and latencies, what each endpoint's own requests received (the fairness
-// inputs of Sec. 6.2), queue-depth samples, errors and EXPIREs. A request
+// inputs of Sec. 6.2), queue-depth samples and errors. A request
 // has a record only while it is open: completion and failure delete it.
 type LinkAccount struct {
 	end sim.Time
@@ -21,7 +21,6 @@ type LinkAccount struct {
 	scaledLatency  [egp.NumQueues]obs.Series
 	origins        [2]OriginAccount // by role: A, B
 	queue          obs.Series
-	expires        int
 	errors         map[wire.EGPError]int
 	open           map[uint64]openRequest
 }
@@ -128,9 +127,6 @@ func (a *LinkAccount) QueueLength() *obs.Series { return &a.queue }
 // Origin returns what the requests of the endpoint playing role ("A" or
 // "B") received.
 func (a *LinkAccount) Origin(role string) OriginAccount { return a.origins[roleIndex(role)] }
-
-// Expires returns how many EXPIRE notifications were issued.
-func (a *LinkAccount) Expires() int { return a.expires }
 
 // Errors returns how many requests failed with the given code.
 func (a *LinkAccount) Errors(code wire.EGPError) int { return a.errors[code] }

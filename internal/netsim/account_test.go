@@ -50,16 +50,12 @@ func TestLinkAccountThroughputAndLatency(t *testing.T) {
 	}
 }
 
-func TestLinkAccountFailuresAndExpires(t *testing.T) {
+func TestLinkAccountFailures(t *testing.T) {
 	var a LinkAccount
 	a.submitted(1, roleA, egp.PriorityNL, 1, 0)
 	a.failed(1, wire.ErrTimeout)
-	a.expires += 2
 	if a.Errors(wire.ErrTimeout) != 1 || a.Errors(wire.ErrRejected) != 0 {
 		t.Fatal("error counts wrong")
-	}
-	if a.Expires() != 2 {
-		t.Fatal("expire count wrong")
 	}
 	if a.Open() != 0 {
 		t.Fatal("failed request should not be open")

@@ -112,7 +112,7 @@ func (nw *Network) SetLinkState(l *Link, st LinkState, deg *Degrade) {
 	}
 
 	l.traceNet.Record(now, obs.KindLinkState, obs.FaultTrack|uint64(l.ID), int64(st), int64(old))
-	nw.cFaults.Inc()
+	l.transitions++
 	if nw.OnLinkStateChange != nil {
 		nw.OnLinkStateChange(l, old, st)
 	}

@@ -122,12 +122,12 @@ type Link struct {
 	// sharded links cannot share one).
 	Sampler *photonics.LinkSampler
 
-	// Account holds this link's delivered pairs, latencies, queue samples,
-	// errors and EXPIREs; requests are accounted from the origin side only.
+	// Account holds this link's delivered pairs, latencies, queue samples
+	// and errors; requests are accounted from the origin side only.
 	Account LinkAccount
 
-	// Submitted/OKs/Errs count protocol events across both endpoints.
-	Submitted, OKs, Errs uint64
+	// Submitted counts the CREATEs accepted at either endpoint.
+	Submitted uint64
 
 	// traceNet is the link's netsim-layer flight-recorder ring (nil when
 	// tracing is off); the EGP/MHP rings are handed to those layers directly.
@@ -145,6 +145,8 @@ type Link struct {
 	Downtime      sim.Duration
 	Recoveries    uint64
 	RecoveryTotal sim.Duration
+	// transitions counts the admin-state transitions applied to the link.
+	transitions uint64
 
 	// duplex is the node-to-node channel pair, retained so degraded mode
 	// can inflate its loss.
@@ -269,14 +271,9 @@ type Network struct {
 	shardClock   map[int]*mhp.Clock
 	clockPerNode bool
 
-	// Shared observability handles, all nil when Config.Trace/Metrics are
-	// nil: per-layer metric bundles and link-level time-to-pair histograms.
-	egpMetrics *obs.EGPMetrics
-	mhpMetrics *obs.MHPMetrics
-	ttp        *obs.ClassHistograms
-	cSubmitted *obs.Counter
-	cLinkOKs   *obs.Counter
-	cFaults    *obs.Counter
+	// ttp holds the link-level time-to-pair histograms, nil when
+	// Config.Metrics is nil.
+	ttp *obs.ClassHistograms
 }
 
 // NetworkLayerTag is the mux tag reserved for network-layer frames riding the
@@ -339,12 +336,8 @@ func newNetwork(cfg Config, clockPerNode bool) (*Network, error) {
 		}
 	}
 	if cfg.Metrics != nil {
-		nw.egpMetrics = obs.NewEGPMetrics(cfg.Metrics)
-		nw.mhpMetrics = obs.NewMHPMetrics(cfg.Metrics)
 		nw.ttp = obs.NewClassHistograms(cfg.Metrics, "link.ttp_ns")
-		nw.cSubmitted = cfg.Metrics.Counter("netsim.submitted")
-		nw.cLinkOKs = cfg.Metrics.Counter("netsim.oks")
-		nw.cFaults = cfg.Metrics.Counter("netsim.fault_events")
+		nw.registerCounters(cfg.Metrics)
 	}
 
 	for i := 0; i < cfg.Spec.Nodes; i++ {
@@ -480,13 +473,11 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 			ToPeer:               port,
 			OnOK:                 func(ev egp.OKEvent) { nw.handleOK(l, ev) },
 			OnError:              func(ev egp.ErrorEvent) { nw.handleError(l, ev) },
-			OnExpire:             func(egp.ExpireEvent) { l.Account.expires++ },
 			MaxQueueLen:          cfg.MaxQueueLen,
 			EmissionMultiplexing: cfg.EmissionMultiplexing,
 			AutoRelease:          !cfg.HoldPairs,
 			Trace:                ringEGP,
 			TraceID:              uint64(id),
-			Metrics:              nw.egpMetrics,
 		})
 	}
 	idA, idB := uint32(e.A+1), uint32(e.B+1)
@@ -512,7 +503,7 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 		Loss:       cfg.ClassicalLossProb,
 		CycleTime:  platform.CycleTime[nv.RequestMeasure],
 		HoldTime:   2*(platform.CommDelayAH+platform.CommDelayBH) + 200*sim.Microsecond,
-		Trace:      ringMHP, TraceID: uint64(id), Metrics: nw.mhpMetrics,
+		Trace:      ringMHP, TraceID: uint64(id),
 	})
 	l.MHPA, l.MHPB = l.Mid.Node(nv.SideA), l.Mid.Node(nv.SideB)
 	l.EGPA.SetNode(l.MHPA)
@@ -688,7 +679,6 @@ func (nw *Network) Submit(l *Link, role string, req egp.CreateRequest) (uint16, 
 	if code == wire.ErrNone {
 		l.Submitted++
 		l.traceNet.Record(l.Eng.Now(), obs.KindSubmit, uint64(l.ID), int64(id), int64(req.NumPairs))
-		nw.cSubmitted.Inc()
 		// The link's own clock, not the network engine's: under sharding a
 		// submission fires on the owning shard's loop, where the engine-wide
 		// clock is the end of the last window.
@@ -700,7 +690,6 @@ func (nw *Network) Submit(l *Link, role string, req egp.CreateRequest) (uint16, 
 // handleOK feeds a delivered pair into the link's account (origin side
 // only, so pairs are not double counted across the two endpoints).
 func (nw *Network) handleOK(l *Link, ev egp.OKEvent) {
-	l.OKs++
 	if nw.OnLinkOK != nil {
 		nw.OnLinkOK(l, ev)
 	}
@@ -715,7 +704,6 @@ func (nw *Network) handleOK(l *Link, ev egp.OKEvent) {
 		l.RecoveryTotal += ev.At.Sub(l.repairAt)
 	}
 	l.traceNet.Record(ev.At, obs.KindLinkOK, uint64(l.ID), int64(ev.CreateID), int64(ev.PairsRemaining))
-	nw.cLinkOKs.Inc()
 	nw.ttp.Observe(ev.Priority, ev.At.Sub(ev.CreateTime))
 	l.Account.delivered(requestKey(ev.Node, ev.CreateID), ev.Node, ev.Priority, ev.Fidelity, ev.At, ev.RequestDone)
 }
@@ -723,11 +711,53 @@ func (nw *Network) handleOK(l *Link, ev egp.OKEvent) {
 // handleError records a failed request (origin side only; error events are
 // only emitted at the origin).
 func (nw *Network) handleError(l *Link, ev egp.ErrorEvent) {
-	l.Errs++
 	if nw.OnLinkError != nil {
 		nw.OnLinkError(l, ev)
 	}
 	l.Account.failed(requestKey(ev.Node, ev.CreateID), ev.Code)
+}
+
+// Errors returns how many requests failed at either endpoint.
+func (l *Link) Errors() uint64 {
+	_, _, errA, _, _ := l.EGPA.Stats()
+	_, _, errB, _, _ := l.EGPB.Stats()
+	return errA + errB
+}
+
+// Expires returns how many EXPIRE notifications both endpoints sent and
+// received.
+func (l *Link) Expires() uint64 {
+	_, _, _, sentA, recvA := l.EGPA.Stats()
+	_, _, _, sentB, recvB := l.EGPB.Stats()
+	return sentA + recvA + sentB + recvB
+}
+
+// registerCounters publishes the links' own counts, summed over the links,
+// as the registry's counters: each is read when a snapshot is taken.
+func (nw *Network) registerCounters(r *obs.Registry) {
+	sum := func(name string, count func(*Link) uint64) {
+		r.CounterFunc(name, func() uint64 {
+			var n uint64
+			for _, l := range nw.Links {
+				n += count(l)
+			}
+			return n
+		})
+	}
+	perEGP := func(name string, pick func(creates, oks, errs, expSent, expRecv uint64) uint64) {
+		sum(name, func(l *Link) uint64 { return pick(l.EGPA.Stats()) + pick(l.EGPB.Stats()) })
+	}
+	sum("mhp.attempts", func(l *Link) uint64 { return l.MHPA.Attempts() + l.MHPB.Attempts() })
+	sum("mhp.matched", func(l *Link) uint64 { matched, _, _, _, _ := l.Mid.Stats(); return matched })
+	sum("mhp.successes", func(l *Link) uint64 { _, successes, _, _, _ := l.Mid.Stats(); return successes })
+	perEGP("egp.oks", func(_, oks, _, _, _ uint64) uint64 { return oks })
+	sum("egp.errors", (*Link).Errors)
+	perEGP("egp.expires", func(_, _, _, expSent, _ uint64) uint64 { return expSent })
+	sum("netsim.submitted", func(l *Link) uint64 { return l.Submitted })
+	sum("netsim.oks", func(l *Link) uint64 {
+		return uint64(l.Account.Origin(roleA).Pairs + l.Account.Origin(roleB).Pairs)
+	})
+	sum("netsim.fault_events", func(l *Link) uint64 { return l.transitions })
 }
 
 // Describe summarises the network configuration.

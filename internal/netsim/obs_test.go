@@ -156,3 +156,69 @@ func TestTraceRejectsUndersizedTracer(t *testing.T) {
 		t.Fatal("4-shard engine accepted a 1-shard tracer")
 	}
 }
+
+// TestLinkCountsMatchTheirRecords checks the EGP's own counts, which the
+// link's Errors and Expires and the registry's egp.* counters read, against
+// the flight recorder: one error, OK or EXPIRE record per counted event, on
+// a lossy chain where lost REPLYs make the ends exchange EXPIREs.
+func TestLinkCountsMatchTheirRecords(t *testing.T) {
+	cfg := DefaultConfig(Chain(3), nv.ScenarioLab)
+	cfg.Seed = 2
+	cfg.ClassicalLossProb = 0.05
+	tracer := obs.NewTracer(1, 1<<14)
+	registry := obs.NewRegistry()
+	cfg.Trace, cfg.Metrics = tracer, registry
+	nw, err := NewNetwork(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attachPoisson(t, nw, workload.PoissonClass(0.9, 3, 0.64, false))
+	nw.Run(sim.DurationSeconds(3))
+	if d := tracer.Ring(0, obs.LayerEGP).Dropped(); d != 0 {
+		t.Fatalf("EGP ring overwrote %d records; raise the test capacity", d)
+	}
+	type counts struct{ oks, errs, expSent, expRecv uint64 }
+	recorded := make([]counts, len(nw.Links))
+	for _, r := range tracer.Records() {
+		if r.Layer != obs.LayerEGP {
+			continue
+		}
+		c := &recorded[r.Track]
+		switch r.Kind {
+		case obs.KindEGPOK:
+			c.oks++
+		case obs.KindEGPError:
+			c.errs++
+		case obs.KindEGPExpire:
+			if r.B == 0 {
+				c.expSent++
+			} else {
+				c.expRecv++
+			}
+		}
+	}
+	var total counts
+	for i, l := range nw.Links {
+		_, okA, _, _, _ := l.EGPA.Stats()
+		_, okB, _, _, _ := l.EGPB.Stats()
+		got := counts{oks: okA + okB, errs: l.Errors()}
+		rec := recorded[i]
+		if got.oks != rec.oks || got.errs != rec.errs || l.Expires() != rec.expSent+rec.expRecv {
+			t.Errorf("%s: oks %d, errors %d, expires %d; records %+v", l.Name, got.oks, got.errs, l.Expires(), rec)
+		}
+		total.oks += rec.oks
+		total.errs += rec.errs
+		total.expSent += rec.expSent
+		total.expRecv += rec.expRecv
+	}
+	if total.expSent == 0 {
+		t.Fatal("no EXPIRE was sent: the run does not exercise the EXPIRE counts")
+	}
+	snap := registry.Snapshot(nw.Sim.Now())
+	want := map[string]uint64{"egp.oks": total.oks, "egp.errors": total.errs, "egp.expires": total.expSent}
+	for name, v := range want {
+		if snap.Counters[name] != v {
+			t.Errorf("%s = %d, records say %d", name, snap.Counters[name], v)
+		}
+	}
+}

@@ -38,7 +38,9 @@ func runSharded(t *testing.T, spec Spec, backend quantum.Backend, shards int, se
 	r := parityRun{stats: render(perLink, agg), events: nw.Sim.Executed(), attempts: nw.Attempts()}
 	for _, l := range nw.Links {
 		r.submitted = append(r.submitted, l.Submitted)
-		r.oks = append(r.oks, l.OKs)
+		_, okA, _, _, _ := l.EGPA.Stats()
+		_, okB, _, _, _ := l.EGPB.Stats()
+		r.oks = append(r.oks, okA+okB)
 	}
 	return r
 }

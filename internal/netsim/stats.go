@@ -46,7 +46,7 @@ func (l *Link) statsFromSeries(fid, lat *obs.Series) LinkStats {
 	st := LinkStats{
 		Link:            l.Name,
 		Requests:        l.Submitted,
-		Errors:          l.Errs,
+		Errors:          l.Errors(),
 		Pairs:           pairs,
 		OKRate:          obs.SafeRate(float64(pairs), a.DurationSeconds()),
 		Fidelity:        fid.Mean(),
@@ -85,7 +85,7 @@ func (nw *Network) Stats() (perLink []LinkStats, aggregate LinkStats) {
 		lat.Merge(linkLat)
 		queue.Merge(&l.Account.queue)
 		aggregate.Requests += l.Submitted
-		aggregate.Errors += l.Errs
+		aggregate.Errors += row.Errors
 		aggregate.Downs += row.Downs
 		aggregate.DowntimeSeconds += row.DowntimeSeconds
 		aggregate.RecoverySeconds += row.RecoverySeconds * float64(row.Downs)

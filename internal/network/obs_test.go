@@ -86,17 +86,14 @@ func TestE2ETraceSpans(t *testing.T) {
 		t.Errorf("span has %d pair_ok records, want 2", counts[obs.KindE2EOK])
 	}
 
-	// The registry must agree with the span.
-	if got := registry.Counter("e2e.oks").Value(); got != 2 {
-		t.Errorf("e2e.oks = %d, want 2", got)
+	// The registry's snapshot must agree with the span.
+	snap := registry.Snapshot(nw.Sim.Now())
+	for name, want := range map[string]uint64{"e2e.oks": 2, "e2e.swaps": 6, "e2e.fails": 0} {
+		if got, ok := snap.Counters[name]; !ok || got != want {
+			t.Errorf("%s = %d (registered %v), want %d", name, got, ok, want)
+		}
 	}
-	if got := registry.Counter("e2e.swaps").Value(); got != 6 {
-		t.Errorf("e2e.swaps = %d, want 6", got)
-	}
-	if got := registry.Counter("e2e.fails").Value(); got != 0 {
-		t.Errorf("e2e.fails = %d, want 0", got)
-	}
-	if got := registry.Histogram("e2e.ttp_ns.nl").Count(); got != 2 {
+	if got := snap.Histograms["e2e.ttp_ns.nl"].Count; got != 2 {
 		t.Errorf("e2e.ttp_ns.nl count = %d, want 2", got)
 	}
 
@@ -175,7 +172,7 @@ func TestE2ETraceTimeoutSpan(t *testing.T) {
 	if wire.EGPError(last.B) != wire.ErrTimeout {
 		t.Errorf("TIMEOUT record carries code %v, want %v", wire.EGPError(last.B), wire.ErrTimeout)
 	}
-	if got := registry.Counter("e2e.fails").Value(); got != 1 {
+	if got := registry.Snapshot(nw.Sim.Now()).Counters["e2e.fails"]; got != 1 {
 		t.Errorf("e2e.fails = %d, want 1", got)
 	}
 }

@@ -132,14 +132,14 @@ func (s *Service) repath(r *requestState) {
 	}
 	path, err := s.router.Path(r.req.SrcNode, r.req.DstNode)
 	if err != nil {
-		s.cNoRoute.Inc()
+		s.noRoute++
 		s.failRequest(r, wire.ErrNoRoute)
 		return
 	}
 	linkFloor := PerHopFidelityFloor(r.req.MinFidelity, path.Hops(), s.cfg.SwapGateFidelity)
 	for _, l := range path.Links {
 		if _, ok := l.EGPA.FEU().AlphaForFidelity(linkFloor); !ok {
-			s.cNoRoute.Inc()
+			s.noRoute++
 			s.failRequest(r, wire.ErrNoRoute)
 			return
 		}
@@ -151,7 +151,7 @@ func (s *Service) repath(r *requestState) {
 	}
 	r.linkFloor = linkFloor
 	r.reroutes++
-	s.cReroutes.Inc()
+	s.reroutes++
 	for i, l := range path.Links {
 		if code := s.submitHopCreate(r, l, path.Nodes[i], r.pairsLeft); code != wire.ErrNone {
 			s.failRequest(r, code)

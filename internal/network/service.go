@@ -202,16 +202,14 @@ type Service struct {
 	// noPathRejects counts CREATEs rejected synchronously because no route
 	// existed at all (no path bucket to account them against).
 	noPathRejects uint64
+	// fails counts failed requests, reroutes completed re-paths and noRoute
+	// every NOROUTE outcome, synchronous or on a re-path.
+	fails, reroutes, noRoute uint64
 
-	// Flight-recorder ring and metric handles; all nil when observability is
-	// off (every use is nil-safe).
-	trace     *obs.Ring
-	ttp       *obs.ClassHistograms
-	cOKs      *obs.Counter
-	cFails    *obs.Counter
-	cSwapCnt  *obs.Counter
-	cReroutes *obs.Counter
-	cNoRoute  *obs.Counter
+	// Flight-recorder ring and time-to-pair histograms; both nil when
+	// observability is off (every use is nil-safe).
+	trace *obs.Ring
+	ttp   *obs.ClassHistograms
 
 	// OnOK and OnError observe deliveries and failures.
 	OnOK    func(OKEvent)
@@ -254,13 +252,19 @@ func NewService(nw *netsim.Network, cfg Config) (*Service, error) {
 	// The service only runs on the serial engine (checked above), so all its
 	// records go to shard 0's network-layer ring.
 	s.trace = cfg.Trace.Ring(0, obs.LayerNetwork)
-	if cfg.Metrics != nil {
-		s.ttp = obs.NewClassHistograms(cfg.Metrics, "e2e.ttp_ns")
-		s.cOKs = cfg.Metrics.Counter("e2e.oks")
-		s.cFails = cfg.Metrics.Counter("e2e.fails")
-		s.cSwapCnt = cfg.Metrics.Counter("e2e.swaps")
-		s.cReroutes = cfg.Metrics.Counter("e2e.reroutes")
-		s.cNoRoute = cfg.Metrics.Counter("e2e.noroute")
+	if r := cfg.Metrics; r != nil {
+		s.ttp = obs.NewClassHistograms(r, "e2e.ttp_ns")
+		r.CounterFunc("e2e.oks", func() uint64 {
+			var pairs int
+			for _, agg := range s.aggs {
+				pairs += agg.pairs
+			}
+			return uint64(pairs)
+		})
+		r.CounterFunc("e2e.fails", func() uint64 { return s.fails })
+		r.CounterFunc("e2e.swaps", func() uint64 { return s.swaps })
+		r.CounterFunc("e2e.reroutes", func() uint64 { return s.reroutes })
+		r.CounterFunc("e2e.noroute", func() uint64 { return s.noRoute })
 	}
 	nw.OnLinkOK = s.handleLinkOK
 	nw.OnLinkError = s.handleLinkError
@@ -307,7 +311,7 @@ func (s *Service) Create(req CreateRequest) (RequestID, wire.EGPError) {
 		// link), so no per-path bucket to account this against; the reject is
 		// counted in the aggregate row's NoRoute column.
 		s.noPathRejects++
-		s.cNoRoute.Inc()
+		s.noRoute++
 		s.emitError(id, req, wire.ErrNoRoute, now)
 		return id, wire.ErrNoRoute
 	}
@@ -321,7 +325,7 @@ func (s *Service) Create(req CreateRequest) (RequestID, wire.EGPError) {
 			agg := s.aggFor(path)
 			agg.requests++
 			agg.noRoute++
-			s.cNoRoute.Inc()
+			s.noRoute++
 			s.emitError(id, req, wire.ErrNoRoute, now)
 			return id, wire.ErrNoRoute
 		}
@@ -437,7 +441,7 @@ func (s *Service) failRequest(r *requestState, code wire.EGPError) {
 	agg.reroutes += r.reroutes
 	agg.retries += r.retries
 	s.trace.Record(s.nw.Sim.Now(), obs.KindE2EFail, uint64(r.id), int64(r.req.NumPairs-r.pairsLeft), int64(code))
-	s.cFails.Inc()
+	s.fails++
 	s.emitError(r.id, r.req, code, s.nw.Sim.Now())
 	s.maybeForget(r)
 }
@@ -481,7 +485,6 @@ func (s *Service) deliver(sg *segment) {
 	}
 	done := r.pairsLeft == 0
 	s.trace.Record(now, obs.KindE2EOK, uint64(r.id), int64(r.req.NumPairs-r.pairsLeft), int64(r.req.NumPairs))
-	s.cOKs.Inc()
 	s.ttp.Observe(r.req.Priority, now.Sub(r.submittedAt))
 	agg := s.pathAggFor(r)
 	agg.pairs++

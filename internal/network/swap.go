@@ -293,7 +293,6 @@ func (s *Service) performSwap(n int, segL, segR *segment) {
 	segL.consumed, segR.consumed = true, true
 	s.swaps++
 	s.trace.Record(now, obs.KindE2ESwap, uint64(segL.req.id), int64(n), int64(label))
-	s.cSwapCnt.Inc()
 
 	r := segL.req
 	sg := &segment{

@@ -7,65 +7,6 @@ import (
 	"sync/atomic"
 )
 
-// Counter is a monotone event count. All methods are nil-safe and 0-alloc,
-// so an unregistered counter (nil) costs one branch on the hot path.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c == nil {
-		return
-	}
-	c.v.Add(1)
-}
-
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c == nil {
-		return
-	}
-	c.v.Add(n)
-}
-
-// Value reads the current count.
-func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.v.Load()
-}
-
-// Gauge is a last-write-wins instantaneous value.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the current value.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
-// Add shifts the current value by d.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
-}
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // histBuckets is the fixed bucket count of a log-linear histogram: values
 // 0..7 land in exact buckets, every octave above is split into 8 linear
 // sub-buckets, covering the full uint64 range (~2.3% worst-case relative
@@ -160,54 +101,40 @@ func (h *Histogram) Quantile(q float64) uint64 {
 	return bucketLow(histBuckets - 1)
 }
 
-// Registry is a named collection of metrics. Registration takes a lock and
-// may allocate; the returned handles are lock-free. A nil *Registry is the
-// disabled registry: every accessor returns nil, and all operations on the
-// resulting nil handles are no-ops.
+// Registry is a named collection of metrics: counters the layers keep as
+// their own fields, read through CounterFunc when a snapshot is taken, and
+// histograms observed directly. Registration takes a lock and may allocate;
+// the histogram handles are lock-free. A nil *Registry is the disabled
+// registry: it ignores every registration, hands out nil histograms, and all
+// operations on those are no-ops.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
+	counters   map[string]func() uint64
 	histograms map[string]*Histogram
 }
 
 // NewRegistry builds an empty metrics registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:   map[string]*Counter{},
-		gauges:     map[string]*Gauge{},
+		counters:   map[string]func() uint64{},
 		histograms: map[string]*Histogram{},
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// CounterFunc registers a counter whose value read reports at snapshot
+// time. The count stays where the layer that counts the event keeps it, so
+// a run with the registry off counts the same. A name registered twice
+// panics; a nil registry ignores the call.
+func (r *Registry) CounterFunc(name string, read func() uint64) {
 	if r == nil {
-		return nil
+		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	if _, dup := r.counters[name]; dup {
+		panic("obs: counter " + name + " registered twice")
 	}
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	r.counters[name] = read
 }
 
 // Histogram returns the named histogram, creating it on first use.

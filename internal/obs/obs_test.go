@@ -187,15 +187,15 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-// TestRegistrySnapshot checks nil-safety, idempotent registration and the
-// two snapshot encodings.
+// TestRegistrySnapshot checks nil-safety, that a snapshot reads each
+// counter's value when it is taken, that a name registers once, and the two
+// snapshot encodings.
 func TestRegistrySnapshot(t *testing.T) {
 	var nilReg *Registry
-	if nilReg.Counter("x") != nil || nilReg.Gauge("x") != nil || nilReg.Histogram("x") != nil {
-		t.Fatal("nil registry must hand out nil handles")
+	nilReg.CounterFunc("x", func() uint64 { return 1 }) // ignored, no panic
+	if nilReg.Histogram("x") != nil {
+		t.Fatal("nil registry must hand out nil histograms")
 	}
-	nilReg.Counter("x").Inc() // no-op, no panic
-	nilReg.Gauge("x").Set(3)  // no-op
 	nilReg.Histogram("x").Observe(1)
 	snap := nilReg.Snapshot(sim.Time(sim.Second))
 	if snap.SimSeconds != 1 || snap.Counters != nil {
@@ -203,24 +203,32 @@ func TestRegistrySnapshot(t *testing.T) {
 	}
 
 	r := NewRegistry()
-	c := r.Counter("egp.oks")
-	if r.Counter("egp.oks") != c {
-		t.Fatal("registration must be idempotent")
+	if snap := r.Snapshot(0); snap.Counters != nil || snap.Histograms != nil {
+		t.Fatalf("empty registry snapshot = %+v", snap)
 	}
-	c.Add(41)
-	c.Inc()
-	r.Gauge("queue.depth").Set(7)
+	var oks uint64
+	r.CounterFunc("egp.oks", func() uint64 { return oks })
+	r.CounterFunc("idle", func() uint64 { return 0 })
+	oks = 42 // counted after registration: the snapshot reads it then
 	r.Histogram("ttp_ns").Observe(1500)
 	snap = r.Snapshot(sim.Time(2 * sim.Second))
 	if snap.Counters["egp.oks"] != 42 {
 		t.Fatalf("counter = %d, want 42", snap.Counters["egp.oks"])
 	}
-	if snap.Gauges["queue.depth"] != 7 {
-		t.Fatalf("gauge = %d", snap.Gauges["queue.depth"])
+	if v, ok := snap.Counters["idle"]; !ok || v != 0 {
+		t.Fatalf("a registered counter at 0 must be in the snapshot: %v %v", v, ok)
 	}
 	if st := snap.Histograms["ttp_ns"]; st.Count != 1 || st.Sum != 1500 {
 		t.Fatalf("histogram stats = %+v", st)
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("registering a counter name twice must panic")
+			}
+		}()
+		r.CounterFunc("egp.oks", func() uint64 { return 0 })
+	}()
 
 	var jsonBuf bytes.Buffer
 	if err := snap.WriteJSON(&jsonBuf); err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"text/tabwriter"
 
 	"repro/internal/sim"
@@ -26,7 +27,6 @@ type HistogramStats struct {
 type Snapshot struct {
 	SimSeconds float64                   `json:"sim_seconds"`
 	Counters   map[string]uint64         `json:"counters,omitempty"`
-	Gauges     map[string]int64          `json:"gauges,omitempty"`
 	Histograms map[string]HistogramStats `json:"histograms,omitempty"`
 }
 
@@ -37,20 +37,9 @@ func (r *Registry) Snapshot(now sim.Time) Snapshot {
 	if r == nil {
 		return snap
 	}
+	snap.Counters = r.readCounters()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.counters) > 0 {
-		snap.Counters = make(map[string]uint64, len(r.counters))
-		for name, c := range r.counters {
-			snap.Counters[name] = c.Value()
-		}
-	}
-	if len(r.gauges) > 0 {
-		snap.Gauges = make(map[string]int64, len(r.gauges))
-		for name, g := range r.gauges {
-			snap.Gauges[name] = g.Value()
-		}
-	}
 	if len(r.histograms) > 0 {
 		snap.Histograms = make(map[string]HistogramStats, len(r.histograms))
 		for name, h := range r.histograms {
@@ -68,6 +57,22 @@ func (r *Registry) Snapshot(now sim.Time) Snapshot {
 		}
 	}
 	return snap
+}
+
+// readCounters calls every registered counter's read function. The reads
+// are the counting layers' code, so they run without the registry's lock.
+func (r *Registry) readCounters() map[string]uint64 {
+	r.mu.Lock()
+	reads := maps.Clone(r.counters)
+	r.mu.Unlock()
+	if len(reads) == 0 {
+		return nil
+	}
+	counters := make(map[string]uint64, len(reads))
+	for name, read := range reads {
+		counters[name] = read()
+	}
+	return counters
 }
 
 // WriteJSON writes the snapshot as indented JSON with sorted keys.
@@ -88,12 +93,6 @@ func (s Snapshot) WriteTable(w io.Writer) error {
 			fmt.Fprintf(tw, "%s\t%d\n", name, s.Counters[name])
 		}
 	}
-	if len(s.Gauges) > 0 {
-		fmt.Fprintln(tw, "gauge\tvalue")
-		for _, name := range sortedKeys(s.Gauges) {
-			fmt.Fprintf(tw, "%s\t%d\n", name, s.Gauges[name])
-		}
-	}
 	if len(s.Histograms) > 0 {
 		fmt.Fprintln(tw, "histogram\tcount\tmean\tp50\tp90\tp99")
 		for _, name := range sortedKeys(s.Histograms) {
@@ -102,40 +101,6 @@ func (s Snapshot) WriteTable(w io.Writer) error {
 		}
 	}
 	return tw.Flush()
-}
-
-// EGPMetrics bundles the link layer's counters so the EGP hot path holds
-// direct handles instead of doing registry lookups. All fields may be nil.
-type EGPMetrics struct {
-	OKs     *Counter
-	Errors  *Counter
-	Expires *Counter
-}
-
-// NewEGPMetrics registers the EGP counter family. Nil-safe: a nil registry
-// yields a bundle of nil handles (all no-ops).
-func NewEGPMetrics(r *Registry) *EGPMetrics {
-	return &EGPMetrics{
-		OKs:     r.Counter("egp.oks"),
-		Errors:  r.Counter("egp.errors"),
-		Expires: r.Counter("egp.expires"),
-	}
-}
-
-// MHPMetrics bundles the physical layer's counters.
-type MHPMetrics struct {
-	Attempts  *Counter
-	Matched   *Counter
-	Successes *Counter
-}
-
-// NewMHPMetrics registers the MHP counter family.
-func NewMHPMetrics(r *Registry) *MHPMetrics {
-	return &MHPMetrics{
-		Attempts:  r.Counter("mhp.attempts"),
-		Matched:   r.Counter("mhp.matched"),
-		Successes: r.Counter("mhp.successes"),
-	}
 }
 
 // classNames maps EGP priority classes to metric name suffixes

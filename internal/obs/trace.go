@@ -1,8 +1,8 @@
 // Package obs is the simulator's observability substrate: a flight-recorder
 // tracer (per-shard, per-layer ring buffers of compact trace records, merged
 // deterministically and exported as Chrome trace-event JSON for Perfetto) and
-// a metrics registry (atomic counters, gauges and fixed-log-bucket histograms
-// snapshotable as JSON or a text table).
+// a metrics registry (counters read from the layers' own fields and
+// fixed-log-bucket histograms, snapshotable as JSON or a text table).
 //
 // Both halves are strictly pay-for-what-you-use. Every recording method has a
 // nil receiver fast path, so a disabled tracer or unregistered metric costs

@@ -2,8 +2,8 @@
 // Appendix E: the MHP GEN and REPLY frames exchanged with the heralding
 // station, the distributed-queue protocol frames (ADD/ACK/REJ), the link
 // layer CREATE request, the OK responses for create-and-keep and
-// create-and-measure requests, the EXPIRE/EXPIRE-ACK recovery messages, the
-// memory-advertisement REQ(E)/ACK(E) frames and the EGP error frame.
+// create-and-measure requests, the EXPIRE/EXPIRE-ACK recovery messages and
+// the EGP error frame.
 //
 // Every message type provides Encode/Decode with strict length and range
 // validation; quantities that the figures show as fractional (fidelity,
@@ -44,8 +44,8 @@ const (
 	FrameOKMeasure
 	FrameExpire
 	FrameExpireAck
-	FrameMemReq
-	FrameMemAck
+	_ // 11 and 12 were the memory advertisements REQ(E) and ACK(E)
+	_
 	FrameErr
 	FramePoll
 )
@@ -73,10 +73,6 @@ func (f FrameType) String() string {
 		return "EXPIRE"
 	case FrameExpireAck:
 		return "EXPIRE-ACK"
-	case FrameMemReq:
-		return "REQ(E)"
-	case FrameMemAck:
-		return "ACK(E)"
 	case FrameErr:
 		return "ERR"
 	case FramePoll:
@@ -635,46 +631,6 @@ func DecodeExpireAck(b []byte) (ExpireAckFrame, error) {
 	e.QueueID.QueueSeq = order.Uint16(b[2:])
 	e.ExpectedSeq = order.Uint16(b[4:])
 	return e, nil
-}
-
-// MemoryFrame is a memory-advertisement REQ(E) or ACK(E) (Figure 34),
-// carrying the number of free communication and storage qubits.
-type MemoryFrame struct {
-	IsAck         bool
-	CommQubits    uint8
-	StorageQubits uint8
-}
-
-const memoryFrameLen = 1 + 1 + 1 + 1
-
-// Encode serialises the frame.
-func (m MemoryFrame) Encode() []byte {
-	b := make([]byte, memoryFrameLen)
-	if m.IsAck {
-		b[0] = byte(FrameMemAck)
-		b[1] = 1
-	} else {
-		b[0] = byte(FrameMemReq)
-	}
-	b[2] = m.CommQubits
-	b[3] = m.StorageQubits
-	return b
-}
-
-// DecodeMemory parses a REQ(E)/ACK(E) frame.
-func DecodeMemory(b []byte) (MemoryFrame, error) {
-	var m MemoryFrame
-	if len(b) < memoryFrameLen {
-		return m, fmt.Errorf("%w: memory frame needs %d bytes, got %d", ErrShortFrame, memoryFrameLen, len(b))
-	}
-	ft := FrameType(b[0])
-	if ft != FrameMemReq && ft != FrameMemAck {
-		return m, fmt.Errorf("%w: %v", ErrBadFrameType, ft)
-	}
-	m.IsAck = ft == FrameMemAck
-	m.CommQubits = b[2]
-	m.StorageQubits = b[3]
-	return m, nil
 }
 
 // EGPError enumerates the link layer error codes of Section 4.1.2 and

@@ -217,17 +217,6 @@ func TestExpireRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMemoryRoundTrip(t *testing.T) {
-	req := MemoryFrame{IsAck: false, CommQubits: 1, StorageQubits: 4}
-	ack := MemoryFrame{IsAck: true, CommQubits: 0, StorageQubits: 2}
-	for _, in := range []MemoryFrame{req, ack} {
-		out, err := DecodeMemory(in.Encode())
-		if err != nil || out != in {
-			t.Fatalf("round trip mismatch: %+v vs %+v (%v)", out, in, err)
-		}
-	}
-}
-
 func TestErrFrameRoundTrip(t *testing.T) {
 	in := ErrFrame{
 		CreateID:     55,
@@ -274,7 +263,6 @@ func TestShortFramesRejected(t *testing.T) {
 		"OK-M":    func(b []byte) error { _, err := DecodeOKMeasure(b); return err },
 		"EXPIRE":  func(b []byte) error { _, err := DecodeExpire(b); return err },
 		"EXP-ACK": func(b []byte) error { _, err := DecodeExpireAck(b); return err },
-		"MEM":     func(b []byte) error { _, err := DecodeMemory(b); return err },
 		"ERR":     func(b []byte) error { _, err := DecodeErr(b); return err },
 		"POLL":    func(b []byte) error { _, err := DecodePoll(b); return err },
 	}
@@ -311,7 +299,6 @@ func TestPeekType(t *testing.T) {
 		FrameOKMeasure: OKMeasureFrame{}.Encode(),
 		FrameExpire:    ExpireFrame{}.Encode(),
 		FrameExpireAck: ExpireAckFrame{}.Encode(),
-		FrameMemReq:    MemoryFrame{}.Encode(),
 		FrameErr:       ErrFrame{}.Encode(),
 		FramePoll:      PollFrame{}.Encode(),
 		FrameDQPAdd:    DQPFrame{Kind: DQPAdd}.Encode(),
@@ -326,12 +313,25 @@ func TestPeekType(t *testing.T) {
 	}
 }
 
+// TestFrameTypeCodes pins every frame type's code: the first byte on the wire.
+func TestFrameTypeCodes(t *testing.T) {
+	codes := map[FrameType]uint8{
+		FrameGEN: 1, FrameREPLY: 2, FrameDQPAdd: 3, FrameDQPAck: 4, FrameDQPRej: 5,
+		FrameCreate: 6, FrameOKKeep: 7, FrameOKMeasure: 8, FrameExpire: 9,
+		FrameExpireAck: 10, FrameErr: 13, FramePoll: 14,
+	}
+	for ft, want := range codes {
+		if uint8(ft) != want {
+			t.Errorf("%v has code %d, want %d", ft, uint8(ft), want)
+		}
+	}
+}
+
 func TestFrameTypeStrings(t *testing.T) {
 	names := map[FrameType]string{
 		FrameGEN: "GEN", FrameREPLY: "REPLY", FrameDQPAdd: "DQP-ADD", FrameDQPAck: "DQP-ACK",
 		FrameDQPRej: "DQP-REJ", FrameCreate: "CREATE", FrameOKKeep: "OK-K", FrameOKMeasure: "OK-M",
-		FrameExpire: "EXPIRE", FrameExpireAck: "EXPIRE-ACK", FrameMemReq: "REQ(E)", FrameMemAck: "ACK(E)",
-		FrameErr: "ERR", FramePoll: "POLL",
+		FrameExpire: "EXPIRE", FrameExpireAck: "EXPIRE-ACK", FrameErr: "ERR", FramePoll: "POLL",
 	}
 	for ft, want := range names {
 		if ft.String() != want {
