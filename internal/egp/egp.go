@@ -73,15 +73,6 @@ type ErrorEvent struct {
 	At       sim.Time
 }
 
-// ExpireEvent reports that previously issued OKs were revoked.
-type ExpireEvent struct {
-	Node    string
-	QueueID wire.AbsoluteQueueID
-	SeqLow  uint16
-	SeqHigh uint16
-	At      sim.Time
-}
-
 // Config collects the dependencies of one node's EGP instance.
 type Config struct {
 	NodeName string
@@ -101,9 +92,8 @@ type Config struct {
 	// node-to-node channel, the package's tests a direct Channel.
 	ToPeer classical.Port
 
-	OnOK     func(OKEvent)
-	OnError  func(ErrorEvent)
-	OnExpire func(ExpireEvent)
+	OnOK    func(OKEvent)
+	OnError func(ErrorEvent)
 
 	// MaxQueueLen bounds each priority lane (256 in the paper's overload
 	// study).
@@ -163,11 +153,12 @@ type EGP struct {
 
 	// The poll's platform constants, computed once: the K attempt stride in
 	// base cycles, the carbon re-initialisation window (busy for the first
-	// reinitBusy cycles of every reinitPeriod; a zero period means never)
-	// and how long an attempt waits for its REPLY.
+	// reinitBusy cycles of every reinitPeriod; a zero period means never),
+	// how long an attempt waits for its REPLY and the base cycle.
 	kStride                  uint64
 	reinitPeriod, reinitBusy uint64
 	replyDeadline            sim.Duration
+	period                   sim.Duration
 
 	// Pending EXPIRE exchanges awaiting acknowledgement.
 	pendingExpires map[wire.AbsoluteQueueID]sim.EventID
@@ -197,6 +188,7 @@ func New(cfg Config) *EGP {
 		pendingExpires: make(map[wire.AbsoluteQueueID]sim.EventID),
 		kStride:        kAttemptStride(cfg.Platform),
 		replyDeadline:  8*cfg.Platform.MidpointRoundTrip(cfg.NodeName) + 2*sim.Millisecond,
+		period:         cfg.Platform.CycleTime[nv.RequestMeasure],
 	}
 	e.reinitPeriod, e.reinitBusy = carbonReinitCycles(cfg.Platform)
 	e.queue = NewDistributedQueue(QueueConfig{
@@ -527,16 +519,23 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 }
 
 // Steady implements mhp.Generator. The steady decision holds from cycle
-// while no attempt is outstanding and the node is not busy, and for as long
-// as PollTrigger's inputs stay put: until the queue's earliest timeout
+// while no K attempt is outstanding and the node is not busy, and for as
+// long as PollTrigger's inputs stay put: until the queue's earliest timeout
 // (after which reapExpired acts), until the next confirmed item that is not
-// yet ready becomes ready (it may take the scheduler's pick), and for a K
-// attempt until the next carbon re-initialisation window. A K stride above
-// one is never steady: its polls attempt only every stride-th cycle.
-// Everything else that changes the pick (a new item, a confirmation, a
-// timer) comes from an event, which the fold does not cross.
+// yet ready becomes ready (it may take the scheduler's pick), for a K
+// attempt until the next carbon re-initialisation window, and for an M
+// attempt until reapLostAttempts would release an outstanding one. A K
+// stride above one is never steady: its polls attempt only every stride-th
+// cycle. Everything else that changes the pick (a new item, a confirmation,
+// a timer) comes from an event, which the fold does not cross.
+//
+// Outstanding M attempts, whose REPLYs were lost, leave an M decision
+// steady under emission multiplexing while there are fewer than
+// maxOutstandingM: each poll adds one and its failure result releases the
+// oldest, so their number stays put (lostMPolls).
 func (e *EGP) Steady(cycle uint64) (mhp.PollDecision, uint64) {
-	if e.outstandingK || e.outstandingM > 0 || e.cfg.Sim.Now() < e.busyUntil {
+	now, lost := e.cfg.Sim.Now(), e.outstandingM
+	if e.outstandingK || lost > 0 && !e.cfg.EmissionMultiplexing || lost >= maxOutstandingM || now < e.busyUntil {
 		return mhp.PollDecision{}, 0
 	}
 	expiry := e.queue.earliestTimeout()
@@ -560,9 +559,9 @@ func (e *EGP) Steady(cycle uint64) (mhp.PollDecision, uint64) {
 	}
 	d := mhp.PollDecision{Attempt: true, QueueID: item.ID, Keep: item.Keep, Alpha: item.Alpha}
 	if !item.Keep {
-		return d, steady
+		return d, min(steady, e.lostMPolls(now))
 	}
-	if e.kStride != 1 || !e.kEligible(cycle) {
+	if lost > 0 || e.kStride != 1 || !e.kEligible(cycle) {
 		return mhp.PollDecision{}, 0
 	}
 	if e.reinitPeriod != 0 {
@@ -575,9 +574,44 @@ func (e *EGP) Steady(cycle uint64) (mhp.PollDecision, uint64) {
 	return d, steady
 }
 
-// Absorb implements mhp.Generator. A failed M attempt's poll and result
-// move the polled cycle and the M ring's head; a failed K attempt's reserve
-// and release the communication qubit, which the QMM counts.
+// lostMPolls returns how many polls from now on, one cycle apart, each
+// adding an M attempt whose failure then releases the oldest outstanding
+// one, come before the first at which reapLostAttempts would release an
+// outstanding attempt as lost; the maximum with none outstanding. The j-th
+// poll from now finds the j-th oldest attempt at the ring's head, and from
+// the lost attempts' count k on the attempt of the poll k cycles before.
+func (e *EGP) lostMPolls(now sim.Time) uint64 {
+	k := e.outstandingM
+	if k == 0 {
+		return math.MaxUint64
+	}
+	for j := range k {
+		at := now.Add(sim.Duration(j) * e.period)
+		if at.Sub(e.mAttemptTimes[(e.mHead+j)%len(e.mAttemptTimes)]) > e.replyDeadline {
+			return uint64(j)
+		}
+	}
+	if sim.Duration(k)*e.period > e.replyDeadline {
+		return uint64(k)
+	}
+	return math.MaxUint64
+}
+
+// SteadyDecision implements mhp.Generator: an M attempt measures in its
+// cycle's shared basis.
+func (e *EGP) SteadyDecision(cycle uint64, d mhp.PollDecision) mhp.PollDecision {
+	if !d.Keep {
+		d.MeasureBasis = sharedBasisForCycle(d.QueueID, cycle)
+	}
+	return d
+}
+
+// Absorb implements mhp.Generator. A failed K attempt's reserve and release
+// the communication qubit, which the QMM counts. A failed M attempt's poll
+// writes its time into the M ring after the outstanding attempts, and its
+// failure result releases the ring's head: the head moves on, and the
+// outstanding attempts' slots end up holding the times of the latest polls
+// (all the slots still live are written).
 func (e *EGP) Absorb(cycle, failed uint64, d mhp.PollDecision) {
 	e.cycle = cycle + failed - 1
 	if d.Keep {
@@ -585,7 +619,12 @@ func (e *EGP) Absorb(cycle, failed uint64, d mhp.PollDecision) {
 		e.qmm.releases += failed
 		return
 	}
-	e.mHead = int((uint64(e.mHead) + failed) % uint64(len(e.mAttemptTimes)))
+	ring := uint64(len(e.mAttemptTimes))
+	now, k := e.cfg.Sim.Now(), uint64(e.outstandingM)
+	for j := failed - min(failed, k); j < failed; j++ {
+		e.mAttemptTimes[(uint64(e.mHead)+j+k)%ring] = now.Add(sim.Duration(j) * e.period)
+	}
+	e.mHead = int((uint64(e.mHead) + failed) % ring)
 }
 
 // kAttemptStride is the number of base (M-type) MHP cycles between permitted
@@ -678,7 +717,7 @@ func (e *EGP) HandleResult(r mhp.Result) {
 	case seqAfter(seq, e.expectedSeq):
 		// We missed one or more earlier successes (lost REPLYs). Expire the
 		// missing range and resynchronise.
-		e.sendExpire(r.QueueID, e.expectedSeq, seq-1)
+		e.sendExpire(r.QueueID, seq-1)
 		e.expectedSeq = seq + 1
 		return
 	case seqBefore(seq, e.expectedSeq):
@@ -817,9 +856,9 @@ func (e *EGP) completePair(item *QueueItem, r mhp.Result, ev OKEvent) {
 	}
 }
 
-// sendExpire notifies the peer that OKs for the given MHP sequence range
+// sendExpire notifies the peer that OKs for MHP sequence numbers up to high
 // must be revoked, and schedules retransmission until acknowledged.
-func (e *EGP) sendExpire(id wire.AbsoluteQueueID, low, high uint16) {
+func (e *EGP) sendExpire(id wire.AbsoluteQueueID, high uint16) {
 	e.expiresSent++
 	e.cfg.Trace.Record(e.cfg.Sim.Now(), obs.KindEGPExpire, e.cfg.TraceID, int64(high), 0)
 	frame := wire.ExpireFrame{
@@ -829,9 +868,6 @@ func (e *EGP) sendExpire(id wire.AbsoluteQueueID, low, high uint16) {
 	}
 	send := func() { e.cfg.ToPeer.Send(frame.Encode()) }
 	send()
-	if e.cfg.OnExpire != nil {
-		e.cfg.OnExpire(ExpireEvent{Node: e.cfg.NodeName, QueueID: id, SeqLow: low, SeqHigh: high, At: e.cfg.Sim.Now()})
-	}
 	// Retransmit a few times unless acknowledged.
 	var retries int
 	var schedule func()
@@ -886,9 +922,6 @@ func (e *EGP) handleExpire(raw []byte) {
 	e.cfg.Trace.Record(e.cfg.Sim.Now(), obs.KindEGPExpire, e.cfg.TraceID, int64(frame.ExpectedSeq-1), 1)
 	if seqAfter(frame.ExpectedSeq, e.expectedSeq) {
 		e.expectedSeq = frame.ExpectedSeq
-	}
-	if e.cfg.OnExpire != nil {
-		e.cfg.OnExpire(ExpireEvent{Node: e.cfg.NodeName, QueueID: frame.QueueID, SeqHigh: frame.ExpectedSeq - 1, At: e.cfg.Sim.Now()})
 	}
 	ack := wire.ExpireAckFrame{QueueID: frame.QueueID, ExpectedSeq: e.expectedSeq}
 	e.cfg.ToPeer.Send(ack.Encode())

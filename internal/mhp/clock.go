@@ -271,17 +271,18 @@ func (c *Clock) foldAll(now sim.Time) uint64 {
 // The clock's ticks and the events of links outside the fold may, and they
 // commute with it.
 //
-// The fold draws cycle j's optical test of each link from the link's own
-// stream as its station would, and stops before the first cycle in which any
-// link succeeds. Every link that drew that cycle holds its draws for the real
-// herald (LinkSampler.Draw; a lone link's FailRun holds a success only), so
-// that cycle and everything after it run as usual. Of the failed cycles it
-// applies in bulk all that their events would have done (Link.absorb), and
-// the carbon dephasing of every attempt in cycle, then slot, order: a swapped
-// pair spans two links' devices, and its dephasing channels do not commute
-// to the last bit. Every random draw, record and counter is therefore the
-// same as attempt by attempt; only the records' place in a ring shared with
-// other links differs.
+// The fold draws cycle j of each link from the link's own stream as its
+// events would (Link.drawCycle: the frames' losses and the optical test), and
+// stops before the first cycle in which any link succeeds or loses a frame.
+// Every link that drew that cycle holds its draws for the real events
+// (LinkSampler.Draw and Link.lost; a lone loss-free link's FailRun holds a
+// success only), so that cycle and everything after it run as usual. Of the
+// failed cycles it applies in bulk all that their events would have done
+// (Link.absorb), and the carbon dephasing of every attempt in cycle, then
+// slot, order: a swapped pair spans two links' devices, and its dephasing
+// channels do not commute to the last bit. Every random draw, record and
+// counter is therefore the same as attempt by attempt; only the records'
+// place in a ring shared with other links differs.
 func (c *Clock) foldLinks(now sim.Time, eng sim.Engine) uint64 {
 	folding := c.folding
 	for i := range folding {
@@ -304,8 +305,7 @@ func (c *Clock) foldLinks(now sim.Time, eng sim.Engine) uint64 {
 	if n == 0 {
 		return 0
 	}
-	if len(folding) == 1 {
-		f := &folding[0]
+	if f := &folding[0]; len(folding) == 1 && !f.link.lossy() {
 		n, _ = f.link.sampler.FailRun(f.dA.Alpha, f.dB.Alpha, f.rng, n)
 	} else {
 		n = c.drawLockstep(n)
@@ -340,20 +340,21 @@ func (c *Clock) foldLinks(now sim.Time, eng sim.Engine) uint64 {
 	return n
 }
 
-// drawLockstep draws the optical tests of the links in c.folding cycle by
-// cycle, each link in slot order from its own stream, for up to w cycles,
-// and returns how many cycles failed on every link. The links that drew the
-// cycle in which one succeeded hold those draws.
+// drawLockstep draws the attempts of the links in c.folding cycle by cycle
+// (Link.drawCycle), each link in slot order from its own stream, for up to w
+// cycles, and returns how many cycles failed with every frame delivered on
+// every link. The links that drew the cycle in which one succeeded or lost a
+// frame hold those draws. A lone lossy link folds through it too.
 func (c *Clock) drawLockstep(w uint64) uint64 {
 	for j := range w {
 		for i := range c.folding {
 			f := &c.folding[i]
-			if f.link.sampler.Draw(f.dA.Alpha, f.dB.Alpha, f.rng) {
+			if !f.link.drawCycle(f.dA.Alpha, f.dB.Alpha, f.rng) {
 				return j
 			}
 		}
 		for i := range c.folding {
-			c.folding[i].link.sampler.Fail()
+			c.folding[i].link.failCycle()
 		}
 	}
 	return w

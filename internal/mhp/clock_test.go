@@ -36,8 +36,9 @@ func (g *scriptedGen) HandleResult(Result) {}
 func (g *scriptedGen) Idle() bool { return !g.busy }
 
 // Fold never reports a steady decision: the script's polls are the test.
-func (g *scriptedGen) Steady(uint64) (PollDecision, uint64) { return PollDecision{}, 0 }
-func (g *scriptedGen) Absorb(uint64, uint64, PollDecision)  {}
+func (g *scriptedGen) Steady(uint64) (PollDecision, uint64)                 { return PollDecision{}, 0 }
+func (g *scriptedGen) SteadyDecision(_ uint64, d PollDecision) PollDecision { return d }
+func (g *scriptedGen) Absorb(uint64, uint64, PollDecision)                  {}
 
 // newScriptedLink builds a loss-free Lab link on s between a and b.
 func newScriptedLink(s *sim.Simulator, a, b Generator) *Link {

@@ -30,6 +30,8 @@ func (g *steadyGen) Idle() bool { return false }
 
 func (g *steadyGen) Steady(uint64) (PollDecision, uint64) { return g.decision, 1 << 40 }
 
+func (g *steadyGen) SteadyDecision(_ uint64, d PollDecision) PollDecision { return d }
+
 func (g *steadyGen) Absorb(_, failed uint64, _ PollDecision) { g.absorbed += failed }
 
 // TestFoldCrossesMaintenancePasses runs one link with steady generators for

@@ -21,19 +21,22 @@
 // run attempt by attempt costs two events beside the clock's tick. Over
 // unequal arms, such as QL2020's, each GEN and each REPLY has its own event.
 //
-// A loss-free Lab link does not run its failed attempts one by one: the
-// clock's tick folds the coming run of them into itself, with the same
-// random draws and the same records, up to the link's own horizon, and the
-// link rests until the first success's cycle. Failed attempts on different
-// links commute, since each link owns its devices, sampler, station and
-// random stream, so other links' events do not stop the run. A success does
-// not commute where a network layer acts on several links from one link's
-// event; there the clock folds every active link in lockstep, up to the
-// simulator's horizon and before the first cycle in which any link succeeds
-// (Clock.Lockstep). Lossy and QL2020 links run attempt by attempt. Whenever
-// no node of a clock is active, because they are parked or their links
-// rest, the clock skips the ticks that would poll no one, up to the first
-// resume cycle or the next event that could wake a node.
+// A Lab link does not run its failed attempts one by one: the clock's tick
+// folds the coming run of them into itself, with the same random draws and
+// the same records, up to the link's own horizon, and the link rests until
+// the first cycle that succeeds or loses a frame. Failed attempts on
+// different links commute, since each link owns its devices, sampler,
+// station and random stream, so other links' events do not stop the run. A
+// success does not commute where a network layer acts on several links from
+// one link's event; there the clock folds every active link in lockstep, up
+// to the simulator's horizon and before the first cycle in which any link
+// succeeds or loses a frame (Clock.Lockstep). A lossy link folds too, stale
+// pending attempts and all: each folded REPLY retires the oldest pending
+// attempt of its queue item, as a delivered one does. QL2020 links, whose
+// arms are long and unequal, and throttled links run attempt by attempt.
+// Whenever no node of a clock is active, because they are parked or their
+// links rest, the clock skips the ticks that would poll no one, up to the
+// first resume cycle or the next event that could wake a node.
 //
 // The package is deliberately stateless on the node side (beyond the pending
 // attempt bookkeeping required to route replies), mirroring the paper's
@@ -103,14 +106,21 @@ type Generator interface {
 	Idle() bool
 	// Steady serves the clock's fold of the link's failed attempts: it
 	// reports the attempt every poll from cycle on returns, one cycle apart,
-	// as long as the only thing that happens is each attempt failing before
-	// the next poll, and for how many cycles that holds (0 when it does not
-	// hold at cycle). The decision's MeasureBasis may vary per cycle. It
-	// changes nothing.
+	// as long as the only thing that happens is that each poll's attempt is
+	// followed, before the next poll, by one failure result for an attempt of
+	// the same kind (its own, or an earlier one whose REPLY was lost), and
+	// for how many cycles that holds (0 when it does not hold at cycle). The
+	// decision's MeasureBasis may vary per cycle (SteadyDecision). It changes
+	// nothing.
 	Steady(cycle uint64) (d PollDecision, steady uint64)
+	// SteadyDecision returns the decision of the poll at cycle inside a
+	// steady run whose decision Steady reported as d: d with that cycle's
+	// MeasureBasis. It changes nothing.
+	SteadyDecision(cycle uint64, d PollDecision) PollDecision
 	// Absorb applies, in one step, the failed poll/result pairs of cycles
-	// cycle to cycle+failed−1 at the steady decision d, leaving the
-	// generator as those polls and failure results would.
+	// cycle to cycle+failed−1 at the steady decision d, the first polled at
+	// the current time, leaving the generator as those polls and failure
+	// results would.
 	Absorb(cycle, failed uint64, d PollDecision)
 }
 
@@ -243,6 +253,17 @@ type Link struct {
 	// runs only while there are none, so the link's horizon need not count
 	// them.
 	due int
+	// drawn holds the loss draws of the cycle a fold stopped before, in draw
+	// order, for lost to take in place of drawing: drawn[took:nDrawn].
+	drawn        [4]lossDraw
+	nDrawn, took int
+}
+
+// lossDraw is one frame's loss draw on fibre f: the frame is lost when u is
+// below the fibre's loss probability.
+type lossDraw struct {
+	f Fibre
+	u float64
 }
 
 // LinkConfig collects the construction parameters of a Link. The per-side
@@ -339,20 +360,25 @@ func (l *Link) SetDepolarizing(f float64) {
 func (l *Link) SetFolding(on bool) { l.perAttempt = !on }
 
 // canFold reports whether the link's state lets it fold its coming failed
-// attempts (see Clock): the fold is on; the arms are equal, shorter than half
-// a cycle, and every fibre is loss-free, so the GEN pair and the REPLY pair
-// are one event each, no loss is drawn, and each REPLY arrives before the
-// next tick; neither node is paused or throttled, no attempt is outstanding,
-// no GEN or REPLY is on its way and no GEN waits at the station; and the
-// sampler holds no drawn attempt waiting for its herald.
+// attempts (see Clock): the fold is on; the arms are equal and shorter than
+// half a cycle, so the GEN pair and the REPLY pair are one event each and
+// each REPLY arrives before the next tick; no fibre drops every frame;
+// neither node is paused or throttled; no GEN or REPLY is on its way and no
+// GEN waits at the station, so no REPLY will come for an attempt still
+// pending (its GEN or REPLY was lost) and each folded REPLY retires the
+// oldest pending attempt of its queue item; and neither the sampler nor the
+// link holds a drawn attempt or loss waiting for its event.
 func (l *Link) canFold() bool {
 	a, b := &l.nodes[nv.SideA], &l.nodes[nv.SideB]
 	arm := l.arm[nv.SideA]
-	return !l.perAttempt && arm == l.arm[nv.SideB] && 2*arm < l.period && l.loss == [4]float64{} &&
-		!a.paused && !b.paused && a.rateDivisor <= 1 && b.rateDivisor <= 1 &&
-		a.pending.len() == 0 && b.pending.len() == 0 && l.due == 0 &&
-		len(l.waiting[nv.SideA]) == 0 && len(l.waiting[nv.SideB]) == 0 && !l.sampler.Held()
+	return !l.perAttempt && arm == l.arm[nv.SideB] && 2*arm < l.period &&
+		max(l.loss[FibreAH], l.loss[FibreBH], l.loss[FibreHA], l.loss[FibreHB]) < 1 &&
+		!a.paused && !b.paused && a.rateDivisor <= 1 && b.rateDivisor <= 1 && l.due == 0 &&
+		len(l.waiting[nv.SideA]) == 0 && len(l.waiting[nv.SideB]) == 0 && !l.sampler.Held() && l.nDrawn == 0
 }
+
+// lossy reports whether any fibre draws a loss per frame.
+func (l *Link) lossy() bool { return l.loss != [4]float64{} }
 
 // window returns how many cycles from the one polled at now the link can
 // fold before h: cycle j polls at now + j·P (P the cycle), heralds an arm a
@@ -367,32 +393,51 @@ func (l *Link) window(now, h sim.Time) uint64 {
 }
 
 // steady returns both generators' steady decisions from cycle on and for how
-// many cycles both hold (Generator.Steady); 0 when either does not hold, or
-// the two disagree on the queue item or the attempt type.
+// many cycles both hold (Generator.Steady) before a maintenance pass; 0 when
+// either does not hold, the two disagree on the queue item or the attempt
+// type, or a node's folded REPLYs would retire a pending attempt of the
+// other type.
 func (l *Link) steady(cycle uint64) (dA, dB PollDecision, steady uint64) {
-	dA, steadyA := l.nodes[nv.SideA].gen.Steady(cycle)
+	a, b := &l.nodes[nv.SideA], &l.nodes[nv.SideB]
+	dA, steadyA := a.gen.Steady(cycle)
 	if steadyA == 0 {
 		return dA, dB, 0
 	}
-	dB, steadyB := l.nodes[nv.SideB].gen.Steady(cycle)
-	if steadyB == 0 || dA.QueueID != dB.QueueID || dA.Keep != dB.Keep {
+	dB, steadyB := b.gen.Steady(cycle)
+	if steadyB == 0 || dA.QueueID != dB.QueueID || dA.Keep != dB.Keep ||
+		!a.pending.sameKind(dA) || !b.pending.sameKind(dB) {
 		return dA, dB, 0
 	}
-	return dA, dB, min(steadyA, steadyB)
+	steady = min(steadyA, steadyB)
+	if a.pending.len() > 0 || b.pending.len() > 0 {
+		// A maintenance pass may drop pending attempts: the fold stops
+		// before it, and the tick runs it.
+		next := max((cycle+1023)/1024*1024, 5*1024)
+		steady = min(steady, next-cycle)
+	}
+	return dA, dB, steady
 }
 
 // absorb applies in bulk what the events of n failed attempts from cycle on,
 // the first polled at now, would have done, carbon dephasing aside (the
 // clock applies it across links): the generators' polls and results, the
-// nodes' polled cycles and counters, the station's and with tracing on the
-// attempt, herald and REPLY records at their times.
+// nodes' polled cycles, counters and pending attempts, the station's and
+// with tracing on the attempt, herald and REPLY records at their times.
 func (l *Link) absorb(now sim.Time, cycle, n uint64, dA, dB PollDecision) {
 	last := cycle + n - 1
-	l.nodes[nv.SideA].gen.Absorb(cycle, n, dA)
-	l.nodes[nv.SideB].gen.Absorb(cycle, n, dB)
-	for side := range l.nodes {
-		l.nodes[side].attemptCount += n
-		l.nodes[side].polled = last
+	for side, d := range [2]PollDecision{dA, dB} {
+		nd := &l.nodes[side]
+		nd.gen.Absorb(cycle, n, d)
+		nd.attemptCount += n
+		nd.polled = last
+		// Each cycle's attempt joins the pending list and its REPLY retires
+		// the oldest pending attempt of the queue item: with s stale ones
+		// pending, the first min(n, s) go and the newest min(n, s) folded
+		// attempts stay.
+		kept := nd.pending.retire(d.QueueID, n)
+		for c := last + 1 - kept; c <= last; c++ {
+			nd.pending.push(pendingAttempt{c, nd.gen.SteadyDecision(c, d)})
+		}
 	}
 	l.matched += n
 	if l.trace != nil {
@@ -412,8 +457,65 @@ func (l *Link) absorb(now sim.Time, cycle, n uint64, dA, dB PollDecision) {
 	}
 }
 
-// lost draws whether a frame sent on fibre f is lost.
-func (l *Link) lost(f Fibre) bool { return l.eng.RNG().Bernoulli(l.loss[f]) }
+// lost draws whether a frame sent on fibre f is lost, as RNG.Bernoulli
+// would: a fibre that drops no frame or every frame draws nothing. The next
+// loss a fold drew ahead (drawCycle) is taken in place of a draw; it must be
+// this fibre's.
+func (l *Link) lost(f Fibre) bool {
+	p := l.loss[f]
+	if p <= 0 || p >= 1 {
+		return p >= 1
+	}
+	if l.took == l.nDrawn {
+		return l.eng.RNG().Float64() < p
+	}
+	d := l.drawn[l.took]
+	if d.f != f {
+		panic("mhp: a held loss draw taken by another fibre")
+	}
+	if l.took++; l.took == l.nDrawn {
+		l.took, l.nDrawn = 0, 0
+	}
+	return d.u < p
+}
+
+// drawLoss draws, for a fold, whether a frame sent on fibre f is lost, as
+// lost would, and holds the draw.
+func (l *Link) drawLoss(f Fibre, rng *sim.RNG) bool {
+	p := l.loss[f]
+	if p <= 0 {
+		return false
+	}
+	u := rng.Float64()
+	l.drawn[l.nDrawn] = lossDraw{f, u}
+	l.nDrawn++
+	return u < p
+}
+
+// drawCycle draws, for a fold, the next cycle's attempt at the bright-state
+// populations αA and αB from the link's stream rng, in the order its events
+// would: the losses of A's and B's GENs at the polls, the optical test at
+// the herald when both arrive, and the losses of the REPLYs to A and B. It
+// reports whether the attempt fails with every frame delivered, in which
+// case failCycle gives the draws up; otherwise the sampler and the link hold
+// them for the cycle's events.
+func (l *Link) drawCycle(alphaA, alphaB float64, rng *sim.RNG) bool {
+	if a, b := l.drawLoss(FibreAH, rng), l.drawLoss(FibreBH, rng); a || b {
+		return false
+	}
+	if l.sampler.Draw(alphaA, alphaB, rng) {
+		return false
+	}
+	a, b := l.drawLoss(FibreHA, rng), l.drawLoss(FibreHB, rng)
+	return !a && !b
+}
+
+// failCycle gives up the draws of a cycle drawCycle found failed: the
+// sampler counts the attempt, and the loss draws are spent.
+func (l *Link) failCycle() {
+	l.sampler.Fail()
+	l.nDrawn = 0
+}
 
 // sendGEN sends side's GEN of the given cycle to the station, unless its
 // fibre drops it. When the other side's GEN of the same cycle is already on
@@ -727,6 +829,36 @@ func (q *pendingList) dropOldest(k int) {
 
 func (q *pendingList) clear() { q.buf, q.head = q.buf[:0], 0 }
 
+// retire deletes the k oldest attempts with queue ID id, or all of them if
+// fewer, keeping the others in order, and returns how many it deleted.
+func (q *pendingList) retire(id wire.AbsoluteQueueID, k uint64) uint64 {
+	live, w, gone := q.live(), 0, uint64(0)
+	for _, p := range live {
+		if gone < k && p.decision.QueueID == id {
+			gone++
+			continue
+		}
+		live[w] = p
+		w++
+	}
+	q.buf = q.buf[:q.head+w]
+	if w == 0 {
+		q.clear()
+	}
+	return gone
+}
+
+// sameKind reports whether every attempt with d's queue ID is of d's kind
+// (create-and-keep or measure-directly).
+func (q *pendingList) sameKind(d PollDecision) bool {
+	for _, p := range q.live() {
+		if p.decision.QueueID == d.QueueID && p.decision.Keep != d.Keep {
+			return false
+		}
+	}
+	return true
+}
+
 // Cycle returns the current MHP cycle number, read from the node's clock (0
 // before the node joins one).
 func (n *Node) Cycle() uint64 {
@@ -803,8 +935,9 @@ func (n *Node) Attempts() uint64 { return n.attemptCount }
 func (n *Node) runCycle(cycle uint64) {
 	// The maintenance pass: every 1,024 cycles, discard the pending attempts
 	// whose REPLY was evidently lost, so the list stays bounded during long
-	// lossy runs. A parked node or a folding link skips it: its list is
-	// empty.
+	// lossy runs. A parked node skips it: its list is empty. So does a
+	// folding link whose lists are empty; a fold stops before the pass
+	// otherwise.
 	if cycle%1024 == 0 && n.pending.len() > 0 && cycle > 4096 {
 		n.DropPending(cycle - 4096)
 	}
@@ -871,7 +1004,9 @@ func (n *Node) receiveReply(payload *replyPayload) {
 	// its own, with that attempt's cycle, basis and storage qubit (on a Lab
 	// link a REPLY answers its own cycle's attempt, the newest pending one).
 	// This is a known fault, left for a change that also refreshes the
-	// benchmark's lossy digest (ROADMAP.md).
+	// benchmark's lossy digest (ROADMAP.md). The fold of a lossy link
+	// reproduces the rule (Link.absorb), so changing it here means changing
+	// it there.
 	var attempt pendingAttempt
 	for i, p := range n.pending.live() {
 		if p.decision.QueueID == reply.QueueID {

@@ -50,8 +50,9 @@ func (s *stubGenerator) Idle() bool { return false }
 
 // Fold never reports a steady decision, so every scripted attempt runs
 // through its events.
-func (s *stubGenerator) Steady(uint64) (PollDecision, uint64) { return PollDecision{}, 0 }
-func (s *stubGenerator) Absorb(uint64, uint64, PollDecision)  {}
+func (s *stubGenerator) Steady(uint64) (PollDecision, uint64)                 { return PollDecision{}, 0 }
+func (s *stubGenerator) SteadyDecision(_ uint64, d PollDecision) PollDecision { return d }
+func (s *stubGenerator) Absorb(uint64, uint64, PollDecision)                  {}
 
 // harness is one link's MHP between two scripted link layers.
 type harness struct {
@@ -73,7 +74,13 @@ func newHarness(t *testing.T, loss float64) *harness {
 // arms, each used both ways, and the station's hold time.
 func newHarnessArms(t *testing.T, loss float64, armA, armB, hold sim.Duration) *harness {
 	t.Helper()
-	s := sim.New(9)
+	return newSeededHarness(t, 9, loss, armA, armB, hold)
+}
+
+// newSeededHarness is newHarnessArms on a simulator seeded with seed.
+func newSeededHarness(t *testing.T, seed int64, loss float64, armA, armB, hold sim.Duration) *harness {
+	t.Helper()
+	s := sim.New(seed)
 	h := &harness{s: s, genA: &stubGenerator{clock: s}, genB: &stubGenerator{clock: s}}
 	platform := nv.LabPlatform()
 	h.link = NewLink(LinkConfig{

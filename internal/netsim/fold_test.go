@@ -2,6 +2,7 @@ package netsim_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/egp"
@@ -106,9 +107,24 @@ func foldCases() []foldCase {
 		{name: "chain3", spec: chainSpec(3, "", linkSatClass, ""), seconds: 0.08},
 		// Eight links under chain8-mixed's MD, NL and CK classes.
 		{name: "chain9-mixed", spec: chainSpec(9, "", mixedClasses, ""), seconds: 0.1, untraced: true},
-		// One lossy link, attempt by attempt, among folding ones.
+		// One lossy link among loss-free ones, each folding up to its own
+		// horizon.
 		{name: "chain4-one-lossy", spec: chainSpec(4, "", linkSatClass, `{"events": [
 			{"at_s": 0, "state": "degraded", "link": [1, 2], "degrade": {"classical_loss": 0.01}}]}`), seconds: 0.06},
+		// Classical loss: the fold draws each cycle's frame losses, stops
+		// before the first lost frame, and its REPLYs retire the stale
+		// pending attempts the lost frames leave, oldest first.
+		{name: "lab-md-lossy", spec: labSpec(`{"classical_loss": 0.001}`, linkSatClass, ""), seconds: 0.12},
+		// chain8-ck-lossy's class at ten times its loss: lost K frames leave
+		// one node waiting out its deadline, and stale K attempts pending.
+		{name: "lab-ck-lossy", spec: labSpec(`{"classical_loss": 0.01}`, `{"name": "poisson", "priority": "CK",
+			"arrival": {"kind": "poisson", "load": 0.7}, "max_pairs": 2, "min_fidelity": 0.64, "origin": "random"}`, ""), seconds: 0.12},
+		// chain8-lossy's classes on eight links.
+		{name: "chain9-mixed-lossy", spec: chainSpec(9, `{"classical_loss": 0.001}`, mixedClasses, ""), seconds: 0.1, untraced: true},
+		// 5% loss over 0.15 s: the pending lists are never empty, and the
+		// fold stops before each of the maintenance passes from cycle 5120
+		// on, which drop the attempts more than 4,096 cycles old.
+		{name: "lab-md-lossy-maintenance", spec: labSpec(`{"classical_loss": 0.05}`, linkSatClass, ""), seconds: 0.15},
 		// NL requests, which preempt the MD sessions' head, from events that
 		// belong to no link: while one is pending, every link folds only up
 		// to the simulator's horizon.
@@ -391,8 +407,9 @@ func TestFoldMatchesPerAttempt(t *testing.T) {
 // count (Executed counts no clock tick); a chain's links must fold past the
 // 50 ms queue samples, which do not bound a fold; the links of a chain under
 // the end-to-end service must fold in lockstep to under 0.1 events each; a
-// lossy link and a QL2020 link, which keep the per-attempt path, must fire
-// exactly as many events as with the fold off.
+// lossy link at 0.1% loss, alone or among loss-free ones, must fold its
+// failed attempts to under 0.5 events each; a QL2020 link, which keeps the
+// per-attempt path, must fire exactly as many events as with the fold off.
 func TestFoldEngages(t *testing.T) {
 	class := `{"name": "md", "priority": "MD", "arrival": {"kind": "closed", "sessions": 4, "think_time_s": 0.001}, "min_pairs": 1, "max_pairs": 3}`
 	chain3 := chainSpec(3, "", class, "")
@@ -457,7 +474,11 @@ func TestFoldEngages(t *testing.T) {
 		reach sim.Duration
 	}{
 		{"lab", labSpec("", class, ""), 1, 0.01, 0},
-		{"lab-lossy", labSpec(`{"classical_loss": 0.001}`, class, ""), 1, 0, 0},
+		{"lab-lossy", labSpec(`{"classical_loss": 0.001}`, class, ""), 1, 0.5, 0},
+		// Attempt by attempt, the lossy link alone would make about 0.67
+		// events per attempt of the three links'.
+		{"chain4-one-lossy", chainSpec(4, "", class, `{"events": [
+			{"at_s": 0, "state": "degraded", "link": [1, 2], "degrade": {"classical_loss": 0.001}}]}`), 1, 0.2, 0},
 		{"ql2020", ql2020, 1, 0, 0},
 		{"chain3", chain3, 1, 0.01, 0},
 		{"chain3-2-shards", chain3, 2, 0.01, 0},
@@ -493,4 +514,55 @@ func TestFoldEngages(t *testing.T) {
 			t.Logf("%.4f events per attempt, attempt by attempt %.4f", perAttempt, float64(ref.events)/float64(ref.attempts))
 		})
 	}
+}
+
+// fuzzFoldCase decodes a fuzz input into a case of one or two Lab links
+// (links), at a classical loss of 0, 0.1%, 1% or 5% (loss), under one class
+// (class's bits: 0 create-and-keep, 1 held pairs, 2–3 up to 1–4 pairs per
+// request, 4 a 20 ms deadline, 5 a closed loop of 1–4 sessions in place of
+// Poisson arrivals; load picks the load or the sessions), run for 60 ms, so
+// across the first maintenance pass.
+func fuzzFoldCase(links, loss, class, load uint8) foldCase {
+	var protocol []string
+	if p := [4]float64{0, 0.001, 0.01, 0.05}[loss%4]; p > 0 {
+		protocol = append(protocol, fmt.Sprintf(`"classical_loss": %g`, p))
+	}
+	if class&2 != 0 {
+		protocol = append(protocol, `"hold_pairs": true`)
+	}
+	priority := "MD"
+	if class&1 != 0 {
+		priority = "CK"
+	}
+	arrival := fmt.Sprintf(`{"kind": "poisson", "load": %g}`, 0.1+0.1*float64(load%9))
+	if class&32 != 0 {
+		arrival = fmt.Sprintf(`{"kind": "closed", "sessions": %d, "think_time_s": 0.001}`, 1+load%4)
+	}
+	spec := fmt.Sprintf(`{"name": "c", "priority": %q, "arrival": %s, "min_pairs": 1, "max_pairs": %d, "min_fidelity": 0.5`,
+		priority, arrival, 1+(class>>2)%4)
+	if class&16 != 0 {
+		spec += `, "deadline_s": 0.02`
+	}
+	var proto string
+	if len(protocol) > 0 {
+		proto = "{" + strings.Join(protocol, ", ") + "}"
+	}
+	return foldCase{name: "fuzz", spec: chainSpec(2+int(links%2), proto, spec+"}", ""), seconds: 0.06}
+}
+
+// FuzzFoldMatchesPerAttempt searches for a run in which folding the failed
+// attempts of one or two lossy or loss-free Lab links (fuzzFoldCase) leaves
+// a counter, table or non-sim trace record other than the same run attempt
+// by attempt does. The seed corpus follows the oracle's lossy cases
+// (TestFoldMatchesPerAttempt) and its chain3 case.
+func FuzzFoldMatchesPerAttempt(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(1), uint8(32|2<<2), uint8(3))   // lab-md-lossy
+	f.Add(int64(2), uint8(0), uint8(2), uint8(1|1<<2), uint8(6))    // lab-ck-lossy
+	f.Add(int64(3), uint8(0), uint8(3), uint8(32|2<<2), uint8(3))   // lab-md-lossy-maintenance
+	f.Add(int64(4), uint8(1), uint8(1), uint8(16|1<<2), uint8(4))   // chain9-mixed-lossy's MD class, with a deadline
+	f.Add(int64(5), uint8(1), uint8(0), uint8(32|2|2<<2), uint8(3)) // chain3
+	f.Fuzz(func(t *testing.T, seed int64, links, loss, class, load uint8) {
+		tc := fuzzFoldCase(links, loss, class, load)
+		sameRun(t, seed, "attempt by attempt", runFold(t, tc, seed, 1, true), runFold(t, tc, seed, 1, false))
+	})
 }

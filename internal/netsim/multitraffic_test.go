@@ -79,7 +79,8 @@ func attachPoisson(t testing.TB, nw *Network, class workload.ClassSpec) *MultiTr
 // loss-free Lab attempt's two events beside the clock tick (one delivers
 // both GENs, one both REPLYs), then the MD case's to its links folding
 // their failed attempts (mhp.Clock), then both to Executed counting no
-// clock tick. The dense and belldiag backends
+// clock tick, then the CK case's to its lossy links folding theirs too. The
+// dense and belldiag backends
 // agree on every pinned field. The MD case is the flag runs' shape; the CK
 // case adds create-and-keep, a deadline and classical loss. A change to the
 // engine's draw order (pairs, then origin) or its request fields breaks it.
@@ -100,7 +101,7 @@ func TestPoissonClassMatchesRecordedRuns(t *testing.T) {
 		errors   uint64
 	}{
 		{"md", Chain(6), 11, 0, workload.PoissonClass(0.7, 2, 0.64, false), 0.5, 116, 101048, 14, 12, 0},
-		{"ck-deadline-loss", Chain(4), 5, 0.001, ck, 1, 158020, 69694, 10, 16, 4},
+		{"ck-deadline-loss", Chain(4), 5, 0.001, ck, 1, 19074, 69694, 10, 16, 4},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

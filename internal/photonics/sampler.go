@@ -31,6 +31,11 @@ type LinkSampler struct {
 	backend quantum.Backend
 
 	cache map[alphaKey]*attemptDistribution
+	// last is the distribution distribution returned last, at lastKey: a
+	// fold draws one attempt per cycle at the same populations, and a map
+	// lookup per cycle would cost as much as the draw.
+	last    *attemptDistribution
+	lastKey alphaKey
 
 	// attempts counts how many times Sample has been called; the benchmark
 	// harness divides allocation and wall-clock deltas by it.
@@ -94,11 +99,15 @@ func (s *LinkSampler) Held() bool { return s.held }
 // populations from the sampler's own cache, falling back to the link's.
 func (s *LinkSampler) distribution(alphaA, alphaB float64) *attemptDistribution {
 	key := alphaKey{alphaA, alphaB}
-	if d, ok := s.cache[key]; ok {
-		return d
+	if s.last != nil && s.lastKey == key {
+		return s.last
 	}
-	d := s.link.distribution(key)
-	s.cache[key] = d
+	d, ok := s.cache[key]
+	if !ok {
+		d = s.link.distribution(key)
+		s.cache[key] = d
+	}
+	s.last, s.lastKey = d, key
 	return d
 }
 
