@@ -139,6 +139,10 @@ func foldCases() []foldCase {
 		// consumes a pair on each of its links, so the links fold in
 		// lockstep, and swapped pairs span two links' carbons.
 		{name: "e2e-chain5", spec: serviceSpec("chain", 5, 4, ""), seconds: e2eSeconds, service: true, stored: true},
+		// The same with one lossy link: the lockstep draws its frame
+		// losses and stops every link before a cycle that loses a frame.
+		{name: "e2e-chain5-one-lossy", spec: serviceSpec("chain", 5, 4, `{"events": [
+			{"at_s": 0, "state": "degraded", "link": [1, 2], "degrade": {"classical_loss": 0.01}}]}`), seconds: e2eSeconds, service: true, stored: true},
 		// A 3x3 grid routed corner to corner around a node outage, then
 		// through a Degraded link.
 		{name: "e2e-grid9-outage-degrade", spec: serviceSpec("grid", 9, 8, `{"events": [
