@@ -67,21 +67,23 @@ func runGENPairs(t *testing.T, armA, armB sim.Duration, genLoss float64, shared 
 func TestGENPairFusesOnlyWhenBothArriveTogether(t *testing.T) {
 	const attempts = 400
 	short := 10 * sim.Nanosecond
+	ql2020A, ql2020B := sim.DurationMicroseconds(48.4), sim.DurationMicroseconds(72.6)
 	for _, tc := range []struct {
 		name       string
 		armA, armB sim.Duration
 		genLoss    float64
-		// perAttempt is the events per attempt beside the clock tick when
-		// no GEN is lost.
-		perAttempt uint64
+		// perMatch is the events of a matched attempt beside the clock tick.
+		perMatch uint64
 	}{
 		// One event for the GEN pair, one for the REPLY pair.
 		{"equal arms", short, short, 0, 2},
 		// A cycle fuses only if both GENs survive; a lone GEN waits for its
 		// hold event.
-		{"equal lossy arms", short, short, 0.3, 0},
+		{"equal lossy arms", short, short, 0.3, 2},
 		// The GENs arrive apart, and so do the REPLYs.
-		{"QL2020 arms", sim.DurationMicroseconds(48.4), sim.DurationMicroseconds(72.6), 0, 4},
+		{"QL2020 arms", ql2020A, ql2020B, 0, 4},
+		// A lone GEN's hold expires at an instant of its own.
+		{"QL2020 lossy arms", ql2020A, ql2020B, 0.3, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := runGENPairs(t, tc.armA, tc.armB, tc.genLoss, false, attempts)
@@ -108,9 +110,9 @@ func TestGENPairFusesOnlyWhenBothArriveTogether(t *testing.T) {
 				if got.matched == 0 || got.matched == attempts || lone == 0 {
 					t.Fatalf("matched %d of %d, %d holds expired: the loss should break some pairs", got.matched, attempts, lone)
 				}
-				// A matched cycle is one GEN event and one REPLY event; a
-				// lone GEN adds its hold event.
-				if n, want := got.events-got.ticks, 2*got.matched+3*lone; n != want {
+				// A lone GEN is its delivery, its hold expiry and its error
+				// REPLY: three events.
+				if n, want := got.events-got.ticks, tc.perMatch*got.matched+3*lone; n != want {
 					t.Errorf("%d events beside the tick, want %d: GENs fuse exactly when both arrive", n, want)
 				}
 				return
@@ -118,8 +120,8 @@ func TestGENPairFusesOnlyWhenBothArriveTogether(t *testing.T) {
 			if got.matched != attempts {
 				t.Fatalf("matched %d of %d", got.matched, attempts)
 			}
-			if n := got.events - got.ticks; n != tc.perAttempt*attempts {
-				t.Errorf("%d events beside the tick for %d attempts, want %d each", n, attempts, tc.perAttempt)
+			if n := got.events - got.ticks; n != tc.perMatch*attempts {
+				t.Errorf("%d events beside the tick for %d attempts, want %d each", n, attempts, tc.perMatch)
 			}
 		})
 	}

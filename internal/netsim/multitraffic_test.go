@@ -82,14 +82,22 @@ func attachPoisson(t testing.TB, nw *Network, class workload.ClassSpec) *MultiTr
 // clock tick, then the CK case's to its lossy links folding theirs too. The
 // dense and belldiag backends
 // agree on every pinned field. The MD case is the flag runs' shape; the CK
-// case adds create-and-keep, a deadline and classical loss. A change to the
-// engine's draw order (pairs, then origin) or its request fields breaks it.
+// case adds create-and-keep, a deadline and classical loss. The QL2020
+// cases, recorded later, pin the unequal arms, where no attempt folds and
+// every GEN, REPLY and hold expiry of an attempt comes at its own instant,
+// with frames of both kinds lost. A change to the engine's draw order
+// (pairs, then origin) or its request fields breaks it.
 func TestPoissonClassMatchesRecordedRuns(t *testing.T) {
 	ck := workload.PoissonClass(0.8, 3, 0.64, true)
 	ck.Deadline = sim.DurationSeconds(0.4)
+	// QL2020's K attempts are slower: a 0.4 s deadline at F 0.64 refuses
+	// every request.
+	qlCK := workload.PoissonClass(0.8, 1, 0.5, true)
+	qlCK.Deadline = sim.DurationSeconds(1)
 	cases := []struct {
 		name     string
 		spec     Spec
+		scenario nv.ScenarioID
 		seed     int64
 		loss     float64
 		class    workload.ClassSpec
@@ -100,12 +108,14 @@ func TestPoissonClassMatchesRecordedRuns(t *testing.T) {
 		pairs    int
 		errors   uint64
 	}{
-		{"md", Chain(6), 11, 0, workload.PoissonClass(0.7, 2, 0.64, false), 0.5, 116, 101048, 14, 12, 0},
-		{"ck-deadline-loss", Chain(4), 5, 0.001, ck, 1, 19074, 69694, 10, 16, 4},
+		{"md", Chain(6), nv.ScenarioLab, 11, 0, workload.PoissonClass(0.7, 2, 0.64, false), 0.5, 116, 101048, 14, 12, 0},
+		{"ck-deadline-loss", Chain(4), nv.ScenarioLab, 5, 0.001, ck, 1, 19074, 69694, 10, 16, 4},
+		{"ql2020-md-loss", Chain(3), nv.ScenarioQL2020, 3, 0.01, workload.PoissonClass(0.7, 2, 0.64, false), 0.5, 115526, 12360, 9, 3, 0},
+		{"ql2020-ck-deadline-loss", Chain(3), nv.ScenarioQL2020, 5, 0.001, qlCK, 3, 94920, 22939, 10, 7, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig(tc.spec, nv.ScenarioLab)
+			cfg := DefaultConfig(tc.spec, tc.scenario)
 			cfg.Seed = tc.seed
 			cfg.ClassicalLossProb = tc.loss
 			nw, err := NewNetwork(cfg)
