@@ -15,7 +15,7 @@ import (
 // of failed attempts — poll, the GEN pair's one delivery event, the
 // station's match and optical sample, the REPLY pair's one delivery event,
 // EGP bookkeeping — and the window must not allocate at all. The lossy case
-// also drives the station's hold timeout and its error REPLY, and frames the
+// also drives the station's hold expiry and its error REPLY, and frames the
 // fibres drop. Those two run attempt by attempt; the fold case is the path a
 // loss-free Lab link takes by default, whose ticks fold the runs of failed
 // attempts (Clock.foldLinks) and run attempt by attempt only where a run meets the
@@ -34,17 +34,18 @@ func TestFailedAttemptsAllocateNothing(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw, l := labLink(t, tc.loss, tc.fold)
-			// Warm up past the DQP handshake, so the free lists reach their
-			// steady size. Under loss, attempts whose REPLY was lost stay
-			// pending until a maintenance pass (every 1024 cycles) drops those
-			// 4096 cycles old, and the pending slices keep the capacity they
-			// grow to. So the warm-up must cover one full 4096-cycle drop
-			// period plus a 1024-cycle maintenance interval after the first
+			// Warm up past the DQP handshake, so the link's list of frames
+			// in flight and the waiting GENs reach their steady size. Under
+			// loss, attempts whose REPLY was lost stay pending until a
+			// maintenance pass (every 1024 cycles) drops those 4096 cycles
+			// old, and the pending slices keep the capacity they grow to.
+			// So the warm-up must cover one full 4096-cycle drop period
+			// plus a 1024-cycle maintenance interval after the first
 			// attempt, and the window must not grow the slices further. A
 			// folding link runs attempt by attempt only at a window's end,
-			// and the frames of such an attempt reach the free lists and the
-			// event queue's ready list in the next window: so the warm-up
-			// ends with windows like the measured one.
+			// and the frames of such an attempt reach the link's list and
+			// the event queue's ready list in the next window: so the
+			// warm-up ends with windows like the measured one.
 			nw.Run(8000 * sim.Duration(cycle))
 			for range 3 {
 				_ = nw.Sim.RunFor(1000 * sim.Duration(cycle))

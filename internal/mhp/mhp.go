@@ -15,11 +15,15 @@
 // layer wakes it, since its poll would be a no-op (see Clock for why the run
 // is unchanged).
 //
-// Because the Link sends both GENs of a cycle, it knows when each will
-// arrive and schedules only the deliveries it needs. Over equal arms (every
-// Lab link) one event delivers both GENs and one both REPLYs, so an attempt
-// run attempt by attempt costs two events beside the clock's tick. Over
-// unequal arms, such as QL2020's, each GEN and each REPLY has its own event.
+// A Link keeps what is in flight as plain data: one list of its GENs and
+// REPLYs on their way and of the expiries of GENs held at the station,
+// ordered by due time and then send order, with one event per instant in it
+// and one handler that delivers everything due. Over equal arms (every Lab
+// link) the GENs of a cycle share an instant, and so do its REPLYs, so an
+// attempt run attempt by attempt costs two events beside the clock's tick.
+// Over unequal arms, such as QL2020's, each GEN and each REPLY comes at an
+// instant of its own. A GEN held at the station gets an expiry only when its
+// peer's GEN is not in flight to arrive before the hold ends.
 //
 // A Lab link does not run its failed attempts one by one: the clock's tick
 // folds the coming run of them into itself, with the same random draws and
@@ -136,61 +140,40 @@ const (
 	FibreHB              // the station's REPLYs to B
 )
 
-// genPayload is a GEN on its way to the station: the encoded frame plus the
-// physical "photon" (its emission parameters). The photon cannot be lost
-// independently of the frame here because photon loss is already part of the
-// optical model sampled at the station; what matters for protocol
-// robustness is losing the classical frame.
-//
-// Payloads come from the link's free list. The station returns one once
-// nothing refers to it any more: when it is matched, or from its hold event
-// if it has one.
-type genPayload struct {
-	frame [wire.GENFrameLen]byte
-	// size is how many bytes of frame were sent: always the full frame from
-	// a node, shorter only for a malformed payload a test builds by hand.
+// frame is an entry of a link's list of what is due: a GEN on its way to
+// the station, a REPLY on its way to a node, or the expiry of a GEN held at
+// the station. A GEN carries its encoded bytes and its physical "photon" (the
+// emission parameters): the photon cannot be lost independently of the frame
+// here, because photon loss is already part of the optical model sampled at
+// the station; what matters for protocol robustness is losing the classical
+// frame. A REPLY carries the heralded pair of a success, nil otherwise.
+type frame struct {
+	due sim.Time
+	// side is the sending node's for a GEN, the receiving node's for a
+	// REPLY, and the held GEN's for an expiry.
+	side nv.PairSide
+	kind frameKind
+	// size is how many bytes of the encoding were sent: always the whole
+	// frame from the link, shorter only for a malformed one a test builds.
 	size  uint8
+	bytes [max(wire.GENFrameLen, wire.REPLYFrameLen)]byte
+	// alpha and cycle are a GEN's bright-state population and attempt
+	// cycle; pair is a REPLY's.
 	alpha float64
-	side  nv.PairSide
 	cycle uint64
-	// partnered is set when the other side's GEN of the same cycle arrives
-	// after this one but before this one's hold would expire: it will find
-	// this one waiting, so this one needs no hold event.
-	partnered bool
-	// rider is the other side's GEN of the same cycle when it arrives at the
-	// same instant: this GEN's delivery event delivers it right after.
-	rider *genPayload
-	// timed is set once a hold event refers to the payload.
-	timed bool
-}
-
-// replyPayload is a REPLY on its way to the node on side, which returns it
-// to the free list as soon as it has decoded it. pair is the heralded pair of
-// a success, nil otherwise; the node takes it out before returning the
-// payload, so an idle payload keeps no pair alive.
-type replyPayload struct {
-	frame [wire.REPLYFrameLen]byte
-	size  uint8
-	side  nv.PairSide
 	pair  *nv.EntangledPair
-	// rider is the other node's REPLY when it arrives at the same instant:
-	// this REPLY's delivery event delivers it right after.
-	rider *replyPayload
+	// held numbers a GEN held at the station, and names the held GEN an
+	// expiry is for.
+	held uint64
 }
 
-// freeList recycles one kind of payload struct.
-type freeList[T any] []*T
+type frameKind uint8
 
-func (l *freeList[T]) get() *T {
-	if n := len(*l); n > 0 {
-		p := (*l)[n-1]
-		*l = (*l)[:n-1]
-		return p
-	}
-	return new(T)
-}
-
-func (l *freeList[T]) put(p *T) { *l = append(*l, p) }
+const (
+	genFrame frameKind = iota
+	replyFrame
+	holdExpiry
+)
 
 // Link is one link's MHP: the two nodes' attempt loop, the four fibres and
 // the heralding station. Everything it does runs on the link's own engine.
@@ -212,9 +195,12 @@ type Link struct {
 	// NO_MESSAGE_OTHER. It must exceed the propagation asymmetry of the two
 	// arms plus scheduling jitter.
 	holdTime sim.Duration
-	// The delivery and hold handlers, built once so scheduling one carries
-	// a pooled payload instead of allocating a closure.
-	onGEN, onReply, onHold sim.ArgHandler
+	// frames is everything still due, ordered by (due time, send order).
+	// Each instant in it has one event, scheduled when the first entry due
+	// then was sent; onDue, built once so scheduling allocates nothing,
+	// delivers every entry due at it.
+	frames []frame
+	onDue  sim.ArgHandler
 
 	// depolarize, when in (0,1), applies a single-qubit depolarising channel
 	// of that fidelity to every freshly heralded pair — the Degraded link
@@ -228,13 +214,9 @@ type Link struct {
 	// detection windows by timestamp, not by arrival order, so emission
 	// multiplexing over asymmetric fibre arms pairs the right attempts. A
 	// side rarely has more than one GEN waiting, so a scan beats a lookup.
-	waiting [2][]*genPayload
-	// flight is each side's newest GEN still on its way to the station, nil
-	// once it has arrived: the other side's GEN of the same cycle, sent
-	// later in the same tick, settles the pair's arrivals with it.
-	flight  [2]*genPayload
-	gens    freeList[genPayload]
-	replies freeList[replyPayload]
+	// held counts the GENs ever held, numbering each.
+	waiting [2][]frame
+	held    uint64
 
 	// Statistics.
 	matched       uint64
@@ -249,10 +231,6 @@ type Link struct {
 
 	// perAttempt turns the fold off (SetFolding).
 	perAttempt bool
-	// due counts the GEN and REPLY delivery events not yet fired; the fold
-	// runs only while there are none, so the link's horizon need not count
-	// them.
-	due int
 	// drawn holds the loss draws of the cycle a fold stopped before, in draw
 	// order, for lost to take in place of drawing: drawn[took:nDrawn].
 	drawn        [4]lossDraw
@@ -320,7 +298,7 @@ func NewLink(cfg LinkConfig) *Link {
 			parked: cfg.Generators[side].Idle(),
 		}
 	}
-	l.onGEN, l.onReply, l.onHold = l.deliverGEN, l.deliverReply, l.holdExpired
+	l.onDue = l.deliver
 	return l
 }
 
@@ -363,17 +341,19 @@ func (l *Link) SetFolding(on bool) { l.perAttempt = !on }
 // attempts (see Clock): the fold is on; the arms are equal and shorter than
 // half a cycle, so the GEN pair and the REPLY pair are one event each and
 // each REPLY arrives before the next tick; no fibre drops every frame;
-// neither node is paused or throttled; no GEN or REPLY is on its way and no
-// GEN waits at the station, so no REPLY will come for an attempt still
-// pending (its GEN or REPLY was lost) and each folded REPLY retires the
-// oldest pending attempt of its queue item; and neither the sampler nor the
-// link holds a drawn attempt or loss waiting for its event.
+// neither node is paused or throttled; nothing is in flight and nothing is
+// held at the station, so no REPLY will come for an attempt still pending
+// (its GEN or REPLY was lost) and each folded REPLY retires the oldest
+// pending attempt of its queue item; and neither the sampler nor the link
+// holds a drawn attempt or loss waiting for its event. The link's horizon
+// need not count its deliveries, since the fold runs only while there are
+// none.
 func (l *Link) canFold() bool {
 	a, b := &l.nodes[nv.SideA], &l.nodes[nv.SideB]
 	arm := l.arm[nv.SideA]
 	return !l.perAttempt && arm == l.arm[nv.SideB] && 2*arm < l.period &&
 		max(l.loss[FibreAH], l.loss[FibreBH], l.loss[FibreHA], l.loss[FibreHB]) < 1 &&
-		!a.paused && !b.paused && a.rateDivisor <= 1 && b.rateDivisor <= 1 && l.due == 0 &&
+		!a.paused && !b.paused && a.rateDivisor <= 1 && b.rateDivisor <= 1 && len(l.frames) == 0 &&
 		len(l.waiting[nv.SideA]) == 0 && len(l.waiting[nv.SideB]) == 0 && !l.sampler.Held() && l.nDrawn == 0
 }
 
@@ -517,93 +497,78 @@ func (l *Link) failCycle() {
 	l.nDrawn = 0
 }
 
+// send puts f on the link's list, due after delay. It rides the event of an
+// entry already due at that instant, or schedules one.
+func (l *Link) send(f frame, delay sim.Duration) {
+	f.due = l.eng.Now().Add(delay)
+	i := len(l.frames)
+	for i > 0 && l.frames[i-1].due > f.due {
+		i--
+	}
+	if i == 0 || l.frames[i-1].due != f.due {
+		l.eng.ScheduleArgAt(f.due, l.onDue, nil)
+	}
+	l.frames = slices.Insert(l.frames, i, f)
+}
+
+// deliver is the link's one event handler: it delivers, in send order, every
+// entry due at now.
+func (l *Link) deliver(now sim.Time, _ any) {
+	for len(l.frames) > 0 && l.frames[0].due == now {
+		f := l.frames[0]
+		l.frames = slices.Delete(l.frames, 0, 1)
+		switch f.kind {
+		case genFrame:
+			l.receiveGEN(f)
+		case replyFrame:
+			l.nodes[f.side].receiveReply(f)
+		case holdExpiry:
+			l.expire(now, f)
+		}
+	}
+}
+
 // sendGEN sends side's GEN of the given cycle to the station, unless its
-// fibre drops it. When the other side's GEN of the same cycle is already on
-// its way, the link knows both arrivals and settles them here: a GEN
-// arriving with its partner rides the partner's delivery event, and of two
-// GENs arriving apart the first needs no hold event when the second is due
-// before that hold would expire.
+// fibre drops it.
 func (l *Link) sendGEN(side nv.PairSide, cycle uint64, d PollDecision) {
 	if l.lost(FibreAH + Fibre(side)) {
 		return
 	}
-	p := l.gens.get()
-	*p = genPayload{size: wire.GENFrameLen, alpha: d.Alpha, side: side, cycle: cycle}
-	wire.GENFrame{QueueID: d.QueueID, Timestamp: cycle}.Put(&p.frame)
-	l.flight[side] = p
-	if o := l.flight[1-side]; o != nil && o.cycle == cycle {
-		first, gap := o, l.arm[side]-l.arm[1-side]
-		if gap < 0 {
-			first, gap = p, -gap
-		}
-		first.partnered = gap < l.holdTime
-		if gap == 0 {
-			o.rider = p
-			return
-		}
-	}
-	l.due++
-	sim.ScheduleArg(l.eng, l.arm[side], l.onGEN, p)
-}
-
-// deliverGEN is a GEN's delivery event: the GEN arrives at the station,
-// then the GEN riding it.
-func (l *Link) deliverGEN(_ sim.Time, arg any) {
-	p := arg.(*genPayload)
-	rider := p.rider
-	l.due--
-	l.receiveGEN(p)
-	if rider != nil {
-		l.receiveGEN(rider)
-	}
+	g := frame{kind: genFrame, side: side, size: wire.GENFrameLen, alpha: d.Alpha, cycle: cycle}
+	wire.GENFrame{QueueID: d.QueueID, Timestamp: cycle}.Put((*[wire.GENFrameLen]byte)(g.bytes[:]))
+	l.send(g, l.arm[side])
 }
 
 // receiveGEN processes a GEN frame (and accompanying photon) arriving at the
 // station from either node.
-func (l *Link) receiveGEN(payload *genPayload) {
+func (l *Link) receiveGEN(g frame) {
 	// Decode once on arrival; the decoded frame serves validation and the
-	// matching path below, and the hold event re-reads the validated bytes.
-	genSelf, err := wire.DecodeGEN(payload.frame[:payload.size])
-	if err != nil || (payload.side != nv.SideA && payload.side != nv.SideB) {
-		l.gens.put(payload)
+	// matching path below, and the expiry re-reads the validated bytes.
+	genSelf, err := wire.DecodeGEN(g.bytes[:g.size])
+	if err != nil || (g.side != nv.SideA && g.side != nv.SideB) {
 		return
-	}
-	if l.flight[payload.side] == payload {
-		l.flight[payload.side] = nil
 	}
 	// Link the message to a detection window by its timestamp: look for a
 	// waiting peer GEN of the same cycle.
-	peers := l.waiting[1-payload.side]
-	i := indexCycle(peers, payload.cycle)
+	peers := l.waiting[1-g.side]
+	i := indexCycle(peers, g.cycle)
 	if i < 0 {
-		// Hold this GEN waiting for the peer's; if it never arrives the
-		// attempt is reported back as NO_MESSAGE_OTHER (or TIME_MISMATCH
-		// when the peer was attempting different cycles) by the hold event,
-		// which a GEN whose partner is due in time does without.
-		l.hold(payload)
-		if !payload.partnered {
-			payload.timed = true
-			sim.ScheduleArg(l.eng, l.holdTime, l.onHold, payload)
-		}
+		l.hold(g)
 		return
 	}
 	peer := peers[i]
 	l.waiting[peer.side] = slices.Delete(peers, i, i+1)
-	defer l.gens.put(payload)
-	if !peer.timed {
-		defer l.gens.put(peer)
-	}
 
 	// The peer frame was validated when it arrived, so its decode cannot fail.
-	genPeer, _ := wire.DecodeGEN(peer.frame[:peer.size])
+	genPeer, _ := wire.DecodeGEN(peer.bytes[:peer.size])
 
 	// Queue-ID consistency check.
 	if genSelf.QueueID != genPeer.QueueID {
 		l.queueMismatch++
 		if l.trace != nil { // the clock is read only for a record
-			l.trace.Record(l.eng.Now(), obs.KindHeraldDrop, l.traceID, 2, int64(payload.cycle))
+			l.trace.Record(l.eng.Now(), obs.KindHeraldDrop, l.traceID, 2, int64(g.cycle))
 		}
-		l.sendReplies(payload.side, wire.ErrQueueMismatch, 0, genSelf.QueueID, genPeer.QueueID, nil)
+		l.sendReplies(g.side, wire.ErrQueueMismatch, 0, genSelf.QueueID, genPeer.QueueID, nil)
 		return
 	}
 	l.matched++
@@ -611,7 +576,7 @@ func (l *Link) receiveGEN(payload *genPayload) {
 	// Perform the optical Bell-state measurement. By convention A is the
 	// first argument.
 	var alpha [2]float64
-	alpha[payload.side], alpha[peer.side] = payload.alpha, peer.alpha
+	alpha[g.side], alpha[peer.side] = g.alpha, peer.alpha
 	res := l.sampler.Sample(alpha[nv.SideA], alpha[nv.SideB], l.eng.RNG())
 
 	outcome := wire.OutcomeFailure
@@ -642,102 +607,83 @@ func (l *Link) receiveGEN(payload *genPayload) {
 
 	// Send REPLY to both nodes, A first.
 	var queue [2]wire.AbsoluteQueueID
-	queue[payload.side], queue[peer.side] = genSelf.QueueID, genPeer.QueueID
+	queue[g.side], queue[peer.side] = genSelf.QueueID, genPeer.QueueID
 	l.sendReplies(nv.SideA, outcome, seq, queue[nv.SideA], queue[nv.SideB], pair)
 }
 
-// holdExpired is the hold event of one held GEN. If the GEN is still waiting,
-// its peer never came: the attempt is reported back as an error. Either way
-// nothing else refers to the payload any more (a matched or replaced GEN
-// with a hold event is left to it), so it returns to the free list.
-func (l *Link) holdExpired(now sim.Time, arg any) {
-	payload := arg.(*genPayload)
-	if i := slices.Index(l.waiting[payload.side], payload); i >= 0 {
-		l.waiting[payload.side] = slices.Delete(l.waiting[payload.side], i, i+1)
-		gen, _ := wire.DecodeGEN(payload.frame[:payload.size])
-		outcome, drop := wire.ErrNoMessageOther, int64(1)
-		if len(l.waiting[1-payload.side]) > 0 {
-			outcome, drop = wire.ErrTimeMismatch, 0
-			l.timeMismatch++
-		} else {
-			l.noOther++
-		}
-		l.trace.Record(now, obs.KindHeraldDrop, l.traceID, drop, int64(payload.cycle))
-		l.post(l.reply(payload.side, outcome, 0, gen.QueueID, wire.AbsoluteQueueID{}, nil))
+// hold makes a GEN that found no peer its side's waiting GEN of its cycle,
+// replacing an earlier one of the same cycle. If the peer's GEN never
+// arrives, the GEN's expiry reports the attempt back as NO_MESSAGE_OTHER (or
+// TIME_MISMATCH when the peer was attempting other cycles). A GEN whose
+// peer's is in flight and due before the hold would expire finds it arrive in
+// time, so it needs no expiry.
+func (l *Link) hold(g frame) {
+	l.held++
+	g.held = l.held
+	w := l.waiting[g.side]
+	if i := indexCycle(w, g.cycle); i >= 0 {
+		w[i] = g
+	} else {
+		l.waiting[g.side] = append(w, g)
 	}
-	l.gens.put(payload)
+	expires := l.eng.Now().Add(l.holdTime)
+	for _, f := range l.frames {
+		if f.due >= expires {
+			break
+		}
+		if f.kind == genFrame && f.side != g.side && f.cycle == g.cycle {
+			return
+		}
+	}
+	l.send(frame{kind: holdExpiry, side: g.side, held: g.held}, l.holdTime)
 }
 
-// hold makes a GEN its side's waiting GEN of its cycle, replacing an earlier
-// one of the same cycle; the replaced GEN's hold event then finds it gone,
-// and a replaced GEN without one returns to the free list at once.
-func (l *Link) hold(p *genPayload) {
-	w := l.waiting[p.side]
-	if i := indexCycle(w, p.cycle); i >= 0 {
-		if !w[i].timed {
-			l.gens.put(w[i])
-		}
-		w[i] = p
+// expire is a held GEN's expiry. If the GEN still waits, its peer never
+// came: the attempt is reported back as an error. A GEN matched or replaced
+// since has left the waiting list.
+func (l *Link) expire(now sim.Time, e frame) {
+	w := l.waiting[e.side]
+	i := slices.IndexFunc(w, func(g frame) bool { return g.held == e.held })
+	if i < 0 {
 		return
 	}
-	l.waiting[p.side] = append(w, p)
+	g := w[i]
+	l.waiting[e.side] = slices.Delete(w, i, i+1)
+	gen, _ := wire.DecodeGEN(g.bytes[:g.size])
+	outcome, drop := wire.ErrNoMessageOther, int64(1)
+	if len(l.waiting[1-e.side]) > 0 {
+		outcome, drop = wire.ErrTimeMismatch, 0
+		l.timeMismatch++
+	} else {
+		l.noOther++
+	}
+	l.trace.Record(now, obs.KindHeraldDrop, l.traceID, drop, int64(g.cycle))
+	l.sendReply(e.side, outcome, 0, gen.QueueID, wire.AbsoluteQueueID{}, nil)
 }
 
 // indexCycle returns the index of the waiting GEN of the given cycle, or -1.
-func indexCycle(w []*genPayload, cycle uint64) int {
-	for i, p := range w {
-		if p.cycle == cycle {
-			return i
-		}
-	}
-	return -1
+func indexCycle(w []frame, cycle uint64) int {
+	return slices.IndexFunc(w, func(g frame) bool { return g.cycle == cycle })
 }
 
-// reply draws the loss of a REPLY to the node on side and, if its fibre
-// carries it, builds the pooled frame echoing the receiver's queue ID (own)
-// and its peer's, carrying pair (nil but for a success); nil when the fibre
-// drops it.
-func (l *Link) reply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID, pair *nv.EntangledPair) *replyPayload {
+// sendReply sends a REPLY to the node on side, unless its fibre drops it,
+// echoing the receiver's queue ID (own) and its peer's and carrying pair (nil
+// but for a success).
+func (l *Link) sendReply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, own, peer wire.AbsoluteQueueID, pair *nv.EntangledPair) {
 	if l.lost(FibreHA + Fibre(side)) {
-		return nil
+		return
 	}
-	p := l.replies.get()
-	*p = replyPayload{size: wire.REPLYFrameLen, side: side, pair: pair}
-	wire.REPLYFrame{Outcome: outcome, MHPSeq: seq, QueueID: own, PeerQueue: peer}.Put(&p.frame)
-	return p
+	r := frame{kind: replyFrame, side: side, size: wire.REPLYFrameLen, pair: pair}
+	wire.REPLYFrame{Outcome: outcome, MHPSeq: seq, QueueID: own, PeerQueue: peer}.Put((*[wire.REPLYFrameLen]byte)(r.bytes[:]))
+	l.send(r, l.arm[side])
 }
 
 // sendReplies sends the REPLY pair of a matched attempt, both carrying pair:
 // first to the node on side first, whose queue ID is q, then to its peer,
-// whose queue ID is peerQ. Over arms of equal delay the second rides the
-// first's delivery event.
+// whose queue ID is peerQ.
 func (l *Link) sendReplies(first nv.PairSide, outcome wire.MHPOutcome, seq uint16, q, peerQ wire.AbsoluteQueueID, pair *nv.EntangledPair) {
-	p, peer := l.reply(first, outcome, seq, q, peerQ, pair), l.reply(1-first, outcome, seq, peerQ, q, pair)
-	if p != nil && peer != nil && l.arm[nv.SideA] == l.arm[nv.SideB] {
-		p.rider, peer = peer, nil
-	}
-	l.post(p)
-	l.post(peer)
-}
-
-// post schedules a REPLY's delivery one arm's delay from now; nil is none.
-func (l *Link) post(p *replyPayload) {
-	if p != nil {
-		l.due++
-		sim.ScheduleArg(l.eng, l.arm[p.side], l.onReply, p)
-	}
-}
-
-// deliverReply is a REPLY's delivery event: the REPLY arrives at its node,
-// then the REPLY riding it at the other.
-func (l *Link) deliverReply(_ sim.Time, arg any) {
-	p := arg.(*replyPayload)
-	rider := p.rider
-	l.due--
-	l.nodes[p.side].receiveReply(p)
-	if rider != nil {
-		l.nodes[rider.side].receiveReply(rider)
-	}
+	l.sendReply(first, outcome, seq, q, peerQ, pair)
+	l.sendReply(1-first, outcome, seq, peerQ, q, pair)
 }
 
 // Node is one side of a link's MHP: it polls its link layer every cycle its
@@ -985,12 +931,9 @@ func (n *Node) runCycle(cycle uint64) {
 }
 
 // receiveReply processes a REPLY frame arriving from the station.
-func (n *Node) receiveReply(payload *replyPayload) {
+func (n *Node) receiveReply(r frame) {
 	l := n.link
-	reply, err := wire.DecodeREPLY(payload.frame[:payload.size])
-	pair := payload.pair
-	payload.pair = nil
-	l.replies.put(payload)
+	reply, err := wire.DecodeREPLY(r.bytes[:r.size])
 	if err != nil {
 		return
 	}
@@ -1025,7 +968,7 @@ func (n *Node) receiveReply(payload *replyPayload) {
 		MeasureBasis: decision.MeasureBasis,
 		StorageQubit: decision.StorageQubit,
 		Alpha:        decision.Alpha,
-		Pair:         pair,
+		Pair:         r.pair,
 		AttemptCycle: cycle,
 	}
 	n.gen.HandleResult(result)

@@ -106,20 +106,20 @@ func (h *harness) start() (stop func()) {
 	return h.clock.Start()
 }
 
-// newGENPayload builds a GEN as a node would send it (frames longer than a
-// GEN are truncated).
-func newGENPayload(frame []byte, alpha float64, side nv.PairSide, cycle uint64) *genPayload {
-	p := &genPayload{alpha: alpha, side: side, cycle: cycle}
-	p.size = uint8(copy(p.frame[:], frame))
-	return p
+// newGEN builds a GEN as a node would send it from the given encoding
+// (longer ones are truncated).
+func newGEN(b []byte, alpha float64, side nv.PairSide, cycle uint64) frame {
+	g := frame{kind: genFrame, alpha: alpha, side: side, cycle: cycle}
+	g.size = uint8(copy(g.bytes[:wire.GENFrameLen], b))
+	return g
 }
 
-// newREPLYPayload builds a REPLY to the node on side (frames longer than a
-// REPLY are truncated).
-func newREPLYPayload(frame []byte, side nv.PairSide) *replyPayload {
-	p := &replyPayload{side: side}
-	p.size = uint8(copy(p.frame[:], frame))
-	return p
+// newREPLY builds a REPLY to the node on side from the given encoding
+// (longer ones are truncated).
+func newREPLY(b []byte, side nv.PairSide) frame {
+	r := frame{kind: replyFrame, side: side}
+	r.size = uint8(copy(r.bytes[:wire.REPLYFrameLen], b))
+	return r
 }
 
 func attemptDecision(qid wire.AbsoluteQueueID, alpha float64) PollDecision {
@@ -216,7 +216,7 @@ func brightOptics() *photonics.HeraldedLink {
 // The REPLY carries the heralded pair: on Lab's equal arms and QL2020's
 // unequal ones, both nodes' results of a success hold the same pair, every
 // failure and error result holds none, a node still gets the pair when its
-// peer's REPLY fibre loses everything, and no payload back on the free list
+// peer's REPLY fibre loses everything, and no spent slot of the link's list
 // keeps a pair alive. Every tenth cycle from the fourth the nodes submit
 // different queue IDs (a QUEUE_MISMATCH), and every tenth from the eighth
 // only A attempts (its GEN's hold expires as an error).
@@ -300,12 +300,12 @@ func TestReplyCarriesPair(t *testing.T) {
 						}
 					}
 				}
-				if len(h.link.replies) == 0 {
-					t.Fatal("no REPLY payload came back to the free list")
+				if len(h.link.frames) != 0 || cap(h.link.frames) == 0 {
+					t.Fatalf("%d entries left on a list of capacity %d, want none of some", len(h.link.frames), cap(h.link.frames))
 				}
-				for _, p := range h.link.replies {
-					if p.pair != nil {
-						t.Fatal("a payload on the free list keeps a pair alive")
+				for _, f := range h.link.frames[:cap(h.link.frames)] {
+					if f.pair != nil {
+						t.Fatal("a spent slot of the list keeps a pair alive")
 					}
 				}
 			})
@@ -443,7 +443,7 @@ func TestReplyMatchesOldestPendingAttempt(t *testing.T) {
 	reply := func(q wire.AbsoluteQueueID) uint64 {
 		t.Helper()
 		frame := wire.REPLYFrame{Outcome: wire.OutcomeFailure, QueueID: q, PeerQueue: q}.Encode()
-		h.nodeA.receiveReply(newREPLYPayload(frame, nv.SideA))
+		h.nodeA.receiveReply(newREPLY(frame, nv.SideA))
 		return h.genA.results[len(h.genA.results)-1].AttemptCycle
 	}
 
@@ -511,14 +511,14 @@ func TestPendingListMatchesSlice(t *testing.T) {
 }
 
 // A side has at most one GEN waiting per cycle: a second GEN of the same
-// cycle replaces the first, and the first one's hold event, which fires
-// while the second still waits, leaves the second alone.
+// cycle replaces the first, and the first one's expiry, which comes while
+// the second still waits, leaves the second alone.
 func TestHeldGENReplacedBySameCycle(t *testing.T) {
 	h := newHarness(t, 0) // hold time 100 µs
 	qid := wire.AbsoluteQueueID{QueueID: 1, QueueSeq: 1}
 	deliver := func(at sim.Duration, side nv.PairSide) {
 		frame := wire.GENFrame{QueueID: qid, Timestamp: 7}.Encode()
-		p := newGENPayload(frame, 0.3, side, 7)
+		p := newGEN(frame, 0.3, side, 7)
 		sim.Schedule(h.s, at, func() { h.link.receiveGEN(p) })
 	}
 	deliver(0, nv.SideA)
@@ -536,12 +536,12 @@ func TestHeldGENReplacedBySameCycle(t *testing.T) {
 
 func TestMidpointIgnoresGarbage(t *testing.T) {
 	h := newHarness(t, 0)
-	h.link.receiveGEN(newGENPayload([]byte{0xFF, 0x00}, 0.1, nv.SideA, 1))
-	h.nodeA.receiveReply(newREPLYPayload([]byte{0x01}, nv.SideA))
+	h.link.receiveGEN(newGEN([]byte{0xFF, 0x00}, 0.1, nv.SideA, 1))
+	h.nodeA.receiveReply(newREPLY([]byte{0x01}, nv.SideA))
 	// A truncated frame of the right type, and a well-formed GEN from a side
 	// the station does not have.
-	h.nodeA.receiveReply(newREPLYPayload([]byte{byte(wire.FrameREPLY)}, nv.SideA))
-	h.link.receiveGEN(newGENPayload(wire.GENFrame{Timestamp: 1}.Encode(), 0.1, nv.PairSide(7), 1))
+	h.nodeA.receiveReply(newREPLY([]byte{byte(wire.FrameREPLY)}, nv.SideA))
+	h.link.receiveGEN(newGEN(wire.GENFrame{Timestamp: 1}.Encode(), 0.1, nv.PairSide(7), 1))
 	if len(h.genA.results) != 0 {
 		t.Fatalf("garbage REPLYs reached the link layer: %+v", h.genA.results)
 	}
@@ -579,9 +579,9 @@ func TestHoldEventOnlyWhenPeerGENNotOnItsWay(t *testing.T) {
 		// One event delivers both GENs, and one both REPLYs.
 		{"equal arms", short, short, false, true, 0, 1, 1},
 		{"peer due inside the hold", short, 60 * sim.Microsecond, false, true, 0, 2, 2},
-		// B's GEN was scheduled before A's hold event, so at the tie it
-		// arrives first and matches; the hold event finds nothing to do.
-		{"peer due as the hold expires", short, short + hold, false, true, 1, 2, 2},
+		// A's expiry rides the instant of B's GEN, sent before it: B's GEN
+		// arrives first and matches, and the expiry finds nothing to do.
+		{"peer due as the hold expires", short, short + hold, false, true, 0, 2, 2},
 		{"peer due after the hold", short, short + hold + 1, false, false, 2, 2, 2},
 		// B's GEN expired before A's arrived: A's partner is in the past.
 		{"peer came and went", short + hold + 1, short, false, false, 2, 2, 2},
@@ -634,9 +634,9 @@ func TestHoldEventOnlyWhenPeerGENNotOnItsWay(t *testing.T) {
 	}
 }
 
-// Over long, unequal arms each side has several GENs in flight; the two GENs
-// of a cycle still learn of each other when the second is sent, so every
-// attempt matches without a hold event.
+// Over long, unequal arms each side has several GENs in flight; the first GEN
+// of a cycle to arrive still finds its partner among them, so every attempt
+// matches without a hold event.
 func TestPartnerGENsPairWithSeveralInFlight(t *testing.T) {
 	armA, armB := sim.DurationMicroseconds(48.4), sim.DurationMicroseconds(72.6)
 	h := newHarnessArms(t, 0, armA, armB, 2*(armA+armB)+200*sim.Microsecond)
@@ -660,9 +660,8 @@ func TestPartnerGENsPairWithSeveralInFlight(t *testing.T) {
 	}
 }
 
-// A held GEN without a hold event that a same-cycle GEN replaces goes back to
-// the free list at once; the replacement matches the peer and its own hold
-// event returns it later. No payload reaches the free list twice.
+// A held GEN without an expiry that a same-cycle GEN replaces leaves the
+// waiting list; the replacement matches the peer.
 func TestUntimedHeldGENReplaced(t *testing.T) {
 	armA, armB, hold := 10*sim.Nanosecond, 50*sim.Microsecond, 100*sim.Microsecond
 	h := newHarnessArms(t, 0, armA, armB, hold)
@@ -672,7 +671,7 @@ func TestUntimedHeldGENReplaced(t *testing.T) {
 	sent := sim.Time(sim.DurationMicroseconds(10.12))
 	frame := wire.GENFrame{QueueID: qid, Timestamp: 1}.Encode()
 	sim.ScheduleAt(h.s, sent.Add(20*sim.Microsecond), func() {
-		h.link.receiveGEN(newGENPayload(frame, 0.3, nv.SideA, 1))
+		h.link.receiveGEN(newGEN(frame, 0.3, nv.SideA, 1))
 	})
 	stop := h.start()
 	_ = h.s.RunFor(sim.Millisecond)
@@ -680,15 +679,5 @@ func TestUntimedHeldGENReplaced(t *testing.T) {
 	matched, _, timeMis, queueMis, noOther := h.link.Stats()
 	if matched != 1 || timeMis+queueMis+noOther != 0 {
 		t.Fatalf("matched=%d time=%d queue=%d noOther=%d, want one match and no error", matched, timeMis, queueMis, noOther)
-	}
-	seen := map[*genPayload]bool{}
-	for _, p := range h.link.gens {
-		if seen[p] {
-			t.Fatal("a GEN payload is on the free list twice")
-		}
-		seen[p] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("%d GEN payloads on the free list, want the two nodes' and the hand-built one", len(seen))
 	}
 }

@@ -113,9 +113,6 @@ func (d *BellDiag) SetCoefficients(lam [4]float64) {
 	d.q0 = 0
 }
 
-// Coefficients returns the current Bell-basis weights.
-func (d *BellDiag) Coefficients() [4]float64 { return d.lam }
-
 // BellFidelity implements PairState: the fidelity with a Bell state is its
 // coefficient. Only meaningful before readout (like the dense simulator,
 // whose post-collapse fidelity is equally void of meaning).

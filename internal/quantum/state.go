@@ -326,19 +326,6 @@ func (s *State) Copy() *State {
 // normalised state.
 func (s *State) TraceReal() float64 { return real(s.rho.Trace()) }
 
-// Normalize rescales the state to unit trace. It panics if the trace is
-// numerically zero.
-func (s *State) Normalize() {
-	t := real(s.rho.Trace())
-	if t <= 1e-15 {
-		panic("quantum: cannot normalise zero-trace state")
-	}
-	inv := complex(1/t, 0)
-	for i := range s.rho.Data {
-		s.rho.Data[i] *= inv
-	}
-}
-
 // Tensor returns the joint state s ⊗ other.
 func (s *State) Tensor(other *State) *State {
 	n := s.numQubits + other.numQubits

@@ -41,9 +41,6 @@ const (
 // Seconds returns the duration as a floating point number of seconds.
 func (d Duration) Seconds() float64 { return float64(d) / float64(Second) }
 
-// Microseconds returns the duration as a floating point number of microseconds.
-func (d Duration) Microseconds() float64 { return float64(d) / float64(Microsecond) }
-
 // String renders the duration using the standard library formatting.
 func (d Duration) String() string { return time.Duration(d).String() }
 
@@ -453,9 +450,6 @@ func (g *RNG) Float64Batch(dst []float64) {
 // Intn returns a uniform sample in [0,n).
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Uint64 returns a pseudo-random 64-bit value.
 func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
@@ -532,6 +526,3 @@ func (g *RNG) Choice(weights []float64) int {
 	}
 	return len(weights) - 1
 }
-
-// Shuffle randomises the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
