@@ -195,10 +195,11 @@ type Link struct {
 	// NO_MESSAGE_OTHER. It must exceed the propagation asymmetry of the two
 	// arms plus scheduling jitter.
 	holdTime sim.Duration
-	// frames is everything still due, ordered by (due time, send order).
-	// Each instant in it has one event, scheduled when the first entry due
-	// then was sent; onDue, built once so scheduling allocates nothing,
-	// delivers every entry due at it.
+	// frames is everything still due, in reverse order of (due time, send
+	// order), so that the next entry due is the last one and delivering it
+	// moves no other. Each instant in it has one event, scheduled when the
+	// first entry due then was sent; onDue, built once so scheduling
+	// allocates nothing, delivers every entry due at it.
 	frames []frame
 	onDue  sim.ArgHandler
 
@@ -502,10 +503,10 @@ func (l *Link) failCycle() {
 func (l *Link) send(f frame, delay sim.Duration) {
 	f.due = l.eng.Now().Add(delay)
 	i := len(l.frames)
-	for i > 0 && l.frames[i-1].due > f.due {
+	for i > 0 && l.frames[i-1].due <= f.due {
 		i--
 	}
-	if i == 0 || l.frames[i-1].due != f.due {
+	if i == len(l.frames) || l.frames[i].due != f.due {
 		l.eng.ScheduleArgAt(f.due, l.onDue, nil)
 	}
 	l.frames = slices.Insert(l.frames, i, f)
@@ -514,9 +515,13 @@ func (l *Link) send(f frame, delay sim.Duration) {
 // deliver is the link's one event handler: it delivers, in send order, every
 // entry due at now.
 func (l *Link) deliver(now sim.Time, _ any) {
-	for len(l.frames) > 0 && l.frames[0].due == now {
-		f := l.frames[0]
-		l.frames = slices.Delete(l.frames, 0, 1)
+	for len(l.frames) > 0 {
+		last := len(l.frames) - 1
+		f := l.frames[last]
+		if f.due != now {
+			return
+		}
+		l.frames = slices.Delete(l.frames, last, last+1)
 		switch f.kind {
 		case genFrame:
 			l.receiveGEN(f)
@@ -615,8 +620,8 @@ func (l *Link) receiveGEN(g frame) {
 // replacing an earlier one of the same cycle. If the peer's GEN never
 // arrives, the GEN's expiry reports the attempt back as NO_MESSAGE_OTHER (or
 // TIME_MISMATCH when the peer was attempting other cycles). A GEN whose
-// peer's is in flight and due before the hold would expire finds it arrive in
-// time, so it needs no expiry.
+// peer's GEN is in flight, due strictly before the hold would expire, is
+// certain to be matched, so it needs no expiry.
 func (l *Link) hold(g frame) {
 	l.held++
 	g.held = l.held
@@ -627,11 +632,8 @@ func (l *Link) hold(g frame) {
 		l.waiting[g.side] = append(w, g)
 	}
 	expires := l.eng.Now().Add(l.holdTime)
-	for _, f := range l.frames {
-		if f.due >= expires {
-			break
-		}
-		if f.kind == genFrame && f.side != g.side && f.cycle == g.cycle {
+	for i := len(l.frames) - 1; i >= 0 && l.frames[i].due < expires; i-- {
+		if f := &l.frames[i]; f.kind == genFrame && f.side != g.side && f.cycle == g.cycle {
 			return
 		}
 	}
