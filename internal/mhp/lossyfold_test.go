@@ -100,7 +100,7 @@ func TestLossyFoldMatchesPerAttempt(t *testing.T) {
 					}
 					matched, successes, timeMismatch, queueMismatch, noOther := h.link.Stats()
 					log = append(log, fmt.Sprintf("station %d %d %d %d %d due %d waiting %d %d sampled %d held %v %d",
-						matched, successes, timeMismatch, queueMismatch, noOther, len(h.link.frames),
+						matched, successes, timeMismatch, queueMismatch, noOther, len(h.link.frames)-h.link.head,
 						len(h.link.waiting[nv.SideA]), len(h.link.waiting[nv.SideB]),
 						h.link.sampler.Attempts(), h.link.sampler.Held(), h.link.nDrawn),
 						fmt.Sprintf("ticks %d polls %d next draw %v", h.clock.Ticks(), h.clock.Polls(), h.s.RNG().Float64()))

@@ -195,12 +195,14 @@ type Link struct {
 	// NO_MESSAGE_OTHER. It must exceed the propagation asymmetry of the two
 	// arms plus scheduling jitter.
 	holdTime sim.Duration
-	// frames is everything still due, in reverse order of (due time, send
-	// order), so that the next entry due is the last one and delivering it
-	// moves no other. Each instant in it has one event, scheduled when the
-	// first entry due then was sent; onDue, built once so scheduling
-	// allocates nothing, delivers every entry due at it.
+	// frames[head:] is everything still due, ordered by (due time, send
+	// order); the slots before head are spent, so delivering an entry moves
+	// no other and an entry due soon takes a spent slot. Each instant in it
+	// has one event, scheduled when the first entry due then was sent;
+	// onDue, built once so scheduling allocates nothing, delivers every
+	// entry due at it.
 	frames []frame
+	head   int
 	onDue  sim.ArgHandler
 
 	// depolarize, when in (0,1), applies a single-qubit depolarising channel
@@ -498,37 +500,53 @@ func (l *Link) failCycle() {
 	l.nDrawn = 0
 }
 
-// send puts f on the link's list, due after delay. It rides the event of an
-// entry already due at that instant, or schedules one.
-func (l *Link) send(f frame, delay sim.Duration) {
-	f.due = l.eng.Now().Add(delay)
+// send puts an entry on the link's list, due after delay, and returns it for
+// the caller to fill in. It rides the event of an entry already due at that
+// instant, or schedules one.
+func (l *Link) send(delay sim.Duration) *frame {
+	due := l.eng.Now().Add(delay)
 	i := len(l.frames)
-	for i > 0 && l.frames[i-1].due <= f.due {
+	for i > l.head && l.frames[i-1].due > due {
 		i--
 	}
-	if i == len(l.frames) || l.frames[i].due != f.due {
-		l.eng.ScheduleArgAt(f.due, l.onDue, nil)
+	if i == l.head || l.frames[i-1].due != due {
+		l.eng.ScheduleArgAt(due, l.onDue, nil)
 	}
-	l.frames = slices.Insert(l.frames, i, f)
+	if l.head > 0 && i-l.head < len(l.frames)-i {
+		// Fewer entries are due before it than after: move those into the
+		// spent slot in front.
+		l.head, i = l.head-1, i-1
+		copy(l.frames[l.head:i], l.frames[l.head+1:i+1])
+		l.frames[i] = frame{due: due}
+		return &l.frames[i]
+	}
+	if len(l.frames) == cap(l.frames) && 2*l.head >= len(l.frames) {
+		// Reuse the spent slots rather than grow the array, once they are
+		// at least half of it.
+		n := copy(l.frames, l.frames[l.head:])
+		clear(l.frames[n:])
+		l.frames, l.head, i = l.frames[:n], 0, i-l.head
+	}
+	l.frames = slices.Insert(l.frames, i, frame{due: due})
+	return &l.frames[i]
 }
 
 // deliver is the link's one event handler: it delivers, in send order, every
 // entry due at now.
 func (l *Link) deliver(now sim.Time, _ any) {
-	for len(l.frames) > 0 {
-		last := len(l.frames) - 1
-		f := l.frames[last]
-		if f.due != now {
-			return
+	for l.head < len(l.frames) && l.frames[l.head].due == now {
+		f := l.frames[l.head]
+		l.frames[l.head] = frame{}
+		if l.head++; l.head == len(l.frames) {
+			l.frames, l.head = l.frames[:0], 0
 		}
-		l.frames = slices.Delete(l.frames, last, last+1)
 		switch f.kind {
 		case genFrame:
-			l.receiveGEN(f)
+			l.receiveGEN(&f)
 		case replyFrame:
-			l.nodes[f.side].receiveReply(f)
+			l.nodes[f.side].receiveReply(&f)
 		case holdExpiry:
-			l.expire(now, f)
+			l.expire(now, &f)
 		}
 	}
 }
@@ -539,14 +557,14 @@ func (l *Link) sendGEN(side nv.PairSide, cycle uint64, d PollDecision) {
 	if l.lost(FibreAH + Fibre(side)) {
 		return
 	}
-	g := frame{kind: genFrame, side: side, size: wire.GENFrameLen, alpha: d.Alpha, cycle: cycle}
+	g := l.send(l.arm[side])
+	g.kind, g.side, g.size, g.alpha, g.cycle = genFrame, side, wire.GENFrameLen, d.Alpha, cycle
 	wire.GENFrame{QueueID: d.QueueID, Timestamp: cycle}.Put((*[wire.GENFrameLen]byte)(g.bytes[:]))
-	l.send(g, l.arm[side])
 }
 
 // receiveGEN processes a GEN frame (and accompanying photon) arriving at the
 // station from either node.
-func (l *Link) receiveGEN(g frame) {
+func (l *Link) receiveGEN(g *frame) {
 	// Decode once on arrival; the decoded frame serves validation and the
 	// matching path below, and the expiry re-reads the validated bytes.
 	genSelf, err := wire.DecodeGEN(g.bytes[:g.size])
@@ -622,28 +640,31 @@ func (l *Link) receiveGEN(g frame) {
 // TIME_MISMATCH when the peer was attempting other cycles). A GEN whose
 // peer's GEN is in flight, due strictly before the hold would expire, is
 // certain to be matched, so it needs no expiry.
-func (l *Link) hold(g frame) {
+func (l *Link) hold(g *frame) {
 	l.held++
 	g.held = l.held
 	w := l.waiting[g.side]
 	if i := indexCycle(w, g.cycle); i >= 0 {
-		w[i] = g
+		w[i] = *g
 	} else {
-		l.waiting[g.side] = append(w, g)
+		l.waiting[g.side] = append(w, *g)
 	}
-	expires := l.eng.Now().Add(l.holdTime)
-	for i := len(l.frames) - 1; i >= 0 && l.frames[i].due < expires; i-- {
+	// Look for the peer's GEN among the entries due strictly before the
+	// hold would expire; sent by now, it is due within its arm.
+	due := l.eng.Now().Add(min(l.arm[1-g.side], l.holdTime-1))
+	for i := l.head; i < len(l.frames) && l.frames[i].due <= due; i++ {
 		if f := &l.frames[i]; f.kind == genFrame && f.side != g.side && f.cycle == g.cycle {
 			return
 		}
 	}
-	l.send(frame{kind: holdExpiry, side: g.side, held: g.held}, l.holdTime)
+	e := l.send(l.holdTime)
+	e.kind, e.side, e.held = holdExpiry, g.side, g.held
 }
 
 // expire is a held GEN's expiry. If the GEN still waits, its peer never
 // came: the attempt is reported back as an error. A GEN matched or replaced
 // since has left the waiting list.
-func (l *Link) expire(now sim.Time, e frame) {
+func (l *Link) expire(now sim.Time, e *frame) {
 	w := l.waiting[e.side]
 	i := slices.IndexFunc(w, func(g frame) bool { return g.held == e.held })
 	if i < 0 {
@@ -675,9 +696,9 @@ func (l *Link) sendReply(side nv.PairSide, outcome wire.MHPOutcome, seq uint16, 
 	if l.lost(FibreHA + Fibre(side)) {
 		return
 	}
-	r := frame{kind: replyFrame, side: side, size: wire.REPLYFrameLen, pair: pair}
+	r := l.send(l.arm[side])
+	r.kind, r.side, r.size, r.pair = replyFrame, side, wire.REPLYFrameLen, pair
 	wire.REPLYFrame{Outcome: outcome, MHPSeq: seq, QueueID: own, PeerQueue: peer}.Put((*[wire.REPLYFrameLen]byte)(r.bytes[:]))
-	l.send(r, l.arm[side])
 }
 
 // sendReplies sends the REPLY pair of a matched attempt, both carrying pair:
@@ -933,7 +954,7 @@ func (n *Node) runCycle(cycle uint64) {
 }
 
 // receiveReply processes a REPLY frame arriving from the station.
-func (n *Node) receiveReply(r frame) {
+func (n *Node) receiveReply(r *frame) {
 	l := n.link
 	reply, err := wire.DecodeREPLY(r.bytes[:r.size])
 	if err != nil {

@@ -108,16 +108,16 @@ func (h *harness) start() (stop func()) {
 
 // newGEN builds a GEN as a node would send it from the given encoding
 // (longer ones are truncated).
-func newGEN(b []byte, alpha float64, side nv.PairSide, cycle uint64) frame {
-	g := frame{kind: genFrame, alpha: alpha, side: side, cycle: cycle}
+func newGEN(b []byte, alpha float64, side nv.PairSide, cycle uint64) *frame {
+	g := &frame{kind: genFrame, alpha: alpha, side: side, cycle: cycle}
 	g.size = uint8(copy(g.bytes[:wire.GENFrameLen], b))
 	return g
 }
 
 // newREPLY builds a REPLY to the node on side from the given encoding
 // (longer ones are truncated).
-func newREPLY(b []byte, side nv.PairSide) frame {
-	r := frame{kind: replyFrame, side: side}
+func newREPLY(b []byte, side nv.PairSide) *frame {
+	r := &frame{kind: replyFrame, side: side}
 	r.size = uint8(copy(r.bytes[:wire.REPLYFrameLen], b))
 	return r
 }
