@@ -148,6 +148,8 @@ const (
 // the station; what matters for protocol robustness is losing the classical
 // frame. A REPLY carries the heralded pair of a success, nil otherwise.
 type frame struct {
+	// due is when the entry is due; a GEN held at the station keeps the
+	// instant it was held.
 	due sim.Time
 	// side is the sending node's for a GEN, the receiving node's for a
 	// REPLY, and the held GEN's for an expiry.
@@ -158,13 +160,10 @@ type frame struct {
 	size  uint8
 	bytes [max(wire.GENFrameLen, wire.REPLYFrameLen)]byte
 	// alpha and cycle are a GEN's bright-state population and attempt
-	// cycle; pair is a REPLY's.
+	// cycle, and cycle is also an expiry's; pair is a REPLY's.
 	alpha float64
 	cycle uint64
 	pair  *nv.EntangledPair
-	// held numbers a GEN held at the station, and names the held GEN an
-	// expiry is for.
-	held uint64
 }
 
 type frameKind uint8
@@ -217,9 +216,7 @@ type Link struct {
 	// detection windows by timestamp, not by arrival order, so emission
 	// multiplexing over asymmetric fibre arms pairs the right attempts. A
 	// side rarely has more than one GEN waiting, so a scan beats a lookup.
-	// held counts the GENs ever held, numbering each.
 	waiting [2][]frame
-	held    uint64
 
 	// Statistics.
 	matched       uint64
@@ -641,8 +638,7 @@ func (l *Link) receiveGEN(g *frame) {
 // peer's GEN is in flight, due strictly before the hold would expire, is
 // certain to be matched, so it needs no expiry.
 func (l *Link) hold(g *frame) {
-	l.held++
-	g.held = l.held
+	g.due = l.eng.Now()
 	w := l.waiting[g.side]
 	if i := indexCycle(w, g.cycle); i >= 0 {
 		w[i] = *g
@@ -651,22 +647,23 @@ func (l *Link) hold(g *frame) {
 	}
 	// Look for the peer's GEN among the entries due strictly before the
 	// hold would expire; sent by now, it is due within its arm.
-	due := l.eng.Now().Add(min(l.arm[1-g.side], l.holdTime-1))
+	due := g.due.Add(min(l.arm[1-g.side], l.holdTime-1))
 	for i := l.head; i < len(l.frames) && l.frames[i].due <= due; i++ {
 		if f := &l.frames[i]; f.kind == genFrame && f.side != g.side && f.cycle == g.cycle {
 			return
 		}
 	}
 	e := l.send(l.holdTime)
-	e.kind, e.side, e.held = holdExpiry, g.side, g.held
+	e.kind, e.side, e.cycle = holdExpiry, g.side, g.cycle
 }
 
-// expire is a held GEN's expiry. If the GEN still waits, its peer never
-// came: the attempt is reported back as an error. A GEN matched or replaced
-// since has left the waiting list.
+// expire is a held GEN's expiry, which names the GEN by its side, cycle and
+// the instant it was held. If the GEN still waits, its peer never came: the
+// attempt is reported back as an error. A GEN matched or replaced since has
+// left the waiting list.
 func (l *Link) expire(now sim.Time, e *frame) {
 	w := l.waiting[e.side]
-	i := slices.IndexFunc(w, func(g frame) bool { return g.held == e.held })
+	i := slices.IndexFunc(w, func(g frame) bool { return g.cycle == e.cycle && g.due == now-sim.Time(l.holdTime) })
 	if i < 0 {
 		return
 	}
