@@ -160,7 +160,7 @@ type frame struct {
 	size  uint8
 	bytes [max(wire.GENFrameLen, wire.REPLYFrameLen)]byte
 	// alpha and cycle are a GEN's bright-state population and attempt
-	// cycle, and cycle is also an expiry's; pair is a REPLY's.
+	// cycle (an expiry carries its GEN's cycle); pair is a REPLY's.
 	alpha float64
 	cycle uint64
 	pair  *nv.EntangledPair

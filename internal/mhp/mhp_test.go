@@ -510,6 +510,52 @@ func TestPendingListMatchesSlice(t *testing.T) {
 	}
 }
 
+// The link's list delivers every entry at its due time, entries due at one
+// instant in the order they were sent, with one event per instant: a random
+// run of sends, several per event and many due at instants other entries
+// share, comes back in (due, send) order, and the engine fires one event per
+// distinct due instant beside the events that sent them.
+func TestFrameListDeliversInDueAndSendOrder(t *testing.T) {
+	h := newHarness(t, 0)
+	rng := rand.New(rand.NewPCG(3, 4))
+	type sent struct {
+		due sim.Time
+		seq uint16
+	}
+	var want []sent
+	instants := map[sim.Time]bool{}
+	const events = 2000
+	for e := range events {
+		at := sim.Time(e) * 7 * sim.Time(sim.Nanosecond)
+		sim.ScheduleAt(h.s, at, func() {
+			for range rng.IntN(4) {
+				seq := uint16(len(want))
+				r := h.link.send(sim.Duration(1+rng.IntN(12)) * 5 * sim.Nanosecond)
+				r.kind, r.side, r.size = replyFrame, nv.SideA, wire.REPLYFrameLen
+				wire.REPLYFrame{Outcome: wire.OutcomeFailure, MHPSeq: seq}.Put((*[wire.REPLYFrameLen]byte)(r.bytes[:]))
+				want = append(want, sent{r.due, seq})
+				instants[r.due] = true
+			}
+		})
+	}
+	_ = h.s.Run()
+	slices.SortStableFunc(want, func(a, b sent) int { return int(a.due - b.due) })
+	if len(h.genA.results) != len(want) {
+		t.Fatalf("%d entries delivered, %d sent", len(h.genA.results), len(want))
+	}
+	for i, r := range h.genA.results {
+		if got := (sent{h.genA.resultAt[i], r.MHPSeq}); got != want[i] {
+			t.Fatalf("delivery %d is entry %d at %v, want entry %d at %v", i, got.seq, got.due, want[i].seq, want[i].due)
+		}
+	}
+	if n := h.s.Executed() - events; n != uint64(len(instants)) {
+		t.Errorf("%d delivery events for %d distinct due instants", n, len(instants))
+	}
+	if len(h.link.frames) != 0 {
+		t.Errorf("%d entries left on the list", len(h.link.frames))
+	}
+}
+
 // A side has at most one GEN waiting per cycle: a second GEN of the same
 // cycle replaces the first, and the first one's expiry, which comes while
 // the second still waits, leaves the second alone.
