@@ -662,8 +662,8 @@ func (l *Link) hold(g *frame) {
 // attempt is reported back as an error. A GEN matched or replaced since has
 // left the waiting list.
 func (l *Link) expire(now sim.Time, e *frame) {
-	w := l.waiting[e.side]
-	i := slices.IndexFunc(w, func(g frame) bool { return g.cycle == e.cycle && g.due == now-sim.Time(l.holdTime) })
+	w, held := l.waiting[e.side], now-sim.Time(l.holdTime)
+	i := slices.IndexFunc(w, func(g frame) bool { return g.cycle == e.cycle && g.due == held })
 	if i < 0 {
 		return
 	}
