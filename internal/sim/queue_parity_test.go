@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -71,10 +75,12 @@ func (q *heapQueue) compact(recycle func(*event)) int {
 }
 
 // queueParityResult is everything observable about one workload run: the
-// execution trace plus the final counter state. Heap and wheel runs of the
-// same workload must produce identical values for every field.
+// execution trace, by length and FNV-64a hash, plus the final counter state.
+// Heap and wheel runs of the same workload must produce identical values for
+// every field.
 type queueParityResult struct {
-	trace           []string
+	traceLen        int
+	traceHash       uint64
 	now             Time
 	executed        uint64
 	pending         int
@@ -88,12 +94,15 @@ func runQueueWorkload(t *testing.T, q eventQueue, load func(s *Simulator, emit f
 	t.Helper()
 	s := New(1)
 	s.q = q
-	var trace []string
+	h := fnv.New64a()
+	n := 0
 	load(s, func(tag string) {
-		trace = append(trace, fmt.Sprintf("t=%d %s", s.Now(), tag))
+		fmt.Fprintf(h, "t=%d %s\n", s.Now(), tag)
+		n++
 	})
 	return queueParityResult{
-		trace:           trace,
+		traceLen:        n,
+		traceHash:       h.Sum64(),
 		now:             s.Now(),
 		executed:        s.Executed(),
 		pending:         s.Pending(),
@@ -111,6 +120,7 @@ func TestQueueDisciplineParity(t *testing.T) {
 	cases := []struct {
 		name string
 		load func(s *Simulator, emit func(string))
+		want queueParityResult
 	}{
 		{
 			// Many events sharing exact timestamps, scheduled out of order,
@@ -135,6 +145,7 @@ func TestQueueDisciplineParity(t *testing.T) {
 					t.Fatalf("Run: %v", err)
 				}
 			},
+			want: queueParityResult{traceLen: 110, traceHash: 5934408590018555900, now: 1003000, executed: 111},
 		},
 		{
 			// Delays spanning every wheel level and the overflow list, with a
@@ -168,6 +179,7 @@ func TestQueueDisciplineParity(t *testing.T) {
 					t.Fatalf("Run: %v", err)
 				}
 			},
+			want: queueParityResult{traceLen: 82, traceHash: 6291395004287034045, now: 4611686018427387904, executed: 79},
 		},
 		{
 			// Heavy cancellation pressure in several patterns, enough churn
@@ -206,6 +218,33 @@ func TestQueueDisciplineParity(t *testing.T) {
 					t.Fatalf("Run: %v", err)
 				}
 			},
+			want: queueParityResult{traceLen: 268, traceHash: 4001872752669888432, now: 1100000, executed: 267, compactions: 1},
+		},
+		{
+			// Stop inside a batch re-pushes the batch's unexecuted rest, which
+			// the next run pops in the original order. The last run ends
+			// stopped, with live and cancelled events still resident.
+			name: "stop mid-batch",
+			load: func(s *Simulator, emit func(string)) {
+				var ids []EventID
+				for i := 0; i < 100; i++ {
+					i := i
+					ids = append(ids, ScheduleAt(s, Time(i%5)*Time(Millisecond), func() {
+						emit(fmt.Sprintf("e%d", i))
+						if i%17 == 3 {
+							s.Stop()
+						}
+					}))
+				}
+				for i := 0; i < len(ids); i += 7 {
+					ids[i].Cancel()
+				}
+				for k := 0; k < 3; k++ {
+					err := s.Run()
+					emit(fmt.Sprintf("run%d %v pending=%d", k, err, s.Pending()))
+				}
+			},
+			want: queueParityResult{traceLen: 44, traceHash: 11741483685842082711, now: 2000000, executed: 41, pending: 50, canceledPending: 6},
 		},
 		{
 			// Deterministic random soup: delays drawn from the engine RNG
@@ -239,35 +278,83 @@ func TestQueueDisciplineParity(t *testing.T) {
 					t.Fatalf("Run: %v", err)
 				}
 			},
+			want: queueParityResult{traceLen: 2254, traceHash: 6172925718352513219, now: 550389252392, executed: 2254},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ref := runQueueWorkload(t, &heapQueue{}, tc.load)
 			wheel := runQueueWorkload(t, newWheelQueue(), tc.load)
-			if len(ref.trace) != len(wheel.trace) {
-				t.Fatalf("trace lengths differ: heap %d, wheel %d", len(ref.trace), len(wheel.trace))
+			if wheel != ref {
+				t.Errorf("wheel %+v, heap %+v", wheel, ref)
 			}
-			for i := range ref.trace {
-				if ref.trace[i] != wheel.trace[i] {
-					t.Fatalf("trace entry %d differs:\n  heap:  %s\n  wheel: %s", i, ref.trace[i], wheel.trace[i])
-				}
-			}
-			if ref.now != wheel.now {
-				t.Errorf("final Now(): heap %d, wheel %d", ref.now, wheel.now)
-			}
-			if ref.executed != wheel.executed {
-				t.Errorf("Executed(): heap %d, wheel %d", ref.executed, wheel.executed)
-			}
-			if ref.pending != wheel.pending {
-				t.Errorf("Pending(): heap %d, wheel %d", ref.pending, wheel.pending)
-			}
-			if ref.compactions != wheel.compactions {
-				t.Errorf("Compactions(): heap %d, wheel %d", ref.compactions, wheel.compactions)
-			}
-			if ref.canceledPending != wheel.canceledPending {
-				t.Errorf("CanceledPending(): heap %d, wheel %d", ref.canceledPending, wheel.canceledPending)
+			if wheel != tc.want {
+				t.Errorf("got %+v, want %+v", wheel, tc.want)
 			}
 		})
 	}
+}
+
+// TestQueueMatchesReferenceHeap feeds the production queue and the reference
+// heap one seeded sequence of pushes (many of them tied in time), cancels,
+// compactions and pops, and requires the same event from every peek and pop,
+// the same events from every compaction, and the same len after every step.
+func TestQueueMatchesReferenceHeap(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var q eventQueue = newWheelQueue()
+		ref := &heapQueue{}
+		var live []*event // resident in both queues
+		var now Time
+		var seq uint64
+		for step := 0; step < 4000; step++ {
+			switch r := rng.Intn(20); {
+			case r < 9:
+				at := now + Time(rng.Intn(4))*Time(Microsecond)
+				if rng.Intn(8) == 0 {
+					at = now + Time(1)<<rng.Intn(50)
+				}
+				ev := &event{at: at, seq: seq}
+				seq++
+				q.push(ev)
+				ref.push(ev)
+				live = append(live, ev)
+			case r < 12:
+				if len(live) > 0 {
+					live[rng.Intn(len(live))].canceled = true
+				}
+			case r < 13:
+				var got, want []*event
+				n := q.compact(func(ev *event) { got = append(got, ev) })
+				m := ref.compact(func(ev *event) { want = append(want, ev) })
+				if n != m || n != len(got) || m != len(want) || !sameEvents(got, want) {
+					t.Fatalf("seed %d step %d: compact removed %d %v, reference %d %v", seed, step, n, got, m, want)
+				}
+				live = slices.DeleteFunc(live, func(ev *event) bool { return ev.canceled })
+			default:
+				if got, want := q.peek(), ref.peek(); got != want {
+					t.Fatalf("seed %d step %d: peek %v, reference %v", seed, step, got, want)
+				}
+				got, want := q.pop(), ref.pop()
+				if got != want {
+					t.Fatalf("seed %d step %d: pop %v, reference %v", seed, step, got, want)
+				}
+				if got != nil {
+					now = got.at
+					live = slices.DeleteFunc(live, func(ev *event) bool { return ev == got })
+				}
+			}
+			if q.len() != ref.len() || q.len() != len(live) {
+				t.Fatalf("seed %d step %d: len %d, reference %d, resident %d", seed, step, q.len(), ref.len(), len(live))
+			}
+		}
+	}
+}
+
+// sameEvents reports whether a and b hold the same events, in any order.
+func sameEvents(a, b []*event) bool {
+	bySeq := func(x, y *event) int { return cmp.Compare(x.seq, y.seq) }
+	slices.SortFunc(a, bySeq)
+	slices.SortFunc(b, bySeq)
+	return slices.Equal(a, b)
 }
