@@ -5,35 +5,17 @@ import (
 	"testing"
 )
 
-// queueKinds are the two event queues every engine-semantics test below runs
-// on: the timing wheel production Simulators use, and the reference heap
-// TestQueueDisciplineParity holds it to, so the reference keeps the same
-// semantics as the queue it vouches for.
-var queueKinds = []struct {
-	name string
-	new  func() eventQueue
-}{
-	{"heap", func() eventQueue { return &heapQueue{} }},
-	{"wheel", func() eventQueue { return newWheelQueue() }},
-}
-
-// bothQueues runs a subtest per event queue, on a fresh Simulator whose
-// pending events wait in that queue.
-func bothQueues(t *testing.T, run func(t *testing.T, s *Simulator)) {
-	for _, q := range queueKinds {
-		t.Run(q.name, func(t *testing.T) {
-			s := New(1)
-			s.q = q.new()
-			run(t, s)
-		})
-	}
+// onHeap runs run as the subtest "heap" on a fresh Simulator, whose pending
+// events wait in its event heap.
+func onHeap(t *testing.T, run func(t *testing.T, s *Simulator)) {
+	t.Run("heap", func(t *testing.T) { run(t, New(1)) })
 }
 
 // TestTickerStopAfterEngineStop pins the repaired stop semantics: stopping a
 // ticker after the engine has already halted must cancel the pending tick (no
 // stale tick on the next run) and stay idempotent.
 func TestTickerStopAfterEngineStop(t *testing.T) {
-	bothQueues(t, func(t *testing.T, s *Simulator) {
+	onHeap(t, func(t *testing.T, s *Simulator) {
 		count := 0
 		stop := Ticker(s, 10*Microsecond, func() {
 			count++
@@ -66,29 +48,28 @@ func TestTickerStopAfterEngineStop(t *testing.T) {
 }
 
 // warmSteadyState drives a simulator through enough scheduling traffic that
-// every reusable buffer (event pool, slots, ready run, overflow list) has
-// grown to its steady-state size.
+// every reusable buffer (event pool, heap) has grown to its steady-state
+// size.
 func warmSteadyState(s *Simulator) error {
 	fn := func() {}
 	for i := 0; i < 256; i++ {
 		Schedule(s, Duration(i)*Microsecond, fn)
-		// Far enough to exercise higher wheel levels and the cascade path.
+		// Far events keep a deep heap behind the near ones.
 		Schedule(s, Duration(i+1)*100*Millisecond, fn)
 	}
 	return s.Run()
 }
 
 // TestQueueScheduleSteadyStateAllocFree pins the insert→fire cycle at zero
-// allocations: slot insert, cascade re-placement and the sorted ready run.
+// allocations.
 func TestQueueScheduleSteadyStateAllocFree(t *testing.T) {
-	bothQueues(t, func(t *testing.T, s *Simulator) {
+	onHeap(t, func(t *testing.T, s *Simulator) {
 		if err := warmSteadyState(s); err != nil {
 			t.Fatalf("warmup: %v", err)
 		}
 		fn := func() {}
 		allocs := testing.AllocsPerRun(200, func() {
-			// One near event (ready-run path) and one a few levels up
-			// (cascade path).
+			// One near event and one far.
 			Schedule(s, 10*Microsecond, fn)
 			Schedule(s, 100*Millisecond, fn)
 			if err := s.RunFor(Second); err != nil {
@@ -104,7 +85,7 @@ func TestQueueScheduleSteadyStateAllocFree(t *testing.T) {
 // TestQueueCancelSteadyStateAllocFree pins the insert→cancel→compact cycle at
 // zero allocations.
 func TestQueueCancelSteadyStateAllocFree(t *testing.T) {
-	bothQueues(t, func(t *testing.T, s *Simulator) {
+	onHeap(t, func(t *testing.T, s *Simulator) {
 		if err := warmSteadyState(s); err != nil {
 			t.Fatalf("warmup: %v", err)
 		}
@@ -127,7 +108,7 @@ func TestQueueCancelSteadyStateAllocFree(t *testing.T) {
 // TestTickerSteadyStateAllocFree pins the self-rearming ticker at zero
 // allocations per tick: no per-tick closure, no box.
 func TestTickerSteadyStateAllocFree(t *testing.T) {
-	bothQueues(t, func(t *testing.T, s *Simulator) {
+	onHeap(t, func(t *testing.T, s *Simulator) {
 		if err := warmSteadyState(s); err != nil {
 			t.Fatalf("warmup: %v", err)
 		}
@@ -151,15 +132,13 @@ func TestTickerSteadyStateAllocFree(t *testing.T) {
 	})
 }
 
-// TestReadyRunStaysBounded pins the ready run's storage while near events
-// keep landing in front of a collected far one. The batch look-ahead collects
-// the far event's granule as soon as the first tick is popped; every later
-// tick is then inserted into the run ahead of it, so the run is never fully
-// consumed and only the consumed-prefix trim keeps it from growing by one
-// slot per tick.
+// TestReadyRunStaysBounded pins the queue's storage while near events keep
+// landing in front of a far one: the heap holds at most the far event and
+// the next tick, so its backing array never grows past a small capacity.
+// (On the timing wheel this workload kept its sorted ready run from growing
+// by one slot per tick.)
 func TestReadyRunStaysBounded(t *testing.T) {
 	s := New(1)
-	w := s.q.(*wheelQueue)
 	Schedule(s, Second, func() {})
 	const ticks = 100_000
 	n := 0
@@ -175,12 +154,12 @@ func TestReadyRunStaysBounded(t *testing.T) {
 		if !s.step(-1) {
 			t.Fatal("queue drained before the ticks finished")
 		}
-		maxCap = max(maxCap, cap(w.ready))
+		maxCap = max(maxCap, cap(s.q))
 	}
 	if s.Pending() != 1 || s.Now() >= Time(Second) {
 		t.Fatalf("Pending() = %d at %v, want only the far event left", s.Pending(), s.Now())
 	}
-	if maxCap > 4*readyTrimMin {
-		t.Fatalf("ready run grew to capacity %d over %d ticks, want <= %d", maxCap, ticks, 4*readyTrimMin)
+	if maxCap > 256 {
+		t.Fatalf("heap grew to capacity %d over %d ticks, want <= 256", maxCap, ticks)
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// heapQueue is the reference event queue: a binary min-heap over (at, seq).
-// Production Simulators run on the timing wheel; TestQueueDisciplineParity
-// holds the wheel to this heap's pop order.
+// heapQueue is the reference event queue: a container/heap min-heap over
+// (at, seq). TestQueueMatchesReferenceHeap holds the Simulator's eventHeap to
+// its pops.
 type heapQueue struct {
 	h heapStore
 }
@@ -76,8 +76,6 @@ func (q *heapQueue) compact(recycle func(*event)) int {
 
 // queueParityResult is everything observable about one workload run: the
 // execution trace, by length and FNV-64a hash, plus the final counter state.
-// Heap and wheel runs of the same workload must produce identical values for
-// every field.
 type queueParityResult struct {
 	traceLen        int
 	traceHash       uint64
@@ -88,12 +86,10 @@ type queueParityResult struct {
 	canceledPending int
 }
 
-// runQueueWorkload runs load on a fresh Simulator whose pending events wait
-// in q.
-func runQueueWorkload(t *testing.T, q eventQueue, load func(s *Simulator, emit func(string))) queueParityResult {
+// runQueueWorkload runs load on a fresh Simulator.
+func runQueueWorkload(t *testing.T, load func(s *Simulator, emit func(string))) queueParityResult {
 	t.Helper()
 	s := New(1)
-	s.q = q
 	h := fnv.New64a()
 	n := 0
 	load(s, func(tag string) {
@@ -111,11 +107,11 @@ func runQueueWorkload(t *testing.T, q eventQueue, load func(s *Simulator, emit f
 	}
 }
 
-// TestQueueDisciplineParity runs adversarial scheduling patterns on the
-// timing wheel and on the reference heap and requires byte-identical traces
-// and counters: the wheel is an exact event queue, not an approximation. Each workload drives
-// the run itself (often in RunUntil stages, so clock-advance behaviour at
-// drained horizons is compared too).
+// TestQueueDisciplineParity runs adversarial scheduling patterns on a
+// Simulator and requires each run's trace and counters to equal values
+// recorded when the timing wheel, held to the reference heap, was the queue.
+// Each workload drives the run itself (often in RunUntil stages, so
+// clock-advance behaviour at drained horizons is compared too).
 func TestQueueDisciplineParity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -148,9 +144,9 @@ func TestQueueDisciplineParity(t *testing.T) {
 			want: queueParityResult{traceLen: 110, traceHash: 5934408590018555900, now: 1003000, executed: 111},
 		},
 		{
-			// Delays spanning every wheel level and the overflow list, with a
-			// dense cluster at a far horizon to force multi-level cascades,
-			// and re-seeding from inside far-future handlers.
+			// Delays from 1 ns to 2^60 ns (every level of the old timing wheel
+			// and its overflow list), a dense cluster at a far horizon, and
+			// near events scheduled from inside far-future handlers.
 			name: "far-future overflow cascades",
 			load: func(s *Simulator, emit func(string)) {
 				for k := 0; k < 63; k += 3 {
@@ -283,13 +279,8 @@ func TestQueueDisciplineParity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := runQueueWorkload(t, &heapQueue{}, tc.load)
-			wheel := runQueueWorkload(t, newWheelQueue(), tc.load)
-			if wheel != ref {
-				t.Errorf("wheel %+v, heap %+v", wheel, ref)
-			}
-			if wheel != tc.want {
-				t.Errorf("got %+v, want %+v", wheel, tc.want)
+			if got := runQueueWorkload(t, tc.load); got != tc.want {
+				t.Errorf("got %+v, want %+v", got, tc.want)
 			}
 		})
 	}
@@ -302,7 +293,7 @@ func TestQueueDisciplineParity(t *testing.T) {
 func TestQueueMatchesReferenceHeap(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		var q eventQueue = newWheelQueue()
+		var q eventHeap
 		ref := &heapQueue{}
 		var live []*event // resident in both queues
 		var now Time

@@ -41,7 +41,7 @@ type ShardedEngine struct {
 }
 
 // NewSharded creates a sharded engine with n worker shards, each a Simulator
-// with its own timing wheel. Each shard's own RNG is seeded from (seed, shard
+// with its own event heap. Each shard's own RNG is seeded from (seed, shard
 // index), but partitioned workloads should not consume shard RNGs at all —
 // per-entity streams via WithRNG keep results independent of the
 // partitioning.

@@ -12,8 +12,8 @@
 // Scheduling is built on one canonical primitive — Engine.ScheduleArgAt — an
 // argument-carrying event at an absolute time. The package-level Schedule,
 // ScheduleAt, ScheduleArg and Ticker helpers are thin wrappers over it (see
-// engine.go). Pending events wait in a hierarchical timing wheel (wheel.go)
-// that pops in exact (time, insertion order), so every run is reproducible.
+// engine.go). Pending events wait in a binary min-heap (queue.go) that pops
+// in exact (time, insertion order), so every run is reproducible.
 package sim
 
 import (
@@ -99,7 +99,6 @@ type event struct {
 	loose bool
 	vi    int32
 	view  *rngEngine
-	next  *event // intrusive timing-wheel bucket link
 }
 
 // EventID identifies a scheduled event so it can be cancelled.
@@ -135,7 +134,7 @@ var ErrStopped = errors.New("sim: stopped")
 // protocols under test (both nodes must make identical scheduling decisions).
 type Simulator struct {
 	now     Time
-	q       eventQueue
+	q       eventHeap
 	nextSeq uint64
 	rng     *RNG
 	stopped bool
@@ -226,15 +225,13 @@ func (s *Simulator) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.arg = nil
-	ev.next = nil
 	s.free = append(s.free, ev)
 }
 
 // New creates a simulator seeded with seed. Its pending events wait in a
-// hierarchical timing wheel: O(1) amortised insert and cancel, popped in
-// exact (time, insertion order).
+// binary min-heap, popped in exact (time, insertion order).
 func New(seed int64) *Simulator {
-	return &Simulator{rng: NewRNG(seed), q: newWheelQueue()}
+	return &Simulator{rng: NewRNG(seed)}
 }
 
 // Now returns the current simulated time.
