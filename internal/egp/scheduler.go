@@ -119,7 +119,7 @@ func (s *WFQScheduler) Stamp(item *QueueItem) {
 		// order NL items among themselves.
 		weight = 1
 	}
-	demand := float64(item.NumPairs) * float64(maxU32(item.EstCyclesPerPair, 1))
+	demand := float64(item.NumPairs) * float64(max(item.EstCyclesPerPair, 1))
 	start := s.virtualTime
 	if s.lastFinish[lane] > start {
 		start = s.lastFinish[lane]
@@ -127,13 +127,6 @@ func (s *WFQScheduler) Stamp(item *QueueItem) {
 	finish := start + demand/weight
 	s.lastFinish[lane] = finish
 	item.VirtualFinish = uint64(finish)
-}
-
-func maxU32(v uint32, min uint32) uint32 {
-	if v < min {
-		return min
-	}
-	return v
 }
 
 // Next implements Scheduler: NL first (in queue order), then the CK/MD item

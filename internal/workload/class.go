@@ -257,20 +257,6 @@ func (c ClassSpec) Validate() error {
 	return nil
 }
 
-// PriorityName renders an EGP priority lane as its paper name.
-func PriorityName(p int) string {
-	switch p {
-	case egp.PriorityNL:
-		return "NL"
-	case egp.PriorityCK:
-		return "CK"
-	case egp.PriorityMD:
-		return "MD"
-	default:
-		return fmt.Sprintf("P%d", p)
-	}
-}
-
 // ParsePriority resolves a paper priority name (NL, CK or MD) to its EGP
 // lane.
 func ParsePriority(name string) (int, error) {

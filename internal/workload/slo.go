@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"repro/internal/egp"
 	"repro/internal/obs"
 )
 
@@ -151,7 +152,7 @@ func (s ClassSLO) Row() []string {
 	}
 	return []string{
 		s.Class,
-		PriorityName(s.Priority),
+		egp.PriorityName(s.Priority),
 		fmt.Sprintf("%d", s.Offered),
 		fmt.Sprintf("%d", s.Rejected),
 		fmt.Sprintf("%d", s.NoRoute),

@@ -65,7 +65,7 @@ func (o Origin) String() string {
 // fidelity Fmin = 0.64 and with no deadline.
 func paperClass(priority int, load float64, pairs int) ClassSpec {
 	return ClassSpec{
-		Name:        fmt.Sprintf("%s-k%d", PriorityName(priority), pairs),
+		Name:        fmt.Sprintf("%s-k%d", egp.PriorityName(priority), pairs),
 		Priority:    priority,
 		Arrival:     Arrival{Kind: ArrivalPoisson, Load: load},
 		FixedPairs:  pairs,

@@ -158,7 +158,7 @@ func TestRunnerClassesKeepThePaperSizeLaw(t *testing.T) {
 	for _, priority := range []int{egp.PriorityNL, egp.PriorityCK, egp.PriorityMD} {
 		for _, kmax := range []int{1, 3} {
 			cases = append(cases, workloadCase{
-				name:    fmt.Sprintf("SingleKind(%s,High,%d)", PriorityName(priority), kmax),
+				name:    fmt.Sprintf("SingleKind(%s,High,%d)", egp.PriorityName(priority), kmax),
 				classes: SingleKind(priority, LoadHigh, kmax),
 				paper:   []paperUseCase{{priority: priority, load: 0.99, kmax: kmax}},
 			})
@@ -225,7 +225,7 @@ func TestRunnerClassesKeepThePaperSizeLaw(t *testing.T) {
 			}
 			for s, w := range want {
 				if g := got[s]; math.Abs(g-w) > 1e-12*w {
-					t.Errorf("%s %s: %s k=%d at %g/s, the paper's rule gives %g/s", sc, tc.name, PriorityName(s.priority), s.pairs, g, w)
+					t.Errorf("%s %s: %s k=%d at %g/s, the paper's rule gives %g/s", sc, tc.name, egp.PriorityName(s.priority), s.pairs, g, w)
 				}
 			}
 		}
