@@ -27,7 +27,8 @@ func TestFailedAttemptsAllocateNothing(t *testing.T) {
 		loss float64
 		fold bool
 	}{
-		// The first name level is the event queue the engine runs on.
+		// The first name level dates from the timing wheel the engine ran
+		// on; it is kept so the tests' IDs stay the same.
 		{"wheel", 0, false},
 		{"wheel/lossy", 0.005, false},
 		{"wheel/fold", 0, true},

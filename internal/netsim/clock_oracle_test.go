@@ -215,7 +215,8 @@ func TestSharedClockMatchesPerNodeClocks(t *testing.T) {
 			if tc.serialOnly && shards > 1 {
 				continue
 			}
-			// The last name level is the event queue every engine runs on.
+			// The last name level dates from the timing wheel every engine
+			// ran on; it is kept so the tests' IDs stay the same.
 			t.Run(fmt.Sprintf("%s/shards=%d/wheel", tc.name, shards), func(t *testing.T) {
 				t.Parallel()
 				shared := newOracleRun(t, tc, shards, false)

@@ -102,8 +102,9 @@ func TestSerialShardedParity(t *testing.T) {
 			t.Run("belldiag-counters", func(t *testing.T) {
 				checkCounters(t, "serial belldiag", ref, bell)
 			})
-			// The dense 4-shard run: every shard on its own timing wheel,
-			// held to the serial reference.
+			// The dense 4-shard run: every shard on its own event heap, held
+			// to the serial reference. The name dates from the timing wheel
+			// the shards ran on; it is kept so the test's ID stays the same.
 			t.Run("wheel-4-shards", func(t *testing.T) {
 				t.Parallel()
 				checkParity(t, "4 shards", ref, runSharded(t, c.spec, quantum.BackendDense, 4, c.seconds))

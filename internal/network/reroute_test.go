@@ -168,7 +168,8 @@ func TestOutageReleasesResources(t *testing.T) {
 	}
 	for _, backend := range []quantum.Backend{quantum.BackendDense, quantum.BackendBellDiagonal} {
 		backend := backend
-		// The last name level is the event queue the engine runs on.
+		// The last name level dates from the timing wheel the engine ran
+		// on; it is kept so the tests' IDs stay the same.
 		t.Run(backend.String()+"/wheel", func(t *testing.T) {
 			t.Parallel()
 			nw, svc := buildServiceSpec(t, ring4(), 13, idealMemoryPlatform(),
