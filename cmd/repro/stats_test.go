@@ -119,11 +119,13 @@ func TestStatsMatchRecordedRuns(t *testing.T) {
 // snapshot to values recorded while each still had a second copy kept
 // beside its layer's own count: a chain under an outage plan (fault events,
 // errors), serially and on 4 shards, the e2e-chain5 service, and a service
-// whose flow is rerouted and then cut off.
+// whose flow is rerouted and then cut off. The station's three disagreement
+// counters were added later, pinned at their first recorded values.
 func TestMetricsCountersMatchRecordedRuns(t *testing.T) {
 	outage := map[string]uint64{
 		"egp.errors": 2, "egp.expires": 0, "egp.oks": 96,
 		"mhp.attempts": 701383, "mhp.matched": 350682, "mhp.successes": 48,
+		"mhp.no_message_other": 11, "mhp.queue_mismatches": 0, "mhp.time_mismatches": 5,
 		"netsim.fault_events": 7, "netsim.oks": 48, "netsim.submitted": 43,
 	}
 	// A 3x3 grid whose service path loses one link at a time, rerouting
@@ -159,12 +161,14 @@ func TestMetricsCountersMatchRecordedRuns(t *testing.T) {
 			"e2e.fails": 0, "e2e.noroute": 0, "e2e.oks": 5, "e2e.reroutes": 0, "e2e.swaps": 15,
 			"egp.errors": 0, "egp.expires": 0, "egp.oks": 40,
 			"mhp.attempts": 365920, "mhp.matched": 182960, "mhp.successes": 20,
+			"mhp.no_message_other": 0, "mhp.queue_mismatches": 0, "mhp.time_mismatches": 0,
 			"netsim.fault_events": 0, "netsim.oks": 20, "netsim.submitted": 20,
 		}},
 		{"grid9-reroute", []string{reroute}, map[string]uint64{
 			"e2e.fails": 4, "e2e.noroute": 4, "e2e.oks": 8, "e2e.reroutes": 9, "e2e.swaps": 31,
 			"egp.errors": 10, "egp.expires": 0, "egp.oks": 142,
 			"mhp.attempts": 1345797, "mhp.matched": 672636, "mhp.successes": 71,
+			"mhp.no_message_other": 522, "mhp.queue_mismatches": 0, "mhp.time_mismatches": 3,
 			"netsim.fault_events": 20, "netsim.oks": 71, "netsim.submitted": 84,
 		}},
 	}

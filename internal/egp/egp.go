@@ -212,6 +212,7 @@ func New(cfg Config) *EGP {
 			e.wake()
 		},
 		OnRejected: func(item *QueueItem, code wire.EGPError) {
+			e.wake()
 			e.emitError(item.CreateID, item.ID, int(item.Priority), code)
 		},
 	})
@@ -250,10 +251,50 @@ func (e *EGP) Cycle() uint64 {
 	return e.cycle
 }
 
-// Idle implements mhp.Generator: with nothing queued and no attempt
-// outstanding, a poll changes nothing until the queue gains an item.
-func (e *EGP) Idle() bool {
-	return e.queue.TotalLen() == 0 && !e.outstandingK && e.outstandingM == 0
+// Quiet implements mhp.Generator: the first cycle at which the pick may
+// change (pickBound; WFQ's virtual time stays put with it), reapLostAttempts
+// acts, the node is no longer busy or, with nothing outstanding (the pick
+// is a K item or none), a cycle is K-eligible. A higher layer frees an
+// occupied communication qubit without an event here: then every poll may
+// act.
+func (e *EGP) Quiet(cycle uint64) uint64 {
+	if e.queue.TotalLen() == 0 && !e.outstandingK && e.outstandingM == 0 {
+		return math.MaxUint64
+	}
+	if !e.cfg.Device.CommFree() {
+		return 0
+	}
+	now := e.cfg.Sim.Now()
+	// after returns the first cycle polled after t.
+	after := func(t sim.Time) uint64 { return cycle + uint64(t.Sub(now)/e.period) + 1 }
+	next := e.pickBound(cycle)
+	if e.outstandingK {
+		next = min(next, after(e.kDeadline))
+	}
+	if e.outstandingM > 0 {
+		next = min(next, after(e.mAttemptTimes[e.mHead].Add(e.replyDeadline)))
+	}
+	if now < e.busyUntil {
+		next = min(next, after(e.busyUntil-1))
+	} else if !e.outstandingK && e.outstandingM == 0 {
+		next = min(next, e.nextKEligible(cycle+1))
+	}
+	return next
+}
+
+// pickBound returns the first cycle after cycle at which the scheduler's pick
+// may change without an event: after the queue's earliest timeout, or a
+// confirmed item's ScheduleCycle; math.MaxUint64 if neither comes.
+func (e *EGP) pickBound(cycle uint64) uint64 {
+	next := min(e.queue.earliestTimeout(), math.MaxUint64-1) + 1
+	for p := 0; p < NumQueues; p++ {
+		for _, it := range e.queue.Items(p) {
+			if it.confirmed && it.PairsLeft > 0 && it.ScheduleCycle > cycle {
+				next = min(next, it.ScheduleCycle)
+			}
+		}
+	}
+	return next
 }
 
 // wake returns the EGP's MHP node to its clock's active set.
@@ -277,6 +318,7 @@ func (e *EGP) minTimeCycles() uint64 {
 // an immediate error code (ErrNone when the request was accepted into the
 // distributed queue).
 func (e *EGP) Create(req CreateRequest) (uint16, wire.EGPError) {
+	e.wake()
 	e.creates++
 	createID := e.createSeq
 	e.createSeq++
@@ -342,11 +384,6 @@ func (e *EGP) Create(req CreateRequest) (uint16, wire.EGPError) {
 		e.emitError(createID, wire.AbsoluteQueueID{}, req.Priority, wire.ErrOutOfMemory)
 		return createID, wire.ErrOutOfMemory
 	}
-	// The master queues its own request at once; a slave's joins its queue
-	// when the master acknowledges it (OnConfirmed).
-	if e.cfg.IsMaster {
-		e.wake()
-	}
 	return createID, wire.ErrNone
 }
 
@@ -373,10 +410,9 @@ func (e *EGP) emitError(createID uint16, queueID wire.AbsoluteQueueID, priority 
 func (e *EGP) localOrigin(item *QueueItem) bool { return item.OriginMaster == e.cfg.IsMaster }
 
 // reapExpired removes items timed out at the given cycle, emitting TIMEOUT
-// errors for locally originated requests. It runs every MHP cycle, so it
-// returns at once until the queue's earliest timeout has passed; the scan
-// then iterates the lanes in place and collects into the reusable scratch
-// slice, allocating nothing.
+// errors for locally originated requests. It runs at every poll, so it
+// returns at once until the queue's earliest timeout has passed, and then
+// collects into the reusable scratch slice, allocating nothing.
 func (e *EGP) reapExpired(cycle uint64) {
 	if cycle <= e.queue.earliestTimeout() {
 		return
@@ -398,13 +434,12 @@ func (e *EGP) reapExpired(cycle uint64) {
 }
 
 // FailAll drains the whole request queue with per-request errors of the
-// given code and releases every piece of in-flight attempt bookkeeping —
-// the link-down path of the fault injection subsystem. Errors are emitted
-// for locally originated requests only (mirroring reapExpired: the peer EGP
-// drains its own queue and reports to its own origin), remote items are
-// silently retired, and pending DQP handshakes and EXPIRE retransmissions
-// are cancelled so no timer outlives the outage.
+// given code and releases all in-flight attempt bookkeeping: the link-down
+// path of fault injection. Only locally originated requests get errors (the
+// peer EGP drains its own queue), and pending DQP handshakes and EXPIRE
+// retransmissions are cancelled so no timer outlives the outage.
 func (e *EGP) FailAll(code wire.EGPError) {
+	e.wake()
 	e.queue.FailPending(code)
 	items := append([]*QueueItem(nil), e.queue.AllItems()...)
 	for _, it := range items {
@@ -436,6 +471,17 @@ func (e *EGP) kEligible(cycle uint64) bool {
 		!e.inCarbonReinitWindow(cycle) && e.qmm.CommAvailable()
 }
 
+// nextKEligible returns a cycle from cycle on no later than the first at
+// which kEligible holds while the communication qubit stays free: on the K
+// grid, from the resume cycle and the end of a re-initialisation window on.
+func (e *EGP) nextKEligible(cycle uint64) uint64 {
+	cycle = max(cycle, e.kResumeCycle)
+	if e.inCarbonReinitWindow(cycle) {
+		cycle += e.reinitBusy - cycle%e.reinitPeriod
+	}
+	return (cycle + e.kStride - 1) / e.kStride * e.kStride
+}
+
 // inCarbonReinitWindow reports whether the hardware is busy re-initialising
 // its carbon memory at the given cycle (Appendix D.3.3: 330 µs every
 // 3500 µs), which blocks create-and-keep attempts.
@@ -455,7 +501,7 @@ func carbonReinitCycles(p *nv.Platform) (period, busy uint64) {
 }
 
 // PollTrigger implements mhp.Generator: it is called by the physical layer
-// at every MHP cycle while the EGP has work (see Idle) and decides whether
+// at every MHP cycle its node polls (see Quiet) and decides whether
 // (and how) to attempt entanglement generation.
 func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 	e.cycle = cycle
@@ -520,14 +566,12 @@ func (e *EGP) PollTrigger(cycle uint64) mhp.PollDecision {
 
 // Steady implements mhp.Generator. The steady decision holds from cycle
 // while no K attempt is outstanding and the node is not busy, and for as
-// long as PollTrigger's inputs stay put: until the queue's earliest timeout
-// (after which reapExpired acts), until the next confirmed item that is not
-// yet ready becomes ready (it may take the scheduler's pick), for a K
-// attempt until the next carbon re-initialisation window, and for an M
-// attempt until reapLostAttempts would release an outstanding one. A K
-// stride above one is never steady: its polls attempt only every stride-th
-// cycle. Everything else that changes the pick (a new item, a confirmation,
-// a timer) comes from an event, which the fold does not cross.
+// long as PollTrigger's inputs stay put: while the scheduler's pick cannot
+// change (pickBound), for a K attempt until the next carbon
+// re-initialisation window, and for an M attempt until reapLostAttempts
+// would release an outstanding one. A K stride above one is never steady:
+// its polls attempt only every stride-th cycle. Everything else that
+// changes the pick comes from an event, which the fold does not cross.
 //
 // Outstanding M attempts, whose REPLYs were lost, leave an M decision
 // steady under emission multiplexing while there are fewer than
@@ -538,25 +582,15 @@ func (e *EGP) Steady(cycle uint64) (mhp.PollDecision, uint64) {
 	if e.outstandingK || lost > 0 && !e.cfg.EmissionMultiplexing || lost >= maxOutstandingM || now < e.busyUntil {
 		return mhp.PollDecision{}, 0
 	}
-	expiry := e.queue.earliestTimeout()
-	if cycle > expiry {
+	bound := e.pickBound(cycle)
+	if bound <= cycle {
 		return mhp.PollDecision{}, 0
 	}
 	item := e.cfg.Scheduler.Next(e.queue, cycle)
 	if item == nil {
 		return mhp.PollDecision{}, 0
 	}
-	steady := expiry - cycle + 1
-	if expiry == math.MaxUint64 {
-		steady = math.MaxUint64
-	}
-	for p := 0; p < NumQueues; p++ {
-		for _, it := range e.queue.Items(p) {
-			if it.confirmed && it.PairsLeft > 0 && it.ScheduleCycle > cycle {
-				steady = min(steady, it.ScheduleCycle-cycle)
-			}
-		}
-	}
+	steady := bound - cycle
 	d := mhp.PollDecision{Attempt: true, QueueID: item.ID, Keep: item.Keep, Alpha: item.Alpha}
 	if !item.Keep {
 		return d, min(steady, e.lostMPolls(now))
@@ -892,6 +926,7 @@ func (e *EGP) sendExpire(id wire.AbsoluteQueueID, high uint16) {
 // HandlePeerMessage demultiplexes frames arriving from the peer EGP: DQP
 // frames and EXPIRE/EXPIRE-ACK.
 func (e *EGP) HandlePeerMessage(msg classical.Message) {
+	e.wake()
 	raw, ok := msg.Payload.([]byte)
 	if !ok {
 		return

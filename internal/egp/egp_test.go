@@ -28,6 +28,12 @@ type egpFixture struct {
 
 func newEGPFixture(t *testing.T, keepMultiplex bool) *egpFixture {
 	t.Helper()
+	return newEGPFixtureWith(t, keepMultiplex, NewFCFS())
+}
+
+// newEGPFixtureWith is newEGPFixture with the given scheduler.
+func newEGPFixtureWith(t *testing.T, keepMultiplex bool, sched Scheduler) *egpFixture {
+	t.Helper()
 	f := &egpFixture{s: sim.New(5)}
 	platform := nv.LabPlatform()
 	f.device = nv.NewDevice("A", platform.Gates, platform.CarbonCoupling, platform.MemoryQubits)
@@ -44,7 +50,7 @@ func newEGPFixture(t *testing.T, keepMultiplex bool) *egpFixture {
 		Device:               f.device,
 		Sampler:              sampler,
 		Side:                 nv.SideA,
-		Scheduler:            NewFCFS(),
+		Scheduler:            sched,
 		ToPeer:               toPeer,
 		OnOK:                 func(ev OKEvent) { f.oks = append(f.oks, ev) },
 		OnError:              func(ev ErrorEvent) { f.errs = append(f.errs, ev) },

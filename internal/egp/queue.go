@@ -97,12 +97,13 @@ type DistributedQueue struct {
 	earliestStale bool
 
 	// Pending outgoing ADDs awaiting an ACK, keyed by communication sequence
-	// number.
+	// number (CSEQ).
 	pendingAdds map[uint8]*pendingAdd
 	nextCommSeq uint8
 
-	// seenAdds remembers already-processed peer CSEQs so retransmissions are
-	// acknowledged idempotently; it maps peer CSEQ to the assigned queue ID.
+	// seenAdds remembers the peer CSEQs accepted within the window (see
+	// addWindow) so retransmissions are acknowledged idempotently; it maps
+	// peer CSEQ to the assigned queue ID.
 	seenAdds map[uint8]wire.AbsoluteQueueID
 
 	// Callbacks.
@@ -119,6 +120,11 @@ type DistributedQueue struct {
 	// Statistics.
 	addsSent, acksSent, rejectsSent, retransmissions uint64
 }
+
+// addWindow is how many consecutive CSEQs one side's unacknowledged ADDs may
+// span, half the 8-bit space: accepting CSEQ c forgets c−addWindow, which
+// the peer reuses only after c is acknowledged.
+const addWindow = 128
 
 type pendingAdd struct {
 	item    *QueueItem
@@ -262,7 +268,8 @@ func (q *DistributedQueue) earliestTimeout() uint64 {
 // its sequence number immediately and an ADD is sent to the slave; on the
 // slave the ADD is sent to the master, which assigns the sequence number
 // echoed in the ACK. The item is reported through OnConfirmed once both
-// sides hold it, or OnRejected on failure.
+// sides hold it, or OnRejected on failure. It refuses an item while the ADD
+// addWindow CSEQs back awaits its ACK.
 func (q *DistributedQueue) Add(item *QueueItem) error {
 	priority := int(item.Priority)
 	if priority < 0 || priority >= NumQueues {
@@ -270,6 +277,9 @@ func (q *DistributedQueue) Add(item *QueueItem) error {
 	}
 	if q.Full(priority) {
 		return fmt.Errorf("egp: queue %d full", priority)
+	}
+	if _, open := q.pendingAdds[q.nextCommSeq-addWindow]; open {
+		return fmt.Errorf("egp: %d ADDs unacknowledged", addWindow)
 	}
 	item.OriginMaster = q.isMaster
 	cseq := q.nextCommSeq
@@ -421,6 +431,7 @@ func (q *DistributedQueue) handleAdd(frame wire.DQPFrame) {
 	q.push(priority, item)
 	q.sortLane(priority)
 	q.seenAdds[frame.CommSeq] = item.ID
+	delete(q.seenAdds, frame.CommSeq-addWindow)
 	ack := frame
 	ack.VirtualFinish = item.VirtualFinish
 	q.sendAckFor(frame.CommSeq, item.ID, ack)

@@ -1,6 +1,8 @@
 package egp
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/classical"
@@ -255,5 +257,76 @@ func TestInvalidPriorityRejected(t *testing.T) {
 	item.Priority = 9
 	if err := qp.master.Add(item); err == nil {
 		t.Fatal("out-of-range priority should be rejected")
+	}
+}
+
+// TestQueueCopiesStayEqualAcrossCSEQWraps sends 1,000 ADDs, 500 from each
+// side in bursts, over channels that lose 5% of frames, so each side's 8-bit
+// CSEQ wraps about twice and many ADDs are retransmitted. Once every burst's
+// handshakes have settled, both copies of the queue must hold the same
+// items in the same order: a CSEQ seen 256 ADDs earlier is a new ADD, not a
+// retransmission.
+func TestQueueCopiesStayEqualAcrossCSEQWraps(t *testing.T) {
+	qp := newQueuePair(t, 0.05)
+	for _, q := range []*DistributedQueue{qp.master, qp.slave} {
+		q.maxLen = 1000
+		q.maxRetries = 50
+	}
+	const bursts, perBurst = 50, 10
+	createID := uint16(0)
+	for b := range bursts {
+		sim.Schedule(qp.s, 0, func() {
+			for range perBurst {
+				for _, q := range []*DistributedQueue{qp.master, qp.slave} {
+					createID++
+					if err := q.Add(newItem(PriorityMD, createID)); err != nil {
+						t.Errorf("burst %d: Add: %v", b, err)
+					}
+				}
+			}
+		})
+		for len(qp.master.pendingAdds)+len(qp.slave.pendingAdds) > 0 || qp.s.Pending() > 0 {
+			_ = qp.s.RunFor(sim.Millisecond)
+		}
+		if t.Failed() {
+			return
+		}
+		copies := [2][]string{}
+		for i, q := range []*DistributedQueue{qp.master, qp.slave} {
+			for _, it := range q.Items(PriorityMD) {
+				copies[i] = append(copies[i], fmt.Sprintf("%v/%d/%v", it.ID, it.CreateID, it.confirmed))
+			}
+		}
+		if want := 2 * perBurst * (b + 1); len(copies[0]) != want || !slices.Equal(copies[0], copies[1]) {
+			t.Fatalf("after burst %d (%d ADDs): master holds %d items, slave %d, want %d each and equal\nmaster: %v\nslave:  %v",
+				b, want, len(copies[0]), len(copies[1]), want, copies[0], copies[1])
+		}
+	}
+	if _, _, _, retransmits := qp.master.Stats(); retransmits == 0 {
+		t.Fatal("no ADD was retransmitted")
+	}
+}
+
+// TestQueueRefusesAddWhileWindowFull: a side may not have ADDs in flight
+// spanning more than addWindow CSEQs, so the ADD after addWindow
+// unacknowledged ones is refused until the oldest is acknowledged, and a
+// refused ADD uses no CSEQ.
+func TestQueueRefusesAddWhileWindowFull(t *testing.T) {
+	qp := newQueuePair(t, 0)
+	qp.master.maxLen = 1000
+	for i := range addWindow {
+		if err := qp.master.Add(newItem(PriorityMD, uint16(i))); err != nil {
+			t.Fatalf("ADD %d: %v", i, err)
+		}
+	}
+	if err := qp.master.Add(newItem(PriorityMD, addWindow)); err == nil {
+		t.Fatalf("ADD %d accepted with %d unacknowledged", addWindow, addWindow)
+	}
+	if qp.master.nextCommSeq != addWindow {
+		t.Fatalf("a refused ADD took a CSEQ: next %d", qp.master.nextCommSeq)
+	}
+	_ = qp.s.RunFor(sim.Millisecond)
+	if err := qp.master.Add(newItem(PriorityMD, addWindow)); err != nil {
+		t.Fatalf("ADD refused after every ACK came: %v", err)
 	}
 }

@@ -11,9 +11,10 @@ import (
 // Clock is the MHP cycle clock of one engine: the serial simulator, or one
 // shard of the sharded engine. Each cycle it polls its active nodes in
 // registration order, in one event. A node leaves the active set (parks)
-// after a poll that leaves its generator idle and its attempts all answered,
-// and rejoins when its generator wakes it (Node.Wake); until then its polls
-// are skipped, so an idle link costs nothing per cycle.
+// after a poll that attempts nothing, until the first cycle whose poll could
+// act (Generator.Quiet; with attempts pending, no later than the next
+// maintenance pass) or an event wakes it (Node.Wake). Until then its polls
+// are skipped, so a node that cannot attempt costs nothing per cycle.
 //
 // The clock runs the same trajectory as one ticker per node:
 //
@@ -22,9 +23,8 @@ import (
 //     ticks at T unless something schedules exactly one period ahead from
 //     inside that batch, which no protocol delay does. The clock sits at the
 //     first tick's place and polls the nodes in their old order.
-//   - Parked polls. A parked node's poll is a no-op: its generator has
-//     nothing queued and nothing outstanding, and it has no pending attempt.
-//     It commutes with every other event, so leaving it out changes nothing.
+//   - Parked polls. A parked node's poll is a no-op until its cycle or an
+//     event, so it commutes with every other event and can be left out.
 //   - Cycle numbers. There is one counter, on the clock. During the clock's
 //     batch a node the clock has already reached reads cycle k and a node it
 //     has not reached reads k−1, which is what the node's own ticker showed.
@@ -33,22 +33,20 @@ import (
 //
 // When the tick reaches a link whose two nodes are both active, it first
 // offers the link the coming cycles to fold (see fold). A link that takes n
-// of them rests: it leaves the active set, costs the ticks nothing, and
-// rejoins it at the first cycle it did not take. (A Stop of the engine from
-// another link's event therefore leaves a resting link's counters ahead of
-// the stop instant until the run resumes.) Each link folds up to its own
-// horizon, since failed attempts on different links commute. Where events of
-// one link act on others (netsim's network layer), the clock folds in
-// lockstep instead (Lockstep): at the start of a tick it offers the coming
-// cycles to every active link at once, and all of them take the same cycles
-// or none does.
+// of them rests: it leaves the active set until the first cycle it did not
+// take. (A Stop of the engine from another link's event therefore leaves a
+// resting link's counters ahead of the stop instant until the run resumes.)
+// Each link folds up to its own horizon, since failed attempts on different
+// links commute. Where events of one link act on others (netsim's network
+// layer), the clock folds every active link in lockstep instead (Lockstep):
+// all take the same cycles or none does.
 //
 // A tick that leaves no node active is followed by cycles that poll no one
-// until a resting link resumes or an event wakes a node, and no event runs
-// before the engine's horizon. The clock does not fire those ticks: it
-// counts their cycles and rearms at the earlier of the first resting link's
-// resume cycle and the last cycle before the horizon, so the tick after
-// that is again scheduled from the batch one period before it. The skipped
+// until a resting link resumes, a timed wake comes or an event wakes a
+// node, and no event runs before the engine's horizon. The clock does not
+// fire those ticks: it counts their cycles and rearms at the first of those
+// cycles or the last cycle before the horizon, so the tick after that is
+// again scheduled from the batch one period before it. The skipped
 // ticks are no-ops that commute with every other event, so the trajectory
 // is unchanged, and at the end of a RunUntil the clock has counted every
 // cycle up to the limit.
@@ -68,8 +66,10 @@ type Clock struct {
 	slots  int
 	active []*Node
 	// resting holds the links that have folded cycles ahead of the clock,
-	// each with the first cycle it did not take, latest first.
+	// each with the first cycle it did not take, latest first; waking holds
+	// the nodes parked until a cycle (Node.wakeAt), latest first.
 	resting []restingLink
+	waking  []*Node
 	// pos is the index in active of the node being polled. cursor is its
 	// slot: −1 at the start of a cycle, math.MaxInt outside the tick.
 	pos    int
@@ -138,6 +138,10 @@ func (c *Clock) Start() (stop func()) {
 	}
 	if !c.running {
 		c.running = true
+		// A stop shifts the cycles to come, which timed wakes reckon in time.
+		for len(c.waking) > 0 {
+			c.unpark()
+		}
 		c.id = c.eng.ScheduleArgAt(c.eng.Now().Add(c.period), c.onTick, nil)
 	}
 	return c.Stop
@@ -166,22 +170,25 @@ func (c *Clock) Ticks() uint64 { return c.cycle }
 // a fold took.
 func (c *Clock) Polls() uint64 { return c.polls }
 
-// tick runs one cycle: it returns the links whose rest ends at this cycle to
-// the active set, polls every active node in slot order and parks the ones
-// left idle, then rearms relative to the firing time. At the first node of a
-// link whose nodes are both active it offers the link the coming cycles to
-// fold; a lockstep clock offers them to every active link at once before it
-// polls. With no node left active it skips the cycles that would poll no one
-// (see Clock).
+// tick runs one cycle: it returns the links and nodes whose rest ends at
+// this cycle to the active set, polls every active node in slot order and
+// parks the quiet ones, then rearms relative to the firing time. At the
+// first node of a link whose nodes are both active it offers the link the
+// coming cycles to fold; a lockstep clock offers them to every active link
+// at once before it polls. With no node left active it skips the cycles
+// that would poll no one (see Clock).
 func (c *Clock) tick(now sim.Time, _ any) {
 	c.cycle++
+	c.cursor = -1
 	for len(c.resting) > 0 && c.resting[len(c.resting)-1].cycle <= c.cycle {
 		l := c.resting[len(c.resting)-1].link
 		c.resting = c.resting[:len(c.resting)-1]
 		c.insert(&l.nodes[nv.SideA])
 		c.insert(&l.nodes[nv.SideB])
 	}
-	c.cursor = -1
+	for len(c.waking) > 0 && c.waking[len(c.waking)-1].wakeAt <= c.cycle {
+		c.unpark()
+	}
 	if c.lockstep && len(c.active) > 0 {
 		if k := c.foldAll(now); k > 0 {
 			for i := range c.folding {
@@ -194,17 +201,18 @@ func (c *Clock) tick(now sim.Time, _ any) {
 		n := c.active[c.pos]
 		c.cursor = n.slot
 		if k := c.fold(now, n); k > 0 {
-			c.rest(n.link, c.cycle+k)
+			c.active = slices.Delete(c.active, c.pos, c.pos+2)
+			c.restUntil(n.link, c.cycle+k)
 			continue
 		}
 		c.polls++
-		n.runCycle(c.cycle)
-		if n.pending.len() == 0 && n.gen.Idle() {
-			n.parked, n.parkedAt = true, c.cycle
-			c.active = slices.Delete(c.active, c.pos, c.pos+1)
-		} else {
-			c.pos++
+		if !n.runCycle(c.cycle) {
+			if wake := n.quiet(c.cycle); wake > c.cycle+1 {
+				c.park(n, wake)
+				continue
+			}
 		}
+		c.pos++
 	}
 	c.cursor = math.MaxInt
 	if !c.running {
@@ -216,6 +224,9 @@ func (c *Clock) tick(now sim.Time, _ any) {
 			idle := uint64((h - 1 - next) / sim.Time(c.period))
 			if r := len(c.resting) - 1; r >= 0 {
 				idle = min(idle, c.resting[r].cycle-c.cycle-1)
+			}
+			if w := len(c.waking) - 1; w >= 0 {
+				idle = min(idle, c.waking[w].wakeAt-c.cycle-1)
 			}
 			c.cycle += idle
 			next = next.Add(sim.Duration(idle) * c.period)
@@ -234,20 +245,21 @@ func (c *Clock) fold(now sim.Time, n *Node) uint64 {
 		return 0
 	}
 	c.folding = append(c.folding[:0], foldLink{link: n.link})
-	return c.foldLinks(now, n.link.eng)
+	return c.foldLinks(now, n.link.eng, math.MaxUint64)
 }
 
 // foldAll offers every active link the cycles from the current one on, in
 // lockstep, when every active node's link has both nodes active, and returns
 // how many cycles the links took. The window is the clock engine's horizon,
-// not the links' own: an event of a link that is not folding, or one that
-// belongs to no link, may reach another link through the network layer.
+// not the links' own (an event of a link that is not folding, or one that
+// belongs to no link, may reach another link through the network layer),
+// and ends before the earliest timed wake, whose node may attempt.
 //
 // No link rests when a lockstep is offered, so none can succeed unseen inside
 // its window. A lockstep leaves no node active, so a node joins the active
-// set only on an event, at or after the horizon every resting link folded
-// to, and by the first tick after that event every resting link has resumed.
-// (A link that folded on its own before Lockstep keeps the cycles it took.)
+// set only on an event or a timed wake, at or after the window's end, and
+// by then every resting link has resumed. (A link that folded on its own
+// before Lockstep keeps the cycles it took.)
 func (c *Clock) foldAll(now sim.Time) uint64 {
 	c.folding = c.folding[:0]
 	for i := 0; i < len(c.active); i += 2 {
@@ -257,12 +269,16 @@ func (c *Clock) foldAll(now sim.Time) uint64 {
 		}
 		c.folding = append(c.folding, foldLink{link: n.link})
 	}
-	return c.foldLinks(now, c.eng)
+	limit := uint64(math.MaxUint64)
+	if w := len(c.waking) - 1; w >= 0 {
+		limit = c.waking[w].wakeAt - c.cycle
+	}
+	return c.foldLinks(now, c.eng, limit)
 }
 
 // foldLinks runs, inside the tick at now, the coming run of failed attempts
 // of the links in c.folding together, from the current cycle on, and returns
-// how many cycles each took; every link's next poll is then
+// how many cycles each took, at most limit; every link's next poll is then
 // the first cycle they did not take. They take none unless every link can
 // fold (Link.canFold) and both its generators report the same steady
 // decision (Generator.Steady), and take cycle j only if every link's answer
@@ -283,7 +299,7 @@ func (c *Clock) foldAll(now sim.Time) uint64 {
 // channels do not commute to the last bit. Every random draw, record and
 // counter is therefore the same as attempt by attempt; only the records'
 // place in a ring shared with other links differs.
-func (c *Clock) foldLinks(now sim.Time, eng sim.Engine) uint64 {
+func (c *Clock) foldLinks(now sim.Time, eng sim.Engine, limit uint64) uint64 {
 	folding := c.folding
 	for i := range folding {
 		if !folding[i].link.canFold() {
@@ -291,7 +307,7 @@ func (c *Clock) foldLinks(now sim.Time, eng sim.Engine) uint64 {
 		}
 	}
 	h := eng.Horizon()
-	n := uint64(math.MaxUint64)
+	n := limit
 	for i := range folding {
 		n = min(n, folding[i].link.window(now, h))
 	}
@@ -360,13 +376,6 @@ func (c *Clock) drawLockstep(w uint64) uint64 {
 	return w
 }
 
-// rest takes the link's nodes, being polled at pos and pos+1, out of the
-// active set until cycle.
-func (c *Clock) rest(l *Link, cycle uint64) {
-	c.active = slices.Delete(c.active, c.pos, c.pos+2)
-	c.restUntil(l, cycle)
-}
-
 // restUntil adds the link to the resting links until cycle; its nodes are
 // already out of the active set.
 func (c *Clock) restUntil(l *Link, cycle uint64) {
@@ -375,6 +384,29 @@ func (c *Clock) restUntil(l *Link, cycle uint64) {
 		i--
 	}
 	c.resting = slices.Insert(c.resting, i, restingLink{l, cycle})
+}
+
+// park takes node n, being polled at pos, out of the active set until cycle
+// wake (math.MaxUint64: until Wake).
+func (c *Clock) park(n *Node, wake uint64) {
+	n.parked, n.parkedAt, n.wakeAt = true, c.cycle, wake
+	c.active = slices.Delete(c.active, c.pos, c.pos+1)
+	if wake != math.MaxUint64 {
+		i := len(c.waking)
+		for i > 0 && c.waking[i-1].wakeAt < wake {
+			i--
+		}
+		c.waking = slices.Insert(c.waking, i, n)
+	}
+}
+
+// unpark returns the node of the earliest timed wake to the active set,
+// counting the polls it skipped (PolledCycle).
+func (c *Clock) unpark() {
+	n := c.waking[len(c.waking)-1]
+	c.waking = c.waking[:len(c.waking)-1]
+	n.polled, n.parked = n.PolledCycle(), false
+	c.insert(n)
 }
 
 // cycleOf returns the cycle a node reads: during a tick, k once the clock has
@@ -389,6 +421,9 @@ func (c *Clock) cycleOf(n *Node) uint64 {
 // activate inserts a woken node into the active set at its slot. Inserting
 // before the node being polled shifts that node one place on.
 func (c *Clock) activate(n *Node) {
+	if i := slices.Index(c.waking, n); i >= 0 {
+		c.waking = slices.Delete(c.waking, i, i+1)
+	}
 	if c.insert(n) <= c.pos {
 		c.pos++
 	}

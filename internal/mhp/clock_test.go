@@ -2,6 +2,7 @@ package mhp
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -33,7 +34,12 @@ func (g *scriptedGen) PollTrigger(cycle uint64) PollDecision {
 
 func (g *scriptedGen) HandleResult(Result) {}
 
-func (g *scriptedGen) Idle() bool { return !g.busy }
+func (g *scriptedGen) Quiet(uint64) uint64 {
+	if g.busy {
+		return 0
+	}
+	return math.MaxUint64
+}
 
 // Fold never reports a steady decision: the script's polls are the test.
 func (g *scriptedGen) Steady(uint64) (PollDecision, uint64)                 { return PollDecision{}, 0 }

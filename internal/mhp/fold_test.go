@@ -26,7 +26,7 @@ func (g *steadyGen) HandleResult(r Result) {
 	g.log = append(g.log, fmt.Sprintf("%v cycle %d seq %d @%v", r.Outcome, r.AttemptCycle, r.MHPSeq, g.clock.Now()))
 }
 
-func (g *steadyGen) Idle() bool { return false }
+func (g *steadyGen) Quiet(uint64) uint64 { return 0 }
 
 func (g *steadyGen) Steady(uint64) (PollDecision, uint64) { return g.decision, 1 << 40 }
 

@@ -2,6 +2,7 @@ package mhp
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -17,7 +18,12 @@ type lockGen struct {
 	idle bool
 }
 
-func (g *lockGen) Idle() bool { return g.idle }
+func (g *lockGen) Quiet(uint64) uint64 {
+	if g.idle {
+		return math.MaxUint64
+	}
+	return 0
+}
 
 // lockLink is one loss-free Lab link of a lockstep test, built as netsim
 // builds one: on its own WithRNG view of s, with its MHP deliveries untracked.

@@ -34,7 +34,7 @@ func (g *basisGen) HandleResult(r Result) {
 		r.Outcome, r.AttemptCycle, r.Keep, r.MeasureBasis, r.StorageQubit, r.QueueID, r.MHPSeq, g.clock.Now()))
 }
 
-func (g *basisGen) Idle() bool { return false }
+func (g *basisGen) Quiet(uint64) uint64 { return 0 }
 
 func (g *basisGen) Steady(uint64) (PollDecision, uint64) { return g.decision, 1 << 40 }
 

@@ -9,11 +9,10 @@
 // bytes, standing in for the qubits already at the nodes, as a GEN carries
 // its photon's emission parameters.
 //
-// The cycle is kept by one Clock per engine, which polls the nodes that have
-// work. A node polls only while its link layer has something queued or
-// outstanding, or a reply is still due; an idle node parks until the link
-// layer wakes it, since its poll would be a no-op (see Clock for why the run
-// is unchanged).
+// The cycle is kept by one Clock per engine. After a poll that attempts
+// nothing, a node parks until the first cycle whose poll could act, which
+// its link layer reports, or an event wakes it, since its polls in between
+// would be no-ops (see Clock for why the run is unchanged).
 //
 // A Link keeps what is in flight as plain data: one list of its GENs and
 // REPLYs on their way and of the expiries of GENs held at the station,
@@ -27,20 +26,16 @@
 //
 // A Lab link does not run its failed attempts one by one: the clock's tick
 // folds the coming run of them into itself, with the same random draws and
-// the same records, up to the link's own horizon, and the link rests until
-// the first cycle that succeeds or loses a frame. Failed attempts on
-// different links commute, since each link owns its devices, sampler,
-// station and random stream, so other links' events do not stop the run. A
-// success does not commute where a network layer acts on several links from
-// one link's event; there the clock folds every active link in lockstep, up
-// to the simulator's horizon and before the first cycle in which any link
-// succeeds or loses a frame (Clock.Lockstep). A lossy link folds too, stale
-// pending attempts and all: each folded REPLY retires the oldest pending
-// attempt of its queue item, as a delivered one does. QL2020 links, whose
-// arms are long and unequal, and throttled links run attempt by attempt.
-// Whenever no node of a clock is active, because they are parked or their
-// links rest, the clock skips the ticks that would poll no one, up to the
-// first resume cycle or the next event that could wake a node.
+// records, up to the link's own horizon (failed attempts on different links
+// commute: each link owns its devices, sampler, station and random stream),
+// and the link rests until the first cycle that succeeds or loses a frame.
+// Where a network layer acts on several links from one link's event, the
+// clock folds every active link in lockstep instead, up to the simulator's
+// horizon (Clock.Lockstep). A lossy link folds too: each folded REPLY
+// retires the oldest pending attempt of its queue item, as a delivered one
+// does. QL2020 links, whose arms are long and unequal, and throttled links
+// run attempt by attempt. While no node of a clock is active, the clock
+// skips the ticks that would poll no one.
 //
 // The package is deliberately stateless on the node side (beyond the pending
 // attempt bookkeeping required to route replies), mirroring the paper's
@@ -48,6 +43,7 @@
 package mhp
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/nv"
@@ -104,10 +100,12 @@ type Generator interface {
 	PollTrigger(cycle uint64) PollDecision
 	// HandleResult delivers the outcome of a previously triggered attempt.
 	HandleResult(r Result)
-	// Idle reports that polling is a no-op and stays one until the generator
-	// wakes its node (Node.Wake): nothing is queued and no attempt is
-	// outstanding. The clock parks an idle node whose replies have all come.
-	Idle() bool
+	// Quiet returns, after a poll at cycle that attempted nothing, the first
+	// cycle whose poll could act (attempt or change the generator) unless an
+	// event reaches the generator, which then wakes its node (Node.Wake):
+	// math.MaxUint64 if none. The clock parks the node until then. A paused
+	// or throttled node parks only on math.MaxUint64. It changes nothing.
+	Quiet(cycle uint64) uint64
 	// Steady serves the clock's fold of the link's failed attempts: it
 	// reports the attempt every poll from cycle on returns, one cycle apart,
 	// as long as the only thing that happens is that each poll's attempt is
@@ -295,7 +293,7 @@ func NewLink(cfg LinkConfig) *Link {
 			side:   nv.PairSide(side),
 			gen:    cfg.Generators[side],
 			device: cfg.Devices[side],
-			parked: cfg.Generators[side].Idle(),
+			parked: cfg.Generators[side].Quiet(0) == math.MaxUint64,
 		}
 	}
 	l.onDue = l.deliver
@@ -392,11 +390,14 @@ func (l *Link) steady(cycle uint64) (dA, dB PollDecision, steady uint64) {
 	if a.pending.len() > 0 || b.pending.len() > 0 {
 		// A maintenance pass may drop pending attempts: the fold stops
 		// before it, and the tick runs it.
-		next := max((cycle+1023)/1024*1024, 5*1024)
-		steady = min(steady, next-cycle)
+		steady = min(steady, nextPass(cycle)-cycle)
 	}
 	return dA, dB, steady
 }
+
+// nextPass returns the first cycle from cycle on whose poll runs the
+// maintenance pass on a node with attempts pending (Node.runCycle).
+func nextPass(cycle uint64) uint64 { return max((cycle+1023)/1024*1024, 5*1024) }
 
 // absorb applies in bulk what the events of n failed attempts from cycle on,
 // the first polled at now, would have done, carbon dephasing aside (the
@@ -720,13 +721,14 @@ type Node struct {
 	attemptCount uint64
 
 	// clock polls the node; slot is its registration index there. A parked
-	// node is skipped until Wake. polled is the cycle of the node's latest
-	// PollTrigger call, and parkedAt the cycle from which a parked node's
-	// skipped polls count (see PolledCycle).
+	// node is skipped until Wake or cycle wakeAt. polled is the cycle of the
+	// node's latest PollTrigger call, and parkedAt the cycle from which a
+	// parked node's skipped polls count (see PolledCycle).
 	clock    *Clock
 	slot     int
 	parked   bool
 	parkedAt uint64
+	wakeAt   uint64
 	polled   uint64
 
 	// paused stops attempt generation (the link-admin Down state): the cycle
@@ -851,10 +853,10 @@ func (n *Node) PolledCycle() uint64 {
 	return n.polled
 }
 
-// Wake returns a parked node to its clock's active set; the generator calls
-// it when it gains work. A node woken during the clock's tick is polled in
-// that cycle if the clock has not reached its slot yet, and from the next
-// cycle otherwise, just as its own ticker would have polled it.
+// Wake returns a parked node to its clock's active set, on a REPLY or an
+// event reaching the generator. A node woken during the clock's tick is
+// polled in that cycle if the clock has not reached its slot yet, and from
+// the next cycle otherwise, just as its own ticker would have polled it.
 func (n *Node) Wake() {
 	if !n.parked {
 		return
@@ -897,26 +899,40 @@ func (n *Node) ClearPending() { n.pending.clear() }
 // Attempts returns how many attempts this node has triggered.
 func (n *Node) Attempts() uint64 { return n.attemptCount }
 
-// runCycle executes one MHP cycle: poll the EGP and trigger if requested.
-func (n *Node) runCycle(cycle uint64) {
+// quiet returns the first cycle after cycle whose poll may act: the
+// generator's bound, and with attempts pending no later than the next
+// maintenance pass.
+func (n *Node) quiet(cycle uint64) uint64 {
+	q := n.gen.Quiet(cycle)
+	if q != math.MaxUint64 && (n.paused || n.rateDivisor > 1) {
+		return 0
+	}
+	if n.pending.len() > 0 {
+		q = min(q, nextPass(cycle+1))
+	}
+	return q
+}
+
+// runCycle executes one MHP cycle, polling the EGP and triggering if asked
+// to, and reports whether the node attempted.
+func (n *Node) runCycle(cycle uint64) bool {
 	// The maintenance pass: every 1,024 cycles, discard the pending attempts
 	// whose REPLY was evidently lost, so the list stays bounded during long
-	// lossy runs. A parked node skips it: its list is empty. So does a
-	// folding link whose lists are empty; a fold stops before the pass
-	// otherwise.
+	// lossy runs. A parked node is woken for it while its list is non-empty.
+	// So is a folding link; a fold stops before the pass.
 	if cycle%1024 == 0 && n.pending.len() > 0 && cycle > 4096 {
 		n.DropPending(cycle - 4096)
 	}
 	if n.paused {
-		return
+		return false
 	}
 	if n.rateDivisor > 1 && cycle%n.rateDivisor != 0 {
-		return
+		return false
 	}
 	n.polled = cycle
 	decision := n.gen.PollTrigger(cycle)
 	if !decision.Attempt {
-		return
+		return false
 	}
 	// Local hardware failure path (GEN_FAIL): initialising the communication
 	// qubit can fail; modelled as an immediate local error result. The
@@ -931,7 +947,7 @@ func (n *Node) runCycle(cycle uint64) {
 			Alpha:        decision.Alpha,
 			AttemptCycle: cycle,
 		})
-		return
+		return true
 	}
 	n.attemptCount++
 	l := n.link
@@ -948,6 +964,7 @@ func (n *Node) runCycle(cycle uint64) {
 
 	n.pending.push(pendingAttempt{cycle, decision})
 	l.sendGEN(n.side, cycle, decision)
+	return true
 }
 
 // receiveReply processes a REPLY frame arriving from the station.
@@ -960,6 +977,7 @@ func (n *Node) receiveReply(r *frame) {
 	if l.trace != nil { // the clock is read only for a record
 		l.trace.Record(l.eng.Now(), obs.KindMHPReply, l.traceID, int64(reply.Outcome), int64(reply.MHPSeq))
 	}
+	n.Wake()
 	// Match the reply to the oldest pending attempt with the echoed queue ID.
 	// That is the attempt the REPLY answers only while no frame is lost: an
 	// attempt whose GEN or REPLY was lost stays pending, and from then on

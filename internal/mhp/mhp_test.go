@@ -45,8 +45,8 @@ func (s *stubGenerator) HandleResult(r Result) {
 	s.resultAt = append(s.resultAt, s.clock.Now())
 }
 
-// Idle is always false: the stub never wakes its node, so it must not park.
-func (s *stubGenerator) Idle() bool { return false }
+// Quiet is always 0: the stub never wakes its node, so it must not park.
+func (s *stubGenerator) Quiet(uint64) uint64 { return 0 }
 
 // Fold never reports a steady decision, so every scripted attempt runs
 // through its events.

@@ -110,12 +110,18 @@ func e2eGridCase() oracleCase {
 }
 
 // oracleCases are the configurations of TestSharedClockMatchesPerNodeClocks:
-// CK/MD/NL traffic; outages and a rate-divided degrade; classical loss (the
-// DQP retransmit, EXPIRE and lost-REPLY paths); QL2020 (a K stride of 16 and
-// asymmetric arms); and the end-to-end service under faults.
+// CK/MD/NL traffic, under FCFS and under HigherWFQ (whose Next moves its
+// virtual time, so a skipped poll must not have moved it); outages and a
+// rate-divided degrade; classical loss (the DQP retransmit, EXPIRE and
+// lost-REPLY paths), on the mixed chain and on an all-K one long enough that
+// nodes park through many kDeadline waits and carbon re-initialisation
+// windows; QL2020 (a K stride of 16 and asymmetric arms); and the
+// end-to-end service under faults.
 func oracleCases() []oracleCase {
 	return []oracleCase{
 		specCase("chain8-mixed", "chain8-mixed.json", 0.2, nil),
+		specCase("chain8-mixed-higherwfq", "chain8-mixed.json", 0.2, func(c *scenario.Compiled) { c.Config.Scheduler = "HigherWFQ" }),
+		specCase("chain8-ck-lossy", "chain8-ck-lossy.json", 1, nil),
 		specCase("chain8-outage", "chain8-outage.json", 0.5, nil),
 		specCase("chain8-lossy", "chain8-mixed.json", 0.2, func(c *scenario.Compiled) { c.Config.ClassicalLossProb = 0.001 }),
 		specCase("chain8-ql2020", "chain8-mixed.json", 0.4, func(c *scenario.Compiled) {

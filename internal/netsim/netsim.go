@@ -490,7 +490,7 @@ func (nw *Network) buildLink(id LinkID, e Edge) {
 
 	gens := [2]mhp.Generator{l.EGPA, l.EGPB}
 	if nw.clockPerNode {
-		gens = [2]mhp.Generator{neverIdle{l.EGPA}, neverIdle{l.EGPB}}
+		gens = [2]mhp.Generator{neverQuiet{l.EGPA}, neverQuiet{l.EGPB}}
 	}
 	// The MHP's GEN, hold and REPLY deliveries go through an untracked view:
 	// the fold of failed attempts rules them out itself, so the link's
@@ -537,10 +537,10 @@ func (nw *Network) joinClock(shard int, eng *sim.Simulator, n *mhp.Node) {
 	c.Add(n)
 }
 
-// neverIdle keeps a node polled every cycle (the clockPerNode seam).
-type neverIdle struct{ mhp.Generator }
+// neverQuiet keeps a node polled every cycle (the clockPerNode seam).
+type neverQuiet struct{ mhp.Generator }
 
-func (neverIdle) Idle() bool { return false }
+func (neverQuiet) Quiet(uint64) uint64 { return 0 }
 
 // ClockTicks returns how many cycles the network's MHP clock has run, the
 // skipped ones included: after a run, every cycle up to its end, at every
@@ -747,9 +747,18 @@ func (nw *Network) registerCounters(r *obs.Registry) {
 	perEGP := func(name string, pick func(creates, oks, errs, expSent, expRecv uint64) uint64) {
 		sum(name, func(l *Link) uint64 { return pick(l.EGPA.Stats()) + pick(l.EGPB.Stats()) })
 	}
+	station := func(name string, pick func(matched, successes, timeMismatch, queueMismatch, noOther uint64) uint64) {
+		sum(name, func(l *Link) uint64 { return pick(l.Mid.Stats()) })
+	}
 	sum("mhp.attempts", func(l *Link) uint64 { return l.MHPA.Attempts() + l.MHPB.Attempts() })
-	sum("mhp.matched", func(l *Link) uint64 { matched, _, _, _, _ := l.Mid.Stats(); return matched })
-	sum("mhp.successes", func(l *Link) uint64 { _, successes, _, _, _ := l.Mid.Stats(); return successes })
+	station("mhp.matched", func(matched, _, _, _, _ uint64) uint64 { return matched })
+	station("mhp.successes", func(_, successes, _, _, _ uint64) uint64 { return successes })
+	// The station's disagreements: on a loss-free link a queue mismatch is
+	// a defect, and under loss the other two count the stretches one side
+	// attempted alone.
+	station("mhp.queue_mismatches", func(_, _, _, queueMismatch, _ uint64) uint64 { return queueMismatch })
+	station("mhp.no_message_other", func(_, _, _, _, noOther uint64) uint64 { return noOther })
+	station("mhp.time_mismatches", func(_, _, timeMismatch, _, _ uint64) uint64 { return timeMismatch })
 	perEGP("egp.oks", func(_, oks, _, _, _ uint64) uint64 { return oks })
 	sum("egp.errors", (*Link).Errors)
 	perEGP("egp.expires", func(_, _, _, expSent, _ uint64) uint64 { return expSent })
