@@ -8,7 +8,7 @@ package egp
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/classical"
 	"repro/internal/sim"
@@ -79,7 +79,9 @@ func (it *QueueItem) Ready(cycle uint64) bool {
 // DistributedQueue is one node's view of the shared request queue
 // (Section E.1). One node is the master and assigns sequence numbers within
 // each priority lane; the other (slave) obtains them through the two-way
-// handshake.
+// handshake. Both sequence spaces wrap: the 8-bit CSEQ of an ADD is kept in
+// a window of addWindow, and each lane holds its items in the circular order
+// of their 16-bit QueueSeqs (seqBefore), which is their assignment order.
 type DistributedQueue struct {
 	nodeName string
 	isMaster bool
@@ -88,7 +90,8 @@ type DistributedQueue struct {
 
 	maxLen int
 
-	queues  [NumQueues][]*QueueItem
+	queues [NumQueues][]*QueueItem
+	// nextSeq is each lane's next QueueSeq; only the master assigns them.
 	nextSeq [NumQueues]uint16
 	// earliest is the smallest TimeoutCycle of the queued items
 	// (math.MaxUint64 when none has one); earliestStale marks it for
@@ -96,15 +99,18 @@ type DistributedQueue struct {
 	earliest      uint64
 	earliestStale bool
 
-	// Pending outgoing ADDs awaiting an ACK, keyed by communication sequence
-	// number (CSEQ).
-	pendingAdds map[uint8]*pendingAdd
-	nextCommSeq uint8
+	// handshakes are this side's ADDs awaiting an ACK, in CSEQ order;
+	// onRetransmit is their timer's handler, built once.
+	handshakes   []handshake
+	nextCommSeq  uint8
+	onRetransmit sim.ArgHandler
 
-	// seenAdds remembers the peer CSEQs accepted within the window (see
-	// addWindow) so retransmissions are acknowledged idempotently; it maps
-	// peer CSEQ to the assigned queue ID.
-	seenAdds map[uint8]wire.AbsoluteQueueID
+	// accepted has bit c set while peer CSEQ c is in the window, and
+	// acceptedSeq[c%addWindow] is the QueueSeq it was given (c and
+	// c−addWindow are never both in it): a retransmitted ADD is acknowledged
+	// again with that ID, its lane the frame's Priority.
+	accepted    [4]uint64
+	acceptedSeq [addWindow]uint16
 
 	// Callbacks.
 	onConfirmed func(*QueueItem)
@@ -126,7 +132,9 @@ type DistributedQueue struct {
 // the peer reuses only after c is acknowledged.
 const addWindow = 128
 
-type pendingAdd struct {
+// handshake is one outgoing ADD awaiting its ACK.
+type handshake struct {
+	cseq    uint8
 	item    *QueueItem
 	retries int
 	timer   sim.EventID
@@ -159,20 +167,20 @@ func NewDistributedQueue(cfg QueueConfig) *DistributedQueue {
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 5
 	}
-	return &DistributedQueue{
+	q := &DistributedQueue{
 		nodeName:        cfg.NodeName,
 		isMaster:        cfg.IsMaster,
 		simul:           cfg.Sim,
 		toPeer:          cfg.ToPeer,
 		maxLen:          cfg.MaxLen,
-		pendingAdds:     make(map[uint8]*pendingAdd),
-		seenAdds:        make(map[uint8]wire.AbsoluteQueueID),
 		onConfirmed:     cfg.OnConfirmed,
 		onRejected:      cfg.OnRejected,
 		retransmitDelay: cfg.RetransmitDelay,
 		maxRetries:      cfg.MaxRetries,
 		earliest:        math.MaxUint64,
 	}
+	q.onRetransmit = q.retransmit
+	return q
 }
 
 // IsMaster reports whether this node holds the master copy of the queue.
@@ -239,9 +247,15 @@ func (q *DistributedQueue) Remove(id wire.AbsoluteQueueID) bool {
 	return false
 }
 
-// push appends an item to its lane.
-func (q *DistributedQueue) push(priority int, item *QueueItem) {
-	q.queues[priority] = append(q.queues[priority], item)
+// push inserts an item at its QueueSeq's circular position in its lane,
+// scanning from the tail, where the master's items always go.
+func (q *DistributedQueue) push(item *QueueItem) {
+	lane := q.queues[item.Priority]
+	i := len(lane)
+	for i > 0 && seqAfter(lane[i-1].ID.QueueSeq, item.ID.QueueSeq) {
+		i--
+	}
+	q.queues[item.Priority] = slices.Insert(lane, i, item)
 	if t := item.TimeoutCycle; t != 0 && t < q.earliest {
 		q.earliest = t
 	}
@@ -278,25 +292,39 @@ func (q *DistributedQueue) Add(item *QueueItem) error {
 	if q.Full(priority) {
 		return fmt.Errorf("egp: queue %d full", priority)
 	}
-	if _, open := q.pendingAdds[q.nextCommSeq-addWindow]; open {
+	if q.find(q.nextCommSeq-addWindow) >= 0 {
 		return fmt.Errorf("egp: %d ADDs unacknowledged", addWindow)
 	}
 	item.OriginMaster = q.isMaster
-	cseq := q.nextCommSeq
-	q.nextCommSeq++
 	if q.isMaster {
 		item.ID = wire.AbsoluteQueueID{QueueID: uint8(priority), QueueSeq: q.nextSeq[priority]}
 		q.nextSeq[priority]++
 		if q.stampFunc != nil {
 			q.stampFunc(item)
 		}
-		q.push(priority, item)
+		q.push(item)
 	}
-	pa := &pendingAdd{item: item}
-	q.pendingAdds[cseq] = pa
+	cseq := q.nextCommSeq
+	q.nextCommSeq++
 	q.sendAdd(cseq, item)
-	q.scheduleRetransmit(cseq)
+	timer := sim.ScheduleArg(q.simul, q.retransmitDelay, q.onRetransmit, cseq)
+	q.handshakes = append(q.handshakes, handshake{cseq: cseq, item: item, timer: timer})
 	return nil
+}
+
+// find returns the index of the unacknowledged ADD of the given CSEQ in
+// handshakes, or -1.
+func (q *DistributedQueue) find(cseq uint8) int {
+	return slices.IndexFunc(q.handshakes, func(h handshake) bool { return h.cseq == cseq })
+}
+
+// settle ends handshake i, cancelling its retransmit timer, and returns its
+// item.
+func (q *DistributedQueue) settle(i int) *QueueItem {
+	item := q.handshakes[i].item
+	q.handshakes[i].timer.Cancel()
+	q.handshakes = slices.Delete(q.handshakes, i, i+1)
+	return item
 }
 
 func (q *DistributedQueue) sendAdd(cseq uint8, item *QueueItem) {
@@ -325,32 +353,27 @@ func (q *DistributedQueue) sendAdd(cseq uint8, item *QueueItem) {
 	q.toPeer.Send(frame.Encode())
 }
 
-func (q *DistributedQueue) scheduleRetransmit(cseq uint8) {
-	pa, ok := q.pendingAdds[cseq]
-	if !ok {
+// retransmit is the timer of the handshake whose CSEQ is arg: it resends
+// the ADD, or after maxRetries resends gives it up, removing the master's
+// copy and reporting ErrNoTime.
+func (q *DistributedQueue) retransmit(_ sim.Time, arg any) {
+	cseq := arg.(uint8)
+	i := q.find(cseq) // settling a handshake cancels its timer
+	h := &q.handshakes[i]
+	if h.retries >= q.maxRetries {
+		item := q.settle(i)
+		if q.isMaster {
+			q.Remove(item.ID)
+		}
+		if q.onRejected != nil {
+			q.onRejected(item, wire.ErrNoTime)
+		}
 		return
 	}
-	pa.timer = sim.Schedule(q.simul, q.retransmitDelay, func() {
-		cur, still := q.pendingAdds[cseq]
-		if !still || cur != pa {
-			return
-		}
-		if pa.retries >= q.maxRetries {
-			delete(q.pendingAdds, cseq)
-			// Give up: remove the local copy (master) and report failure.
-			if q.isMaster {
-				q.Remove(pa.item.ID)
-			}
-			if q.onRejected != nil {
-				q.onRejected(pa.item, wire.ErrNoTime)
-			}
-			return
-		}
-		pa.retries++
-		q.retransmissions++
-		q.sendAdd(cseq, pa.item)
-		q.scheduleRetransmit(cseq)
-	})
+	h.retries++
+	q.retransmissions++
+	q.sendAdd(cseq, h.item)
+	h.timer = sim.ScheduleArg(q.simul, q.retransmitDelay, q.onRetransmit, cseq)
 }
 
 // SetStampFunc installs the scheduler stamping hook applied by the master to
@@ -380,8 +403,9 @@ func (q *DistributedQueue) HandleMessage(msg classical.Message) {
 // handleAdd processes a peer's ADD: validate, enqueue, and acknowledge.
 func (q *DistributedQueue) handleAdd(frame wire.DQPFrame) {
 	// Idempotent handling of retransmissions.
-	if id, seen := q.seenAdds[frame.CommSeq]; seen {
-		q.sendAckFor(frame.CommSeq, id, frame)
+	c := frame.CommSeq
+	if q.accepted[c/64]&(1<<(c%64)) != 0 {
+		q.sendAckFor(c, wire.AbsoluteQueueID{QueueID: frame.Priority, QueueSeq: q.acceptedSeq[c%addWindow]}, frame)
 		return
 	}
 	priority := int(frame.Priority)
@@ -424,17 +448,15 @@ func (q *DistributedQueue) handleAdd(frame wire.DQPFrame) {
 		if int(item.ID.QueueID) != priority {
 			return
 		}
-		if item.ID.QueueSeq >= q.nextSeq[priority] {
-			q.nextSeq[priority] = item.ID.QueueSeq + 1
-		}
 	}
-	q.push(priority, item)
-	q.sortLane(priority)
-	q.seenAdds[frame.CommSeq] = item.ID
-	delete(q.seenAdds, frame.CommSeq-addWindow)
+	q.push(item)
+	q.accepted[c/64] |= 1 << (c % 64)
+	q.acceptedSeq[c%addWindow] = item.ID.QueueSeq
+	old := c - addWindow
+	q.accepted[old/64] &^= 1 << (old % 64)
 	ack := frame
 	ack.VirtualFinish = item.VirtualFinish
-	q.sendAckFor(frame.CommSeq, item.ID, ack)
+	q.sendAckFor(c, item.ID, ack)
 	if q.onConfirmed != nil {
 		q.onConfirmed(item)
 	}
@@ -451,26 +473,19 @@ func (q *DistributedQueue) sendAckFor(cseq uint8, id wire.AbsoluteQueueID, orig 
 
 // handleAck completes a pending local ADD.
 func (q *DistributedQueue) handleAck(frame wire.DQPFrame) {
-	pa, ok := q.pendingAdds[frame.CommSeq]
-	if !ok {
+	i := q.find(frame.CommSeq)
+	if i < 0 {
 		return
 	}
-	delete(q.pendingAdds, frame.CommSeq)
-	pa.timer.Cancel()
-	item := pa.item
+	item := q.settle(i)
 	if !q.isMaster {
 		// Adopt the master-assigned queue ID and scheduling stamp, then
 		// enqueue locally.
 		item.ID = frame.QueueID
 		item.VirtualFinish = frame.VirtualFinish
-		priority := int(item.Priority)
-		if int(item.ID.QueueID) == priority {
-			if item.ID.QueueSeq >= q.nextSeq[priority] {
-				q.nextSeq[priority] = item.ID.QueueSeq + 1
-			}
+		if item.ID.QueueID == item.Priority {
 			item.confirmed = true
-			q.push(priority, item)
-			q.sortLane(priority)
+			q.push(item)
 		}
 	} else {
 		item.confirmed = true
@@ -482,17 +497,16 @@ func (q *DistributedQueue) handleAck(frame wire.DQPFrame) {
 
 // handleRej aborts a pending local ADD.
 func (q *DistributedQueue) handleRej(frame wire.DQPFrame) {
-	pa, ok := q.pendingAdds[frame.CommSeq]
-	if !ok {
+	i := q.find(frame.CommSeq)
+	if i < 0 {
 		return
 	}
-	delete(q.pendingAdds, frame.CommSeq)
-	pa.timer.Cancel()
+	item := q.settle(i)
 	if q.isMaster {
-		q.Remove(pa.item.ID)
+		q.Remove(item.ID)
 	}
 	if q.onRejected != nil {
-		q.onRejected(pa.item, wire.ErrRejected)
+		q.onRejected(item, wire.ErrRejected)
 	}
 }
 
@@ -501,27 +515,17 @@ func (q *DistributedQueue) handleRej(frame wire.DQPFrame) {
 // already enqueued locally are left for the caller's queue sweep to fail
 // (avoiding a double error); slave-side items that exist only as a pending
 // handshake are reported rejected with the given code. Handshakes are
-// visited in communication-sequence order so the emitted errors are
-// deterministic.
+// visited in numeric CSEQ order, 0 to 255 whichever is oldest, so the
+// emitted errors are deterministic.
 func (q *DistributedQueue) FailPending(code wire.EGPError) {
-	for cseq := 0; cseq < 256; cseq++ {
-		pa, ok := q.pendingAdds[uint8(cseq)]
-		if !ok {
-			continue
-		}
-		delete(q.pendingAdds, uint8(cseq))
-		pa.timer.Cancel()
-		if !q.isMaster && q.onRejected != nil {
-			q.onRejected(pa.item, code)
+	for cseq := range 256 {
+		if i := q.find(uint8(cseq)); i >= 0 {
+			item := q.settle(i)
+			if !q.isMaster && q.onRejected != nil {
+				q.onRejected(item, code)
+			}
 		}
 	}
-}
-
-// sortLane keeps a lane ordered by queue sequence number so both nodes agree
-// on queue order regardless of message arrival interleaving.
-func (q *DistributedQueue) sortLane(priority int) {
-	lane := q.queues[priority]
-	sort.SliceStable(lane, func(i, j int) bool { return lane[i].ID.QueueSeq < lane[j].ID.QueueSeq })
 }
 
 // Stats returns DQP message counters.

@@ -264,46 +264,63 @@ func TestInvalidPriorityRejected(t *testing.T) {
 // side in bursts, over channels that lose 5% of frames, so each side's 8-bit
 // CSEQ wraps about twice and many ADDs are retransmitted. Once every burst's
 // handshakes have settled, both copies of the queue must hold the same
-// items in the same order: a CSEQ seen 256 ADDs earlier is a new ADD, not a
-// retransmission.
+// items in the same order, the order the master assigned them: a CSEQ seen
+// 256 ADDs earlier is a new ADD, not a retransmission. The second case
+// starts the master's QueueSeq 500 short of 65,536, so the lane's sequence
+// numbers wrap halfway and QueueSeq 0 must queue behind 65,535.
 func TestQueueCopiesStayEqualAcrossCSEQWraps(t *testing.T) {
-	qp := newQueuePair(t, 0.05)
-	for _, q := range []*DistributedQueue{qp.master, qp.slave} {
-		q.maxLen = 1000
-		q.maxRetries = 50
-	}
-	const bursts, perBurst = 50, 10
-	createID := uint16(0)
-	for b := range bursts {
-		sim.Schedule(qp.s, 0, func() {
-			for range perBurst {
-				for _, q := range []*DistributedQueue{qp.master, qp.slave} {
-					createID++
-					if err := q.Add(newItem(PriorityMD, createID)); err != nil {
-						t.Errorf("burst %d: Add: %v", b, err)
+	for _, tc := range []struct {
+		name     string
+		firstSeq uint16
+	}{
+		{"from-0", 0},
+		{"across-queueseq-wrap", 65536 - 500},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			qp := newQueuePair(t, 0.05)
+			for _, q := range []*DistributedQueue{qp.master, qp.slave} {
+				q.maxLen = 1000
+				q.maxRetries = 50
+			}
+			qp.master.nextSeq[PriorityMD] = tc.firstSeq
+			const bursts, perBurst = 50, 10
+			createID := uint16(0)
+			for b := range bursts {
+				sim.Schedule(qp.s, 0, func() {
+					for range perBurst {
+						for _, q := range []*DistributedQueue{qp.master, qp.slave} {
+							createID++
+							if err := q.Add(newItem(PriorityMD, createID)); err != nil {
+								t.Errorf("burst %d: Add: %v", b, err)
+							}
+						}
+					}
+				})
+				for len(qp.master.handshakes)+len(qp.slave.handshakes) > 0 || qp.s.Pending() > 0 {
+					_ = qp.s.RunFor(sim.Millisecond)
+				}
+				if t.Failed() {
+					return
+				}
+				copies := [2][]string{}
+				for i, q := range []*DistributedQueue{qp.master, qp.slave} {
+					for j, it := range q.Items(PriorityMD) {
+						copies[i] = append(copies[i], fmt.Sprintf("%v/%d/%v", it.ID, it.CreateID, it.confirmed))
+						if j > 0 && it.ID.QueueSeq-tc.firstSeq <= q.Items(PriorityMD)[j-1].ID.QueueSeq-tc.firstSeq {
+							t.Fatalf("after burst %d: %s lane holds QueueSeq %d at %d, after %d: not in assignment order",
+								b, q.nodeName, it.ID.QueueSeq, j, q.Items(PriorityMD)[j-1].ID.QueueSeq)
+						}
 					}
 				}
+				if want := 2 * perBurst * (b + 1); len(copies[0]) != want || !slices.Equal(copies[0], copies[1]) {
+					t.Fatalf("after burst %d (%d ADDs): master holds %d items, slave %d, want %d each and equal\nmaster: %v\nslave:  %v",
+						b, want, len(copies[0]), len(copies[1]), want, copies[0], copies[1])
+				}
+			}
+			if _, _, _, retransmits := qp.master.Stats(); retransmits == 0 {
+				t.Fatal("no ADD was retransmitted")
 			}
 		})
-		for len(qp.master.pendingAdds)+len(qp.slave.pendingAdds) > 0 || qp.s.Pending() > 0 {
-			_ = qp.s.RunFor(sim.Millisecond)
-		}
-		if t.Failed() {
-			return
-		}
-		copies := [2][]string{}
-		for i, q := range []*DistributedQueue{qp.master, qp.slave} {
-			for _, it := range q.Items(PriorityMD) {
-				copies[i] = append(copies[i], fmt.Sprintf("%v/%d/%v", it.ID, it.CreateID, it.confirmed))
-			}
-		}
-		if want := 2 * perBurst * (b + 1); len(copies[0]) != want || !slices.Equal(copies[0], copies[1]) {
-			t.Fatalf("after burst %d (%d ADDs): master holds %d items, slave %d, want %d each and equal\nmaster: %v\nslave:  %v",
-				b, want, len(copies[0]), len(copies[1]), want, copies[0], copies[1])
-		}
-	}
-	if _, _, _, retransmits := qp.master.Stats(); retransmits == 0 {
-		t.Fatal("no ADD was retransmitted")
 	}
 }
 
@@ -328,5 +345,43 @@ func TestQueueRefusesAddWhileWindowFull(t *testing.T) {
 	_ = qp.s.RunFor(sim.Millisecond)
 	if err := qp.master.Add(newItem(PriorityMD, addWindow)); err != nil {
 		t.Fatalf("ADD refused after every ACK came: %v", err)
+	}
+}
+
+// TestAddAllocatesOnlyItsFrame: on either side, an ADD whose first frame is
+// lost, retransmitted once and then acknowledged, its item queued among
+// others and removed, allocates only the two frames it sends: nothing for
+// its handshake, its retransmit timer or its lane position. The slave's ACK
+// gives the item a QueueSeq that queues it mid-lane, across the wrap.
+func TestAddAllocatesOnlyItsFrame(t *testing.T) {
+	s := sim.New(1)
+	lost := classical.NewChannel("lost", s, sim.Microsecond, 1, func(classical.Message) {})
+	frame := testing.AllocsPerRun(100, func() { lost.Send(wire.DQPFrame{}.Encode()) })
+	for _, master := range []bool{true, false} {
+		q := NewDistributedQueue(QueueConfig{IsMaster: master, Sim: s, ToPeer: lost, RetransmitDelay: sim.Millisecond})
+		for i, seq := range []uint16{65534, 65535, 1, 2} {
+			if master {
+				_ = q.Add(newItem(PriorityMD, uint16(i)))
+				q.handleAck(wire.DQPFrame{Kind: wire.DQPAck, CommSeq: uint8(i)})
+				continue
+			}
+			q.handleAdd(wire.DQPFrame{Kind: wire.DQPAdd, CommSeq: uint8(i), Priority: PriorityMD, NumPairs: 1,
+				QueueID: wire.AbsoluteQueueID{QueueID: PriorityMD, QueueSeq: seq}})
+		}
+		it := newItem(PriorityMD, 9)
+		got := testing.AllocsPerRun(100, func() {
+			if err := q.Add(it); err != nil {
+				t.Fatal(err)
+			}
+			_ = s.RunFor(3 * sim.Millisecond / 2)
+			q.handleAck(wire.DQPFrame{Kind: wire.DQPAck, CommSeq: q.nextCommSeq - 1,
+				QueueID: wire.AbsoluteQueueID{QueueID: PriorityMD, QueueSeq: 0}})
+			if q.Len(PriorityMD) != 5 || !q.Remove(it.ID) {
+				t.Fatalf("master=%v: the acknowledged item is not queued", master)
+			}
+		})
+		if want := 2 * frame; got != want {
+			t.Errorf("master=%v: an ADD round trip allocates %v times, want %v (its two frames)", master, got, want)
+		}
 	}
 }

@@ -91,12 +91,10 @@ func TestQuietPollsChangeNothing(t *testing.T) {
 						e.queue.earliestStale = true
 					}
 					// The peer's ACK, which the fixture's channel never
-					// delivers.
+					// delivers: the items are confirmed and the handshakes
+					// end (on the master, FailPending only cancels them).
 					f.confirmAll()
-					for cseq, pa := range e.queue.pendingAdds {
-						pa.timer.Cancel()
-						delete(e.queue.pendingAdds, cseq)
-					}
+					e.queue.FailPending(wire.ErrNone)
 					bound = 0
 				}
 				d := e.PollTrigger(c)

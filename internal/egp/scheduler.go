@@ -55,7 +55,7 @@ func (s *FCFSScheduler) Next(q *DistributedQueue, cycle uint64) *QueueItem {
 	var best *QueueItem
 	for priority := 0; priority < NumQueues; priority++ {
 		for _, it := range q.Items(priority) {
-			if isReady(it, cycle) && (best == nil || lessFCFS(it, best)) {
+			if isReady(it, cycle) && (best == nil || lessBy(it.ScheduleCycle, best.ScheduleCycle, it, best)) {
 				best = it
 			}
 		}
@@ -63,14 +63,17 @@ func (s *FCFSScheduler) Next(q *DistributedQueue, cycle uint64) *QueueItem {
 	return best
 }
 
-func lessFCFS(a, b *QueueItem) bool {
-	if a.ScheduleCycle != b.ScheduleCycle {
-		return a.ScheduleCycle < b.ScheduleCycle
+// lessBy orders two items by their keys ka and kb, then by (queue,
+// sequence), the sequence in circular arithmetic as it wraps, so that both
+// nodes agree.
+func lessBy(ka, kb uint64, a, b *QueueItem) bool {
+	if ka != kb {
+		return ka < kb
 	}
 	if a.ID.QueueID != b.ID.QueueID {
 		return a.ID.QueueID < b.ID.QueueID
 	}
-	return a.ID.QueueSeq < b.ID.QueueSeq
+	return seqBefore(a.ID.QueueSeq, b.ID.QueueSeq)
 }
 
 // WFQScheduler gives strict priority to the NL lane and arbitrates between
@@ -138,7 +141,7 @@ func (s *WFQScheduler) Next(q *DistributedQueue, cycle uint64) *QueueItem {
 	var best *QueueItem
 	for _, priority := range [...]int{PriorityCK, PriorityMD} {
 		for _, it := range q.Items(priority) {
-			if isReady(it, cycle) && (best == nil || lessWFQ(it, best)) {
+			if isReady(it, cycle) && (best == nil || lessBy(it.VirtualFinish, best.VirtualFinish, it, best)) {
 				best = it
 			}
 		}
@@ -149,16 +152,6 @@ func (s *WFQScheduler) Next(q *DistributedQueue, cycle uint64) *QueueItem {
 		s.virtualTime = float64(best.VirtualFinish)
 	}
 	return best
-}
-
-func lessWFQ(a, b *QueueItem) bool {
-	if a.VirtualFinish != b.VirtualFinish {
-		return a.VirtualFinish < b.VirtualFinish
-	}
-	if a.ID.QueueID != b.ID.QueueID {
-		return a.ID.QueueID < b.ID.QueueID
-	}
-	return a.ID.QueueSeq < b.ID.QueueSeq
 }
 
 // NewScheduler returns a scheduler by its experiment name ("FCFS",

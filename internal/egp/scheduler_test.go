@@ -3,6 +3,8 @@ package egp
 import (
 	"testing"
 
+	"repro/internal/classical"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -165,5 +167,34 @@ func TestPriorityNames(t *testing.T) {
 	}
 	if PriorityName(7) != "P7" {
 		t.Fatal("unknown priority should render generically")
+	}
+}
+
+// TestSchedulersBreakTiesAcrossQueueSeqWrap: four items of one lane, tied on
+// schedule cycle and virtual finish time, with QueueSeqs 65534, 65535, 0
+// and 1, reach a slave queue out of order. Both schedulers must serve them
+// in assignment order, in every lane: QueueSeq 0 comes after 65535.
+func TestSchedulersBreakTiesAcrossQueueSeqWrap(t *testing.T) {
+	for _, lane := range []uint8{PriorityNL, PriorityCK, PriorityMD} {
+		for _, sched := range []Scheduler{NewFCFS(), NewHigherWFQ()} {
+			t.Run(PriorityName(int(lane))+"/"+sched.Name(), func(t *testing.T) {
+				s := sim.New(1)
+				q := NewDistributedQueue(QueueConfig{Sim: s, ToPeer: classical.NewChannel("s->m", s, sim.Microsecond, 1, func(classical.Message) {})})
+				for i, seq := range []uint16{65535, 0, 65534, 1} {
+					q.handleAdd(wire.DQPFrame{Kind: wire.DQPAdd, CommSeq: uint8(i), Priority: lane, NumPairs: 1,
+						ScheduleCycle: 10, VirtualFinish: 100, QueueID: wire.AbsoluteQueueID{QueueID: lane, QueueSeq: seq}})
+				}
+				for _, want := range []uint16{65534, 65535, 0, 1} {
+					it := sched.Next(q, 20)
+					if it == nil {
+						t.Fatalf("served nothing, want QueueSeq %d", want)
+					}
+					if it.ID.QueueSeq != want {
+						t.Fatalf("served QueueSeq %d, want %d", it.ID.QueueSeq, want)
+					}
+					q.Remove(it.ID)
+				}
+			})
+		}
 	}
 }

@@ -27,11 +27,9 @@ func TestFailedAttemptsAllocateNothing(t *testing.T) {
 		loss float64
 		fold bool
 	}{
-		// The first name level dates from the timing wheel the engine ran
-		// on; it is kept so the tests' IDs stay the same.
-		{"wheel", 0, false},
-		{"wheel/lossy", 0.005, false},
-		{"wheel/fold", 0, true},
+		{"per-attempt", 0, false},
+		{"per-attempt/lossy", 0.005, false},
+		{"fold", 0, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			nw, l := labLink(t, tc.loss, tc.fold)

@@ -115,13 +115,20 @@ func e2eGridCase() oracleCase {
 // rate-divided degrade; classical loss (the DQP retransmit, EXPIRE and
 // lost-REPLY paths), on the mixed chain and on an all-K one long enough that
 // nodes park through many kDeadline waits and carbon re-initialisation
-// windows; QL2020 (a K stride of 16 and asymmetric arms); and the
+// windows; that all-K chain with deadlines short enough that queued items
+// time out while their nodes park (EGP.Quiet's bound at the queue's
+// earliest timeout); QL2020 (a K stride of 16 and asymmetric arms); and the
 // end-to-end service under faults.
 func oracleCases() []oracleCase {
 	return []oracleCase{
 		specCase("chain8-mixed", "chain8-mixed.json", 0.2, nil),
 		specCase("chain8-mixed-higherwfq", "chain8-mixed.json", 0.2, func(c *scenario.Compiled) { c.Config.Scheduler = "HigherWFQ" }),
 		specCase("chain8-ck-lossy", "chain8-ck-lossy.json", 1, nil),
+		specCase("chain8-ck-deadlines", "chain8-ck-lossy.json", 1, func(c *scenario.Compiled) {
+			for i := range c.Classes {
+				c.Classes[i].Deadline = 100 * sim.Millisecond
+			}
+		}),
 		specCase("chain8-outage", "chain8-outage.json", 0.5, nil),
 		specCase("chain8-lossy", "chain8-mixed.json", 0.2, func(c *scenario.Compiled) { c.Config.ClassicalLossProb = 0.001 }),
 		specCase("chain8-ql2020", "chain8-mixed.json", 0.4, func(c *scenario.Compiled) {
